@@ -112,6 +112,13 @@ class TruthTable:
 # the tie-breaking four-bit majority gadget
 
 
+_FMAJ_BIT = tuple(
+    (((x >> 3) & 1) & (((x >> 2) & 1) | ((x >> 1) & 1) | (x & 1)))
+    | (((x >> 2) & 1) & ((x >> 1) & 1) & (x & 1))
+    for x in range(16)
+)
+
+
 def fmaj() -> TruthTable:
     """Majority of four bits with ties broken by the first:
 
@@ -119,12 +126,7 @@ def fmaj() -> TruthTable:
 
     Equivalently the simple majority of (x1, x1, x2, x3, x4).
     """
-    bits = 0
-    for idx in range(16):
-        x1, x2, x3, x4 = index_to_bits(idx, 4)
-        v = (x1 & (x2 | x3 | x4)) | (x2 & x3 & x4)
-        bits |= v << idx
-    return TruthTable(4, bits)
+    return TruthTable.from_values(4, _FMAJ_BIT)
 
 
 def compose(f: TruthTable, g: TruthTable) -> TruthTable:
@@ -148,13 +150,6 @@ def compose(f: TruthTable, g: TruthTable) -> TruthTable:
 
 # ---------------------------------------------------------------------------
 # the iterated gadget on a complete 4-ary tree
-
-_FMAJ_BIT = tuple(
-    (((x >> 3) & 1) & (((x >> 2) & 1) | ((x >> 1) & 1) | (x & 1)))
-    | (((x >> 2) & 1) & ((x >> 1) & 1) & (x & 1))
-    for x in range(16)
-)
-
 
 @dataclass(frozen=True)
 class TreeAddress:

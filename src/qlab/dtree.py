@@ -2,25 +2,33 @@
 weighted zero-error cost, and the level-weighted query functionals of
 the minority-path process.
 
-Both optimizations run over the subcube lattice: a restriction state is
-a base-3 code with one trit per variable (0/1 fixed, 2 free), variable
-x_j occupying trit place n - j so the all-free state is the last code.
-A child state re-fixes one free trit, hence has a smaller code, so a
-single ascending sweep sees children before parents.  Ties between
-query variables are broken toward the lowest variable index, which
-makes witness trees canonical.
+Both optimizations run over the subcube lattice of
+``subcube.lattice_colors``: a restriction state indexes a (3,)*n array
+whose axis j is variable x_{j+1}, index 2 meaning free.  A mixed state's
+value is the least, over its free variables a, of step(a) applied to the
+two states that fix x_{a+1} to 0 and to 1.  The values start at 0 on
+f-constant states and at an "infinity" above every optimum on mixed
+ones; a sweep then visits the axes in order and lowers every state free
+at axis a to its step along a, one slab operation per axis.  Sweeps
+repeat until one lowers nothing.  Values never fall below the optimum,
+and at the fixed point every mixed state's value is attained by some
+step, so by induction on the number of free variables the fixed point
+is the optimum.  Witness trees walk down from the root, querying at each
+mixed state the lowest free variable whose step attains the state's
+value; this makes them canonical.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from .boolfn import TruthTable, index_to_bits, parse_bits
-from .subcube import LabeledPartition, Pattern
+from .subcube import LabeledPartition, Pattern, lattice_colors, lattice_sums
 
 MAX_EXACT_VARS = 16
 MAX_WEIGHTED_VARS = 8
@@ -105,23 +113,24 @@ def tree_from_text(text: str) -> DecisionTree:
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     pos = 0
 
-    def parse() -> DecisionTree:
+    def take() -> str:
         nonlocal pos
         if pos >= len(tokens):
             raise ValueError("unexpected end of tree text")
-        tok = tokens[pos]
         pos += 1
+        return tokens[pos - 1]
+
+    def parse() -> DecisionTree:
+        tok = take()
         if tok in ("=0", "=1"):
             return Leaf(int(tok[1]))
         if tok != "(":
             raise ValueError(f"unexpected token {tok!r}")
-        var = int(tokens[pos]) - 1
-        pos += 1
+        var = int(take()) - 1
         low = parse()
         high = parse()
-        if tokens[pos] != ")":
+        if take() != ")":
             raise ValueError("expected ')'")
-        pos += 1
         if var < 0:
             raise ValueError("variable numbers are 1-based")
         return Node(var, low, high)
@@ -143,13 +152,54 @@ def load_tree(path: str) -> DecisionTree:
 
 
 # ---------------------------------------------------------------------------
+# the axis-sweep relaxation shared by both optimizations
+
+# step(a, idx, lo, hi): the value of querying variable a at the states
+# val[idx] given the values lo and hi of their two children; idx is
+# either a slab prefix from _axis or one full state
+Step = Callable[[int, tuple, object, object], object]
+
+
+def _axis(a: int, t: int) -> tuple:
+    """Index of the slab of states whose axis a holds t; a view even
+    when a is the only axis."""
+    return (slice(None),) * a + (t, ...)
+
+
+def _relax(val: np.ndarray, step: Step) -> None:
+    """Lower val in place to the fixed point of the axis sweeps."""
+    while True:
+        before = val.sum()
+        for a in range(val.ndim):
+            free = _axis(a, 2)
+            out = val[free]
+            np.minimum(out, step(a, free, val[_axis(a, 0)], val[_axis(a, 1)]), out=out)
+        if val.sum() == before:
+            return
+
+
+def _witness(color: np.ndarray, val: np.ndarray, step: Step) -> DecisionTree:
+    def build(state: tuple) -> DecisionTree:
+        if color[state] != 2:
+            return Leaf(int(color[state]))
+        for a, t in enumerate(state):
+            if t != 2:
+                continue
+            lo, hi = state[:a] + (0,) + state[a + 1 :], state[:a] + (1,) + state[a + 1 :]
+            if step(a, state, val[lo], val[hi]) == val[state]:
+                return Node(a, build(lo), build(hi))
+        raise AssertionError(f"no query attains the value of state {state}")
+
+    return build((2,) * color.ndim)
+
+
+# ---------------------------------------------------------------------------
 # exact minimax depth over the full subcube lattice
 
-def _table_as_array(f: TruthTable) -> np.ndarray:
-    raw = f.bits.to_bytes((f.size + 7) // 8, "little")
-    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[
-        : f.size
-    ].astype(np.uint8)
+def _depth_step(a: int, idx: tuple, lo, hi):
+    worst = np.maximum(lo, hi)
+    worst += 1
+    return worst
 
 
 def exact_depth(
@@ -159,111 +209,27 @@ def exact_depth(
     memory_limit: int = DEFAULT_MEMORY_LIMIT,
 ) -> "int | tuple[int, DecisionTree]":
     """Minimum worst-case query count of a deterministic tree computing
-    f, by dynamic programming over all 3**n restriction states.  With
-    ``want_tree`` also returns a canonical optimal tree."""
+    f, by the axis-sweep relaxation over all 3**n restriction states.
+    With ``want_tree`` also returns a canonical optimal tree."""
     n = f.n
     if n > MAX_EXACT_VARS:
         raise ValueError(f"exact depth supports n <= {MAX_EXACT_VARS}")
-    size = 3**n
-    # value/color/freecount/argvar arrays plus one int64 level index
-    estimate = size * (5 if want_tree else 4) + 12 * _max_level_size(n)
+    # colors, values and one slab temporary: under three bytes per state
+    estimate = 3 * 3**n
     if estimate > memory_limit:
         raise MemoryGuardError(
             f"estimated {estimate} bytes exceeds limit {memory_limit}"
         )
-    pow3 = np.array([3**k for k in range(n)], dtype=np.int64)
-
-    # color: 0/1 constant on the subcube, 2 mixed
-    color = np.full(size, 2, dtype=np.uint8)
-    idx = np.arange(1 << n, dtype=np.int64)
-    code = np.zeros(1 << n, dtype=np.int64)
-    for k in range(n):
-        code += ((idx >> k) & 1) * int(pow3[k])
-    color[code] = _table_as_array(f)
-    del idx
-
-    freecount = np.zeros(size, dtype=np.uint8)
-    chunk = 1 << 22
-    for start in range(0, size, chunk):
-        s = np.arange(start, min(start + chunk, size), dtype=np.int64)
-        for k in range(n):
-            freecount[start : start + s.size] += ((s // int(pow3[k])) % 3 == 2).astype(
-                np.uint8
-            )
-
-    value = np.zeros(size, dtype=np.uint8)
-    argvar = np.full(size, 255, dtype=np.uint8) if want_tree else None
-
-    for u in range(1, n + 1):
-        lvl = np.flatnonzero(freecount == u).astype(np.int64)
-        # color from any one free trit; scan places until all states hit
-        rem = lvl
-        for k in range(n):
-            if rem.size == 0:
-                break
-            free_here = (rem // int(pow3[k])) % 3 == 2
-            sel = rem[free_here]
-            if sel.size:
-                c0 = color[sel - 2 * int(pow3[k])]
-                c1 = color[sel - int(pow3[k])]
-                color[sel] = np.where(c0 == c1, c0, 2)
-            rem = rem[~free_here]
-        mixed = lvl[color[lvl] == 2]
-        del lvl, rem
-        if mixed.size == 0:
-            continue
-        best = np.full(mixed.size, 255, dtype=np.uint8)
-        barg = np.full(mixed.size, 255, dtype=np.uint8) if want_tree else None
-        # x_1 sits at trit place n-1; descending places = ascending
-        # variable index, strict improvement keeps the lowest
-        for k in range(n - 1, -1, -1):
-            free_here = (mixed // int(pow3[k])) % 3 == 2
-            sel = mixed[free_here]
-            if sel.size == 0:
-                continue
-            worst = np.maximum(
-                value[sel - 2 * int(pow3[k])], value[sel - int(pow3[k])]
-            )
-            cur = best[free_here]
-            improve = worst < cur
-            cur[improve] = worst[improve]
-            best[free_here] = cur
-            if want_tree:
-                assert barg is not None
-                ba = barg[free_here]
-                ba[improve] = k
-                barg[free_here] = ba
-        value[mixed] = best + 1
-        if want_tree:
-            assert argvar is not None and barg is not None
-            argvar[mixed] = barg
-        del mixed, best, barg
-
-    root = size - 1
-    depth = int(value[root]) if color[root] == 2 else 0
+    color = lattice_colors(f)
+    val = color // 2  # 1 on mixed states, 0 on constant ones
+    val *= n + 1  # "infinity": every depth is at most n
+    if not want_tree:
+        del color  # the sweeps need only the values
+    _relax(val, _depth_step)
+    depth = int(val[(2,) * n])
     if not want_tree:
         return depth
-
-    assert argvar is not None
-    pow3_list = [3**k for k in range(n)]
-
-    def build(state: int) -> DecisionTree:
-        if color[state] != 2:
-            return Leaf(int(color[state]))
-        k = int(argvar[state])
-        return Node(
-            n - 1 - k,
-            build(state - 2 * pow3_list[k]),
-            build(state - pow3_list[k]),
-        )
-
-    return depth, build(root)
-
-
-def _max_level_size(n: int) -> int:
-    from math import comb
-
-    return max(comb(n, u) * 2 ** (n - u) for u in range(n + 1))
+    return depth, _witness(color, val, _depth_step)
 
 
 # ---------------------------------------------------------------------------
@@ -321,76 +287,34 @@ def tree_cost(tree: DecisionTree, cost: CostMatrix) -> Fraction:
 def min_weighted_zero_error(
     f: TruthTable, cost: CostMatrix, *, want_tree: bool = False
 ) -> "Fraction | tuple[Fraction, DecisionTree]":
-    """Minimum of tree_cost over all zero-error trees for f, by exact
-    rational DP over the subcube lattice.  Querying variable i on the
-    subcube S charges the sum of rows[i] over members of S."""
+    """Minimum of tree_cost over all zero-error trees for f, by the
+    axis-sweep relaxation in exact integers over the charges' common
+    denominator.  Querying variable i on the subcube S charges the sum
+    of rows[i] over members of S."""
     n = f.n
     if n != cost.n:
         raise ValueError(f"function arity {n} != cost arity {cost.n}")
     if n > MAX_WEIGHTED_VARS:
         raise ValueError(f"weighted DP supports n <= {MAX_WEIGHTED_VARS}")
-    size = 3**n
-    pow3 = [3**k for k in range(n)]
-    color = bytearray([2]) * size
-    member_sum: list[list[Fraction]] = [[Fraction(0)] * size for _ in range(n)]
-    fbits = f.bits
-    for idx in range(1 << n):
-        st = 0
-        for k in range(n):
-            if (idx >> k) & 1:
-                st += pow3[k]
-        color[st] = (fbits >> idx) & 1
-        for i in range(n):
-            member_sum[i][st] = cost.rows[i][idx]
+    denom = math.lcm(*(c.denominator for row in cost.rows for c in row))
+    rows = [
+        np.array([c.numerator * (denom // c.denominator) for c in row], dtype=object)
+        for row in cost.rows
+    ]
+    charges = [lattice_sums(row) for row in rows]
+    color = lattice_colors(f)
+    val = np.zeros(color.shape, dtype=object)
+    # a tree queries each variable at most once per input
+    val[color == 2] = 1 + sum(int(row.sum()) for row in rows)
 
-    opt: list[Optional[Fraction]] = [None] * size
-    argvar: list[int] = [-1] * size
-    for st in range(size):
-        trits = []
-        c = st
-        for _ in range(n):
-            trits.append(c % 3)
-            c //= 3
-        free = [k for k in range(n) if trits[k] == 2]
-        if not free:
-            opt[st] = Fraction(0)
-            continue
-        k0 = free[0]
-        lo, hi = st - 2 * pow3[k0], st - pow3[k0]
-        c0, c1 = color[lo], color[hi]
-        color[st] = c0 if c0 == c1 else 2
-        for i in range(n):
-            member_sum[i][st] = member_sum[i][lo] + member_sum[i][hi]
-        if color[st] != 2:
-            opt[st] = Fraction(0)
-            continue
-        best: Optional[Fraction] = None
-        barg = -1
-        # descending trit place = ascending variable index
-        for k in reversed(free):
-            olo = opt[st - 2 * pow3[k]]
-            ohi = opt[st - pow3[k]]
-            assert olo is not None and ohi is not None
-            cand = member_sum[n - 1 - k][st] + olo + ohi
-            if best is None or cand < best:
-                best = cand
-                barg = k
-        opt[st] = best
-        argvar[st] = barg
+    def step(a: int, idx: tuple, lo, hi):
+        return charges[a][idx] + lo + hi
 
-    root = size - 1
-    result = opt[root]
-    assert result is not None
+    _relax(val, step)
+    value = Fraction(int(val[(2,) * n]), denom)
     if not want_tree:
-        return result
-
-    def build(state: int) -> DecisionTree:
-        if color[state] != 2:
-            return Leaf(color[state])
-        k = argvar[state]
-        return Node(n - 1 - k, build(state - 2 * pow3[k]), build(state - pow3[k]))
-
-    return result, build(root)
+        return value
+    return value, _witness(color, val, step)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .boolfn import TruthTable
-from .subcube import LabeledPartition, Pattern, search_min_weight
+from .subcube import LabeledPartition, all_patterns, search_min_weight
 
 MAX_LP_VARS_N = 4
 
@@ -239,18 +239,6 @@ def solve_exact(lp: RationalLP) -> LPSolution:
 # ---------------------------------------------------------------------------
 # the partition-style relaxation
 
-def _all_patterns(n: int) -> list[Pattern]:
-    out = []
-    for code in range(3**n):
-        chars = []
-        c = code
-        for _ in range(n):
-            chars.append("01*"[c % 3])
-            c //= 3
-        out.append(Pattern("".join(reversed(chars))))
-    return out
-
-
 def build_prt_lp(f: TruthTable, eps: Fraction) -> RationalLP:
     """The weighted-cover relaxation for f at error eps."""
     n = f.n
@@ -258,7 +246,7 @@ def build_prt_lp(f: TruthTable, eps: Fraction) -> RationalLP:
         raise ValueError(f"relaxation supports n <= {MAX_LP_VARS_N}")
     if not 0 <= eps < Fraction(1, 2):
         raise ValueError("eps must lie in [0, 1/2)")
-    patterns = _all_patterns(n)
+    patterns = list(all_patterns(n))
     names = []
     objective = []
     for pat in patterns:

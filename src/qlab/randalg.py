@@ -31,7 +31,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import chi2 as _chi2
 
 from .boolfn import _FMAJ_BIT, bits_to_index, index_to_bits, iter_eval, parse_bits
 from .harddist import _CUM30, _PAT0, _PAT1, d, dh_support, sample_inputs
@@ -443,7 +442,10 @@ def chi_square_gof(
         stat += (c - expected) ** 2 / expected
         cells += 1
     df = cells - 1
-    critical = float(_chi2.isf(alpha, df))
+    # scipy.stats takes over a second to import; only this check needs it
+    from scipy.stats import chi2
+
+    critical = float(chi2.isf(alpha, df))
     return GofReport(stat, df, critical, impossible, impossible == 0 and stat <= critical)
 
 

@@ -15,10 +15,14 @@ result is a proof that no partition within the budget exists.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
+
+import numpy as np
 
 from .boolfn import TruthTable
 
@@ -42,7 +46,7 @@ class Pattern:
     def n(self) -> int:
         return len(self.text)
 
-    @property
+    @functools.cached_property
     def mask(self) -> int:
         m = 0
         for j, c in enumerate(self.text):
@@ -50,7 +54,7 @@ class Pattern:
                 m |= 1 << (self.n - 1 - j)
         return m
 
-    @property
+    @functools.cached_property
     def vals(self) -> int:
         v = 0
         for j, c in enumerate(self.text):
@@ -227,24 +231,60 @@ def compose_partitions(p: LabeledPartition, q: LabeledPartition) -> LabeledParti
 
 
 # ---------------------------------------------------------------------------
+# the subcube lattice: arrays of shape (3,)*n whose axis j is variable
+# x_{j+1}, index 0 or 1 fixing it and index 2 leaving it free
+
+def _zeta(
+    base: np.ndarray, merge: Callable[[np.ndarray, np.ndarray, np.ndarray], object]
+) -> np.ndarray:
+    """Extend ``base``, an array over {0,1}^n with axis j = x_{j+1}, to
+    every subcube by one in-place slab operation per axis: for axis a,
+    merge(lo, hi, out) fills the states free at a from the states fixing
+    it to 0 and to 1.  The slabs keep every axis above a fixed, and the
+    axes below a are already complete, so every input to a merge is
+    final."""
+    n = base.ndim
+    out = np.empty((3,) * n, dtype=base.dtype)
+    out[(slice(0, 2),) * n] = base
+    for a in range(n):
+        # the trailing ... keeps n = 1 slabs as arrays, not scalars
+        pre, post = (slice(None),) * a, (slice(0, 2),) * (n - 1 - a) + (...,)
+        merge(out[pre + (0,) + post], out[pre + (1,) + post], out[pre + (2,) + post])
+    return out
+
+
+def lattice_colors(f: TruthTable) -> np.ndarray:
+    """Color of every subcube: a (3,)*n uint8 array holding f's value
+    where f is constant on the subcube and 2 where it is mixed."""
+    raw = f.bits.to_bytes((f.size + 7) // 8, "little")
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    # merged as 1 + color, the set of values seen: 0b01 for 0, 0b10 for
+    # 1, 0b11 for mixed, so two halves merge by bitwise or
+    colors = _zeta(bits[: f.size].reshape((2,) * f.n) + 1, np.bitwise_or)
+    colors -= 1
+    return colors
+
+
+def lattice_sums(values: np.ndarray) -> np.ndarray:
+    """Sum of ``values`` (one entry per input, in index order) over the
+    members of every subcube, as a (3,)*n array of the same dtype."""
+    n = values.size.bit_length() - 1
+    return _zeta(values.reshape((2,) * n), np.add)
+
+
+def all_patterns(n: int) -> Iterator[Pattern]:
+    """Every subcube of {0,1}^n in the lattice's C order: per position
+    0 < 1 < *, x_1 varying slowest."""
+    return (Pattern("".join(t)) for t in itertools.product("01*", repeat=n))
+
+
+# ---------------------------------------------------------------------------
 # exhaustive searches
 
 def _monochromatic_patterns(f: TruthTable) -> list[tuple[Pattern, int]]:
     """Every f-monochromatic subcube, with its forced label."""
-    n = f.n
-    out: list[tuple[Pattern, int]] = []
-    for code in range(3**n):
-        chars = []
-        c = code
-        for _ in range(n):
-            chars.append("01*"[c % 3])
-            c //= 3
-        pat = Pattern("".join(reversed(chars)))
-        it = pat.members()
-        z = f.bit(next(it))
-        if all(f.bit(idx) == z for idx in it):
-            out.append((pat, z))
-    return out
+    colors = lattice_colors(f).ravel()
+    return [(p, int(c)) for p, c in zip(all_patterns(f.n), colors) if c != 2]
 
 
 def _order_key(pat: Pattern) -> tuple[int, str]:

@@ -4,10 +4,19 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qlab import cli
 from qlab.boolfn import IteratedMajority, fmaj, load_table
 from qlab.cli import main
 from qlab.harddist import d, load_dist
-from qlab.subcube import canonical_fmaj_partition, load_partition
+from qlab.subcube import (
+    LabeledPartition,
+    canonical_fmaj_partition,
+    compose_partitions,
+    load_partition,
+)
 
 
 def run(capsys, *argv):
@@ -177,13 +186,27 @@ def test_verify_height_one_fails_only_on_cross_charge(capsys):
 def test_verify_height_two_quick(capsys):
     code, out = run(
         capsys, "verify", "separation", "--height", "2",
-        "--trials", "100000", "--seed", "4", "--threads", "2", "--skip-exact-depth",
+        "--trials", "100000", "--seed", "4", "--threads", "2",
     )
     got = lines(out)
-    assert got["depth-16"] == "skipped"
+    assert got["depth-16"] == "pass"
     failing = [k for k, v in got.items() if v == "FAIL"]
     assert failing == []
     assert code == 0
+
+
+def test_verify_height_two_fails_an_overlapping_partition(capsys, monkeypatch):
+    # same shape as the composed partition, but its last part repeats the first
+    def overlapping(outer, inner):
+        part = compose_partitions(outer, inner)
+        return LabeledPartition(part.n, part.entries[:-1] + part.entries[:1])
+
+    monkeypatch.setattr(cli.subcube, "compose_partitions", overlapping)
+    code, out = run(
+        capsys, "verify", "separation", "--height", "2", "--trials", "1000", "--seed", "4"
+    )
+    assert lines(out)["composed-partition"] == "FAIL"
+    assert code == 1
 
 
 def test_exit_two_on_bad_input(tmp_path, capsys):
@@ -200,6 +223,78 @@ def test_exit_two_on_bad_input(tmp_path, capsys):
     code = main(["measure", "depth", "--table", str(bad)])
     capsys.readouterr()
     assert code == 2
+
+
+def exit_code(argv):
+    """main's exit status, counting argparse's exit on a usage error."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dist", "sample", "--height", "1", "--trials", "0"],
+        ["simulate", "minority", "--trials", "0"],
+        ["simulate", "r0", "--height", "1", "--trials", "10", "--threads", "-3"],
+        ["simulate", "r0", "--height", "1", "--trials", "10", "--threads", "0"],
+        ["dist", "sample", "--height", "1", "--trials", "100", "--alpha", "2"],
+        ["simulate", "embed", "--level", "1", "--trials", "100", "--alpha", "0"],
+        ["dist", "total", "--height", "-1"],
+        # trials x 4**height bytes, checked before anything is allocated
+        ["dist", "sample", "--height", "12", "--trials", "1000000"],
+        ["dist", "sample", "--height", "1000000000", "--trials", "1"],
+    ],
+)
+def test_exit_two_on_out_of_range_arguments(capsys, argv):
+    assert exit_code(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+_SEED = st.tuples(st.just("--seed"), st.integers(0, 2**31).map(str))
+_CHEAP_ARGV = st.one_of(
+    st.tuples(
+        st.just(("fn", "iter")),
+        st.tuples(st.just("--height"), st.integers(-2, 2).map(str)),
+        st.tuples(st.just("--input"), st.text("01x", min_size=1, max_size=16)),
+    ),
+    st.tuples(
+        st.just(("dist", "mass")),
+        st.tuples(st.just("--height"), st.integers(-2, 2).map(str)),
+        st.tuples(st.just("--input"), st.text("01", min_size=1, max_size=16)),
+    ),
+    st.tuples(
+        st.just(("dist", "sample")),
+        st.tuples(st.just("--height"), st.integers(-2, 3).map(str)),
+        st.tuples(st.just("--trials"), st.integers(-3, 40).map(str)),
+        st.tuples(
+            st.just("--alpha"),
+            st.sampled_from(["0", "1e-3", "0.5", "1", "2", "-1", "nan", "x"]),
+        ),
+        _SEED,
+    ),
+    st.tuples(
+        st.just(("simulate", "minority")),
+        st.tuples(st.just("--trials"), st.integers(-3, 40).map(str)),
+        _SEED,
+    ),
+    st.tuples(
+        st.just(("simulate", "r0")),
+        st.tuples(st.just("--height"), st.integers(-2, 2).map(str)),
+        st.tuples(st.just("--trials"), st.integers(-3, 40).map(str)),
+        st.tuples(st.just("--threads"), st.integers(-3, 3).map(str)),
+        _SEED,
+    ),
+).map(lambda groups: [word for group in groups for word in group])
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=_CHEAP_ARGV)
+def test_exit_code_contract_on_generated_arguments(argv):
+    # an exception escaping main fails the test with its traceback
+    assert exit_code(argv) in (0, 1, 2)
 
 
 def test_seeded_output_is_deterministic(capsys):

@@ -2,9 +2,10 @@
 
 Reference computations here recompute everything top-down over explicit
 restriction dictionaries, a different mechanism from the production
-bottom-up base-3 sweeps.
+axis sweeps over the subcube lattice.
 """
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -160,6 +161,30 @@ def test_exact_depth_matches_brute_force_sampled_four_vars():
         assert exact_depth(f) == brute_depth(f), bits
 
 
+def test_exact_depth_matches_brute_force_random_up_to_six_vars():
+    rng = random.Random(11)
+    for n in (5, 6):
+        for _ in range(15):
+            f = TruthTable(n, rng.getrandbits(1 << n))
+            assert exact_depth(f) == brute_depth(f), (n, f.bits)
+
+
+def test_canonical_witness_trees_are_pinned():
+    # trees printed by the level-by-level DP this relaxation replaced
+    depth, tree = exact_depth(fmaj(), want_tree=True)
+    assert (depth, tree_to_text(tree)) == (4, "(1 (2 =0 (3 =0 (4 =0 =1))) (2 (3 (4 =0 =1) =1) =1))")
+    cj, ck = jk_cost_matrices()
+    balanced = "(2 (3 (4 =0 (1 =0 =1)) (1 =0 =1)) (3 (1 =0 =1) (4 (1 =0 =1) =1)))"
+    pinned = [
+        (cj, Fraction(13, 6), balanced),
+        (ck, Fraction(53, 20), "(1 (2 =0 (3 =0 (4 =0 =1))) (2 (3 (4 =0 =1) =1) =1))"),
+        (CostMatrix.uniform(d().dense()), Fraction(16, 5), balanced),
+    ]
+    for cost, want_value, want_tree in pinned:
+        value, tree = min_weighted_zero_error(fmaj(), cost, want_tree=True)
+        assert (value, tree_to_text(tree)) == (want_value, want_tree)
+
+
 def test_exact_depth_fmaj_is_four():
     depth, tree = exact_depth(fmaj(), want_tree=True)
     assert depth == 4
@@ -201,6 +226,18 @@ def test_min_weighted_matches_brute_force_two_vars():
         f = TruthTable(2, bits)
         got = min_weighted_zero_error(f, cost)
         assert got == brute_weighted(f, cost), bits
+
+
+def test_min_weighted_matches_brute_force_three_vars():
+    rng = random.Random(5)
+    cost = CostMatrix.from_lists(
+        3, [[Fraction(rng.randint(0, 9), rng.randint(1, 12)) for _ in range(8)] for _ in range(3)]
+    )
+    for bits in range(256):
+        f = TruthTable(3, bits)
+        value, tree = min_weighted_zero_error(f, cost, want_tree=True)
+        assert value == brute_weighted(f, cost), bits
+        assert tree_computes(tree, f) and tree_cost(tree, cost) == value
 
 
 def test_min_weighted_witness_replays():
@@ -347,5 +384,8 @@ def test_tree_text_rejects_garbage():
         tree_from_text("(0 =0 =1)")
     with pytest.raises(ValueError):
         tree_from_text("(1 =0")
+    for truncated in ("(1 =0 =1", "(1", "("):
+        with pytest.raises(ValueError):
+            tree_from_text(truncated)
     with pytest.raises(ValueError):
         tree_from_text("(1 =0 =1) junk")

@@ -1,7 +1,9 @@
 """Labeled subcube partitions, validation, composition, and the two searches."""
 
 import itertools
+import random
 
+import numpy as np
 import pytest
 
 from qlab.boolfn import IteratedMajority, TruthTable, fmaj
@@ -11,6 +13,8 @@ from qlab.subcube import (
     canonical_fmaj_partition,
     compose_partitions,
     computes,
+    lattice_colors,
+    lattice_sums,
     partition_cost,
     partition_from_text,
     partition_to_text,
@@ -73,6 +77,33 @@ def brute_min_cost_and_weight(f):
         if best_weight is None or weight < best_weight:
             best_weight = weight
     return best_cost, best_weight
+
+
+def lattice_states(n):
+    """Every lattice index with its pattern: index 0/1 fixes, 2 frees."""
+    for state in itertools.product(range(3), repeat=n):
+        yield state, Pattern("".join("01*"[t] for t in state))
+
+
+def test_lattice_colors_match_member_scan():
+    rng = random.Random(3)
+    for n in range(1, 6):
+        for _ in range(12):
+            f = TruthTable(n, rng.getrandbits(1 << n))
+            colors = lattice_colors(f)
+            assert colors.shape == (3,) * n and colors.dtype == np.uint8
+            for state, pat in lattice_states(n):
+                outs = {f.bit(i) for i in pat.members()}
+                assert colors[state] == (outs.pop() if len(outs) == 1 else 2), (n, f.bits, state)
+
+
+def test_lattice_sums_match_member_scan():
+    rng = random.Random(4)
+    for n in range(1, 6):
+        values = [rng.randint(0, 10**30) for _ in range(1 << n)]
+        sums = lattice_sums(np.array(values, dtype=object))
+        for state, pat in lattice_states(n):
+            assert sums[state] == sum(values[i] for i in pat.members())
 
 
 def test_pattern_members_and_contains():
