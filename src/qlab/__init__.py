@@ -41,7 +41,6 @@ from .randalg import (
     lv_check_correct,
     lv_exact_cost,
     mc_mean_cost,
-    recursive_cost_sample,
 )
 from .subcube import (
     LabeledPartition,

@@ -67,15 +67,27 @@ class Report:
 def _default_seed(args: argparse.Namespace) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
-    env = os.environ.get("QLAB_SEED")
-    return int(env) if env else 0
+    return _env_at_least("QLAB_SEED", 0)
 
 
 def _default_threads(args: argparse.Namespace) -> int:
     if getattr(args, "threads", None) is not None:
         return args.threads
-    env = os.environ.get("QLAB_THREADS")
-    return max(1, int(env)) if env else 1
+    return _env_at_least("QLAB_THREADS", 1)
+
+
+def _env_at_least(name: str, low: int) -> int:
+    """An integer environment default, held to the same floor as its
+    flag; unset or empty means the floor itself."""
+    text = os.environ.get(name)
+    if not text:
+        return low
+    try:
+        return _at_least(low)(text)
+    except ValueError:
+        raise InputError(f"{name} must be an integer, got {text!r}") from None
+    except argparse.ArgumentTypeError as exc:
+        raise InputError(f"{name} {exc}") from None
 
 
 def _load_table(path: str) -> boolfn.TruthTable:
@@ -259,13 +271,15 @@ def cmd_partition_check(args: argparse.Namespace) -> int:
     rep = Report("partition-check")
     rep.add("n", part.n)
     rep.add("parts", len(part))
-    report = subcube.validate(part)
-    ok = rep.add_verdict("valid", report.ok)
-    if not report.ok:
-        rep.add("violation", f"{report.error}: {report.detail}")
+    try:
+        labels_ok = subcube.computes(part, table)  # validates the partition
+    except ValueError as exc:  # not a partition
+        rep.add_verdict("valid", False)
+        rep.add("violation", str(exc))
         rep.emit()
         return 1
-    ok &= rep.add_verdict("computes", subcube.computes(part, table))
+    ok = rep.add_verdict("valid", True)
+    ok &= rep.add_verdict("computes", labels_ok)
     cost = subcube.partition_cost(part)
     rep.add("cost", cost.cost)
     rep.add("weight", cost.weight)
@@ -489,20 +503,17 @@ def cmd_simulate_r0(args: argparse.Namespace) -> int:
     rep.add("stderr", repr(mc.stderr))
     rep.add("output-errors", mc.errors)
     ok = rep.add_verdict("zero-error", mc.errors == 0)
-    reference: Optional[Fraction] = None
-    if args.height <= randalg.MAX_EXACT_HEIGHT:
-        if args.input is not None:
-            reference = randalg.recursive_exact_cost(args.height, args.input)
-        else:
-            reference = randalg.recursive_exact_mean(args.height)
-        rep.add_rational("exact-mean", reference)
-        band = 4.0 * mc.stderr
-        ok &= rep.add_verdict(
-            "within-4-sigma", abs(float(mc.mean - reference)) <= band
-        )
-    if args.height >= 1 and args.input is None and args.height <= randalg.MAX_EXACT_HEIGHT:
+    if args.input is not None:
+        reference = randalg.recursive_exact_cost(args.height, args.input)
+    else:
+        reference = randalg.recursive_exact_mean(args.height)
+    rep.add_rational("exact-mean", reference)
+    ok &= rep.add_verdict(
+        "within-4-sigma", abs(float(mc.mean - reference)) <= 4.0 * mc.stderr
+    )
+    if args.height >= 1 and args.input is None:
         low = LEVEL_COST_FLOOR**args.height
-        high = Fraction(13, 4) ** args.height
+        high, _ = randalg.recursive_exact_worst(args.height)
         rep.add_rational("band-low", low)
         rep.add_rational("band-high", high)
         ok &= rep.add_verdict(
@@ -655,7 +666,7 @@ def _verify_height2(args: argparse.Namespace, seed: int, threads: int) -> int:
     mc = randalg.mc_mean_cost(2, args.trials, rng, threads=threads)
     rep.add_rational("mean", mc.mean)
     rep.add("stderr", repr(mc.stderr))
-    low, high = LEVEL_COST_FLOOR**2, Fraction(13, 4) ** 2
+    low, high = LEVEL_COST_FLOOR**2, randalg.recursive_exact_worst(2)[0]
     ok &= rep.add_verdict("zero-error", mc.errors == 0)
     ok &= rep.add_verdict(
         "mean-band",
@@ -784,7 +795,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = d_sub.add_parser("sample", help="sampler audit")
     p.add_argument("--height", type=_at_least(0), required=True)
     p.add_argument("--trials", type=_at_least(1), required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_at_least(0))
     p.add_argument("--alpha", type=_probability, default=1e-3)
     p.set_defaults(func=cmd_dist_sample)
 
@@ -804,17 +815,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=_at_least(0), required=True)
     p.add_argument("--trials", type=_at_least(1), required=True)
     p.add_argument("--input")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_at_least(0))
     p.add_argument("--threads", type=_at_least(1))
     p.set_defaults(func=cmd_simulate_r0)
     p = s_sub.add_parser("minority", help="minority path at height 2")
     p.add_argument("--trials", type=_at_least(1), required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_at_least(0))
     p.set_defaults(func=cmd_simulate_minority)
     p = s_sub.add_parser("embed", help="embedding audit")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--trials", type=_at_least(1), required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_at_least(0))
     p.add_argument("--alpha", type=_probability, default=1e-3)
     p.set_defaults(func=cmd_simulate_embed)
 
@@ -823,7 +834,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = v_sub.add_parser("separation", help="the full block-composition story")
     p.add_argument("--height", type=int, choices=(1, 2), required=True)
     p.add_argument("--trials", type=_at_least(1), default=1_000_000)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_at_least(0))
     p.add_argument("--threads", type=_at_least(1))
     p.set_defaults(func=cmd_verify_separation)
 

@@ -17,9 +17,10 @@ instances reads a random set of leaves but never errs.  The random
 intra-branch orders matter: with a fixed order the worst-case expected
 read count rises to 4 on its worst input.
 
-Exact per-input expected costs come from enumerating the 12 equally
-weighted (branch, order) pairs; Monte Carlo paths reuse the same
-enumeration as lookup tables.
+The round's coins amount to 24 equally likely rounds, six of branch 0
+and eighteen of branch 1, each order equally often.  The exact
+recursions and the level-by-level Monte Carlo evaluator all read the
+lookup tables of those rounds, built once from ``lv_run``.
 """
 
 from __future__ import annotations
@@ -32,15 +33,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .boolfn import _FMAJ_BIT, bits_to_index, index_to_bits, iter_eval, parse_bits
-from .harddist import _CUM30, _PAT0, _PAT1, d, dh_support, sample_inputs
+from .boolfn import _FMAJ_BIT, bits_to_index, index_to_bits, parse_bits
+from .harddist import _CUM30, _PAT0, _PAT1, d, d0, d1
 
 MAX_MC_HEIGHT = 12
-MAX_EXACT_HEIGHT = 2
 
 _ORDERS = tuple(itertools.permutations((1, 2, 3)))
 _FM = np.array(_FMAJ_BIT, dtype=np.uint8)
 _POPC = np.array([bin(i).count("1") for i in range(16)], dtype=np.uint8)
+# _MASK_BITS[mask, j]: whether a read mask includes variable j
+_MASK_BITS = (np.arange(16)[:, None] >> np.arange(4) & 1).astype(bool)
 
 
 def lv_run(
@@ -137,167 +139,121 @@ def lv_fixed_order_worst(order: Sequence[int] = (1, 2, 3)) -> tuple[Fraction, li
     return worst, argmax
 
 
-# probability that a round on the given input reads variable j
-_QPROB: list[list[Fraction]] = [
-    [
-        sum(
-            (
-                _BRANCH_WEIGHT[br] * Fraction(1, 6)
-                for br in (0, 1)
-                for oi in range(6)
-                if _LV_MASK[br, oi, pat] >> j & 1
-            ),
-            Fraction(0),
-        )
-        for j in range(4)
-    ]
-    for pat in range(16)
-]
+# the round's randomness as 24 equally likely rounds: rounds 0-5 take
+# branch 0 (probability 1/4), and round r reads in order _ORDERS[r % 6]
+_ROUND_BRANCH = (np.arange(24) >= 6).astype(np.intp)
+_ROUND_MASK = _LV_MASK[_ROUND_BRANCH, np.arange(24) % 6]
+_ROUND_OUT = _LV_OUT[_ROUND_BRANCH, np.arange(24) % 6]
+
+# rounds out of the 24 that read variable j on the given input, and the
+# probability that a round does
+_READS24 = _MASK_BITS[_ROUND_MASK].sum(axis=0)
+_QPROB: list[list[Fraction]] = [[Fraction(int(c), 24) for c in row] for row in _READS24]
 
 
 # ---------------------------------------------------------------------------
-# exact recursion (convolution over the instance tree)
+# exact recursion over the instance tree
+#
+# Given its children's values, a node's subtrees are independent, so the
+# expected reads follow a recursion over node values in the style of
+# Saks and Wigderson's game-tree bounds.
 
-def recursive_exact_cost(h: int, x: "str | Sequence[int]") -> Fraction:
-    """Exact expected leaf reads of the recursive evaluator on a fixed
-    input, by convolving per-node read probabilities with subtree
-    costs."""
-    if h > MAX_EXACT_HEIGHT:
-        raise ValueError(f"exact recursion supports h <= {MAX_EXACT_HEIGHT}")
+def _input_bits(h: int, x: "str | Sequence[int]") -> np.ndarray:
     bits = parse_bits(x)
     if len(bits) != 4**h:
         raise ValueError(f"input length {len(bits)} != 4**{h}")
-    return _exact_cost(h, bits)
+    return np.array(bits, dtype=np.uint8)
 
 
-def _exact_cost(h: int, bits: tuple[int, ...]) -> Fraction:
-    if h == 0:
-        return Fraction(1)
-    width = 4 ** (h - 1)
-    quarters = [bits[i * width : (i + 1) * width] for i in range(4)]
-    vals = tuple(iter_eval(h - 1, q) for q in quarters)
-    pat = bits_to_index(vals)
+def _level_patterns(bits: np.ndarray, h: int) -> list[np.ndarray]:
+    """Children patterns of the internal nodes: entry k - 1 holds those
+    of the 4**(h-k) height-k nodes, left to right, so node i's children
+    are nodes 4i to 4i+3 one level down."""
+    pats = []
+    vals = bits
+    for _ in range(h):
+        quads = vals.reshape(-1, 4)
+        pat = quads[:, 0] << 3 | quads[:, 1] << 2 | quads[:, 2] << 1 | quads[:, 3]
+        pats.append(pat.astype(np.intp))
+        vals = _FM[pat]
+    return pats
+
+
+def _step(pat: int, below: Sequence[Fraction]) -> Fraction:
+    """Expected reads of a node with children pattern pat when a child
+    of value v costs below[v] in expectation."""
     return sum(
-        (_QPROB[pat][j] * _exact_cost(h - 1, quarters[j]) for j in range(4)),
+        (q * below[pat >> (3 - j) & 1] for j, q in enumerate(_QPROB[pat])),
         Fraction(0),
     )
 
 
+def recursive_exact_cost(h: int, x: "str | Sequence[int]") -> Fraction:
+    """Exact expected leaf reads of the recursive evaluator on a fixed
+    input: bottom up, a node costs its children's costs weighted by the
+    probabilities that its round reads them."""
+    if not 0 <= h <= MAX_MC_HEIGHT:
+        raise ValueError(f"exact recursion supports 0 <= h <= {MAX_MC_HEIGHT}")
+    return _exact_cost(h, _input_bits(h, x))
+
+
+def _exact_cost(h: int, bits: np.ndarray) -> Fraction:
+    # a height-k node's expected reads times 24**k is an integer below
+    # 78**k, which passes the int64 range above height 10
+    cost = np.broadcast_to(np.int64(1), bits.shape)
+    for k, pat in enumerate(_level_patterns(bits, h), 1):
+        if k > 10:
+            cost = cost.astype(object)
+        cost = (_READS24[pat] * cost.reshape(-1, 4)).sum(axis=1)
+    return Fraction(int(cost[0]), 24**h)
+
+
 def recursive_exact_mean(h: int) -> Fraction:
-    """Exact expected leaf reads under the height-h hard distribution."""
-    if h > MAX_EXACT_HEIGHT:
-        raise ValueError(f"exact recursion supports h <= {MAX_EXACT_HEIGHT}")
-    return sum(
-        (m * _exact_cost(h, bits) for bits, m in dh_support(h)), Fraction(0)
-    )
+    """Exact expected leaf reads under the height-h hard distribution,
+    from M(k, b) = sum_p seed_b(p) sum_j q_j(p) M(k-1, p_j), the mean
+    over height-k inputs of value b."""
+    if h < 0:
+        raise ValueError("height must be at least 0")
+    seeds = (d0().masses, d1().masses)
+    mean = (Fraction(1), Fraction(1))
+    for _ in range(h):
+        mean = tuple(
+            sum((m * _step(p, mean) for p, m in seed.items()), Fraction(0))
+            for seed in seeds
+        )
+    return (mean[0] + mean[1]) / 2
 
 
-def recursive_exact_worst(h: int) -> tuple[Fraction, tuple[int, ...]]:
+def recursive_exact_worst(h: int) -> tuple[Fraction, str]:
     """Worst-case exact expected leaf reads over every input, with one
-    maximizing input."""
-    if h > MAX_EXACT_HEIGHT:
-        raise ValueError(f"exact recursion supports h <= {MAX_EXACT_HEIGHT}")
-    worst: Optional[Fraction] = None
-    arg: tuple[int, ...] = ()
-    for idx in range(1 << 4**h):
-        bits = index_to_bits(idx, 4**h)
-        c = _exact_cost(h, bits)
-        if worst is None or c > worst:
-            worst, arg = c, bits
-    assert worst is not None
-    return worst, arg
+    maximizing input as a bit string.  W(k, v), the worst over height-k
+    inputs of value v, is the max over patterns p with f(p) = v of
+    sum_j q_j(p) W(k-1, p_j).  The witness puts a maximizing pattern at
+    every node, and its replay through the per-input recursion must
+    give W."""
+    if not 0 <= h <= MAX_MC_HEIGHT:
+        raise ValueError(f"exact recursion supports 0 <= h <= {MAX_MC_HEIGHT}")
+    worst = (Fraction(1), Fraction(1))
+    # per value, a height-k input of that value attaining W(k, value)
+    witness = (np.zeros(1, dtype=np.uint8), np.ones(1, dtype=np.uint8))
+    for _ in range(h):
+        steps = [_step(p, worst) for p in range(16)]
+        best = [
+            max((p for p in range(16) if _FMAJ_BIT[p] == v), key=steps.__getitem__)
+            for v in (0, 1)
+        ]
+        worst = tuple(steps[p] for p in best)
+        witness = tuple(
+            np.concatenate([witness[b] for b in index_to_bits(p, 4)]) for p in best
+        )
+    v = int(worst[1] > worst[0])
+    if _exact_cost(h, witness[v]) != worst[v]:
+        raise RuntimeError("the worst-case witness does not replay to its value")
+    return worst[v], (witness[v] + ord("0")).tobytes().decode()
 
 
 # ---------------------------------------------------------------------------
-# sampling paths
-
-def recursive_run(
-    h: int, x: "str | Sequence[int]", rng: np.random.Generator
-) -> tuple[int, int]:
-    """One randomized evaluation of a fixed input: (output, leaf reads)."""
-    bits = parse_bits(x)
-    if len(bits) != 4**h:
-        raise ValueError(f"input length {len(bits)} != 4**{h}")
-    return _run_node(h, bits, rng)
-
-
-def recursive_cost_sample(
-    h: int, x: "str | Sequence[int]", rng: np.random.Generator
-) -> int:
-    """Leaf reads of one randomized evaluation of a fixed input."""
-    return recursive_run(h, x, rng)[1]
-
-
-def _run_node(
-    h: int, bits: tuple[int, ...], rng: np.random.Generator
-) -> tuple[int, int]:
-    if h == 0:
-        return bits[0], 1
-    width = 4 ** (h - 1)
-    vals: dict[int, int] = {}
-    cost = 0
-
-    def read(j: int) -> int:
-        nonlocal cost
-        if j not in vals:
-            v, c = _run_node(h - 1, bits[j * width : (j + 1) * width], rng)
-            vals[j] = v
-            cost += c
-        return vals[j]
-
-    out = _round(read, rng)
-    return out, cost
-
-
-def _sampled_node(h: int, b: int, rng: np.random.Generator) -> tuple[int, int, int]:
-    """Evaluate one node whose input is drawn on the fly from the
-    height-h law conditioned on value b: (output, leaf reads, errors).
-    Only the subtrees the evaluator actually reads are materialized, so
-    any height is cheap."""
-    if h == 0:
-        return b, 1, 0
-    pat = index_to_bits(_seed_draw(b, rng), 4)
-    vals: dict[int, int] = {}
-    cost = 0
-    errors = 0
-
-    def read(j: int) -> int:
-        nonlocal cost, errors
-        if j not in vals:
-            v, c, e = _sampled_node(h - 1, pat[j], rng)
-            vals[j] = v
-            cost += c
-            errors += e
-        return vals[j]
-
-    out = _round(read, rng)
-    return out, cost, errors + (out != b)
-
-
-def _seed_draw(b: int, rng: np.random.Generator) -> int:
-    u = int(rng.integers(0, 30))
-    cat = int(np.searchsorted(_CUM30, u, side="right"))
-    return int(_PAT0[cat]) if b == 0 else int(_PAT1[cat])
-
-
-def _round(read, rng: np.random.Generator) -> int:
-    """The two-branch round against a read callback."""
-    branch = 0 if int(rng.integers(0, 4)) == 0 else 1
-    order = _ORDERS[int(rng.integers(0, 6))]
-    if branch == 0:
-        a = read(0)
-        for q in order:
-            if read(q) == a:
-                return a
-        return 1 - a
-    q1, q2, q3 = order
-    v1 = read(q1)
-    if read(q2) != v1:
-        return read(0)
-    if read(q3) == v1:
-        return v1
-    return read(0)
-
+# Monte Carlo
 
 @dataclass(frozen=True)
 class McReport:
@@ -316,25 +272,23 @@ def mc_mean_cost(
     threads: int = 1,
 ) -> McReport:
     """Monte Carlo mean leaf reads: on a fixed input x, or under the
-    height-h hard distribution when x is None.  The trial budget is
-    split over 64 fixed substreams, so results do not depend on the
+    height-h hard distribution when x is None.  A trial errs when any
+    node it reads outputs other than its true value.  The trial budget
+    is split over 64 fixed substreams, so results do not depend on the
     thread count."""
-    if h > MAX_MC_HEIGHT:
-        raise ValueError(f"Monte Carlo supports h <= {MAX_MC_HEIGHT}")
+    if not 0 <= h <= MAX_MC_HEIGHT:
+        raise ValueError(f"Monte Carlo supports 0 <= h <= {MAX_MC_HEIGHT}")
     if trials < 1:
         raise ValueError("need at least one trial")
-    bits = None if x is None else parse_bits(x)
-    if bits is not None and len(bits) != 4**h:
-        raise ValueError(f"input length {len(bits)} != 4**{h}")
+    pats = None if x is None else _level_patterns(_input_bits(h, x), h)
+    tables = _round_tables()
     chunks = min(64, trials)
     streams = rng.spawn(chunks)
     sizes = [trials // chunks + (1 if i < trials % chunks else 0) for i in range(chunks)]
 
     def work(args: tuple[np.random.Generator, int]) -> tuple[int, int, int]:
         sub, count = args
-        if h <= 2:
-            return _mc_chunk_vector(h, count, sub, bits)
-        return _mc_chunk_scalar(h, count, sub, bits)
+        return _mc_chunk(h, count, sub, tables, pats)
 
     jobs = list(zip(streams, sizes))
     if threads > 1:
@@ -351,60 +305,72 @@ def mc_mean_cost(
     return McReport(trials, mean, stderr, errors)
 
 
-def _mc_chunk_scalar(
-    h: int, count: int, rng: np.random.Generator, bits: Optional[tuple[int, ...]]
-) -> tuple[int, int, int]:
-    total = total_sq = errors = 0
-    for _ in range(count):
-        if bits is None:
-            b = int(rng.integers(0, 2))
-            out, cost, err = _sampled_node(h, b, rng)
-            errors += err
-        else:
-            out, cost = _run_node(h, bits, rng)
-            errors += out != iter_eval(h, bits)
-        total += cost
-        total_sq += cost * cost
-    return total, total_sq, errors
+def _round_tables() -> tuple[np.ndarray, ...]:
+    """The evaluator's flat lookups, built from _ROUND_MASK and
+    _ROUND_OUT.  On children pattern p, round r reads round_mask[24p + r]
+    and errs where round_bad[24p + r].  A hard-law node of value b takes
+    one draw u in [0, 720): u // 24 picks its children pattern from the
+    seed law, in thirtieths, and u % 24 picks its round; hard_mask,
+    hard_bad and hard_pat are indexed by 720b + u."""
+    round_mask = _ROUND_MASK.T.ravel()
+    round_bad = (_ROUND_OUT != _FM).T.ravel()
+    u = np.arange(720)
+    cat = np.searchsorted(_CUM30, u // 24, side="right")
+    hard_pat = np.concatenate([_PAT0[cat], _PAT1[cat]]).astype(np.intp)
+    key = 24 * hard_pat + np.tile(u % 24, 2)
+    return round_mask, round_bad, round_mask[key], round_bad[key], hard_pat
 
 
-def _mc_chunk_vector(
-    h: int, count: int, rng: np.random.Generator, bits: Optional[tuple[int, ...]]
+def _mc_chunk(
+    h: int,
+    count: int,
+    rng: np.random.Generator,
+    tables: tuple[np.ndarray, ...],
+    pats: Optional[list[np.ndarray]],
 ) -> tuple[int, int, int]:
+    """(total reads, total squared reads, erring trials) of count trials.
+    Trials run in batches, one tree level at a time: the frontier holds
+    each node read with its trial and its value (hard law) or its index
+    (fixed input), and its round's reads name the next frontier.  Leaves
+    are only counted.  A batch of 2**20 // 4**h trials keeps every
+    frontier within 2**18 nodes up to height 10, before any is drawn."""
     if h == 0:
         # a leaf is read outright; sampling only fixes its value
         return count, count, 0
-    if bits is None:
-        xs = sample_inputs(h, count, rng)
-    else:
-        xs = np.tile(np.array(bits, dtype=np.uint8), (count, 1))
-    weights = np.array([8, 4, 2, 1], dtype=np.int64)
-    if h == 1:
-        pats = xs @ weights
-        br = (rng.integers(0, 4, size=count, dtype=np.int64) != 0).astype(np.int64)
-        oi = rng.integers(0, 6, size=count, dtype=np.int64)
-        cost = _POPC[_LV_MASK[br, oi, pats]].astype(np.int64)
-        errors = int(np.count_nonzero(_LV_OUT[br, oi, pats] != _FM[pats]))
-        return int(cost.sum()), int((cost * cost).sum()), errors
-    quarters = xs.reshape(count, 4, 4) @ weights
-    level1 = _FM[quarters]
-    root_pat = level1 @ weights
-    br_r = (rng.integers(0, 4, size=count, dtype=np.int64) != 0).astype(np.int64)
-    oi_r = rng.integers(0, 6, size=count, dtype=np.int64)
-    mask_r = _LV_MASK[br_r, oi_r, root_pat]
-    out_r = _LV_OUT[br_r, oi_r, root_pat]
-    br_c = (rng.integers(0, 4, size=(count, 4), dtype=np.int64) != 0).astype(np.int64)
-    oi_c = rng.integers(0, 6, size=(count, 4), dtype=np.int64)
-    mask_c = _LV_MASK[br_c, oi_c, quarters]
-    out_c = _LV_OUT[br_c, oi_c, quarters]
-    cost = np.zeros(count, dtype=np.int64)
-    bad = np.zeros(count, dtype=bool)
-    for j in range(4):
-        used = ((mask_r >> j) & 1).astype(bool)
-        cost += used * _POPC[mask_c[:, j]].astype(np.int64)
-        bad |= used & (out_c[:, j] != level1[:, j])
-    bad |= out_r != _FM[root_pat]
-    return int(cost.sum()), int((cost * cost).sum()), int(np.count_nonzero(bad))
+    round_mask, round_bad, hard_mask, hard_bad, hard_pat = tables
+    batch = max(1, 2**20 // 4**h)
+    total = total_sq = errors = 0
+    for start in range(0, count, batch):
+        n = min(batch, count - start)
+        trial = np.arange(n)
+        erred = np.zeros(n, dtype=bool)
+        if pats is None:
+            val = rng.integers(0, 2, size=n)
+        else:
+            node = np.zeros(n, dtype=np.intp)
+        for k in range(h, 0, -1):
+            if pats is None:
+                u = rng.integers(0, 720, size=trial.size, dtype=np.uint16)
+                key = 720 * val + u
+                mask, bad, pat = hard_mask[key], hard_bad[key], hard_pat[key]
+            else:
+                r = rng.integers(0, 24, size=trial.size, dtype=np.uint8)
+                key = 24 * pats[k - 1][node] + r
+                mask, bad = round_mask[key], round_bad[key]
+            erred[trial[bad]] = True
+            if k > 1:
+                read = np.flatnonzero(_MASK_BITS[mask])
+                parent, j = read >> 2, read & 3
+                trial = trial[parent]
+                if pats is None:
+                    val = pat[parent] >> (3 - j) & 1
+                else:
+                    node = 4 * node[parent] + j
+        cost = np.bincount(trial, weights=_POPC[mask], minlength=n).astype(np.int64)
+        total += int(cost.sum())
+        total_sq += int((cost * cost).sum())
+        errors += int(np.count_nonzero(erred))
+    return total, total_sq, errors
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Command line surface: reports, file round-trips, exit codes."""
 
+import os
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlab import cli
+from qlab import cli, randalg, subcube
 from qlab.boolfn import IteratedMajority, fmaj, load_table
 from qlab.cli import main
 from qlab.harddist import d, load_dist
@@ -16,6 +18,7 @@ from qlab.subcube import (
     canonical_fmaj_partition,
     compose_partitions,
     load_partition,
+    save_partition,
 )
 
 
@@ -124,6 +127,36 @@ def test_partition_commands(tmp_path, capsys):
     assert load_partition(best).n == 4
 
 
+def test_partition_check_validates_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = subcube.validate
+
+    def counting(part):
+        calls.append(part)
+        return real(part)
+
+    monkeypatch.setattr(subcube, "validate", counting)
+    table = tmp_path / "f.tt"
+    run(capsys, "fn", "emit", "--name", "fmaj", "--out", str(table))
+    good = tmp_path / "good.part"
+    save_partition(canonical_fmaj_partition(), good)
+    code, out = run(capsys, "partition", "check", "--part", str(good), "--table", str(table))
+    assert code == 0
+    assert lines(out)["valid"] == "pass" and lines(out)["computes"] == "pass"
+    assert len(calls) == 1
+
+    entries = canonical_fmaj_partition().entries
+    bad = tmp_path / "bad.part"
+    save_partition(LabeledPartition(4, entries[:-1] + entries[:1]), bad)
+    code, out = run(capsys, "partition", "check", "--part", str(bad), "--table", str(table))
+    assert code == 1
+    got = lines(out)
+    assert got["valid"] == "FAIL"
+    assert "overlap" in got["violation"]
+    assert "computes" not in got
+    assert len(calls) == 2
+
+
 def test_dist_commands(capsys):
     code, out = run(capsys, "dist", "mass", "--height", "2", "--input", "0111100010001000")
     assert code == 0
@@ -173,6 +206,35 @@ def test_simulate_commands(capsys):
     got = lines(out)
     assert got["always-majority"] == "pass"
     assert got["value-propagates"] == "pass"
+
+
+def test_simulate_r0_exact_references_at_every_height(capsys):
+    argv = ["simulate", "r0", "--height", "4", "--trials", "1500", "--seed", "11"]
+    code, one = run(capsys, *argv, "--threads", "1")
+    assert code == 0
+    got = lines(one)
+    assert got["output-errors"] == "0"
+    assert got["exact-mean"] == "88529281/810000"  # (97/30)**4
+    assert got["band-high"] == "28561/256"  # (13/4)**4
+    for verdict in ("zero-error", "within-4-sigma", "within-band"):
+        assert got[verdict] == "pass"
+    _, two = run(capsys, *argv, "--threads", "2")
+
+    def body(out):
+        return [l for l in out.splitlines() if not l.startswith(("threads:", "elapsed-s:"))]
+
+    assert body(one) == body(two)
+
+    x = randalg.recursive_exact_worst(3)[1]
+    code, out = run(
+        capsys, "simulate", "r0", "--height", "3", "--trials", "3000", "--input", x,
+        "--seed", "12",
+    )
+    assert code == 0
+    got = lines(out)
+    assert got["exact-mean"] == "2197/64"  # (13/4)**3
+    assert got["within-4-sigma"] == "pass"
+    assert "within-band" not in got
 
 
 def test_verify_height_one_fails_only_on_cross_charge(capsys):
@@ -240,6 +302,7 @@ def exit_code(argv):
         ["simulate", "minority", "--trials", "0"],
         ["simulate", "r0", "--height", "1", "--trials", "10", "--threads", "-3"],
         ["simulate", "r0", "--height", "1", "--trials", "10", "--threads", "0"],
+        ["simulate", "r0", "--height", "1", "--trials", "10", "--seed", "-1"],
         ["dist", "sample", "--height", "1", "--trials", "100", "--alpha", "2"],
         ["simulate", "embed", "--level", "1", "--trials", "100", "--alpha", "0"],
         ["dist", "total", "--height", "-1"],
@@ -253,7 +316,7 @@ def test_exit_two_on_out_of_range_arguments(capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
-_SEED = st.tuples(st.just("--seed"), st.integers(0, 2**31).map(str))
+_SEED = st.tuples(st.just("--seed"), st.integers(-3, 2**31).map(str))
 _CHEAP_ARGV = st.one_of(
     st.tuples(
         st.just(("fn", "iter")),
@@ -290,11 +353,36 @@ _CHEAP_ARGV = st.one_of(
 ).map(lambda groups: [word for group in groups for word in group])
 
 
+_ENV_NAMES = ("QLAB_SEED", "QLAB_THREADS")
+_ENV = st.fixed_dictionaries(
+    {},
+    optional={
+        name: st.one_of(
+            st.integers(-3, 3).map(str), st.sampled_from(["", "abc", "1.5", "2**3"])
+        )
+        for name in _ENV_NAMES
+    },
+)
+
+
 @settings(max_examples=60, deadline=None)
-@given(argv=_CHEAP_ARGV)
-def test_exit_code_contract_on_generated_arguments(argv):
+@given(argv=_CHEAP_ARGV, env=_ENV)
+def test_exit_code_contract_on_generated_arguments(argv, env):
     # an exception escaping main fails the test with its traceback
-    assert exit_code(argv) in (0, 1, 2)
+    with mock.patch.dict(os.environ, env):
+        for name in set(_ENV_NAMES) - env.keys():
+            os.environ.pop(name, None)
+        assert exit_code(argv) in (0, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("QLAB_THREADS", "abc"), ("QLAB_THREADS", "0"), ("QLAB_SEED", "x"), ("QLAB_SEED", "-1")],
+)
+def test_exit_two_on_bad_environment(capsys, monkeypatch, name, value):
+    monkeypatch.setenv(name, value)
+    assert exit_code(["simulate", "r0", "--height", "1", "--trials", "10"]) == 2
+    assert f"error: {name}" in capsys.readouterr().err
 
 
 def test_seeded_output_is_deterministic(capsys):

@@ -2,7 +2,9 @@
 
 The reference round implemented here is a separate transcription of the
 two-branch protocol; agreement with the production tables on every input
-and both branches is what the cost tests lean on.
+and both branches is what the cost tests lean on.  The exact recursions
+are checked against an enumeration of every input up to height 2 and
+against a per-input recursion over the reference round at height 3.
 """
 
 import itertools
@@ -11,9 +13,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qlab.boolfn import bits_to_index, fmaj, index_to_bits, parse_bits
+from qlab import randalg
+from qlab.boolfn import bits_to_index, fmaj, index_to_bits, iter_eval, parse_bits
 from qlab.harddist import d, d0, d1, dh_support
 from qlab.randalg import (
+    MAX_MC_HEIGHT,
     EmbeddingSampler,
     chi_square_gof,
     embed_check,
@@ -25,11 +29,9 @@ from qlab.randalg import (
     lv_worst_cost,
     mc_mean_cost,
     minority_conditionals_exact,
-    recursive_cost_sample,
     recursive_exact_cost,
     recursive_exact_mean,
     recursive_exact_worst,
-    recursive_run,
 )
 
 
@@ -174,24 +176,100 @@ def test_recursive_exact_worst_squares():
     assert brute_height2_cost(arg) == worst
 
 
+def reference_reads():
+    """q[p][j]: probability that the reference round reads variable j
+    on pattern p."""
+    q = [[Fraction(0)] * 4 for _ in range(16)]
+    for pat in range(16):
+        bits = index_to_bits(pat, 4)
+        for branch, w in ((0, Fraction(1, 4)), (1, Fraction(3, 4))):
+            for order in itertools.permutations((1, 2, 3)):
+                for j in reference_round(bits, branch, order)[1]:
+                    q[pat][j] += w * Fraction(1, 6)
+    return q
+
+
+REFERENCE_READS = reference_reads()
+
+
+def reference_exact_cost(h, bits):
+    """Per-input recursion over the reference round."""
+    if h == 0:
+        return Fraction(1)
+    width = len(bits) // 4
+    quarters = [bits[k * width : (k + 1) * width] for k in range(4)]
+    pat = bits_to_index(tuple(iter_eval(h - 1, q) for q in quarters))
+    q = REFERENCE_READS[pat]
+    return sum((q[j] * reference_exact_cost(h - 1, quarters[j]) for j in range(4)), Fraction(0))
+
+
+def enumerated_height2_costs():
+    """576 x the exact expected reads of all 2**16 height-2 inputs, in
+    index order, from the reference round."""
+    q24 = np.array([[int(24 * q) for q in row] for row in REFERENCE_READS])
+    fm = np.array([fmaj().bit(p) for p in range(16)])
+    xs = np.arange(1 << 16)
+    quarters = (xs[:, None] >> np.array([12, 8, 4, 0])) & 15
+    root = fm[quarters] @ np.array([8, 4, 2, 1])
+    return (q24[root] * q24.sum(axis=1)[quarters]).sum(axis=1)
+
+
+def test_recursion_matches_enumeration_up_to_height_two():
+    height1 = [int(24 * reference_cost(index_to_bits(p, 4))) for p in range(16)]
+    for h, costs, scale in (
+        (1, np.array(height1), 24),
+        (2, enumerated_height2_costs(), 576),
+    ):
+        worst, arg = recursive_exact_worst(h)
+        assert worst == Fraction(int(costs.max()), scale)
+        assert costs[bits_to_index(arg)] == costs.max()
+        mean = sum(
+            (m * int(costs[bits_to_index(bits)]) for bits, m in dh_support(h)), Fraction(0)
+        )
+        assert recursive_exact_mean(h) == mean / scale
+        rng = np.random.default_rng(h)
+        for idx in rng.integers(0, len(costs), size=50):
+            bits = index_to_bits(int(idx), 4**h)
+            assert recursive_exact_cost(h, bits) == Fraction(int(costs[idx]), scale)
+
+
+def test_recursive_exact_cost_height_three_matches_reference():
+    rng = np.random.default_rng(33)
+    inputs = [recursive_exact_worst(3)[1], "0" * 64, "1000" * 16]
+    inputs += ["".join(map(str, rng.integers(0, 2, size=64))) for _ in range(20)]
+    for x in inputs:
+        assert recursive_exact_cost(3, x) == reference_exact_cost(3, parse_bits(x)), x
+
+
+def test_closed_forms_at_every_height():
+    for h in range(MAX_MC_HEIGHT + 1):
+        assert recursive_exact_mean(h) == Fraction(97, 30) ** h
+    # height 11 replays its witness past the int64 range, in Python ints
+    for h in range(12):
+        worst, arg = recursive_exact_worst(h)
+        assert worst == Fraction(13, 4) ** h
+        assert len(arg) == 4**h
+
+
 def test_recursive_exact_guards():
     with pytest.raises(ValueError):
-        recursive_exact_cost(3, [0] * 64)
+        recursive_exact_cost(MAX_MC_HEIGHT + 1, [0] * 64)
     with pytest.raises(ValueError):
         recursive_exact_cost(2, "0000")
+    with pytest.raises(ValueError):
+        recursive_exact_worst(MAX_MC_HEIGHT + 1)
+    with pytest.raises(ValueError):
+        recursive_exact_mean(-1)
 
 
 def test_recursive_run_is_correct_and_bounded():
     rng = np.random.default_rng(3)
-    g2 = fmaj()
     for pat in (3, 8, 12, 7):
         bits = index_to_bits(pat, 4)
         for _ in range(50):
-            out, reads = recursive_run(1, bits, rng)
-            assert out == g2.bit(pat)
-            assert 2 <= reads <= 4
-    cost = recursive_cost_sample(1, index_to_bits(3, 4), rng)
-    assert 2 <= cost <= 4
+            rep = mc_mean_cost(1, 1, rng, x=bits)
+            assert rep.errors == 0
+            assert 2 <= rep.mean <= 4
 
 
 def test_mc_mean_determinism_and_threads():
@@ -201,6 +279,8 @@ def test_mc_mean_determinism_and_threads():
     assert r1.errors == r2.errors == 0
     r4 = mc_mean_cost(1, 50_000, np.random.default_rng(21), threads=4)
     assert r4.mean == r1.mean
+    deep = mc_mean_cost(4, 1500, np.random.default_rng(22))
+    assert mc_mean_cost(4, 1500, np.random.default_rng(22), threads=2) == deep
 
 
 def test_mc_mean_tracks_exact_height_one():
@@ -221,6 +301,46 @@ def test_mc_mean_fixed_input():
     rep = mc_mean_cost(1, 200_000, np.random.default_rng(10), x="0011")
     assert rep.errors == 0
     assert abs(float(rep.mean) - 3.25) < 4 * rep.stderr
+
+
+def test_mc_batches_are_seed_deterministic():
+    # 520 trials over 64 substreams: 8 or 9 trials each, run in batches
+    # of 2**20 // 4**9 = 4 trials
+    first = mc_mean_cost(9, 520, np.random.default_rng(23))
+    assert mc_mean_cost(9, 520, np.random.default_rng(23)) == first
+    assert first.errors == 0
+    assert abs(float(first.mean - Fraction(97, 30) ** 9)) < 4 * first.stderr
+
+
+@pytest.mark.parametrize("h, trials", [(3, 5000), (4, 1500), (5, 500), (6, 150)])
+def test_mc_mean_tracks_closed_form(h, trials):
+    rep = mc_mean_cost(h, trials, np.random.default_rng(40 + h))
+    assert rep.errors == 0
+    assert abs(float(rep.mean - Fraction(97, 30) ** h)) < 4 * rep.stderr
+
+
+def test_mc_mean_tracks_exact_cost_on_fixed_height_three_input():
+    x = "".join(map(str, np.random.default_rng(34).integers(0, 2, size=64)))
+    rep = mc_mean_cost(3, 5000, np.random.default_rng(35), x=x)
+    assert rep.errors == 0
+    assert abs(float(rep.mean - recursive_exact_cost(3, x))) < 4 * rep.stderr
+
+
+@pytest.mark.parametrize(
+    "h, x", [(1, None), (3, None), (1, "1000"), (3, "1000" * 16)]
+)
+def test_mc_counts_trials_with_a_wrong_round_output(monkeypatch, h, x):
+    # round 6 (branch 1, order 1, 2, 3) reads three zeros on 1000 and
+    # outputs 0; flipping that one output must show up as erring trials
+    right = randalg._ROUND_OUT
+    wrong = right.copy()
+    wrong[6, bits_to_index("1000")] ^= 1
+    monkeypatch.setattr(randalg, "_ROUND_OUT", wrong)
+    rep = mc_mean_cost(h, 2000, np.random.default_rng(36), x=x)
+    assert 0 < rep.errors < rep.trials
+    # with every output flipped each trial errs, and counts once
+    monkeypatch.setattr(randalg, "_ROUND_OUT", 1 - right)
+    assert mc_mean_cost(h, 2000, np.random.default_rng(36), x=x).errors == 2000
 
 
 def test_chi_square_gof_accepts_true_law():
