@@ -444,17 +444,25 @@ def cmd_dist_sample(args: argparse.Namespace) -> int:
 def cmd_bound_prt(args: argparse.Namespace) -> int:
     table = _load_table(args.table)
     eps = _parse_fraction(args.eps)
+    rep = Report("bound-prt")
+    rep.add("n", table.n)
+    rep.add_rational("eps", eps)
     try:
         report = lpbound.prt_report(table, eps)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    rep = Report("bound-prt")
-    rep.add("n", table.n)
-    rep.add_rational("eps", eps)
+    except lpbound.CertificateError as exc:
+        rep.add("certificate-error", str(exc))
+        rep.add_verdict("certificate", False)
+        rep.emit()
+        return 1
     rep.add("lp-vars", report.num_vars)
     rep.add("lp-constraints", report.num_constraints)
     rep.add("pivots", report.pivots)
     rep.add_rational("value", report.value)
+    rep.add_rational("dual-value", report.dual_value)
+    # prt_report returns only values whose certificate re-checked exactly
+    rep.add_verdict("certificate", True)
     rep.add("half-log2", repr(report.half_log2))
     rep.emit()
     return 0

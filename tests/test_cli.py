@@ -1,6 +1,8 @@
 """Command line surface: reports, file round-trips, exit codes."""
 
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlab import cli, randalg, subcube
+from qlab import cli, lpbound, randalg, subcube
 from qlab.boolfn import IteratedMajority, fmaj, load_table
 from qlab.cli import main
 from qlab.harddist import d, load_dist
@@ -178,14 +180,44 @@ def test_bound_commands(tmp_path, capsys):
     code, out = run(capsys, "bound", "prt", "--table", str(table), "--eps", "0")
     assert code == 0
     got = lines(out)
-    assert got["value"] == "64/1"
+    assert got["value"] == got["dual-value"] == "64/1"
+    assert got["certificate"] == "pass"
     assert got["lp-vars"] == "162"
     code, out = run(capsys, "bound", "prt", "--table", str(table), "--eps", "1/3")
     assert code == 0
-    assert lines(out)["value"] == "14/1"
+    got = lines(out)
+    assert got["value"] == got["dual-value"] == "14/1"
+    assert got["certificate"] == "pass"
     code, out = run(capsys, "bound", "pprt0", "--table", str(table))
     assert code == 0
     assert lines(out)["weight"] == "64"
+
+
+def test_bound_prt_failed_certificate_exits_one(tmp_path, capsys, monkeypatch):
+    table = tmp_path / "f.tt"
+    run(capsys, "fn", "emit", "--name", "fmaj", "--out", str(table))
+    monkeypatch.setattr(
+        lpbound.LPSolution, "violation", lambda self, lp: "reduced cost of w[****,0] is -1 < 0"
+    )
+    code, out = run(capsys, "bound", "prt", "--table", str(table), "--eps", "1/3")
+    assert code == 1
+    got = lines(out)
+    assert got["certificate"] == "FAIL"
+    assert "reduced cost" in got["certificate-error"]
+    # no uncertified value is printed
+    assert "value" not in got and "dual-value" not in got
+
+
+def test_import_loads_no_scipy():
+    # every CLI process pays its imports; scipy loads only where a
+    # command needs it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, qlab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_simulate_commands(capsys):

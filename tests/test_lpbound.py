@@ -1,16 +1,18 @@
-"""Exact rational simplex and the weighted-cover relaxation."""
+"""The certified LP solve and the weighted-cover relaxation."""
 
+import dataclasses
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from qlab import lpbound
 from qlab.boolfn import IteratedMajority, TruthTable, fmaj
 from qlab.lpbound import (
+    CertificateError,
     LPSolution,
     RationalLP,
     build_prt_lp,
-    check_feasible,
-    partition_to_assignment,
     pprt_zero_report,
     prt_report,
     solve_exact,
@@ -36,6 +38,7 @@ def test_simplex_single_variable():
     assert sol.status == "optimal"
     assert sol.value == 3
     assert sol.assignment == (F(3),)
+    assert sol.dual == (F(1),)
 
 
 def test_simplex_small_mix():
@@ -44,6 +47,8 @@ def test_simplex_small_mix():
     assert sol.status == "optimal"
     assert sol.value == 5
     assert sol.assignment == (F(3), F(1))
+    # the <= row carries a nonpositive multiplier
+    assert sol.dual == (F(2), F(-1))
     assert sol.verify(lp([1, 2], [[1, 1], [1, 0]], [">=", "<="], [4, 3]))
 
 
@@ -69,6 +74,7 @@ def test_simplex_detects_infeasible():
     sol = solve_exact(lp([1], [[1], [1]], ["<=", ">="], [1, 2]))
     assert sol.status == "infeasible"
     assert sol.value is None
+    assert sol.dual is None
 
 
 def test_simplex_detects_unbounded():
@@ -96,15 +102,109 @@ def test_simplex_degenerate_cycle_guard():
 
 def test_solution_verify_rejects_bad_assignment():
     problem = lp([1], [[1]], [">="], [3])
-    bad = LPSolution("optimal", F(2), (F(2),), 0)
+    bad = LPSolution("optimal", F(2), (F(2),), (F(2, 3),), 0)
     assert not bad.verify(problem)
+    assert "primal row 0" in bad.violation(problem)
 
 
-def test_check_feasible():
+def test_verify_checks_primal_feasibility():
     problem = lp([1, 1], [[1, 1]], [">="], [1])
-    assert check_feasible(problem, [F(1), F(0)])
-    assert not check_feasible(problem, [F(1, 4), F(1, 4)])
-    assert not check_feasible(problem, [F(-1), F(3)])
+
+    def certificate(x):
+        value = sum(x, F(0))
+        return LPSolution("optimal", value, tuple(x), (value,), 0)
+
+    assert certificate([F(1), F(0)]).verify(problem)
+    assert "primal row 0" in certificate([F(1, 4), F(1, 4)]).violation(problem)
+    assert "< 0" in certificate([F(-1), F(3)]).violation(problem)
+
+
+def fmaj_certificate(eps):
+    problem = build_prt_lp(fmaj(), eps)
+    sol = solve_exact(problem)
+    assert sol.verify(problem)
+    return problem, sol
+
+
+def test_solve_returns_a_primal_dual_certificate():
+    problem, sol = fmaj_certificate(F(1, 3))
+    assert sol.value == 14
+    assert sum((b * y for b, y in zip(problem.rhs, sol.dual)), F(0)) == 14
+    assert len(sol.dual) == problem.num_constraints
+    # every >= row (the cover rows) carries a nonnegative multiplier
+    assert all(y >= 0 for y, s in zip(sol.dual, problem.senses) if s == ">=")
+    assert sol.pivots > 0
+
+
+def test_verify_rejects_a_perturbed_dual_entry():
+    problem, sol = fmaj_certificate(F(0))
+    for i, y in enumerate(sol.dual):
+        dual = list(sol.dual)
+        dual[i] = y + F(1, 1000)
+        assert not dataclasses.replace(sol, dual=tuple(dual)).verify(problem)
+
+
+def test_verify_rejects_a_dropped_primal_entry():
+    problem, sol = fmaj_certificate(F(1, 3))
+    for j, v in enumerate(sol.assignment):
+        if v:
+            x = list(sol.assignment)
+            x[j] = F(0)
+            assert not dataclasses.replace(sol, assignment=tuple(x)).verify(problem)
+
+
+def test_verify_rejects_a_dual_that_breaks_one_reduced_cost():
+    # min x + y with x >= 1, y >= 1: the dual (2, 0) keeps the signs and
+    # the objective 2 but prices x above its cost
+    problem = lp([1, 1], [[1, 0], [0, 1]], [">=", ">="], [1, 1])
+    good = LPSolution("optimal", F(2), (F(1), F(1)), (F(1), F(1)), 0)
+    assert good.verify(problem)
+    bad = dataclasses.replace(good, dual=(F(2), F(0)))
+    assert bad.violation(problem) == "reduced cost of x0 is -1 < 0"
+
+
+def test_verify_rejects_a_dual_of_the_wrong_sign():
+    problem = lp([1, 2], [[1, 1], [1, 0]], [">=", "<="], [4, 3])
+    sol = solve_exact(problem)
+    bad = dataclasses.replace(sol, dual=(F(2), F(1)))
+    assert "wrong sign" in bad.violation(problem)
+
+
+def test_verify_rejects_unequal_objectives():
+    problem = lp([1], [[1]], [">="], [3])
+    sol = solve_exact(problem)
+    assert "objectives differ" in dataclasses.replace(sol, value=F(4)).violation(problem)
+    # a feasible dual of lower value proves nothing about optimality
+    weak = dataclasses.replace(sol, dual=(F(1, 2),))
+    assert "objectives differ" in weak.violation(problem)
+
+
+def test_misread_float_solution_raises(monkeypatch):
+    # a tolerance that calls every float entry zero reads the wrong vertex
+    monkeypatch.setattr(lpbound, "_ZERO_TOL", 1e9)
+    with pytest.raises(CertificateError):
+        solve_exact(build_prt_lp(fmaj(), F(1, 3)))
+
+
+def test_float_solve_that_is_not_optimal_raises(monkeypatch):
+    import scipy.optimize
+
+    stalled = SimpleNamespace(status=1, message="iteration limit reached", nit=7)
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: stalled)
+    with pytest.raises(CertificateError, match="iteration limit"):
+        solve_exact(lp([1], [[1]], [">="], [3]))
+
+
+def test_singular_re_solve_raises():
+    rows = [[F(1), F(1), F(5)], [F(2), F(2), F(7)], [F(1), F(-1), F(0)]]
+    with pytest.raises(CertificateError, match="singular"):
+        lpbound._solve_exactly(rows[:2], [F(1), F(2)], [0, 1], 3)
+    # a dependent row is passed over; the unknown off the support stays 0
+    assert lpbound._solve_exactly(rows, [F(1), F(2), F(0)], [0, 1], 3) == (
+        F(1, 2),
+        F(1, 2),
+        F(0),
+    )
 
 
 def test_relaxation_shape():
@@ -127,11 +227,17 @@ def test_relaxation_rejects_bad_inputs():
 
 
 def test_canonical_partition_is_feasible_at_zero_error():
-    problem = build_prt_lp(fmaj(), F(0))
-    x = partition_to_assignment(problem, canonical_fmaj_partition())
-    assert check_feasible(problem, x)
+    problem, sol = fmaj_certificate(F(0))
+    # unit weight on each labeled part of the canonical partition
+    index = {name: k for k, name in enumerate(problem.var_names)}
+    x = [F(0)] * problem.num_vars
+    for pat, z in canonical_fmaj_partition().entries:
+        x[index[f"w[{pat.text},{z}]"]] = F(1)
     value = sum((c * v for c, v in zip(problem.objective, x)), F(0))
     assert value == 64
+    # with the solver's dual it is a full certificate: the partition is
+    # feasible, and optimal among fractional covers
+    assert dataclasses.replace(sol, assignment=tuple(x)).verify(problem)
 
 
 def test_zero_error_relaxation_value():
@@ -141,6 +247,7 @@ def test_zero_error_relaxation_value():
     # a feasible partition with weight 64 exists, so 64 is an upper bound;
     # the simplex optimum matching it pins the value
     assert rep.value == 64
+    assert rep.dual_value == 64
     assert rep.half_log2 == 3.0
 
 
@@ -149,6 +256,7 @@ def test_relaxation_value_drops_with_error():
     rep3 = prt_report(fmaj(), F(1, 3))
     assert rep3.value <= rep0.value
     assert rep3.value == 14  # regression, certificate-checked by the solver
+    assert rep3.dual_value == 14
     rep6 = prt_report(fmaj(), F(1, 6))
     assert rep3.value <= rep6.value <= rep0.value
 
@@ -171,3 +279,24 @@ def test_relaxation_on_tiny_functions():
     proj = TruthTable.from_values(2, [0, 0, 1, 1])
     rep = prt_report(proj, F(0))
     assert rep.value == 4
+
+
+# values of the Fraction tableau simplex this solver replaced, on the
+# gadget and on a handful of random tables
+PINNED = [
+    (fmaj(), F(1, 6), F(39)),
+    (TruthTable.from_values(1, [1, 0]), F(1, 3), F(2)),
+    (TruthTable.from_values(2, [0, 0, 0, 1]), F(2, 7), F(4)),
+    (TruthTable.from_values(2, [1, 0, 0, 1]), F(1, 999983), F(15999698, 999983)),
+    (TruthTable.from_values(3, [1, 1, 0, 0, 0, 0, 1, 0]), F(2, 7), F(149, 14)),
+    (TruthTable.from_values(3, [1, 1, 1, 1, 0, 1, 0, 1]), F(1, 5), F(29, 5)),
+    (TruthTable.from_values(3, [0, 1, 0, 1, 1, 1, 1, 0]), F(2, 7), F(149, 14)),
+    (TruthTable.from_values(3, [0, 1, 1, 1, 1, 1, 1, 0]), F(49, 100), F(29, 20)),
+    (TruthTable.from_values(3, [1, 1, 1, 1, 1, 1, 0, 1]), F(1, 5), F(53, 5)),
+]
+
+
+@pytest.mark.parametrize("table, eps, value", PINNED)
+def test_relaxation_values_are_pinned(table, eps, value):
+    rep = prt_report(table, eps)
+    assert rep.value == rep.dual_value == value

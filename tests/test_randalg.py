@@ -354,6 +354,21 @@ def test_chi_square_gof_accepts_true_law():
     assert rep.impossible_hits == 0
 
 
+@pytest.mark.parametrize(
+    "df, alpha",
+    # df 13 is the hard law's support less one, at the default alpha and
+    # at the one simulate embed uses in the benchmark
+    [(13, 1e-3), (13, 1e-6), (15, 1e-3), (15, 1e-6), (3, 1e-3), (255, 1e-6), (1, 0.5)],
+)
+def test_chi_square_critical_value_matches_scipy_stats(df, alpha):
+    from scipy.stats import chi2
+
+    cells = df + 1
+    rep = chi_square_gof([1] * cells, [Fraction(1, cells)] * cells, alpha=alpha)
+    assert rep.df == df
+    assert rep.critical == float(chi2.isf(alpha, df))
+
+
 def test_chi_square_gof_rejects_wrong_law():
     counts = np.zeros(16, dtype=np.int64)
     counts[8] = 60_000
