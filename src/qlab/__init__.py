@@ -31,12 +31,10 @@ from .harddist import (
     d0,
     d1,
     dh_mass,
-    dh_sample,
     jk_cost_matrices,
 )
 from .lpbound import RationalLP, build_prt_lp, prt_report, pprt_zero_report, solve_exact
 from .randalg import (
-    EmbeddingSampler,
     embed_check,
     lv_check_correct,
     lv_exact_cost,

@@ -18,6 +18,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 Bits = Sequence[int]
 
 MAX_VARS = 16
@@ -78,6 +80,12 @@ class TruthTable:
             raise ValueError(f"input length {len(bx)} != n={self.n}")
         return self.bit(bits_to_index(bx))
 
+    def values(self) -> np.ndarray:
+        """f at every input, in index order, as a uint8 array."""
+        raw = self.bits.to_bytes((self.size + 7) // 8, "little")
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+        return bits[: self.size]
+
     def ones(self) -> Iterable[int]:
         """Indices of inputs where f is 1."""
         for idx in range(self.size):
@@ -137,15 +145,14 @@ def compose(f: TruthTable, g: TruthTable) -> TruthTable:
     nm = n * m
     if nm > MAX_VARS:
         raise ValueError(f"composed arity {nm} exceeds {MAX_VARS}")
-    block_mask = (1 << m) - 1
-    bits = 0
-    for idx in range(1 << nm):
-        fidx = 0
-        for j in range(n):
-            block = (idx >> ((n - 1 - j) * m)) & block_mask
-            fidx = (fidx << 1) | g.bit(block)
-        bits |= f.bit(fidx) << idx
-    return TruthTable(nm, bits)
+    idx = np.arange(1 << nm)
+    gvals = g.values()
+    fidx = np.zeros(1 << nm, dtype=np.intp)
+    for j in range(n):
+        fidx <<= 1
+        fidx |= gvals[idx >> ((n - 1 - j) * m) & ((1 << m) - 1)]
+    packed = np.packbits(f.values()[fidx], bitorder="little")
+    return TruthTable(nm, int.from_bytes(packed.tobytes(), "little"))
 
 
 # ---------------------------------------------------------------------------

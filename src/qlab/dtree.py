@@ -221,10 +221,10 @@ def exact_depth(
             f"estimated {estimate} bytes exceeds limit {memory_limit}"
         )
     color = lattice_colors(f)
-    val = color // 2  # 1 on mixed states, 0 on constant ones
+    # 1 on mixed states, 0 on constant ones; without a tree the sweeps
+    # need only these, so they overwrite the colors in place
+    val = color // 2 if want_tree else np.floor_divide(color, 2, out=color)
     val *= n + 1  # "infinity": every depth is at most n
-    if not want_tree:
-        del color  # the sweeps need only the values
     _relax(val, _depth_step)
     depth = int(val[(2,) * n])
     if not want_tree:

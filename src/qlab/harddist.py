@@ -6,7 +6,11 @@ alone, 1/6 on each input where the first bit joins a two-two tie on the
 other three, and 1/30 on each input with a lone dissent among the last
 three; the all-agree input gets mass zero.  Conditioned on the root
 value b (fair coin), children patterns are drawn from the seed for b
-and each subtree recurses on its child's value.
+and each subtree recurses on its child's value.  Every seed mass is a
+whole number of thirtieths, so the sampler draws one integer below 30
+per node and maps it to a children pattern through two lookup tables,
+and the exact enumeration carries integer weights over one common
+denominator.
 
 The minority path starts at the root and repeatedly steps into a child
 disagreeing with its parent's value: a unique dissenter is taken
@@ -17,6 +21,7 @@ happen, since the first child's doubled vote caps dissent at two.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -50,14 +55,6 @@ class InputDistribution:
                 raise ValueError(f"negative mass at index {idx}")
         if sum(self.masses.values(), Fraction(0)) != 1:
             raise ValueError("masses do not sum to 1")
-        denom = math.lcm(*(m.denominator for m in self.masses.values()))
-        self._denom = denom
-        self._support = list(self.masses)
-        cum = 0
-        self._thresholds: list[int] = []
-        for idx in self._support:
-            cum += int(self.masses[idx] * denom)
-            self._thresholds.append(cum)
 
     def mass(self, idx: int) -> Fraction:
         return self.masses.get(idx, Fraction(0))
@@ -66,16 +63,7 @@ class InputDistribution:
         return [self.mass(idx) for idx in range(1 << self.n)]
 
     def support(self) -> list[int]:
-        return list(self._support)
-
-    def sample(self, rng: np.random.Generator) -> int:
-        """One exact draw: a uniform integer below the common
-        denominator compared against cumulative thresholds."""
-        u = int(rng.integers(0, self._denom))
-        for idx, t in zip(self._support, self._thresholds):
-            if u < t:
-                return idx
-        raise AssertionError("thresholds must end at the denominator")
+        return list(self.masses)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -156,65 +144,68 @@ def _dhb_mass(h: int, b: int, bits: tuple[int, ...]) -> Fraction:
 def dh_support(h: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
     """All inputs of positive mass with their masses; full enumeration
     is kept to h <= 2 (the height-2 support already has 33614 points)."""
+    denom = _support_denominator(h)
+    return ((bits, Fraction(w, denom)) for b in (0, 1) for bits, w in _dhb_support(h, b))
+
+
+def dh_total(h: int) -> tuple[int, Fraction]:
+    """Size and exact total mass of the height-h support, summed as
+    integer weights over one common denominator."""
+    denom = _support_denominator(h)
+    weights = [w for b in (0, 1) for _, w in _dhb_support(h, b)]
+    return len(weights), Fraction(sum(weights), denom)
+
+
+def _support_denominator(h: int) -> int:
+    """2 * 30**(internal nodes): a fair root coin times one seed draw,
+    in thirtieths, per internal node."""
     if h > MAX_ENUM_HEIGHT:
         raise ValueError(f"support enumeration supports h <= {MAX_ENUM_HEIGHT}")
-    for b in (0, 1):
-        for bits, m in _dhb_support(h, b):
-            yield bits, m / 2
+    return 2 * 30 ** ((4**h - 1) // 3)
 
 
-def _dhb_support(h: int, b: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+def _dhb_support(h: int, b: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Support of the height-h law at root value b, each point with its
+    mass times 30**((4**h - 1) // 3)."""
     if h == 0:
-        yield (b,), Fraction(1)
+        yield (b,), 1
         return
-    for pat_idx, base in _seed(b).masses.items():
-        child_vals = index_to_bits(pat_idx, 4)
-        subs = [list(_dhb_support(h - 1, bv)) for bv in child_vals]
-        stack: list[tuple[int, tuple[int, ...], Fraction]] = [(0, (), base)]
-        while stack:
-            k, prefix, m = stack.pop()
-            if k == 4:
-                yield prefix, m
-                continue
-            for bits, sm in subs[k]:
-                stack.append((k + 1, prefix + bits, m * sm))
+    for pat_idx, base in zip(_PATS[b].tolist(), _SEED30):
+        subs = [list(_dhb_support(h - 1, bv)) for bv in index_to_bits(pat_idx, 4)]
+        for combo in itertools.product(*subs):
+            yield sum((bits for bits, _ in combo), ()), base * math.prod(w for _, w in combo)
 
 
-def dh_sample(h: int, rng: np.random.Generator) -> tuple[int, ...]:
-    """One scalar draw from the height-h distribution."""
-    b = int(rng.integers(0, 2))
-    return _dhb_sample(h, b, rng)
-
-
-def _dhb_sample(h: int, b: int, rng: np.random.Generator) -> tuple[int, ...]:
-    if h == 0:
-        return (b,)
-    pat = index_to_bits(_seed(b).sample(rng), 4)
-    out: tuple[int, ...] = ()
-    for bv in pat:
-        out += _dhb_sample(h - 1, bv, rng)
-    return out
-
-
-# support patterns of the seed in threshold order, denominators scaled
-# to 30: sizes 12, 5, 5, 5, 1, 1, 1
+# support patterns of the seed in threshold order, with masses in
+# thirtieths: 12, 5, 5, 5, 1, 1, 1
 _PAT0 = np.array([bits_to_index(s) for s in _SEED0], dtype=np.uint8)
-_PAT1 = (15 - _PAT0).astype(np.uint8)
-_CUM30 = np.array([12, 17, 22, 27, 28, 29], dtype=np.int64)
+_SEED30 = tuple(int(m * 30) for m in _SEED0.values())
+_CUM30 = np.cumsum(_SEED30)[:-1]
+# _CAT30[u]: the seed category of a base-30 draw u, so category c has
+# probability _SEED30[c] / 30
+_CAT30 = np.searchsorted(_CUM30, np.arange(30), side="right").astype(np.uint8)
+# _PATS[v, c]: children pattern of category c at a node of value v; the
+# value-1 law is the bitwise complement of the value-0 law
+_PATS = np.stack([_PAT0, 15 - _PAT0])
+_SHIFTS = np.array([3, 2, 1, 0], dtype=np.uint8)
 
 
 def sample_inputs(h: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Vectorized draws: a (count, 4**h) uint8 array of inputs
     distributed as the height-h law.  Level by level, each node's
-    children pattern comes from one exact base-30 draw."""
-    vals = rng.integers(0, 2, size=(count, 1), dtype=np.int64).astype(np.uint8)
+    children pattern comes from one exact base-30 draw, looked up in
+    _CAT30 and _PATS.  The draws are int32, which consumes the same
+    stream as int64 below 2**32, and everything derived from them stays
+    uint8, so the peak, output included, stays under two bytes per
+    leaf."""
+    vals = rng.integers(0, 2, size=(count, 1), dtype=np.int32).astype(np.uint8)
     for _ in range(h):
-        draws = rng.integers(0, 30, size=vals.shape, dtype=np.int64)
-        cat = np.searchsorted(_CUM30, draws, side="right")
-        pats = np.where(vals == 0, _PAT0[cat], _PAT1[cat])
-        shifts = np.array([3, 2, 1, 0], dtype=np.uint8)
-        children = (pats[..., None] >> shifts) & 1
-        vals = children.reshape(count, -1).astype(np.uint8)
+        draws = rng.integers(0, 30, size=vals.shape, dtype=np.int32)
+        pats = _PATS[vals, _CAT30[draws]]
+        del draws
+        children = pats[..., None] >> _SHIFTS
+        children &= 1
+        vals = children.reshape(count, -1)
     return vals
 
 
@@ -289,23 +280,6 @@ class MinorityModel:
         walk(self.h, 0, iter_eval(self.h, self.bits), Fraction(1))
         return out
 
-    def sample(self, rng: np.random.Generator) -> int:
-        """One sampled path; returns the leaf position."""
-        level, node = self.h, 0
-        v = iter_eval(self.h, self.bits)
-        while level > 0:
-            pat_idx, vals = self._children(level, node)
-            slots = _dissent_slots(v, pat_idx)
-            if not slots:
-                raise SupportError(
-                    f"node at level {level} has no dissenting child"
-                )
-            j = slots[0] if len(slots) == 1 else slots[int(rng.integers(0, 2))]
-            node = node * 4 + j
-            v = vals[j]
-            level -= 1
-        return node
-
 
 def minority_marginals_exact(h: int = 1) -> tuple[Fraction, ...]:
     """Marginal law of the level-(h-1) node on the minority path under
@@ -323,24 +297,35 @@ def minority_marginals_exact(h: int = 1) -> tuple[Fraction, ...]:
     return tuple(totals)
 
 
+_FM = np.array(_FMAJ_BIT, dtype=np.uint8)
+
+
+def _patterns(quads: np.ndarray) -> np.ndarray:
+    """Children-pattern indices of uint8 bit quadruples along the last
+    axis, x_1 the high bit, in uint8."""
+    pat = quads[..., 0] << 3
+    pat |= quads[..., 1] << 2
+    pat |= quads[..., 2] << 1
+    pat |= quads[..., 3]
+    return pat
+
+
 def minority_level1_counts(
     trials: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Vectorized height-2 run: sample inputs, take one minority step at
     the root, and count how often each level-1 node is entered."""
     xs = sample_inputs(2, trials, rng)
-    weights = np.array([8, 4, 2, 1], dtype=np.int64)
-    quarters = xs.reshape(trials, 4, 4) @ weights
-    fm = np.array(_FMAJ_BIT, dtype=np.uint8)
-    level1 = fm[quarters]
-    root_pat = level1 @ weights
-    root_val = fm[root_pat]
+    level1 = _FM[_patterns(xs.reshape(trials, 4, 4))]
+    del xs
+    root_pat = _patterns(level1)
+    root_val = _FM[root_pat]
     count = _DIS_COUNT[root_val, root_pat]
     if np.any(count == 0):
         raise SupportError("sampled input has an all-agree root")
     first = _DIS_FIRST[root_val, root_pat]
     second = _DIS_SECOND[root_val, root_pat]
-    coin = rng.integers(0, 2, size=trials, dtype=np.int64)
+    coin = rng.integers(0, 2, size=trials, dtype=np.int32)
     slot = np.where((count == 2) & (coin == 1), second, first)
     return np.bincount(slot, minlength=4)
 

@@ -19,8 +19,13 @@ read count rises to 4 on its worst input.
 
 The round's coins amount to 24 equally likely rounds, six of branch 0
 and eighteen of branch 1, each order equally often.  The exact
-recursions and the level-by-level Monte Carlo evaluator all read the
-lookup tables of those rounds, built once from ``lv_run``.
+recursions for the mean and variance of the read count and the
+level-by-level Monte Carlo evaluator all read the lookup tables of
+those rounds, built once from ``lv_run``.
+
+The embedding audit samples placements of one instance inside a
+neighborhood through lookup tables too, in uint8, and its exact laws
+enumerate the same tables' 360 equally likely outcomes.
 """
 
 from __future__ import annotations
@@ -34,12 +39,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .boolfn import _FMAJ_BIT, bits_to_index, index_to_bits, parse_bits
-from .harddist import _CUM30, _PAT0, _PAT1, d, d0, d1
+from .harddist import _CAT30, _FM, _PATS, _SHIFTS, _dissent_slots, _patterns, d, d0, d1
 
 MAX_MC_HEIGHT = 12
 
 _ORDERS = tuple(itertools.permutations((1, 2, 3)))
-_FM = np.array(_FMAJ_BIT, dtype=np.uint8)
 _POPC = np.array([bin(i).count("1") for i in range(16)], dtype=np.uint8)
 # _MASK_BITS[mask, j]: whether a read mask includes variable j
 _MASK_BITS = (np.arange(16)[:, None] >> np.arange(4) & 1).astype(bool)
@@ -146,9 +150,13 @@ _ROUND_MASK = _LV_MASK[_ROUND_BRANCH, np.arange(24) % 6]
 _ROUND_OUT = _LV_OUT[_ROUND_BRANCH, np.arange(24) % 6]
 
 # rounds out of the 24 that read variable j on the given input, and the
-# probability that a round does
-_READS24 = _MASK_BITS[_ROUND_MASK].sum(axis=0)
+# probability that a round does; likewise for reading both j and l
+_READ = _MASK_BITS[_ROUND_MASK].astype(np.int64)
+_READS24 = _READ.sum(axis=0)
+_PAIRS = tuple(itertools.combinations(range(4), 2))
+_PAIRS24 = np.stack([_READ[..., j] * _READ[..., l] for j, l in _PAIRS], axis=-1).sum(axis=0)
 _QPROB: list[list[Fraction]] = [[Fraction(int(c), 24) for c in row] for row in _READS24]
+_QPAIR: list[list[Fraction]] = [[Fraction(int(c), 24) for c in row] for row in _PAIRS24]
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +180,7 @@ def _level_patterns(bits: np.ndarray, h: int) -> list[np.ndarray]:
     pats = []
     vals = bits
     for _ in range(h):
-        quads = vals.reshape(-1, 4)
-        pat = quads[:, 0] << 3 | quads[:, 1] << 2 | quads[:, 2] << 1 | quads[:, 3]
+        pat = _patterns(vals.reshape(-1, 4))
         pats.append(pat.astype(np.intp))
         vals = _FM[pat]
     return pats
@@ -188,40 +195,81 @@ def _step(pat: int, below: Sequence[Fraction]) -> Fraction:
     )
 
 
+def _second_step(pat: int, means: Sequence[Fraction], seconds: Sequence[Fraction]) -> Fraction:
+    """Second moment of a node's reads on children pattern pat when a
+    child of value v has reads of mean means[v] and second moment
+    seconds[v]: the node reads the sum over the children its round
+    reads, independent of one another given their values, so it is
+    sum_j q_j S_j + 2 sum_{j < l} q_jl M_j M_l, q_jl being the
+    probability that the round reads both j and l."""
+    child = [pat >> (3 - j) & 1 for j in range(4)]
+    return sum(
+        (q * seconds[child[j]] for j, q in enumerate(_QPROB[pat])), Fraction(0)
+    ) + 2 * sum(
+        (q * means[child[j]] * means[child[l]] for (j, l), q in zip(_PAIRS, _QPAIR[pat])),
+        Fraction(0),
+    )
+
+
 def recursive_exact_cost(h: int, x: "str | Sequence[int]") -> Fraction:
     """Exact expected leaf reads of the recursive evaluator on a fixed
     input: bottom up, a node costs its children's costs weighted by the
     probabilities that its round reads them."""
-    if not 0 <= h <= MAX_MC_HEIGHT:
-        raise ValueError(f"exact recursion supports 0 <= h <= {MAX_MC_HEIGHT}")
-    return _exact_cost(h, _input_bits(h, x))
-
-
-def _exact_cost(h: int, bits: np.ndarray) -> Fraction:
-    # a height-k node's expected reads times 24**k is an integer below
-    # 78**k, which passes the int64 range above height 10
-    cost = np.broadcast_to(np.int64(1), bits.shape)
-    for k, pat in enumerate(_level_patterns(bits, h), 1):
-        if k > 10:
-            cost = cost.astype(object)
-        cost = (_READS24[pat] * cost.reshape(-1, 4)).sum(axis=1)
-    return Fraction(int(cost[0]), 24**h)
+    return recursive_exact_moments(h, x)[0]
 
 
 def recursive_exact_mean(h: int) -> Fraction:
-    """Exact expected leaf reads under the height-h hard distribution,
-    from M(k, b) = sum_p seed_b(p) sum_j q_j(p) M(k-1, p_j), the mean
-    over height-k inputs of value b."""
+    """Exact expected leaf reads under the height-h hard distribution."""
+    return recursive_exact_moments(h)[0]
+
+
+def recursive_exact_moments(
+    h: int, x: "str | Sequence[int] | None" = None
+) -> tuple[Fraction, Fraction]:
+    """Exact mean and variance of one trial's leaf reads: on a fixed
+    input x, or under the height-h hard distribution when x is None.
+    Under the law, the mean M(k, b) and second moment S(k, b) over
+    height-k inputs of value b follow the two-state recursion
+    M(k, b) = sum_p seed_b(p) sum_j q_j(p) M(k-1, p_j), and S(k, b)
+    likewise through _second_step."""
+    if x is not None:
+        if not 0 <= h <= MAX_MC_HEIGHT:
+            raise ValueError(f"exact recursion supports 0 <= h <= {MAX_MC_HEIGHT}")
+        mean, second = _exact_moments(h, _input_bits(h, x))
+        return mean, second - mean * mean
     if h < 0:
         raise ValueError("height must be at least 0")
     seeds = (d0().masses, d1().masses)
-    mean = (Fraction(1), Fraction(1))
+    means = seconds = (Fraction(1), Fraction(1))
     for _ in range(h):
-        mean = tuple(
-            sum((m * _step(p, mean) for p, m in seed.items()), Fraction(0))
-            for seed in seeds
+        means, seconds = (
+            tuple(sum((m * _step(p, means) for p, m in seed.items()), Fraction(0)) for seed in seeds),
+            tuple(
+                sum((m * _second_step(p, means, seconds) for p, m in seed.items()), Fraction(0))
+                for seed in seeds
+            ),
         )
-    return (mean[0] + mean[1]) / 2
+    mean, second = (means[0] + means[1]) / 2, (seconds[0] + seconds[1]) / 2
+    return mean, second - mean * mean
+
+
+def _exact_moments(h: int, bits: np.ndarray) -> tuple[Fraction, Fraction]:
+    """Mean and second moment of the leaf reads on one input, bottom up
+    through the per-input counterparts of _step and _second_step."""
+    # times 24**k and 24**(2k), a height-k node's moments are integers
+    # below 78**k and (24**2 * 16)**k (it reads at most 4**k leaves), so
+    # int64 holds them up to height 4
+    mean = second = np.broadcast_to(np.int64(1), bits.shape)
+    for k, pat in enumerate(_level_patterns(bits, h), 1):
+        if k == 5:
+            mean, second = mean.astype(object), second.astype(object)
+        m, s = mean.reshape(-1, 4), second.reshape(-1, 4)
+        mean = sum(_READS24[pat, j] * m[:, j] for j in range(4))
+        second = 24 * (
+            sum(_READS24[pat, j] * s[:, j] for j in range(4))
+            + 2 * sum(_PAIRS24[pat, i] * m[:, j] * m[:, l] for i, (j, l) in enumerate(_PAIRS))
+        )
+    return Fraction(int(mean[0]), 24**h), Fraction(int(second[0]), 24 ** (2 * h))
 
 
 def recursive_exact_worst(h: int) -> tuple[Fraction, str]:
@@ -247,7 +295,7 @@ def recursive_exact_worst(h: int) -> tuple[Fraction, str]:
             np.concatenate([witness[b] for b in index_to_bits(p, 4)]) for p in best
         )
     v = int(worst[1] > worst[0])
-    if _exact_cost(h, witness[v]) != worst[v]:
+    if _exact_moments(h, witness[v])[0] != worst[v]:
         raise RuntimeError("the worst-case witness does not replay to its value")
     return worst[v], (witness[v] + ord("0")).tobytes().decode()
 
@@ -315,8 +363,7 @@ def _round_tables() -> tuple[np.ndarray, ...]:
     round_mask = _ROUND_MASK.T.ravel()
     round_bad = (_ROUND_OUT != _FM).T.ravel()
     u = np.arange(720)
-    cat = np.searchsorted(_CUM30, u // 24, side="right")
-    hard_pat = np.concatenate([_PAT0[cat], _PAT1[cat]]).astype(np.intp)
+    hard_pat = _PATS[:, _CAT30[u // 24]].ravel().astype(np.intp)
     key = 24 * hard_pat + np.tile(u % 24, 2)
     return round_mask, round_bad, round_mask[key], round_bad[key], hard_pat
 
@@ -421,89 +468,41 @@ def chi_square_gof(
 
 _NONUNANIMOUS = ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1))
 _SLOT_PROBS = (Fraction(1, 5), Fraction(4, 15), Fraction(4, 15), Fraction(4, 15))
+# _EMBED_SLOT[r]: the embedded slot of a base-15 draw r
+_EMBED_SLOT = np.repeat(np.arange(4, dtype=np.uint8), (3, 4, 4, 4))
+# _EMBED_SIBS[slot, k, c]: the siblings' children pattern, the embedded
+# slot's bit clear.  At slot 0 the siblings are the k-th nonunanimous
+# triple; elsewhere the first child holds c and the other two 1 - c.
+_EMBED_SIBS = np.zeros((4, 6, 2), dtype=np.uint8)
+for _k, _sib in enumerate(_NONUNANIMOUS):
+    _EMBED_SIBS[0, _k, :] = bits_to_index((0, *_sib))
+for _slot in (1, 2, 3):
+    for _c in (0, 1):
+        _bits = [_c, 1 - _c, 1 - _c, 1 - _c]
+        _bits[_slot] = 0
+        _EMBED_SIBS[_slot, :, _c] = bits_to_index(_bits)
 
 
-@dataclass(frozen=True)
-class Restriction:
-    """A sampled placement: the embedded instance goes to child
-    ``slot``, the other children are pinned to ``sibling_values`` and
-    filled with blocks drawn from the matching conditioned law."""
-
-    level: int
-    slot: int
-    sibling_values: tuple[tuple[int, int], ...]  # (slot, value) pairs
-    fills: tuple[tuple[int, tuple[int, ...]], ...]  # (slot, block) pairs
-
-
-class EmbeddingSampler:
-    """Samples placements of a height-(level-1) instance as one child of
-    a level-``level`` node, such that the embedded instance's value
-    always propagates to the node, and a uniform embedded value makes
-    the node's children exactly follow the one-level hard law."""
-
-    def __init__(self, level: int):
-        if level not in (1, 2):
-            raise ValueError("embedding is implemented for levels 1 and 2")
-        self.level = level
-
-    def sample(self, rng: np.random.Generator) -> Restriction:
-        r = int(rng.integers(0, 15))
-        slot = 0 if r < 3 else 1 + (r - 3) // 4
-        if slot == 0:
-            k = int(rng.integers(0, 6))
-            sib = _NONUNANIMOUS[k]
-            values = tuple((j + 1, sib[j]) for j in range(3))
-        else:
-            c = int(rng.integers(0, 2))
-            values = tuple(
-                (j, c if j == 0 else 1 - c) for j in range(4) if j != slot
-            )
-        from .harddist import _dhb_sample
-
-        fills = tuple(
-            (j, _dhb_sample(self.level - 1, v, rng)) for j, v in values
-        )
-        return Restriction(self.level, slot, values, fills)
-
-    def lift(
-        self, embedded: "str | Sequence[int]", rest: Restriction
-    ) -> tuple[int, ...]:
-        """Assemble the full level-``level`` input around the embedded
-        block."""
-        width = 4 ** (self.level - 1)
-        emb = parse_bits(embedded)
-        if len(emb) != width:
-            raise ValueError(f"embedded block must have {width} bits")
-        blocks: dict[int, tuple[int, ...]] = {rest.slot: emb}
-        for j, fill in rest.fills:
-            blocks[j] = fill
-        return sum((blocks[j] for j in range(4)), ())
+def _embed_outcomes() -> list[tuple[int, int]]:
+    """The embedding's finite randomness as 360 equally likely outcomes
+    (embedded value, base-15 slot draw, sibling triple, sibling coin),
+    each as (slot, children pattern)."""
+    return [
+        (slot, int(_EMBED_SIBS[slot, k, c]) | w << (3 - slot))
+        for w in (0, 1)
+        for slot in _EMBED_SLOT.tolist()
+        for k in range(6)
+        for c in (0, 1)
+    ]
 
 
 def embedding_children_law_exact() -> dict[int, Fraction]:
     """Exact law of the four children values when the embedded value is
     a fair coin, by enumerating the sampler's finite randomness."""
     law: dict[int, Fraction] = {}
-
-    def add(pattern: list[int], p: Fraction) -> None:
-        idx = bits_to_index(tuple(pattern))
-        law[idx] = law.get(idx, Fraction(0)) + p
-
-    for wval in (0, 1):
-        base = Fraction(1, 2)
-        for k in range(6):
-            sib = _NONUNANIMOUS[k]
-            add([wval, *sib], base * _SLOT_PROBS[0] * Fraction(1, 6))
-        for slot in (1, 2, 3):
-            for c in (0, 1):
-                pattern = [0] * 4
-                pattern[slot] = wval
-                for j in range(4):
-                    if j == slot:
-                        continue
-                    pattern[j] = c if j == 0 else 1 - c
-                add(pattern, base * _SLOT_PROBS[slot] * Fraction(1, 2))
-    return {idx: p for idx, p in law.items() if p != 0}
+    for _, pat in _embed_outcomes():
+        law[pat] = law.get(pat, Fraction(0)) + Fraction(1, 360)
+    return law
 
 
 def minority_conditionals_exact() -> dict[tuple[int, int], Fraction]:
@@ -511,33 +510,16 @@ def minority_conditionals_exact() -> dict[tuple[int, int], Fraction]:
     given the embedded instance sits at child i, over the sampler's
     randomness with a fair embedded value."""
     joint: dict[tuple[int, int], Fraction] = {}
-    for wval in (0, 1):
-        base = Fraction(1, 2)
-        outcomes: list[tuple[int, list[int], Fraction]] = []
-        for k in range(6):
-            sib = _NONUNANIMOUS[k]
-            outcomes.append((0, [wval, *sib], base * _SLOT_PROBS[0] * Fraction(1, 6)))
-        for slot in (1, 2, 3):
-            for c in (0, 1):
-                pattern = [0] * 4
-                pattern[slot] = wval
-                for j in range(4):
-                    if j != slot:
-                        pattern[j] = c if j == 0 else 1 - c
-                outcomes.append((slot, pattern, base * _SLOT_PROBS[slot] * Fraction(1, 2)))
-        for slot, pattern, p in outcomes:
-            pat_idx = bits_to_index(tuple(pattern))
-            v = _FMAJ_BIT[pat_idx]
-            dis = [j for j in range(4) if pattern[j] != v]
-            assert dis, "sampled children never agree unanimously"
-            for j in dis:
-                key = (slot, j)
-                joint[key] = joint.get(key, Fraction(0)) + p / len(dis)
-    out: dict[tuple[int, int], Fraction] = {}
-    for i in range(4):
-        for j in range(4):
-            out[(i, j)] = joint.get((i, j), Fraction(0)) / _SLOT_PROBS[i]
-    return out
+    for slot, pat in _embed_outcomes():
+        dis = _dissent_slots(_FMAJ_BIT[pat], pat)
+        assert dis, "sampled children never agree unanimously"
+        for j in dis:
+            joint[slot, j] = joint.get((slot, j), Fraction(0)) + Fraction(1, 360 * len(dis))
+    return {
+        (i, j): joint.get((i, j), Fraction(0)) / _SLOT_PROBS[i]
+        for i in range(4)
+        for j in range(4)
+    }
 
 
 @dataclass(frozen=True)
@@ -562,7 +544,11 @@ class EmbedReport:
 def embed_check(
     level: int, trials: int, rng: np.random.Generator, alpha: float = 1e-3
 ) -> EmbedReport:
-    """Monte Carlo audit of the embedding: placement frequencies within
+    """Monte Carlo audit of the embedding, which places a
+    height-(level-1) instance as one child of a level-``level`` node so
+    that its value always propagates to the node and a fair embedded
+    value makes the node's children follow the one-level hard law.
+    Checked: placement frequencies within
     four sigma of (1/5, 4/15, 4/15, 4/15), children patterns passing a
     chi-square against the one-level hard law, and two structural
     checks that must never fire: the embedded node dissenting from its
@@ -570,27 +556,15 @@ def embed_check(
     block."""
     if level not in (1, 2):
         raise ValueError("embedding is implemented for levels 1 and 2")
-    r = rng.integers(0, 15, size=trials, dtype=np.int64)
-    slot = np.where(r < 3, 0, 1 + (r - 3) // 4)
-    k6 = rng.integers(0, 6, size=trials, dtype=np.int64)
-    c2 = rng.integers(0, 2, size=trials, dtype=np.int64)
-    wval = rng.integers(0, 2, size=trials, dtype=np.int64)
-
-    sibs = np.array(_NONUNANIMOUS, dtype=np.int64)  # (6, 3)
-    values = np.zeros((trials, 4), dtype=np.int64)
-    at0 = slot == 0
-    values[at0, 1:] = sibs[k6[at0]]
-    for s in (1, 2, 3):
-        here = slot == s
-        for j in range(4):
-            if j == s:
-                continue
-            values[here, j] = np.where(j == 0, c2[here], 1 - c2[here])
-    np.put_along_axis(values, slot[:, None], wval[:, None], axis=1)
-
-    weights = np.array([8, 4, 2, 1], dtype=np.int64)
-    pattern = values @ weights
-    vroot = _FM[pattern].astype(np.int64)
+    slot = _EMBED_SLOT[rng.integers(0, 15, size=trials, dtype=np.int32)]
+    k6 = rng.integers(0, 6, size=trials, dtype=np.int32)
+    c2 = rng.integers(0, 2, size=trials, dtype=np.int32)
+    wval = rng.integers(0, 2, size=trials, dtype=np.int32).astype(np.uint8)
+    pattern = _EMBED_SIBS[slot, k6, c2] | wval << (3 - slot)
+    del k6, c2, wval
+    values = pattern[:, None] >> _SHIFTS
+    values &= 1
+    vroot = _FM[pattern]
 
     # (a) the embedded node must never dissent from the parent value
     wbit = np.take_along_axis(values, slot[:, None], axis=1)[:, 0]
@@ -599,14 +573,12 @@ def embed_check(
     # (b) with the embedded value flipped the parent must follow; both
     # settings together cover every embedded input exhaustively
     flipped = pattern ^ (8 >> slot)
-    bad_value = int(np.count_nonzero((1 - wbit) != _FM[flipped].astype(np.int64)))
+    bad_value = int(np.count_nonzero(wbit == _FM[flipped]))
 
     if level == 2:
         # sampled sibling blocks must carry their assigned values
-        draws = rng.integers(0, 30, size=(trials, 4), dtype=np.int64)
-        cat = np.searchsorted(_CUM30, draws, side="right")
-        fills = np.where(values == 0, _PAT0[cat], _PAT1[cat])
-        fill_vals = _FM[fills].astype(np.int64)
+        draws = rng.integers(0, 30, size=(trials, 4), dtype=np.int32)
+        fill_vals = _FM[_PATS[values, _CAT30[draws]]]
         sib_ok = (fill_vals == values) | (
             np.arange(4)[None, :] == slot[:, None]
         )

@@ -18,13 +18,13 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .boolfn import TruthTable
+from .boolfn import MAX_VARS, TruthTable
 
 MAX_SEARCH_COST_VARS = 5
 MAX_SEARCH_WEIGHT_VARS = 4
@@ -129,6 +129,8 @@ class ValidationReport:
     ok: bool
     error: Optional[str] = None  # "overlap" | "gap" | None
     detail: Optional[str] = None
+    # when ok, the index of the part holding each input
+    owner: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -138,38 +140,57 @@ class PartitionCost:
 
 
 def validate(part: LabeledPartition) -> ValidationReport:
-    """Check pairwise disjointness and exact coverage of {0,1}^n."""
-    entries = part.entries
-    for a in range(len(entries)):
-        pa = entries[a][0]
-        for b in range(a + 1, len(entries)):
-            pb = entries[b][0]
-            if pa.intersects(pb):
-                return ValidationReport(
-                    False, "overlap", f"{pa.text} and {pb.text} share a point"
-                )
-    total = sum(1 << p.free_count for p, _ in entries)
-    if total != 1 << part.n:
+    """Check exact coverage of {0,1}^n by painting each part's index
+    onto its members in a 2**n owner array: a member already painted
+    lies in two parts, and an unpainted input in none."""
+    n = part.n
+    if n > MAX_VARS:
+        raise ValueError(f"partition validation supports n <= {MAX_VARS}")
+    owner = np.full(1 << n, -1, dtype=np.int32)
+    subsets: dict[int, np.ndarray] = {}
+    for b, (pb, _) in enumerate(part.entries):
+        members = _free_subsets(pb, subsets) | pb.vals
+        prior = owner[members]
+        hit = np.flatnonzero(prior >= 0)
+        if hit.size:
+            pa = part.entries[prior[hit[0]]][0]
+            return ValidationReport(
+                False, "overlap", f"{pa.text} and {pb.text} share a point"
+            )
+        owner[members] = b
+    total = sum(1 << p.free_count for p, _ in part.entries)
+    if total != 1 << n:
         return ValidationReport(
-            False, "gap", f"parts cover {total} of {1 << part.n} points"
+            False, "gap", f"parts cover {total} of {1 << n} points"
         )
-    return ValidationReport(True)
+    return ValidationReport(True, owner=owner)
+
+
+def _free_subsets(p: Pattern, cache: dict[int, np.ndarray]) -> np.ndarray:
+    """Every submask of p's free positions, cached by that mask."""
+    free = ((1 << p.n) - 1) & ~p.mask
+    subs = cache.get(free)
+    if subs is None:
+        subs = np.zeros(1, dtype=np.intp)
+        for i in range(p.n):
+            if free >> i & 1:
+                subs = np.concatenate([subs, subs | 1 << i])
+        cache[free] = subs
+    return subs
 
 
 def computes(part: LabeledPartition, f: TruthTable) -> bool:
     """True when every part is f-monochromatic with matching label.
     Requires a valid partition, so together this checks f on every
-    input exactly once."""
+    input exactly once: one gather of the labels through the owner
+    array."""
     if part.n != f.n:
         raise ValueError(f"partition arity {part.n} != function arity {f.n}")
     report = validate(part)
     if not report.ok:
         raise ValueError(f"not a partition ({report.error}: {report.detail})")
-    for p, z in part.entries:
-        for idx in p.members():
-            if f.bit(idx) != z:
-                return False
-    return True
+    labels = np.array([z for _, z in part.entries], dtype=np.uint8)
+    return bool(np.array_equal(labels[report.owner], f.values()))
 
 
 def partition_cost(part: LabeledPartition) -> PartitionCost:
@@ -256,11 +277,9 @@ def _zeta(
 def lattice_colors(f: TruthTable) -> np.ndarray:
     """Color of every subcube: a (3,)*n uint8 array holding f's value
     where f is constant on the subcube and 2 where it is mixed."""
-    raw = f.bits.to_bytes((f.size + 7) // 8, "little")
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
     # merged as 1 + color, the set of values seen: 0b01 for 0, 0b10 for
     # 1, 0b11 for mixed, so two halves merge by bitwise or
-    colors = _zeta(bits[: f.size].reshape((2,) * f.n) + 1, np.bitwise_or)
+    colors = _zeta(f.values().reshape((2,) * f.n) + 1, np.bitwise_or)
     colors -= 1
     return colors
 

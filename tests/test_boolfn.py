@@ -1,5 +1,7 @@
 """Truth tables, the tie-favoring 4-bit majority, and block composition."""
 
+import random
+
 import pytest
 
 from qlab.boolfn import (
@@ -114,6 +116,35 @@ def test_compose_block_order():
     assert g2.eval("".join(inner)) == f.eval(outer_bits) == 0
     inner = ["1000", "0111", "0111", "0111"]
     assert g2.eval("".join(inner)) == f.eval((0, 1, 1, 1)) == 1
+
+
+def scalar_compose(f, g):
+    """Block composition straight from its definition, one input at a time."""
+    n, m = f.n, g.n
+    values = []
+    for idx in range(1 << (n * m)):
+        blocks = [(idx >> ((n - 1 - j) * m)) & ((1 << m) - 1) for j in range(n)]
+        fidx = 0
+        for block in blocks:
+            fidx = (fidx << 1) | g.bit(block)
+        values.append(f.bit(fidx))
+    return TruthTable.from_values(n * m, values)
+
+
+def test_compose_matches_scalar_definition():
+    rng = random.Random(8)
+    for n, m in ((1, 1), (1, 3), (2, 1), (2, 2), (3, 2), (2, 4), (4, 3), (3, 4), (5, 2)):
+        for _ in range(4):
+            f = TruthTable(n, rng.getrandbits(1 << n))
+            g = TruthTable(m, rng.getrandbits(1 << m))
+            assert compose(f, g) == scalar_compose(f, g), (n, m, f.bits, g.bits)
+
+
+def test_values_unpack_the_table_word():
+    rng = random.Random(9)
+    for n in (1, 2, 3, 5, 8):
+        f = TruthTable(n, rng.getrandbits(1 << n))
+        assert f.values().tolist() == [f.bit(i) for i in range(f.size)]
 
 
 def test_iterated_majority_heights():

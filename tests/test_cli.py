@@ -6,12 +6,13 @@ import sys
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlab import cli, lpbound, randalg, subcube
+from qlab import cli, harddist, lpbound, randalg, subcube
 from qlab.boolfn import IteratedMajority, fmaj, load_table
 from qlab.cli import main
 from qlab.harddist import d, load_dist
@@ -269,6 +270,27 @@ def test_simulate_r0_exact_references_at_every_height(capsys):
     assert "within-band" not in got
 
 
+def test_simulate_r0_judges_one_trial_by_the_exact_stderr(capsys):
+    for h in (1, 3, 4):
+        for seed in (1, 2, 3):
+            code, out = run(
+                capsys, "simulate", "r0", "--height", str(h), "--trials", "1",
+                "--seed", str(seed),
+            )
+            got = lines(out)
+            assert got["stderr"] == "0.0"
+            _, variance = randalg.recursive_exact_moments(h)
+            assert float(got["exact-stderr"]) == pytest.approx(float(variance) ** 0.5)
+            assert got["within-4-sigma"] == "pass" and code == 0, (h, seed)
+    x = randalg.recursive_exact_worst(2)[1]
+    code, out = run(
+        capsys, "simulate", "r0", "--height", "2", "--trials", "4", "--input", x, "--seed", "3"
+    )
+    _, variance = randalg.recursive_exact_moments(2, x)
+    assert float(lines(out)["exact-stderr"]) == pytest.approx(float(variance / 4) ** 0.5)
+    assert code == 0
+
+
 def test_verify_height_one_fails_only_on_cross_charge(capsys):
     code, out = run(capsys, "verify", "separation", "--height", "1")
     got = lines(out)
@@ -344,6 +366,50 @@ def exit_code(argv):
     ],
 )
 def test_exit_two_on_out_of_range_arguments(capsys, argv):
+    assert exit_code(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_dist_sample_memory_guard_boundary(capsys, monkeypatch):
+    # at height 10 the limit holds exactly limit / (bytes per leaf * 4**10)
+    # trials; the stub keeps the accepted run from allocating anything
+    fits = cli.dtree.DEFAULT_MEMORY_LIMIT // (cli.SAMPLE_BYTES_PER_LEAF * 4**10)
+    calls = []
+
+    def stub(h, count, rng):
+        calls.append((h, count))
+        return np.zeros((1, 4), dtype=np.uint8)
+
+    monkeypatch.setattr(cli.harddist, "sample_inputs", stub)
+    argv = ["dist", "sample", "--height", "10", "--seed", "1", "--trials"]
+    assert exit_code(argv + [str(fits + 1)]) == 2
+    assert "memory limit" in capsys.readouterr().err
+    assert calls == []
+    assert exit_code(argv + [str(fits)]) == 0
+    assert calls == [(10, fits)]
+
+
+def test_sampler_peak_stays_within_the_guard():
+    import tracemalloc
+
+    for h, trials in ((1, 200_000), (2, 50_000), (5, 800)):
+        harddist.sample_inputs(h, 10, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            harddist.sample_inputs(h, trials, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cli.SAMPLE_BYTES_PER_LEAF * trials * 4**h, h
+
+
+def test_partition_compose_past_sixteen_variables_exits_two(tmp_path, capsys):
+    outer = tmp_path / "wide.part"
+    outer.write_text("*" * 17 + " 0\n")
+    inner = tmp_path / "id.part"
+    inner.write_text("0 0\n1 1\n")
+    argv = ["partition", "compose", "--outer", str(outer), "--inner", str(inner),
+            "--out", str(tmp_path / "out.part")]
     assert exit_code(argv) == 2
     assert "error:" in capsys.readouterr().err
 

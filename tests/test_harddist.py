@@ -1,5 +1,6 @@
 """The recursive input law, minority paths, and the charge matrices."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -15,8 +16,8 @@ from qlab.harddist import (
     d0,
     d1,
     dh_mass,
-    dh_sample,
     dh_support,
+    dh_total,
     dist_from_text,
     dist_to_text,
     jk_cost_matrices,
@@ -26,6 +27,7 @@ from qlab.harddist import (
     sample_inputs,
     save_dist,
 )
+from qlab import harddist
 from qlab.randalg import chi_square_gof
 
 SEED_MASSES = {
@@ -133,6 +135,26 @@ def test_dh_support_sizes_and_totals():
     assert sizes[2] == 2 * 7 ** 5
 
 
+def test_dh_total_sums_integer_weights():
+    assert dh_total(0) == (2, 1)
+    assert dh_total(1) == (14, 1)
+    assert dh_total(2) == (33614, 1)
+    with pytest.raises(ValueError):
+        dh_total(3)
+
+
+def test_support_weights_are_integers_over_one_denominator():
+    # per root value, the weights over 30**(internal nodes) sum to it
+    for h, internal in ((0, 0), (1, 1), (2, 5)):
+        for b in (0, 1):
+            weights = [w for _, w in harddist._dhb_support(h, b)]
+            assert all(isinstance(w, int) and w > 0 for w in weights)
+            assert sum(weights) == 30**internal, (h, b)
+    denom = 2 * 30**5
+    for bits, w in itertools.islice(harddist._dhb_support(2, 1), 0, 16807, 331):
+        assert dh_mass(2, bits) == Fraction(w, denom)
+
+
 def test_dh_support_masses_agree_with_dh_mass():
     for bits, mass in itertools.islice(dh_support(2), 0, 2000, 97):
         assert dh_mass(2, bits) == mass
@@ -141,13 +163,6 @@ def test_dh_support_masses_agree_with_dh_mass():
 def test_dh_support_rejects_tall_trees():
     with pytest.raises(ValueError):
         next(dh_support(3))
-
-
-def test_dh_sample_stays_on_support():
-    rng = np.random.default_rng(42)
-    for _ in range(200):
-        bits = dh_sample(2, rng)
-        assert dh_mass(2, bits) > 0
 
 
 def test_sample_inputs_distribution_height_one():
@@ -167,6 +182,69 @@ def test_sample_inputs_height_two_on_support():
     assert xs.shape == (300, 16)
     for row in xs:
         assert dh_mass(2, tuple(int(v) for v in row)) > 0
+    for row in sample_inputs(3, 100, rng):
+        assert dh_mass(3, tuple(int(v) for v in row)) > 0
+
+
+def _digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+
+# outputs of the int64 sampler these lookups replaced, for fixed seeds:
+# (height, seed) -> (digest of sample_inputs(h, 1000), sum of its bits),
+# and the next draw of the generator afterwards, which pins how much of
+# the stream each call consumes
+PINNED_SAMPLES = {
+    (1, 0): ("a4210a6758a5d810", 2023),
+    (1, 7): ("bcd7aba247a509a4", 1992),
+    (2, 0): ("cd27d14bb3b2111f", 8037),
+    (2, 7): ("2f360a9a7b6f725d", 8014),
+    (3, 0): ("342f2ea1a248f55c", 32030),
+    (3, 7): ("81b60460ba576a70", 31984),
+}
+PINNED_NEXT_DRAW = {1: 1144210423121736275, 2: 3079405470740573113, 3: 2230019557256858157}
+
+
+def test_sample_inputs_pinned_stream():
+    for (h, seed), (digest, ones) in PINNED_SAMPLES.items():
+        xs = sample_inputs(h, 1000, np.random.default_rng(seed))
+        assert xs.dtype == np.uint8 and xs.shape == (1000, 4**h)
+        assert (_digest(xs), int(xs.sum())) == (digest, ones), (h, seed)
+    assert sample_inputs(2, 3, np.random.default_rng(5)).tolist() == [
+        [1, 0, 1, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 1, 1, 1],
+        [0, 1, 1, 1, 0, 1, 1, 1, 0, 1, 0, 1, 0, 0, 1, 1],
+        [1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 1, 1, 0, 1, 1, 1],
+    ]
+    for h, draw in PINNED_NEXT_DRAW.items():
+        rng = np.random.default_rng(11)
+        sample_inputs(h, 500, rng)
+        assert int(rng.integers(0, 2**62)) == draw, h
+
+
+def test_minority_level1_counts_pinned():
+    assert minority_level1_counts(10_000, np.random.default_rng(0)).tolist() == [
+        4007, 2033, 1949, 2011
+    ]
+    assert minority_level1_counts(10_000, np.random.default_rng(3)).tolist() == [
+        4018, 1982, 1973, 2027
+    ]
+    rng = np.random.default_rng(11)
+    minority_level1_counts(500, rng)
+    assert int(rng.integers(0, 2**62)) == 2152903977228906969
+
+
+def test_category_table_matches_thresholds():
+    # draw u in [0, 30) falls in the first category whose running mass
+    # in thirtieths exceeds it
+    cum = list(itertools.accumulate(harddist._SEED30))
+    assert cum[-1] == 30
+    for u in range(30):
+        assert harddist._CAT30[u] == next(c for c, t in enumerate(cum) if u < t)
+    for v in (0, 1):
+        for c, s in enumerate(SEED_MASSES):
+            pat = bits_to_index(s if v == 0 else complement(s))
+            assert harddist._PATS[v, c] == pat
+            assert Fraction(harddist._SEED30[c], 30) == SEED_MASSES[s]
 
 
 def test_minority_unique_dissenter():
@@ -188,16 +266,6 @@ def test_minority_needs_a_dissenter():
         MinorityModel(1, "0000").leaf_distribution()
     with pytest.raises(SupportError):
         MinorityModel(1, "1111").leaf_distribution()
-
-
-def test_minority_sample_respects_law():
-    rng = np.random.default_rng(5)
-    model = MinorityModel(1, "0011")
-    hits = {2: 0, 3: 0}
-    for _ in range(2000):
-        leaf = model.sample(rng)
-        hits[leaf] += 1
-    assert abs(hits[2] - 1000) < 4 * (2000 * 0.25) ** 0.5
 
 
 def test_minority_marginals_exact():

@@ -7,7 +7,9 @@ are checked against an enumeration of every input up to height 2 and
 against a per-input recursion over the reference round at height 3.
 """
 
+import importlib.util
 import itertools
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +20,6 @@ from qlab.boolfn import bits_to_index, fmaj, index_to_bits, iter_eval, parse_bit
 from qlab.harddist import d, d0, d1, dh_support
 from qlab.randalg import (
     MAX_MC_HEIGHT,
-    EmbeddingSampler,
     chi_square_gof,
     embed_check,
     embedding_children_law_exact,
@@ -31,8 +32,19 @@ from qlab.randalg import (
     minority_conditionals_exact,
     recursive_exact_cost,
     recursive_exact_mean,
+    recursive_exact_moments,
     recursive_exact_worst,
 )
+
+
+def bench_reference():
+    """bench/reference.py, an independent transcription of the law and
+    the round that imports nothing from qlab, loaded by path."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "reference.py")
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def reference_round(bits, branch, order):
@@ -251,6 +263,29 @@ def test_closed_forms_at_every_height():
         assert len(arg) == 4**h
 
 
+def test_exact_moments_match_bench_reference():
+    ref = bench_reference()
+    for h in range(6):
+        (m0, s0), (m1, s1) = ref.hard_law_moments(h, 0), ref.hard_law_moments(h, 1)
+        mean, second = (m0 + m1) / 2, (s0 + s1) / 2
+        assert recursive_exact_moments(h) == (mean, second - mean * mean), h
+    rng = np.random.default_rng(23)
+    # past height 4 the per-input moments leave int64 for Python ints
+    for h in range(6):
+        inputs = [ref.witness(h, 0), ref.witness(h, 1)]
+        inputs += ["".join(map(str, rng.integers(0, 2, 4**h))) for _ in range(2)]
+        for x in inputs:
+            mean, second = ref.fixed_input_moments(x)
+            assert recursive_exact_moments(h, x) == (mean, second - mean * mean), (h, x)
+
+
+def test_exact_variance_tracks_sample_variance():
+    for h, x in ((2, None), (3, recursive_exact_worst(3)[1])):
+        rep = mc_mean_cost(h, 40_000, np.random.default_rng(h), x=x)
+        _, variance = recursive_exact_moments(h, x)
+        assert abs(rep.stderr**2 * rep.trials / float(variance) - 1) < 0.05
+
+
 def test_recursive_exact_guards():
     with pytest.raises(ValueError):
         recursive_exact_cost(MAX_MC_HEIGHT + 1, [0] * 64)
@@ -409,14 +444,41 @@ def test_minority_conditionals_table():
             assert got == want, (i, j)
 
 
-def test_embedding_sampler_levels():
+def test_embed_check_rejects_other_levels():
     rng = np.random.default_rng(17)
-    for level in (1, 2):
-        sampler = EmbeddingSampler(level)
-        r = sampler.sample(rng)
-        assert 0 <= r.slot < 4
-    with pytest.raises(ValueError):
-        EmbeddingSampler(3)
+    for level in (0, 3):
+        with pytest.raises(ValueError):
+            embed_check(level, 10, rng)
+
+
+def test_embed_check_pinned():
+    # reports of the int64 embedding audit these lookups replaced, and the
+    # next draw of the generator afterwards
+    for level, after in ((1, 3844452935483079151), (2, 1702840043417469758)):
+        for seed, slots, stat in (
+            (0, (2055, 2629, 2638, 2678), 14.830499999999999),
+            (3, (2052, 2635, 2663, 2650), 23.032900000000016),
+        ):
+            rep = embed_check(level, 10_000, np.random.default_rng(seed))
+            assert (rep.slot_counts, rep.chi2.stat) == (slots, stat), (level, seed)
+            assert rep.bad_majority == rep.bad_value == 0
+        rng = np.random.default_rng(11)
+        embed_check(level, 500, rng)
+        assert int(rng.integers(0, 2**62)) == after, level
+
+
+def test_embed_tables_follow_the_placement_rule():
+    assert randalg._EMBED_SLOT.tolist() == [0] * 3 + [1] * 4 + [2] * 4 + [3] * 4
+    for slot in range(4):
+        for k in range(6):
+            for c in (0, 1):
+                bits = index_to_bits(int(randalg._EMBED_SIBS[slot, k, c]), 4)
+                assert bits[slot] == 0
+                if slot == 0:
+                    assert bits[1:] == randalg._NONUNANIMOUS[k]
+                else:
+                    assert bits[0] == c
+                    assert all(bits[j] == 1 - c for j in range(1, 4) if j != slot)
 
 
 def test_embed_check_passes_both_levels():

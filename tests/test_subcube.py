@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from qlab.boolfn import IteratedMajority, TruthTable, fmaj
+from qlab.boolfn import MAX_VARS, IteratedMajority, TruthTable, fmaj
 from qlab.subcube import (
     LabeledPartition,
     Pattern,
@@ -159,6 +159,54 @@ def test_validate_detects_gap():
     rep = validate(part)
     assert not rep.ok
     assert rep.error == "gap"
+
+
+def pairwise_validate(part):
+    """The pairwise definition: (error, overlapping pair or cover count)."""
+    entries = [p for p, _ in part.entries]
+    for b, pb in enumerate(entries):
+        earlier = [pa for pa in entries[:b] if pa.intersects(pb)]
+        if earlier:
+            return "overlap", earlier, pb
+    total = sum(1 << p.free_count for p in entries)
+    return (None if total == 1 << part.n else "gap"), total, None
+
+
+def test_validate_paints_like_the_pairwise_scan():
+    rng = random.Random(12)
+    kinds = set()
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        parts = []
+        covered = 0
+        while covered < 1 << n and len(parts) < 12:
+            p = Pattern("".join(rng.choice("01**") for _ in range(n)))
+            parts.append((p, rng.randint(0, 1)))
+            covered += 1 << p.free_count
+        if rng.random() < 0.3:
+            parts.pop()
+        part = LabeledPartition(n, tuple(parts))
+        rep = validate(part)
+        error, detail, pb = pairwise_validate(part)
+        kinds.add(error)
+        assert rep.ok == (error is None) and rep.error == error, part
+        if error == "overlap":
+            assert any(rep.detail == f"{pa.text} and {pb.text} share a point" for pa in detail)
+        elif error == "gap":
+            assert rep.detail == f"parts cover {detail} of {1 << n} points"
+        else:
+            labels = [z for _, z in parts]
+            f = TruthTable.from_values(n, [labels[i] for i in rep.owner])
+            assert computes(part, f)
+            for k, (p, _) in enumerate(parts):
+                assert all(rep.owner[i] == k for i in p.members())
+    assert kinds == {None, "overlap", "gap"}
+
+
+def test_validate_refuses_more_than_max_vars():
+    part = LabeledPartition(MAX_VARS + 1, ((Pattern("*" * (MAX_VARS + 1)), 0),))
+    with pytest.raises(ValueError):
+        validate(part)
 
 
 def test_computes_raises_on_invalid_partition():
