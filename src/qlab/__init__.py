@@ -3,12 +3,11 @@ tie-breaking majority gadget."""
 
 from .boolfn import (
     IteratedMajority,
-    TreeAddress,
     TruthTable,
     compose,
     fmaj,
     iter_eval,
-    node_value,
+    level_patterns,
 )
 from .dtree import (
     CostMatrix,
@@ -25,13 +24,13 @@ from .dtree import (
 )
 from .harddist import (
     InputDistribution,
-    MinorityModel,
     SupportError,
     d,
     d0,
     d1,
     dh_mass,
     jk_cost_matrices,
+    minority_leaf_law,
 )
 from .lpbound import RationalLP, build_prt_lp, prt_report, pprt_zero_report, solve_exact
 from .randalg import (

@@ -158,58 +158,50 @@ def compose(f: TruthTable, g: TruthTable) -> TruthTable:
 # ---------------------------------------------------------------------------
 # the iterated gadget on a complete 4-ary tree
 
-@dataclass(frozen=True)
-class TreeAddress:
-    """A node of the complete 4-ary tree of height h: ``level`` counts
-    from the leaves (leaves at 0, root at h) and ``index`` runs over
-    0 .. 4**(h - level) - 1 left to right."""
+_FM = np.array(_FMAJ_BIT, dtype=np.uint8)
+_SHIFTS = np.array([3, 2, 1, 0], dtype=np.uint8)
 
-    level: int
-    index: int
 
-    def __post_init__(self) -> None:
-        if self.level < 0 or self.index < 0:
-            raise ValueError("level and index must be nonnegative")
+def patterns(quads: np.ndarray) -> np.ndarray:
+    """Children-pattern indices of uint8 bit quadruples along the last
+    axis, x_1 the high bit, in uint8."""
+    pat = quads[..., 0] << 3
+    pat |= quads[..., 1] << 2
+    pat |= quads[..., 2] << 1
+    pat |= quads[..., 3]
+    return pat
 
-    def children(self) -> tuple["TreeAddress", ...]:
-        if self.level == 0:
-            raise ValueError("a leaf has no children")
-        return tuple(
-            TreeAddress(self.level - 1, 4 * self.index + i) for i in range(4)
-        )
 
-    def parent(self) -> "TreeAddress":
-        return TreeAddress(self.level + 1, self.index // 4)
+def tree_bits(h: int, x: "str | Bits") -> np.ndarray:
+    """The 4**h leaves of one height-h input as a uint8 array."""
+    bits = parse_bits(x)
+    if len(bits) != 4**h:
+        raise ValueError(f"input length {len(bits)} != 4**{h}")
+    return np.array(bits, dtype=np.uint8)
 
-    def leaf_range(self) -> range:
-        """Leaf positions (0-based) of the subtree rooted here."""
-        width = 4 ** self.level
-        return range(self.index * width, (self.index + 1) * width)
+
+def level_patterns(bits: np.ndarray, h: int) -> list[np.ndarray]:
+    """Children patterns of the internal nodes, in uint8: entry k - 1
+    holds those of the height-k nodes, left to right, so node i's
+    children are nodes 4i to 4i+3 one level down and a node's value is
+    _FM of its pattern.  bits may hold several height-h inputs back to
+    back; each entry then lists the inputs' nodes in turn."""
+    pats = []
+    vals = bits
+    for _ in range(h):
+        pat = patterns(vals.reshape(-1, 4))
+        pats.append(pat)
+        vals = _FM[pat]
+    return pats
 
 
 def iter_eval(h: int, x: "str | Bits") -> int:
     """Evaluate the height-h iterated gadget on 4**h bits (h = 0 is the
     identity on one bit)."""
-    level = list(parse_bits(x))
-    if len(level) != 4**h:
-        raise ValueError(f"input length {len(level)} != 4**{h}")
-    for _ in range(h):
-        level = [
-            _FMAJ_BIT[(level[i] << 3) | (level[i + 1] << 2) | (level[i + 2] << 1) | level[i + 3]]
-            for i in range(0, len(level), 4)
-        ]
-    return level[0]
-
-
-def node_value(h: int, x: "str | Bits", v: TreeAddress) -> int:
-    """Value computed at node v of the height-h tree on input x."""
-    bx = parse_bits(x)
-    if len(bx) != 4**h:
-        raise ValueError(f"input length {len(bx)} != 4**{h}")
-    if v.level > h or v.index >= 4 ** (h - v.level):
-        raise ValueError(f"node {v} not in a height-{h} tree")
-    r = v.leaf_range()
-    return iter_eval(v.level, bx[r.start : r.stop])
+    bits = tree_bits(h, x)
+    if h == 0:
+        return int(bits[0])
+    return int(_FM[level_patterns(bits, h)[-1][0]])
 
 
 @dataclass(frozen=True)

@@ -416,7 +416,7 @@ def cmd_dist_sample(args: argparse.Namespace) -> int:
     rep.add("trials", args.trials)
     rep.add("seed", seed)
     if args.height == 1:
-        pattern = harddist._patterns(harddist.sample_inputs(1, args.trials, rng))
+        pattern = boolfn.patterns(harddist.sample_inputs(1, args.trials, rng))
         # counted between sorted boundaries: bincount would copy to intp
         pattern.sort()
         counts = np.diff(np.searchsorted(pattern, np.arange(17, dtype=np.uint8)))
@@ -539,7 +539,7 @@ def cmd_simulate_minority(args: argparse.Namespace) -> int:
     rep.add("trials", args.trials)
     rep.add("seed", seed)
     counts = harddist.minority_level1_counts(args.trials, rng)
-    marg = harddist.minority_marginals_exact(1)
+    marg = harddist.minority_marginals_exact()
     ok = True
     for i in range(4):
         freq = int(counts[i]) / args.trials
@@ -608,7 +608,7 @@ def _verify_height1(seed: int) -> int:
     ok &= rep.add_verdict("zero-error-rounds", randalg.lv_check_correct())
     ok &= rep.add_verdict("worst-cost-13-4", worst == Fraction(13, 4))
 
-    mean = randalg.recursive_exact_mean(1)
+    mean = randalg.recursive_exact_moments(1)[0]
     value = dtree.delta0(table, harddist.d().dense())
     rep.add_rational("delta0", value)
     rep.add_rational("mean-reads", mean)
@@ -622,7 +622,7 @@ def _verify_height1(seed: int) -> int:
         j10 >= 1 and k11 >= 3 and j11 >= k11 + Fraction(1, 5) * j10,
     )
 
-    marg = harddist.minority_marginals_exact(1)
+    marg = harddist.minority_marginals_exact()
     expected = (Fraction(2, 5), Fraction(1, 5), Fraction(1, 5), Fraction(1, 5))
     ok &= rep.add_verdict("minority-marginals", marg == expected)
 
@@ -670,19 +670,22 @@ def _verify_height2(args: argparse.Namespace, seed: int, threads: int) -> int:
 
     rng = np.random.default_rng(seed)
     mc = randalg.mc_mean_cost(2, args.trials, rng, threads=threads)
+    reference, variance = randalg.recursive_exact_moments(2)
+    # judged by the exact standard error, as in simulate r0
+    sigma = math.sqrt(variance / args.trials)
     rep.add_rational("mean", mc.mean)
     rep.add("stderr", repr(mc.stderr))
+    rep.add_rational("exact-mean", reference)
+    rep.add("exact-stderr", repr(sigma))
     low, high = LEVEL_COST_FLOOR**2, randalg.recursive_exact_worst(2)[0]
     ok &= rep.add_verdict("zero-error", mc.errors == 0)
     ok &= rep.add_verdict(
         "mean-band",
-        float(low) - 4.0 * mc.stderr
-        <= float(mc.mean)
-        <= float(high) + 4.0 * mc.stderr,
+        float(low) - 4.0 * sigma <= float(mc.mean) <= float(high) + 4.0 * sigma,
     )
 
     counts = harddist.minority_level1_counts(args.trials, np.random.default_rng(seed + 1))
-    marg = harddist.minority_marginals_exact(1)
+    marg = harddist.minority_marginals_exact()
     minority_ok = all(
         abs(int(counts[i]) / args.trials - float(marg[i]))
         <= _four_sigma(float(marg[i]), args.trials)

@@ -9,14 +9,16 @@ value b (fair coin), children patterns are drawn from the seed for b
 and each subtree recurses on its child's value.  Every seed mass is a
 whole number of thirtieths, so the sampler draws one integer below 30
 per node and maps it to a children pattern through two lookup tables,
-and the exact enumeration carries integer weights over one common
-denominator.
+and the exact masses carry integer weights over one common denominator.
+An input fixes every node's value, so its mass is one product over the
+internal nodes that `boolfn.level_patterns` lists.
 
 The minority path starts at the root and repeatedly steps into a child
 disagreeing with its parent's value: a unique dissenter is taken
 outright, two dissenters are split by a fair coin, and zero dissenters
 only happens off the support (SupportError).  Three dissenters cannot
-happen, since the first child's doubled vote caps dissent at two.
+happen, since the first child's doubled vote caps dissent at two.  The
+exact leaf law walks the same level patterns top down.
 """
 
 from __future__ import annotations
@@ -25,11 +27,19 @@ import itertools
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .boolfn import _FMAJ_BIT, bits_to_index, index_to_bits, iter_eval, parse_bits
+from .boolfn import (
+    _FMAJ_BIT,
+    _SHIFTS,
+    bits_to_index,
+    index_to_bits,
+    level_patterns,
+    parse_bits,
+    tree_bits,
+)
 from .dtree import CostMatrix
 
 MAX_ENUM_HEIGHT = 2
@@ -109,36 +119,17 @@ def d() -> InputDistribution:
     return InputDistribution(4, masses)
 
 
-def _seed(b: int) -> InputDistribution:
-    return d0() if b == 0 else d1()
-
-
 # ---------------------------------------------------------------------------
 # the height-h distribution
 
 def dh_mass(h: int, x: "str | Sequence[int]") -> Fraction:
-    """Exact mass of one input under the height-h distribution."""
-    bits = parse_bits(x)
-    if len(bits) != 4**h:
-        raise ValueError(f"input length {len(bits)} != 4**{h}")
-    return (_dhb_mass(h, 0, bits) + _dhb_mass(h, 1, bits)) / 2
-
-
-def _dhb_mass(h: int, b: int, bits: tuple[int, ...]) -> Fraction:
-    if h == 0:
-        return Fraction(1) if bits == (b,) else Fraction(0)
-    width = 4 ** (h - 1)
-    quarters = [bits[i * width : (i + 1) * width] for i in range(4)]
-    child_vals = tuple(iter_eval(h - 1, q) for q in quarters)
-    base = _seed(b).mass(bits_to_index(child_vals))
-    if base == 0:
-        return Fraction(0)
-    out = base
-    for bv, q in zip(child_vals, quarters):
-        out *= _dhb_mass(h - 1, bv, q)
-        if out == 0:
-            return out
-    return out
+    """Exact mass of one input under the height-h distribution: the
+    input fixes every node's value, so only the root coin matching the
+    root's value contributes, times the seed mass of each internal
+    node's children pattern at that node's value."""
+    pats = level_patterns(tree_bits(h, x), h)
+    weight = math.prod(w for pat in pats for w in _W30[pat].tolist())
+    return Fraction(weight, _denominator(h))
 
 
 def dh_support(h: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
@@ -157,10 +148,14 @@ def dh_total(h: int) -> tuple[int, Fraction]:
 
 
 def _support_denominator(h: int) -> int:
-    """2 * 30**(internal nodes): a fair root coin times one seed draw,
-    in thirtieths, per internal node."""
     if h > MAX_ENUM_HEIGHT:
         raise ValueError(f"support enumeration supports h <= {MAX_ENUM_HEIGHT}")
+    return _denominator(h)
+
+
+def _denominator(h: int) -> int:
+    """2 * 30**(internal nodes): a fair root coin times one seed draw,
+    in thirtieths, per internal node."""
     return 2 * 30 ** ((4**h - 1) // 3)
 
 
@@ -187,7 +182,10 @@ _CAT30 = np.searchsorted(_CUM30, np.arange(30), side="right").astype(np.uint8)
 # _PATS[v, c]: children pattern of category c at a node of value v; the
 # value-1 law is the bitwise complement of the value-0 law
 _PATS = np.stack([_PAT0, 15 - _PAT0])
-_SHIFTS = np.array([3, 2, 1, 0], dtype=np.uint8)
+# _W30[p]: the seed mass, in thirtieths, of children pattern p at a node
+# of its own value f(p); the other value's seed never draws p
+_W30 = np.zeros(16, dtype=np.int64)
+_W30[_PATS] = _SEED30
 
 
 def sample_inputs(h: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -212,102 +210,48 @@ def sample_inputs(h: int, count: int, rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the minority path
 
-# for parent value v and children pattern p: number of dissenting
-# children and the first/second dissenting slots (slot 0 = first child)
-_DIS_COUNT = np.zeros((2, 16), dtype=np.uint8)
-_DIS_FIRST = np.full((2, 16), 255, dtype=np.uint8)
-_DIS_SECOND = np.full((2, 16), 255, dtype=np.uint8)
-for _v in (0, 1):
-    for _p in range(16):
-        slots = [j for j in range(4) if ((_p >> (3 - j)) & 1) != _v]
-        if _FMAJ_BIT[_p] == _v:
-            # the doubled first vote caps dissent against the actual
-            # node value at two
-            assert len(slots) <= 2
-        _DIS_COUNT[_v, _p] = len(slots)
-        if slots:
-            _DIS_FIRST[_v, _p] = slots[0]
-        if len(slots) == 2:
-            _DIS_SECOND[_v, _p] = slots[1]
+# _DISSENT[p]: the slots (0 = first child) of the children disagreeing
+# with a node of children pattern p.  The doubled first vote caps them
+# at two; only off the support are there none.
+_DISSENT = tuple(
+    tuple(j for j in range(4) if (p >> (3 - j) & 1) != _FMAJ_BIT[p]) for p in range(16)
+)
+assert all(len(slots) <= 2 for slots in _DISSENT)
+# _DIS_PICK[p, c]: the dissenter a fair coin c picks, 255 if there is none
+_DIS_PICK = np.array(
+    [(slots[0], slots[-1]) if slots else (255, 255) for slots in _DISSENT], dtype=np.uint8
+)
 
 
-def _dissent_slots(v: int, pat_idx: int) -> list[int]:
-    return [j for j in range(4) if ((pat_idx >> (3 - j)) & 1) != v]
-
-
-class MinorityModel:
-    """The minority path of one input: exact leaf distribution and a
-    path sampler.  Leaf indices are 0-based positions in the input."""
-
-    def __init__(self, h: int, x: "str | Sequence[int]"):
-        self.h = h
-        self.bits = parse_bits(x)
-        if len(self.bits) != 4**h:
-            raise ValueError(f"input length {len(self.bits)} != 4**{h}")
-
-    def _children(self, level: int, node: int) -> tuple[int, tuple[int, ...]]:
-        """Children-pattern index and child values of a node, given as
-        (level, index within level)."""
-        width = 4 ** (level - 1)
-        base = node * 4
-        vals = tuple(
-            iter_eval(
-                level - 1,
-                self.bits[(base + i) * width : (base + i + 1) * width],
-            )
-            for i in range(4)
-        )
-        return bits_to_index(vals), vals
-
-    def leaf_distribution(self) -> dict[int, Fraction]:
-        """Exact law of the leaf the path ends at."""
-        out: dict[int, Fraction] = {}
-
-        def walk(level: int, node: int, v: int, prob: Fraction) -> None:
-            if level == 0:
-                out[node] = out.get(node, Fraction(0)) + prob
-                return
-            pat_idx, vals = self._children(level, node)
-            slots = _dissent_slots(v, pat_idx)
+def minority_leaf_law(h: int, x: "str | Sequence[int]") -> dict[int, Fraction]:
+    """Exact law of the leaf, a 0-based input position, at which the
+    minority path of one input ends: top down over the level patterns,
+    each node on the path splits its probability evenly over its
+    dissenting children."""
+    pats = level_patterns(tree_bits(h, x), h)
+    law = {0: Fraction(1)}
+    for k in range(h, 0, -1):
+        step = {}
+        for node, prob in law.items():
+            slots = _DISSENT[pats[k - 1][node]]
             if not slots:
-                raise SupportError(
-                    f"node at level {level} has no dissenting child"
-                )
-            share = prob / len(slots)
+                raise SupportError(f"node at level {k} has no dissenting child")
             for j in slots:
-                walk(level - 1, node * 4 + j, vals[j], share)
+                step[4 * node + j] = prob / len(slots)
+        law = step
+    return law
 
-        walk(self.h, 0, iter_eval(self.h, self.bits), Fraction(1))
-        return out
 
-
-def minority_marginals_exact(h: int = 1) -> tuple[Fraction, ...]:
-    """Marginal law of the level-(h-1) node on the minority path under
-    the height-h distribution, computed by full enumeration."""
-    if h > MAX_ENUM_HEIGHT:
-        raise ValueError(f"exact marginals support h <= {MAX_ENUM_HEIGHT}")
+def minority_marginals_exact() -> tuple[Fraction, ...]:
+    """Marginal law of the root's child that the minority path enters.
+    At every height the root's children pattern follows d(), so this is
+    one sum over its support."""
     totals = [Fraction(0)] * 4
-    for bits, m in dh_support(h):
-        model = MinorityModel(h, bits)
-        pat_idx, vals = model._children(h, 0)
-        slots = _dissent_slots(iter_eval(h, bits), pat_idx)
-        share = Fraction(1, len(slots))
+    for pat, m in d().masses.items():
+        slots = _DISSENT[pat]
         for j in slots:
-            totals[j] += m * share
+            totals[j] += m / len(slots)
     return tuple(totals)
-
-
-_FM = np.array(_FMAJ_BIT, dtype=np.uint8)
-
-
-def _patterns(quads: np.ndarray) -> np.ndarray:
-    """Children-pattern indices of uint8 bit quadruples along the last
-    axis, x_1 the high bit, in uint8."""
-    pat = quads[..., 0] << 3
-    pat |= quads[..., 1] << 2
-    pat |= quads[..., 2] << 1
-    pat |= quads[..., 3]
-    return pat
 
 
 def minority_level1_counts(
@@ -316,17 +260,12 @@ def minority_level1_counts(
     """Vectorized height-2 run: sample inputs, take one minority step at
     the root, and count how often each level-1 node is entered."""
     xs = sample_inputs(2, trials, rng)
-    level1 = _FM[_patterns(xs.reshape(trials, 4, 4))]
+    root_pat = level_patterns(xs.reshape(-1), 2)[1]
     del xs
-    root_pat = _patterns(level1)
-    root_val = _FM[root_pat]
-    count = _DIS_COUNT[root_val, root_pat]
-    if np.any(count == 0):
-        raise SupportError("sampled input has an all-agree root")
-    first = _DIS_FIRST[root_val, root_pat]
-    second = _DIS_SECOND[root_val, root_pat]
     coin = rng.integers(0, 2, size=trials, dtype=np.int32)
-    slot = np.where((count == 2) & (coin == 1), second, first)
+    slot = _DIS_PICK[root_pat, coin]
+    if np.any(slot == 255):
+        raise SupportError("sampled input has an all-agree root")
     return np.bincount(slot, minlength=4)
 
 
@@ -340,11 +279,10 @@ def jk_cost_matrices() -> tuple[CostMatrix, CostMatrix]:
     the second cross-charges a query of x_i against the sibling leaves
     the path could enter instead."""
     dist = d()
-    marg = minority_marginals_exact(1)
+    marg = minority_marginals_exact()
     prob = [[Fraction(0)] * 16 for _ in range(4)]
     for idx in dist.support():
-        model = MinorityModel(1, index_to_bits(idx, 4))
-        for leaf, p in model.leaf_distribution().items():
+        for leaf, p in minority_leaf_law(1, index_to_bits(idx, 4)).items():
             prob[leaf][idx] = p
     cj = [
         [dist.mass(idx) * prob[i][idx] / marg[i] for idx in range(16)]

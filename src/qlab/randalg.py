@@ -21,7 +21,8 @@ The round's coins amount to 24 equally likely rounds, six of branch 0
 and eighteen of branch 1, each order equally often.  The exact
 recursions for the mean and variance of the read count and the
 level-by-level Monte Carlo evaluator all read the lookup tables of
-those rounds, built once from ``lv_run``.
+those rounds, built once from ``lv_run``.  On a fixed input both take
+the nodes' children patterns from ``boolfn.level_patterns``.
 
 The embedding audit samples placements of one instance inside a
 neighborhood through lookup tables too, in uint8, and its exact laws
@@ -38,8 +39,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .boolfn import _FMAJ_BIT, bits_to_index, index_to_bits, parse_bits
-from .harddist import _CAT30, _FM, _PATS, _SHIFTS, _dissent_slots, _patterns, d, d0, d1
+from .boolfn import (
+    _FM,
+    _FMAJ_BIT,
+    _SHIFTS,
+    bits_to_index,
+    index_to_bits,
+    level_patterns,
+    parse_bits,
+    tree_bits,
+)
+from .harddist import _CAT30, _DISSENT, _PATS, d, d0, d1
 
 MAX_MC_HEIGHT = 12
 
@@ -166,26 +176,6 @@ _QPAIR: list[list[Fraction]] = [[Fraction(int(c), 24) for c in row] for row in _
 # expected reads follow a recursion over node values in the style of
 # Saks and Wigderson's game-tree bounds.
 
-def _input_bits(h: int, x: "str | Sequence[int]") -> np.ndarray:
-    bits = parse_bits(x)
-    if len(bits) != 4**h:
-        raise ValueError(f"input length {len(bits)} != 4**{h}")
-    return np.array(bits, dtype=np.uint8)
-
-
-def _level_patterns(bits: np.ndarray, h: int) -> list[np.ndarray]:
-    """Children patterns of the internal nodes: entry k - 1 holds those
-    of the 4**(h-k) height-k nodes, left to right, so node i's children
-    are nodes 4i to 4i+3 one level down."""
-    pats = []
-    vals = bits
-    for _ in range(h):
-        pat = _patterns(vals.reshape(-1, 4))
-        pats.append(pat.astype(np.intp))
-        vals = _FM[pat]
-    return pats
-
-
 def _step(pat: int, below: Sequence[Fraction]) -> Fraction:
     """Expected reads of a node with children pattern pat when a child
     of value v costs below[v] in expectation."""
@@ -211,18 +201,6 @@ def _second_step(pat: int, means: Sequence[Fraction], seconds: Sequence[Fraction
     )
 
 
-def recursive_exact_cost(h: int, x: "str | Sequence[int]") -> Fraction:
-    """Exact expected leaf reads of the recursive evaluator on a fixed
-    input: bottom up, a node costs its children's costs weighted by the
-    probabilities that its round reads them."""
-    return recursive_exact_moments(h, x)[0]
-
-
-def recursive_exact_mean(h: int) -> Fraction:
-    """Exact expected leaf reads under the height-h hard distribution."""
-    return recursive_exact_moments(h)[0]
-
-
 def recursive_exact_moments(
     h: int, x: "str | Sequence[int] | None" = None
 ) -> tuple[Fraction, Fraction]:
@@ -235,7 +213,7 @@ def recursive_exact_moments(
     if x is not None:
         if not 0 <= h <= MAX_MC_HEIGHT:
             raise ValueError(f"exact recursion supports 0 <= h <= {MAX_MC_HEIGHT}")
-        mean, second = _exact_moments(h, _input_bits(h, x))
+        mean, second = _exact_moments(h, tree_bits(h, x))
         return mean, second - mean * mean
     if h < 0:
         raise ValueError("height must be at least 0")
@@ -260,7 +238,7 @@ def _exact_moments(h: int, bits: np.ndarray) -> tuple[Fraction, Fraction]:
     # below 78**k and (24**2 * 16)**k (it reads at most 4**k leaves), so
     # int64 holds them up to height 4
     mean = second = np.broadcast_to(np.int64(1), bits.shape)
-    for k, pat in enumerate(_level_patterns(bits, h), 1):
+    for k, pat in enumerate(level_patterns(bits, h), 1):
         if k == 5:
             mean, second = mean.astype(object), second.astype(object)
         m, s = mean.reshape(-1, 4), second.reshape(-1, 4)
@@ -328,7 +306,8 @@ def mc_mean_cost(
         raise ValueError(f"Monte Carlo supports 0 <= h <= {MAX_MC_HEIGHT}")
     if trials < 1:
         raise ValueError("need at least one trial")
-    pats = None if x is None else _level_patterns(_input_bits(h, x), h)
+    # intp, since 24 * pattern would wrap in uint8
+    pats = None if x is None else [p.astype(np.intp) for p in level_patterns(tree_bits(h, x), h)]
     tables = _round_tables()
     chunks = min(64, trials)
     streams = rng.spawn(chunks)
@@ -511,7 +490,7 @@ def minority_conditionals_exact() -> dict[tuple[int, int], Fraction]:
     randomness with a fair embedded value."""
     joint: dict[tuple[int, int], Fraction] = {}
     for slot, pat in _embed_outcomes():
-        dis = _dissent_slots(_FMAJ_BIT[pat], pat)
+        dis = _DISSENT[pat]
         assert dis, "sampled children never agree unanimously"
         for j in dis:
             joint[slot, j] = joint.get((slot, j), Fraction(0)) + Fraction(1, 360 * len(dis))

@@ -88,17 +88,6 @@ class Pattern:
         common = self.mask & other.mask
         return (self.vals & common) == (other.vals & common)
 
-    @classmethod
-    def from_mask_vals(cls, n: int, mask: int, vals: int) -> "Pattern":
-        chars = []
-        for j in range(n):
-            bit = 1 << (n - 1 - j)
-            if mask & bit:
-                chars.append("1" if vals & bit else "0")
-            else:
-                chars.append("*")
-        return cls("".join(chars))
-
 
 @dataclass(frozen=True)
 class LabeledPartition:
@@ -116,12 +105,6 @@ class LabeledPartition:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def label_of(self, idx: int) -> Optional[int]:
-        for p, z in self.entries:
-            if p.contains(idx):
-                return z
-        return None
 
 
 @dataclass(frozen=True)

@@ -175,7 +175,7 @@ def test_criterion_7_charge_recursions():
 
 def test_criterion_8_minority_marginals():
     t0 = time.monotonic()
-    marg = minority_marginals_exact(1)
+    marg = minority_marginals_exact()
     exact_ok = marg == (Fraction(2, 5), Fraction(1, 5), Fraction(1, 5), Fraction(1, 5))
     counts = minority_level1_counts(MC_TRIALS, np.random.default_rng(1001))
     freqs = counts / MC_TRIALS

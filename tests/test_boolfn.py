@@ -2,24 +2,25 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from qlab.boolfn import (
     IteratedMajority,
     MAX_VARS,
-    TreeAddress,
     TruthTable,
     bits_to_index,
     compose,
     fmaj,
     index_to_bits,
     iter_eval,
+    level_patterns,
     load_table,
-    node_value,
     parse_bits,
     save_table,
     table_from_text,
     table_to_text,
+    tree_bits,
 )
 
 
@@ -162,29 +163,33 @@ def test_iter_eval_matches_table():
         assert iter_eval(2, bits) == g2.bit(i)
 
 
-def test_node_value_inner_nodes():
+def test_level_patterns_inner_nodes():
     x = parse_bits("0111100010001000")
     quarters = ["0111", "1000", "1000", "1000"]
     f = fmaj()
+    level1, root = level_patterns(tree_bits(2, x), 2)
+    assert level1.dtype == np.uint8 and root.dtype == np.uint8
+    # node k of level 1 reads leaves 4k to 4k+3, and its pattern is them
+    assert level1.tolist() == [bits_to_index(q) for q in quarters]
     for k in range(4):
-        v = TreeAddress(1, k)
-        assert node_value(2, x, v) == f.eval(quarters[k])
-    assert node_value(2, x, TreeAddress(2, 0)) == 0
-    leaf = TreeAddress(0, 5)
-    assert node_value(2, x, leaf) == x[5]
-
-
-def test_tree_address_structure():
-    root = TreeAddress(2, 0)
-    kids = root.children()
-    assert [c.index for c in kids] == [0, 1, 2, 3]
-    assert all(c.level == 1 for c in kids)
-    assert kids[2].children()[1] == TreeAddress(0, 9)
-    assert TreeAddress(0, 9).parent() == kids[2]
-    assert root.leaf_range() == range(0, 16)
-    assert kids[1].leaf_range() == range(4, 8)
+        assert f.bit(int(level1[k])) == f.eval(quarters[k])
+    # the root's pattern is its children's values, and its value the table's
+    assert root.tolist() == [bits_to_index([f.eval(q) for q in quarters])]
+    assert f.bit(int(root[0])) == 0 == iter_eval(2, x)
+    assert level_patterns(tree_bits(0, "1"), 0) == []
     with pytest.raises(ValueError):
-        TreeAddress(0, 0).children()
+        tree_bits(2, "0111")
+
+
+def test_level_patterns_batch_matches_each_input():
+    rng = random.Random(8)
+    for h in (1, 2, 3):
+        rows = [[rng.randrange(2) for _ in range(4**h)] for _ in range(5)]
+        batch = level_patterns(np.array(rows, dtype=np.uint8).reshape(-1), h)
+        single = [level_patterns(tree_bits(h, row), h) for row in rows]
+        for k in range(h):
+            assert batch[k].tolist() == [v for pats in single for v in pats[k].tolist()]
+        assert [int(fmaj().bit(int(p))) for p in batch[-1]] == [iter_eval(h, r) for r in rows]
 
 
 def test_table_text_round_trip(tmp_path):

@@ -311,6 +311,20 @@ def test_verify_height_two_quick(capsys):
     assert code == 0
 
 
+def test_verify_height_two_judges_one_trial_by_the_exact_stderr(capsys):
+    _, variance = randalg.recursive_exact_moments(2)
+    for seed in (1, 2, 3):
+        code, out = run(
+            capsys, "verify", "separation", "--height", "2", "--trials", "1",
+            "--seed", str(seed),
+        )
+        got = lines(out)
+        assert got["stderr"] == "0.0"
+        assert got["exact-mean"] == "9409/900"  # (97/30)**2
+        assert float(got["exact-stderr"]) == pytest.approx(float(variance) ** 0.5)
+        assert got["mean-band"] == "pass" and code == 0, seed
+
+
 def test_verify_height_two_fails_an_overlapping_partition(capsys, monkeypatch):
     # same shape as the composed partition, but its last part repeats the first
     def overlapping(outer, inner):

@@ -33,7 +33,7 @@ from qlab.dtree import (
     tree_to_partition,
     tree_to_text,
 )
-from qlab.harddist import MinorityModel, d, jk_cost_matrices, minority_marginals_exact
+from qlab.harddist import d, jk_cost_matrices, minority_leaf_law, minority_marginals_exact
 from qlab.subcube import computes, validate
 
 
@@ -96,8 +96,7 @@ def minority_read_probability():
     dist = d()
     prob = [[Fraction(0)] * 16 for _ in range(4)]
     for idx in dist.support():
-        model = MinorityModel(1, index_to_bits(idx, 4))
-        for leaf, p in model.leaf_distribution().items():
+        for leaf, p in minority_leaf_law(1, index_to_bits(idx, 4)).items():
             prob[leaf][idx] = p
     return prob
 
@@ -107,7 +106,7 @@ def charge_given_minority(tree, i, j):
     leaf j+1 being the minority leaf, input drawn from the hard law."""
     dist = d()
     prob = minority_read_probability()
-    marg = minority_marginals_exact(1)
+    marg = minority_marginals_exact()
     total = Fraction(0)
     for idx in range(16):
         mass = dist.mass(idx) * prob[j][idx] / marg[j]

@@ -10,7 +10,6 @@ import pytest
 from qlab.boolfn import bits_to_index, fmaj, index_to_bits
 from qlab.harddist import (
     InputDistribution,
-    MinorityModel,
     SupportError,
     d,
     d0,
@@ -22,6 +21,7 @@ from qlab.harddist import (
     dist_to_text,
     jk_cost_matrices,
     load_dist,
+    minority_leaf_law,
     minority_level1_counts,
     minority_marginals_exact,
     sample_inputs,
@@ -248,35 +248,58 @@ def test_category_table_matches_thresholds():
 
 
 def test_minority_unique_dissenter():
-    model = MinorityModel(1, "1000")
-    assert model.leaf_distribution() == {0: Fraction(1)}
-    model = MinorityModel(1, "0100")
-    assert model.leaf_distribution() == {1: Fraction(1)}
+    assert minority_leaf_law(1, "1000") == {0: Fraction(1)}
+    assert minority_leaf_law(1, "0100") == {1: Fraction(1)}
+    assert minority_leaf_law(0, "1") == {0: Fraction(1)}
 
 
 def test_minority_split_dissenters():
-    model = MinorityModel(1, "0011")
-    assert model.leaf_distribution() == {2: Fraction(1, 2), 3: Fraction(1, 2)}
-    model = MinorityModel(1, "1010")
-    assert model.leaf_distribution() == {1: Fraction(1, 2), 3: Fraction(1, 2)}
+    assert minority_leaf_law(1, "0011") == {2: Fraction(1, 2), 3: Fraction(1, 2)}
+    assert minority_leaf_law(1, "1010") == {1: Fraction(1, 2), 3: Fraction(1, 2)}
 
 
 def test_minority_needs_a_dissenter():
     with pytest.raises(SupportError):
-        MinorityModel(1, "0000").leaf_distribution()
+        minority_leaf_law(1, "0000")
     with pytest.raises(SupportError):
-        MinorityModel(1, "1111").leaf_distribution()
+        minority_leaf_law(1, "1111")
+    # an all-agree node below a dissenting path, at level 1
+    with pytest.raises(SupportError):
+        minority_leaf_law(2, "0000" + "0111" * 3)
+
+
+def test_minority_leaf_law_height_two_composes_height_one():
+    # the root step splits evenly over the dissenting quarters, and each
+    # quarter it enters continues with its own height-1 law
+    f = fmaj()
+    for bits, _ in itertools.islice(dh_support(2), 0, 33614, 499):
+        quarters = [bits[4 * j : 4 * j + 4] for j in range(4)]
+        vals = [f.eval(q) for q in quarters]
+        dissent = [j for j in range(4) if vals[j] != f.eval(vals)]
+        want = {}
+        for j in dissent:
+            for leaf, p in minority_leaf_law(1, quarters[j]).items():
+                want[4 * j + leaf] = p / len(dissent)
+        assert minority_leaf_law(2, bits) == want, bits
+
+
+def test_minority_leaf_law_height_three_on_sampled_inputs():
+    for row in sample_inputs(3, 200, np.random.default_rng(21)):
+        law = minority_leaf_law(3, row.tolist())
+        assert sum(law.values()) == 1
+        # at most two dissenters per node, each split by a fair coin
+        assert 1 <= len(law) <= 8
+        assert all(p.numerator == 1 and p.denominator in (1, 2, 4, 8) for p in law.values())
 
 
 def test_minority_marginals_exact():
-    marg = minority_marginals_exact(1)
+    marg = minority_marginals_exact()
     assert marg == (Fraction(2, 5), Fraction(1, 5), Fraction(1, 5), Fraction(1, 5))
     # direct recomputation from the mixture and per-input leaf laws
     dd = d()
     direct = [Fraction(0)] * 4
     for idx in dd.support():
-        model = MinorityModel(1, index_to_bits(idx, 4))
-        for leaf, p in model.leaf_distribution().items():
+        for leaf, p in minority_leaf_law(1, index_to_bits(idx, 4)).items():
             direct[leaf] += dd.mass(idx) * p
     assert tuple(direct) == marg
 
@@ -295,15 +318,14 @@ def test_charge_matrix_shapes_and_row_sums():
     cj, ck = jk_cost_matrices()
     assert cj.n == 4 and ck.n == 4
     dd = d()
-    marg = minority_marginals_exact(1)
+    marg = minority_marginals_exact()
     # each diagonal charge row integrates to one by construction
     for i in range(4):
         assert sum(cj.rows[i], Fraction(0)) == 1
     # independent transcription of both matrix definitions
     prob = [[Fraction(0)] * 16 for _ in range(4)]
     for idx in dd.support():
-        model = MinorityModel(1, index_to_bits(idx, 4))
-        for leaf, p in model.leaf_distribution().items():
+        for leaf, p in minority_leaf_law(1, index_to_bits(idx, 4)).items():
             prob[leaf][idx] = p
     coeff = [[Fraction(0)] * 4 for _ in range(4)]
     for i in (1, 2, 3):

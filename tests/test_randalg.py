@@ -30,8 +30,6 @@ from qlab.randalg import (
     lv_worst_cost,
     mc_mean_cost,
     minority_conditionals_exact,
-    recursive_exact_cost,
-    recursive_exact_mean,
     recursive_exact_moments,
     recursive_exact_worst,
 )
@@ -121,7 +119,7 @@ def test_mean_cost_under_hard_distribution():
         Fraction(0),
     )
     assert mean == Fraction(97, 30)
-    assert recursive_exact_mean(1) == mean
+    assert recursive_exact_moments(1)[0] == mean
 
 
 def test_fixed_order_loses():
@@ -143,7 +141,7 @@ def test_cost_is_complement_invariant():
 def test_recursive_exact_cost_height_one_matches_round():
     for pat in range(16):
         bits = index_to_bits(pat, 4)
-        assert recursive_exact_cost(1, bits) == lv_exact_cost(bits)
+        assert recursive_exact_moments(1, bits)[0] == lv_exact_cost(bits)
 
 
 def brute_height2_cost(x):
@@ -169,7 +167,7 @@ def test_recursive_exact_cost_height_two_matches_brute():
         "1000100010001000",
     ]
     for x in cases:
-        assert recursive_exact_cost(2, x) == brute_height2_cost(x), x
+        assert recursive_exact_moments(2, x)[0] == brute_height2_cost(x), x
 
 
 def test_recursive_exact_mean_squares():
@@ -177,14 +175,14 @@ def test_recursive_exact_mean_squares():
     # mean is the square of the height-1 mean
     m0 = sum((m * lv_exact_cost(b) for b, m in dh_support(1)), Fraction(0))
     assert m0 == Fraction(97, 30)
-    m2 = recursive_exact_mean(2)
+    m2 = recursive_exact_moments(2)[0]
     assert m2 == m0 * m0 == Fraction(9409, 900)
 
 
 def test_recursive_exact_worst_squares():
     worst, arg = recursive_exact_worst(2)
     assert worst == Fraction(13, 4) ** 2 == Fraction(169, 16)
-    assert recursive_exact_cost(2, arg) == worst
+    assert recursive_exact_moments(2, arg)[0] == worst
     assert brute_height2_cost(arg) == worst
 
 
@@ -238,11 +236,11 @@ def test_recursion_matches_enumeration_up_to_height_two():
         mean = sum(
             (m * int(costs[bits_to_index(bits)]) for bits, m in dh_support(h)), Fraction(0)
         )
-        assert recursive_exact_mean(h) == mean / scale
+        assert recursive_exact_moments(h)[0] == mean / scale
         rng = np.random.default_rng(h)
         for idx in rng.integers(0, len(costs), size=50):
             bits = index_to_bits(int(idx), 4**h)
-            assert recursive_exact_cost(h, bits) == Fraction(int(costs[idx]), scale)
+            assert recursive_exact_moments(h, bits)[0] == Fraction(int(costs[idx]), scale)
 
 
 def test_recursive_exact_cost_height_three_matches_reference():
@@ -250,12 +248,12 @@ def test_recursive_exact_cost_height_three_matches_reference():
     inputs = [recursive_exact_worst(3)[1], "0" * 64, "1000" * 16]
     inputs += ["".join(map(str, rng.integers(0, 2, size=64))) for _ in range(20)]
     for x in inputs:
-        assert recursive_exact_cost(3, x) == reference_exact_cost(3, parse_bits(x)), x
+        assert recursive_exact_moments(3, x)[0] == reference_exact_cost(3, parse_bits(x)), x
 
 
 def test_closed_forms_at_every_height():
     for h in range(MAX_MC_HEIGHT + 1):
-        assert recursive_exact_mean(h) == Fraction(97, 30) ** h
+        assert recursive_exact_moments(h)[0] == Fraction(97, 30) ** h
     # height 11 replays its witness past the int64 range, in Python ints
     for h in range(12):
         worst, arg = recursive_exact_worst(h)
@@ -288,13 +286,13 @@ def test_exact_variance_tracks_sample_variance():
 
 def test_recursive_exact_guards():
     with pytest.raises(ValueError):
-        recursive_exact_cost(MAX_MC_HEIGHT + 1, [0] * 64)
+        recursive_exact_moments(MAX_MC_HEIGHT + 1, [0] * 64)
     with pytest.raises(ValueError):
-        recursive_exact_cost(2, "0000")
+        recursive_exact_moments(2, "0000")
     with pytest.raises(ValueError):
         recursive_exact_worst(MAX_MC_HEIGHT + 1)
     with pytest.raises(ValueError):
-        recursive_exact_mean(-1)
+        recursive_exact_moments(-1)
 
 
 def test_recursive_run_is_correct_and_bounded():
@@ -358,7 +356,7 @@ def test_mc_mean_tracks_exact_cost_on_fixed_height_three_input():
     x = "".join(map(str, np.random.default_rng(34).integers(0, 2, size=64)))
     rep = mc_mean_cost(3, 5000, np.random.default_rng(35), x=x)
     assert rep.errors == 0
-    assert abs(float(rep.mean - recursive_exact_cost(3, x))) < 4 * rep.stderr
+    assert abs(float(rep.mean - recursive_exact_moments(3, x)[0])) < 4 * rep.stderr
 
 
 @pytest.mark.parametrize(
