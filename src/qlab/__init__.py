@@ -32,7 +32,7 @@ from .harddist import (
     jk_cost_matrices,
     minority_leaf_law,
 )
-from .lpbound import RationalLP, build_prt_lp, prt_report, pprt_zero_report, solve_exact
+from .lpbound import RationalLP, build_prt_lp, prt_report, solve_exact
 from .randalg import (
     embed_check,
     lv_check_correct,

@@ -86,15 +86,6 @@ class TruthTable:
         bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
         return bits[: self.size]
 
-    def ones(self) -> Iterable[int]:
-        """Indices of inputs where f is 1."""
-        for idx in range(self.size):
-            if (self.bits >> idx) & 1:
-                yield idx
-
-    def is_constant(self) -> bool:
-        return self.bits == 0 or self.bits == (1 << self.size) - 1
-
     @classmethod
     def from_values(cls, n: int, values: Iterable[int]) -> "TruthTable":
         """Build from f-values listed in index order 0, 1, ..., 2**n - 1."""
@@ -213,10 +204,6 @@ class IteratedMajority:
     def __post_init__(self) -> None:
         if self.h < 0:
             raise ValueError("height must be nonnegative")
-
-    @property
-    def input_length(self) -> int:
-        return 4**self.h
 
     def eval(self, x: "str | Bits") -> int:
         return iter_eval(self.h, x)

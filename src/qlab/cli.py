@@ -229,14 +229,19 @@ def cmd_measure_delta0(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_measure_jk(args: argparse.Namespace) -> int:
-    rep = Report("measure-jk")
-    j10 = dtree.j_value(1, 0)
-    j11 = dtree.j_value(1, 1)
-    k11 = dtree.k_value(1, 1)
+def _add_jk(rep: Report) -> tuple[Fraction, Fraction, Fraction]:
+    """Report and return the height-1 minority functionals J(1, 0),
+    K(1, 1) and J(1, 1)."""
+    j10, k11, j11 = dtree.j_value(1, 0), dtree.k_value(1, 1), dtree.j_value(1, 1)
     rep.add_rational("j-1-0", j10)
     rep.add_rational("k-1-1", k11)
     rep.add_rational("j-1-1", j11)
+    return j10, k11, j11
+
+
+def cmd_measure_jk(args: argparse.Namespace) -> int:
+    rep = Report("measure-jk")
+    j10, k11, j11 = _add_jk(rep)
     ok = True
     ok &= rep.add_verdict("j-1-0-at-least-1", j10 >= 1)
     ok &= rep.add_verdict("k-1-1-at-least-3", k11 >= 3)
@@ -470,14 +475,14 @@ def cmd_bound_prt(args: argparse.Namespace) -> int:
 def cmd_bound_pprt0(args: argparse.Namespace) -> int:
     table = _load_table(args.table)
     try:
-        report = lpbound.pprt_zero_report(table)
+        result = subcube.search_min_weight(table)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     rep = Report("bound-pprt0")
     rep.add("n", table.n)
-    rep.add("weight", report.weight)
-    rep.add("half-log2", repr(report.half_log2))
-    rep.add("nodes", report.nodes)
+    rep.add("weight", result.weight)
+    rep.add("half-log2", repr(0.5 * math.log2(result.weight)))
+    rep.add("nodes", result.nodes)
     rep.emit()
     return 0
 
@@ -614,9 +619,7 @@ def _verify_height1(seed: int) -> int:
     rep.add_rational("mean-reads", mean)
     ok &= rep.add_verdict("delta0-sandwich", LEVEL_COST_FLOOR <= value <= mean)
 
-    j10 = dtree.j_value(1, 0)
-    j11 = dtree.j_value(1, 1)
-    k11 = dtree.k_value(1, 1)
+    j10, k11, j11 = _add_jk(rep)
     ok &= rep.add_verdict(
         "jk-inequalities",
         j10 >= 1 and k11 >= 3 and j11 >= k11 + Fraction(1, 5) * j10,

@@ -267,11 +267,6 @@ class CostMatrix:
         row = tuple(Fraction(m) for m in dist)
         return cls(n, tuple(row for _ in range(n)))
 
-    def scale(self, factor: Fraction) -> "CostMatrix":
-        return CostMatrix(
-            self.n, tuple(tuple(c * factor for c in row) for row in self.rows)
-        )
-
 
 def tree_cost(tree: DecisionTree, cost: CostMatrix) -> Fraction:
     """Total charge of the tree: sum over inputs of the charges of the

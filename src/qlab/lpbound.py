@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .boolfn import TruthTable
-from .subcube import LabeledPartition, all_patterns, search_min_weight
+from .subcube import all_patterns
 
 MAX_LP_VARS_N = 4
 # a float entry this close to zero, relative to its scale, counts as zero
@@ -308,24 +308,4 @@ def prt_report(f: TruthTable, eps: Fraction) -> PrtReport:
         lp.num_vars,
         lp.num_constraints,
         sol.pivots,
-    )
-
-
-@dataclass(frozen=True)
-class PublicPrtReport:
-    weight: int
-    half_log2: float
-    nodes: int
-    partition: LabeledPartition
-
-
-def pprt_zero_report(f: TruthTable) -> PublicPrtReport:
-    """The public-coin value at eps = 0: the minimum weight of a single
-    labeled partition computing f, from the exhaustive search."""
-    result = search_min_weight(f)
-    return PublicPrtReport(
-        result.weight,
-        0.5 * math.log2(result.weight),
-        result.nodes,
-        result.partition,
     )

@@ -18,11 +18,13 @@ intra-branch orders matter: with a fixed order the worst-case expected
 read count rises to 4 on its worst input.
 
 The round's coins amount to 24 equally likely rounds, six of branch 0
-and eighteen of branch 1, each order equally often.  The exact
-recursions for the mean and variance of the read count and the
-level-by-level Monte Carlo evaluator all read the lookup tables of
-those rounds, built once from ``lv_run``.  On a fixed input both take
-the nodes' children patterns from ``boolfn.level_patterns``.
+and eighteen of branch 1, each order equally often.  One table of those
+rounds, built once from ``lv_run``, holds what each reads and outputs.
+The level-by-level Monte Carlo evaluator reads it directly.  The three
+exact recursions (per input, under the hard law, and over the worst
+inputs) share one integer moment step over its read counts.  On a fixed
+input the evaluator and the recursion take the nodes' children
+patterns from ``boolfn.level_patterns``.
 
 The embedding audit samples placements of one instance inside a
 neighborhood through lookup tables too, in uint8, and its exact laws
@@ -41,7 +43,6 @@ import numpy as np
 
 from .boolfn import (
     _FM,
-    _FMAJ_BIT,
     _SHIFTS,
     bits_to_index,
     index_to_bits,
@@ -49,7 +50,7 @@ from .boolfn import (
     parse_bits,
     tree_bits,
 )
-from .harddist import _CAT30, _DISSENT, _PATS, d, d0, d1
+from .harddist import _CAT30, _DISSENT, _PATS, _W30, d
 
 MAX_MC_HEIGHT = 12
 
@@ -92,113 +93,76 @@ def lv_run(
     return bits[0], queried
 
 
-# per (branch, order, input) lookup: which variables get read (bit j of
-# the mask = variable j) and what the round outputs
-_LV_MASK = np.zeros((2, 6, 16), dtype=np.uint8)
-_LV_OUT = np.zeros((2, 6, 16), dtype=np.uint8)
-for _br in (0, 1):
-    for _oi, _order in enumerate(_ORDERS):
-        for _pat in range(16):
-            _out, _queried = lv_run(index_to_bits(_pat, 4), _br, _order)
-            _LV_MASK[_br, _oi, _pat] = sum(1 << q for q in _queried)
-            _LV_OUT[_br, _oi, _pat] = _out
+# the round's randomness as 24 equally likely rounds: rounds 0-5 take
+# branch 0 (probability 1/4), and round r reads in order _ORDERS[r % 6].
+# On children pattern p, round r reads the variables set in
+# _ROUND_MASK[r, p] (bit j = variable j) and outputs _ROUND_OUT[r, p].
+_ROUND_MASK = np.zeros((24, 16), dtype=np.uint8)
+_ROUND_OUT = np.zeros((24, 16), dtype=np.uint8)
+for _r in range(24):
+    for _pat in range(16):
+        _out, _queried = lv_run(index_to_bits(_pat, 4), int(_r >= 6), _ORDERS[_r % 6])
+        _ROUND_MASK[_r, _pat] = sum(1 << q for q in _queried)
+        _ROUND_OUT[_r, _pat] = _out
 
-_BRANCH_WEIGHT = (Fraction(1, 4), Fraction(3, 4))
+# rounds out of the 24 that read variable j on the given input; likewise
+# for reading both j and l
+_READ = _MASK_BITS[_ROUND_MASK].astype(np.int64)
+_READS24 = _READ.sum(axis=0)
+_PAIRS = tuple(itertools.combinations(range(4), 2))
+_PAIRS24 = np.stack([_READ[..., j] * _READ[..., l] for j, l in _PAIRS], axis=-1).sum(axis=0)
 
 
 def lv_exact_cost(x: "str | Sequence[int]") -> Fraction:
     """Exact expected number of reads on one four-bit input."""
-    pat = bits_to_index(parse_bits(x))
-    total = Fraction(0)
-    for br in (0, 1):
-        for oi in range(6):
-            total += _BRANCH_WEIGHT[br] * Fraction(1, 6) * int(
-                _POPC[_LV_MASK[br, oi, pat]]
-            )
-    return total
+    return Fraction(int(_READS24[bits_to_index(parse_bits(x))].sum()), 24)
 
 
 def lv_check_correct() -> bool:
     """Every (input, branch, order) combination outputs the gadget
     value."""
-    return all(
-        int(_LV_OUT[br, oi, pat]) == _FMAJ_BIT[pat]
-        for br in (0, 1)
-        for oi in range(6)
-        for pat in range(16)
-    )
+    return bool(np.all(_ROUND_OUT == _FM))
 
 
 def lv_worst_cost() -> tuple[Fraction, list[int]]:
     """Worst-case expected reads and the inputs attaining it."""
-    costs = [lv_exact_cost(index_to_bits(pat, 4)) for pat in range(16)]
-    worst = max(costs)
-    return worst, [pat for pat, c in enumerate(costs) if c == worst]
-
-
-def lv_fixed_order_worst(order: Sequence[int] = (1, 2, 3)) -> tuple[Fraction, list[int]]:
-    """Worst-case expected reads when both branches use one fixed order
-    instead of a random one (only the branch coin remains)."""
-    worst = Fraction(0)
-    argmax: list[int] = []
-    for pat in range(16):
-        cost = Fraction(0)
-        for br in (0, 1):
-            _, queried = lv_run(index_to_bits(pat, 4), br, list(order))
-            cost += _BRANCH_WEIGHT[br] * len(queried)
-        if cost > worst:
-            worst, argmax = cost, [pat]
-        elif cost == worst:
-            argmax.append(pat)
-    return worst, argmax
-
-
-# the round's randomness as 24 equally likely rounds: rounds 0-5 take
-# branch 0 (probability 1/4), and round r reads in order _ORDERS[r % 6]
-_ROUND_BRANCH = (np.arange(24) >= 6).astype(np.intp)
-_ROUND_MASK = _LV_MASK[_ROUND_BRANCH, np.arange(24) % 6]
-_ROUND_OUT = _LV_OUT[_ROUND_BRANCH, np.arange(24) % 6]
-
-# rounds out of the 24 that read variable j on the given input, and the
-# probability that a round does; likewise for reading both j and l
-_READ = _MASK_BITS[_ROUND_MASK].astype(np.int64)
-_READS24 = _READ.sum(axis=0)
-_PAIRS = tuple(itertools.combinations(range(4), 2))
-_PAIRS24 = np.stack([_READ[..., j] * _READ[..., l] for j, l in _PAIRS], axis=-1).sum(axis=0)
-_QPROB: list[list[Fraction]] = [[Fraction(int(c), 24) for c in row] for row in _READS24]
-_QPAIR: list[list[Fraction]] = [[Fraction(int(c), 24) for c in row] for row in _PAIRS24]
+    costs = _READS24.sum(axis=1)
+    worst = costs.max()
+    return Fraction(int(worst), 24), np.flatnonzero(costs == worst).tolist()
 
 
 # ---------------------------------------------------------------------------
 # exact recursion over the instance tree
 #
 # Given its children's values, a node's subtrees are independent, so the
-# expected reads follow a recursion over node values in the style of
-# Saks and Wigderson's game-tree bounds.
+# moments of the reads follow a recursion over node values in the style
+# of Saks and Wigderson's game-tree bounds.  All three recursions below
+# (per input, under the hard law, and over the worst inputs) take one
+# integer step, _node_moments, from the 24-round read counts, and carry
+# their moments as integers over a power of 24 or 720.
 
-def _step(pat: int, below: Sequence[Fraction]) -> Fraction:
-    """Expected reads of a node with children pattern pat when a child
-    of value v costs below[v] in expectation."""
-    return sum(
-        (q * below[pat >> (3 - j) & 1] for j, q in enumerate(_QPROB[pat])),
-        Fraction(0),
+# _CHILD_BITS[p, j]: the value of child j in children pattern p
+_CHILD_BITS = np.arange(16)[:, None] >> _SHIFTS & 1
+# _SEED_W[b, p]: the seed mass, in thirtieths, of children pattern p at a
+# node of value b
+_SEED_W = np.where(_FM == np.arange(2)[:, None], _W30, 0)
+
+
+def _node_moments(
+    pat: np.ndarray, mean: np.ndarray, second: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """24 times the mean and second moment of the reads of nodes with
+    children patterns pat, when child j of each node has reads of mean
+    mean[:, j] and second moment second[:, j].  A node reads the sum over
+    the children its round reads, independent of one another given their
+    values, so with R and R_jl the rounds out of 24 reading j, and both j
+    and l, the moments are sum_j R_j m_j and
+    sum_j R_j s_j + 2 sum_{j < l} R_jl m_j m_l."""
+    node_mean = sum(_READS24[pat, j] * mean[:, j] for j in range(4))
+    node_second = sum(_READS24[pat, j] * second[:, j] for j in range(4)) + 2 * sum(
+        _PAIRS24[pat, i] * mean[:, j] * mean[:, l] for i, (j, l) in enumerate(_PAIRS)
     )
-
-
-def _second_step(pat: int, means: Sequence[Fraction], seconds: Sequence[Fraction]) -> Fraction:
-    """Second moment of a node's reads on children pattern pat when a
-    child of value v has reads of mean means[v] and second moment
-    seconds[v]: the node reads the sum over the children its round
-    reads, independent of one another given their values, so it is
-    sum_j q_j S_j + 2 sum_{j < l} q_jl M_j M_l, q_jl being the
-    probability that the round reads both j and l."""
-    child = [pat >> (3 - j) & 1 for j in range(4)]
-    return sum(
-        (q * seconds[child[j]] for j, q in enumerate(_QPROB[pat])), Fraction(0)
-    ) + 2 * sum(
-        (q * means[child[j]] * means[child[l]] for (j, l), q in zip(_PAIRS, _QPAIR[pat])),
-        Fraction(0),
-    )
+    return node_mean, node_second
 
 
 def recursive_exact_moments(
@@ -207,9 +171,10 @@ def recursive_exact_moments(
     """Exact mean and variance of one trial's leaf reads: on a fixed
     input x, or under the height-h hard distribution when x is None.
     Under the law, the mean M(k, b) and second moment S(k, b) over
-    height-k inputs of value b follow the two-state recursion
-    M(k, b) = sum_p seed_b(p) sum_j q_j(p) M(k-1, p_j), and S(k, b)
-    likewise through _second_step."""
+    height-k inputs of value b follow a two-state recursion: each
+    pattern p's node moments on children of moments M(k-1, p_j) and
+    S(k-1, p_j), mixed by the seed law of value b.  As integers, M(k, b)
+    is over 720**k and S(k, b) over 720**(2k)."""
     if x is not None:
         if not 0 <= h <= MAX_MC_HEIGHT:
             raise ValueError(f"exact recursion supports 0 <= h <= {MAX_MC_HEIGHT}")
@@ -217,23 +182,18 @@ def recursive_exact_moments(
         return mean, second - mean * mean
     if h < 0:
         raise ValueError("height must be at least 0")
-    seeds = (d0().masses, d1().masses)
-    means = seconds = (Fraction(1), Fraction(1))
+    means = seconds = np.ones(2, dtype=object)
     for _ in range(h):
-        means, seconds = (
-            tuple(sum((m * _step(p, means) for p, m in seed.items()), Fraction(0)) for seed in seeds),
-            tuple(
-                sum((m * _second_step(p, means, seconds) for p, m in seed.items()), Fraction(0))
-                for seed in seeds
-            ),
-        )
-    mean, second = (means[0] + means[1]) / 2, (seconds[0] + seconds[1]) / 2
+        m, s = _node_moments(np.arange(16), means[_CHILD_BITS], seconds[_CHILD_BITS])
+        means, seconds = _SEED_W @ m, 720 * (_SEED_W @ s)
+    mean = Fraction(int(means.sum()), 2 * 720**h)
+    second = Fraction(int(seconds.sum()), 2 * 720 ** (2 * h))
     return mean, second - mean * mean
 
 
 def _exact_moments(h: int, bits: np.ndarray) -> tuple[Fraction, Fraction]:
     """Mean and second moment of the leaf reads on one input, bottom up
-    through the per-input counterparts of _step and _second_step."""
+    one level at a time."""
     # times 24**k and 24**(2k), a height-k node's moments are integers
     # below 78**k and (24**2 * 16)**k (it reads at most 4**k leaves), so
     # int64 holds them up to height 4
@@ -241,41 +201,36 @@ def _exact_moments(h: int, bits: np.ndarray) -> tuple[Fraction, Fraction]:
     for k, pat in enumerate(level_patterns(bits, h), 1):
         if k == 5:
             mean, second = mean.astype(object), second.astype(object)
-        m, s = mean.reshape(-1, 4), second.reshape(-1, 4)
-        mean = sum(_READS24[pat, j] * m[:, j] for j in range(4))
-        second = 24 * (
-            sum(_READS24[pat, j] * s[:, j] for j in range(4))
-            + 2 * sum(_PAIRS24[pat, i] * m[:, j] * m[:, l] for i, (j, l) in enumerate(_PAIRS))
-        )
+        mean, second = _node_moments(pat, mean.reshape(-1, 4), second.reshape(-1, 4))
+        second = 24 * second
     return Fraction(int(mean[0]), 24**h), Fraction(int(second[0]), 24 ** (2 * h))
 
 
 def recursive_exact_worst(h: int) -> tuple[Fraction, str]:
     """Worst-case exact expected leaf reads over every input, with one
     maximizing input as a bit string.  W(k, v), the worst over height-k
-    inputs of value v, is the max over patterns p with f(p) = v of
-    sum_j q_j(p) W(k-1, p_j).  The witness puts a maximizing pattern at
-    every node, and its replay through the per-input recursion must
-    give W."""
+    inputs of value v, is the max over patterns p with f(p) = v of the
+    node mean on children of means W(k-1, p_j); as an integer it is over
+    24**k.  The witness puts the first maximizing pattern at every node,
+    and its replay through the per-input recursion must give W."""
     if not 0 <= h <= MAX_MC_HEIGHT:
         raise ValueError(f"exact recursion supports 0 <= h <= {MAX_MC_HEIGHT}")
-    worst = (Fraction(1), Fraction(1))
+    worst = np.ones(2, dtype=object)
     # per value, a height-k input of that value attaining W(k, value)
     witness = (np.zeros(1, dtype=np.uint8), np.ones(1, dtype=np.uint8))
     for _ in range(h):
-        steps = [_step(p, worst) for p in range(16)]
-        best = [
-            max((p for p in range(16) if _FMAJ_BIT[p] == v), key=steps.__getitem__)
-            for v in (0, 1)
-        ]
-        worst = tuple(steps[p] for p in best)
+        # only the means matter here, so the second moments are dummies
+        steps, _ = _node_moments(np.arange(16), worst[_CHILD_BITS], worst[_CHILD_BITS])
+        best = [max(np.flatnonzero(_FM == v).tolist(), key=steps.__getitem__) for v in (0, 1)]
+        worst = steps[best]
         witness = tuple(
             np.concatenate([witness[b] for b in index_to_bits(p, 4)]) for p in best
         )
     v = int(worst[1] > worst[0])
-    if _exact_moments(h, witness[v])[0] != worst[v]:
+    value = Fraction(int(worst[v]), 24**h)
+    if _exact_moments(h, witness[v])[0] != value:
         raise RuntimeError("the worst-case witness does not replay to its value")
-    return worst[v], (witness[v] + ord("0")).tobytes().decode()
+    return value, (witness[v] + ord("0")).tobytes().decode()
 
 
 # ---------------------------------------------------------------------------

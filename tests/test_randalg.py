@@ -7,6 +7,7 @@ are checked against an enumeration of every input up to height 2 and
 against a per-input recursion over the reference round at height 3.
 """
 
+import hashlib
 import importlib.util
 import itertools
 import os
@@ -17,7 +18,7 @@ import pytest
 
 from qlab import randalg
 from qlab.boolfn import bits_to_index, fmaj, index_to_bits, iter_eval, parse_bits
-from qlab.harddist import d, d0, d1, dh_support
+from qlab.harddist import d, dh_support
 from qlab.randalg import (
     MAX_MC_HEIGHT,
     chi_square_gof,
@@ -25,7 +26,6 @@ from qlab.randalg import (
     embedding_children_law_exact,
     lv_check_correct,
     lv_exact_cost,
-    lv_fixed_order_worst,
     lv_run,
     lv_worst_cost,
     mc_mean_cost,
@@ -123,7 +123,16 @@ def test_mean_cost_under_hard_distribution():
 
 
 def test_fixed_order_loses():
-    worst, argmax = lv_fixed_order_worst((1, 2, 3))
+    # with one fixed order in both branches only the branch coin remains
+    costs = [
+        sum(
+            w * len(reference_round(index_to_bits(pat, 4), branch, (1, 2, 3))[1])
+            for branch, w in ((0, Fraction(1, 4)), (1, Fraction(3, 4)))
+        )
+        for pat in range(16)
+    ]
+    worst = max(costs)
+    argmax = [pat for pat, c in enumerate(costs) if c == worst]
     assert worst == 4
     assert argmax == [bits_to_index("0110"), bits_to_index("1001")]
     # randomizing the order is what keeps the worst case below four
@@ -275,6 +284,44 @@ def test_exact_moments_match_bench_reference():
         for x in inputs:
             mean, second = ref.fixed_input_moments(x)
             assert recursive_exact_moments(h, x) == (mean, second - mean * mean), (h, x)
+
+
+# (W(h), sha256 of the witness string) of recursive_exact_worst(h) for
+# h = 0 to 8, and the exact variance of the reads under the law for
+# h = 6 to 12, past the bench reference's reach: a change to the
+# recursions or to the witness's choice of pattern shows here
+WORST_WITNESSES = [
+    ("1", "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9"),
+    ("13/4", "a8d0b6f0939cfd883251f62b265f971ef8a5ab97eee32b91460f08b965601d93"),
+    ("169/16", "b889b93f5052d15496c0e4ed30f873fd95ea72f159ef8a0dd86db1659aacf834"),
+    ("2197/64", "a978200a7275899a560ad27a68705ff744fc3fe695db8dd7c3f0f68ac2d0da29"),
+    ("28561/256", "0964c210a2d6b1c4da8e77d1f12e7c7feaaf9e277d1f7a735696285e9d92d4ec"),
+    ("371293/1024", "bb6b5e17b7448a51cea2b7a378387d50286db540ddf904b6be58e86e8946ee39"),
+    ("4826809/4096", "b928970b8cd3b048a2ca2b351bbd15f22d0edb5bd3b8d0a46989840ad166b633"),
+    ("62748517/16384", "8e0baa8c06ec42cde0faa58e9b13b5d4d9ee70305faa0a894c55ad16891975fe"),
+    ("815730721/65536", "7107ac31bebca83bff60680b7388fb79adb5325cfd43807f7d22afce5db3cc06"),
+]
+LAW_VARIANCES = {
+    6: "14186839751609686565047/265720500000000000",
+    7: "133564737689577441943527223/239148450000000000000",
+    8: "1256945635699278483310877641207/215233605000000000000000",
+    9: "11827285390938620255778957026116663/193710244500000000000000000",
+    10: "111284918405855835194977312721731682167/174339220050000000000000000000",
+    11: "1047085588653614332825849074042103397509303/156905298045000000000000000000000",
+    12: "9852045156537045085834468875114241167165031927/141214768240500000000000000000000000",
+}
+
+
+def test_recursive_exact_worst_witnesses_are_pinned():
+    for h, (value, digest) in enumerate(WORST_WITNESSES):
+        worst, arg = recursive_exact_worst(h)
+        assert worst == Fraction(value), h
+        assert hashlib.sha256(arg.encode()).hexdigest() == digest, h
+
+
+def test_law_variances_are_pinned():
+    for h, variance in LAW_VARIANCES.items():
+        assert recursive_exact_moments(h) == (Fraction(97, 30) ** h, Fraction(variance)), h
 
 
 def test_exact_variance_tracks_sample_variance():
