@@ -338,17 +338,24 @@ def cmd_partition_search_cost(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_partition_search_weight(args: argparse.Namespace) -> int:
+def _search_weight(args: argparse.Namespace, rep: Report) -> subcube.SearchResult:
+    """Run the minimum-weight search on --table and add its n, weight,
+    half-log2 and nodes lines."""
     table = _load_table(args.table)
     try:
         result = subcube.search_min_weight(table)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    rep = Report("partition-search-weight")
     rep.add("n", table.n)
     rep.add("weight", result.weight)
     rep.add("half-log2", repr(0.5 * math.log2(result.weight)))
     rep.add("nodes", result.nodes)
+    return result
+
+
+def cmd_partition_search_weight(args: argparse.Namespace) -> int:
+    rep = Report("partition-search-weight")
+    result = _search_weight(args, rep)
     rep.add("parts", len(result.partition))
     if args.out:
         subcube.save_partition(result.partition, args.out)
@@ -473,16 +480,8 @@ def cmd_bound_prt(args: argparse.Namespace) -> int:
 
 
 def cmd_bound_pprt0(args: argparse.Namespace) -> int:
-    table = _load_table(args.table)
-    try:
-        result = subcube.search_min_weight(table)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
     rep = Report("bound-pprt0")
-    rep.add("n", table.n)
-    rep.add("weight", result.weight)
-    rep.add("half-log2", repr(0.5 * math.log2(result.weight)))
-    rep.add("nodes", result.nodes)
+    _search_weight(args, rep)
     rep.emit()
     return 0
 
@@ -605,9 +604,9 @@ def _verify_height1(seed: int) -> int:
         and subcube.computes(part, table)
         and subcube.partition_cost(part).cost == 3,
     )
-    ok &= rep.add_verdict(
-        "no-cost-2-partition", subcube.search_min_cost(table, 2).partition is None
-    )
+    search = subcube.search_min_cost(table, 2)
+    rep.add("cost-2-search-nodes", search.nodes)
+    ok &= rep.add_verdict("no-cost-2-partition", search.partition is None)
 
     worst, _ = randalg.lv_worst_cost()
     ok &= rep.add_verdict("zero-error-rounds", randalg.lv_check_correct())
@@ -782,7 +781,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_partition_compose)
     p = pa_sub.add_parser("search-cost", help="exhaustive bounded-cost search")
     p.add_argument("--table", required=True)
-    p.add_argument("--budget", type=int, required=True)
+    p.add_argument("--budget", type=_at_least(0), required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_partition_search_cost)
     p = pa_sub.add_parser("search-weight", help="exhaustive minimum-weight search")

@@ -19,7 +19,6 @@ import functools
 import itertools
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -300,127 +299,82 @@ class SearchResult:
     partition: Optional[LabeledPartition]
     nodes: int
 
+    @property
+    def weight(self) -> int:
+        return partition_cost(self.partition).weight
+
+
+class _CoverSearch:
+    """Covers of {0,1}^n by disjoint f-monochromatic cubes fixing at
+    most ``budget`` positions, walked in the canonical order: the lowest
+    uncovered input first, the cubes through it by ``_order_key``."""
+
+    def __init__(self, f: TruthTable, budget: int) -> None:
+        cubes = [(p, z) for p, z in _monochromatic_patterns(f) if p.fixed_count <= budget]
+        cubes.sort(key=lambda e: _order_key(e[0]))
+        # each cube as (pattern, label, member bitmask, weight * 2**n)
+        self.per_point: list[list[tuple[Pattern, int, int, int]]] = [
+            [] for _ in range(1 << f.n)
+        ]
+        for p, z in cubes:
+            members = list(p.members())
+            cube = (p, z, sum(1 << idx for idx in members), 1 << (p.fixed_count + f.n))
+            for idx in members:
+                self.per_point[idx].append(cube)
+        # weights are scaled by 2**n, so the cheapest weight-per-point
+        # through a point, 2**fixed / 2**free of its first cube, is
+        # 4**fixed; a point no cube covers leaves no cover to bound
+        self.rate = [4 ** cs[0][0].fixed_count if cs else 0 for cs in self.per_point]
+        self.full = (1 << (1 << f.n)) - 1
+        self.best: Optional[int] = None
+        self.chosen: list[tuple[Pattern, int]] = []
+        self.nodes = 0
+
+    def covers(
+        self, covered: int = 0, weight: int = 0
+    ) -> Iterator[tuple[tuple[Pattern, int], ...]]:
+        """Yield each cover lighter than every cover before it.  Once one
+        is found, a branch stops when its weight plus the cheapest rate of
+        every uncovered point reaches the lightest so far."""
+        self.nodes += 1
+        if covered == self.full:
+            if self.best is None or weight < self.best:
+                self.best = weight
+                yield tuple(self.chosen)
+            return
+        if self.best is not None and weight + sum(
+            r for idx, r in enumerate(self.rate) if not covered >> idx & 1
+        ) >= self.best:
+            return
+        lowest = ((covered + 1) & ~covered).bit_length() - 1  # lowest uncovered
+        for p, z, bits, w in self.per_point[lowest]:
+            if not bits & covered:
+                self.chosen.append((p, z))
+                yield from self.covers(covered | bits, weight + w)
+                self.chosen.pop()
+
 
 def search_min_cost(f: TruthTable, budget: int) -> SearchResult:
-    """Exhaustive search for a labeled partition computing f in which
-    every part fixes at most ``budget`` positions.  Always covers the
-    lowest uncovered input first, so the search space is finite and an
-    empty result proves none exists."""
-    n = f.n
-    if n > MAX_SEARCH_COST_VARS:
+    """The first labeled partition computing f in which every part
+    fixes at most ``budget`` positions.  The cover search is finite and
+    exhaustive, so an empty result proves none exists."""
+    if f.n > MAX_SEARCH_COST_VARS:
         raise ValueError(f"cost search supports n <= {MAX_SEARCH_COST_VARS}")
-    cubes = [(p, z) for p, z in _monochromatic_patterns(f) if p.fixed_count <= budget]
-    cubes.sort(key=lambda e: _order_key(e[0]))
-    per_point: list[list[tuple[Pattern, int]]] = [[] for _ in range(1 << n)]
-    for p, z in cubes:
-        for idx in p.members():
-            per_point[idx].append((p, z))
-    full = (1 << (1 << n)) - 1
-    nodes = 0
-    chosen: list[tuple[Pattern, int]] = []
-
-    def member_bits(p: Pattern) -> int:
-        bits = 0
-        for idx in p.members():
-            bits |= 1 << idx
-        return bits
-
-    member_cache = {p.text: member_bits(p) for p, _ in cubes}
-
-    def extend(covered: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if covered == full:
-            return True
-        lowest = ((covered + 1) & ~covered).bit_length() - 1  # lowest uncovered
-        for p, z in per_point[lowest]:
-            bits = member_cache[p.text]
-            if bits & covered:
-                continue
-            chosen.append((p, z))
-            if extend(covered | bits):
-                return True
-            chosen.pop()
-        return False
-
-    found = extend(0)
-    if not found:
-        return SearchResult(None, nodes)
-    part = LabeledPartition(n, tuple(chosen))
-    return SearchResult(part, nodes)
+    search = _CoverSearch(f, budget)
+    entries = next(search.covers(), None)
+    part = None if entries is None else LabeledPartition(f.n, entries)
+    return SearchResult(part, search.nodes)
 
 
-@dataclass(frozen=True)
-class WeightSearchResult:
-    weight: int
-    partition: LabeledPartition
-    nodes: int
-
-
-def search_min_weight(f: TruthTable) -> WeightSearchResult:
-    """Branch-and-bound over the same canonical order minimizing the
-    total weight sum(2**fixed).  The lower bound charges every
-    uncovered point the cheapest weight-per-point among cubes that
-    could cover it."""
-    n = f.n
-    if n > MAX_SEARCH_WEIGHT_VARS:
+def search_min_weight(f: TruthTable) -> SearchResult:
+    """A labeled partition computing f of least total weight
+    sum(2**fixed): the last cover the unbudgeted search yields.  The
+    single points cover every f, so one always exists."""
+    if f.n > MAX_SEARCH_WEIGHT_VARS:
         raise ValueError(f"weight search supports n <= {MAX_SEARCH_WEIGHT_VARS}")
-    cubes = _monochromatic_patterns(f)
-    cubes.sort(key=lambda e: _order_key(e[0]))
-    size = 1 << n
-    per_point: list[list[tuple[Pattern, int]]] = [[] for _ in range(size)]
-    member_cache: dict[str, int] = {}
-    for p, z in cubes:
-        bits = 0
-        for idx in p.members():
-            bits |= 1 << idx
-        member_cache[p.text] = bits
-        for idx in p.members():
-            per_point[idx].append((p, z))
-    # cheapest weight-per-point of any cube through each point
-    rate: list[Fraction] = []
-    for idx in range(size):
-        best = min(
-            Fraction(1 << p.fixed_count, 1 << p.free_count) for p, _ in per_point[idx]
-        )
-        rate.append(best)
-    full = (1 << size) - 1
-    nodes = 0
-    best_weight: Optional[int] = None
-    best_entries: Optional[tuple[tuple[Pattern, int], ...]] = None
-    chosen: list[tuple[Pattern, int]] = []
-
-    def lower_bound(covered: int) -> Fraction:
-        lb = Fraction(0)
-        rem = ~covered & full
-        while rem:
-            idx = (rem & -rem).bit_length() - 1
-            lb += rate[idx]
-            rem &= rem - 1
-        return lb
-
-    def extend(covered: int, weight: int) -> None:
-        nonlocal nodes, best_weight, best_entries
-        nodes += 1
-        if covered == full:
-            if best_weight is None or weight < best_weight:
-                best_weight = weight
-                best_entries = tuple(chosen)
-            return
-        if best_weight is not None and weight + lower_bound(covered) >= best_weight:
-            return
-        lowest = ((covered + 1) & ~covered).bit_length() - 1
-        for p, z in per_point[lowest]:
-            bits = member_cache[p.text]
-            if bits & covered:
-                continue
-            chosen.append((p, z))
-            extend(covered | bits, weight + (1 << p.fixed_count))
-            chosen.pop()
-
-    extend(0, 0)
-    assert best_weight is not None and best_entries is not None
-    return WeightSearchResult(best_weight, LabeledPartition(n, best_entries), nodes)
+    search = _CoverSearch(f, f.n)
+    *_, entries = search.covers()
+    return SearchResult(LabeledPartition(f.n, entries), search.nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,9 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from qlab.boolfn import IteratedMajority, fmaj, index_to_bits
-from qlab.dtree import exact_depth, delta0, j_value, k_value, tree_computes, tree_depth
+from qlab.dtree import exact_depth, delta0, j_value, k_value
 from qlab.harddist import (
     d,
     dh_support,

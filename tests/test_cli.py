@@ -4,7 +4,6 @@ import hashlib
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -14,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlab import cli, harddist, lpbound, randalg, subcube
-from qlab.boolfn import IteratedMajority, fmaj, load_table
+from qlab.boolfn import IteratedMajority, fmaj, load_table, save_table
 from qlab.cli import main
 from qlab.harddist import d, load_dist
 from qlab.subcube import (
@@ -347,6 +346,10 @@ def test_verify_height_one_fails_only_on_cross_charge(capsys):
     assert code == 1
     # the failing verdict prints the values it judges
     assert got["k-1-1"] == "53/20"
+    # the exhaustive search's node count certifies no-cost-2-partition
+    keys = list(got)
+    assert got["cost-2-search-nodes"] == "4"
+    assert keys.index("cost-2-search-nodes") + 1 == keys.index("no-cost-2-partition")
 
 
 def test_verify_height_two_quick(capsys):
@@ -427,9 +430,14 @@ def exit_code(argv):
         # trials x 4**height bytes, checked before anything is allocated
         ["dist", "sample", "--height", "12", "--trials", "1000000"],
         ["dist", "sample", "--height", "1000000000", "--trials", "1"],
+        # FMAJ names a valid table, so only the budget is out of range
+        ["partition", "search-cost", "--table", "FMAJ", "--budget", "-3"],
     ],
 )
-def test_exit_two_on_out_of_range_arguments(capsys, argv):
+def test_exit_two_on_out_of_range_arguments(capsys, tmp_path, argv):
+    table = tmp_path / "fmaj.tt"
+    save_table(fmaj(), table)
+    argv = [str(table) if a == "FMAJ" else a for a in argv]
     assert exit_code(argv) == 2
     assert "error:" in capsys.readouterr().err
 

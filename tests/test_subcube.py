@@ -42,7 +42,6 @@ def brute_partitions(n):
             return
         lowest = ((covered + 1) & ~covered).bit_length() - 1
         for p in pats:
-            mask = p.member_mask() if hasattr(p, "member_mask") else None
             members = list(p.members())
             if lowest not in members:
                 continue
@@ -224,18 +223,21 @@ def test_computes_detects_wrong_label():
 
 
 def test_search_matches_brute_force_on_two_variables():
-    for bits in range(16):
-        f = TruthTable(2, bits)
+    # every function of two variables, and a seeded sample of three
+    cases = [(2, bits) for bits in range(16)]
+    cases += [(3, bits) for bits in random.Random(3).sample(range(256), 32)]
+    for n, bits in cases:
+        f = TruthTable(n, bits)
         want_cost, want_weight = brute_min_cost_and_weight(f)
         got_weight = search_min_weight(f)
-        assert got_weight.weight == want_weight, bits
+        assert got_weight.weight == want_weight, (n, bits)
         found = None
-        for budget in range(0, 3):
+        for budget in range(0, n + 1):
             res = search_min_cost(f, budget)
             if res.partition is not None:
                 found = budget
                 break
-        assert found == want_cost, bits
+        assert found == want_cost, (n, bits)
 
 
 def test_search_min_cost_exhausts_below_three():
@@ -259,6 +261,21 @@ def test_search_min_weight_fmaj():
     assert validate(res.partition).ok
     assert computes(res.partition, fmaj())
     assert partition_cost(res.partition).weight == 64
+
+
+def test_search_results_are_pinned():
+    # the canonical order fixes every node count, so a change to the
+    # walk or its pruning shows here
+    none = search_min_cost(fmaj(), 2)
+    assert none.partition is None and none.nodes == 4
+    assert search_min_cost(fmaj(), 3).nodes == 20
+    light = search_min_weight(fmaj())
+    assert (light.weight, light.nodes) == (64, 460)
+    # the cost search stops at its first cover, long before exhausting
+    f = TruthTable(5, random.Random(0).getrandbits(32))
+    first = search_min_cost(f, 5)
+    assert first.nodes == 18
+    assert computes(first.partition, f)
 
 
 def test_search_guards_reject_large_inputs():
