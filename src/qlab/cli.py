@@ -8,8 +8,14 @@ pipelines), fixtures (canonical files).
 Reports are machine-parseable "key: value" lines; exact rationals are
 printed as p/q next to a float rendering, and every stochastic command
 records its seed.  Output is byte-identical across runs with the same
-arguments except for the trailing elapsed-time line.  Exit status: 0 on
-success, 1 when a requested check fails, 2 on usage or input errors.
+arguments except for the trailing elapsed-time line.
+
+Exit status: 0 on success, 1 when a requested check fails, 2 on usage
+or input errors.  Each handler ends with ``return rep.emit()``, which
+returns 1 exactly when a verdict printed FAIL.  `main` turns an
+InputError, a ValueError (the library's bad-argument error) or an
+OSError (a file that cannot be read or written) into an ``error:``
+line and status 2; argparse exits 2 on usage errors itself.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ class Report:
         # command handlers may do their heavy work before building the
         # report, so prefer the dispatch timestamp when one is set
         self._start = _DISPATCH_START if _DISPATCH_START is not None else time.monotonic()
+        self._failed = False
 
     def add(self, key: str, value) -> None:
         self._lines.append((key, str(value)))
@@ -55,14 +62,17 @@ class Report:
         self.add(key, f"{value.numerator}/{value.denominator}")
         self.add(f"{key}-float", repr(float(value)))
 
-    def add_verdict(self, key: str, ok: bool) -> bool:
+    def add_verdict(self, key: str, ok: bool) -> None:
         self.add(key, "pass" if ok else "FAIL")
-        return ok
+        self._failed |= not ok
 
-    def emit(self) -> None:
+    def emit(self) -> int:
+        """Print the report and return the exit status: 1 if a verdict
+        failed, else 0."""
         for key, value in self._lines:
             print(f"{key}: {value}")
         print(f"elapsed-s: {time.monotonic() - self._start:.3f}")
+        return 1 if self._failed else 0
 
 
 def _default_seed(args: argparse.Namespace) -> int:
@@ -91,25 +101,12 @@ def _env_at_least(name: str, low: int) -> int:
         raise InputError(f"{name} {exc}") from None
 
 
-def _load_table(path: str) -> boolfn.TruthTable:
+def _load(kind: str, load, path: str):
+    """``load(path)``, naming the kind and path of a file that fails."""
     try:
-        return boolfn.load_table(path)
+        return load(path)
     except (OSError, ValueError) as exc:
-        raise InputError(f"cannot load table {path}: {exc}") from exc
-
-
-def _load_partition(path: str) -> subcube.LabeledPartition:
-    try:
-        return subcube.load_partition(path)
-    except (OSError, ValueError) as exc:
-        raise InputError(f"cannot load partition {path}: {exc}") from exc
-
-
-def _load_dist(path: str) -> harddist.InputDistribution:
-    try:
-        return harddist.load_dist(path)
-    except (OSError, ValueError) as exc:
-        raise InputError(f"cannot load distribution {path}: {exc}") from exc
+        raise InputError(f"cannot load {kind} {path}: {exc}") from exc
 
 
 def _at_least(low: int):
@@ -161,41 +158,32 @@ def cmd_fn_emit(args: argparse.Namespace) -> int:
     rep.add("name", args.name)
     rep.add("n", table.n)
     rep.add("out", args.out)
-    rep.emit()
-    return 0
+    return rep.emit()
 
 
 def cmd_fn_eval(args: argparse.Namespace) -> int:
-    table = _load_table(args.table)
-    try:
-        value = table.eval(args.input)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    table = _load("table", boolfn.load_table, args.table)
+    value = table.eval(args.input)
     rep = Report("fn-eval")
     rep.add("n", table.n)
     rep.add("input", args.input)
     rep.add("value", value)
-    rep.emit()
-    return 0
+    return rep.emit()
 
 
 def cmd_fn_iter(args: argparse.Namespace) -> int:
-    try:
-        value = boolfn.iter_eval(args.height, args.input)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    value = boolfn.iter_eval(args.height, args.input)
     rep = Report("fn-iter")
     rep.add("height", args.height)
     rep.add("value", value)
-    rep.emit()
-    return 0
+    return rep.emit()
 
 
 # ---------------------------------------------------------------------------
 # measure
 
 def cmd_measure_depth(args: argparse.Namespace) -> int:
-    table = _load_table(args.table)
+    table = _load("table", boolfn.load_table, args.table)
     rep = Report("measure-depth")
     rep.add("n", table.n)
     if args.tree_out:
@@ -203,30 +191,25 @@ def cmd_measure_depth(args: argparse.Namespace) -> int:
         dtree.save_tree(tree, args.tree_out)
         rep.add("depth", depth)
         rep.add("tree-out", args.tree_out)
-        ok = dtree.tree_computes(tree, table) and dtree.tree_depth(tree) == depth
-        if not rep.add_verdict("witness-replay", ok):
-            rep.emit()
-            return 1
+        rep.add_verdict(
+            "witness-replay",
+            dtree.tree_computes(tree, table) and dtree.tree_depth(tree) == depth,
+        )
     else:
         rep.add("depth", dtree.exact_depth(table))
-    rep.emit()
-    return 0
+    return rep.emit()
 
 
 def cmd_measure_delta0(args: argparse.Namespace) -> int:
-    table = _load_table(args.table)
-    dist = _load_dist(args.dist)
+    table = _load("table", boolfn.load_table, args.table)
+    dist = _load("distribution", harddist.load_dist, args.dist)
     if dist.n != table.n:
         raise InputError("table and distribution arity mismatch")
-    try:
-        value = dtree.delta0(table, dist.dense())
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    value = dtree.delta0(table, dist.dense())
     rep = Report("measure-delta0")
     rep.add("n", table.n)
     rep.add_rational("delta0", value)
-    rep.emit()
-    return 0
+    return rep.emit()
 
 
 def _add_jk(rep: Report) -> tuple[Fraction, Fraction, Fraction]:
@@ -242,15 +225,11 @@ def _add_jk(rep: Report) -> tuple[Fraction, Fraction, Fraction]:
 def cmd_measure_jk(args: argparse.Namespace) -> int:
     rep = Report("measure-jk")
     j10, k11, j11 = _add_jk(rep)
-    ok = True
-    ok &= rep.add_verdict("j-1-0-at-least-1", j10 >= 1)
-    ok &= rep.add_verdict("k-1-1-at-least-3", k11 >= 3)
-    ok &= rep.add_verdict(
-        "j-recursion", j11 >= k11 + Fraction(1, 5) * j10
-    )
-    ok &= rep.add_verdict("cost-floor", j11 >= LEVEL_COST_FLOOR)
-    rep.emit()
-    return 0 if ok else 1
+    rep.add_verdict("j-1-0-at-least-1", j10 >= 1)
+    rep.add_verdict("k-1-1-at-least-3", k11 >= 3)
+    rep.add_verdict("j-recursion", j11 >= k11 + Fraction(1, 5) * j10)
+    rep.add_verdict("cost-floor", j11 >= LEVEL_COST_FLOOR)
+    return rep.emit()
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +244,12 @@ def cmd_partition_emit(args: argparse.Namespace) -> int:
     rep.add("name", args.name)
     rep.add("parts", len(part))
     rep.add("out", args.out)
-    rep.emit()
-    return 0
+    return rep.emit()
 
 
 def cmd_partition_check(args: argparse.Namespace) -> int:
-    part = _load_partition(args.part)
-    table = _load_table(args.table)
+    part = _load("partition", subcube.load_partition, args.part)
+    table = _load("table", boolfn.load_table, args.table)
     if part.n != table.n:
         raise InputError("partition and table arity mismatch")
     rep = Report("partition-check")
@@ -282,25 +260,20 @@ def cmd_partition_check(args: argparse.Namespace) -> int:
     except ValueError as exc:  # not a partition
         rep.add_verdict("valid", False)
         rep.add("violation", str(exc))
-        rep.emit()
-        return 1
-    ok = rep.add_verdict("valid", True)
-    ok &= rep.add_verdict("computes", labels_ok)
+        return rep.emit()
+    rep.add_verdict("valid", True)
+    rep.add_verdict("computes", labels_ok)
     cost = subcube.partition_cost(part)
     rep.add("cost", cost.cost)
     rep.add("weight", cost.weight)
-    rep.emit()
-    return 0 if ok else 1
+    return rep.emit()
 
 
 def cmd_partition_compose(args: argparse.Namespace) -> int:
-    outer = _load_partition(args.outer)
-    inner = _load_partition(args.inner)
-    try:
-        composed = subcube.compose_partitions(outer, inner)
-        valid = subcube.validate(composed).ok
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    outer = _load("partition", subcube.load_partition, args.outer)
+    inner = _load("partition", subcube.load_partition, args.inner)
+    composed = subcube.compose_partitions(outer, inner)
+    valid = subcube.validate(composed).ok
     subcube.save_partition(composed, args.out)
     cost = subcube.partition_cost(composed)
     rep = Report("partition-compose")
@@ -309,43 +282,34 @@ def cmd_partition_compose(args: argparse.Namespace) -> int:
     rep.add("cost", cost.cost)
     rep.add("weight", cost.weight)
     rep.add("out", args.out)
-    ok = rep.add_verdict("valid", valid)
-    rep.emit()
-    return 0 if ok else 1
+    rep.add_verdict("valid", valid)
+    return rep.emit()
 
 
 def cmd_partition_search_cost(args: argparse.Namespace) -> int:
-    table = _load_table(args.table)
-    try:
-        result = subcube.search_min_cost(table, args.budget)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    table = _load("table", boolfn.load_table, args.table)
+    result = subcube.search_min_cost(table, args.budget)
     rep = Report("partition-search-cost")
     rep.add("n", table.n)
     rep.add("budget", args.budget)
     rep.add("nodes", result.nodes)
     if result.partition is None:
         rep.add("outcome", "none (search exhausted)")
-        rep.emit()
-        return 0
+        return rep.emit()
     rep.add("outcome", "found")
     rep.add("parts", len(result.partition))
     rep.add("cost", subcube.partition_cost(result.partition).cost)
     if args.out:
         subcube.save_partition(result.partition, args.out)
         rep.add("out", args.out)
-    rep.emit()
-    return 0
+    return rep.emit()
 
 
 def _search_weight(args: argparse.Namespace, rep: Report) -> subcube.SearchResult:
     """Run the minimum-weight search on --table and add its n, weight,
     half-log2 and nodes lines."""
-    table = _load_table(args.table)
-    try:
-        result = subcube.search_min_weight(table)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    table = _load("table", boolfn.load_table, args.table)
+    result = subcube.search_min_weight(table)
     rep.add("n", table.n)
     rep.add("weight", result.weight)
     rep.add("half-log2", repr(0.5 * math.log2(result.weight)))
@@ -360,8 +324,7 @@ def cmd_partition_search_weight(args: argparse.Namespace) -> int:
     if args.out:
         subcube.save_partition(result.partition, args.out)
         rep.add("out", args.out)
-    rep.emit()
-    return 0
+    return rep.emit()
 
 
 # ---------------------------------------------------------------------------
@@ -383,20 +346,15 @@ def cmd_dist_emit(args: argparse.Namespace) -> int:
     rep.add("name", args.name)
     rep.add("support", len(dist.support()))
     rep.add("out", args.out)
-    rep.emit()
-    return 0
+    return rep.emit()
 
 
 def cmd_dist_mass(args: argparse.Namespace) -> int:
-    try:
-        mass = harddist.dh_mass(args.height, args.input)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    mass = harddist.dh_mass(args.height, args.input)
     rep = Report("dist-mass")
     rep.add("height", args.height)
     rep.add_rational("mass", mass)
-    rep.emit()
-    return 0
+    return rep.emit()
 
 
 def cmd_dist_total(args: argparse.Namespace) -> int:
@@ -407,9 +365,8 @@ def cmd_dist_total(args: argparse.Namespace) -> int:
     points, total = harddist.dh_total(args.height)
     rep.add("support", points)
     rep.add_rational("total", total)
-    ok = rep.add_verdict("sums-to-1", total == 1)
-    rep.emit()
-    return 0 if ok else 1
+    rep.add_verdict("sums-to-1", total == 1)
+    return rep.emit()
 
 
 def cmd_dist_sample(args: argparse.Namespace) -> int:
@@ -439,34 +396,29 @@ def cmd_dist_sample(args: argparse.Namespace) -> int:
         rep.add("chi2-df", gof.df)
         rep.add("chi2-critical", repr(gof.critical))
         rep.add("off-support-hits", gof.impossible_hits)
-        ok = rep.add_verdict("chi2", gof.ok)
-        rep.emit()
-        return 0 if ok else 1
+        rep.add_verdict("chi2", gof.ok)
+        return rep.emit()
     xs = harddist.sample_inputs(args.height, args.trials, rng)
     rep.add("width", xs.shape[1])
     rep.add("mean-ones", repr(float(xs.mean())))
-    rep.emit()
-    return 0
+    return rep.emit()
 
 
 # ---------------------------------------------------------------------------
 # bound
 
 def cmd_bound_prt(args: argparse.Namespace) -> int:
-    table = _load_table(args.table)
+    table = _load("table", boolfn.load_table, args.table)
     eps = _parse_fraction(args.eps)
     rep = Report("bound-prt")
     rep.add("n", table.n)
     rep.add_rational("eps", eps)
     try:
         report = lpbound.prt_report(table, eps)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
     except lpbound.CertificateError as exc:
         rep.add("certificate-error", str(exc))
         rep.add_verdict("certificate", False)
-        rep.emit()
-        return 1
+        return rep.emit()
     rep.add("lp-vars", report.num_vars)
     rep.add("lp-constraints", report.num_constraints)
     rep.add("pivots", report.pivots)
@@ -475,15 +427,13 @@ def cmd_bound_prt(args: argparse.Namespace) -> int:
     # prt_report returns only values whose certificate re-checked exactly
     rep.add_verdict("certificate", True)
     rep.add("half-log2", repr(report.half_log2))
-    rep.emit()
-    return 0
+    return rep.emit()
 
 
 def cmd_bound_pprt0(args: argparse.Namespace) -> int:
     rep = Report("bound-pprt0")
     _search_weight(args, rep)
-    rep.emit()
-    return 0
+    return rep.emit()
 
 
 # ---------------------------------------------------------------------------
@@ -497,12 +447,7 @@ def cmd_simulate_r0(args: argparse.Namespace) -> int:
     seed = _default_seed(args)
     threads = _default_threads(args)
     rng = np.random.default_rng(seed)
-    try:
-        mc = randalg.mc_mean_cost(
-            args.height, args.trials, rng, x=args.input, threads=threads
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    mc = randalg.mc_mean_cost(args.height, args.trials, rng, x=args.input, threads=threads)
     reference, variance = randalg.recursive_exact_moments(args.height, args.input)
     # judged by the exact standard error: the sample's is 0 for one
     # trial, or whenever every trial reads alike
@@ -518,22 +463,19 @@ def cmd_simulate_r0(args: argparse.Namespace) -> int:
     rep.add("stderr", repr(mc.stderr))
     rep.add("exact-stderr", repr(sigma))
     rep.add("output-errors", mc.errors)
-    ok = rep.add_verdict("zero-error", mc.errors == 0)
+    rep.add_verdict("zero-error", mc.errors == 0)
     rep.add_rational("exact-mean", reference)
-    ok &= rep.add_verdict(
-        "within-4-sigma", abs(float(mc.mean - reference)) <= 4.0 * sigma
-    )
+    rep.add_verdict("within-4-sigma", abs(float(mc.mean - reference)) <= 4.0 * sigma)
     if args.height >= 1 and args.input is None:
         low = LEVEL_COST_FLOOR**args.height
         high, _ = randalg.recursive_exact_worst(args.height)
         rep.add_rational("band-low", low)
         rep.add_rational("band-high", high)
-        ok &= rep.add_verdict(
+        rep.add_verdict(
             "within-band",
             float(low) - 4.0 * sigma <= float(mc.mean) <= float(high) + 4.0 * sigma,
         )
-    rep.emit()
-    return 0 if ok else 1
+    return rep.emit()
 
 
 def cmd_simulate_minority(args: argparse.Namespace) -> int:
@@ -552,17 +494,13 @@ def cmd_simulate_minority(args: argparse.Namespace) -> int:
         rep.add(f"exact-{i}", f"{marg[i].numerator}/{marg[i].denominator}")
         ok &= abs(freq - float(marg[i])) <= _four_sigma(float(marg[i]), args.trials)
     rep.add_verdict("within-4-sigma", ok)
-    rep.emit()
-    return 0 if ok else 1
+    return rep.emit()
 
 
 def cmd_simulate_embed(args: argparse.Namespace) -> int:
     seed = _default_seed(args)
     rng = np.random.default_rng(seed)
-    try:
-        report = randalg.embed_check(args.level, args.trials, rng, alpha=args.alpha)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    report = randalg.embed_check(args.level, args.trials, rng, alpha=args.alpha)
     rep = Report("simulate-embed")
     rep.add("level", args.level)
     rep.add("trials", args.trials)
@@ -572,12 +510,11 @@ def cmd_simulate_embed(args: argparse.Namespace) -> int:
     rep.add("chi2-stat", repr(report.chi2.stat))
     rep.add("chi2-critical", repr(report.chi2.critical))
     rep.add("off-support-hits", report.chi2.impossible_hits)
-    ok = rep.add_verdict("slot-frequencies", report.slot_ok)
-    ok &= rep.add_verdict("children-law-chi2", report.chi2.ok)
-    ok &= rep.add_verdict("always-majority", report.bad_majority == 0)
-    ok &= rep.add_verdict("value-propagates", report.bad_value == 0)
-    rep.emit()
-    return 0 if ok else 1
+    rep.add_verdict("slot-frequencies", report.slot_ok)
+    rep.add_verdict("children-law-chi2", report.chi2.ok)
+    rep.add_verdict("always-majority", report.bad_majority == 0)
+    rep.add_verdict("value-propagates", report.bad_value == 0)
+    return rep.emit()
 
 
 # ---------------------------------------------------------------------------
@@ -591,46 +528,52 @@ def cmd_verify_separation(args: argparse.Namespace) -> int:
     return _verify_height2(args, seed, threads)
 
 
+def _partition_computes(part: subcube.LabeledPartition, table: boolfn.TruthTable) -> bool:
+    """Whether part is a partition whose labels compute table."""
+    try:
+        return subcube.computes(part, table)  # validates the partition
+    except ValueError:  # not a partition
+        return False
+
+
 def _verify_height1(seed: int) -> int:
     rep = Report("verify-separation-1")
     rep.add("seed", seed)
     table = boolfn.fmaj()
-    ok = rep.add_verdict("depth-4", dtree.exact_depth(table) == 4)
+    rep.add_verdict("depth-4", dtree.exact_depth(table) == 4)
 
     part = subcube.canonical_fmaj_partition()
-    ok &= rep.add_verdict(
+    rep.add_verdict(
         "canonical-partition",
-        subcube.validate(part).ok
-        and subcube.computes(part, table)
-        and subcube.partition_cost(part).cost == 3,
+        _partition_computes(part, table) and subcube.partition_cost(part).cost == 3,
     )
     search = subcube.search_min_cost(table, 2)
     rep.add("cost-2-search-nodes", search.nodes)
-    ok &= rep.add_verdict("no-cost-2-partition", search.partition is None)
+    rep.add_verdict("no-cost-2-partition", search.partition is None)
 
     worst, _ = randalg.lv_worst_cost()
-    ok &= rep.add_verdict("zero-error-rounds", randalg.lv_check_correct())
-    ok &= rep.add_verdict("worst-cost-13-4", worst == Fraction(13, 4))
+    rep.add_verdict("zero-error-rounds", randalg.lv_check_correct())
+    rep.add_verdict("worst-cost-13-4", worst == Fraction(13, 4))
 
     mean = randalg.recursive_exact_moments(1)[0]
     value = dtree.delta0(table, harddist.d().dense())
     rep.add_rational("delta0", value)
     rep.add_rational("mean-reads", mean)
-    ok &= rep.add_verdict("delta0-sandwich", LEVEL_COST_FLOOR <= value <= mean)
+    rep.add_verdict("delta0-sandwich", LEVEL_COST_FLOOR <= value <= mean)
 
     j10, k11, j11 = _add_jk(rep)
-    ok &= rep.add_verdict(
+    rep.add_verdict(
         "jk-inequalities",
         j10 >= 1 and k11 >= 3 and j11 >= k11 + Fraction(1, 5) * j10,
     )
 
     marg = harddist.minority_marginals_exact()
     expected = (Fraction(2, 5), Fraction(1, 5), Fraction(1, 5), Fraction(1, 5))
-    ok &= rep.add_verdict("minority-marginals", marg == expected)
+    rep.add_verdict("minority-marginals", marg == expected)
 
     law = randalg.embedding_children_law_exact()
     target = harddist.d()
-    ok &= rep.add_verdict(
+    rep.add_verdict(
         "embedding-law-exact",
         all(law.get(idx, Fraction(0)) == target.mass(idx) for idx in range(16)),
     )
@@ -646,9 +589,8 @@ def _verify_height1(seed: int) -> int:
                 table_expected[(i, j)] = Fraction(1, 2)
             else:
                 table_expected[(i, j)] = Fraction(1, 4)
-    ok &= rep.add_verdict("embedding-conditionals", cond == table_expected)
-    rep.emit()
-    return 0 if ok else 1
+    rep.add_verdict("embedding-conditionals", cond == table_expected)
+    return rep.emit()
 
 
 def _verify_height2(args: argparse.Namespace, seed: int, threads: int) -> int:
@@ -660,15 +602,13 @@ def _verify_height2(args: argparse.Namespace, seed: int, threads: int) -> int:
     part = subcube.compose_partitions(
         subcube.canonical_fmaj_partition(), subcube.canonical_fmaj_partition()
     )
-    try:
-        computes = subcube.computes(part, table2)  # validates the partition
-    except ValueError:  # not a partition
-        computes = False
-    ok = rep.add_verdict(
+    rep.add_verdict(
         "composed-partition",
-        len(part) == 512 and all(p.fixed_count == 9 for p, _ in part.entries) and computes,
+        len(part) == 512
+        and all(p.fixed_count == 9 for p, _ in part.entries)
+        and _partition_computes(part, table2),
     )
-    ok &= rep.add_verdict("depth-16", dtree.exact_depth(table2) == 16)
+    rep.add_verdict("depth-16", dtree.exact_depth(table2) == 16)
 
     rng = np.random.default_rng(seed)
     mc = randalg.mc_mean_cost(2, args.trials, rng, threads=threads)
@@ -680,8 +620,8 @@ def _verify_height2(args: argparse.Namespace, seed: int, threads: int) -> int:
     rep.add_rational("exact-mean", reference)
     rep.add("exact-stderr", repr(sigma))
     low, high = LEVEL_COST_FLOOR**2, randalg.recursive_exact_worst(2)[0]
-    ok &= rep.add_verdict("zero-error", mc.errors == 0)
-    ok &= rep.add_verdict(
+    rep.add_verdict("zero-error", mc.errors == 0)
+    rep.add_verdict(
         "mean-band",
         float(low) - 4.0 * sigma <= float(mc.mean) <= float(high) + 4.0 * sigma,
     )
@@ -693,14 +633,13 @@ def _verify_height2(args: argparse.Namespace, seed: int, threads: int) -> int:
         <= _four_sigma(float(marg[i]), args.trials)
         for i in range(4)
     )
-    ok &= rep.add_verdict("minority-frequencies", minority_ok)
+    rep.add_verdict("minority-frequencies", minority_ok)
 
-    ok &= rep.add_verdict("mass-total", harddist.dh_total(2)[1] == 1)
+    rep.add_verdict("mass-total", harddist.dh_total(2)[1] == 1)
 
     embed = randalg.embed_check(2, args.trials, np.random.default_rng(seed + 2))
-    ok &= rep.add_verdict("embedding", embed.ok)
-    rep.emit()
-    return 0 if ok else 1
+    rep.add_verdict("embedding", embed.ok)
+    return rep.emit()
 
 
 # ---------------------------------------------------------------------------
@@ -721,8 +660,7 @@ def cmd_fixtures(args: argparse.Namespace) -> int:
     harddist.save_dist(harddist.d(), os.path.join(args.out_dir, "d.dist"))
     for name in ("fmaj.tt", "fmaj2.tt", "canonical.part", "d.dist"):
         rep.add("wrote", os.path.join(args.out_dir, name))
-    rep.emit()
-    return 0
+    return rep.emit()
 
 
 # ---------------------------------------------------------------------------
@@ -862,7 +800,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     _DISPATCH_START = time.monotonic()
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

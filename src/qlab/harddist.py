@@ -265,7 +265,8 @@ def minority_level1_counts(
     coin = rng.integers(0, 2, size=trials, dtype=np.int32)
     slot = _DIS_PICK[root_pat, coin]
     if np.any(slot == 255):
-        raise SupportError("sampled input has an all-agree root")
+        # off the support, so only a broken sampler gets here
+        raise RuntimeError("sampled input has an all-agree root")
     return np.bincount(slot, minlength=4)
 
 

@@ -1,6 +1,8 @@
 """Command line surface: reports, file round-trips, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -158,6 +160,25 @@ def test_partition_check_validates_once(tmp_path, capsys, monkeypatch):
     assert "overlap" in got["violation"]
     assert "computes" not in got
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("height", [1, 2])
+def test_verify_separation_validates_once(capsys, monkeypatch, height):
+    calls = []
+    real = subcube.validate
+
+    def counting(part):
+        calls.append(part)
+        return real(part)
+
+    monkeypatch.setattr(subcube, "validate", counting)
+    code, out = run(
+        capsys, "verify", "separation", "--height", str(height),
+        "--trials", "1000", "--seed", "4",
+    )
+    key = "canonical-partition" if height == 1 else "composed-partition"
+    assert lines(out)[key] == "pass"
+    assert len(calls) == 1
 
 
 def test_dist_commands(capsys):
@@ -486,6 +507,31 @@ def test_partition_compose_past_sixteen_variables_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fn", "emit", "--name", "fmaj", "--out", "{gone}"],
+        ["measure", "depth", "--table", "{table}", "--tree-out", "{gone}"],
+        ["partition", "emit", "--name", "canonical", "--out", "{gone}"],
+        ["partition", "compose", "--outer", "{part}", "--inner", "{part}", "--out", "{gone}"],
+        ["partition", "search-cost", "--table", "{table}", "--budget", "3", "--out", "{gone}"],
+        ["partition", "search-weight", "--table", "{table}", "--out", "{gone}"],
+        ["dist", "emit", "--name", "d", "--out", "{gone}"],
+        # a directory cannot be made under a regular file
+        ["fixtures", "--out-dir", "{table}/sub"],
+    ],
+)
+def test_exit_two_on_unwritable_output(capsys, tmp_path, argv):
+    table = tmp_path / "fmaj.tt"
+    save_table(fmaj(), table)
+    part = tmp_path / "c.part"
+    save_partition(canonical_fmaj_partition(), part)
+    paths = dict(table=table, part=part, gone=tmp_path / "missing" / "out")
+    argv = [a.format(**paths) for a in argv]
+    assert exit_code(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 _SEED = st.tuples(st.just("--seed"), st.integers(-3, 2**31).map(str))
 _CHEAP_ARGV = st.one_of(
     st.tuples(
@@ -538,11 +584,19 @@ _ENV = st.fixed_dictionaries(
 @settings(max_examples=60, deadline=None)
 @given(argv=_CHEAP_ARGV, env=_ENV)
 def test_exit_code_contract_on_generated_arguments(argv, env):
-    # an exception escaping main fails the test with its traceback
-    with mock.patch.dict(os.environ, env):
+    # an exception escaping main fails the test with its traceback;
+    # capsys does not reset between generated examples, so stdout is
+    # captured here
+    out = io.StringIO()
+    with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out):
         for name in set(_ENV_NAMES) - env.keys():
             os.environ.pop(name, None)
-        assert exit_code(argv) in (0, 1, 2)
+        code = exit_code(argv)
+    assert code in (0, 1, 2)
+    if code != 2:
+        # exit 1 means exactly that a verdict failed
+        failed = any(line.endswith(": FAIL") for line in out.getvalue().splitlines())
+        assert (code == 1) == failed
 
 
 @pytest.mark.parametrize(

@@ -304,6 +304,15 @@ def test_minority_marginals_exact():
     assert tuple(direct) == marg
 
 
+def test_minority_counts_report_an_all_agree_root_as_a_sampler_fault(monkeypatch):
+    # all-zero inputs lie off the support; only a broken sampler yields them
+    monkeypatch.setattr(
+        harddist, "sample_inputs", lambda h, count, rng: np.zeros((count, 16), dtype=np.uint8)
+    )
+    with pytest.raises(RuntimeError, match="all-agree root"):
+        minority_level1_counts(10, np.random.default_rng(0))
+
+
 def test_minority_level1_counts_match_marginals():
     rng = np.random.default_rng(77)
     counts = minority_level1_counts(400_000, rng)
