@@ -17,8 +17,6 @@ from .dtree import (
     delta0,
     dt_eval,
     exact_depth,
-    j_value,
-    k_value,
     min_weighted_zero_error,
     tree_to_partition,
 )
@@ -30,6 +28,7 @@ from .harddist import (
     d1,
     dh_mass,
     jk_cost_matrices,
+    jk_values,
     minority_leaf_law,
 )
 from .lpbound import RationalLP, build_prt_lp, prt_report, solve_exact

@@ -215,7 +215,7 @@ def cmd_measure_delta0(args: argparse.Namespace) -> int:
 def _add_jk(rep: Report) -> tuple[Fraction, Fraction, Fraction]:
     """Report and return the height-1 minority functionals J(1, 0),
     K(1, 1) and J(1, 1)."""
-    j10, k11, j11 = dtree.j_value(1, 0), dtree.k_value(1, 1), dtree.j_value(1, 1)
+    j10, k11, j11 = harddist.jk_values()
     rep.add_rational("j-1-0", j10)
     rep.add_rational("k-1-1", k11)
     rep.add_rational("j-1-1", j11)

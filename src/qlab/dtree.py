@@ -1,6 +1,6 @@
 """Deterministic decision trees: exact minimax depth, exact minimum
-weighted zero-error cost, and the level-weighted query functionals of
-the minority-path process.
+weighted zero-error cost under any per-query charge matrix, and the
+least expected query count under an input distribution.
 
 Both optimizations run over the subcube lattice of
 ``subcube.lattice_colors``: a restriction state indexes a (3,)*n array
@@ -313,7 +313,7 @@ def min_weighted_zero_error(
 
 
 # ---------------------------------------------------------------------------
-# distributional zero-error complexity and the minority-path functionals
+# distributional zero-error complexity
 
 def delta0(f: TruthTable, dist: Sequence[Fraction]) -> Fraction:
     """Minimum expected query count under the given input distribution
@@ -326,45 +326,5 @@ def delta0(f: TruthTable, dist: Sequence[Fraction]) -> Fraction:
     if sum(masses) != 1:
         raise ValueError("distribution does not sum to 1")
     result = min_weighted_zero_error(f, CostMatrix.uniform(masses))
-    assert isinstance(result, Fraction)
-    return result
-
-
-class UnsupportedHeight(ValueError):
-    pass
-
-
-def j_value(h: int = 1, level: int = 1) -> Fraction:
-    """Minimum over zero-error trees of the expected number of queried
-    leaves lying under the level-``level`` node the minority path
-    passes through.  At level h that node is the root and this is plain
-    expected query count under the hard distribution; at level 0 it
-    charges each leaf only when it is itself the minority leaf.  Exact
-    rational DP; only height 1 is within its reach."""
-    from . import harddist  # local import avoids an import cycle
-    from .boolfn import fmaj
-
-    if h != 1 or level not in (0, 1):
-        raise UnsupportedHeight(f"j_value supports h=1, level 0 or 1, got ({h}, {level})")
-    if level == 1:
-        cost = CostMatrix.uniform(harddist.d().dense())
-    else:
-        cost, _ = harddist.jk_cost_matrices()
-    result = min_weighted_zero_error(fmaj(), cost)
-    assert isinstance(result, Fraction)
-    return result
-
-
-def k_value(h: int = 1, level: int = 1) -> Fraction:
-    """Minimum over zero-error trees of the cross-charge functional that
-    prices queries of one child of the minority node against the
-    sibling the minority path actually enters."""
-    from . import harddist
-    from .boolfn import fmaj
-
-    if h != 1 or level != 1:
-        raise UnsupportedHeight(f"k_value supports h=1, level=1, got ({h}, {level})")
-    _, ck = harddist.jk_cost_matrices()
-    result = min_weighted_zero_error(fmaj(), ck)
     assert isinstance(result, Fraction)
     return result

@@ -1,5 +1,6 @@
 """The recursively balanced input distribution that makes the iterated
-gadget expensive, and the minority-path process over it.
+gadget expensive, the minority-path process over it, and the height-1
+minority functionals J and K.
 
 The one-level seed puts mass 2/5 on the input whose first bit dissents
 alone, 1/6 on each input where the first bit joins a two-two tie on the
@@ -7,10 +8,12 @@ other three, and 1/30 on each input with a lone dissent among the last
 three; the all-agree input gets mass zero.  Conditioned on the root
 value b (fair coin), children patterns are drawn from the seed for b
 and each subtree recurses on its child's value.  Every seed mass is a
-whole number of thirtieths, so the sampler draws one integer below 30
-per node and maps it to a children pattern through two lookup tables,
-and the exact masses carry integer weights over one common denominator.
-An input fixes every node's value, so its mass is one product over the
+whole number of thirtieths, so the seed is one literal of integer
+masses and the rest derives from it: the sampler draws one integer
+below 30 per node and looks up its children pattern in one table by
+the node's value, the exact masses are integer weights over one common
+denominator, and d0, d1 and d are those weights as exact laws.  An
+input fixes every node's value, so its mass is one product over the
 internal nodes that `boolfn.level_patterns` lists.
 
 The minority path starts at the root and repeatedly steps into a child
@@ -18,7 +21,9 @@ disagreeing with its parent's value: a unique dissenter is taken
 outright, two dissenters are split by a fair coin, and zero dissenters
 only happens off the support (SupportError).  Three dissenters cannot
 happen, since the first child's doubled vote caps dissent at two.  The
-exact leaf law walks the same level patterns top down.
+exact leaf law walks the same level patterns top down.  Charging each
+query by where that path goes gives the cost matrices of the J and K
+functionals, whose optimal zero-error trees ``dtree`` computes.
 """
 
 from __future__ import annotations
@@ -35,12 +40,13 @@ from .boolfn import (
     _FMAJ_BIT,
     _SHIFTS,
     bits_to_index,
+    fmaj,
     index_to_bits,
     level_patterns,
     parse_bits,
     tree_bits,
 )
-from .dtree import CostMatrix
+from .dtree import CostMatrix, delta0, min_weighted_zero_error
 
 MAX_ENUM_HEIGHT = 2
 
@@ -86,37 +92,43 @@ class InputDistribution:
 # ---------------------------------------------------------------------------
 # the four-bit seed and its closure under complement
 
-_SEED0 = {
-    "1000": Fraction(2, 5),
-    "0011": Fraction(1, 6),
-    "0101": Fraction(1, 6),
-    "0110": Fraction(1, 6),
-    "0001": Fraction(1, 30),
-    "0010": Fraction(1, 30),
-    "0100": Fraction(1, 30),
-}
+# _SEED30: the value-0 seed's children patterns in threshold order, with
+# their masses in thirtieths; the value-1 seed is the bitwise complement
+_SEED30 = {"1000": 12, "0011": 5, "0101": 5, "0110": 5, "0001": 1, "0010": 1, "0100": 1}
+# _DRAW30[v, u]: the children pattern a base-30 draw u picks at a node of
+# value v; each seed pattern covers as many draws as its mass
+_DRAW30 = np.repeat(
+    np.array([[bits_to_index(s) ^ 15 * v for s in _SEED30] for v in (0, 1)], dtype=np.uint8),
+    list(_SEED30.values()),
+    axis=1,
+)
+# _SEED_W[v, p]: the seed mass, in thirtieths, of children pattern p at a
+# node of value v
+_SEED_W = np.stack([np.bincount(row, minlength=16) for row in _DRAW30])
+# _W30[p]: the same mass at a node of p's own value f(p); the other
+# value's seed never draws p
+_W30 = _SEED_W.sum(axis=0)
+
+
+def _law(weights: np.ndarray, denom: int) -> InputDistribution:
+    """The law of children pattern p with mass weights[p] / denom."""
+    return InputDistribution(4, {p: Fraction(w, denom) for p, w in enumerate(weights.tolist())})
 
 
 def d0() -> InputDistribution:
     """Children-pattern law at a node of value 0."""
-    return InputDistribution(4, {bits_to_index(s): m for s, m in _SEED0.items()})
+    return _law(_SEED_W[0], 30)
 
 
 def d1() -> InputDistribution:
     """Children-pattern law at a node of value 1: bitwise complement."""
-    return InputDistribution(
-        4, {15 - bits_to_index(s): m for s, m in _SEED0.items()}
-    )
+    return _law(_SEED_W[1], 30)
 
 
 def d() -> InputDistribution:
     """Equal mixture of the two one-level laws; this is the hard input
     distribution at height 1."""
-    masses: dict[int, Fraction] = {}
-    for dist in (d0(), d1()):
-        for idx, m in dist.masses.items():
-            masses[idx] = masses.get(idx, Fraction(0)) + m / 2
-    return InputDistribution(4, masses)
+    return _law(_W30, 60)
 
 
 # ---------------------------------------------------------------------------
@@ -165,41 +177,24 @@ def _dhb_support(h: int, b: int) -> Iterator[tuple[tuple[int, ...], int]]:
     if h == 0:
         yield (b,), 1
         return
-    for pat_idx, base in zip(_PATS[b].tolist(), _SEED30):
-        subs = [list(_dhb_support(h - 1, bv)) for bv in index_to_bits(pat_idx, 4)]
+    for seed, base in _SEED30.items():
+        subs = [list(_dhb_support(h - 1, bv ^ b)) for bv in parse_bits(seed)]
         for combo in itertools.product(*subs):
             yield sum((bits for bits, _ in combo), ()), base * math.prod(w for _, w in combo)
-
-
-# support patterns of the seed in threshold order, with masses in
-# thirtieths: 12, 5, 5, 5, 1, 1, 1
-_PAT0 = np.array([bits_to_index(s) for s in _SEED0], dtype=np.uint8)
-_SEED30 = tuple(int(m * 30) for m in _SEED0.values())
-_CUM30 = np.cumsum(_SEED30)[:-1]
-# _CAT30[u]: the seed category of a base-30 draw u, so category c has
-# probability _SEED30[c] / 30
-_CAT30 = np.searchsorted(_CUM30, np.arange(30), side="right").astype(np.uint8)
-# _PATS[v, c]: children pattern of category c at a node of value v; the
-# value-1 law is the bitwise complement of the value-0 law
-_PATS = np.stack([_PAT0, 15 - _PAT0])
-# _W30[p]: the seed mass, in thirtieths, of children pattern p at a node
-# of its own value f(p); the other value's seed never draws p
-_W30 = np.zeros(16, dtype=np.int64)
-_W30[_PATS] = _SEED30
 
 
 def sample_inputs(h: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Vectorized draws: a (count, 4**h) uint8 array of inputs
     distributed as the height-h law.  Level by level, each node's
     children pattern comes from one exact base-30 draw, looked up in
-    _CAT30 and _PATS.  The draws are int32, which consumes the same
-    stream as int64 below 2**32, and everything derived from them stays
-    uint8, so the peak, output included, stays under two bytes per
-    leaf."""
+    _DRAW30 by the node's value.  The draws are int32, which consumes
+    the same stream as int64 below 2**32, and everything derived from
+    them stays uint8, so the peak, output included, stays under two
+    bytes per leaf."""
     vals = rng.integers(0, 2, size=(count, 1), dtype=np.int32).astype(np.uint8)
     for _ in range(h):
         draws = rng.integers(0, 30, size=vals.shape, dtype=np.int32)
-        pats = _PATS[vals, _CAT30[draws]]
+        pats = _DRAW30[vals, draws]
         del draws
         children = pats[..., None] >> _SHIFTS
         children &= 1
@@ -271,7 +266,7 @@ def minority_level1_counts(
 
 
 # ---------------------------------------------------------------------------
-# per-query charge matrices of the minority functionals at height 1
+# the minority functionals at height 1 and their per-query charges
 
 def jk_cost_matrices() -> tuple[CostMatrix, CostMatrix]:
     """Charge matrices whose optimal tree costs are the two height-1
@@ -310,6 +305,21 @@ def jk_cost_matrices() -> tuple[CostMatrix, CostMatrix]:
     return CostMatrix.from_lists(4, cj), CostMatrix.from_lists(4, ck)
 
 
+def jk_values() -> tuple[Fraction, Fraction, Fraction]:
+    """The height-1 minority functionals (J(1,0), K(1,1), J(1,1)), each
+    a minimum over zero-error trees for fmaj.  J(1,0) counts a queried
+    leaf only when it is itself the minority leaf, K(1,1) is the cross
+    charge, both under jk_cost_matrices; J(1,1) counts every queried
+    leaf, since the level-1 node on the path is the root, so it is the
+    expected query count delta0 under d()."""
+    cj, ck = jk_cost_matrices()
+    return (
+        min_weighted_zero_error(fmaj(), cj),
+        min_weighted_zero_error(fmaj(), ck),
+        delta0(fmaj(), d().dense()),
+    )
+
+
 # ---------------------------------------------------------------------------
 # on-disk format: one "<bitstring> <p>/<q>" line per support point
 
@@ -340,7 +350,10 @@ def dist_from_text(text: str) -> InputDistribution:
         idx = bits_to_index(bits)
         if idx in masses:
             raise ValueError(f"duplicate input on line {raw!r}")
-        masses[idx] = Fraction(parts[1])
+        try:
+            masses[idx] = Fraction(parts[1])
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator on line {raw!r}") from None
     if n is None:
         raise ValueError("no masses in distribution text")
     return InputDistribution(n, masses)

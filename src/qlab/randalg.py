@@ -50,7 +50,7 @@ from .boolfn import (
     parse_bits,
     tree_bits,
 )
-from .harddist import _CAT30, _DISSENT, _PATS, _W30, d
+from .harddist import _DISSENT, _DRAW30, _SEED_W, d
 
 MAX_MC_HEIGHT = 12
 
@@ -143,9 +143,6 @@ def lv_worst_cost() -> tuple[Fraction, list[int]]:
 
 # _CHILD_BITS[p, j]: the value of child j in children pattern p
 _CHILD_BITS = np.arange(16)[:, None] >> _SHIFTS & 1
-# _SEED_W[b, p]: the seed mass, in thirtieths, of children pattern p at a
-# node of value b
-_SEED_W = np.where(_FM == np.arange(2)[:, None], _W30, 0)
 
 
 def _node_moments(
@@ -297,7 +294,7 @@ def _round_tables() -> tuple[np.ndarray, ...]:
     round_mask = _ROUND_MASK.T.ravel()
     round_bad = (_ROUND_OUT != _FM).T.ravel()
     u = np.arange(720)
-    hard_pat = _PATS[:, _CAT30[u // 24]].ravel().astype(np.intp)
+    hard_pat = _DRAW30[:, u // 24].ravel().astype(np.intp)
     key = 24 * hard_pat + np.tile(u % 24, 2)
     return round_mask, round_bad, round_mask[key], round_bad[key], hard_pat
 
@@ -512,7 +509,7 @@ def embed_check(
     if level == 2:
         # sampled sibling blocks must carry their assigned values
         draws = rng.integers(0, 30, size=(trials, 4), dtype=np.int32)
-        fill_vals = _FM[_PATS[values, _CAT30[draws]]]
+        fill_vals = _FM[_DRAW30[values, draws]]
         sib_ok = (fill_vals == values) | (
             np.arange(4)[None, :] == slot[:, None]
         )

@@ -12,10 +12,11 @@ from fractions import Fraction
 import numpy as np
 
 from qlab.boolfn import IteratedMajority, fmaj, index_to_bits
-from qlab.dtree import exact_depth, delta0, j_value, k_value
+from qlab.dtree import exact_depth, delta0
 from qlab.harddist import (
     d,
     dh_support,
+    jk_values,
     minority_level1_counts,
     minority_marginals_exact,
     sample_inputs,
@@ -150,9 +151,7 @@ def test_criterion_6_distributional_sandwich():
 
 def test_criterion_7_charge_recursions():
     t0 = time.monotonic()
-    j10 = j_value(1, 0)
-    j11 = j_value(1, 1)
-    k11 = k_value(1, 1)
+    j10, k11, j11 = jk_values()
     dt = time.monotonic() - t0
     base_ok = j10 >= 1
     cross_ok = k11 >= 3

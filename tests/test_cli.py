@@ -216,24 +216,29 @@ def test_bound_commands(tmp_path, capsys):
     assert lines(out)["half-log2"] == "3.0"
 
 
-# sha256 of each report's stdout without its elapsed-s line, pinned so
-# that no refactor of the evaluator or of the bound changes a report
-# silently; the input is recursive_exact_worst(3)'s witness, and FMAJ
-# stands for the gadget's table file
+# sha256 of each report's stdout without its elapsed-s line, and its exit
+# status, pinned so that no refactor of the evaluator, the bound, the
+# hard-law sampler or the J/K functionals changes a report silently
+# (measure jk exits 1 on the K(1,1) floor); the input is
+# recursive_exact_worst(3)'s witness, and FMAJ stands for the gadget's
+# table file
 PINNED_REPORTS = [
     pytest.param(
         ("simulate", "r0", "--height", "1", "--trials", "100000", "--seed", "8", "--threads", "1"),
         "9efade115655b1b789a1777e8ef1050ed2b08d8502a2dc22920b299460940d99",
+        0,
         id="r0-h1",
     ),
     pytest.param(
         ("simulate", "r0", "--height", "3", "--trials", "5000", "--seed", "10", "--threads", "1"),
         "d4adc8b7f59275e9faee3876d427f3eb50c96b4bbbe9ac6234c026dca93a486e",
+        0,
         id="r0-h3",
     ),
     pytest.param(
         ("simulate", "r0", "--height", "8", "--trials", "20", "--seed", "15", "--threads", "1"),
         "69da311c2228c3a6912ae0cfc6b6028f1e186281c5c63a294e080d0ea9e63302",
+        0,
         id="r0-h8",
     ),
     pytest.param(
@@ -242,22 +247,54 @@ PINNED_REPORTS = [
             "--input", "0011001101110111001100110111011100110111011101110011011101110111",
         ),
         "60e10057f54ec823f588c8a20c0fd4339da0fc40de69c4ce499104ee7c40ff9a",
+        0,
         id="r0-h3-worst-input",
     ),
     pytest.param(
         ("bound", "pprt0", "--table", "FMAJ"),
         "c197c00c4c76790a1aa62a8e4928b019affad482b0657da61269a8c139d95406",
+        0,
         id="pprt0-fmaj",
+    ),
+    pytest.param(
+        ("measure", "jk"),
+        "a71260b542bbc027075afce2152d49abc7cd6418c75d94f3cafdb14a9c0219b4",
+        1,
+        id="jk",
+    ),
+    pytest.param(
+        ("dist", "sample", "--height", "1", "--trials", "20000", "--seed", "5"),
+        "f9ef3726fbb63d80321521830b30720125576210991cacc6fa5ec1defb2d0cc0",
+        0,
+        id="sample-h1",
+    ),
+    pytest.param(
+        ("dist", "sample", "--height", "3", "--trials", "2000", "--seed", "6"),
+        "eb96bd67c0dcebfbe55ebbfb59f5b3f048df08fe6a8e4c996015867d8e32bc98",
+        0,
+        id="sample-h3",
+    ),
+    pytest.param(
+        ("simulate", "minority", "--trials", "20000", "--seed", "7"),
+        "eb49a51ee0ef40a3d1d983fb63cb1bce38e9c2f5ea183c650d1b8dfa11aad79c",
+        0,
+        id="minority",
+    ),
+    pytest.param(
+        ("simulate", "embed", "--level", "2", "--trials", "20000", "--seed", "9"),
+        "36d2b6d068e0bc4613811217832d2c58698ec694bc974d8338a476f393b61bc2",
+        0,
+        id="embed-l2",
     ),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", PINNED_REPORTS)
-def test_reports_are_byte_identical(tmp_path, capsys, argv, digest):
+@pytest.mark.parametrize("argv, digest, status", PINNED_REPORTS)
+def test_reports_are_byte_identical(tmp_path, capsys, argv, digest, status):
     table = tmp_path / "fmaj.tt"
     run(capsys, "fn", "emit", "--name", "fmaj", "--out", str(table))
     code, out = run(capsys, *(str(table) if a == "FMAJ" else a for a in argv))
-    assert code == 0
+    assert code == status
     kept = "".join(line for line in out.splitlines(True) if not line.startswith("elapsed-s: "))
     assert hashlib.sha256(kept.encode()).hexdigest() == digest
 
@@ -427,6 +464,11 @@ def test_exit_two_on_bad_input(tmp_path, capsys):
     code = main(["measure", "depth", "--table", str(bad)])
     capsys.readouterr()
     assert code == 2
+    zero = tmp_path / "zero.dist"
+    zero.write_text("0000 1/0\n")
+    code = main(["measure", "delta0", "--table", str(table), "--dist", str(zero)])
+    assert code == 2
+    assert "zero denominator" in capsys.readouterr().err
 
 
 def exit_code(argv):

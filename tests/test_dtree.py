@@ -17,12 +17,9 @@ from qlab.dtree import (
     Leaf,
     MemoryGuardError,
     Node,
-    UnsupportedHeight,
     delta0,
     dt_eval,
     exact_depth,
-    j_value,
-    k_value,
     load_tree,
     min_weighted_zero_error,
     save_tree,
@@ -33,7 +30,13 @@ from qlab.dtree import (
     tree_to_partition,
     tree_to_text,
 )
-from qlab.harddist import d, jk_cost_matrices, minority_leaf_law, minority_marginals_exact
+from qlab.harddist import (
+    d,
+    jk_cost_matrices,
+    jk_values,
+    minority_leaf_law,
+    minority_marginals_exact,
+)
 from qlab.subcube import computes, validate
 
 
@@ -336,11 +339,10 @@ def test_charge_decomposition_identity_per_tree():
 
 def test_j_and_k_values():
     cj, ck = jk_cost_matrices()
-    assert j_value(1, 1) == delta0(fmaj(), d().dense()) == Fraction(16, 5)
-    j10 = j_value(1, 0)
+    j10, k11, j11 = jk_values()
+    assert j11 == delta0(fmaj(), d().dense()) == Fraction(16, 5)
     assert j10 == brute_weighted(fmaj(), cj)
     assert j10 == Fraction(13, 6)
-    k11 = k_value(1, 1)
     assert k11 == brute_weighted(fmaj(), ck)
     # the cross-charge minimum sits strictly below 3: early-stopping
     # zero-error trees shed charge that full-read trees must pay
@@ -354,17 +356,6 @@ def test_j_and_k_values():
     full = full_tree(0, 0)
     assert tree_computes(full, fmaj())
     assert tree_cost(full, ck) == 3
-
-
-def test_j_k_unsupported_heights():
-    with pytest.raises(UnsupportedHeight):
-        j_value(2, 1)
-    with pytest.raises(UnsupportedHeight):
-        j_value(1, 2)
-    with pytest.raises(UnsupportedHeight):
-        k_value(1, 0)
-    with pytest.raises(UnsupportedHeight):
-        k_value(2, 1)
 
 
 def test_tree_text_round_trip(tmp_path):

@@ -234,17 +234,21 @@ def test_minority_level1_counts_pinned():
 
 
 def test_category_table_matches_thresholds():
-    # draw u in [0, 30) falls in the first category whose running mass
-    # in thirtieths exceeds it
-    cum = list(itertools.accumulate(harddist._SEED30))
+    # draw u in [0, 30) picks the first seed pattern whose running mass
+    # in thirtieths exceeds it; a node of value 1 picks its complement
+    cum = list(itertools.accumulate(int(m * 30) for m in SEED_MASSES.values()))
     assert cum[-1] == 30
+    assert harddist._DRAW30.shape == (2, 30) and harddist._DRAW30.dtype == np.uint8
     for u in range(30):
-        assert harddist._CAT30[u] == next(c for c, t in enumerate(cum) if u < t)
+        s = next(s for s, t in zip(SEED_MASSES, cum) if u < t)
+        assert harddist._DRAW30[0, u] == bits_to_index(s)
+        assert harddist._DRAW30[1, u] == bits_to_index(complement(s))
     for v in (0, 1):
-        for c, s in enumerate(SEED_MASSES):
+        for s in SEED_MASSES:
             pat = bits_to_index(s if v == 0 else complement(s))
-            assert harddist._PATS[v, c] == pat
-            assert Fraction(harddist._SEED30[c], 30) == SEED_MASSES[s]
+            assert Fraction(int(harddist._SEED_W[v, pat]), 30) == SEED_MASSES[s]
+            assert harddist._W30[pat] == harddist._SEED_W[v, pat]
+    assert harddist._SEED_W.sum() == 60
 
 
 def test_minority_unique_dissenter():
@@ -377,3 +381,5 @@ def test_dist_text_rejects_garbage():
         dist_from_text("1000 1/5\n")  # does not sum to 1
     with pytest.raises(ValueError):
         dist_from_text("1000 2/2/2\n")
+    with pytest.raises(ValueError, match="zero denominator on line '0000 1/0'"):
+        dist_from_text("0000 1/0\n")

@@ -1,0 +1,57 @@
+"""Module layering: every qlab module imports only modules below it."""
+
+import ast
+import pathlib
+
+import qlab
+
+# a module may import only modules of earlier layers; randalg and lpbound
+# share a layer, so neither imports the other
+LAYERS = [{"boolfn"}, {"subcube"}, {"dtree"}, {"harddist"}, {"randalg", "lpbound"}, {"cli"}]
+RANK = {name: rank for rank, layer in enumerate(LAYERS) for name in layer}
+SRC = pathlib.Path(qlab.__file__).parent
+
+
+def qlab_imports(source: str) -> set[str]:
+    """The qlab modules a module's source imports anywhere, imports
+    inside functions included."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "qlab" and len(parts) > 1:
+                    found.add(parts[1])
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                base = node.module or ""
+            elif (node.module or "").split(".")[0] == "qlab":
+                base = node.module.partition(".")[2]
+            else:
+                continue
+            if base:
+                found.add(base.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_import_finder_sees_every_form():
+    source = (
+        "import numpy\n"
+        "import qlab.boolfn\n"
+        "from qlab.subcube import validate\n"
+        "from qlab import dtree\n"
+        "from .randalg import d\n"
+        "def f():\n"
+        "    from . import harddist, lpbound\n"
+    )
+    assert qlab_imports(source) == {"boolfn", "subcube", "dtree", "randalg", "harddist", "lpbound"}
+
+
+def test_modules_import_only_earlier_layers():
+    modules = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+    assert modules == set(RANK)
+    for name in sorted(modules):
+        for dep in qlab_imports((SRC / f"{name}.py").read_text()):
+            assert RANK[dep] < RANK[name], f"{name} imports {dep}"
