@@ -7,15 +7,16 @@ through x must reach 1 - eps while all weights through x sum to exactly
 the public-coin variant collapses to the cheapest single labeled
 partition, which the exhaustive weight search already finds.
 
-The solver is a HiGHS solve with an exact primal and dual certificate
-(float solve, exact certify: Applegate, Cook, Dash and Espinoza, Oper.
-Res. Lett. 2007).  HiGHS's dual simplex ends at a vertex in floating
-point.  Gauss-Jordan elimination over Fraction then recomputes the
-primal vertex on the float solution's support and tight rows, and the
-dual on the dual's support and the columns of zero reduced cost.  The
-pair is re-checked exactly: primal feasibility, dual feasibility and
-equal objectives.  An optimum is reported only when that check passes;
-the dual is Jain and Klauck's lower-bound witness (CCC 2010).
+The solver solves in floating point and certifies exactly (Applegate,
+Cook, Dash and Espinoza, Oper. Res. Lett. 2007).  A dense two-phase
+tableau simplex in float64 pivots by Bland's rule, which terminates,
+and ends at a basis: one column of the equality form, slacks and
+artificials included, per row.  Gauss-Jordan elimination in integers
+then solves that basis for the primal vertex and the dual as exact
+rationals, and the pair is re-checked exactly: primal feasibility, dual
+feasibility and equal objectives.  An optimum is reported only when
+that check passes; the dual is Jain and Klauck's lower-bound witness
+(CCC 2010).
 """
 
 from __future__ import annotations
@@ -32,15 +33,16 @@ from .boolfn import TruthTable
 from .subcube import all_patterns
 
 MAX_LP_VARS_N = 4
-# a float entry this close to zero, relative to its scale, counts as zero
-# when reading supports and tight rows off the HiGHS solution; the exact
-# check decides whether the reading was right
-_ZERO_TOL = 1e-9
+# the float simplex reads an entry within _PIVOT_TOL of zero as zero, and
+# stops after _MAX_PIVOTS pivots (Bland's rule cycles only by rounding);
+# the exact solve of its final basis decides the answer
+_PIVOT_TOL = 1e-9
+_MAX_PIVOTS = 10_000
 
 
 class CertificateError(ArithmeticError):
-    """The float solve did not end optimal, or the exact re-solve of its
-    vertex is singular or fails the certificate check."""
+    """The float simplex hit its pivot cap, or the exact solve of its
+    final basis is singular or fails the certificate check."""
 
 
 @dataclass(frozen=True)
@@ -137,105 +139,141 @@ class LPSolution:
 # ---------------------------------------------------------------------------
 # float solve, exact certify
 
+def _standard_form(lp: RationalLP) -> tuple[np.ndarray, list[int], list[int]]:
+    """lp as [A | S | R] z == rhs: a slack column for each inequality (+1
+    on a <= row, -1 on a >= row), then an artificial column, signed like
+    the rhs, for each row whose slack cannot start feasible.  Returns the
+    object matrix, the sign of each rhs, and the starting basis: each
+    row's artificial, or else its slack."""
+    m, n = lp.num_constraints, lp.num_vars
+    signs = [-1 if b < 0 else 1 for b in lp.rhs]
+    slacks = [i for i in range(m) if lp.senses[i] != "=="]
+    arts = [i for i in range(m) if lp.senses[i] != ("<=" if signs[i] > 0 else ">=")]
+    a = np.zeros((m, n + len(slacks) + len(arts)), dtype=object)
+    a[:, :n] = np.array(lp.rows, dtype=object).reshape(m, n)
+    basis = [0] * m
+    for col, i in enumerate(slacks, n):
+        a[i, col], basis[i] = (1 if lp.senses[i] == "<=" else -1), col
+    for col, i in enumerate(arts, n + len(slacks)):
+        a[i, col], basis[i] = signs[i], col
+    return a, signs, basis
+
+
+def _bland_simplex(lp: RationalLP) -> tuple[str, list[int], int]:
+    """Two-phase dense tableau simplex in float64 on the standard form,
+    rows of negative rhs negated, by Bland's rule: the lowest column of
+    negative reduced cost enters, and ratio-test ties leave by the lowest
+    basic column.  Phase 1 minimizes the sum of the artificials, then
+    pivots out those it can; phase 2 bars them from entering.  Returns
+    the status, the final basis and the pivot count."""
+    a, signs, basis = _standard_form(lp)
+    m, ncols = a.shape
+    art_start = lp.num_vars + sum(s != "==" for s in lp.senses)
+    t = np.column_stack([a, lp.rhs]).astype(float) * np.array(signs)[:, None]
+    pivots = 0
+
+    def pivot(row: int, col: int) -> None:
+        nonlocal pivots
+        if pivots == _MAX_PIVOTS:
+            raise CertificateError(f"the float simplex hit its iteration limit of {_MAX_PIVOTS}")
+        pivots += 1
+        t[row] /= t[row, col]
+        t[:] -= np.outer(t[:, col] - (np.arange(m) == row), t[row])
+        basis[row] = col
+
+    def run(cost: np.ndarray, allowed: int) -> bool:
+        """Minimize cost over the columns below allowed; False if unbounded."""
+        obj = np.append(cost, 0.0) - cost[basis] @ t
+        while True:
+            entering = np.flatnonzero(obj[:allowed] < -_PIVOT_TOL)
+            if not entering.size:
+                return True
+            col = entering[0]
+            rows = np.flatnonzero(t[:, col] > _PIVOT_TOL)
+            if not rows.size:
+                return False
+            ratio = t[rows, -1] / t[rows, col]
+            row = min(rows[ratio <= ratio.min() + _PIVOT_TOL], key=basis.__getitem__)
+            pivot(row, col)
+            obj -= obj[col] * t[row]
+
+    if art_start < ncols:
+        run(np.r_[np.zeros(art_start), np.ones(ncols - art_start)], ncols)
+        if t[[r for r in range(m) if basis[r] >= art_start], -1].sum() > _PIVOT_TOL:
+            return "infeasible", basis, pivots
+        for r in range(m):
+            nonzero = np.flatnonzero(np.abs(t[r, :art_start]) > _PIVOT_TOL)
+            if basis[r] >= art_start and nonzero.size:
+                pivot(r, nonzero[0])
+    cost = np.r_[np.array(lp.objective, dtype=float), np.zeros(ncols - lp.num_vars)]
+    return ("optimal" if run(cost, art_start) else "unbounded"), basis, pivots
+
+
 def _solve_exactly(
-    rows: Sequence[Sequence[Fraction]],
-    rhs: Sequence[Fraction],
-    support: Sequence[int],
-    size: int,
+    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction], support: Sequence[int], size: int
 ) -> tuple[Fraction, ...]:
     """The z of length size, zero off support, with rows . z == rhs, by
-    Gauss-Jordan elimination over Fraction on the rows taken in order
-    until len(support) of them are independent; later rows are left to
-    the certificate check.  Raises CertificateError when the rows do not
+    Gauss-Jordan elimination on the rows taken in order until
+    len(support) of them are independent; later rows are left to the
+    certificate check.  Rows are scaled to integers and each combination
+    is divided by its gcd.  Raises CertificateError when the rows do not
     determine z."""
+
+    def combine(u: list[int], a: int, v: list[int], b: int) -> list[int]:
+        w = [a * s - b * t for s, t in zip(u, v)]
+        g = math.gcd(*w)
+        return [s // g for s in w] if g > 1 else w
+
     k = len(support)
-    basis: list[tuple[int, list[Fraction]]] = []  # (pivot column, row)
+    basis: list[tuple[int, list[int]]] = []  # (pivot column, row)
     for row, b in zip(rows, rhs):
         if len(basis) == k:
             break
-        r = [Fraction(row[j]) for j in support] + [Fraction(b)]
+        r = [row[j] for j in support] + [b]
+        den = math.lcm(*(u.denominator for u in r))
+        r = [u.numerator * (den // u.denominator) for u in r]
         for col, p in basis:
-            f = r[col]
-            if f:
-                r = [u - f * v if v else u for u, v in zip(r, p)]
+            if r[col]:
+                r = combine(r, p[col], p, r[col])
         col = next((j for j in range(k) if r[j]), None)
         if col is None:
             continue
-        r = [u / r[col] for u in r]
         for idx, (c, p) in enumerate(basis):
-            f = p[col]
-            if f:
-                basis[idx] = (c, [u - f * v if v else u for u, v in zip(p, r)])
+            if p[col]:
+                basis[idx] = (c, combine(p, r[col], r, p[col]))
         basis.append((col, r))
     if len(basis) < k:
         raise CertificateError(f"exact re-solve is singular: rank {len(basis)} < {k}")
     z = [Fraction(0)] * size
     for col, p in basis:
-        z[support[col]] = p[k]
+        z[support[col]] = Fraction(p[k], p[col])
     return tuple(z)
 
 
-def solve_exact(lp: RationalLP) -> LPSolution:
-    """Solve once with HiGHS's dual simplex, recover the exact vertex and
-    its dual, and re-check both.  Infeasible and unbounded programs are
-    reported as HiGHS classifies them; any other outcome raises
-    CertificateError, so an optimum is never reported uncertified.
-    ``pivots`` counts HiGHS's simplex iterations."""
-    # scipy.optimize takes about 0.4 s to import; only this solve needs it
-    from scipy.optimize import linprog
-
+def _certify(lp: RationalLP, basis: Sequence[int], pivots: int) -> LPSolution:
+    """The vertex and the dual of a standard-form basis, solving B x_B = b
+    and B^T y = c_B exactly; raises CertificateError unless the pair
+    passes the exact check, which it does iff the basis is optimal."""
+    a, _, _ = _standard_form(lp)
     m, n = lp.num_constraints, lp.num_vars
-    a = np.array(lp.rows, dtype=float).reshape(m, n)
-    b = np.array(lp.rhs, dtype=float)
-    c = np.array(lp.objective, dtype=float)
-    senses = np.array(lp.senses, dtype=object)
-    # linprog takes A_ub x <= b_ub and A_eq x == b_eq: >= rows are negated
-    sign = np.where(senses == ">=", -1.0, 1.0)
-    ub = senses != "=="
-    res = linprog(
-        c,
-        A_ub=(sign[:, None] * a)[ub],
-        b_ub=(sign * b)[ub],
-        A_eq=a[~ub],
-        b_eq=b[~ub],
-        bounds=(0, None),
-        method="highs-ds",
-    )
-    if res.status in (2, 3):
-        status = "infeasible" if res.status == 2 else "unbounded"
-        return LPSolution(status, None, None, None, res.nit)
-    if res.status != 0:
-        raise CertificateError(f"HiGHS did not reach an optimum: {res.message}")
-    y = np.zeros(m)
-    y[ub] = sign[ub] * res.ineqlin.marginals
-    y[~ub] = res.eqlin.marginals
-
-    def near_zero(v: float, scale: float) -> bool:
-        return abs(v) <= _ZERO_TOL * (1.0 + abs(scale))
-
-    # the vertex solves its tight rows on its support; the dual solves
-    # the zero-reduced-cost columns on its own support
-    residual = a @ res.x - b
-    tight = [i for i in range(m) if not ub[i] or near_zero(residual[i], b[i])]
-    x = _solve_exactly(
-        [lp.rows[i] for i in tight],
-        [lp.rhs[i] for i in tight],
-        [j for j in range(n) if not near_zero(res.x[j], 0.0)],
-        n,
-    )
-    reduced = c - a.T @ y
-    zero_cost = [j for j in range(n) if near_zero(reduced[j], c[j])]
-    dual = _solve_exactly(
-        [[row[j] for row in lp.rows] for j in zero_cost],
-        [lp.objective[j] for j in zero_cost],
-        [i for i in range(m) if not near_zero(y[i], 0.0)],
-        m,
-    )
-    solution = LPSolution("optimal", _dot(lp.objective, x), x, dual, res.nit)
+    x = _solve_exactly(a.tolist(), lp.rhs, basis, a.shape[1])[:n]
+    cost = list(lp.objective) + [0] * (a.shape[1] - n)
+    y = _solve_exactly(a[:, basis].T.tolist(), [cost[j] for j in basis], range(m), m)
+    solution = LPSolution("optimal", _dot(lp.objective, x), x, y, pivots)
     problem = solution.violation(lp)
     if problem is not None:
         raise CertificateError(f"exact certificate fails: {problem}")
     return solution
+
+
+def solve_exact(lp: RationalLP) -> LPSolution:
+    """Solve with the float simplex and certify its final basis exactly.
+    Infeasible and unbounded programs are reported as the simplex
+    classifies them; ``pivots`` counts its pivots over both phases."""
+    status, basis, pivots = _bland_simplex(lp)
+    if status != "optimal":
+        return LPSolution(status, None, None, None, pivots)
+    return _certify(lp, basis, pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -255,27 +293,18 @@ def build_prt_lp(f: TruthTable, eps: Fraction) -> RationalLP:
         for z in (0, 1):
             names.append(f"w[{pat.text},{z}]")
             objective.append(Fraction(1 << pat.fixed_count))
-    nvars = len(names)
     rows: list[tuple[Fraction, ...]] = []
-    senses: list[str] = []
-    rhs: list[Fraction] = []
     for idx in range(f.size):
-        good = [Fraction(0)] * nvars
-        total = [Fraction(0)] * nvars
-        fx = f.bit(idx)
+        good = [Fraction(0)] * len(names)
+        total = [Fraction(0)] * len(names)
         for k, pat in enumerate(patterns):
             if pat.contains(idx):
-                total[2 * k] = Fraction(1)
-                total[2 * k + 1] = Fraction(1)
-                good[2 * k + fx] = Fraction(1)
-        rows.append(tuple(good))
-        senses.append(">=")
-        rhs.append(1 - eps)
-        rows.append(tuple(total))
-        senses.append("==")
-        rhs.append(Fraction(1))
+                total[2 * k] = total[2 * k + 1] = good[2 * k + f.bit(idx)] = Fraction(1)
+        rows += [tuple(good), tuple(total)]
+    senses = (">=", "==") * f.size
+    rhs = (1 - eps, Fraction(1)) * f.size
     return RationalLP(
-        tuple(objective), tuple(rows), tuple(senses), tuple(rhs), tuple(names)
+        tuple(objective), tuple(rows), senses, rhs, tuple(names)
     )
 
 
@@ -298,7 +327,7 @@ def prt_report(f: TruthTable, eps: Fraction) -> PrtReport:
     sol = solve_exact(lp)
     if sol.status != "optimal":
         # every input has a unit-weight singleton, and costs are >= 0
-        raise CertificateError(f"HiGHS calls a feasible, bounded relaxation {sol.status}")
+        raise CertificateError(f"the simplex calls a feasible, bounded relaxation {sol.status}")
     assert sol.value is not None and sol.dual is not None
     return PrtReport(
         eps,

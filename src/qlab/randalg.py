@@ -145,6 +145,12 @@ def lv_worst_cost() -> tuple[Fraction, list[int]]:
 _CHILD_BITS = np.arange(16)[:, None] >> _SHIFTS & 1
 
 
+def _node_mean(pat: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """24 times the mean reads of nodes with children patterns pat, when
+    child j of each node has mean reads mean[:, j]: sum_j R_j m_j."""
+    return sum(_READS24[pat, j] * mean[:, j] for j in range(4))
+
+
 def _node_moments(
     pat: np.ndarray, mean: np.ndarray, second: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -155,7 +161,7 @@ def _node_moments(
     values, so with R and R_jl the rounds out of 24 reading j, and both j
     and l, the moments are sum_j R_j m_j and
     sum_j R_j s_j + 2 sum_{j < l} R_jl m_j m_l."""
-    node_mean = sum(_READS24[pat, j] * mean[:, j] for j in range(4))
+    node_mean = _node_mean(pat, mean)
     node_second = sum(_READS24[pat, j] * second[:, j] for j in range(4)) + 2 * sum(
         _PAIRS24[pat, i] * mean[:, j] * mean[:, l] for i, (j, l) in enumerate(_PAIRS)
     )
@@ -216,8 +222,7 @@ def recursive_exact_worst(h: int) -> tuple[Fraction, str]:
     # per value, a height-k input of that value attaining W(k, value)
     witness = (np.zeros(1, dtype=np.uint8), np.ones(1, dtype=np.uint8))
     for _ in range(h):
-        # only the means matter here, so the second moments are dummies
-        steps, _ = _node_moments(np.arange(16), worst[_CHILD_BITS], worst[_CHILD_BITS])
+        steps = _node_mean(np.arange(16), worst[_CHILD_BITS])
         best = [max(np.flatnonzero(_FM == v).tolist(), key=steps.__getitem__) for v in (0, 1)]
         worst = steps[best]
         witness = tuple(
@@ -225,7 +230,12 @@ def recursive_exact_worst(h: int) -> tuple[Fraction, str]:
         )
     v = int(worst[1] > worst[0])
     value = Fraction(int(worst[v]), 24**h)
-    if _exact_moments(h, witness[v])[0] != value:
+    # the replay carries means alone: times 24**k a height-k node's mean
+    # is an integer below 78**k, so int64 holds it up to height 10
+    mean = np.broadcast_to(np.int64(1), witness[v].shape)
+    for k, pat in enumerate(level_patterns(witness[v], h), 1):
+        mean = _node_mean(pat, (mean if k <= 10 else mean.astype(object)).reshape(-1, 4))
+    if Fraction(int(mean[0]), 24**h) != value:
         raise RuntimeError("the worst-case witness does not replay to its value")
     return value, (witness[v] + ord("0")).tobytes().decode()
 

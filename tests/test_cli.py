@@ -326,6 +326,27 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_bound_prt_loads_no_scipy(tmp_path):
+    # the LP is solved in-package, so `bound prt` pays no scipy import
+    table = tmp_path / "fmaj.tt"
+    save_table(fmaj(), table)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import sys, qlab.cli\n"
+        f"code = qlab.cli.main(['bound', 'prt', '--table', {str(table)!r}, '--eps', '1/3'])\n"
+        "print('scipy:', sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "sys.exit(code)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    got = lines(out)
+    assert got["value"] == got["dual-value"] == "14/1"
+    assert got["certificate"] == "pass"
+    assert got["scipy"] == "[]"
+
+
 def test_simulate_commands(capsys):
     code, out = run(
         capsys, "simulate", "r0", "--height", "1", "--trials", "50000", "--seed", "2"

@@ -1,9 +1,12 @@
 """The certified LP solve and the weighted-cover relaxation."""
 
+import collections
 import dataclasses
+import itertools
+import random
 from fractions import Fraction
-from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from qlab import lpbound
@@ -178,20 +181,24 @@ def test_verify_rejects_unequal_objectives():
     assert "objectives differ" in weak.violation(problem)
 
 
-def test_misread_float_solution_raises(monkeypatch):
-    # a tolerance that calls every float entry zero reads the wrong vertex
-    monkeypatch.setattr(lpbound, "_ZERO_TOL", 1e9)
-    with pytest.raises(CertificateError):
-        solve_exact(build_prt_lp(fmaj(), F(1, 3)))
+def test_misread_float_solution_raises():
+    # phase 1's final basis is the final basis of the same program with a
+    # zero objective: feasible, but not optimal for the real objective
+    problem = build_prt_lp(fmaj(), F(1, 3))
+    zero = dataclasses.replace(problem, objective=(F(0),) * problem.num_vars)
+    status, basis, _ = lpbound._bland_simplex(zero)
+    assert status == "optimal"
+    assert lpbound._certify(zero, basis, 0).value == 0
+    with pytest.raises(CertificateError, match="reduced cost"):
+        lpbound._certify(problem, basis, 0)
 
 
 def test_float_solve_that_is_not_optimal_raises(monkeypatch):
-    import scipy.optimize
-
-    stalled = SimpleNamespace(status=1, message="iteration limit reached", nit=7)
-    monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: stalled)
+    # the gadget at eps 1/3 takes 164 pivots; a float simplex stopped
+    # short of an optimum reports nothing
+    monkeypatch.setattr(lpbound, "_MAX_PIVOTS", 100)
     with pytest.raises(CertificateError, match="iteration limit"):
-        solve_exact(lp([1], [[1]], [">="], [3]))
+        solve_exact(build_prt_lp(fmaj(), F(1, 3)))
 
 
 def test_singular_re_solve_raises():
@@ -279,8 +286,8 @@ def test_relaxation_on_tiny_functions():
     assert rep.value == 4
 
 
-# values of the Fraction tableau simplex this solver replaced, on the
-# gadget and on a handful of random tables
+# values of an exact Fraction tableau simplex, on the gadget and on a
+# handful of random tables
 PINNED = [
     (fmaj(), F(1, 6), F(39)),
     (TruthTable.from_values(1, [1, 0]), F(1, 3), F(2)),
@@ -298,3 +305,59 @@ PINNED = [
 def test_relaxation_values_are_pinned(table, eps, value):
     rep = prt_report(table, eps)
     assert rep.value == rep.dual_value == value
+
+
+# HiGHS as a reference: the in-package simplex must agree with it on
+# status and value.  Presolve is off because on some small feasible,
+# unbounded programs HiGHS's presolve reports infeasible.
+HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+
+
+def assert_matches_highs(problem):
+    from scipy.optimize import LinearConstraint, milp
+
+    a = np.array(problem.rows, dtype=float).reshape(problem.num_constraints, problem.num_vars)
+    b = np.array(problem.rhs, dtype=float)
+    senses = np.array(problem.senses)
+    rows = LinearConstraint(
+        a, np.where(senses == "<=", -np.inf, b), np.where(senses == ">=", np.inf, b)
+    )
+    c = np.array(problem.objective, dtype=float)
+    res = milp(c, constraints=rows, options={"presolve": False})
+    sol = solve_exact(problem)
+    assert sol.status == HIGHS_STATUS[res.status]
+    if sol.status == "optimal":
+        assert float(sol.value) == pytest.approx(res.fun, rel=1e-9, abs=1e-9)
+    return sol.status
+
+
+@pytest.mark.parametrize("eps", [F(0), F(1, 3), F(1, 7)])
+def test_relaxation_matches_highs_on_every_small_function(eps):
+    for n in (1, 2, 3):
+        for values in itertools.product((0, 1), repeat=1 << n):
+            table = TruthTable.from_values(n, list(values))
+            assert assert_matches_highs(build_prt_lp(table, eps)) == "optimal"
+
+
+def test_relaxation_matches_highs_on_sampled_four_variable_functions():
+    rng = random.Random(14)
+    for _ in range(20):
+        table = TruthTable.from_values(4, [rng.randrange(2) for _ in range(16)])
+        assert assert_matches_highs(build_prt_lp(table, F(rng.randrange(50), 100))) == "optimal"
+
+
+def test_solver_matches_highs_on_random_programs():
+    # 1 to 5 rows and columns with small integer entries and mixed
+    # senses, among them degenerate vertices and redundant rows
+    rng = random.Random(2007)
+    seen = collections.Counter()
+    for _ in range(300):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        problem = lp(
+            [rng.randint(-1, 3) for _ in range(n)],
+            [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)],
+            [rng.choice(("<=", ">=", "==")) for _ in range(m)],
+            [rng.randint(-3, 3) for _ in range(m)],
+        )
+        seen[assert_matches_highs(problem)] += 1
+    assert min(seen[s] for s in HIGHS_STATUS.values()) >= 30

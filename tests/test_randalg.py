@@ -319,6 +319,16 @@ def test_recursive_exact_worst_witnesses_are_pinned():
         assert hashlib.sha256(arg.encode()).hexdigest() == digest, h
 
 
+def test_recursive_exact_worst_replay_mismatch_raises(monkeypatch):
+    # a replay that sees every node's children as 0000 reads less than W
+    patterns = randalg.level_patterns
+    monkeypatch.setattr(
+        randalg, "level_patterns", lambda bits, h: [0 * p for p in patterns(bits, h)]
+    )
+    with pytest.raises(RuntimeError, match="replay"):
+        recursive_exact_worst(2)
+
+
 def test_law_variances_are_pinned():
     for h, variance in LAW_VARIANCES.items():
         assert recursive_exact_moments(h) == (Fraction(97, 30) ** h, Fraction(variance)), h
