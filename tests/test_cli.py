@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from qlab import cli, harddist, lpbound, randalg, subcube
 from qlab.boolfn import IteratedMajority, fmaj, load_table, save_table
 from qlab.cli import main
-from qlab.harddist import d, load_dist
+from qlab.harddist import d, load_dist, save_dist
 from qlab.subcube import (
     LabeledPartition,
     canonical_fmaj_partition,
@@ -219,9 +219,10 @@ def test_bound_commands(tmp_path, capsys):
 # sha256 of each report's stdout without its elapsed-s line, and its exit
 # status, pinned so that no refactor of the evaluator, the bound, the
 # hard-law sampler or the J/K functionals changes a report silently
-# (measure jk exits 1 on the K(1,1) floor); the input is
-# recursive_exact_worst(3)'s witness, and FMAJ stands for the gadget's
-# table file
+# (measure jk and verify at height 1 exit 1 on the K(1,1) floor); the
+# input is recursive_exact_worst(3)'s witness, and FMAJ, CANON and D
+# stand for the files of the gadget's table, its canonical partition and
+# the hard law
 PINNED_REPORTS = [
     pytest.param(
         ("simulate", "r0", "--height", "1", "--trials", "100000", "--seed", "8", "--threads", "1"),
@@ -286,17 +287,72 @@ PINNED_REPORTS = [
         0,
         id="embed-l2",
     ),
+    pytest.param(
+        ("verify", "separation", "--height", "1"),
+        "001dcbb73c883449a63e224d3424314187321bc409e8fd8c1834368977ec2fe1",
+        1,
+        id="verify-h1",
+    ),
+    pytest.param(
+        ("bound", "prt", "--table", "FMAJ", "--eps", "0"),
+        "206760b70bcff2f7bdf258f07dc494056130cd415ec63aaaa66d44a57c772b75",
+        0,
+        id="prt-eps0",
+    ),
+    pytest.param(
+        ("bound", "prt", "--table", "FMAJ", "--eps", "1/3"),
+        "766dc9b5f8b62e7a42b88c671a3479bad15dcb07030e192590012cb861ead54b",
+        0,
+        id="prt-eps1-3",
+    ),
+    pytest.param(
+        ("partition", "check", "--part", "CANON", "--table", "FMAJ"),
+        "6e4cd2a1e5b28a7c3cf3efb35c73b8271a7e6089a2df3a35a4901ba57cf050cd",
+        0,
+        id="check-canonical",
+    ),
+    pytest.param(
+        ("partition", "search-cost", "--table", "FMAJ", "--budget", "2"),
+        "8ef418213389de6641508fc4226129cf08d0839ee022991ba55b61396b3b0fd3",
+        0,
+        id="search-cost-2",
+    ),
+    pytest.param(
+        ("measure", "delta0", "--table", "FMAJ", "--dist", "D"),
+        "025713cab60c2faf82e8b973b04d68b0d163c24c8a67258cdeb009b778fbb67a",
+        0,
+        id="delta0",
+    ),
+    pytest.param(
+        ("dist", "mass", "--height", "2", "--input", "0111100010001000"),
+        "710313a8b4d5f7e99a2d8ba5cfb2e554932ed08a38c89b85d1306492acce6fb1",
+        0,
+        id="mass-h2",
+    ),
+    pytest.param(
+        ("fn", "eval", "--table", "FMAJ", "--input", "0111"),
+        "513a9cccfec63d8439f6fa82787b0614aa3b7b90f3d20345f22930ea3785f91c",
+        0,
+        id="fn-eval",
+    ),
 ]
 
 
-@pytest.mark.parametrize("argv, digest, status", PINNED_REPORTS)
-def test_reports_are_byte_identical(tmp_path, capsys, argv, digest, status):
-    table = tmp_path / "fmaj.tt"
-    run(capsys, "fn", "emit", "--name", "fmaj", "--out", str(table))
-    code, out = run(capsys, *(str(table) if a == "FMAJ" else a for a in argv))
-    assert code == status
+def digest(out):
+    """sha256 of a report without its elapsed-s line."""
     kept = "".join(line for line in out.splitlines(True) if not line.startswith("elapsed-s: "))
-    assert hashlib.sha256(kept.encode()).hexdigest() == digest
+    return hashlib.sha256(kept.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv, pinned, status", PINNED_REPORTS)
+def test_reports_are_byte_identical(tmp_path, capsys, argv, pinned, status):
+    files = {"FMAJ": tmp_path / "fmaj.tt", "CANON": tmp_path / "c.part", "D": tmp_path / "d.dist"}
+    save_table(fmaj(), files["FMAJ"])
+    save_partition(canonical_fmaj_partition(), files["CANON"])
+    save_dist(d(), files["D"])
+    code, out = run(capsys, *(str(files.get(a, a)) for a in argv))
+    assert code == status
+    assert digest(out) == pinned
 
 
 def test_bound_prt_failed_certificate_exits_one(tmp_path, capsys, monkeypatch):
@@ -441,6 +497,7 @@ def test_verify_height_two_quick(capsys):
     failing = [k for k, v in got.items() if v == "FAIL"]
     assert failing == []
     assert code == 0
+    assert digest(out) == "625848a0d5b9f1797f6692bf66bd4071a62fd2ad7dc5e2d490ab22bbc533ef2a"
 
 
 def test_verify_height_two_judges_one_trial_by_the_exact_stderr(capsys):
