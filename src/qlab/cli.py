@@ -11,11 +11,13 @@ records its seed.  Output is byte-identical across runs with the same
 arguments except for the trailing elapsed-time line.
 
 Exit status: 0 on success, 1 when a requested check fails, 2 on usage
-or input errors.  Each handler ends with ``return rep.emit()``, which
-returns 1 exactly when a verdict printed FAIL.  `main` turns an
-InputError, a ValueError (the library's bad-argument error) or an
-OSError (a file that cannot be read or written) into an ``error:``
-line and status 2; argparse exits 2 on usage errors itself.
+or input errors.  `main` owns every report: it builds the command's
+Report once the arguments parse, hands it to the handler, which only
+adds lines and verdicts, and emits it; ``emit`` returns 1 exactly when a
+verdict printed FAIL.  `main` turns an InputError, a ValueError (the
+library's bad-argument error) or an OSError (a file that cannot be read
+or written) into an ``error:`` line and status 2; argparse exits 2 on
+usage errors itself.
 """
 
 from __future__ import annotations
@@ -34,25 +36,16 @@ from . import boolfn, dtree, harddist, lpbound, randalg, subcube
 
 # exact per-level floor on expected reads for any zero-error tree
 LEVEL_COST_FLOOR = Fraction(16, 5)
-# peak bytes of `dist sample` per sampled leaf: tracemalloc measures
-# 1.77-1.88 at heights 1 to 11, the sampler's last level holding its
-# int32 draws (one byte per leaf) beside its uint8 children
-SAMPLE_BYTES_PER_LEAF = 2
 
 
 class InputError(Exception):
     """Bad file contents or inconsistent arguments; exits with 2."""
 
 
-_DISPATCH_START: Optional[float] = None
-
-
 class Report:
     def __init__(self, topic: str):
         self._lines: list[tuple[str, str]] = [("report", topic)]
-        # command handlers may do their heavy work before building the
-        # report, so prefer the dispatch timestamp when one is set
-        self._start = _DISPATCH_START if _DISPATCH_START is not None else time.monotonic()
+        self._start = time.monotonic()
         self._failed = False
 
     def add(self, key: str, value) -> None:
@@ -75,38 +68,22 @@ class Report:
         return 1 if self._failed else 0
 
 
-def _default_seed(args: argparse.Namespace) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    return _env_at_least("QLAB_SEED", 0)
-
-
-def _default_threads(args: argparse.Namespace) -> int:
-    if getattr(args, "threads", None) is not None:
-        return args.threads
-    return _env_at_least("QLAB_THREADS", 1)
-
-
-def _env_at_least(name: str, low: int) -> int:
-    """An integer environment default, held to the same floor as its
-    flag; unset or empty means the floor itself."""
-    text = os.environ.get(name)
-    if not text:
-        return low
-    try:
-        return _at_least(low)(text)
-    except ValueError:
-        raise InputError(f"{name} must be an integer, got {text!r}") from None
-    except argparse.ArgumentTypeError as exc:
-        raise InputError(f"{name} {exc}") from None
-
-
 def _load(kind: str, load, path: str):
     """``load(path)``, naming the kind and path of a file that fails."""
     try:
         return load(path)
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot load {kind} {path}: {exc}") from exc
+
+
+def _fit_memory(trials: int, bytes_per_trial: int) -> None:
+    """Refuse, before any sampling, trials whose arrays would pass the
+    memory limit."""
+    if trials * bytes_per_trial > dtree.DEFAULT_MEMORY_LIMIT:
+        raise InputError(
+            f"{trials} trials of {bytes_per_trial} bytes each need more than "
+            f"the {dtree.DEFAULT_MEMORY_LIMIT}-byte memory limit"
+        )
 
 
 def _at_least(low: int):
@@ -149,42 +126,35 @@ _FIXTURE_TABLES = {
 # ---------------------------------------------------------------------------
 # fn
 
-def cmd_fn_emit(args: argparse.Namespace) -> int:
+def cmd_fn_emit(args: argparse.Namespace, rep: Report) -> None:
     if args.name not in _FIXTURE_TABLES:
         raise InputError(f"unknown table {args.name!r}")
     table = _FIXTURE_TABLES[args.name]()
     boolfn.save_table(table, args.out)
-    rep = Report("fn-emit")
     rep.add("name", args.name)
     rep.add("n", table.n)
     rep.add("out", args.out)
-    return rep.emit()
 
 
-def cmd_fn_eval(args: argparse.Namespace) -> int:
+def cmd_fn_eval(args: argparse.Namespace, rep: Report) -> None:
     table = _load("table", boolfn.load_table, args.table)
     value = table.eval(args.input)
-    rep = Report("fn-eval")
     rep.add("n", table.n)
     rep.add("input", args.input)
     rep.add("value", value)
-    return rep.emit()
 
 
-def cmd_fn_iter(args: argparse.Namespace) -> int:
+def cmd_fn_iter(args: argparse.Namespace, rep: Report) -> None:
     value = boolfn.iter_eval(args.height, args.input)
-    rep = Report("fn-iter")
     rep.add("height", args.height)
     rep.add("value", value)
-    return rep.emit()
 
 
 # ---------------------------------------------------------------------------
 # measure
 
-def cmd_measure_depth(args: argparse.Namespace) -> int:
+def cmd_measure_depth(args: argparse.Namespace, rep: Report) -> None:
     table = _load("table", boolfn.load_table, args.table)
-    rep = Report("measure-depth")
     rep.add("n", table.n)
     if args.tree_out:
         depth, tree = dtree.exact_depth(table, want_tree=True)
@@ -197,19 +167,16 @@ def cmd_measure_depth(args: argparse.Namespace) -> int:
         )
     else:
         rep.add("depth", dtree.exact_depth(table))
-    return rep.emit()
 
 
-def cmd_measure_delta0(args: argparse.Namespace) -> int:
+def cmd_measure_delta0(args: argparse.Namespace, rep: Report) -> None:
     table = _load("table", boolfn.load_table, args.table)
     dist = _load("distribution", harddist.load_dist, args.dist)
     if dist.n != table.n:
         raise InputError("table and distribution arity mismatch")
     value = dtree.delta0(table, dist.dense())
-    rep = Report("measure-delta0")
     rep.add("n", table.n)
     rep.add_rational("delta0", value)
-    return rep.emit()
 
 
 def _add_jk(rep: Report) -> tuple[Fraction, Fraction, Fraction]:
@@ -222,37 +189,32 @@ def _add_jk(rep: Report) -> tuple[Fraction, Fraction, Fraction]:
     return j10, k11, j11
 
 
-def cmd_measure_jk(args: argparse.Namespace) -> int:
-    rep = Report("measure-jk")
+def cmd_measure_jk(args: argparse.Namespace, rep: Report) -> None:
     j10, k11, j11 = _add_jk(rep)
     rep.add_verdict("j-1-0-at-least-1", j10 >= 1)
     rep.add_verdict("k-1-1-at-least-3", k11 >= 3)
     rep.add_verdict("j-recursion", j11 >= k11 + Fraction(1, 5) * j10)
     rep.add_verdict("cost-floor", j11 >= LEVEL_COST_FLOOR)
-    return rep.emit()
 
 
 # ---------------------------------------------------------------------------
 # partition
 
-def cmd_partition_emit(args: argparse.Namespace) -> int:
+def cmd_partition_emit(args: argparse.Namespace, rep: Report) -> None:
     if args.name != "canonical":
         raise InputError(f"unknown partition {args.name!r}")
     part = subcube.canonical_fmaj_partition()
     subcube.save_partition(part, args.out)
-    rep = Report("partition-emit")
     rep.add("name", args.name)
     rep.add("parts", len(part))
     rep.add("out", args.out)
-    return rep.emit()
 
 
-def cmd_partition_check(args: argparse.Namespace) -> int:
+def cmd_partition_check(args: argparse.Namespace, rep: Report) -> None:
     part = _load("partition", subcube.load_partition, args.part)
     table = _load("table", boolfn.load_table, args.table)
     if part.n != table.n:
         raise InputError("partition and table arity mismatch")
-    rep = Report("partition-check")
     rep.add("n", part.n)
     rep.add("parts", len(part))
     try:
@@ -260,49 +222,44 @@ def cmd_partition_check(args: argparse.Namespace) -> int:
     except ValueError as exc:  # not a partition
         rep.add_verdict("valid", False)
         rep.add("violation", str(exc))
-        return rep.emit()
+        return
     rep.add_verdict("valid", True)
     rep.add_verdict("computes", labels_ok)
     cost = subcube.partition_cost(part)
     rep.add("cost", cost.cost)
     rep.add("weight", cost.weight)
-    return rep.emit()
 
 
-def cmd_partition_compose(args: argparse.Namespace) -> int:
+def cmd_partition_compose(args: argparse.Namespace, rep: Report) -> None:
     outer = _load("partition", subcube.load_partition, args.outer)
     inner = _load("partition", subcube.load_partition, args.inner)
     composed = subcube.compose_partitions(outer, inner)
     valid = subcube.validate(composed).ok
     subcube.save_partition(composed, args.out)
     cost = subcube.partition_cost(composed)
-    rep = Report("partition-compose")
     rep.add("n", composed.n)
     rep.add("parts", len(composed))
     rep.add("cost", cost.cost)
     rep.add("weight", cost.weight)
     rep.add("out", args.out)
     rep.add_verdict("valid", valid)
-    return rep.emit()
 
 
-def cmd_partition_search_cost(args: argparse.Namespace) -> int:
+def cmd_partition_search_cost(args: argparse.Namespace, rep: Report) -> None:
     table = _load("table", boolfn.load_table, args.table)
     result = subcube.search_min_cost(table, args.budget)
-    rep = Report("partition-search-cost")
     rep.add("n", table.n)
     rep.add("budget", args.budget)
     rep.add("nodes", result.nodes)
     if result.partition is None:
         rep.add("outcome", "none (search exhausted)")
-        return rep.emit()
+        return
     rep.add("outcome", "found")
     rep.add("parts", len(result.partition))
     rep.add("cost", subcube.partition_cost(result.partition).cost)
     if args.out:
         subcube.save_partition(result.partition, args.out)
         rep.add("out", args.out)
-    return rep.emit()
 
 
 def _search_weight(args: argparse.Namespace, rep: Report) -> subcube.SearchResult:
@@ -317,14 +274,12 @@ def _search_weight(args: argparse.Namespace, rep: Report) -> subcube.SearchResul
     return result
 
 
-def cmd_partition_search_weight(args: argparse.Namespace) -> int:
-    rep = Report("partition-search-weight")
+def cmd_partition_search_weight(args: argparse.Namespace, rep: Report) -> None:
     result = _search_weight(args, rep)
     rep.add("parts", len(result.partition))
     if args.out:
         subcube.save_partition(result.partition, args.out)
         rep.add("out", args.out)
-    return rep.emit()
 
 
 # ---------------------------------------------------------------------------
@@ -337,53 +292,40 @@ _FIXTURE_DISTS = {
 }
 
 
-def cmd_dist_emit(args: argparse.Namespace) -> int:
+def cmd_dist_emit(args: argparse.Namespace, rep: Report) -> None:
     if args.name not in _FIXTURE_DISTS:
         raise InputError(f"unknown distribution {args.name!r}")
     dist = _FIXTURE_DISTS[args.name]()
     harddist.save_dist(dist, args.out)
-    rep = Report("dist-emit")
     rep.add("name", args.name)
     rep.add("support", len(dist.support()))
     rep.add("out", args.out)
-    return rep.emit()
 
 
-def cmd_dist_mass(args: argparse.Namespace) -> int:
+def cmd_dist_mass(args: argparse.Namespace, rep: Report) -> None:
     mass = harddist.dh_mass(args.height, args.input)
-    rep = Report("dist-mass")
     rep.add("height", args.height)
     rep.add_rational("mass", mass)
-    return rep.emit()
 
 
-def cmd_dist_total(args: argparse.Namespace) -> int:
+def cmd_dist_total(args: argparse.Namespace, rep: Report) -> None:
     if args.height > harddist.MAX_ENUM_HEIGHT:
         raise InputError(f"exact totals support h <= {harddist.MAX_ENUM_HEIGHT}")
-    rep = Report("dist-total")
     rep.add("height", args.height)
     points, total = harddist.dh_total(args.height)
     rep.add("support", points)
     rep.add_rational("total", total)
     rep.add_verdict("sums-to-1", total == 1)
-    return rep.emit()
 
 
-def cmd_dist_sample(args: argparse.Namespace) -> int:
+def cmd_dist_sample(args: argparse.Namespace, rep: Report) -> None:
     # capping the height keeps a huge one from costing a huge power;
     # height 16 is already over the limit for one trial
-    need = SAMPLE_BYTES_PER_LEAF * args.trials * 4 ** min(args.height, 16)
-    if need > dtree.DEFAULT_MEMORY_LIMIT:
-        raise InputError(
-            f"{args.trials} samples at height {args.height} need more than "
-            f"the {dtree.DEFAULT_MEMORY_LIMIT}-byte memory limit"
-        )
-    seed = _default_seed(args)
-    rng = np.random.default_rng(seed)
-    rep = Report("dist-sample")
+    _fit_memory(args.trials, harddist.SAMPLE_BYTES_PER_LEAF * 4 ** min(args.height, 16))
+    rng = np.random.default_rng(args.seed)
     rep.add("height", args.height)
     rep.add("trials", args.trials)
-    rep.add("seed", seed)
+    rep.add("seed", args.seed)
     if args.height == 1:
         pattern = boolfn.patterns(harddist.sample_inputs(1, args.trials, rng))
         # counted between sorted boundaries: bincount would copy to intp
@@ -397,20 +339,18 @@ def cmd_dist_sample(args: argparse.Namespace) -> int:
         rep.add("chi2-critical", repr(gof.critical))
         rep.add("off-support-hits", gof.impossible_hits)
         rep.add_verdict("chi2", gof.ok)
-        return rep.emit()
+        return
     xs = harddist.sample_inputs(args.height, args.trials, rng)
     rep.add("width", xs.shape[1])
     rep.add("mean-ones", repr(float(xs.mean())))
-    return rep.emit()
 
 
 # ---------------------------------------------------------------------------
 # bound
 
-def cmd_bound_prt(args: argparse.Namespace) -> int:
+def cmd_bound_prt(args: argparse.Namespace, rep: Report) -> None:
     table = _load("table", boolfn.load_table, args.table)
     eps = _parse_fraction(args.eps)
-    rep = Report("bound-prt")
     rep.add("n", table.n)
     rep.add_rational("eps", eps)
     try:
@@ -418,7 +358,7 @@ def cmd_bound_prt(args: argparse.Namespace) -> int:
     except lpbound.CertificateError as exc:
         rep.add("certificate-error", str(exc))
         rep.add_verdict("certificate", False)
-        return rep.emit()
+        return
     rep.add("lp-vars", report.num_vars)
     rep.add("lp-constraints", report.num_constraints)
     rep.add("pivots", report.pivots)
@@ -427,36 +367,41 @@ def cmd_bound_prt(args: argparse.Namespace) -> int:
     # prt_report returns only values whose certificate re-checked exactly
     rep.add_verdict("certificate", True)
     rep.add("half-log2", repr(report.half_log2))
-    return rep.emit()
 
 
-def cmd_bound_pprt0(args: argparse.Namespace) -> int:
-    rep = Report("bound-pprt0")
+def cmd_bound_pprt0(args: argparse.Namespace, rep: Report) -> None:
     _search_weight(args, rep)
-    return rep.emit()
 
 
 # ---------------------------------------------------------------------------
 # simulate
 
-def _four_sigma(p: float, trials: int) -> float:
-    return 4.0 * (p * (1.0 - p) / trials) ** 0.5
-
-
-def cmd_simulate_r0(args: argparse.Namespace) -> int:
-    seed = _default_seed(args)
-    threads = _default_threads(args)
-    rng = np.random.default_rng(seed)
-    mc = randalg.mc_mean_cost(args.height, args.trials, rng, x=args.input, threads=threads)
-    reference, variance = randalg.recursive_exact_moments(args.height, args.input)
-    # judged by the exact standard error: the sample's is 0 for one
-    # trial, or whenever every trial reads alike
+def _mc_reference(
+    args: argparse.Namespace, h: int, x: Optional[str] = None
+) -> tuple[randalg.McReport, Fraction, float, Optional[tuple[Fraction, Fraction, bool]]]:
+    """Monte Carlo mean reads at height h, on x or under the hard law,
+    beside the exact mean and the exact standard error of a mean of
+    --trials reads: the sample's is 0 for one trial, or whenever every
+    trial reads alike.  Under the hard law at h >= 1 the last value is
+    the band [(16/5)^h, worst-case mean] and whether the MC mean lies
+    within four exact standard errors of it; else it is None."""
+    rng = np.random.default_rng(args.seed)
+    mc = randalg.mc_mean_cost(h, args.trials, rng, x=x, threads=args.threads)
+    exact, variance = randalg.recursive_exact_moments(h, x)
     sigma = math.sqrt(variance / args.trials)
-    rep = Report("simulate-r0")
+    band = None
+    if h >= 1 and x is None:
+        low, high = LEVEL_COST_FLOOR**h, randalg.recursive_exact_worst(h)[0]
+        band = low, high, float(low) - 4.0 * sigma <= float(mc.mean) <= float(high) + 4.0 * sigma
+    return mc, exact, sigma, band
+
+
+def cmd_simulate_r0(args: argparse.Namespace, rep: Report) -> None:
+    mc, exact, sigma, band = _mc_reference(args, args.height, args.input)
     rep.add("height", args.height)
     rep.add("trials", args.trials)
-    rep.add("seed", seed)
-    rep.add("threads", threads)
+    rep.add("seed", args.seed)
+    rep.add("threads", args.threads)
     if args.input is not None:
         rep.add("input", args.input)
     rep.add_rational("mean", mc.mean)
@@ -464,47 +409,35 @@ def cmd_simulate_r0(args: argparse.Namespace) -> int:
     rep.add("exact-stderr", repr(sigma))
     rep.add("output-errors", mc.errors)
     rep.add_verdict("zero-error", mc.errors == 0)
-    rep.add_rational("exact-mean", reference)
-    rep.add_verdict("within-4-sigma", abs(float(mc.mean - reference)) <= 4.0 * sigma)
-    if args.height >= 1 and args.input is None:
-        low = LEVEL_COST_FLOOR**args.height
-        high, _ = randalg.recursive_exact_worst(args.height)
+    rep.add_rational("exact-mean", exact)
+    rep.add_verdict("within-4-sigma", abs(float(mc.mean - exact)) <= 4.0 * sigma)
+    if band is not None:
+        low, high, within = band
         rep.add_rational("band-low", low)
         rep.add_rational("band-high", high)
-        rep.add_verdict(
-            "within-band",
-            float(low) - 4.0 * sigma <= float(mc.mean) <= float(high) + 4.0 * sigma,
-        )
-    return rep.emit()
+        rep.add_verdict("within-band", within)
 
 
-def cmd_simulate_minority(args: argparse.Namespace) -> int:
-    seed = _default_seed(args)
-    rng = np.random.default_rng(seed)
-    rep = Report("simulate-minority")
+def cmd_simulate_minority(args: argparse.Namespace, rep: Report) -> None:
+    _fit_memory(args.trials, harddist.MINORITY_BYTES_PER_TRIAL)
     rep.add("trials", args.trials)
-    rep.add("seed", seed)
-    counts = harddist.minority_level1_counts(args.trials, rng)
+    rep.add("seed", args.seed)
+    counts = harddist.minority_level1_counts(args.trials, np.random.default_rng(args.seed))
     marg = harddist.minority_marginals_exact()
-    ok = True
     for i in range(4):
-        freq = int(counts[i]) / args.trials
         rep.add(f"count-{i}", int(counts[i]))
-        rep.add(f"freq-{i}", repr(freq))
+        rep.add(f"freq-{i}", repr(int(counts[i]) / args.trials))
         rep.add(f"exact-{i}", f"{marg[i].numerator}/{marg[i].denominator}")
-        ok &= abs(freq - float(marg[i])) <= _four_sigma(float(marg[i]), args.trials)
-    rep.add_verdict("within-4-sigma", ok)
-    return rep.emit()
+    rep.add_verdict("within-4-sigma", randalg.within_four_sigma(counts, marg, args.trials))
 
 
-def cmd_simulate_embed(args: argparse.Namespace) -> int:
-    seed = _default_seed(args)
-    rng = np.random.default_rng(seed)
+def cmd_simulate_embed(args: argparse.Namespace, rep: Report) -> None:
+    _fit_memory(args.trials, randalg.EMBED_BYTES_PER_TRIAL[args.level])
+    rng = np.random.default_rng(args.seed)
     report = randalg.embed_check(args.level, args.trials, rng, alpha=args.alpha)
-    rep = Report("simulate-embed")
     rep.add("level", args.level)
     rep.add("trials", args.trials)
-    rep.add("seed", seed)
+    rep.add("seed", args.seed)
     for i, c in enumerate(report.slot_counts):
         rep.add(f"slot-{i}", c)
     rep.add("chi2-stat", repr(report.chi2.stat))
@@ -514,18 +447,20 @@ def cmd_simulate_embed(args: argparse.Namespace) -> int:
     rep.add_verdict("children-law-chi2", report.chi2.ok)
     rep.add_verdict("always-majority", report.bad_majority == 0)
     rep.add_verdict("value-propagates", report.bad_value == 0)
-    return rep.emit()
+    if args.level == 2:
+        rep.add("sibling-misses", report.bad_sibling)
+        rep.add_verdict("sibling-blocks", report.bad_sibling == 0)
 
 
 # ---------------------------------------------------------------------------
 # verify
 
-def cmd_verify_separation(args: argparse.Namespace) -> int:
-    seed = _default_seed(args)
-    threads = _default_threads(args)
+def cmd_verify_separation(args: argparse.Namespace, rep: Report) -> None:
+    rep.add("seed", args.seed)
     if args.height == 1:
-        return _verify_height1(seed)
-    return _verify_height2(args, seed, threads)
+        _verify_height1(rep)
+    else:
+        _verify_height2(args, rep)
 
 
 def _partition_computes(part: subcube.LabeledPartition, table: boolfn.TruthTable) -> bool:
@@ -536,9 +471,7 @@ def _partition_computes(part: subcube.LabeledPartition, table: boolfn.TruthTable
         return False
 
 
-def _verify_height1(seed: int) -> int:
-    rep = Report("verify-separation-1")
-    rep.add("seed", seed)
+def _verify_height1(rep: Report) -> None:
     table = boolfn.fmaj()
     rep.add_verdict("depth-4", dtree.exact_depth(table) == 4)
 
@@ -590,12 +523,14 @@ def _verify_height1(seed: int) -> int:
             else:
                 table_expected[(i, j)] = Fraction(1, 4)
     rep.add_verdict("embedding-conditionals", cond == table_expected)
-    return rep.emit()
 
 
-def _verify_height2(args: argparse.Namespace, seed: int, threads: int) -> int:
-    rep = Report("verify-separation-2")
-    rep.add("seed", seed)
+def _verify_height2(args: argparse.Namespace, rep: Report) -> None:
+    # before the depth sweep and the Monte Carlo: the samplers run one
+    # after another, so the larger of their footprints is the peak
+    _fit_memory(
+        args.trials, max(harddist.MINORITY_BYTES_PER_TRIAL, randalg.EMBED_BYTES_PER_TRIAL[2])
+    )
     rep.add("trials", args.trials)
     table2 = boolfn.IteratedMajority(2).truth_table()
 
@@ -610,44 +545,29 @@ def _verify_height2(args: argparse.Namespace, seed: int, threads: int) -> int:
     )
     rep.add_verdict("depth-16", dtree.exact_depth(table2) == 16)
 
-    rng = np.random.default_rng(seed)
-    mc = randalg.mc_mean_cost(2, args.trials, rng, threads=threads)
-    reference, variance = randalg.recursive_exact_moments(2)
-    # judged by the exact standard error, as in simulate r0
-    sigma = math.sqrt(variance / args.trials)
+    mc, exact, sigma, (_, _, within) = _mc_reference(args, 2)
     rep.add_rational("mean", mc.mean)
     rep.add("stderr", repr(mc.stderr))
-    rep.add_rational("exact-mean", reference)
+    rep.add_rational("exact-mean", exact)
     rep.add("exact-stderr", repr(sigma))
-    low, high = LEVEL_COST_FLOOR**2, randalg.recursive_exact_worst(2)[0]
     rep.add_verdict("zero-error", mc.errors == 0)
-    rep.add_verdict(
-        "mean-band",
-        float(low) - 4.0 * sigma <= float(mc.mean) <= float(high) + 4.0 * sigma,
-    )
+    rep.add_verdict("mean-band", within)
 
-    counts = harddist.minority_level1_counts(args.trials, np.random.default_rng(seed + 1))
+    counts = harddist.minority_level1_counts(args.trials, np.random.default_rng(args.seed + 1))
     marg = harddist.minority_marginals_exact()
-    minority_ok = all(
-        abs(int(counts[i]) / args.trials - float(marg[i]))
-        <= _four_sigma(float(marg[i]), args.trials)
-        for i in range(4)
-    )
-    rep.add_verdict("minority-frequencies", minority_ok)
+    rep.add_verdict("minority-frequencies", randalg.within_four_sigma(counts, marg, args.trials))
 
     rep.add_verdict("mass-total", harddist.dh_total(2)[1] == 1)
 
-    embed = randalg.embed_check(2, args.trials, np.random.default_rng(seed + 2))
+    embed = randalg.embed_check(2, args.trials, np.random.default_rng(args.seed + 2))
     rep.add_verdict("embedding", embed.ok)
-    return rep.emit()
 
 
 # ---------------------------------------------------------------------------
 # fixtures
 
-def cmd_fixtures(args: argparse.Namespace) -> int:
+def cmd_fixtures(args: argparse.Namespace, rep: Report) -> None:
     os.makedirs(args.out_dir, exist_ok=True)
-    rep = Report("fixtures")
     boolfn.save_table(boolfn.fmaj(), os.path.join(args.out_dir, "fmaj.tt"))
     boolfn.save_table(
         boolfn.IteratedMajority(2).truth_table(),
@@ -660,7 +580,6 @@ def cmd_fixtures(args: argparse.Namespace) -> int:
     harddist.save_dist(harddist.d(), os.path.join(args.out_dir, "d.dist"))
     for name in ("fmaj.tt", "fmaj2.tt", "canonical.part", "d.dist"):
         rep.add("wrote", os.path.join(args.out_dir, name))
-    return rep.emit()
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = d_sub.add_parser("sample", help="sampler audit")
     p.add_argument("--height", type=_at_least(0), required=True)
     p.add_argument("--trials", type=_at_least(1), required=True)
-    p.add_argument("--seed", type=_at_least(0))
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--alpha", type=_probability, default=1e-3)
     p.set_defaults(func=cmd_dist_sample)
 
@@ -763,17 +682,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=_at_least(0), required=True)
     p.add_argument("--trials", type=_at_least(1), required=True)
     p.add_argument("--input")
-    p.add_argument("--seed", type=_at_least(0))
-    p.add_argument("--threads", type=_at_least(1))
+    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--threads", type=_at_least(1), default=1)
     p.set_defaults(func=cmd_simulate_r0)
     p = s_sub.add_parser("minority", help="minority path at height 2")
     p.add_argument("--trials", type=_at_least(1), required=True)
-    p.add_argument("--seed", type=_at_least(0))
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.set_defaults(func=cmd_simulate_minority)
     p = s_sub.add_parser("embed", help="embedding audit")
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=int, choices=(1, 2), required=True)
     p.add_argument("--trials", type=_at_least(1), required=True)
-    p.add_argument("--seed", type=_at_least(0))
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--alpha", type=_probability, default=1e-3)
     p.set_defaults(func=cmd_simulate_embed)
 
@@ -782,8 +701,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = v_sub.add_parser("separation", help="the full block-composition story")
     p.add_argument("--height", type=int, choices=(1, 2), required=True)
     p.add_argument("--trials", type=_at_least(1), default=1_000_000)
-    p.add_argument("--seed", type=_at_least(0))
-    p.add_argument("--threads", type=_at_least(1))
+    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--threads", type=_at_least(1), default=1)
     p.set_defaults(func=cmd_verify_separation)
 
     p_fix = sub.add_parser("fixtures", help="write the canonical files")
@@ -794,17 +713,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    global _DISPATCH_START
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _DISPATCH_START = time.monotonic()
+    args = build_parser().parse_args(argv)
+    topic = "-".join(filter(None, (args.command, getattr(args, "subcommand", None))))
+    if args.command == "verify":
+        topic += f"-{args.height}"
+    rep = Report(topic)
     try:
-        return args.func(args)
+        args.func(args, rep)
+        return rep.emit()
     except (InputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        _DISPATCH_START = None
 
 
 if __name__ == "__main__":

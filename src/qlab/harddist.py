@@ -183,6 +183,12 @@ def _dhb_support(h: int, b: int) -> Iterator[tuple[tuple[int, ...], int]]:
             yield sum((bits for bits, _ in combo), ()), base * math.prod(w for _, w in combo)
 
 
+# peak bytes of sample_inputs per sampled leaf: tracemalloc measures
+# 1.77-1.88 at heights 1 to 11, the last level holding its int32 draws
+# (one byte per leaf) beside its uint8 children
+SAMPLE_BYTES_PER_LEAF = 2
+
+
 def sample_inputs(h: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Vectorized draws: a (count, 4**h) uint8 array of inputs
     distributed as the height-h law.  Level by level, each node's
@@ -247,6 +253,11 @@ def minority_marginals_exact() -> tuple[Fraction, ...]:
         for j in slots:
             totals[j] += m / len(slots)
     return tuple(totals)
+
+
+# peak bytes of minority_level1_counts per trial: tracemalloc measures
+# about 26 from 2 * 10**5 trials up
+MINORITY_BYTES_PER_TRIAL = 32
 
 
 def minority_level1_counts(

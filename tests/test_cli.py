@@ -6,7 +6,6 @@ import io
 import os
 import subprocess
 import sys
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -283,7 +282,7 @@ PINNED_REPORTS = [
     ),
     pytest.param(
         ("simulate", "embed", "--level", "2", "--trials", "20000", "--seed", "9"),
-        "36d2b6d068e0bc4613811217832d2c58698ec694bc974d8338a476f393b61bc2",
+        "5637371e94d98d3352de85811efd07cf3f015779cce0c22c6274d1c726e3a0c3",
         0,
         id="embed-l2",
     ),
@@ -411,6 +410,7 @@ def test_simulate_commands(capsys):
     got = lines(out)
     assert got["zero-error"] == "pass"
     assert got["within-4-sigma"] == "pass"
+    assert got["threads"] == "1"  # the default
     code, out = run(capsys, "simulate", "minority", "--trials", "50000", "--seed", "2")
     assert code == 0
     assert lines(out)["within-4-sigma"] == "pass"
@@ -586,7 +586,7 @@ def test_exit_two_on_out_of_range_arguments(capsys, tmp_path, argv):
 def test_dist_sample_memory_guard_boundary(capsys, monkeypatch):
     # at height 10 the limit holds exactly limit / (bytes per leaf * 4**10)
     # trials; the stub keeps the accepted run from allocating anything
-    fits = cli.dtree.DEFAULT_MEMORY_LIMIT // (cli.SAMPLE_BYTES_PER_LEAF * 4**10)
+    fits = cli.dtree.DEFAULT_MEMORY_LIMIT // (harddist.SAMPLE_BYTES_PER_LEAF * 4**10)
     calls = []
 
     def stub(h, count, rng):
@@ -602,18 +602,64 @@ def test_dist_sample_memory_guard_boundary(capsys, monkeypatch):
     assert calls == [(10, fits)]
 
 
+class Reached(Exception):
+    """Raised by a stubbed sampler: the memory guard let the run through."""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "minority"],
+        ["simulate", "embed", "--level", "1"],
+        ["simulate", "embed", "--level", "2"],
+        ["verify", "separation", "--height", "2"],
+    ],
+    ids=["minority", "embed-l1", "embed-l2", "verify-h2"],
+)
+def test_trial_memory_guards(capsys, monkeypatch, argv):
+    # the guard runs before the depth sweep and every sampler, each of
+    # which the stub turns into a marker that the run got past it
+    def reached(*args, **kwargs):
+        raise Reached
+
+    for module, name in (
+        (cli.dtree, "exact_depth"),
+        (cli.randalg, "mc_mean_cost"),
+        (cli.harddist, "minority_level1_counts"),
+        (cli.randalg, "embed_check"),
+    ):
+        monkeypatch.setattr(module, name, reached)
+    assert exit_code(argv + ["--trials", str(10**12)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "memory limit" in err
+    # the benchmark's trial counts and verify's default pass
+    for trials in (10**6, 5 * 10**5, 2 * 10**5):
+        with pytest.raises(Reached):
+            main(argv + ["--trials", str(trials)])
+
+
 def test_sampler_peak_stays_within_the_guard():
     import tracemalloc
 
-    for h, trials in ((1, 200_000), (2, 50_000), (5, 800)):
-        harddist.sample_inputs(h, 10, np.random.default_rng(0))
+    cases = [
+        (lambda n, h=h: harddist.sample_inputs(h, n, np.random.default_rng(0)), trials,
+         harddist.SAMPLE_BYTES_PER_LEAF * 4**h)
+        for h, trials in ((1, 200_000), (2, 50_000), (5, 800))
+    ]
+    cases.append((lambda n: harddist.minority_level1_counts(n, np.random.default_rng(0)),
+                  200_000, harddist.MINORITY_BYTES_PER_TRIAL))
+    for level, per_trial in randalg.EMBED_BYTES_PER_TRIAL.items():
+        cases.append((lambda n, level=level: randalg.embed_check(level, n, np.random.default_rng(0)),
+                      200_000, per_trial))
+    for i, (sample, trials, per_trial) in enumerate(cases):
+        sample(10)
         tracemalloc.start()
         try:
-            harddist.sample_inputs(h, trials, np.random.default_rng(0))
+            sample(trials)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= cli.SAMPLE_BYTES_PER_LEAF * trials * 4**h, h
+        assert peak <= per_trial * trials, i
 
 
 def test_partition_compose_past_sixteen_variables_exits_two(tmp_path, capsys):
@@ -689,44 +735,20 @@ _CHEAP_ARGV = st.one_of(
 ).map(lambda groups: [word for group in groups for word in group])
 
 
-_ENV_NAMES = ("QLAB_SEED", "QLAB_THREADS")
-_ENV = st.fixed_dictionaries(
-    {},
-    optional={
-        name: st.one_of(
-            st.integers(-3, 3).map(str), st.sampled_from(["", "abc", "1.5", "2**3"])
-        )
-        for name in _ENV_NAMES
-    },
-)
-
-
 @settings(max_examples=60, deadline=None)
-@given(argv=_CHEAP_ARGV, env=_ENV)
-def test_exit_code_contract_on_generated_arguments(argv, env):
+@given(argv=_CHEAP_ARGV)
+def test_exit_code_contract_on_generated_arguments(argv):
     # an exception escaping main fails the test with its traceback;
     # capsys does not reset between generated examples, so stdout is
     # captured here
     out = io.StringIO()
-    with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out):
-        for name in set(_ENV_NAMES) - env.keys():
-            os.environ.pop(name, None)
+    with contextlib.redirect_stdout(out):
         code = exit_code(argv)
     assert code in (0, 1, 2)
     if code != 2:
         # exit 1 means exactly that a verdict failed
         failed = any(line.endswith(": FAIL") for line in out.getvalue().splitlines())
         assert (code == 1) == failed
-
-
-@pytest.mark.parametrize(
-    "name, value",
-    [("QLAB_THREADS", "abc"), ("QLAB_THREADS", "0"), ("QLAB_SEED", "x"), ("QLAB_SEED", "-1")],
-)
-def test_exit_two_on_bad_environment(capsys, monkeypatch, name, value):
-    monkeypatch.setenv(name, value)
-    assert exit_code(["simulate", "r0", "--height", "1", "--trials", "10"]) == 2
-    assert f"error: {name}" in capsys.readouterr().err
 
 
 def test_seeded_output_is_deterministic(capsys):
@@ -738,10 +760,3 @@ def test_seeded_output_is_deterministic(capsys):
         return [l for l in out.splitlines() if not l.startswith("elapsed-s:")]
 
     assert strip_elapsed(first) == strip_elapsed(second)
-
-
-def test_seed_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("QLAB_SEED", "31")
-    code, out = run(capsys, "simulate", "minority", "--trials", "2000")
-    assert code == 0
-    assert lines(out)["seed"] == "31"

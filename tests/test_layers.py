@@ -55,3 +55,56 @@ def test_modules_import_only_earlier_layers():
     for name in sorted(modules):
         for dep in qlab_imports((SRC / f"{name}.py").read_text()):
             assert RANK[dep] < RANK[name], f"{name} imports {dep}"
+
+
+def report_owners(source: str) -> set[str]:
+    """The top-level definitions of a module's source that construct a
+    Report or call ``.emit``."""
+    found = set()
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and (
+                (isinstance(node.func, ast.Name) and node.func.id == "Report")
+                or (isinstance(node.func, ast.Attribute) and node.func.attr == "emit")
+            ):
+                found.add(getattr(top, "name", "<module>"))
+    return found
+
+
+def reads_environment(source: str) -> bool:
+    """Whether a module's source touches ``os.environ`` or
+    ``os.getenv``, under any import form."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+            return True
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            if any(alias.name in ("environ", "getenv") for alias in node.names):
+                return True
+    return False
+
+
+def test_rule_finders_see_every_form():
+    source = (
+        "def main():\n"
+        "    return Report('x').emit()\n"
+        "def handler(rep):\n"
+        "    rep.emit()\n"
+        "class Helper:\n"
+        "    def make(self):\n"
+        "        return Report('y')\n"
+        "Report('z')\n"
+    )
+    assert report_owners(source) == {"main", "handler", "Helper", "<module>"}
+    assert reads_environment("import os\nos.environ.get('X')\n")
+    assert reads_environment("import os\ndef f():\n    return os.getenv('X')\n")
+    assert reads_environment("from os import environ\n")
+    assert not reads_environment("import os\nos.path.join('a', 'b')\n")
+
+
+def test_only_main_builds_and_emits_reports():
+    assert report_owners((SRC / "cli.py").read_text()) == {"main"}
+
+
+def test_no_module_reads_the_environment():
+    for path in sorted(SRC.glob("*.py")):
+        assert not reads_environment(path.read_text()), path.name

@@ -516,7 +516,7 @@ def test_embed_check_pinned():
         ):
             rep = embed_check(level, 10_000, np.random.default_rng(seed))
             assert (rep.slot_counts, rep.chi2.stat) == (slots, stat), (level, seed)
-            assert rep.bad_majority == rep.bad_value == 0
+            assert rep.bad_majority == rep.bad_value == rep.bad_sibling == 0
         rng = np.random.default_rng(11)
         embed_check(level, 500, rng)
         assert int(rng.integers(0, 2**62)) == after, level
@@ -543,4 +543,17 @@ def test_embed_check_passes_both_levels():
         assert rep.ok, rep
         assert rep.bad_majority == 0
         assert rep.bad_value == 0
+        assert rep.bad_sibling == 0
         assert rep.chi2.impossible_hits == 0
+
+
+def test_embed_check_counts_sibling_misses_apart(monkeypatch):
+    # with the draw table's value rows swapped every sibling block
+    # evaluates to the other value; the flipped-value check does not
+    # read the table, so only the sibling count moves
+    monkeypatch.setattr(randalg, "_DRAW30", randalg._DRAW30[::-1])
+    rep = embed_check(2, 1000, np.random.default_rng(19))
+    assert rep.bad_sibling == 3 * 1000
+    assert rep.bad_majority == rep.bad_value == 0
+    assert not rep.ok
+    assert embed_check(1, 1000, np.random.default_rng(19)).bad_sibling == 0
