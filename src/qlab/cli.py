@@ -116,25 +116,8 @@ def _parse_fraction(text: str) -> Fraction:
         raise InputError(f"not a rational: {text!r}") from exc
 
 
-_FIXTURE_TABLES = {
-    "identity": lambda: boolfn.IteratedMajority(0).truth_table(),
-    "fmaj": boolfn.fmaj,
-    "fmaj2": lambda: boolfn.IteratedMajority(2).truth_table(),
-}
-
-
 # ---------------------------------------------------------------------------
 # fn
-
-def cmd_fn_emit(args: argparse.Namespace, rep: Report) -> None:
-    if args.name not in _FIXTURE_TABLES:
-        raise InputError(f"unknown table {args.name!r}")
-    table = _FIXTURE_TABLES[args.name]()
-    boolfn.save_table(table, args.out)
-    rep.add("name", args.name)
-    rep.add("n", table.n)
-    rep.add("out", args.out)
-
 
 def cmd_fn_eval(args: argparse.Namespace, rep: Report) -> None:
     table = _load("table", boolfn.load_table, args.table)
@@ -199,16 +182,6 @@ def cmd_measure_jk(args: argparse.Namespace, rep: Report) -> None:
 
 # ---------------------------------------------------------------------------
 # partition
-
-def cmd_partition_emit(args: argparse.Namespace, rep: Report) -> None:
-    if args.name != "canonical":
-        raise InputError(f"unknown partition {args.name!r}")
-    part = subcube.canonical_fmaj_partition()
-    subcube.save_partition(part, args.out)
-    rep.add("name", args.name)
-    rep.add("parts", len(part))
-    rep.add("out", args.out)
-
 
 def cmd_partition_check(args: argparse.Namespace, rep: Report) -> None:
     part = _load("partition", subcube.load_partition, args.part)
@@ -285,23 +258,6 @@ def cmd_partition_search_weight(args: argparse.Namespace, rep: Report) -> None:
 # ---------------------------------------------------------------------------
 # dist
 
-_FIXTURE_DISTS = {
-    "d0": harddist.d0,
-    "d1": harddist.d1,
-    "d": harddist.d,
-}
-
-
-def cmd_dist_emit(args: argparse.Namespace, rep: Report) -> None:
-    if args.name not in _FIXTURE_DISTS:
-        raise InputError(f"unknown distribution {args.name!r}")
-    dist = _FIXTURE_DISTS[args.name]()
-    harddist.save_dist(dist, args.out)
-    rep.add("name", args.name)
-    rep.add("support", len(dist.support()))
-    rep.add("out", args.out)
-
-
 def cmd_dist_mass(args: argparse.Namespace, rep: Report) -> None:
     mass = harddist.dh_mass(args.height, args.input)
     rep.add("height", args.height)
@@ -319,30 +275,41 @@ def cmd_dist_total(args: argparse.Namespace, rep: Report) -> None:
 
 
 def cmd_dist_sample(args: argparse.Namespace, rep: Report) -> None:
-    # capping the height keeps a huge one from costing a huge power;
-    # height 16 is already over the limit for one trial
-    _fit_memory(args.trials, harddist.SAMPLE_BYTES_PER_LEAF * 4 ** min(args.height, 16))
+    # a height-0 run's int32 root draw fits height 1's bound; capping the
+    # height keeps a huge one from costing a huge power, and height 16 is
+    # already over the limit for one trial
+    _fit_memory(args.trials, harddist.SAMPLE_BYTES_PER_LEAF * 4 ** min(max(args.height, 1), 16))
     rng = np.random.default_rng(args.seed)
     rep.add("height", args.height)
     rep.add("trials", args.trials)
     rep.add("seed", args.seed)
-    if args.height == 1:
-        pattern = boolfn.patterns(harddist.sample_inputs(1, args.trials, rng))
-        # counted between sorted boundaries: bincount would copy to intp
-        pattern.sort()
-        counts = np.diff(np.searchsorted(pattern, np.arange(17, dtype=np.uint8)))
-        gof = randalg.chi_square_gof(
-            [int(c) for c in counts], harddist.d().dense(), alpha=args.alpha
-        )
-        rep.add("chi2-stat", repr(gof.stat))
-        rep.add("chi2-df", gof.df)
-        rep.add("chi2-critical", repr(gof.critical))
-        rep.add("off-support-hits", gof.impossible_hits)
-        rep.add_verdict("chi2", gof.ok)
-        return
     xs = harddist.sample_inputs(args.height, args.trials, rng)
-    rep.add("width", xs.shape[1])
-    rep.add("mean-ones", repr(float(xs.mean())))
+
+    def count(pat: np.ndarray) -> np.ndarray:
+        # between sorted boundaries: bincount would copy to intp
+        pat.sort()
+        return np.diff(np.searchsorted(pat, np.arange(17, dtype=np.uint8)))
+
+    # one chi-square pooled over the levels: the root's children patterns
+    # follow d(), and below the root a value-v node's follow the seed of
+    # value v, given that level's count of value-v nodes
+    if args.height == 0:  # the input is one fair coin
+        ones = int(np.count_nonzero(xs))
+        rows = [((args.trials - ones, ones), [Fraction(1, 2)] * 2)]
+    else:
+        *below, root = boolfn.level_patterns(xs.reshape(-1), args.height)
+        value = boolfn.fmaj().values()
+        rows = [(count(root), harddist.d().dense())] + [
+            (np.where(value == v, counts, 0), law().dense())
+            for counts in map(count, below)
+            for v, law in enumerate((harddist.d0, harddist.d1))
+        ]
+    gof = randalg.chi_square_gof(*zip(*rows), alpha=args.alpha)
+    rep.add("chi2-stat", repr(gof.stat))
+    rep.add("chi2-df", gof.df)
+    rep.add("chi2-critical", repr(gof.critical))
+    rep.add("off-support-hits", gof.impossible_hits)
+    rep.add_verdict("chi2", gof.ok)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +399,7 @@ def cmd_simulate_minority(args: argparse.Namespace, rep: Report) -> None:
 
 
 def cmd_simulate_embed(args: argparse.Namespace, rep: Report) -> None:
-    _fit_memory(args.trials, randalg.EMBED_BYTES_PER_TRIAL[args.level])
+    _fit_memory(args.trials, randalg.EMBED_BYTES_PER_TRIAL)
     rng = np.random.default_rng(args.seed)
     report = randalg.embed_check(args.level, args.trials, rng, alpha=args.alpha)
     rep.add("level", args.level)
@@ -456,10 +423,14 @@ def cmd_simulate_embed(args: argparse.Namespace, rep: Report) -> None:
 # verify
 
 def cmd_verify_separation(args: argparse.Namespace, rep: Report) -> None:
+    if args.height == 1 and (args.trials, args.threads) != (None, None):
+        raise InputError("--trials and --threads apply to --height 2 only")
     rep.add("seed", args.seed)
     if args.height == 1:
         _verify_height1(rep)
     else:
+        args.trials = args.trials or 1_000_000
+        args.threads = args.threads or 1
         _verify_height2(args, rep)
 
 
@@ -529,7 +500,7 @@ def _verify_height2(args: argparse.Namespace, rep: Report) -> None:
     # before the depth sweep and the Monte Carlo: the samplers run one
     # after another, so the larger of their footprints is the peak
     _fit_memory(
-        args.trials, max(harddist.MINORITY_BYTES_PER_TRIAL, randalg.EMBED_BYTES_PER_TRIAL[2])
+        args.trials, max(harddist.MINORITY_BYTES_PER_TRIAL, randalg.EMBED_BYTES_PER_TRIAL)
     )
     rep.add("trials", args.trials)
     table2 = boolfn.IteratedMajority(2).truth_table()
@@ -566,24 +537,54 @@ def _verify_height2(args: argparse.Namespace, rep: Report) -> None:
 # ---------------------------------------------------------------------------
 # fixtures
 
+# every named file qlab writes, by the command that emits it: the file
+# suffix, the writer, the report line that sizes it, and each name's maker
+_FIXTURES = {
+    "fn": (".tt", boolfn.save_table, ("n", lambda table: table.n), {
+        "identity": lambda: boolfn.IteratedMajority(0).truth_table(),
+        "fmaj": boolfn.fmaj,
+        "fmaj2": lambda: boolfn.IteratedMajority(2).truth_table(),
+    }),
+    "partition": (".part", subcube.save_partition, ("parts", len), {
+        "canonical": subcube.canonical_fmaj_partition,
+    }),
+    "dist": (".dist", harddist.save_dist, ("support", lambda dist: len(dist.support())), {
+        "d0": harddist.d0,
+        "d1": harddist.d1,
+        "d": harddist.d,
+    }),
+}
+# the files `fixtures` writes, in order
+_FIXTURE_FILES = (("fn", "fmaj"), ("fn", "fmaj2"), ("partition", "canonical"), ("dist", "d"))
+
+
+def cmd_emit(args: argparse.Namespace, rep: Report) -> None:
+    _, save, (key, size), makers = _FIXTURES[args.command]
+    made = makers[args.name]()
+    save(made, args.out)
+    rep.add("name", args.name)
+    rep.add(key, size(made))
+    rep.add("out", args.out)
+
+
 def cmd_fixtures(args: argparse.Namespace, rep: Report) -> None:
     os.makedirs(args.out_dir, exist_ok=True)
-    boolfn.save_table(boolfn.fmaj(), os.path.join(args.out_dir, "fmaj.tt"))
-    boolfn.save_table(
-        boolfn.IteratedMajority(2).truth_table(),
-        os.path.join(args.out_dir, "fmaj2.tt"),
-    )
-    subcube.save_partition(
-        subcube.canonical_fmaj_partition(),
-        os.path.join(args.out_dir, "canonical.part"),
-    )
-    harddist.save_dist(harddist.d(), os.path.join(args.out_dir, "d.dist"))
-    for name in ("fmaj.tt", "fmaj2.tt", "canonical.part", "d.dist"):
-        rep.add("wrote", os.path.join(args.out_dir, name))
+    for command, name in _FIXTURE_FILES:
+        suffix, save, _, makers = _FIXTURES[command]
+        path = os.path.join(args.out_dir, name + suffix)
+        save(makers[name](), path)
+        rep.add("wrote", path)
 
 
 # ---------------------------------------------------------------------------
 # parser
+
+def _add_emit(sub, command: str, summary: str) -> None:
+    p = sub.add_parser("emit", help=summary)
+    p.add_argument("--name", required=True, choices=sorted(_FIXTURES[command][3]))
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=cmd_emit)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -595,10 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fn = sub.add_parser("fn", help="truth tables")
     fn_sub = p_fn.add_subparsers(dest="subcommand", required=True)
-    p = fn_sub.add_parser("emit", help="write a named table")
-    p.add_argument("--name", required=True, choices=sorted(_FIXTURE_TABLES))
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fn_emit)
+    _add_emit(fn_sub, "fn", "write a named table")
     p = fn_sub.add_parser("eval", help="evaluate a table file")
     p.add_argument("--table", required=True)
     p.add_argument("--input", required=True)
@@ -623,10 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_part = sub.add_parser("partition", help="labeled subcube partitions")
     pa_sub = p_part.add_subparsers(dest="subcommand", required=True)
-    p = pa_sub.add_parser("emit", help="write a named partition")
-    p.add_argument("--name", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_partition_emit)
+    _add_emit(pa_sub, "partition", "write a named partition")
     p = pa_sub.add_parser("check", help="validate against a table")
     p.add_argument("--part", required=True)
     p.add_argument("--table", required=True)
@@ -648,10 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dist = sub.add_parser("dist", help="the hard input distribution")
     d_sub = p_dist.add_subparsers(dest="subcommand", required=True)
-    p = d_sub.add_parser("emit", help="write a named distribution")
-    p.add_argument("--name", required=True, choices=sorted(_FIXTURE_DISTS))
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_dist_emit)
+    _add_emit(d_sub, "dist", "write a named distribution")
     p = d_sub.add_parser("mass", help="exact mass of one input")
     p.add_argument("--height", type=_at_least(0), required=True)
     p.add_argument("--input", required=True)
@@ -700,9 +692,9 @@ def build_parser() -> argparse.ArgumentParser:
     v_sub = p_verify.add_subparsers(dest="subcommand", required=True)
     p = v_sub.add_parser("separation", help="the full block-composition story")
     p.add_argument("--height", type=int, choices=(1, 2), required=True)
-    p.add_argument("--trials", type=_at_least(1), default=1_000_000)
+    p.add_argument("--trials", type=_at_least(1), help="height 2 only; default 1000000")
     p.add_argument("--seed", type=_at_least(0), default=0)
-    p.add_argument("--threads", type=_at_least(1), default=1)
+    p.add_argument("--threads", type=_at_least(1), help="height 2 only; default 1")
     p.set_defaults(func=cmd_verify_separation)
 
     p_fix = sub.add_parser("fixtures", help="write the canonical files")

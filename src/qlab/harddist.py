@@ -184,8 +184,9 @@ def _dhb_support(h: int, b: int) -> Iterator[tuple[tuple[int, ...], int]]:
 
 
 # peak bytes of sample_inputs per sampled leaf: tracemalloc measures
-# 1.77-1.88 at heights 1 to 11, the last level holding its int32 draws
-# (one byte per leaf) beside its uint8 children
+# 1.6-1.74 at heights 1 to 11, the last level holding its int32 draws
+# (one byte per leaf) beside its uint8 children, and 1.67-1.92 for all of
+# `dist sample`; at height 0 the int32 root draw makes 5 per trial
 SAMPLE_BYTES_PER_LEAF = 2
 
 

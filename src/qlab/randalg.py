@@ -26,9 +26,10 @@ inputs) share one integer moment step over its read counts.  On a fixed
 input the evaluator and the recursion take the nodes' children
 patterns from ``boolfn.level_patterns``.
 
-The embedding audit samples placements of one instance inside a
-neighborhood through lookup tables too, in uint8, and its exact laws
-enumerate the same tables' 360 equally likely outcomes.
+The embedding of one instance inside a neighborhood is one table too:
+its 360 equally likely outcomes, each a placement slot and a children
+pattern.  The audit samples outcome indices, and its exact laws and
+structural checks run over every outcome.
 """
 
 from __future__ import annotations
@@ -373,29 +374,28 @@ class GofReport:
     ok: bool
 
 
-def chi_square_gof(
-    counts: Sequence[int], probs: Sequence[Fraction], alpha: float = 1e-3
-) -> GofReport:
-    """Pearson chi-square against exact cell probabilities.  Cells of
-    probability zero must stay empty and are excluded from the
-    statistic."""
-    counts = list(int(c) for c in counts)
-    probs = [Fraction(p) for p in probs]
-    if len(counts) != len(probs):
-        raise ValueError("counts and probs length mismatch")
-    if sum(probs) != 1:
-        raise ValueError("cell probabilities must sum to 1")
-    n = sum(counts)
-    impossible = sum(c for c, p in zip(counts, probs) if p == 0)
-    stat = 0.0
-    cells = 0
-    for c, p in zip(counts, probs):
-        if p == 0:
+def chi_square_gof(counts: Sequence, probs: Sequence, alpha: float = 1e-3) -> GofReport:
+    """Pearson chi-square against exact cell probabilities.  counts and
+    probs are one group of cells, or rows of several groups pooled into
+    one test: each row's probabilities sum to 1 and its expected counts
+    scale with its own total, and a row that counted nothing adds no
+    degrees of freedom.  Cells of probability zero must stay empty and
+    are excluded from the statistic."""
+    if np.ndim(counts) == 1:
+        counts, probs = [counts], [probs]
+    stat, df, impossible = 0.0, 0, 0
+    for row, row_probs in zip(counts, probs, strict=True):
+        cells = [(int(c), Fraction(p)) for c, p in zip(row, row_probs, strict=True)]
+        if sum(p for _, p in cells) != 1:
+            raise ValueError("cell probabilities must sum to 1")
+        n = sum(c for c, _ in cells)
+        if n == 0:
             continue
-        expected = float(p) * n
-        stat += (c - expected) ** 2 / expected
-        cells += 1
-    df = cells - 1
+        impossible += sum(c for c, p in cells if p == 0)
+        expected = [(c, float(p) * n) for c, p in cells if p != 0]
+        for c, e in expected:
+            stat += (c - e) ** 2 / e
+        df += len(expected) - 1
     # the upper-alpha chi-square quantile; scipy.special imports in a
     # fraction of scipy.stats's time, and only this check needs it
     from scipy.special import chdtri
@@ -418,58 +418,50 @@ def within_four_sigma(counts: Sequence[int], probs: Sequence[Fraction], trials: 
 
 _NONUNANIMOUS = ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1))
 _SLOT_PROBS = (Fraction(1, 5), Fraction(4, 15), Fraction(4, 15), Fraction(4, 15))
-# _EMBED_SLOT[r]: the embedded slot of a base-15 draw r
-_EMBED_SLOT = np.repeat(np.arange(4, dtype=np.uint8), (3, 4, 4, 4))
-# _EMBED_SIBS[slot, k, c]: the siblings' children pattern, the embedded
-# slot's bit clear.  At slot 0 the siblings are the k-th nonunanimous
-# triple; elsewhere the first child holds c and the other two 1 - c.
-_EMBED_SIBS = np.zeros((4, 6, 2), dtype=np.uint8)
-for _k, _sib in enumerate(_NONUNANIMOUS):
-    _EMBED_SIBS[0, _k, :] = bits_to_index((0, *_sib))
-for _slot in (1, 2, 3):
-    for _c in (0, 1):
-        _bits = [_c, 1 - _c, 1 - _c, 1 - _c]
-        _bits[_slot] = 0
-        _EMBED_SIBS[_slot, :, _c] = bits_to_index(_bits)
 
 
-def _embed_outcomes() -> list[tuple[int, int]]:
-    """The embedding's finite randomness as 360 equally likely outcomes
-    (embedded value, base-15 slot draw, sibling triple, sibling coin),
-    each as (slot, children pattern)."""
-    return [
-        (slot, int(_EMBED_SIBS[slot, k, c]) | w << (3 - slot))
+# the embedding's randomness as 360 equally likely outcomes: an embedded
+# value w, a base-15 placement draw (three place the instance at slot 0,
+# four each at slots 1 to 3), a sibling triple k and a sibling coin c.
+# Outcome i places the instance at slot _EMBED_SLOT[i] among children of
+# pattern _EMBED_PAT[i]; at slot 0 the siblings are the k-th nonunanimous
+# triple, elsewhere c, 1 - c, 1 - c.
+def _embed_pattern(w: int, slot: int, k: int, c: int) -> int:
+    bits = [0, *_NONUNANIMOUS[k]] if slot == 0 else [c, 1 - c, 1 - c, 1 - c]
+    bits[slot] = w
+    return bits_to_index(bits)
+
+
+_EMBED_SLOT, _EMBED_PAT = np.array(
+    [
+        (slot, _embed_pattern(w, slot, k, c))
         for w in (0, 1)
-        for slot in _EMBED_SLOT.tolist()
+        for slot in [0] * 3 + [1] * 4 + [2] * 4 + [3] * 4
         for k in range(6)
         for c in (0, 1)
-    ]
+    ],
+    dtype=np.uint8,
+).T
 
 
 def embedding_children_law_exact() -> dict[int, Fraction]:
     """Exact law of the four children values when the embedded value is
-    a fair coin, by enumerating the sampler's finite randomness."""
-    law: dict[int, Fraction] = {}
-    for _, pat in _embed_outcomes():
-        law[pat] = law.get(pat, Fraction(0)) + Fraction(1, 360)
-    return law
+    a fair coin: each outcome's pattern has mass 1/360."""
+    counts = np.bincount(_EMBED_PAT, minlength=16).tolist()
+    return {pat: Fraction(c, 360) for pat, c in enumerate(counts) if c}
 
 
 def minority_conditionals_exact() -> dict[tuple[int, int], Fraction]:
     """Exact probability that the minority path leaves through child j
-    given the embedded instance sits at child i, over the sampler's
-    randomness with a fair embedded value."""
-    joint: dict[tuple[int, int], Fraction] = {}
-    for slot, pat in _embed_outcomes():
+    given the embedded instance sits at child i, over the embedding's
+    outcomes."""
+    joint = {(i, j): Fraction(0) for i in range(4) for j in range(4)}
+    for slot, pat in zip(_EMBED_SLOT.tolist(), _EMBED_PAT.tolist()):
         dis = _DISSENT[pat]
         assert dis, "sampled children never agree unanimously"
         for j in dis:
-            joint[slot, j] = joint.get((slot, j), Fraction(0)) + Fraction(1, 360 * len(dis))
-    return {
-        (i, j): joint.get((i, j), Fraction(0)) / _SLOT_PROBS[i]
-        for i in range(4)
-        for j in range(4)
-    }
+            joint[slot, j] += Fraction(1, 360 * len(dis))
+    return {(i, j): mass / _SLOT_PROBS[i] for (i, j), mass in joint.items()}
 
 
 @dataclass(frozen=True)
@@ -484,69 +476,40 @@ class EmbedReport:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.slot_ok
-            and self.chi2.ok
-            and self.bad_majority == 0
-            and self.bad_value == 0
-            and self.bad_sibling == 0
-        )
+        bad = self.bad_majority + self.bad_value + self.bad_sibling
+        return self.slot_ok and self.chi2.ok and bad == 0
 
 
-# peak bytes of embed_check per trial, by level: tracemalloc measures
-# about 17 and 33 from 2 * 10**5 trials up
-EMBED_BYTES_PER_TRIAL = {1: 24, 2: 40}
+# peak bytes of embed_check per trial: its uint16 draws and their intp
+# copy in bincount; tracemalloc measures about 10 from 2 * 10**5 trials up
+EMBED_BYTES_PER_TRIAL = 12
 
 
 def embed_check(
     level: int, trials: int, rng: np.random.Generator, alpha: float = 1e-3
 ) -> EmbedReport:
-    """Monte Carlo audit of the embedding, which places a
-    height-(level-1) instance as one child of a level-``level`` node so
-    that its value always propagates to the node and a fair embedded
-    value makes the node's children follow the one-level hard law.
-    Checked: placement frequencies within
-    four sigma of (1/5, 4/15, 4/15, 4/15), children patterns passing a
-    chi-square against the one-level hard law, and structural checks
-    that must never fire: the embedded node dissenting from its parent,
-    a lifted input evaluating differently from the embedded block, and
-    at level 2 a sampled sibling block missing its assigned value."""
+    """Audit of the embedding, which places a height-(level-1) instance
+    as one child of a level-``level`` node so that its value always
+    propagates to the node and a fair embedded value makes the node's
+    children follow the one-level hard law.  Sampled: ``trials``
+    outcomes, whose slots must lie within four sigma of _SLOT_PROBS and
+    whose patterns must pass a chi-square against the hard law.  Judged
+    on every outcome: bad_majority counts those whose embedded child
+    dissents from its parent, bad_value those whose parent does not
+    follow a flip of the embedded value.  At level 2, where each sibling
+    block is drawn from the one-level law of its value, bad_sibling
+    counts the draw-table entries of the other value."""
     if level not in (1, 2):
         raise ValueError("embedding is implemented for levels 1 and 2")
-    slot = _EMBED_SLOT[rng.integers(0, 15, size=trials, dtype=np.int32)]
-    k6 = rng.integers(0, 6, size=trials, dtype=np.int32)
-    c2 = rng.integers(0, 2, size=trials, dtype=np.int32)
-    wval = rng.integers(0, 2, size=trials, dtype=np.int32).astype(np.uint8)
-    pattern = _EMBED_SIBS[slot, k6, c2] | wval << (3 - slot)
-    del k6, c2, wval
-    values = pattern[:, None] >> _SHIFTS
-    values &= 1
-    vroot = _FM[pattern]
+    embedded = (_EMBED_PAT >> (3 - _EMBED_SLOT)) & 1
+    bad_majority = int(np.count_nonzero(embedded != _FM[_EMBED_PAT]))
+    # with the embedded value flipped the parent must follow
+    bad_value = int(np.count_nonzero(embedded == _FM[_EMBED_PAT ^ (8 >> _EMBED_SLOT)]))
+    bad_sibling = int(np.count_nonzero(_FM[_DRAW30] != [[0], [1]])) if level == 2 else 0
 
-    # (a) the embedded node must never dissent from the parent value
-    wbit = np.take_along_axis(values, slot[:, None], axis=1)[:, 0]
-    bad_majority = int(np.count_nonzero(wbit != vroot))
-
-    # (b) with the embedded value flipped the parent must follow; both
-    # settings together cover every embedded input exhaustively
-    flipped = pattern ^ (8 >> slot)
-    bad_value = int(np.count_nonzero(wbit == _FM[flipped]))
-
-    # (c) at level 2 each sibling block, sampled from the one-level law
-    # of its assigned value, must evaluate to that value
-    bad_sibling = 0
-    if level == 2:
-        draws = rng.integers(0, 30, size=(trials, 4), dtype=np.int32)
-        miss = _FM[_DRAW30[values, draws]] != values
-        del draws
-        miss &= np.arange(4) != slot[:, None]
-        bad_sibling = int(np.count_nonzero(miss))
-
-    counts = tuple(int(c) for c in np.bincount(slot, minlength=4))
-    slot_ok = within_four_sigma(counts, _SLOT_PROBS, trials)
-
-    pat_counts = np.bincount(pattern, minlength=16)
-    gof = chi_square_gof(
-        [int(c) for c in pat_counts], d().dense(), alpha=alpha
-    )
-    return EmbedReport(trials, counts, slot_ok, gof, bad_majority, bad_value, bad_sibling)
+    hits = np.bincount(rng.integers(0, 360, size=trials, dtype=np.uint16), minlength=360)
+    slot_counts = tuple(int(c) for c in np.bincount(_EMBED_SLOT, weights=hits, minlength=4))
+    slot_ok = within_four_sigma(slot_counts, _SLOT_PROBS, trials)
+    pat_counts = np.bincount(_EMBED_PAT, weights=hits, minlength=16).astype(np.int64)
+    gof = chi_square_gof(pat_counts, d().dense(), alpha=alpha)
+    return EmbedReport(trials, slot_counts, slot_ok, gof, bad_majority, bad_value, bad_sibling)

@@ -161,6 +161,18 @@ def test_partition_check_validates_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 2
 
 
+def stub_depth_sweep(monkeypatch):
+    """Stand in for the 3**16-state depth sweep where a verify test does
+    not judge depth-16: the sweep must get the height-2 table, and its
+    depth is 16."""
+
+    def depth(table):
+        assert table == IteratedMajority(2).truth_table()
+        return 16
+
+    monkeypatch.setattr(cli.dtree, "exact_depth", depth)
+
+
 @pytest.mark.parametrize("height", [1, 2])
 def test_verify_separation_validates_once(capsys, monkeypatch, height):
     calls = []
@@ -171,10 +183,11 @@ def test_verify_separation_validates_once(capsys, monkeypatch, height):
         return real(part)
 
     monkeypatch.setattr(subcube, "validate", counting)
-    code, out = run(
-        capsys, "verify", "separation", "--height", str(height),
-        "--trials", "1000", "--seed", "4",
-    )
+    argv = ["verify", "separation", "--height", str(height), "--seed", "4"]
+    if height == 2:
+        stub_depth_sweep(monkeypatch)
+        argv += ["--trials", "1000"]
+    code, out = run(capsys, *argv)
     key = "canonical-partition" if height == 1 else "composed-partition"
     assert lines(out)[key] == "pass"
     assert len(calls) == 1
@@ -193,6 +206,26 @@ def test_dist_commands(capsys):
     )
     assert code == 0
     assert lines(out)["chi2"] == "pass"
+
+
+def test_dist_sample_judges_the_levels_below_the_root(capsys, monkeypatch):
+    # 1000 and 0100 both have value 0 and one 1, so rewriting every
+    # level-1 block 1000 as 0100 moves neither the mean of the bits nor
+    # the root's law: only the level-1 patterns show it
+    real = harddist.sample_inputs
+
+    def rewritten(h, count, rng):
+        xs = real(h, count, rng)
+        blocks = xs.reshape(-1, 4)
+        blocks[(blocks == (1, 0, 0, 0)).all(axis=1)] = (0, 1, 0, 0)
+        return xs
+
+    argv = ["dist", "sample", "--height", "2", "--trials", "2000", "--seed", "3"]
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setattr(cli.harddist, "sample_inputs", rewritten)
+    code, out = run(capsys, *argv)
+    assert lines(out)["chi2"] == "FAIL"
+    assert code == 1
 
 
 def test_bound_commands(tmp_path, capsys):
@@ -270,7 +303,7 @@ PINNED_REPORTS = [
     ),
     pytest.param(
         ("dist", "sample", "--height", "3", "--trials", "2000", "--seed", "6"),
-        "eb96bd67c0dcebfbe55ebbfb59f5b3f048df08fe6a8e4c996015867d8e32bc98",
+        "81817f2f311d5dbe93e558713d85e08f2eb90afbcdac43f3eb465c9ca2f0d7f6",
         0,
         id="sample-h3",
     ),
@@ -282,7 +315,7 @@ PINNED_REPORTS = [
     ),
     pytest.param(
         ("simulate", "embed", "--level", "2", "--trials", "20000", "--seed", "9"),
-        "5637371e94d98d3352de85811efd07cf3f015779cce0c22c6274d1c726e3a0c3",
+        "3eebe7d65a351ce08e8a522a7c30db9200375c54e0e14a070b23fa27f0dfd64e",
         0,
         id="embed-l2",
     ),
@@ -423,6 +456,21 @@ def test_simulate_commands(capsys):
     assert got["value-propagates"] == "pass"
 
 
+def test_simulate_embed_judges_every_outcome(capsys, monkeypatch):
+    # outcome 0 embeds a 0 as the first child; with siblings 111 the
+    # parent is 1, so the embedded child dissents in that outcome alone,
+    # and one trial, which misses it with probability 359/360, must fail
+    argv = ["simulate", "embed", "--level", "1", "--trials", "1", "--seed", "0"]
+    assert lines(run(capsys, *argv)[1])["always-majority"] == "pass"
+    assert randalg._EMBED_SLOT[0] == 0 and randalg._EMBED_PAT[0] >> 3 == 0
+    pat = randalg._EMBED_PAT.copy()
+    pat[0] = 0b0111
+    monkeypatch.setattr(randalg, "_EMBED_PAT", pat)
+    code, out = run(capsys, *argv)
+    assert lines(out)["always-majority"] == "FAIL"
+    assert code == 1
+
+
 def test_simulate_r0_exact_references_at_every_height(capsys):
     argv = ["simulate", "r0", "--height", "4", "--trials", "1500", "--seed", "11"]
     code, one = run(capsys, *argv, "--threads", "1")
@@ -487,6 +535,13 @@ def test_verify_height_one_fails_only_on_cross_charge(capsys):
     assert keys.index("cost-2-search-nodes") + 1 == keys.index("no-cost-2-partition")
 
 
+@pytest.mark.parametrize("flag", ["--trials", "--threads"])
+def test_verify_height_one_refuses_the_sampling_flags(capsys, flag):
+    # height 1 samples nothing, so a sampling flag there is a usage error
+    assert exit_code(["verify", "separation", "--height", "1", flag, "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_verify_height_two_quick(capsys):
     code, out = run(
         capsys, "verify", "separation", "--height", "2",
@@ -500,7 +555,8 @@ def test_verify_height_two_quick(capsys):
     assert digest(out) == "625848a0d5b9f1797f6692bf66bd4071a62fd2ad7dc5e2d490ab22bbc533ef2a"
 
 
-def test_verify_height_two_judges_one_trial_by_the_exact_stderr(capsys):
+def test_verify_height_two_judges_one_trial_by_the_exact_stderr(capsys, monkeypatch):
+    stub_depth_sweep(monkeypatch)
     _, variance = randalg.recursive_exact_moments(2)
     for seed in (1, 2, 3):
         code, out = run(
@@ -521,6 +577,7 @@ def test_verify_height_two_fails_an_overlapping_partition(capsys, monkeypatch):
         return LabeledPartition(part.n, part.entries[:-1] + part.entries[:1])
 
     monkeypatch.setattr(cli.subcube, "compose_partitions", overlapping)
+    stub_depth_sweep(monkeypatch)
     code, out = run(
         capsys, "verify", "separation", "--height", "2", "--trials", "1000", "--seed", "4"
     )
@@ -573,6 +630,7 @@ def exit_code(argv):
         ["dist", "sample", "--height", "1000000000", "--trials", "1"],
         # FMAJ names a valid table, so only the budget is out of range
         ["partition", "search-cost", "--table", "FMAJ", "--budget", "-3"],
+        ["partition", "emit", "--name", "bogus", "--out", "FMAJ"],
     ],
 )
 def test_exit_two_on_out_of_range_arguments(capsys, tmp_path, argv):
@@ -585,13 +643,14 @@ def test_exit_two_on_out_of_range_arguments(capsys, tmp_path, argv):
 
 def test_dist_sample_memory_guard_boundary(capsys, monkeypatch):
     # at height 10 the limit holds exactly limit / (bytes per leaf * 4**10)
-    # trials; the stub keeps the accepted run from allocating anything
+    # trials; the stub keeps the accepted run to one sampled input
     fits = cli.dtree.DEFAULT_MEMORY_LIMIT // (harddist.SAMPLE_BYTES_PER_LEAF * 4**10)
     calls = []
+    real = harddist.sample_inputs
 
     def stub(h, count, rng):
         calls.append((h, count))
-        return np.zeros((1, 4), dtype=np.uint8)
+        return real(h, 1, rng)
 
     monkeypatch.setattr(cli.harddist, "sample_inputs", stub)
     argv = ["dist", "sample", "--height", "10", "--seed", "1", "--trials"]
@@ -641,16 +700,18 @@ def test_trial_memory_guards(capsys, monkeypatch, argv):
 def test_sampler_peak_stays_within_the_guard():
     import tracemalloc
 
+    # dist sample as a whole: the sampler, the level counts and the
+    # chi-square
     cases = [
-        (lambda n, h=h: harddist.sample_inputs(h, n, np.random.default_rng(0)), trials,
-         harddist.SAMPLE_BYTES_PER_LEAF * 4**h)
-        for h, trials in ((1, 200_000), (2, 50_000), (5, 800))
+        (lambda n, h=h: main(["dist", "sample", "--height", str(h), "--trials", str(n)]),
+         trials, harddist.SAMPLE_BYTES_PER_LEAF * 4 ** max(h, 1))
+        for h, trials in ((0, 800_000), (1, 200_000), (2, 50_000), (5, 800))
     ]
     cases.append((lambda n: harddist.minority_level1_counts(n, np.random.default_rng(0)),
                   200_000, harddist.MINORITY_BYTES_PER_TRIAL))
-    for level, per_trial in randalg.EMBED_BYTES_PER_TRIAL.items():
+    for level in (1, 2):
         cases.append((lambda n, level=level: randalg.embed_check(level, n, np.random.default_rng(0)),
-                      200_000, per_trial))
+                      200_000, randalg.EMBED_BYTES_PER_TRIAL))
     for i, (sample, trials, per_trial) in enumerate(cases):
         sample(10)
         tracemalloc.start()
