@@ -35,6 +35,7 @@ structural checks run over every outcome.
 from __future__ import annotations
 
 import itertools
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -377,10 +378,11 @@ class GofReport:
 def chi_square_gof(counts: Sequence, probs: Sequence, alpha: float = 1e-3) -> GofReport:
     """Pearson chi-square against exact cell probabilities.  counts and
     probs are one group of cells, or rows of several groups pooled into
-    one test: each row's probabilities sum to 1 and its expected counts
-    scale with its own total, and a row that counted nothing adds no
-    degrees of freedom.  Cells of probability zero must stay empty and
-    are excluded from the statistic."""
+    one test, each row's probabilities summing to 1 and its expected
+    counts scaling with its own total.  Cells of probability zero must
+    stay empty and are left out.  Sparse cells pool by Cochran's rule
+    (1954), in ascending order of probability until each expects 5 or
+    more, a short rest joining the last: a row under 5 in all adds no df."""
     if np.ndim(counts) == 1:
         counts, probs = [counts], [probs]
     stat, df, impossible = 0.0, 0, 0
@@ -392,16 +394,49 @@ def chi_square_gof(counts: Sequence, probs: Sequence, alpha: float = 1e-3) -> Go
         if n == 0:
             continue
         impossible += sum(c for c, p in cells if p == 0)
-        expected = [(c, float(p) * n) for c, p in cells if p != 0]
-        for c, e in expected:
+        cells = [(c, p) for c, p in cells if p != 0]
+        if min(p for _, p in cells) * n < 5:
+            pooled = []
+            for c, p in sorted(cells, key=lambda cell: cell[1]):
+                if pooled and min(pooled[-1][1], 1 - sum(q for _, q in pooled)) * n < 5:
+                    c, p = c + pooled[-1][0], p + pooled.pop()[1]
+                pooled.append((c, p))
+            cells = pooled
+        for c, p in cells:
+            e = float(p) * n
             stat += (c - e) ** 2 / e
-        df += len(expected) - 1
-    # the upper-alpha chi-square quantile; scipy.special imports in a
-    # fraction of scipy.stats's time, and only this check needs it
-    from scipy.special import chdtri
-
-    critical = float(chdtri(df, alpha))
+        df += len(cells) - 1
+    critical = chi_square_critical(df, alpha)
     return GofReport(stat, df, critical, impossible, impossible == 0 and stat <= critical)
+
+
+def _chi_square_sf(x: float, df: int) -> float:
+    """P(X > x) for X chi-square on df degrees of freedom, in the closed
+    form of Abramowitz and Stegun 26.4.4-5: with y = x/2, the sum over
+    a = df/2 - 1, df/2 - 2, ... >= 0 of e**-y y**a / Gamma(a+1), plus
+    erfc(sqrt(y)) when df is odd.  With e**-y split in halves around the
+    sum, nothing under- or overflows for x up to 2830."""
+    y = x / 2
+    half = math.exp(-y / 2)
+    a = df % 2 / 2
+    term, total = half * y**a / math.gamma(a + 1), 0.0
+    while a < df / 2:
+        total += term
+        a += 1
+        term *= y / a
+    return total * half + (math.erfc(math.sqrt(y)) if df % 2 else 0.0)
+
+
+def chi_square_critical(df: int, alpha: float) -> float:
+    """The upper-alpha chi-square quantile on df degrees of freedom: the
+    least float c with _chi_square_sf(c, df) <= alpha (0 at df 0), bisected
+    to adjacent floats in [0, 2830], which holds every quantile to df 400."""
+    lo, hi = 0.0, 2830.0 if df else 0.0
+    if _chi_square_sf(hi, df) > alpha:
+        raise ValueError(f"chi-square quantile at df {df}, alpha {alpha} exceeds 2830")
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        lo, hi = (mid, hi) if _chi_square_sf(mid, df) > alpha else (lo, mid)
+    return hi
 
 
 def within_four_sigma(counts: Sequence[int], probs: Sequence[Fraction], trials: int) -> bool:

@@ -205,8 +205,12 @@ def compose_partitions(p: LabeledPartition, q: LabeledPartition) -> LabeledParti
     for f (outer, on n blocks) and g (inner, on m bits per block): each
     outer part fixing positions i_1 < ... < i_r expands into one
     composed part per choice, for each i_k, of an inner part labeled
-    with the bit the outer part fixes there; unfixed blocks stay free."""
+    with the bit the outer part fixes there; unfixed blocks stay free.
+    The composed arity is checked first, because the expansion can
+    outgrow memory long before validation would reject it."""
     n, m = p.n, q.n
+    if n * m > MAX_VARS:
+        raise ValueError(f"composed arity {n * m} exceeds {MAX_VARS}")
     by_label: dict[int, list[Pattern]] = {0: [], 1: []}
     for pat, z in q.entries:
         by_label[z].append(pat)

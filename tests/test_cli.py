@@ -208,6 +208,26 @@ def test_dist_commands(capsys):
     assert lines(out)["chi2"] == "pass"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dist", "sample", "--height", "1"],
+        ["dist", "sample", "--height", "2"],
+        ["simulate", "embed", "--level", "1"],
+        ["simulate", "embed", "--level", "2"],
+    ],
+    ids=["sample-h1", "sample-h2", "embed-l1", "embed-l2"],
+)
+def test_chi_square_audits_pass_a_single_trial(capsys, argv):
+    # one trial expects under 5 in every cell, so each counted row pools
+    # into one cell; unpooled, a root pattern of mass 1/60 alone added 59
+    # against a critical value of 34.5 on seeds 4, 10 and 31 (dist) and
+    # 9, 16 and 24 (embed)
+    for seed in range(40):
+        code, out = run(capsys, *argv, "--trials", "1", "--seed", str(seed))
+        assert code == 0, (seed, out)
+
+
 def test_dist_sample_judges_the_levels_below_the_root(capsys, monkeypatch):
     # 1000 and 0100 both have value 0 and one 1, so rewriting every
     # level-1 block 1000 as 0100 moves neither the mean of the bits nor
@@ -303,7 +323,7 @@ PINNED_REPORTS = [
     ),
     pytest.param(
         ("dist", "sample", "--height", "3", "--trials", "2000", "--seed", "6"),
-        "81817f2f311d5dbe93e558713d85e08f2eb90afbcdac43f3eb465c9ca2f0d7f6",
+        "d5d682c62bba309503e05551a566197059f8d783baad493b67b5f3b0021f9d1d",
         0,
         id="sample-h3",
     ),
@@ -402,20 +422,9 @@ def test_bound_prt_failed_certificate_exits_one(tmp_path, capsys, monkeypatch):
     assert "value" not in got and "dual-value" not in got
 
 
-def test_import_loads_no_scipy():
-    # every CLI process pays its imports; scipy loads only where a
-    # command needs it
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, qlab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == "[]"
-
-
-def test_bound_prt_loads_no_scipy(tmp_path):
-    # the LP is solved in-package, so `bound prt` pays no scipy import
+def test_commands_load_no_scipy(tmp_path):
+    # scipy is a test dependency only: importing the CLI and running the
+    # LP bound and both chi-square audits must load none of it
     table = tmp_path / "fmaj.tt"
     save_table(fmaj(), table)
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -423,6 +432,8 @@ def test_bound_prt_loads_no_scipy(tmp_path):
     probe = (
         "import sys, qlab.cli\n"
         f"code = qlab.cli.main(['bound', 'prt', '--table', {str(table)!r}, '--eps', '1/3'])\n"
+        "code |= qlab.cli.main(['dist', 'sample', '--height', '2', '--trials', '100'])\n"
+        "code |= qlab.cli.main(['simulate', 'embed', '--level', '2', '--trials', '100'])\n"
         "print('scipy:', sorted(m for m in sys.modules if m.startswith('scipy')))\n"
         "sys.exit(code)"
     )
@@ -724,14 +735,24 @@ def test_sampler_peak_stays_within_the_guard():
 
 
 def test_partition_compose_past_sixteen_variables_exits_two(tmp_path, capsys):
-    outer = tmp_path / "wide.part"
-    outer.write_text("*" * 17 + " 0\n")
-    inner = tmp_path / "id.part"
-    inner.write_text("0 0\n1 1\n")
-    argv = ["partition", "compose", "--outer", str(outer), "--inner", str(inner),
-            "--out", str(tmp_path / "out.part")]
-    assert exit_code(argv) == 2
-    assert "error:" in capsys.readouterr().err
+    wide = tmp_path / "wide.part"
+    wide.write_text("*" * 17 + " 0\n")
+    ident = tmp_path / "id.part"
+    ident.write_text("0 0\n1 1\n")
+    # the 512-part height-2 partition under the gadget's would expand to
+    # about 1.3e8 patterns on 64 variables, so the arity is refused first
+    canonical = canonical_fmaj_partition()
+    canon, height2 = tmp_path / "c.part", tmp_path / "h2.part"
+    save_partition(canonical, canon)
+    save_partition(compose_partitions(canonical, canonical), height2)
+    out = tmp_path / "out.part"
+    for outer, inner in ((wide, ident), (height2, canon)):
+        argv = ["partition", "compose", "--outer", str(outer), "--inner", str(inner),
+                "--out", str(out)]
+        assert exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

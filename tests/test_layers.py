@@ -1,7 +1,9 @@
-"""Module layering: every qlab module imports only modules below it."""
+"""Module layering: every qlab module imports only modules below it,
+and outside qlab only the standard library and numpy."""
 
 import ast
 import pathlib
+import sys
 
 import qlab
 
@@ -10,30 +12,32 @@ import qlab
 LAYERS = [{"boolfn"}, {"subcube"}, {"dtree"}, {"harddist"}, {"randalg", "lpbound"}, {"cli"}]
 RANK = {name: rank for rank, layer in enumerate(LAYERS) for name in layer}
 SRC = pathlib.Path(qlab.__file__).parent
+# numpy is the one runtime dependency; scipy serves the tests alone
+RUNTIME_PACKAGES = set(sys.stdlib_module_names) | {"numpy", "qlab"}
 
 
-def qlab_imports(source: str) -> set[str]:
-    """The qlab modules a module's source imports anywhere, imports
-    inside functions included."""
+def imported_modules(source: str) -> set[str]:
+    """The dotted modules a module's source imports anywhere, imports
+    inside functions included; a relative import names a qlab module,
+    and ``from qlab import x`` names ``qlab.x``."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            for alias in node.names:
-                parts = alias.name.split(".")
-                if parts[0] == "qlab" and len(parts) > 1:
-                    found.add(parts[1])
+            found.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
             if node.level:
-                base = node.module or ""
-            elif (node.module or "").split(".")[0] == "qlab":
-                base = node.module.partition(".")[2]
+                base = f"qlab.{base}".rstrip(".")
+            if base == "qlab":
+                found.update(f"qlab.{alias.name}" for alias in node.names)
             else:
-                continue
-            if base:
-                found.add(base.split(".")[0])
-            else:
-                found.update(alias.name for alias in node.names)
+                found.add(base)
     return found
+
+
+def qlab_imports(source: str) -> set[str]:
+    """The qlab modules a module's source imports anywhere."""
+    return {name.split(".")[1] for name in imported_modules(source) if name.startswith("qlab.")}
 
 
 def test_import_finder_sees_every_form():
@@ -45,8 +49,11 @@ def test_import_finder_sees_every_form():
         "from .randalg import d\n"
         "def f():\n"
         "    from . import harddist, lpbound\n"
+        "    from scipy.special import chdtri\n"
     )
     assert qlab_imports(source) == {"boolfn", "subcube", "dtree", "randalg", "harddist", "lpbound"}
+    packages = {name.split(".")[0] for name in imported_modules(source)}
+    assert packages - RUNTIME_PACKAGES == {"scipy"}
 
 
 def test_modules_import_only_earlier_layers():
@@ -55,6 +62,12 @@ def test_modules_import_only_earlier_layers():
     for name in sorted(modules):
         for dep in qlab_imports((SRC / f"{name}.py").read_text()):
             assert RANK[dep] < RANK[name], f"{name} imports {dep}"
+
+
+def test_modules_import_only_the_standard_library_and_numpy():
+    for path in sorted(SRC.glob("*.py")):
+        packages = {name.split(".")[0] for name in imported_modules(path.read_text())}
+        assert packages <= RUNTIME_PACKAGES, (path.name, packages - RUNTIME_PACKAGES)
 
 
 def report_owners(source: str) -> set[str]:

@@ -21,6 +21,7 @@ from qlab.boolfn import bits_to_index, fmaj, index_to_bits, iter_eval, parse_bit
 from qlab.harddist import d, dh_support
 from qlab.randalg import (
     MAX_MC_HEIGHT,
+    chi_square_critical,
     chi_square_gof,
     embed_check,
     embedding_children_law_exact,
@@ -447,16 +448,42 @@ def test_chi_square_gof_accepts_true_law():
 @pytest.mark.parametrize(
     "df, alpha",
     # df 13 is the hard law's support less one, at the default alpha and
-    # at the one simulate embed uses in the benchmark
-    [(13, 1e-3), (13, 1e-6), (15, 1e-3), (15, 1e-6), (3, 1e-3), (255, 1e-6), (1, 0.5)],
+    # at the one simulate embed uses in the benchmark; df 37 is dist
+    # sample's at height 3, and 349 the largest it can reach
+    [
+        (13, 1e-3), (13, 1e-6), (15, 1e-3), (15, 1e-6), (3, 1e-3), (255, 1e-6), (1, 0.5),
+        (37, 1e-3), (349, 1e-6),
+    ],
 )
 def test_chi_square_critical_value_matches_scipy_stats(df, alpha):
     from scipy.stats import chi2
 
+    c = chi_square_critical(df, alpha)
+    # scipy rounds its own last digits, so agreement is to a tolerance
+    assert c == pytest.approx(float(chi2.isf(alpha, df)), rel=1e-13, abs=0)
+    # the bisection closed: c is the least float whose tail is <= alpha
+    assert randalg._chi_square_sf(c, df) <= alpha < randalg._chi_square_sf(np.nextafter(c, 0), df)
     cells = df + 1
-    rep = chi_square_gof([1] * cells, [Fraction(1, cells)] * cells, alpha=alpha)
-    assert rep.df == df
-    assert rep.critical == float(chi2.isf(alpha, df))
+    rep = chi_square_gof([9] * cells, [Fraction(1, cells)] * cells, alpha=alpha)
+    assert (rep.df, rep.critical) == (df, c)
+
+
+def test_chi_square_critical_refuses_quantiles_past_its_range():
+    # the quantile at df 3000 is about 3245, past where exp(-x/4) underflows
+    assert chi_square_critical(400, 1e-300) == pytest.approx(2504.90769273233, rel=1e-13)
+    with pytest.raises(ValueError, match="exceeds 2830"):
+        chi_square_critical(3000, 1e-3)
+
+
+def test_chi_square_gof_pools_sparse_cells():
+    # five cells expecting 4 each pool in ascending order into 8 and 8,
+    # and the last 4 joins the second: (1+2, 8) and (3+4+10, 12)
+    rep = chi_square_gof([1, 2, 3, 4, 10], [Fraction(1, 5)] * 5)
+    assert rep.df == 1
+    assert rep.stat == pytest.approx(25 / 8 + 25 / 12)
+    # a row expecting under 5 in all is one cell, with no freedom left
+    rep = chi_square_gof([1, 2, 1, 0, 0], [Fraction(1, 5)] * 5)
+    assert (rep.df, rep.stat, rep.critical, rep.ok) == (0, 0.0, 0.0, True)
 
 
 def test_chi_square_gof_rejects_wrong_law():
