@@ -422,25 +422,39 @@ def test_bound_prt_failed_certificate_exits_one(tmp_path, capsys, monkeypatch):
     assert "value" not in got and "dual-value" not in got
 
 
-def test_commands_load_no_scipy(tmp_path):
-    # scipy is a test dependency only: importing the CLI and running the
-    # LP bound and both chi-square audits must load none of it
-    table = tmp_path / "fmaj.tt"
-    save_table(fmaj(), table)
+def probe_scipy(*argvs):
+    # runs each argv through qlab.cli.main in a fresh interpreter, then
+    # lists the scipy modules that process loaded
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = (
         "import sys, qlab.cli\n"
-        f"code = qlab.cli.main(['bound', 'prt', '--table', {str(table)!r}, '--eps', '1/3'])\n"
-        "code |= qlab.cli.main(['dist', 'sample', '--height', '2', '--trials', '100'])\n"
-        "code |= qlab.cli.main(['simulate', 'embed', '--level', '2', '--trials', '100'])\n"
-        "print('scipy:', sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "code = 0\n"
+        + "".join(f"code |= qlab.cli.main({list(argv)!r})\n" for argv in argvs)
+        + "print('scipy:', sorted(m for m in sys.modules if m.startswith('scipy')))\n"
         "sys.exit(code)"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
-    got = lines(out)
+    return lines(out)
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only: importing the CLI and running both
+    # chi-square audits must load none of it
+    got = probe_scipy(
+        ["dist", "sample", "--height", "2", "--trials", "100"],
+        ["simulate", "embed", "--level", "2", "--trials", "100"],
+    )
+    assert got["scipy"] == "[]"
+
+
+def test_bound_prt_loads_no_scipy(tmp_path):
+    # the LP is solved in-package, so `bound prt` pays no scipy import
+    table = tmp_path / "fmaj.tt"
+    save_table(fmaj(), table)
+    got = probe_scipy(["bound", "prt", "--table", str(table), "--eps", "1/3"])
     assert got["value"] == got["dual-value"] == "14/1"
     assert got["certificate"] == "pass"
     assert got["scipy"] == "[]"
