@@ -146,7 +146,8 @@ def cmd_measure_depth(args: argparse.Namespace, rep: Report) -> None:
         rep.add("tree-out", args.tree_out)
         rep.add_verdict(
             "witness-replay",
-            dtree.tree_computes(tree, table) and dtree.tree_depth(tree) == depth,
+            _partition_computes(dtree.tree_to_partition(tree, table.n), table)
+            and dtree.tree_depth(tree) == depth,
         )
     else:
         rep.add("depth", dtree.exact_depth(table))

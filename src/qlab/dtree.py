@@ -74,16 +74,12 @@ def tree_depth(tree: DecisionTree) -> int:
     return 1 + max(tree_depth(tree.low), tree_depth(tree.high))
 
 
-def tree_computes(tree: DecisionTree, f: TruthTable) -> bool:
-    return all(
-        dt_eval(tree, index_to_bits(idx, f.n))[0] == f.bit(idx)
-        for idx in range(f.size)
-    )
-
-
 def tree_to_partition(tree: DecisionTree, n: int) -> LabeledPartition:
-    """Leaves of the tree as a labeled partition; each part fixes the
-    variables queried on the way down."""
+    """The tree's reachable leaves as a labeled partition of {0,1}^n;
+    each part fixes the variables queried on the way down.  A query of a
+    variable already fixed on the path follows the fixed branch, so the
+    partition computes f exactly when the tree does.  Raises ValueError
+    on a variable outside x_1..x_n."""
     entries: list[tuple[Pattern, int]] = []
 
     def walk(t: DecisionTree, assignment: dict[int, int]) -> None:
@@ -92,9 +88,13 @@ def tree_to_partition(tree: DecisionTree, n: int) -> LabeledPartition:
             for var, b in assignment.items():
                 chars[var] = "01"[b]
             entries.append((Pattern("".join(chars)), t.value))
-            return
-        walk(t.low, {**assignment, t.var: 0})
-        walk(t.high, {**assignment, t.var: 1})
+        elif not 0 <= t.var < n:
+            raise ValueError(f"tree queries x_{t.var + 1} outside x_1..x_{n}")
+        elif t.var in assignment:
+            walk(t.high if assignment[t.var] else t.low, assignment)
+        else:
+            walk(t.low, {**assignment, t.var: 0})
+            walk(t.high, {**assignment, t.var: 1})
 
     walk(tree, {})
     return LabeledPartition(n, tuple(entries))
@@ -202,12 +202,7 @@ def _depth_step(a: int, idx: tuple, lo, hi):
     return worst
 
 
-def exact_depth(
-    f: TruthTable,
-    *,
-    want_tree: bool = False,
-    memory_limit: int = DEFAULT_MEMORY_LIMIT,
-) -> "int | tuple[int, DecisionTree]":
+def exact_depth(f: TruthTable, *, want_tree: bool = False) -> "int | tuple[int, DecisionTree]":
     """Minimum worst-case query count of a deterministic tree computing
     f, by the axis-sweep relaxation over all 3**n restriction states.
     With ``want_tree`` also returns a canonical optimal tree."""
@@ -216,9 +211,9 @@ def exact_depth(
         raise ValueError(f"exact depth supports n <= {MAX_EXACT_VARS}")
     # colors, values and one slab temporary: under three bytes per state
     estimate = 3 * 3**n
-    if estimate > memory_limit:
+    if estimate > DEFAULT_MEMORY_LIMIT:
         raise MemoryGuardError(
-            f"estimated {estimate} bytes exceeds limit {memory_limit}"
+            f"estimated {estimate} bytes exceeds limit {DEFAULT_MEMORY_LIMIT}"
         )
     color = lattice_colors(f)
     # 1 on mixed states, 0 on constant ones; without a tree the sweeps

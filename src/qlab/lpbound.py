@@ -48,10 +48,10 @@ class CertificateError(ArithmeticError):
 @dataclass(frozen=True)
 class RationalLP:
     """minimize objective . x  subject to  row . x  (<= | >= | ==)  rhs,
-    x >= 0 componentwise."""
+    x >= 0 componentwise; coefficients are ints or Fractions."""
 
-    objective: tuple[Fraction, ...]
-    rows: tuple[tuple[Fraction, ...], ...]
+    objective: tuple[Fraction | int, ...]
+    rows: tuple[tuple[Fraction | int, ...], ...]
     senses: tuple[str, ...]
     rhs: tuple[Fraction, ...]
     var_names: tuple[str, ...]
@@ -159,14 +159,16 @@ def _standard_form(lp: RationalLP) -> tuple[np.ndarray, list[int], list[int]]:
     return a, signs, basis
 
 
-def _bland_simplex(lp: RationalLP) -> tuple[str, list[int], int]:
-    """Two-phase dense tableau simplex in float64 on the standard form,
-    rows of negative rhs negated, by Bland's rule: the lowest column of
-    negative reduced cost enters, and ratio-test ties leave by the lowest
-    basic column.  Phase 1 minimizes the sum of the artificials, then
-    pivots out those it can; phase 2 bars them from entering.  Returns
-    the status, the final basis and the pivot count."""
-    a, signs, basis = _standard_form(lp)
+def _bland_simplex(
+    lp: RationalLP, a: np.ndarray, signs: Sequence[int], basis: list[int]
+) -> tuple[str, int]:
+    """Two-phase dense tableau simplex in float64 on the standard form
+    a, signs and starting basis of lp, rows of negative rhs negated, by
+    Bland's rule: the lowest column of negative reduced cost enters, and
+    ratio-test ties leave by the lowest basic column.  Phase 1 minimizes
+    the sum of the artificials, then pivots out those it can; phase 2
+    bars them from entering.  Leaves the final basis in basis and returns
+    the status and the pivot count."""
     m, ncols = a.shape
     art_start = lp.num_vars + sum(s != "==" for s in lp.senses)
     t = np.column_stack([a, lp.rhs]).astype(float) * np.array(signs)[:, None]
@@ -200,13 +202,13 @@ def _bland_simplex(lp: RationalLP) -> tuple[str, list[int], int]:
     if art_start < ncols:
         run(np.r_[np.zeros(art_start), np.ones(ncols - art_start)], ncols)
         if t[[r for r in range(m) if basis[r] >= art_start], -1].sum() > _PIVOT_TOL:
-            return "infeasible", basis, pivots
+            return "infeasible", pivots
         for r in range(m):
             nonzero = np.flatnonzero(np.abs(t[r, :art_start]) > _PIVOT_TOL)
             if basis[r] >= art_start and nonzero.size:
                 pivot(r, nonzero[0])
     cost = np.r_[np.array(lp.objective, dtype=float), np.zeros(ncols - lp.num_vars)]
-    return ("optimal" if run(cost, art_start) else "unbounded"), basis, pivots
+    return ("optimal" if run(cost, art_start) else "unbounded"), pivots
 
 
 def _solve_exactly(
@@ -250,11 +252,11 @@ def _solve_exactly(
     return tuple(z)
 
 
-def _certify(lp: RationalLP, basis: Sequence[int], pivots: int) -> LPSolution:
-    """The vertex and the dual of a standard-form basis, solving B x_B = b
-    and B^T y = c_B exactly; raises CertificateError unless the pair
-    passes the exact check, which it does iff the basis is optimal."""
-    a, _, _ = _standard_form(lp)
+def _certify(lp: RationalLP, a: np.ndarray, basis: Sequence[int], pivots: int) -> LPSolution:
+    """The vertex and the dual of a basis of lp's standard form a,
+    solving B x_B = b and B^T y = c_B exactly; raises CertificateError
+    unless the pair passes the exact check, which it does iff the basis
+    is optimal."""
     m, n = lp.num_constraints, lp.num_vars
     x = _solve_exactly(a.tolist(), lp.rhs, basis, a.shape[1])[:n]
     cost = list(lp.objective) + [0] * (a.shape[1] - n)
@@ -270,10 +272,11 @@ def solve_exact(lp: RationalLP) -> LPSolution:
     """Solve with the float simplex and certify its final basis exactly.
     Infeasible and unbounded programs are reported as the simplex
     classifies them; ``pivots`` counts its pivots over both phases."""
-    status, basis, pivots = _bland_simplex(lp)
+    a, signs, basis = _standard_form(lp)
+    status, pivots = _bland_simplex(lp, a, signs, basis)
     if status != "optimal":
         return LPSolution(status, None, None, None, pivots)
-    return _certify(lp, basis, pivots)
+    return _certify(lp, a, basis, pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -287,24 +290,18 @@ def build_prt_lp(f: TruthTable, eps: Fraction) -> RationalLP:
     if not 0 <= eps < Fraction(1, 2):
         raise ValueError("eps must lie in [0, 1/2)")
     patterns = list(all_patterns(n))
-    names = []
-    objective = []
-    for pat in patterns:
-        for z in (0, 1):
-            names.append(f"w[{pat.text},{z}]")
-            objective.append(Fraction(1 << pat.fixed_count))
-    rows: list[tuple[Fraction, ...]] = []
-    for idx in range(f.size):
-        good = [Fraction(0)] * len(names)
-        total = [Fraction(0)] * len(names)
-        for k, pat in enumerate(patterns):
-            if pat.contains(idx):
-                total[2 * k] = total[2 * k + 1] = good[2 * k + f.bit(idx)] = Fraction(1)
-        rows += [tuple(good), tuple(total)]
+    names = [f"w[{pat.text},{z}]" for pat in patterns for z in (0, 1)]
+    objective = [1 << pat.fixed_count for pat in patterns for _ in (0, 1)]
+    # rows 2*idx and 2*idx + 1: input idx's correct weight and total weight
+    rows = [[0] * len(names) for _ in range(2 * f.size)]
+    for k, pat in enumerate(patterns):
+        for idx in pat.members().tolist():
+            rows[2 * idx + 1][2 * k] = rows[2 * idx + 1][2 * k + 1] = 1
+            rows[2 * idx][2 * k + f.bit(idx)] = 1
     senses = (">=", "==") * f.size
     rhs = (1 - eps, Fraction(1)) * f.size
     return RationalLP(
-        tuple(objective), tuple(rows), senses, rhs, tuple(names)
+        tuple(objective), tuple(map(tuple, rows)), senses, rhs, tuple(names)
     )
 
 

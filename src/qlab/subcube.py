@@ -69,23 +69,15 @@ class Pattern:
     def free_count(self) -> int:
         return self.n - self.fixed_count
 
-    def contains(self, idx: int) -> bool:
-        return (idx & self.mask) == self.vals
-
-    def members(self) -> Iterator[int]:
-        """All input indices inside the subcube."""
-        full = (1 << self.n) - 1
-        free = full & ~self.mask
-        sub = free
-        while True:
-            yield self.vals | sub
-            if sub == 0:
-                return
-            sub = (sub - 1) & free
-
-    def intersects(self, other: "Pattern") -> bool:
-        common = self.mask & other.mask
-        return (self.vals & common) == (other.vals & common)
+    def members(self) -> np.ndarray:
+        """Every input index inside the subcube, ascending, as an intp
+        array: vals with each submask of the free positions, doubled in
+        one free bit at a time from the lowest."""
+        out = np.array([self.vals], dtype=np.intp)
+        for i in range(self.n):
+            if not self.mask >> i & 1:
+                out = np.concatenate([out, out | 1 << i])
+        return out
 
 
 @dataclass(frozen=True)
@@ -129,9 +121,8 @@ def validate(part: LabeledPartition) -> ValidationReport:
     if n > MAX_VARS:
         raise ValueError(f"partition validation supports n <= {MAX_VARS}")
     owner = np.full(1 << n, -1, dtype=np.int32)
-    subsets: dict[int, np.ndarray] = {}
     for b, (pb, _) in enumerate(part.entries):
-        members = _free_subsets(pb, subsets) | pb.vals
+        members = pb.members()
         prior = owner[members]
         hit = np.flatnonzero(prior >= 0)
         if hit.size:
@@ -146,19 +137,6 @@ def validate(part: LabeledPartition) -> ValidationReport:
             False, "gap", f"parts cover {total} of {1 << n} points"
         )
     return ValidationReport(True, owner=owner)
-
-
-def _free_subsets(p: Pattern, cache: dict[int, np.ndarray]) -> np.ndarray:
-    """Every submask of p's free positions, cached by that mask."""
-    free = ((1 << p.n) - 1) & ~p.mask
-    subs = cache.get(free)
-    if subs is None:
-        subs = np.zeros(1, dtype=np.intp)
-        for i in range(p.n):
-            if free >> i & 1:
-                subs = np.concatenate([subs, subs | 1 << i])
-        cache[free] = subs
-    return subs
 
 
 def computes(part: LabeledPartition, f: TruthTable) -> bool:
@@ -211,29 +189,16 @@ def compose_partitions(p: LabeledPartition, q: LabeledPartition) -> LabeledParti
     n, m = p.n, q.n
     if n * m > MAX_VARS:
         raise ValueError(f"composed arity {n * m} exceeds {MAX_VARS}")
-    by_label: dict[int, list[Pattern]] = {0: [], 1: []}
+    # the choices for one block: free, or an inner part of the label the
+    # outer part fixes there; product varies the last block fastest
+    choices: dict[str, list[str]] = {"*": ["*" * m], "0": [], "1": []}
     for pat, z in q.entries:
-        by_label[z].append(pat)
-    free_block = "*" * m
-    out: list[tuple[Pattern, int]] = []
-    for outer, z in p.entries:
-        fixed_positions = [j for j, c in enumerate(outer.text) if c != "*"]
-        blocks_template = [free_block] * n
-        choices: list[list[Pattern]] = [
-            by_label[int(outer.text[j])] for j in fixed_positions
-        ]
-
-        def emit(k: int, blocks: list[str]) -> None:
-            if k == len(fixed_positions):
-                out.append((Pattern("".join(blocks)), z))
-                return
-            j = fixed_positions[k]
-            for inner in choices[k]:
-                blocks[j] = inner.text
-                emit(k + 1, blocks)
-            blocks[j] = free_block
-
-        emit(0, list(blocks_template))
+        choices[str(z)].append(pat.text)
+    out = [
+        (Pattern("".join(blocks)), z)
+        for outer, z in p.entries
+        for blocks in itertools.product(*(choices[c] for c in outer.text))
+    ]
     return LabeledPartition(n * m, tuple(out))
 
 
@@ -321,7 +286,7 @@ class _CoverSearch:
             [] for _ in range(1 << f.n)
         ]
         for p, z in cubes:
-            members = list(p.members())
+            members = p.members().tolist()
             cube = (p, z, sum(1 << idx for idx in members), 1 << (p.fixed_count + f.n))
             for idx in members:
                 self.per_point[idx].append(cube)

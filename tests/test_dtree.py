@@ -11,6 +11,7 @@ from functools import lru_cache
 
 import pytest
 
+from qlab import dtree
 from qlab.boolfn import IteratedMajority, TruthTable, fmaj, index_to_bits
 from qlab.dtree import (
     CostMatrix,
@@ -23,7 +24,6 @@ from qlab.dtree import (
     load_tree,
     min_weighted_zero_error,
     save_tree,
-    tree_computes,
     tree_cost,
     tree_depth,
     tree_from_text,
@@ -38,6 +38,10 @@ from qlab.harddist import (
     minority_marginals_exact,
 )
 from qlab.subcube import computes, validate
+
+
+def tree_computes(tree, f):
+    return computes(tree_to_partition(tree, f.n), f)
 
 
 def subcube_members(n, mask, vals):
@@ -148,6 +152,24 @@ def test_tree_to_partition_round_trip():
     assert computes(part, fmaj())
 
 
+def test_tree_to_partition_follows_a_variable_fixed_on_the_path():
+    # the inner query of x_1 lies on x_1 = 0, so only its low branch is
+    # reachable; the tree computes the identity
+    tree = tree_from_text("(1 (1 =0 =1) =1)")
+    f = TruthTable.from_values(1, [0, 1])
+    assert all(dt_eval(tree, [b])[0] == f.bit(b) for b in (0, 1))
+    part = tree_to_partition(tree, 1)
+    assert [(p.text, z) for p, z in part.entries] == [("0", 0), ("1", 1)]
+    assert computes(part, f)
+
+
+def test_tree_to_partition_rejects_a_variable_outside_the_arity():
+    with pytest.raises(ValueError, match="x_3"):
+        tree_to_partition(tree_from_text("(1 =0 (3 =0 =1))"), 2)
+    with pytest.raises(ValueError):
+        tree_to_partition(Node(-1, Leaf(0), Leaf(1)), 2)
+
+
 def test_exact_depth_matches_brute_force_small():
     for bits in range(16):
         f = TruthTable(2, bits)
@@ -194,9 +216,10 @@ def test_exact_depth_fmaj_is_four():
     assert tree_depth(tree) == 4
 
 
-def test_exact_depth_memory_guard():
+def test_exact_depth_memory_guard(monkeypatch):
+    monkeypatch.setattr(dtree, "DEFAULT_MEMORY_LIMIT", 1000)
     with pytest.raises(MemoryGuardError):
-        exact_depth(IteratedMajority(2).truth_table(), memory_limit=1000)
+        exact_depth(IteratedMajority(2).truth_table())
 
 
 def test_cost_matrix_uniform_and_scale():

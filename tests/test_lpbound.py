@@ -186,11 +186,13 @@ def test_misread_float_solution_raises():
     # zero objective: feasible, but not optimal for the real objective
     problem = build_prt_lp(fmaj(), F(1, 3))
     zero = dataclasses.replace(problem, objective=(F(0),) * problem.num_vars)
-    status, basis, _ = lpbound._bland_simplex(zero)
+    # the standard form does not depend on the objective
+    a, signs, basis = lpbound._standard_form(zero)
+    status, _ = lpbound._bland_simplex(zero, a, signs, basis)
     assert status == "optimal"
-    assert lpbound._certify(zero, basis, 0).value == 0
+    assert lpbound._certify(zero, a, basis, 0).value == 0
     with pytest.raises(CertificateError, match="reduced cost"):
-        lpbound._certify(problem, basis, 0)
+        lpbound._certify(problem, a, basis, 0)
 
 
 def test_float_solve_that_is_not_optimal_raises(monkeypatch):
@@ -221,6 +223,48 @@ def test_relaxation_shape():
     # one cover row and one total row per input
     assert problem.senses.count(">=") == 16
     assert problem.senses.count("==") == 16
+
+
+def reference_prt_lp(table, eps):
+    """The relaxation by its definition: one variable per pattern over
+    01* and label, and per input x a cover row over the correctly
+    labeled patterns through x and a total row over all of them, with
+    containment tested bitwise on each pattern's mask and fixed bits."""
+    n = table.n
+    patterns = ["".join(t) for t in itertools.product("01*", repeat=n)]
+    names = [f"w[{p},{z}]" for p in patterns for z in (0, 1)]
+    objective = [2 ** (n - p.count("*")) for p in patterns for z in (0, 1)]
+    rows = []
+    for x in range(1 << n):
+        inside = [
+            x & int(p.replace("0", "1").replace("*", "0"), 2) == int(p.replace("*", "0"), 2)
+            for p in patterns
+        ]
+        rows.append([int(i and z == table.bit(x)) for i in inside for z in (0, 1)])
+        rows.append([int(i) for i in inside for z in (0, 1)])
+    return names, objective, rows, [1 - eps, 1] * (1 << n)
+
+
+SMALL_TABLES = [
+    TruthTable.from_values(n, list(values))
+    for n in (1, 2)
+    for values in itertools.product((0, 1), repeat=1 << n)
+] + [fmaj()]
+
+
+@pytest.mark.parametrize("eps", [F(0), F(1, 3)])
+def test_relaxation_rows_match_their_definition(eps):
+    for table in SMALL_TABLES:
+        problem = build_prt_lp(table, eps)
+        names, objective, rows, rhs = reference_prt_lp(table, eps)
+        assert list(problem.var_names) == names
+        assert list(problem.objective) == objective
+        assert [list(row) for row in problem.rows] == rows
+        assert list(problem.rhs) == rhs
+        assert problem.senses == (">=", "==") * table.size
+        # plain integers, not Fractions, in the objective and the rows
+        assert {type(c) for c in problem.objective} == {int}
+        assert {type(a) for row in problem.rows for a in row} == {int}
 
 
 def test_relaxation_rejects_bad_inputs():

@@ -1,5 +1,6 @@
 """Labeled subcube partitions, validation, composition, and the two searches."""
 
+import hashlib
 import itertools
 import random
 
@@ -33,7 +34,7 @@ def all_patterns(n):
 
 def brute_partitions(n):
     """Every partition of the n-cube into subcubes, by direct set cover."""
-    pats = list(all_patterns(n))
+    pats = [(p, p.members().tolist()) for p in all_patterns(n)]
     full = (1 << (1 << n)) - 1
 
     def extend(covered, chosen):
@@ -41,8 +42,7 @@ def brute_partitions(n):
             yield tuple(chosen)
             return
         lowest = ((covered + 1) & ~covered).bit_length() - 1
-        for p in pats:
-            members = list(p.members())
+        for p, members in pats:
             if lowest not in members:
                 continue
             bitmask = 0
@@ -109,16 +109,29 @@ def test_pattern_members_and_contains():
     p = Pattern("01*0")
     assert p.fixed_count == 3
     assert p.free_count == 1
-    assert sorted(p.members()) == [0b0100, 0b0110]
-    assert p.contains(0b0100) and p.contains(0b0110)
-    assert not p.contains(0b0101)
+    members = p.members()
+    assert members.dtype == np.intp
+    assert members.tolist() == [0b0100, 0b0110]
+    assert 0b0101 not in members
+    # ascending, and exactly the inputs that agree with every fixed bit
+    for n in range(1, 5):
+        for _, pat in lattice_states(n):
+            want = [
+                idx for idx in range(1 << n)
+                if all(c == "*" or int(c) == idx >> (n - 1 - j) & 1 for j, c in enumerate(pat.text))
+            ]
+            assert pat.members().tolist() == want, pat.text
+
+
+def intersects(a, b):
+    return bool(set(a.members().tolist()) & set(b.members().tolist()))
 
 
 def test_pattern_intersects():
-    assert Pattern("0**1").intersects(Pattern("**11"))
-    assert not Pattern("1***").intersects(Pattern("0***"))
-    assert not Pattern("01*0").intersects(Pattern("111*"))
-    assert Pattern("****").intersects(Pattern("1111"))
+    assert intersects(Pattern("0**1"), Pattern("**11"))
+    assert not intersects(Pattern("1***"), Pattern("0***"))
+    assert not intersects(Pattern("01*0"), Pattern("111*"))
+    assert intersects(Pattern("****"), Pattern("1111"))
 
 
 def test_pattern_rejects_bad_text():
@@ -164,7 +177,7 @@ def pairwise_validate(part):
     """The pairwise definition: (error, overlapping pair or cover count)."""
     entries = [p for p, _ in part.entries]
     for b, pb in enumerate(entries):
-        earlier = [pa for pa in entries[:b] if pa.intersects(pb)]
+        earlier = [pa for pa in entries[:b] if intersects(pa, pb)]
         if earlier:
             return "overlap", earlier, pb
     total = sum(1 << p.free_count for p in entries)
@@ -295,6 +308,13 @@ def test_compose_partitions_canonical_square():
     cost = partition_cost(comp)
     assert cost.cost == 9
     assert cost.weight == 512 * 2 ** 9
+    # the part order: outer parts in turn, the last fixed block fastest
+    assert [pat.text for pat, _ in comp.entries[3:5]] == [
+        "001*" "001*" "*111" "****",
+        "001*" "0*01" "110*" "****",
+    ]
+    digest = hashlib.sha256(partition_to_text(comp).encode()).hexdigest()
+    assert digest == "6923fd58bba4adef294ab97f9ed0fadc918ce302f0b68821a144d194336ad3d3"
 
 
 def test_compose_partitions_computes_composed_function():
@@ -312,15 +332,16 @@ def test_compose_agrees_with_membership_semantics():
 
     def inner_label(block):
         for pat, label in p.entries:
-            if pat.contains(block):
+            if block in pat.members():
                 return label
         raise AssertionError("no part")
 
+    comp_members = [(set(pat.members().tolist()), label) for pat, label in comp.entries]
     for idx in range(0, 1 << 16, 4097):
         blocks = [(idx >> (12 - 4 * k)) & 0xF for k in range(4)]
         labels = tuple(inner_label(b) for b in blocks)
         outer = f.bit((labels[0] << 3) | (labels[1] << 2) | (labels[2] << 1) | labels[3])
-        hit = [label for pat, label in comp.entries if pat.contains(idx)]
+        hit = [label for members, label in comp_members if idx in members]
         assert len(hit) == 1
         assert hit[0] == outer
 
