@@ -2,11 +2,11 @@
 tie-breaking majority gadget."""
 
 from .boolfn import (
-    IteratedMajority,
     TruthTable,
     compose,
     fmaj,
     iter_eval,
+    iterated_table,
     level_patterns,
 )
 from .dtree import (
@@ -35,7 +35,6 @@ from .lpbound import RationalLP, build_prt_lp, prt_report, solve_exact
 from .randalg import (
     embed_check,
     lv_check_correct,
-    lv_exact_cost,
     mc_mean_cost,
 )
 from .subcube import (

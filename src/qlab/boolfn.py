@@ -100,12 +100,6 @@ class TruthTable:
             raise ValueError(f"expected {1 << n} values, got {count}")
         return cls(n, bits)
 
-    @classmethod
-    def constant(cls, n: int, value: int) -> "TruthTable":
-        if value not in (0, 1):
-            raise ValueError("constant value must be 0 or 1")
-        return cls(n, ((1 << (1 << n)) - 1) if value else 0)
-
 
 # ---------------------------------------------------------------------------
 # the tie-breaking four-bit majority gadget
@@ -195,27 +189,18 @@ def iter_eval(h: int, x: "str | Bits") -> int:
     return int(_FM[level_patterns(bits, h)[-1][0]])
 
 
-@dataclass(frozen=True)
-class IteratedMajority:
-    """The height-h iterated gadget as a function on 4**h bits."""
-
-    h: int
-
-    def __post_init__(self) -> None:
-        if self.h < 0:
-            raise ValueError("height must be nonnegative")
-
-    def eval(self, x: "str | Bits") -> int:
-        return iter_eval(self.h, x)
-
-    def truth_table(self) -> TruthTable:
-        """Explicit table; only heights 0..2 fit the 16-variable cap."""
-        if self.h == 0:
-            return TruthTable(1, 0b10)
-        t = fmaj()
-        for _ in range(self.h - 1):
-            t = compose(t, fmaj())
-        return t
+def iterated_table(h: int) -> TruthTable:
+    """The height-h iterated gadget as an explicit table on 4**h bits,
+    fmaj composed with the height-(h-1) table; only heights 0..2 fit the
+    16-variable cap."""
+    if h < 0:
+        raise ValueError("height must be nonnegative")
+    if h == 0:
+        return TruthTable(1, 0b10)
+    t = fmaj()
+    for _ in range(h - 1):
+        t = compose(t, fmaj())
+    return t
 
 
 # ---------------------------------------------------------------------------

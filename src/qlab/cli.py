@@ -456,9 +456,8 @@ def _verify_height1(rep: Report) -> None:
     rep.add("cost-2-search-nodes", search.nodes)
     rep.add_verdict("no-cost-2-partition", search.partition is None)
 
-    worst, _ = randalg.lv_worst_cost()
     rep.add_verdict("zero-error-rounds", randalg.lv_check_correct())
-    rep.add_verdict("worst-cost-13-4", worst == Fraction(13, 4))
+    rep.add_verdict("worst-cost-13-4", randalg.recursive_exact_worst(1)[0] == Fraction(13, 4))
 
     mean = randalg.recursive_exact_moments(1)[0]
     value = dtree.delta0(table, harddist.d().dense())
@@ -504,7 +503,7 @@ def _verify_height2(args: argparse.Namespace, rep: Report) -> None:
         args.trials, max(harddist.MINORITY_BYTES_PER_TRIAL, randalg.EMBED_BYTES_PER_TRIAL)
     )
     rep.add("trials", args.trials)
-    table2 = boolfn.IteratedMajority(2).truth_table()
+    table2 = boolfn.iterated_table(2)
 
     part = subcube.compose_partitions(
         subcube.canonical_fmaj_partition(), subcube.canonical_fmaj_partition()
@@ -542,9 +541,9 @@ def _verify_height2(args: argparse.Namespace, rep: Report) -> None:
 # suffix, the writer, the report line that sizes it, and each name's maker
 _FIXTURES = {
     "fn": (".tt", boolfn.save_table, ("n", lambda table: table.n), {
-        "identity": lambda: boolfn.IteratedMajority(0).truth_table(),
+        "identity": lambda: boolfn.iterated_table(0),
         "fmaj": boolfn.fmaj,
-        "fmaj2": lambda: boolfn.IteratedMajority(2).truth_table(),
+        "fmaj2": lambda: boolfn.iterated_table(2),
     }),
     "partition": (".part", subcube.save_partition, ("parts", len), {
         "canonical": subcube.canonical_fmaj_partition,

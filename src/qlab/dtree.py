@@ -30,7 +30,6 @@ import numpy as np
 from .boolfn import TruthTable, index_to_bits, parse_bits
 from .subcube import LabeledPartition, Pattern, lattice_colors, lattice_sums
 
-MAX_EXACT_VARS = 16
 MAX_WEIGHTED_VARS = 8
 DEFAULT_MEMORY_LIMIT = 2 * 1024**3
 
@@ -207,8 +206,6 @@ def exact_depth(f: TruthTable, *, want_tree: bool = False) -> "int | tuple[int, 
     f, by the axis-sweep relaxation over all 3**n restriction states.
     With ``want_tree`` also returns a canonical optimal tree."""
     n = f.n
-    if n > MAX_EXACT_VARS:
-        raise ValueError(f"exact depth supports n <= {MAX_EXACT_VARS}")
     # colors, values and one slab temporary: under three bytes per state
     estimate = 3 * 3**n
     if estimate > DEFAULT_MEMORY_LIMIT:

@@ -13,7 +13,10 @@ tableau simplex in float64 pivots by Bland's rule, which terminates,
 and ends at a basis: one column of the equality form, slacks and
 artificials included, per row.  Gauss-Jordan elimination in integers
 then solves that basis for the primal vertex and the dual as exact
-rationals, and the pair is re-checked exactly: primal feasibility, dual
+rationals.  Where the float simplex read a small entry as zero, as for
+eps within its tolerance of 0 or 1/2, that vertex can have a negative
+entry, and exact dual simplex pivots first move the basis to an
+optimal one.  The pair is re-checked exactly: primal feasibility, dual
 feasibility and equal objectives.  An optimum is reported only when
 that check passes; the dual is Jain and Klauck's lower-bound witness
 (CCC 2010).
@@ -132,9 +135,6 @@ class LPSolution:
             return f"objectives differ: primal {primal}, dual {dual}, reported {self.value}"
         return None
 
-    def verify(self, lp: RationalLP) -> bool:
-        return self.violation(lp) is None
-
 
 # ---------------------------------------------------------------------------
 # float solve, exact certify
@@ -252,16 +252,45 @@ def _solve_exactly(
     return tuple(z)
 
 
-def _certify(lp: RationalLP, a: np.ndarray, basis: Sequence[int], pivots: int) -> LPSolution:
+def _scaled(v: Sequence[Fraction]) -> np.ndarray:
+    """v times the lcm of its denominators, as an object array of ints."""
+    den = math.lcm(*(u.denominator for u in v))
+    return np.array([u.numerator * (den // u.denominator) for u in v], dtype=object)
+
+
+def _certify(lp: RationalLP, a: np.ndarray, basis: list[int], pivots: int) -> LPSolution:
     """The vertex and the dual of a basis of lp's standard form a,
     solving B x_B = b and B^T y = c_B exactly; raises CertificateError
     unless the pair passes the exact check, which it does iff the basis
-    is optimal."""
+    is optimal.  While the basis is dual feasible and its vertex has a
+    negative entry, it first takes exact dual simplex pivots by Bland's
+    rule, counted in pivots: the lowest basic column of negative value
+    leaves, from row r, and of the non-artificial columns j with
+    alpha_rj < 0 in row r of B^-1 a, the one of least d_j / -alpha_rj
+    enters, d being the reduced costs; ties go to the lowest column."""
     m, n = lp.num_constraints, lp.num_vars
-    x = _solve_exactly(a.tolist(), lp.rhs, basis, a.shape[1])[:n]
-    cost = list(lp.objective) + [0] * (a.shape[1] - n)
-    y = _solve_exactly(a[:, basis].T.tolist(), [cost[j] for j in basis], range(m), m)
-    solution = LPSolution("optimal", _dot(lp.objective, x), x, y, pivots)
+    art_start = n + sum(s != "==" for s in lp.senses)
+    cost = np.array(list(lp.objective) + [0] * (a.shape[1] - n), dtype=object)
+    while True:
+        z = _solve_exactly(a.tolist(), lp.rhs, basis, a.shape[1])
+        bt = a[:, basis].T.tolist()
+        y = _solve_exactly(bt, cost[basis].tolist(), range(m), m)
+        leaving = min((j for j in basis if z[j] < 0), default=None)
+        if leaving is None:
+            break
+        # d and alpha up to positive factors, in integers
+        scaled = _scaled((*y, *cost))
+        d = scaled[m:] - scaled[:m] @ a
+        if min(d[:art_start]) < 0:
+            break  # not dual feasible: the check below fails
+        r = basis.index(leaving)
+        alpha = _scaled(_solve_exactly(bt, [int(i == r) for i in range(m)], range(m), m)) @ a
+        entering = [j for j in range(art_start) if alpha[j] < 0]
+        if not entering:
+            raise CertificateError(f"row {r} of B^-1 a proves the program infeasible")
+        basis[r] = min(entering, key=lambda j: Fraction(d[j], -alpha[j]))
+        pivots += 1
+    solution = LPSolution("optimal", _dot(lp.objective, z[:n]), z[:n], y, pivots)
     problem = solution.violation(lp)
     if problem is not None:
         raise CertificateError(f"exact certificate fails: {problem}")

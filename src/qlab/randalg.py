@@ -58,8 +58,9 @@ MAX_MC_HEIGHT = 12
 
 _ORDERS = tuple(itertools.permutations((1, 2, 3)))
 _POPC = np.array([bin(i).count("1") for i in range(16)], dtype=np.uint8)
-# _MASK_BITS[mask, j]: whether a read mask includes variable j
-_MASK_BITS = (np.arange(16)[:, None] >> np.arange(4) & 1).astype(bool)
+# _CHILD_BITS[p, j]: the value of child j in children pattern p, and
+# whether a read mask p includes variable j
+_CHILD_BITS = (np.arange(16)[:, None] >> _SHIFTS & 1).astype(np.uint8)
 
 
 def lv_run(
@@ -98,39 +99,28 @@ def lv_run(
 # the round's randomness as 24 equally likely rounds: rounds 0-5 take
 # branch 0 (probability 1/4), and round r reads in order _ORDERS[r % 6].
 # On children pattern p, round r reads the variables set in
-# _ROUND_MASK[r, p] (bit j = variable j) and outputs _ROUND_OUT[r, p].
+# _ROUND_MASK[r, p] (x_1 the high bit, as in a pattern) and outputs
+# _ROUND_OUT[r, p].
 _ROUND_MASK = np.zeros((24, 16), dtype=np.uint8)
 _ROUND_OUT = np.zeros((24, 16), dtype=np.uint8)
 for _r in range(24):
     for _pat in range(16):
         _out, _queried = lv_run(index_to_bits(_pat, 4), int(_r >= 6), _ORDERS[_r % 6])
-        _ROUND_MASK[_r, _pat] = sum(1 << q for q in _queried)
+        _ROUND_MASK[_r, _pat] = sum(8 >> q for q in _queried)
         _ROUND_OUT[_r, _pat] = _out
 
 # rounds out of the 24 that read variable j on the given input; likewise
 # for reading both j and l
-_READ = _MASK_BITS[_ROUND_MASK].astype(np.int64)
+_READ = _CHILD_BITS[_ROUND_MASK].astype(np.int64)
 _READS24 = _READ.sum(axis=0)
 _PAIRS = tuple(itertools.combinations(range(4), 2))
 _PAIRS24 = np.stack([_READ[..., j] * _READ[..., l] for j, l in _PAIRS], axis=-1).sum(axis=0)
-
-
-def lv_exact_cost(x: "str | Sequence[int]") -> Fraction:
-    """Exact expected number of reads on one four-bit input."""
-    return Fraction(int(_READS24[bits_to_index(parse_bits(x))].sum()), 24)
 
 
 def lv_check_correct() -> bool:
     """Every (input, branch, order) combination outputs the gadget
     value."""
     return bool(np.all(_ROUND_OUT == _FM))
-
-
-def lv_worst_cost() -> tuple[Fraction, list[int]]:
-    """Worst-case expected reads and the inputs attaining it."""
-    costs = _READS24.sum(axis=1)
-    worst = costs.max()
-    return Fraction(int(worst), 24), np.flatnonzero(costs == worst).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +132,6 @@ def lv_worst_cost() -> tuple[Fraction, list[int]]:
 # (per input, under the hard law, and over the worst inputs) take one
 # integer step, _node_moments, from the 24-round read counts, and carry
 # their moments as integers over a power of 24 or 720.
-
-# _CHILD_BITS[p, j]: the value of child j in children pattern p
-_CHILD_BITS = np.arange(16)[:, None] >> _SHIFTS & 1
 
 
 def _node_mean(pat: np.ndarray, mean: np.ndarray) -> np.ndarray:
@@ -349,7 +336,7 @@ def _mc_chunk(
                 mask, bad = round_mask[key], round_bad[key]
             erred[trial[bad]] = True
             if k > 1:
-                read = np.flatnonzero(_MASK_BITS[mask])
+                read = np.flatnonzero(_CHILD_BITS[mask])
                 parent, j = read >> 2, read & 3
                 trial = trial[parent]
                 if pats is None:

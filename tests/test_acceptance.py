@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from qlab.boolfn import IteratedMajority, fmaj, index_to_bits
+from qlab.boolfn import fmaj, index_to_bits, iterated_table
 from qlab.dtree import exact_depth, delta0
 from qlab.harddist import (
     d,
@@ -26,9 +26,8 @@ from qlab.randalg import (
     chi_square_gof,
     embed_check,
     lv_check_correct,
-    lv_exact_cost,
-    lv_worst_cost,
     mc_mean_cost,
+    recursive_exact_moments,
     recursive_exact_worst,
 )
 from qlab.subcube import (
@@ -91,7 +90,7 @@ def test_criterion_3_composition_squares_the_partition():
         len(comp.entries) == 512
         and sizes == {9}
         and validate(comp).ok
-        and computes(comp, IteratedMajority(2).truth_table())
+        and computes(comp, iterated_table(2))
     )
     dt = time.monotonic() - t0
     ok = verdict(3, "composed partition", good, f"parts=512, fixed=9, {dt:.2f}s")
@@ -100,7 +99,7 @@ def test_criterion_3_composition_squares_the_partition():
 
 def test_criterion_4_composed_depth_sixteen():
     t0 = time.monotonic()
-    depth = exact_depth(IteratedMajority(2).truth_table())
+    depth = exact_depth(iterated_table(2))
     dt = time.monotonic() - t0
     peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (1024**2)
     ok = verdict(
@@ -116,9 +115,11 @@ def test_criterion_4_composed_depth_sixteen():
 def test_criterion_5_round_exactness():
     t0 = time.monotonic()
     correct = lv_check_correct()
-    worst, argmax = lv_worst_cost()
+    worst, _ = recursive_exact_worst(1)
+    costs = [recursive_exact_moments(1, index_to_bits(p, 4))[0] for p in range(16)]
+    argmax = [p for p, c in enumerate(costs) if c == worst]
     dt = time.monotonic() - t0
-    ok = correct and worst == Fraction(13, 4)
+    ok = correct and worst == max(costs) == Fraction(13, 4)
     ok = verdict(
         5,
         "zero-error rounds",
@@ -133,7 +134,7 @@ def test_criterion_6_distributional_sandwich():
     dd = d()
     value = delta0(fmaj(), dd.dense())
     upper = sum(
-        (dd.mass(p) * lv_exact_cost(index_to_bits(p, 4)) for p in range(16)),
+        (dd.mass(p) * recursive_exact_moments(1, index_to_bits(p, 4))[0] for p in range(16)),
         Fraction(0),
     )
     lower = Fraction(16, 5)

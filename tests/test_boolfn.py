@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from qlab.boolfn import (
-    IteratedMajority,
     MAX_VARS,
     TruthTable,
     bits_to_index,
@@ -14,6 +13,7 @@ from qlab.boolfn import (
     fmaj,
     index_to_bits,
     iter_eval,
+    iterated_table,
     level_patterns,
     load_table,
     parse_bits,
@@ -89,9 +89,10 @@ def test_truth_table_from_values_round_trip():
 
 
 def test_constant_tables():
-    zero = TruthTable.constant(3, 0)
-    one = TruthTable.constant(3, 1)
-    assert zero.bits == 0 and one.bits == (1 << 8) - 1
+    zero = TruthTable(3, 0)
+    one = TruthTable(3, (1 << 8) - 1)
+    assert zero.values().tolist() == [0] * 8 and one.values().tolist() == [1] * 8
+    assert one == TruthTable.from_values(3, [1] * 8)
 
 
 def test_table_rejects_out_of_range():
@@ -146,15 +147,17 @@ def test_values_unpack_the_table_word():
 
 
 def test_iterated_majority_heights():
-    assert IteratedMajority(0).truth_table() == TruthTable(1, 0b10)
-    assert IteratedMajority(1).truth_table() == fmaj()
-    g2 = IteratedMajority(2)
-    assert g2.truth_table() == compose(fmaj(), fmaj())
-    assert g2.eval("0111100010001000") == 0
+    assert iterated_table(0) == TruthTable(1, 0b10)
+    assert iterated_table(1) == fmaj()
+    g2 = iterated_table(2)
+    assert g2 == compose(fmaj(), fmaj())
+    assert g2.eval("0111100010001000") == iter_eval(2, "0111100010001000") == 0
+    with pytest.raises(ValueError):
+        iterated_table(-1)
 
 
 def test_iter_eval_matches_table():
-    g2 = IteratedMajority(2).truth_table()
+    g2 = iterated_table(2)
     for i in range(0, 1 << 16, 997):
         bits = index_to_bits(i, 16)
         assert iter_eval(2, bits) == g2.bit(i)
@@ -197,7 +200,7 @@ def test_table_text_round_trip(tmp_path):
     path = tmp_path / "f.tt"
     save_table(f, path)
     assert load_table(path) == f
-    g2 = IteratedMajority(2).truth_table()
+    g2 = iterated_table(2)
     save_table(g2, path)
     assert load_table(path) == g2
 

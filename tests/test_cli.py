@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlab import cli, harddist, lpbound, randalg, subcube
-from qlab.boolfn import IteratedMajority, fmaj, load_table, save_table
+from qlab.boolfn import fmaj, iterated_table, load_table, save_table
 from qlab.cli import main
 from qlab.harddist import d, load_dist, save_dist
 from qlab.subcube import (
@@ -42,7 +42,7 @@ def test_fixtures_round_trip(tmp_path, capsys):
     code, out = run(capsys, "fixtures", "--out-dir", str(tmp_path))
     assert code == 0
     assert load_table(tmp_path / "fmaj.tt") == fmaj()
-    assert load_table(tmp_path / "fmaj2.tt") == IteratedMajority(2).truth_table()
+    assert load_table(tmp_path / "fmaj2.tt") == iterated_table(2)
     assert load_partition(tmp_path / "canonical.part") == canonical_fmaj_partition()
     assert load_dist(tmp_path / "d.dist") == d()
 
@@ -167,7 +167,7 @@ def stub_depth_sweep(monkeypatch):
     depth is 16."""
 
     def depth(table):
-        assert table == IteratedMajority(2).truth_table()
+        assert table == iterated_table(2)
         return 16
 
     monkeypatch.setattr(cli.dtree, "exact_depth", depth)

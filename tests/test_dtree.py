@@ -12,7 +12,7 @@ from functools import lru_cache
 import pytest
 
 from qlab import dtree
-from qlab.boolfn import IteratedMajority, TruthTable, fmaj, index_to_bits
+from qlab.boolfn import TruthTable, fmaj, index_to_bits, iterated_table
 from qlab.dtree import (
     CostMatrix,
     Leaf,
@@ -219,7 +219,7 @@ def test_exact_depth_fmaj_is_four():
 def test_exact_depth_memory_guard(monkeypatch):
     monkeypatch.setattr(dtree, "DEFAULT_MEMORY_LIMIT", 1000)
     with pytest.raises(MemoryGuardError):
-        exact_depth(IteratedMajority(2).truth_table())
+        exact_depth(iterated_table(2))
 
 
 def test_cost_matrix_uniform_and_scale():

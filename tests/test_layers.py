@@ -4,6 +4,7 @@ and outside qlab only the standard library and numpy."""
 import ast
 import pathlib
 import sys
+from collections import Counter
 
 import qlab
 
@@ -121,3 +122,60 @@ def test_only_main_builds_and_emits_reports():
 def test_no_module_reads_the_environment():
     for path in sorted(SRC.glob("*.py")):
         assert not reads_environment(path.read_text()), path.name
+
+
+# called from outside src alone: the .dt reader and the witness replay
+# that decision trees are rechecked with, and the reference enumeration
+# of the hard law that the tests compare against
+OUTSIDE_CALLERS = {"dtree.load_tree", "dtree.tree_cost", "harddist.dh_support"}
+
+
+def names_used(node: ast.AST) -> Counter:
+    """The names a syntax tree reads as a name or an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def uncalled(modules: dict[str, str]) -> set[str]:
+    """The top-level functions, classes and methods, dunders aside, of
+    the given module sources whose name appears nowhere outside their
+    own definition, as module.name."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    used = sum((names_used(tree) for tree in trees.values()), Counter())
+    found = set()
+    for name, tree in trees.items():
+        for top in tree.body:
+            methods = top.body if isinstance(top, ast.ClassDef) else []
+            for node in [top, *methods]:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    own = names_used(node)[node.name]
+                    if not node.name.startswith("__") and used[node.name] == own:
+                        found.add(f"{name}.{node.name}")
+    return found
+
+
+def test_uncalled_finder_sees_every_form():
+    source = (
+        "class Table:\n"
+        "    def used(self):\n"
+        "        return self.unused_here()\n"
+        "    def lonely(self):\n"
+        "        return 0\n"
+        "    def __repr__(self):\n"
+        "        return ''\n"
+        "def recurse(k):\n"
+        "    return recurse(k - 1) if k else Table().used()\n"
+    )
+    assert uncalled({"a": source, "b": "def unused_here():\n    pass\n"}) == {
+        "a.lonely",
+        "a.recurse",
+    }
+
+
+def test_every_definition_has_a_caller_in_src():
+    modules = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    del modules["__init__"]  # its re-exports are no callers
+    assert uncalled(modules) == OUTSIDE_CALLERS

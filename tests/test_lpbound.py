@@ -9,8 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qlab import lpbound
-from qlab.boolfn import IteratedMajority, TruthTable, fmaj
+from qlab import cli, lpbound
+from qlab.boolfn import TruthTable, fmaj, iterated_table, save_table
 from qlab.lpbound import (
     CertificateError,
     LPSolution,
@@ -51,7 +51,7 @@ def test_simplex_small_mix():
     assert sol.assignment == (F(3), F(1))
     # the <= row carries a nonpositive multiplier
     assert sol.dual == (F(2), F(-1))
-    assert sol.verify(lp([1, 2], [[1, 1], [1, 0]], [">=", "<="], [4, 3]))
+    assert sol.violation(lp([1, 2], [[1, 1], [1, 0]], [">=", "<="], [4, 3])) is None
 
 
 def test_simplex_equality_row():
@@ -99,13 +99,13 @@ def test_simplex_degenerate_cycle_guard():
     sol = solve_exact(problem)
     assert sol.status == "optimal"
     assert sol.value == -F(1, 20)
-    assert sol.verify(problem)
+    assert sol.violation(problem) is None
 
 
 def test_solution_verify_rejects_bad_assignment():
     problem = lp([1], [[1]], [">="], [3])
     bad = LPSolution("optimal", F(2), (F(2),), (F(2, 3),), 0)
-    assert not bad.verify(problem)
+    assert bad.violation(problem) is not None
     assert "primal row 0" in bad.violation(problem)
 
 
@@ -116,7 +116,7 @@ def test_verify_checks_primal_feasibility():
         value = sum(x, F(0))
         return LPSolution("optimal", value, tuple(x), (value,), 0)
 
-    assert certificate([F(1), F(0)]).verify(problem)
+    assert certificate([F(1), F(0)]).violation(problem) is None
     assert "primal row 0" in certificate([F(1, 4), F(1, 4)]).violation(problem)
     assert "< 0" in certificate([F(-1), F(3)]).violation(problem)
 
@@ -124,7 +124,7 @@ def test_verify_checks_primal_feasibility():
 def fmaj_certificate(eps):
     problem = build_prt_lp(fmaj(), eps)
     sol = solve_exact(problem)
-    assert sol.verify(problem)
+    assert sol.violation(problem) is None
     return problem, sol
 
 
@@ -143,7 +143,7 @@ def test_verify_rejects_a_perturbed_dual_entry():
     for i, y in enumerate(sol.dual):
         dual = list(sol.dual)
         dual[i] = y + F(1, 1000)
-        assert not dataclasses.replace(sol, dual=tuple(dual)).verify(problem)
+        assert dataclasses.replace(sol, dual=tuple(dual)).violation(problem) is not None
 
 
 def test_verify_rejects_a_dropped_primal_entry():
@@ -152,7 +152,7 @@ def test_verify_rejects_a_dropped_primal_entry():
         if v:
             x = list(sol.assignment)
             x[j] = F(0)
-            assert not dataclasses.replace(sol, assignment=tuple(x)).verify(problem)
+            assert dataclasses.replace(sol, assignment=tuple(x)).violation(problem) is not None
 
 
 def test_verify_rejects_a_dual_that_breaks_one_reduced_cost():
@@ -160,7 +160,7 @@ def test_verify_rejects_a_dual_that_breaks_one_reduced_cost():
     # the objective 2 but prices x above its cost
     problem = lp([1, 1], [[1, 0], [0, 1]], [">=", ">="], [1, 1])
     good = LPSolution("optimal", F(2), (F(1), F(1)), (F(1), F(1)), 0)
-    assert good.verify(problem)
+    assert good.violation(problem) is None
     bad = dataclasses.replace(good, dual=(F(2), F(0)))
     assert bad.violation(problem) == "reduced cost of x0 is -1 < 0"
 
@@ -201,6 +201,14 @@ def test_float_solve_that_is_not_optimal_raises(monkeypatch):
     monkeypatch.setattr(lpbound, "_MAX_PIVOTS", 100)
     with pytest.raises(CertificateError, match="iteration limit"):
         solve_exact(build_prt_lp(fmaj(), F(1, 3)))
+
+
+def test_exactly_infeasible_program_raises():
+    # x <= 1 and x >= 1 + 10**-12 miss by less than the float simplex's
+    # tolerance, so it calls the program feasible
+    problem = lp([1], [[1], [1]], ["<=", ">="], [1, 1 + F(1, 10**12)])
+    with pytest.raises(CertificateError, match="proves the program infeasible"):
+        solve_exact(problem)
 
 
 def test_singular_re_solve_raises():
@@ -269,7 +277,7 @@ def test_relaxation_rows_match_their_definition(eps):
 
 def test_relaxation_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        build_prt_lp(IteratedMajority(2).truth_table(), F(0))
+        build_prt_lp(iterated_table(2), F(0))
     with pytest.raises(ValueError):
         build_prt_lp(fmaj(), F(1, 2))
     with pytest.raises(ValueError):
@@ -287,7 +295,7 @@ def test_canonical_partition_is_feasible_at_zero_error():
     assert value == 64
     # with the solver's dual it is a full certificate: the partition is
     # feasible, and optimal among fractional covers
-    assert dataclasses.replace(sol, assignment=tuple(x)).verify(problem)
+    assert dataclasses.replace(sol, assignment=tuple(x)).violation(problem) is None
 
 
 def test_zero_error_relaxation_value():
@@ -321,7 +329,7 @@ def test_public_coin_report_matches_search():
 
 def test_relaxation_on_tiny_functions():
     # constant: the free pattern alone is feasible, value 1
-    const = TruthTable.constant(2, 1)
+    const = TruthTable(2, 0b1111)
     rep = prt_report(const, F(0))
     assert rep.value == 1
     # single-variable projection f(x1, x2) = x1 needs both halves
@@ -357,7 +365,8 @@ def test_relaxation_values_are_pinned(table, eps, value):
 HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
-def assert_matches_highs(problem):
+def highs(problem):
+    """HiGHS's status and value on problem."""
     from scipy.optimize import LinearConstraint, milp
 
     a = np.array(problem.rows, dtype=float).reshape(problem.num_constraints, problem.num_vars)
@@ -368,10 +377,15 @@ def assert_matches_highs(problem):
     )
     c = np.array(problem.objective, dtype=float)
     res = milp(c, constraints=rows, options={"presolve": False})
+    return HIGHS_STATUS[res.status], res.fun
+
+
+def assert_matches_highs(problem, rel=1e-9):
+    status, value = highs(problem)
     sol = solve_exact(problem)
-    assert sol.status == HIGHS_STATUS[res.status]
+    assert sol.status == status
     if sol.status == "optimal":
-        assert float(sol.value) == pytest.approx(res.fun, rel=1e-9, abs=1e-9)
+        assert float(sol.value) == pytest.approx(value, rel=rel, abs=1e-9)
     return sol.status
 
 
@@ -381,6 +395,27 @@ def test_relaxation_matches_highs_on_every_small_function(eps):
         for values in itertools.product((0, 1), repeat=1 << n):
             table = TruthTable.from_values(n, list(values))
             assert assert_matches_highs(build_prt_lp(table, eps)) == "optimal"
+
+
+# eps within the float simplex's tolerance of 0 or 1/2 ends it at the
+# basis that is optimal at that end, whose exact vertex has entries of
+# -eps until exact dual pivots repair it
+@pytest.mark.parametrize("eps", [F(1, 10**9), F(1, 10**12), F(1, 10**30), F(1, 2) - F(1, 10**10)])
+def test_gadget_certifies_near_the_ends_of_eps(eps, tmp_path, capsys):
+    save_table(fmaj(), tmp_path / "f.tt")
+    code = cli.main(["bound", "prt", "--table", str(tmp_path / "f.tt"), "--eps", str(eps)])
+    got = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    assert (code, got["certificate"]) == (0, "pass")
+    assert got["value"] == got["dual-value"]
+    status, value = highs(build_prt_lp(fmaj(), eps))
+    assert status == "optimal" and float(F(got["value"])) == pytest.approx(value, rel=1e-6)
+
+
+@pytest.mark.parametrize("eps", [F(1, 10**10), F(1, 2) - F(1, 10**10)])
+def test_relaxation_matches_highs_near_the_ends_of_eps(eps):
+    for bits in range(7, 256, 16):
+        problem = build_prt_lp(TruthTable(3, bits), eps)
+        assert assert_matches_highs(problem, rel=1e-6) == "optimal"
 
 
 def test_relaxation_matches_highs_on_sampled_four_variable_functions():

@@ -26,9 +26,7 @@ from qlab.randalg import (
     embed_check,
     embedding_children_law_exact,
     lv_check_correct,
-    lv_exact_cost,
     lv_run,
-    lv_worst_cost,
     mc_mean_cost,
     minority_conditionals_exact,
     recursive_exact_moments,
@@ -96,27 +94,34 @@ def test_round_is_zero_error():
                 assert out == f.bit(pat), (pat, branch, order)
 
 
+def height_one_cost(x):
+    return recursive_exact_moments(1, x)[0]
+
+
 def test_exact_cost_matches_reference():
     for pat in range(16):
         bits = index_to_bits(pat, 4)
-        assert lv_exact_cost(bits) == reference_cost(bits), pat
+        assert height_one_cost(bits) == reference_cost(bits), pat
 
 
 def test_exact_cost_point_values():
-    assert lv_exact_cost("0000") == Fraction(11, 4)
-    assert lv_exact_cost("0001") == Fraction(37, 12)
+    assert height_one_cost("0000") == Fraction(11, 4)
+    assert height_one_cost("0001") == Fraction(37, 12)
 
 
 def test_worst_cost_thirteen_quarters():
-    worst, argmax = lv_worst_cost()
-    assert worst == Fraction(13, 4)
+    costs = [height_one_cost(index_to_bits(p, 4)) for p in range(16)]
+    worst, witness = recursive_exact_worst(1)
+    assert worst == max(costs) == Fraction(13, 4)
+    argmax = [p for p, c in enumerate(costs) if c == worst]
     assert argmax == [3, 5, 6, 7, 8, 9, 10, 12]
+    assert bits_to_index(witness) in argmax
 
 
 def test_mean_cost_under_hard_distribution():
     dd = d()
     mean = sum(
-        (dd.mass(p) * lv_exact_cost(index_to_bits(p, 4)) for p in range(16)),
+        (dd.mass(p) * height_one_cost(index_to_bits(p, 4)) for p in range(16)),
         Fraction(0),
     )
     assert mean == Fraction(97, 30)
@@ -137,21 +142,15 @@ def test_fixed_order_loses():
     assert worst == 4
     assert argmax == [bits_to_index("0110"), bits_to_index("1001")]
     # randomizing the order is what keeps the worst case below four
-    assert lv_worst_cost()[0] < worst
+    assert recursive_exact_worst(1)[0] < worst
 
 
 def test_cost_is_complement_invariant():
     for pat in range(16):
         comp = pat ^ 0xF
-        assert lv_exact_cost(index_to_bits(pat, 4)) == lv_exact_cost(
+        assert height_one_cost(index_to_bits(pat, 4)) == height_one_cost(
             index_to_bits(comp, 4)
         )
-
-
-def test_recursive_exact_cost_height_one_matches_round():
-    for pat in range(16):
-        bits = index_to_bits(pat, 4)
-        assert recursive_exact_moments(1, bits)[0] == lv_exact_cost(bits)
 
 
 def brute_height2_cost(x):
@@ -163,7 +162,7 @@ def brute_height2_cost(x):
     for branch, w in ((0, Fraction(1, 4)), (1, Fraction(3, 4))):
         for order in itertools.permutations((1, 2, 3)):
             _, reads = reference_round(vals, branch, order)
-            inner = sum((lv_exact_cost(quarters[k]) for k in reads), Fraction(0))
+            inner = sum((reference_cost(quarters[k]) for k in reads), Fraction(0))
             total += w * Fraction(1, 6) * inner
     return total
 
@@ -183,7 +182,7 @@ def test_recursive_exact_cost_height_two_matches_brute():
 def test_recursive_exact_mean_squares():
     # per-branch means agree by complement invariance, so the height-2
     # mean is the square of the height-1 mean
-    m0 = sum((m * lv_exact_cost(b) for b, m in dh_support(1)), Fraction(0))
+    m0 = sum((m * reference_cost(b) for b, m in dh_support(1)), Fraction(0))
     assert m0 == Fraction(97, 30)
     m2 = recursive_exact_moments(2)[0]
     assert m2 == m0 * m0 == Fraction(9409, 900)

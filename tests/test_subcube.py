@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from qlab.boolfn import MAX_VARS, IteratedMajority, TruthTable, fmaj
+from qlab.boolfn import MAX_VARS, TruthTable, fmaj, iterated_table
 from qlab.subcube import (
     LabeledPartition,
     Pattern,
@@ -292,7 +292,7 @@ def test_search_results_are_pinned():
 
 
 def test_search_guards_reject_large_inputs():
-    g2 = IteratedMajority(2).truth_table()
+    g2 = iterated_table(2)
     with pytest.raises(ValueError):
         search_min_cost(g2, 3)
     with pytest.raises(ValueError):
@@ -320,7 +320,7 @@ def test_compose_partitions_canonical_square():
 def test_compose_partitions_computes_composed_function():
     p = canonical_fmaj_partition()
     comp = compose_partitions(p, p)
-    assert computes(comp, IteratedMajority(2).truth_table())
+    assert computes(comp, iterated_table(2))
 
 
 def test_compose_agrees_with_membership_semantics():
