@@ -160,7 +160,8 @@ def patterns(quads: np.ndarray) -> np.ndarray:
 def tree_bits(h: int, x: "str | Bits") -> np.ndarray:
     """The 4**h leaves of one height-h input as a uint8 array."""
     bits = parse_bits(x)
-    if len(bits) != 4**h:
+    # bit counts first, so that a huge h never builds the power 4**h
+    if len(bits).bit_length() != 2 * h + 1 or len(bits) != 4**h:
         raise ValueError(f"input length {len(bits)} != 4**{h}")
     return np.array(bits, dtype=np.uint8)
 

@@ -36,6 +36,8 @@ from . import boolfn, dtree, harddist, lpbound, randalg, subcube
 
 # exact per-level floor on expected reads for any zero-error tree
 LEVEL_COST_FLOOR = Fraction(16, 5)
+# the law of the root's child that the minority path enters
+MINORITY_MARGINALS = (Fraction(2, 5), Fraction(1, 5), Fraction(1, 5), Fraction(1, 5))
 
 
 class InputError(Exception):
@@ -142,6 +144,8 @@ def cmd_measure_depth(args: argparse.Namespace, rep: Report) -> None:
     if args.tree_out:
         depth, tree = dtree.exact_depth(table, want_tree=True)
         dtree.save_tree(tree, args.tree_out)
+        # the replay checks the tree as written
+        tree = dtree.load_tree(args.tree_out)
         rep.add("depth", depth)
         rep.add("tree-out", args.tree_out)
         rep.add_verdict(
@@ -158,9 +162,15 @@ def cmd_measure_delta0(args: argparse.Namespace, rep: Report) -> None:
     dist = _load("distribution", harddist.load_dist, args.dist)
     if dist.n != table.n:
         raise InputError("table and distribution arity mismatch")
-    value = dtree.delta0(table, dist.dense())
+    charges = dtree.CostMatrix.uniform(dist.dense())
+    value, tree = dtree.min_weighted_zero_error(table, charges, want_tree=True)
     rep.add("n", table.n)
     rep.add_rational("delta0", value)
+    rep.add_verdict(
+        "witness-replay",
+        _partition_computes(dtree.tree_to_partition(tree, table.n), table)
+        and dtree.tree_cost(tree, charges) == value,
+    )
 
 
 def _add_jk(rep: Report) -> tuple[Fraction, Fraction, Fraction]:
@@ -375,8 +385,7 @@ def cmd_simulate_r0(args: argparse.Namespace, rep: Report) -> None:
     rep.add_rational("mean", mc.mean)
     rep.add("stderr", repr(mc.stderr))
     rep.add("exact-stderr", repr(sigma))
-    rep.add("output-errors", mc.errors)
-    rep.add_verdict("zero-error", mc.errors == 0)
+    rep.add_verdict("zero-error", randalg.lv_check_correct())
     rep.add_rational("exact-mean", exact)
     rep.add_verdict("within-4-sigma", abs(float(mc.mean - exact)) <= 4.0 * sigma)
     if band is not None:
@@ -472,15 +481,10 @@ def _verify_height1(rep: Report) -> None:
     )
 
     marg = harddist.minority_marginals_exact()
-    expected = (Fraction(2, 5), Fraction(1, 5), Fraction(1, 5), Fraction(1, 5))
-    rep.add_verdict("minority-marginals", marg == expected)
+    rep.add_verdict("minority-marginals", marg == MINORITY_MARGINALS)
 
     law = randalg.embedding_children_law_exact()
-    target = harddist.d()
-    rep.add_verdict(
-        "embedding-law-exact",
-        all(law.get(idx, Fraction(0)) == target.mass(idx) for idx in range(16)),
-    )
+    rep.add_verdict("embedding-law-exact", law == harddist.d().masses)
     cond = randalg.minority_conditionals_exact()
     table_expected = {}
     for i in range(4):
@@ -497,11 +501,7 @@ def _verify_height1(rep: Report) -> None:
 
 
 def _verify_height2(args: argparse.Namespace, rep: Report) -> None:
-    # before the depth sweep and the Monte Carlo: the samplers run one
-    # after another, so the larger of their footprints is the peak
-    _fit_memory(
-        args.trials, max(harddist.MINORITY_BYTES_PER_TRIAL, randalg.EMBED_BYTES_PER_TRIAL)
-    )
+    # only the Monte Carlo samples: every other verdict reads a whole table
     rep.add("trials", args.trials)
     table2 = boolfn.iterated_table(2)
 
@@ -521,17 +521,17 @@ def _verify_height2(args: argparse.Namespace, rep: Report) -> None:
     rep.add("stderr", repr(mc.stderr))
     rep.add_rational("exact-mean", exact)
     rep.add("exact-stderr", repr(sigma))
-    rep.add_verdict("zero-error", mc.errors == 0)
+    rep.add_verdict("zero-error", randalg.lv_check_correct())
     rep.add_verdict("mean-band", within)
-
-    counts = harddist.minority_level1_counts(args.trials, np.random.default_rng(args.seed + 1))
     marg = harddist.minority_marginals_exact()
-    rep.add_verdict("minority-frequencies", randalg.within_four_sigma(counts, marg, args.trials))
-
+    rep.add_verdict("minority-frequencies", marg == MINORITY_MARGINALS)
     rep.add_verdict("mass-total", harddist.dh_total(2)[1] == 1)
-
-    embed = randalg.embed_check(2, args.trials, np.random.default_rng(args.seed + 2))
-    rep.add_verdict("embedding", embed.ok)
+    rep.add_verdict(
+        "embedding",
+        randalg.embed_misses(2) == (0, 0, 0)
+        and randalg.embedding_children_law_exact() == harddist.d().masses
+        and randalg.embedding_slot_law_exact() == randalg.SLOT_PROBS,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,9 @@ read count rises to 4 on its worst input.
 
 The round's coins amount to 24 equally likely rounds, six of branch 0
 and eighteen of branch 1, each order equally often.  One table of those
-rounds, built once from ``lv_run``, holds what each reads and outputs.
-The level-by-level Monte Carlo evaluator reads it directly.  The three
+rounds, built once from ``lv_run``, holds what each reads and outputs,
+so ``lv_check_correct`` judges zero error on the whole table.  The
+level-by-level Monte Carlo evaluator reads it directly.  The three
 exact recursions (per input, under the hard law, and over the worst
 inputs) share one integer moment step over its read counts.  On a fixed
 input the evaluator and the recursion take the nodes' children
@@ -237,7 +238,6 @@ class McReport:
     trials: int
     mean: Fraction
     stderr: float
-    errors: int
 
 
 def mc_mean_cost(
@@ -249,9 +249,8 @@ def mc_mean_cost(
     threads: int = 1,
 ) -> McReport:
     """Monte Carlo mean leaf reads: on a fixed input x, or under the
-    height-h hard distribution when x is None.  A trial errs when any
-    node it reads outputs other than its true value.  The trial budget
-    is split over 64 fixed substreams, so results do not depend on the
+    height-h hard distribution when x is None.  The trial budget is
+    split over 64 fixed substreams, so results do not depend on the
     thread count."""
     if not 0 <= h <= MAX_MC_HEIGHT:
         raise ValueError(f"Monte Carlo supports 0 <= h <= {MAX_MC_HEIGHT}")
@@ -264,7 +263,7 @@ def mc_mean_cost(
     streams = rng.spawn(chunks)
     sizes = [trials // chunks + (1 if i < trials % chunks else 0) for i in range(chunks)]
 
-    def work(args: tuple[np.random.Generator, int]) -> tuple[int, int, int]:
+    def work(args: tuple[np.random.Generator, int]) -> tuple[int, int]:
         sub, count = args
         return _mc_chunk(h, count, sub, tables, pats)
 
@@ -276,26 +275,22 @@ def mc_mean_cost(
         results = [work(j) for j in jobs]
     total = sum(r[0] for r in results)
     total_sq = sum(r[1] for r in results)
-    errors = sum(r[2] for r in results)
     mean = Fraction(total, trials)
     var = float(Fraction(total_sq, trials) - mean * mean)
     stderr = (var / trials) ** 0.5
-    return McReport(trials, mean, stderr, errors)
+    return McReport(trials, mean, stderr)
 
 
 def _round_tables() -> tuple[np.ndarray, ...]:
-    """The evaluator's flat lookups, built from _ROUND_MASK and
-    _ROUND_OUT.  On children pattern p, round r reads round_mask[24p + r]
-    and errs where round_bad[24p + r].  A hard-law node of value b takes
-    one draw u in [0, 720): u // 24 picks its children pattern from the
-    seed law, in thirtieths, and u % 24 picks its round; hard_mask,
-    hard_bad and hard_pat are indexed by 720b + u."""
+    """The evaluator's flat lookups, built from _ROUND_MASK.  On children
+    pattern p, round r reads round_mask[24p + r].  A hard-law node of
+    value b takes one draw u in [0, 720): u // 24 picks its children
+    pattern from the seed law, in thirtieths, and u % 24 picks its
+    round; hard_mask and hard_pat are indexed by 720b + u."""
     round_mask = _ROUND_MASK.T.ravel()
-    round_bad = (_ROUND_OUT != _FM).T.ravel()
     u = np.arange(720)
     hard_pat = _DRAW30[:, u // 24].ravel().astype(np.intp)
-    key = 24 * hard_pat + np.tile(u % 24, 2)
-    return round_mask, round_bad, round_mask[key], round_bad[key], hard_pat
+    return round_mask, round_mask[24 * hard_pat + np.tile(u % 24, 2)], hard_pat
 
 
 def _mc_chunk(
@@ -304,8 +299,8 @@ def _mc_chunk(
     rng: np.random.Generator,
     tables: tuple[np.ndarray, ...],
     pats: Optional[list[np.ndarray]],
-) -> tuple[int, int, int]:
-    """(total reads, total squared reads, erring trials) of count trials.
+) -> tuple[int, int]:
+    """(total reads, total squared reads) of count trials.
     Trials run in batches, one tree level at a time: the frontier holds
     each node read with its trial and its value (hard law) or its index
     (fixed input), and its round's reads name the next frontier.  Leaves
@@ -313,14 +308,13 @@ def _mc_chunk(
     frontier within 2**18 nodes up to height 10, before any is drawn."""
     if h == 0:
         # a leaf is read outright; sampling only fixes its value
-        return count, count, 0
-    round_mask, round_bad, hard_mask, hard_bad, hard_pat = tables
+        return count, count
+    round_mask, hard_mask, hard_pat = tables
     batch = max(1, 2**20 // 4**h)
-    total = total_sq = errors = 0
+    total = total_sq = 0
     for start in range(0, count, batch):
         n = min(batch, count - start)
         trial = np.arange(n)
-        erred = np.zeros(n, dtype=bool)
         if pats is None:
             val = rng.integers(0, 2, size=n)
         else:
@@ -329,12 +323,10 @@ def _mc_chunk(
             if pats is None:
                 u = rng.integers(0, 720, size=trial.size, dtype=np.uint16)
                 key = 720 * val + u
-                mask, bad, pat = hard_mask[key], hard_bad[key], hard_pat[key]
+                mask, pat = hard_mask[key], hard_pat[key]
             else:
                 r = rng.integers(0, 24, size=trial.size, dtype=np.uint8)
-                key = 24 * pats[k - 1][node] + r
-                mask, bad = round_mask[key], round_bad[key]
-            erred[trial[bad]] = True
+                mask = round_mask[24 * pats[k - 1][node] + r]
             if k > 1:
                 read = np.flatnonzero(_CHILD_BITS[mask])
                 parent, j = read >> 2, read & 3
@@ -346,8 +338,7 @@ def _mc_chunk(
         cost = np.bincount(trial, weights=_POPC[mask], minlength=n).astype(np.int64)
         total += int(cost.sum())
         total_sq += int((cost * cost).sum())
-        errors += int(np.count_nonzero(erred))
-    return total, total_sq, errors
+    return total, total_sq
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +430,7 @@ def within_four_sigma(counts: Sequence[int], probs: Sequence[Fraction], trials: 
 # the embedding of one instance into a sampled neighborhood
 
 _NONUNANIMOUS = ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1))
-_SLOT_PROBS = (Fraction(1, 5), Fraction(4, 15), Fraction(4, 15), Fraction(4, 15))
+SLOT_PROBS = (Fraction(1, 5), Fraction(4, 15), Fraction(4, 15), Fraction(4, 15))
 
 
 # the embedding's randomness as 360 equally likely outcomes: an embedded
@@ -473,6 +464,12 @@ def embedding_children_law_exact() -> dict[int, Fraction]:
     return {pat: Fraction(c, 360) for pat, c in enumerate(counts) if c}
 
 
+def embedding_slot_law_exact() -> tuple[Fraction, ...]:
+    """Exact law of the slot the embedded instance takes: each outcome's
+    slot has mass 1/360."""
+    return tuple(Fraction(c, 360) for c in np.bincount(_EMBED_SLOT, minlength=4).tolist())
+
+
 def minority_conditionals_exact() -> dict[tuple[int, int], Fraction]:
     """Exact probability that the minority path leaves through child j
     given the embedded instance sits at child i, over the embedding's
@@ -483,7 +480,25 @@ def minority_conditionals_exact() -> dict[tuple[int, int], Fraction]:
         assert dis, "sampled children never agree unanimously"
         for j in dis:
             joint[slot, j] += Fraction(1, 360 * len(dis))
-    return {(i, j): mass / _SLOT_PROBS[i] for (i, j), mass in joint.items()}
+    return {(i, j): mass / SLOT_PROBS[i] for (i, j), mass in joint.items()}
+
+
+def embed_misses(level: int) -> tuple[int, int, int]:
+    """The embedding places a height-(level-1) instance as one child of a
+    level-``level`` node so that its value always propagates to the
+    node.  Judged on every outcome: the outcomes whose embedded child
+    dissents from its parent, those whose parent does not follow a flip
+    of the embedded value, and at level 2, where each sibling block is
+    drawn from the one-level law of its value, the draw-table entries of
+    the other value."""
+    if level not in (1, 2):
+        raise ValueError("embedding is implemented for levels 1 and 2")
+    embedded = (_EMBED_PAT >> (3 - _EMBED_SLOT)) & 1
+    bad_majority = int(np.count_nonzero(embedded != _FM[_EMBED_PAT]))
+    # with the embedded value flipped the parent must follow
+    bad_value = int(np.count_nonzero(embedded == _FM[_EMBED_PAT ^ (8 >> _EMBED_SLOT)]))
+    bad_sibling = int(np.count_nonzero(_FM[_DRAW30] != [[0], [1]])) if level == 2 else 0
+    return bad_majority, bad_value, bad_sibling
 
 
 @dataclass(frozen=True)
@@ -496,11 +511,6 @@ class EmbedReport:
     bad_value: int
     bad_sibling: int
 
-    @property
-    def ok(self) -> bool:
-        bad = self.bad_majority + self.bad_value + self.bad_sibling
-        return self.slot_ok and self.chi2.ok and bad == 0
-
 
 # peak bytes of embed_check per trial: its uint16 draws and their intp
 # copy in bincount; tracemalloc measures about 10 from 2 * 10**5 trials up
@@ -510,28 +520,15 @@ EMBED_BYTES_PER_TRIAL = 12
 def embed_check(
     level: int, trials: int, rng: np.random.Generator, alpha: float = 1e-3
 ) -> EmbedReport:
-    """Audit of the embedding, which places a height-(level-1) instance
-    as one child of a level-``level`` node so that its value always
-    propagates to the node and a fair embedded value makes the node's
-    children follow the one-level hard law.  Sampled: ``trials``
-    outcomes, whose slots must lie within four sigma of _SLOT_PROBS and
-    whose patterns must pass a chi-square against the hard law.  Judged
-    on every outcome: bad_majority counts those whose embedded child
-    dissents from its parent, bad_value those whose parent does not
-    follow a flip of the embedded value.  At level 2, where each sibling
-    block is drawn from the one-level law of its value, bad_sibling
-    counts the draw-table entries of the other value."""
-    if level not in (1, 2):
-        raise ValueError("embedding is implemented for levels 1 and 2")
-    embedded = (_EMBED_PAT >> (3 - _EMBED_SLOT)) & 1
-    bad_majority = int(np.count_nonzero(embedded != _FM[_EMBED_PAT]))
-    # with the embedded value flipped the parent must follow
-    bad_value = int(np.count_nonzero(embedded == _FM[_EMBED_PAT ^ (8 >> _EMBED_SLOT)]))
-    bad_sibling = int(np.count_nonzero(_FM[_DRAW30] != [[0], [1]])) if level == 2 else 0
-
+    """Audit of the embedding: ``embed_misses(level)`` on every outcome,
+    and ``trials`` sampled outcomes, whose slots must lie within four
+    sigma of SLOT_PROBS and whose children patterns, which a fair
+    embedded value makes follow the one-level hard law, must pass a
+    chi-square against it."""
+    misses = embed_misses(level)
     hits = np.bincount(rng.integers(0, 360, size=trials, dtype=np.uint16), minlength=360)
     slot_counts = tuple(int(c) for c in np.bincount(_EMBED_SLOT, weights=hits, minlength=4))
-    slot_ok = within_four_sigma(slot_counts, _SLOT_PROBS, trials)
+    slot_ok = within_four_sigma(slot_counts, SLOT_PROBS, trials)
     pat_counts = np.bincount(_EMBED_PAT, weights=hits, minlength=16).astype(np.int64)
     gof = chi_square_gof(pat_counts, d().dense(), alpha=alpha)
-    return EmbedReport(trials, slot_counts, slot_ok, gof, bad_majority, bad_value, bad_sibling)
+    return EmbedReport(trials, slot_counts, slot_ok, gof, *misses)

@@ -225,13 +225,14 @@ def test_criterion_10_monte_carlo_band():
     band_ok = (
         float(band_low) - 4 * rep.stderr <= mean <= float(band_high) + 4 * rep.stderr
     )
+    zero_error = lv_check_correct()
     dt = time.monotonic() - t0
     ok = verdict(
         10,
         "height-2 expected reads",
-        endpoint_ok and band_ok and rep.errors == 0,
+        endpoint_ok and band_ok and zero_error,
         f"mean={mean:.4f} in [{float(band_low)}, {float(band_high)}], "
-        f"worst={worst}, errors={rep.errors}, {dt:.1f}s",
+        f"worst={worst}, zero-error on every round={zero_error}, {dt:.1f}s",
     )
     assert ok
 
@@ -254,7 +255,8 @@ def test_criterion_11_distribution_integrity():
         sigma = np.sqrt(expect * (1 - expect) / rep.trials)
         freqs = np.array(rep.slot_counts) / rep.trials
         slots_ok = slots_ok and bool((np.abs(freqs - expect) < 4 * sigma).all())
-        slots_ok = slots_ok and rep.ok
+        bad = rep.bad_majority + rep.bad_value + rep.bad_sibling
+        slots_ok = slots_ok and rep.slot_ok and rep.chi2.ok and bad == 0
         slot_freqs.append(np.round(freqs, 4).tolist())
     dt = time.monotonic() - t0
     ok = verdict(

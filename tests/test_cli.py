@@ -6,6 +6,7 @@ import io
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlab import cli, harddist, lpbound, randalg, subcube
+from qlab import cli, dtree, harddist, lpbound, randalg, subcube
 from qlab.boolfn import fmaj, iterated_table, load_table, save_table
 from qlab.cli import main
 from qlab.harddist import d, load_dist, save_dist
@@ -77,7 +78,49 @@ def test_measure_depth_and_delta0(tmp_path, capsys):
         capsys, "measure", "delta0", "--table", str(table), "--dist", str(dist)
     )
     assert code == 0
-    assert lines(out)["delta0"] == "16/5"
+    got = lines(out)
+    assert got["delta0"] == "16/5"
+    assert got["witness-replay"] == "pass"
+
+
+def flip_first_leaf(tree):
+    """The tree with its leftmost leaf's output flipped."""
+    if isinstance(tree, dtree.Leaf):
+        return dtree.Leaf(1 - tree.value)
+    return dtree.Node(tree.var, flip_first_leaf(tree.low), tree.high)
+
+
+def test_measure_depth_replays_the_tree_file(tmp_path, capsys, monkeypatch):
+    # the replay reads the tree back, so a file that differs from the
+    # optimal tree fails it
+    table, tree = tmp_path / "f.tt", tmp_path / "t.dt"
+    save_table(fmaj(), table)
+    real = dtree.save_tree
+    monkeypatch.setattr(cli.dtree, "save_tree", lambda t, path: real(flip_first_leaf(t), path))
+    code, out = run(capsys, "measure", "depth", "--table", str(table), "--tree-out", str(tree))
+    assert lines(out)["witness-replay"] == "FAIL"
+    assert code == 1
+
+
+def test_measure_delta0_replays_its_witness(tmp_path, capsys, monkeypatch):
+    # a witness that errs on an input, and one that computes fmaj at a
+    # higher cost (the depth-optimal tree costs 10/3 under d), both fail
+    table, dist = tmp_path / "f.tt", tmp_path / "d.dist"
+    save_table(fmaj(), table)
+    save_dist(d(), dist)
+    argv = ["measure", "delta0", "--table", str(table), "--dist", str(dist)]
+    real = dtree.min_weighted_zero_error
+    for wrong in (flip_first_leaf, lambda t: dtree.exact_depth(fmaj(), want_tree=True)[1]):
+
+        def witness(f, cost, *, want_tree, wrong=wrong):
+            value, tree = real(f, cost, want_tree=want_tree)
+            return value, wrong(tree)
+
+        monkeypatch.setattr(cli.dtree, "min_weighted_zero_error", witness)
+        code, out = run(capsys, *argv)
+        got = lines(out)
+        assert (got["delta0"], got["witness-replay"]) == ("16/5", "FAIL")
+        assert code == 1
 
 
 def test_measure_jk_reports_honest_failure(capsys):
@@ -278,19 +321,19 @@ def test_bound_commands(tmp_path, capsys):
 PINNED_REPORTS = [
     pytest.param(
         ("simulate", "r0", "--height", "1", "--trials", "100000", "--seed", "8", "--threads", "1"),
-        "9efade115655b1b789a1777e8ef1050ed2b08d8502a2dc22920b299460940d99",
+        "92a23a063d2b3aafbe4fa1e9e5c701b86f5da2dcee53863d5ee71bd986eb715c",
         0,
         id="r0-h1",
     ),
     pytest.param(
         ("simulate", "r0", "--height", "3", "--trials", "5000", "--seed", "10", "--threads", "1"),
-        "d4adc8b7f59275e9faee3876d427f3eb50c96b4bbbe9ac6234c026dca93a486e",
+        "2284679070801100d1eb80bf06ac8a7df2ba54f6c552a70c4136f70fd0dff3ce",
         0,
         id="r0-h3",
     ),
     pytest.param(
         ("simulate", "r0", "--height", "8", "--trials", "20", "--seed", "15", "--threads", "1"),
-        "69da311c2228c3a6912ae0cfc6b6028f1e186281c5c63a294e080d0ea9e63302",
+        "3fd583d07728622bc3fff4ed26ee3bb04e41c9002e739cd46cec9a066dc3f4c5",
         0,
         id="r0-h8",
     ),
@@ -299,7 +342,7 @@ PINNED_REPORTS = [
             "simulate", "r0", "--height", "3", "--trials", "3000", "--seed", "2", "--threads", "1",
             "--input", "0011001101110111001100110111011100110111011101110011011101110111",
         ),
-        "60e10057f54ec823f588c8a20c0fd4339da0fc40de69c4ce499104ee7c40ff9a",
+        "4bfce4c582a394ff980770a56188040b6fc0873f978ed477883aeee981e8a3fa",
         0,
         id="r0-h3-worst-input",
     ),
@@ -371,7 +414,7 @@ PINNED_REPORTS = [
     ),
     pytest.param(
         ("measure", "delta0", "--table", "FMAJ", "--dist", "D"),
-        "025713cab60c2faf82e8b973b04d68b0d163c24c8a67258cdeb009b778fbb67a",
+        "bf478ee8563ba9aacab258ea80c39a63fac053df095451ca7d0c967f8b01cbb0",
         0,
         id="delta0",
     ),
@@ -501,7 +544,6 @@ def test_simulate_r0_exact_references_at_every_height(capsys):
     code, one = run(capsys, *argv, "--threads", "1")
     assert code == 0
     got = lines(one)
-    assert got["output-errors"] == "0"
     assert got["exact-mean"] == "88529281/810000"  # (97/30)**4
     assert got["band-high"] == "28561/256"  # (13/4)**4
     for verdict in ("zero-error", "within-4-sigma", "within-band"):
@@ -610,6 +652,46 @@ def test_verify_height_two_fails_an_overlapping_partition(capsys, monkeypatch):
     assert code == 1
 
 
+# one wrong entry in each table that verify judges exactly: a round
+# output on 0000, which the hard law never draws; outcome 0 of the
+# embedding (a 0 at slot 0 among siblings 001) moved off the support to
+# 0000, where a flip of it does not propagate, or to 0011, which keeps
+# its structure but not the children law; the slot law; a value-0 draw
+# of the value-1 pattern 0111; and 1000's lone dissenter moved to slot 1
+TABLE_FAULTS = [
+    pytest.param(randalg, "_ROUND_OUT", (6, 0b0000), 1, "zero-error", id="round-output"),
+    pytest.param(randalg, "_EMBED_PAT", 0, 0b0000, "embedding", id="embed-off-support"),
+    pytest.param(randalg, "_EMBED_PAT", 0, 0b0011, "embedding", id="embed-law"),
+    pytest.param(randalg, "SLOT_PROBS", 0, Fraction(4, 15), "embedding", id="slot-law"),
+    pytest.param(randalg, "_DRAW30", (0, 0), 0b0111, "embedding", id="sibling-draw"),
+    pytest.param(harddist, "_DISSENT", 0b1000, (1,), "minority-frequencies", id="dissent"),
+]
+
+
+@pytest.fixture(scope="module")
+def height_two_total():
+    return harddist.dh_total(2)
+
+
+@pytest.mark.parametrize("module, name, index, value, verdict", TABLE_FAULTS)
+def test_verify_height_two_judges_each_table_whole(
+    capsys, monkeypatch, height_two_total, module, name, index, value, verdict
+):
+    # one trial reads almost none of these tables, so each verdict must
+    # judge its table on every entry to fail on a single wrong one; the
+    # support enumeration, which no fault touches, runs once for them all
+    stub_depth_sweep(monkeypatch)
+    monkeypatch.setattr(cli.harddist, "dh_total", lambda h: height_two_total)
+    table = getattr(module, name)
+    wrong = table.copy() if isinstance(table, np.ndarray) else list(table)
+    assert wrong[index] != value
+    wrong[index] = value
+    monkeypatch.setattr(module, name, wrong if isinstance(table, np.ndarray) else tuple(wrong))
+    code, out = run(capsys, "verify", "separation", "--height", "2", "--trials", "1")
+    assert [k for k, v in lines(out).items() if v == "FAIL"] == [verdict]
+    assert code == 1
+
+
 def test_exit_two_on_bad_input(tmp_path, capsys):
     table = tmp_path / "f.tt"
     run(capsys, "fn", "emit", "--name", "fmaj", "--out", str(table))
@@ -666,6 +748,27 @@ def test_exit_two_on_out_of_range_arguments(capsys, tmp_path, argv):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["fn", "iter", "--height", "1000000000"], ["dist", "mass", "--height", "1000000000"]],
+    ids=["fn-iter", "dist-mass"],
+)
+def test_huge_height_is_refused_without_building_its_power(capsys, argv):
+    # a one-leaf input mismatches 4**h by its bit count, so the refusal
+    # never builds the 250 MB integer 4**(10**9)
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code = exit_code(argv + ["--input", "0"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert peak < 2**20
+
+
 def test_dist_sample_memory_guard_boundary(capsys, monkeypatch):
     # at height 10 the limit holds exactly limit / (bytes per leaf * 4**10)
     # trials; the stub keeps the accepted run to one sampled input
@@ -696,27 +799,21 @@ class Reached(Exception):
         ["simulate", "minority"],
         ["simulate", "embed", "--level", "1"],
         ["simulate", "embed", "--level", "2"],
-        ["verify", "separation", "--height", "2"],
     ],
-    ids=["minority", "embed-l1", "embed-l2", "verify-h2"],
+    ids=["minority", "embed-l1", "embed-l2"],
 )
 def test_trial_memory_guards(capsys, monkeypatch, argv):
-    # the guard runs before the depth sweep and every sampler, each of
-    # which the stub turns into a marker that the run got past it
+    # the guard runs before the sampler, which the stub turns into a
+    # marker that the run got past it
     def reached(*args, **kwargs):
         raise Reached
 
-    for module, name in (
-        (cli.dtree, "exact_depth"),
-        (cli.randalg, "mc_mean_cost"),
-        (cli.harddist, "minority_level1_counts"),
-        (cli.randalg, "embed_check"),
-    ):
-        monkeypatch.setattr(module, name, reached)
+    monkeypatch.setattr(cli.harddist, "minority_level1_counts", reached)
+    monkeypatch.setattr(cli.randalg, "embed_check", reached)
     assert exit_code(argv + ["--trials", str(10**12)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "memory limit" in err
-    # the benchmark's trial counts and verify's default pass
+    # the benchmark's trial counts pass
     for trials in (10**6, 5 * 10**5, 2 * 10**5):
         with pytest.raises(Reached):
             main(argv + ["--trials", str(trials)])

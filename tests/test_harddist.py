@@ -308,6 +308,21 @@ def test_minority_marginals_exact():
     assert tuple(direct) == marg
 
 
+def test_dissenter_pick_follows_the_dissent_slots():
+    # coin 0 takes the first dissenter and coin 1 the last, so a lone
+    # dissenter is taken outright; 255 marks a pattern with none
+    f = fmaj()
+    for p in range(16):
+        bits = index_to_bits(p, 4)
+        slots = [j for j in range(4) if bits[j] != f.bit(p)]
+        assert list(harddist._DISSENT[p]) == slots, p
+        want = [slots[0], slots[-1]] if slots else [255, 255]
+        assert harddist._DIS_PICK[p].tolist() == want, p
+    assert harddist._DIS_PICK[[0b0000, 0b1000, 0b0011, 0b1100]].tolist() == [
+        [255, 255], [0, 0], [2, 3], [2, 3]
+    ]
+
+
 def test_minority_counts_report_an_all_agree_root_as_a_sampler_fault(monkeypatch):
     # all-zero inputs lie off the support; only a broken sampler yields them
     monkeypatch.setattr(

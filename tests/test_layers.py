@@ -124,10 +124,9 @@ def test_no_module_reads_the_environment():
         assert not reads_environment(path.read_text()), path.name
 
 
-# called from outside src alone: the .dt reader and the witness replay
-# that decision trees are rechecked with, and the reference enumeration
-# of the hard law that the tests compare against
-OUTSIDE_CALLERS = {"dtree.load_tree", "dtree.tree_cost", "harddist.dh_support"}
+# called from outside src alone: the reference enumeration of the hard
+# law that the tests compare against
+OUTSIDE_CALLERS = {"harddist.dh_support"}
 
 
 def names_used(node: ast.AST) -> Counter:

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qlab import randalg
+from qlab import cli, randalg
 from qlab.boolfn import bits_to_index, fmaj, index_to_bits, iter_eval, parse_bits
 from qlab.harddist import d, dh_support
 from qlab.randalg import (
@@ -353,12 +353,13 @@ def test_recursive_exact_guards():
 
 
 def test_recursive_run_is_correct_and_bounded():
+    # zero error is a fact of the round table, judged on all of it
+    assert lv_check_correct()
     rng = np.random.default_rng(3)
     for pat in (3, 8, 12, 7):
         bits = index_to_bits(pat, 4)
         for _ in range(50):
             rep = mc_mean_cost(1, 1, rng, x=bits)
-            assert rep.errors == 0
             assert 2 <= rep.mean <= 4
 
 
@@ -366,7 +367,6 @@ def test_mc_mean_determinism_and_threads():
     r1 = mc_mean_cost(1, 50_000, np.random.default_rng(21))
     r2 = mc_mean_cost(1, 50_000, np.random.default_rng(21))
     assert r1.mean == r2.mean
-    assert r1.errors == r2.errors == 0
     r4 = mc_mean_cost(1, 50_000, np.random.default_rng(21), threads=4)
     assert r4.mean == r1.mean
     deep = mc_mean_cost(4, 1500, np.random.default_rng(22))
@@ -376,20 +376,17 @@ def test_mc_mean_determinism_and_threads():
 def test_mc_mean_tracks_exact_height_one():
     rep = mc_mean_cost(1, 200_000, np.random.default_rng(8))
     exact = float(Fraction(97, 30))
-    assert rep.errors == 0
     assert abs(float(rep.mean) - exact) < 4 * rep.stderr
 
 
 def test_mc_mean_tracks_exact_height_two():
     rep = mc_mean_cost(2, 200_000, np.random.default_rng(9), threads=2)
     exact = float(Fraction(9409, 900))
-    assert rep.errors == 0
     assert abs(float(rep.mean) - exact) < 4 * rep.stderr
 
 
 def test_mc_mean_fixed_input():
     rep = mc_mean_cost(1, 200_000, np.random.default_rng(10), x="0011")
-    assert rep.errors == 0
     assert abs(float(rep.mean) - 3.25) < 4 * rep.stderr
 
 
@@ -398,39 +395,38 @@ def test_mc_batches_are_seed_deterministic():
     # of 2**20 // 4**9 = 4 trials
     first = mc_mean_cost(9, 520, np.random.default_rng(23))
     assert mc_mean_cost(9, 520, np.random.default_rng(23)) == first
-    assert first.errors == 0
     assert abs(float(first.mean - Fraction(97, 30) ** 9)) < 4 * first.stderr
 
 
 @pytest.mark.parametrize("h, trials", [(3, 5000), (4, 1500), (5, 500), (6, 150)])
 def test_mc_mean_tracks_closed_form(h, trials):
     rep = mc_mean_cost(h, trials, np.random.default_rng(40 + h))
-    assert rep.errors == 0
     assert abs(float(rep.mean - Fraction(97, 30) ** h)) < 4 * rep.stderr
 
 
 def test_mc_mean_tracks_exact_cost_on_fixed_height_three_input():
     x = "".join(map(str, np.random.default_rng(34).integers(0, 2, size=64)))
     rep = mc_mean_cost(3, 5000, np.random.default_rng(35), x=x)
-    assert rep.errors == 0
     assert abs(float(rep.mean - recursive_exact_moments(3, x)[0])) < 4 * rep.stderr
 
 
 @pytest.mark.parametrize(
     "h, x", [(1, None), (3, None), (1, "1000"), (3, "1000" * 16)]
 )
-def test_mc_counts_trials_with_a_wrong_round_output(monkeypatch, h, x):
-    # round 6 (branch 1, order 1, 2, 3) reads three zeros on 1000 and
-    # outputs 0; flipping that one output must show up as erring trials
+def test_mc_counts_trials_with_a_wrong_round_output(monkeypatch, capsys, h, x):
+    # simulate r0 judges zero-error on the whole round table, not on the
+    # trials that happen to read a wrong entry.  Round 6 (branch 1, order
+    # 1, 2, 3) outputs 0 on 1000, which the hard law draws, and on 0000,
+    # which it never draws; a flip of either must fail at any input
+    argv = ["simulate", "r0", "--height", str(h), "--trials", "2000", "--seed", "36"]
+    argv += [] if x is None else ["--input", x]
     right = randalg._ROUND_OUT
-    wrong = right.copy()
-    wrong[6, bits_to_index("1000")] ^= 1
-    monkeypatch.setattr(randalg, "_ROUND_OUT", wrong)
-    rep = mc_mean_cost(h, 2000, np.random.default_rng(36), x=x)
-    assert 0 < rep.errors < rep.trials
-    # with every output flipped each trial errs, and counts once
-    monkeypatch.setattr(randalg, "_ROUND_OUT", 1 - right)
-    assert mc_mean_cost(h, 2000, np.random.default_rng(36), x=x).errors == 2000
+    for pat in ("1000", "0000"):
+        wrong = right.copy()
+        wrong[6, bits_to_index(pat)] ^= 1
+        monkeypatch.setattr(randalg, "_ROUND_OUT", wrong)
+        assert cli.main(argv) == 1, pat
+        assert "zero-error: FAIL" in capsys.readouterr().out.splitlines(), pat
 
 
 def test_chi_square_gof_accepts_true_law():
@@ -509,6 +505,12 @@ def test_embedding_children_law_is_the_hard_law():
         assert law.get(idx, Fraction(0)) == dd.mass(idx), idx
 
 
+def test_embedding_slot_law_is_the_placement_law():
+    # three of the 15 placement draws take slot 0, four each slot 1 to 3
+    assert randalg.embedding_slot_law_exact() == randalg.SLOT_PROBS
+    assert randalg.SLOT_PROBS == (Fraction(1, 5),) + (Fraction(4, 15),) * 3
+
+
 def test_minority_conditionals_table():
     conds = minority_conditionals_exact()
     for i in range(4):
@@ -573,7 +575,7 @@ def test_embed_check_passes_both_levels():
     rng = np.random.default_rng(18)
     for level in (1, 2):
         rep = embed_check(level, 100_000, rng, alpha=1e-3)
-        assert rep.ok, rep
+        assert rep.slot_ok and rep.chi2.ok, rep
         assert rep.bad_majority == 0
         assert rep.bad_value == 0
         assert rep.bad_sibling == 0
@@ -588,5 +590,5 @@ def test_embed_check_counts_sibling_misses_apart(monkeypatch):
     rep = embed_check(2, 1000, np.random.default_rng(19))
     assert rep.bad_sibling == 60  # every entry of the 2 x 30 draw table
     assert rep.bad_majority == rep.bad_value == 0
-    assert not rep.ok
+    assert randalg.embed_misses(2) == (0, 0, 60)
     assert embed_check(1, 1000, np.random.default_rng(19)).bad_sibling == 0
