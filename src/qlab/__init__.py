@@ -3,7 +3,6 @@ tie-breaking majority gadget."""
 
 from .boolfn import (
     TruthTable,
-    compose,
     fmaj,
     iter_eval,
     iterated_table,

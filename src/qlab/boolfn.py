@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -87,18 +87,17 @@ class TruthTable:
         return bits[: self.size]
 
     @classmethod
-    def from_values(cls, n: int, values: Iterable[int]) -> "TruthTable":
+    def from_values(cls, n: int, values: "Sequence[int] | np.ndarray") -> "TruthTable":
         """Build from f-values listed in index order 0, 1, ..., 2**n - 1."""
-        bits = 0
-        count = 0
-        for idx, v in enumerate(values):
-            if v not in (0, 1):
-                raise ValueError(f"value at index {idx} is not 0/1")
-            bits |= v << idx
-            count += 1
-        if count != 1 << n:
-            raise ValueError(f"expected {1 << n} values, got {count}")
-        return cls(n, bits)
+        vals = np.asarray(values)
+        # bit counts first, so that a huge n never builds the power 2**n
+        if vals.ndim != 1 or vals.size.bit_length() != n + 1 or vals.size != 1 << n:
+            raise ValueError(f"expected 2**{n} values, got {vals.size}")
+        bad = np.flatnonzero((vals != 0) & (vals != 1))
+        if bad.size:
+            raise ValueError(f"value at index {bad[0]} is not 0/1")
+        packed = np.packbits(vals.astype(np.uint8), bitorder="little")
+        return cls(n, int.from_bytes(packed.tobytes(), "little"))
 
 
 # ---------------------------------------------------------------------------
@@ -122,29 +121,23 @@ def fmaj() -> TruthTable:
     return TruthTable.from_values(4, _FMAJ_BIT)
 
 
-def compose(f: TruthTable, g: TruthTable) -> TruthTable:
-    """Block composition f(g, ..., g): block j of the input feeds copy j
-    of g, and x_1 of the composed input is the most significant bit of
-    the first block."""
-    n, m = f.n, g.n
-    nm = n * m
-    if nm > MAX_VARS:
-        raise ValueError(f"composed arity {nm} exceeds {MAX_VARS}")
-    idx = np.arange(1 << nm)
-    gvals = g.values()
-    fidx = np.zeros(1 << nm, dtype=np.intp)
-    for j in range(n):
-        fidx <<= 1
-        fidx |= gvals[idx >> ((n - 1 - j) * m) & ((1 << m) - 1)]
-    packed = np.packbits(f.values()[fidx], bitorder="little")
-    return TruthTable(nm, int.from_bytes(packed.tobytes(), "little"))
-
-
 # ---------------------------------------------------------------------------
 # the iterated gadget on a complete 4-ary tree
 
 _FM = np.array(_FMAJ_BIT, dtype=np.uint8)
-_SHIFTS = np.array([3, 2, 1, 0], dtype=np.uint8)
+
+
+def input_bits(n: int) -> np.ndarray:
+    """Every n-bit input, n <= 16, as a (2**n, n) uint8 array in index
+    order, x_1 in the first column."""
+    if not 0 <= n <= MAX_VARS:
+        raise ValueError(f"n={n} outside supported range 0..{MAX_VARS}")
+    idx = np.arange(1 << n, dtype=">u2").view(np.uint8).reshape(-1, 2)
+    return np.ascontiguousarray(np.unpackbits(idx, axis=1)[:, MAX_VARS - n :])
+
+
+# _CHILD_BITS[p, j]: the value of child j in children pattern p
+_CHILD_BITS = input_bits(4)
 
 
 def patterns(quads: np.ndarray) -> np.ndarray:
@@ -192,16 +185,14 @@ def iter_eval(h: int, x: "str | Bits") -> int:
 
 def iterated_table(h: int) -> TruthTable:
     """The height-h iterated gadget as an explicit table on 4**h bits,
-    fmaj composed with the height-(h-1) table; only heights 0..2 fit the
-    16-variable cap."""
-    if h < 0:
-        raise ValueError("height must be nonnegative")
-    if h == 0:
-        return TruthTable(1, 0b10)
-    t = fmaj()
-    for _ in range(h - 1):
-        t = compose(t, fmaj())
-    return t
+    read off the level patterns of every input; only heights 0..2 fit
+    the 16-variable cap."""
+    if not 0 <= h <= 2:
+        raise ValueError("the iterated table fits 16 variables only at heights 0 to 2")
+    vals = input_bits(4**h).ravel()
+    if h:
+        vals = _FM[level_patterns(vals, h)[-1]]
+    return TruthTable.from_values(4**h, vals)
 
 
 # ---------------------------------------------------------------------------

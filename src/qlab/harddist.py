@@ -28,20 +28,20 @@ functionals, whose optimal zero-error trees ``dtree`` computes.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .boolfn import (
+    _CHILD_BITS,
     _FMAJ_BIT,
-    _SHIFTS,
     bits_to_index,
     fmaj,
     index_to_bits,
+    input_bits,
     level_patterns,
     parse_bits,
     tree_bits,
@@ -144,43 +144,23 @@ def dh_mass(h: int, x: "str | Sequence[int]") -> Fraction:
     return Fraction(weight, _denominator(h))
 
 
-def dh_support(h: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-    """All inputs of positive mass with their masses; full enumeration
-    is kept to h <= 2 (the height-2 support already has 33614 points)."""
-    denom = _support_denominator(h)
-    return ((bits, Fraction(w, denom)) for b in (0, 1) for bits, w in _dhb_support(h, b))
-
-
 def dh_total(h: int) -> tuple[int, Fraction]:
-    """Size and exact total mass of the height-h support, summed as
-    integer weights over one common denominator."""
-    denom = _support_denominator(h)
-    weights = [w for b in (0, 1) for _, w in _dhb_support(h, b)]
-    return len(weights), Fraction(sum(weights), denom)
-
-
-def _support_denominator(h: int) -> int:
-    if h > MAX_ENUM_HEIGHT:
-        raise ValueError(f"support enumeration supports h <= {MAX_ENUM_HEIGHT}")
-    return _denominator(h)
+    """Size and exact total mass of the height-h support, over every
+    input: each input's weight over _denominator(h) is the product of
+    _W30 over its level patterns, at most 12**5 at height 2, so int64."""
+    if not 0 <= h <= MAX_ENUM_HEIGHT:
+        raise ValueError(f"exact totals support 0 <= h <= {MAX_ENUM_HEIGHT}")
+    inputs = 1 << 4**h
+    weights = np.ones(inputs, dtype=np.int64)
+    for pat in level_patterns(input_bits(4**h).ravel(), h):
+        weights *= _W30[pat].reshape(inputs, -1).prod(axis=1)
+    return int(np.count_nonzero(weights)), Fraction(int(weights.sum()), _denominator(h))
 
 
 def _denominator(h: int) -> int:
     """2 * 30**(internal nodes): a fair root coin times one seed draw,
     in thirtieths, per internal node."""
     return 2 * 30 ** ((4**h - 1) // 3)
-
-
-def _dhb_support(h: int, b: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Support of the height-h law at root value b, each point with its
-    mass times 30**((4**h - 1) // 3)."""
-    if h == 0:
-        yield (b,), 1
-        return
-    for seed, base in _SEED30.items():
-        subs = [list(_dhb_support(h - 1, bv ^ b)) for bv in parse_bits(seed)]
-        for combo in itertools.product(*subs):
-            yield sum((bits for bits, _ in combo), ()), base * math.prod(w for _, w in combo)
 
 
 # peak bytes of sample_inputs per sampled leaf: tracemalloc measures
@@ -203,9 +183,7 @@ def sample_inputs(h: int, count: int, rng: np.random.Generator) -> np.ndarray:
         draws = rng.integers(0, 30, size=vals.shape, dtype=np.int32)
         pats = _DRAW30[vals, draws]
         del draws
-        children = pats[..., None] >> _SHIFTS
-        children &= 1
-        vals = children.reshape(count, -1)
+        vals = _CHILD_BITS[pats].reshape(count, -1)
     return vals
 
 

@@ -45,8 +45,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .boolfn import (
+    _CHILD_BITS,
     _FM,
-    _SHIFTS,
     bits_to_index,
     index_to_bits,
     level_patterns,
@@ -59,9 +59,6 @@ MAX_MC_HEIGHT = 12
 
 _ORDERS = tuple(itertools.permutations((1, 2, 3)))
 _POPC = np.array([bin(i).count("1") for i in range(16)], dtype=np.uint8)
-# _CHILD_BITS[p, j]: the value of child j in children pattern p, and
-# whether a read mask p includes variable j
-_CHILD_BITS = (np.arange(16)[:, None] >> _SHIFTS & 1).astype(np.uint8)
 
 
 def lv_run(
@@ -263,16 +260,11 @@ def mc_mean_cost(
     streams = rng.spawn(chunks)
     sizes = [trials // chunks + (1 if i < trials % chunks else 0) for i in range(chunks)]
 
-    def work(args: tuple[np.random.Generator, int]) -> tuple[int, int]:
-        sub, count = args
+    def work(sub: np.random.Generator, count: int) -> tuple[int, int]:
         return _mc_chunk(h, count, sub, tables, pats)
 
-    jobs = list(zip(streams, sizes))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, jobs))
-    else:
-        results = [work(j) for j in jobs]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(work, streams, sizes))
     total = sum(r[0] for r in results)
     total_sq = sum(r[1] for r in results)
     mean = Fraction(total, trials)

@@ -15,7 +15,7 @@ from qlab.boolfn import fmaj, index_to_bits, iterated_table
 from qlab.dtree import exact_depth, delta0
 from qlab.harddist import (
     d,
-    dh_support,
+    dh_total,
     jk_values,
     minority_level1_counts,
     minority_marginals_exact,
@@ -239,10 +239,7 @@ def test_criterion_10_monte_carlo_band():
 
 def test_criterion_11_distribution_integrity():
     t0 = time.monotonic()
-    totals_ok = True
-    for h in (0, 1, 2):
-        total = sum((m for _, m in dh_support(h)), Fraction(0))
-        totals_ok = totals_ok and total == 1
+    totals_ok = all(dh_total(h)[1] == 1 for h in (0, 1, 2))
     rng = np.random.default_rng(1003)
     xs = sample_inputs(1, GOF_TRIALS, rng)
     counts = np.bincount(xs @ np.array([8, 4, 2, 1]), minlength=16)

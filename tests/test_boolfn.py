@@ -1,6 +1,7 @@
-"""Truth tables, the tie-favoring 4-bit majority, and block composition."""
+"""Truth tables, the tie-favoring 4-bit majority, and its iterated tables."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from qlab.boolfn import (
     MAX_VARS,
     TruthTable,
     bits_to_index,
-    compose,
     fmaj,
     index_to_bits,
+    input_bits,
     iter_eval,
     iterated_table,
     level_patterns,
@@ -88,6 +89,32 @@ def test_truth_table_from_values_round_trip():
     assert t == fmaj()
 
 
+def test_from_values_rejects_bad_values_and_counts():
+    with pytest.raises(ValueError, match="index 2 is not 0/1"):
+        TruthTable.from_values(2, [0, 1, 2, 0])
+    with pytest.raises(ValueError, match="index 1 is not 0/1"):
+        TruthTable.from_values(1, np.array([0.0, 0.5]))
+    for values in ([0, 1, 1], [0] * 5, [[0, 1], [1, 0]]):
+        with pytest.raises(ValueError, match=r"expected 2\*\*2 values"):
+            TruthTable.from_values(2, values)
+    with pytest.raises(ValueError, match=r"expected 2\*\*1000000000 values"):
+        TruthTable.from_values(10**9, [0, 1])
+
+
+def test_input_bits_rows_are_the_indexed_inputs():
+    for n in range(5):
+        rows = input_bits(n)
+        assert rows.dtype == np.uint8 and rows.shape == (1 << n, n)
+        assert [tuple(r) for r in rows.tolist()] == [index_to_bits(i, n) for i in range(1 << n)]
+    rows = input_bits(16)
+    assert rows.shape == (1 << 16, 16)
+    for i in list(range(0, 1 << 16, 4099)) + [1, 1 << 15, (1 << 16) - 1]:
+        assert tuple(rows[i].tolist()) == index_to_bits(i, 16), i
+    for n in (-1, 17):
+        with pytest.raises(ValueError):
+            input_bits(n)
+
+
 def test_constant_tables():
     zero = TruthTable(3, 0)
     one = TruthTable(3, (1 << 8) - 1)
@@ -107,7 +134,7 @@ def test_table_rejects_out_of_range():
 def test_compose_block_order():
     # outer variable 1 reads the most significant block
     f = fmaj()
-    g2 = compose(f, f)
+    g2 = iterated_table(2)
     assert g2.n == 16
     inner = ["0111", "1000", "1000", "1000"]
     outer_bits = tuple(f.eval(b) for b in inner)
@@ -130,13 +157,10 @@ def scalar_compose(f, g):
     return TruthTable.from_values(n * m, values)
 
 
-def test_compose_matches_scalar_definition():
-    rng = random.Random(8)
-    for n, m in ((1, 1), (1, 3), (2, 1), (2, 2), (3, 2), (2, 4), (4, 3), (3, 4), (5, 2)):
-        for _ in range(4):
-            f = TruthTable(n, rng.getrandbits(1 << n))
-            g = TruthTable(m, rng.getrandbits(1 << m))
-            assert compose(f, g) == scalar_compose(f, g), (n, m, f.bits, g.bits)
+def test_iterated_table_matches_scalar_composition():
+    identity = TruthTable(1, 0b10)
+    assert scalar_compose(fmaj(), identity) == fmaj() == scalar_compose(identity, fmaj())
+    assert iterated_table(2) == scalar_compose(fmaj(), fmaj())
 
 
 def test_values_unpack_the_table_word():
@@ -150,10 +174,22 @@ def test_iterated_majority_heights():
     assert iterated_table(0) == TruthTable(1, 0b10)
     assert iterated_table(1) == fmaj()
     g2 = iterated_table(2)
-    assert g2 == compose(fmaj(), fmaj())
     assert g2.eval("0111100010001000") == iter_eval(2, "0111100010001000") == 0
     with pytest.raises(ValueError):
         iterated_table(-1)
+
+
+@pytest.mark.parametrize("h", [3, 10**9])
+def test_iterated_table_refuses_tall_heights_without_building_them(h):
+    # the height is checked before 4**h or any table is computed
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            iterated_table(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_iter_eval_matches_table():

@@ -668,20 +668,13 @@ TABLE_FAULTS = [
 ]
 
 
-@pytest.fixture(scope="module")
-def height_two_total():
-    return harddist.dh_total(2)
-
-
 @pytest.mark.parametrize("module, name, index, value, verdict", TABLE_FAULTS)
 def test_verify_height_two_judges_each_table_whole(
-    capsys, monkeypatch, height_two_total, module, name, index, value, verdict
+    capsys, monkeypatch, module, name, index, value, verdict
 ):
     # one trial reads almost none of these tables, so each verdict must
-    # judge its table on every entry to fail on a single wrong one; the
-    # support enumeration, which no fault touches, runs once for them all
+    # judge its table on every entry to fail on a single wrong one
     stub_depth_sweep(monkeypatch)
-    monkeypatch.setattr(cli.harddist, "dh_total", lambda h: height_two_total)
     table = getattr(module, name)
     wrong = table.copy() if isinstance(table, np.ndarray) else list(table)
     assert wrong[index] != value
@@ -738,6 +731,9 @@ def exit_code(argv):
         # FMAJ names a valid table, so only the budget is out of range
         ["partition", "search-cost", "--table", "FMAJ", "--budget", "-3"],
         ["partition", "emit", "--name", "bogus", "--out", "FMAJ"],
+        # dist total's own height check, before any power of the height
+        ["dist", "total", "--height", "3"],
+        ["dist", "total", "--height", "1000000000"],
     ],
 )
 def test_exit_two_on_out_of_range_arguments(capsys, tmp_path, argv):

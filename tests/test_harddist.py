@@ -2,20 +2,22 @@
 
 import hashlib
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qlab.boolfn import bits_to_index, fmaj, index_to_bits
+from qlab.boolfn import bits_to_index, fmaj, index_to_bits, parse_bits
 from qlab.harddist import (
+    _SEED30,
+    MAX_ENUM_HEIGHT,
     InputDistribution,
     SupportError,
     d,
     d0,
     d1,
     dh_mass,
-    dh_support,
     dh_total,
     dist_from_text,
     dist_to_text,
@@ -43,6 +45,35 @@ SEED_MASSES = {
 
 def complement(bits):
     return "".join("1" if c == "0" else "0" for c in bits)
+
+
+# the reference enumeration of the hard law that the tests compare
+# against: top down from the seed, one subtree combination at a time,
+# independent of the level-pattern walk behind dh_mass and dh_total
+
+def dh_support(h):
+    """All inputs of positive mass with their masses; full enumeration
+    is kept to h <= 2 (the height-2 support already has 33614 points)."""
+    denom = _support_denominator(h)
+    return ((bits, Fraction(w, denom)) for b in (0, 1) for bits, w in _dhb_support(h, b))
+
+
+def _support_denominator(h):
+    if h > MAX_ENUM_HEIGHT:
+        raise ValueError(f"support enumeration supports h <= {MAX_ENUM_HEIGHT}")
+    return 2 * 30 ** ((4**h - 1) // 3)
+
+
+def _dhb_support(h, b):
+    """Support of the height-h law at root value b, each point with its
+    mass times 30**((4**h - 1) // 3)."""
+    if h == 0:
+        yield (b,), 1
+        return
+    for seed, base in _SEED30.items():
+        subs = [list(_dhb_support(h - 1, bv ^ b)) for bv in parse_bits(seed)]
+        for combo in itertools.product(*subs):
+            yield sum((bits for bits, _ in combo), ()), base * math.prod(w for _, w in combo)
 
 
 def test_seed_masses_pinned():
@@ -139,19 +170,23 @@ def test_dh_total_sums_integer_weights():
     assert dh_total(0) == (2, 1)
     assert dh_total(1) == (14, 1)
     assert dh_total(2) == (33614, 1)
-    with pytest.raises(ValueError):
-        dh_total(3)
+    for h in (0, 1, 2):
+        masses = [m for _, m in dh_support(h)]
+        assert dh_total(h) == (len(masses), sum(masses, Fraction(0))), h
+    for h in (-1, 3, 10**9):
+        with pytest.raises(ValueError):
+            dh_total(h)
 
 
 def test_support_weights_are_integers_over_one_denominator():
     # per root value, the weights over 30**(internal nodes) sum to it
     for h, internal in ((0, 0), (1, 1), (2, 5)):
         for b in (0, 1):
-            weights = [w for _, w in harddist._dhb_support(h, b)]
+            weights = [w for _, w in _dhb_support(h, b)]
             assert all(isinstance(w, int) and w > 0 for w in weights)
             assert sum(weights) == 30**internal, (h, b)
     denom = 2 * 30**5
-    for bits, w in itertools.islice(harddist._dhb_support(2, 1), 0, 16807, 331):
+    for bits, w in itertools.islice(_dhb_support(2, 1), 0, 16807, 331):
         assert dh_mass(2, bits) == Fraction(w, denom)
 
 

@@ -124,9 +124,8 @@ def test_no_module_reads_the_environment():
         assert not reads_environment(path.read_text()), path.name
 
 
-# called from outside src alone: the reference enumeration of the hard
-# law that the tests compare against
-OUTSIDE_CALLERS = {"harddist.dh_support"}
+# src keeps no definition that only the tests call
+OUTSIDE_CALLERS = set()
 
 
 def names_used(node: ast.AST) -> Counter:

@@ -18,7 +18,7 @@ import pytest
 
 from qlab import cli, randalg
 from qlab.boolfn import bits_to_index, fmaj, index_to_bits, iter_eval, parse_bits
-from qlab.harddist import d, dh_support
+from qlab.harddist import d
 from qlab.randalg import (
     MAX_MC_HEIGHT,
     chi_square_critical,
@@ -32,6 +32,7 @@ from qlab.randalg import (
     recursive_exact_moments,
     recursive_exact_worst,
 )
+from test_harddist import dh_support
 
 
 def bench_reference():
