@@ -136,8 +136,11 @@ def input_bits(n: int) -> np.ndarray:
     return np.ascontiguousarray(np.unpackbits(idx, axis=1)[:, MAX_VARS - n :])
 
 
-# _CHILD_BITS[p, j]: the value of child j in children pattern p
+# _CHILD_BITS[p, j]: the value of child j in children pattern p;
+# _CHILD_WORD[p] holds the same four bytes as one uint32, so a gather of
+# children moves one word per pattern, not four bytes
 _CHILD_BITS = input_bits(4)
+_CHILD_WORD = _CHILD_BITS.view(np.uint32).ravel()
 
 
 def patterns(quads: np.ndarray) -> np.ndarray:

@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .boolfn import (
-    _CHILD_BITS,
+    _CHILD_WORD,
     _FMAJ_BIT,
     bits_to_index,
     fmaj,
@@ -183,7 +183,7 @@ def sample_inputs(h: int, count: int, rng: np.random.Generator) -> np.ndarray:
         draws = rng.integers(0, 30, size=vals.shape, dtype=np.int32)
         pats = _DRAW30[vals, draws]
         del draws
-        vals = _CHILD_BITS[pats].reshape(count, -1)
+        vals = _CHILD_WORD[pats].view(np.uint8).reshape(count, -1)
     return vals
 
 
@@ -262,36 +262,17 @@ def jk_cost_matrices() -> tuple[CostMatrix, CostMatrix]:
     """Charge matrices whose optimal tree costs are the two height-1
     minority functionals.  The first charges a query of x_i by the
     posterior mass of the input given that leaf i is the minority leaf;
-    the second cross-charges a query of x_i against the sibling leaves
-    the path could enter instead."""
+    the second cross-charges it by the posterior of each other leaf j
+    the path could enter instead, weighted by j's marginal, which sums to
+    the mass of the input times the chance that the path misses leaf i."""
     dist = d()
     marg = minority_marginals_exact()
     prob = [[Fraction(0)] * 16 for _ in range(4)]
     for idx in dist.support():
         for leaf, p in minority_leaf_law(1, index_to_bits(idx, 4)).items():
             prob[leaf][idx] = p
-    cj = [
-        [dist.mass(idx) * prob[i][idx] / marg[i] for idx in range(16)]
-        for i in range(4)
-    ]
-    # weight 2/5 on entering the first child, 1/5 on each later child
-    coeff = [[Fraction(0)] * 4 for _ in range(4)]
-    for i in range(1, 4):
-        coeff[i][0] = Fraction(2, 5)
-    for j in range(1, 4):
-        for i in range(4):
-            if i != j:
-                coeff[i][j] = Fraction(1, 5)
-    ck = [
-        [
-            sum(
-                (coeff[i][j] * dist.mass(idx) * prob[j][idx] / marg[j] for j in range(4)),
-                Fraction(0),
-            )
-            for idx in range(16)
-        ]
-        for i in range(4)
-    ]
+    cj = [[dist.mass(idx) * prob[i][idx] / marg[i] for idx in range(16)] for i in range(4)]
+    ck = [[dist.mass(idx) * (1 - prob[i][idx]) for idx in range(16)] for i in range(4)]
     return CostMatrix.from_lists(4, cj), CostMatrix.from_lists(4, ck)
 
 

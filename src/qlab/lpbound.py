@@ -11,15 +11,15 @@ The solver solves in floating point and certifies exactly (Applegate,
 Cook, Dash and Espinoza, Oper. Res. Lett. 2007).  A dense two-phase
 tableau simplex in float64 pivots by Bland's rule, which terminates,
 and ends at a basis: one column of the equality form, slacks and
-artificials included, per row.  Gauss-Jordan elimination in integers
-then solves that basis for the primal vertex and the dual as exact
-rationals.  Where the float simplex read a small entry as zero, as for
-eps within its tolerance of 0 or 1/2, that vertex can have a negative
-entry, and exact dual simplex pivots first move the basis to an
-optimal one.  The pair is re-checked exactly: primal feasibility, dual
-feasibility and equal objectives.  An optimum is reported only when
-that check passes; the dual is Jain and Klauck's lower-bound witness
-(CCC 2010).
+artificials included, per row.  One fraction-free integer inverse of
+its matrix B (Bareiss) then gives the primal vertex B^-1 b and the dual
+c_B B^-1 as exact rationals.  Where the float simplex read a small
+entry as zero, as for eps within its tolerance of 0 or 1/2, that vertex
+can have a negative entry, and exact dual simplex pivots, each an eta
+update of B^-1, first move the basis to an optimal one.  The pair is
+re-checked exactly: primal feasibility, dual feasibility and equal
+objectives.  An optimum is reported only when that check passes; the
+dual is Jain and Klauck's lower-bound witness (CCC 2010).
 """
 
 from __future__ import annotations
@@ -38,14 +38,14 @@ from .subcube import all_patterns
 MAX_LP_VARS_N = 4
 # the float simplex reads an entry within _PIVOT_TOL of zero as zero, and
 # stops after _MAX_PIVOTS pivots (Bland's rule cycles only by rounding);
-# the exact solve of its final basis decides the answer
+# the exact inverse of its final basis decides the answer
 _PIVOT_TOL = 1e-9
 _MAX_PIVOTS = 10_000
 
 
 class CertificateError(ArithmeticError):
-    """The float simplex hit its pivot cap, or the exact solve of its
-    final basis is singular or fails the certificate check."""
+    """The float simplex hit its pivot cap, or its final basis is
+    singular or fails the exact certificate check."""
 
 
 @dataclass(frozen=True)
@@ -211,86 +211,84 @@ def _bland_simplex(
     return ("optimal" if run(cost, art_start) else "unbounded"), pivots
 
 
-def _solve_exactly(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction], support: Sequence[int], size: int
-) -> tuple[Fraction, ...]:
-    """The z of length size, zero off support, with rows . z == rhs, by
-    Gauss-Jordan elimination on the rows taken in order until
-    len(support) of them are independent; later rows are left to the
-    certificate check.  Rows are scaled to integers and each combination
-    is divided by its gcd.  Raises CertificateError when the rows do not
-    determine z."""
-
-    def combine(u: list[int], a: int, v: list[int], b: int) -> list[int]:
-        w = [a * s - b * t for s, t in zip(u, v)]
-        g = math.gcd(*w)
-        return [s // g for s in w] if g > 1 else w
-
-    k = len(support)
-    basis: list[tuple[int, list[int]]] = []  # (pivot column, row)
-    for row, b in zip(rows, rhs):
-        if len(basis) == k:
-            break
-        r = [row[j] for j in support] + [b]
-        den = math.lcm(*(u.denominator for u in r))
-        r = [u.numerator * (den // u.denominator) for u in r]
-        for col, p in basis:
-            if r[col]:
-                r = combine(r, p[col], p, r[col])
-        col = next((j for j in range(k) if r[j]), None)
-        if col is None:
-            continue
-        for idx, (c, p) in enumerate(basis):
-            if p[col]:
-                basis[idx] = (c, combine(p, r[col], r, p[col]))
-        basis.append((col, r))
-    if len(basis) < k:
-        raise CertificateError(f"exact re-solve is singular: rank {len(basis)} < {k}")
-    z = [Fraction(0)] * size
-    for col, p in basis:
-        z[support[col]] = Fraction(p[k], p[col])
-    return tuple(z)
-
-
-def _scaled(v: Sequence[Fraction]) -> np.ndarray:
-    """v times the lcm of its denominators, as an object array of ints."""
-    den = math.lcm(*(u.denominator for u in v))
-    return np.array([u.numerator * (den // u.denominator) for u in v], dtype=object)
+def _eta(inv: np.ndarray, det: int, g: np.ndarray, r: int) -> int:
+    """Update inv in place, returning the new det, when row r's basic
+    column gives way to c with g = inv @ c.  B^-1 = inv / det, the two
+    being B's adjugate and determinant up to the sign making det > 0;
+    Bareiss's fraction-free update divides each entry exactly by the old det."""
+    sign = 1 if g[r] > 0 else -1
+    p, g = abs(g[r]), g * sign
+    nz = np.flatnonzero(g)
+    changed = (p * inv[nz] - np.multiply.outer(g[nz], inv[r])) // det
+    pivot = sign * inv[r]
+    if p != det:  # for the rows where g is 0
+        inv *= p
+        inv //= det
+    inv[nz] = changed
+    inv[r] = pivot
+    return p
 
 
 def _certify(lp: RationalLP, a: np.ndarray, basis: list[int], pivots: int) -> LPSolution:
-    """The vertex and the dual of a basis of lp's standard form a,
-    solving B x_B = b and B^T y = c_B exactly; raises CertificateError
-    unless the pair passes the exact check, which it does iff the basis
-    is optimal.  While the basis is dual feasible and its vertex has a
-    negative entry, it first takes exact dual simplex pivots by Bland's
-    rule, counted in pivots: the lowest basic column of negative value
-    leaves, from row r, and of the non-artificial columns j with
-    alpha_rj < 0 in row r of B^-1 a, the one of least d_j / -alpha_rj
-    enters, d being the reduced costs; ties go to the lowest column."""
+    """The vertex x_B = B^-1 b and dual y = c_B B^-1 of a basis of lp's
+    standard form a, from one exact inverse of B; raises CertificateError
+    if B is singular or the pair fails the exact check, which it passes
+    iff the basis is optimal.  While the basis is dual feasible and its
+    vertex has a negative entry, exact dual simplex pivots by Bland's
+    rule come first, counted in pivots, each an eta update of B^-1: the
+    lowest basic column of negative value leaves, from row r, and of the
+    non-artificial j with alpha_rj < 0 in row r of B^-1 a, the one of
+    least d_j / -alpha_rj (d the reduced costs) enters, ties to the lowest."""
     m, n = lp.num_constraints, lp.num_vars
     art_start = n + sum(s != "==" for s in lp.senses)
     cost = np.array(list(lp.objective) + [0] * (a.shape[1] - n), dtype=object)
+    den = math.lcm(*(v.denominator for v in lp.rhs))
+    b = np.array([v.numerator * (den // v.denominator) for v in lp.rhs], dtype=object)
+
+    def image(j: int) -> tuple[np.ndarray, int]:
+        """inv @ (s times column j of a) over its nonzero rows, and s,
+        the lcm of the column's denominators."""
+        s = math.lcm(*(v.denominator for v in a[:, j].tolist()))
+        rows = np.flatnonzero(a[:, j])
+        return inv[:, rows] @ (a[rows, j] * s), s
+
+    # B^-1 = diag(t) inv / det, inv and det those of B with column k times
+    # t[k]: from the identity, one eta update per basic column, sparsest
+    # first to keep inv sparse, at the first free row where it is nonzero
+    # (with none, it depends on those before it)
+    inv, det, t = np.eye(m, dtype=int).astype(object), 1, [0] * m
+    taken: list[Optional[int]] = [None] * m
+    for col in sorted(basis, key=lambda j: np.count_nonzero(a[:, j])):
+        g, s = image(col)
+        r = next((i for i in range(m) if taken[i] is None and g[i]), None)
+        if r is not None:
+            det = _eta(inv, det, g, r)
+            taken[r], t[r] = col, s
+    if None in taken:
+        raise CertificateError(f"exact re-solve is singular: rank {m - taken.count(None)} < {m}")
+    basis[:] = taken
     while True:
-        z = _solve_exactly(a.tolist(), lp.rhs, basis, a.shape[1])
-        bt = a[:, basis].T.tolist()
-        y = _solve_exactly(bt, cost[basis].tolist(), range(m), m)
-        leaving = min((j for j in basis if z[j] < 0), default=None)
+        # x_B[k] = t[k] xb[k] / (det den), and y = yb / det
+        xb, yb = inv @ b, (cost[basis] * t) @ inv
+        leaving = min((j for j, v in zip(basis, xb) if v < 0), default=None)
         if leaving is None:
             break
-        # d and alpha up to positive factors, in integers
-        scaled = _scaled((*y, *cost))
-        d = scaled[m:] - scaled[:m] @ a
+        d = det * cost - yb @ a  # the reduced costs times det
         if min(d[:art_start]) < 0:
             break  # not dual feasible: the check below fails
         r = basis.index(leaving)
-        alpha = _scaled(_solve_exactly(bt, [int(i == r) for i in range(m)], range(m), m)) @ a
+        alpha = inv[r] @ a  # row r of B^-1 a times det / t[r]
         entering = [j for j in range(art_start) if alpha[j] < 0]
         if not entering:
             raise CertificateError(f"row {r} of B^-1 a proves the program infeasible")
         basis[r] = min(entering, key=lambda j: Fraction(d[j], -alpha[j]))
+        g, t[r] = image(basis[r])
+        det = _eta(inv, det, g, r)
         pivots += 1
-    solution = LPSolution("optimal", _dot(lp.objective, z[:n]), z[:n], y, pivots)
+    z = {j: Fraction(s * v, det * den) for j, s, v in zip(basis, t, xb)}
+    x = tuple(z.get(j, Fraction(0)) for j in range(n))
+    y = tuple(Fraction(v, det) for v in yb)
+    solution = LPSolution("optimal", _dot(lp.objective, x), x, y, pivots)
     problem = solution.violation(lp)
     if problem is not None:
         raise CertificateError(f"exact certificate fails: {problem}")

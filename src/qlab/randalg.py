@@ -46,6 +46,7 @@ import numpy as np
 
 from .boolfn import (
     _CHILD_BITS,
+    _CHILD_WORD,
     _FM,
     bits_to_index,
     index_to_bits,
@@ -320,7 +321,7 @@ def _mc_chunk(
                 r = rng.integers(0, 24, size=trial.size, dtype=np.uint8)
                 mask = round_mask[24 * pats[k - 1][node] + r]
             if k > 1:
-                read = np.flatnonzero(_CHILD_BITS[mask])
+                read = np.flatnonzero(_CHILD_WORD[mask].view(np.uint8))
                 parent, j = read >> 2, read & 3
                 trial = trial[parent]
                 if pats is None:

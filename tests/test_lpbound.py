@@ -212,15 +212,14 @@ def test_exactly_infeasible_program_raises():
 
 
 def test_singular_re_solve_raises():
-    rows = [[F(1), F(1), F(5)], [F(2), F(2), F(7)], [F(1), F(-1), F(0)]]
-    with pytest.raises(CertificateError, match="singular"):
-        lpbound._solve_exactly(rows[:2], [F(1), F(2)], [0, 1], 3)
-    # a dependent row is passed over; the unknown off the support stays 0
-    assert lpbound._solve_exactly(rows, [F(1), F(2), F(0)], [0, 1], 3) == (
-        F(1, 2),
-        F(1, 2),
-        F(0),
-    )
+    # x0 and x1 have the same column, so no basis holds both
+    problem = lp([1, 1, 1], [[1, 1, 5], [2, 2, 7]], ["==", "=="], [1, 2])
+    a, _, _ = lpbound._standard_form(problem)
+    with pytest.raises(CertificateError, match="singular: rank 1 < 2"):
+        lpbound._certify(problem, a, [0, 1], 0)
+    # x0 and x2 determine the vertex and the dual
+    sol = lpbound._certify(problem, a, [0, 2], 0)
+    assert (sol.assignment, sol.dual, sol.value) == ((F(1), F(0), F(0)), (F(-5, 3), F(4, 3)), 1)
 
 
 def test_relaxation_shape():
@@ -400,12 +399,16 @@ def test_relaxation_matches_highs_on_every_small_function(eps):
 # eps within the float simplex's tolerance of 0 or 1/2 ends it at the
 # basis that is optimal at that end, whose exact vertex has entries of
 # -eps until exact dual pivots repair it
-@pytest.mark.parametrize("eps", [F(1, 10**9), F(1, 10**12), F(1, 10**30), F(1, 2) - F(1, 10**10)])
+NEAR_END_PIVOTS = {F(1, 10**9): 145, F(1, 10**12): 145, F(1, 10**30): 145, F(1, 2) - F(1, 10**10): 146}
+
+
+@pytest.mark.parametrize("eps", list(NEAR_END_PIVOTS))
 def test_gadget_certifies_near_the_ends_of_eps(eps, tmp_path, capsys):
     save_table(fmaj(), tmp_path / "f.tt")
     code = cli.main(["bound", "prt", "--table", str(tmp_path / "f.tt"), "--eps", str(eps)])
     got = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
     assert (code, got["certificate"]) == (0, "pass")
+    assert int(got["pivots"]) == NEAR_END_PIVOTS[eps]
     assert got["value"] == got["dual-value"]
     status, value = highs(build_prt_lp(fmaj(), eps))
     assert status == "optimal" and float(F(got["value"])) == pytest.approx(value, rel=1e-6)
