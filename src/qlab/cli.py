@@ -78,16 +78,6 @@ def _load(kind: str, load, path: str):
         raise InputError(f"cannot load {kind} {path}: {exc}") from exc
 
 
-def _fit_memory(trials: int, bytes_per_trial: int) -> None:
-    """Refuse, before any sampling, trials whose arrays would pass the
-    memory limit."""
-    if trials * bytes_per_trial > dtree.DEFAULT_MEMORY_LIMIT:
-        raise InputError(
-            f"{trials} trials of {bytes_per_trial} bytes each need more than "
-            f"the {dtree.DEFAULT_MEMORY_LIMIT}-byte memory limit"
-        )
-
-
 def _at_least(low: int):
     """argparse type: an integer no smaller than ``low``."""
 
@@ -284,33 +274,35 @@ def cmd_dist_total(args: argparse.Namespace, rep: Report) -> None:
 
 
 def cmd_dist_sample(args: argparse.Namespace, rep: Report) -> None:
-    # a height-0 run's int32 root draw fits height 1's bound; capping the
-    # height keeps a huge one from costing a huge power, and height 16 is
-    # already over the limit for one trial
-    _fit_memory(args.trials, harddist.SAMPLE_BYTES_PER_LEAF * 4 ** min(max(args.height, 1), 16))
+    h = args.height
+    # checked before anything computes a power of the height
+    if h > randalg.MAX_MC_HEIGHT:
+        raise InputError(f"dist sample supports heights up to {randalg.MAX_MC_HEIGHT}, got {h}")
     rng = np.random.default_rng(args.seed)
-    rep.add("height", args.height)
+    rep.add("height", h)
     rep.add("trials", args.trials)
     rep.add("seed", args.seed)
-    xs = harddist.sample_inputs(args.height, args.trials, rng)
 
-    def count(pat: np.ndarray) -> np.ndarray:
-        # between sorted boundaries: bincount would copy to intp
-        pat.sort()
-        return np.diff(np.searchsorted(pat, np.arange(17, dtype=np.uint8)))
+    def tally(n: int) -> np.ndarray:
+        # one batch's counts, a row per level with the root last; a
+        # height-0 input is one fair coin, counted as zeros and ones
+        xs = harddist.sample_inputs(h, n, rng).reshape(-1)
+        if h == 0:
+            ones = np.count_nonzero(xs)
+            return np.array([[n - ones, ones]])
+        return np.array([np.bincount(pat, minlength=16) for pat in boolfn.level_patterns(xs, h)])
 
+    *below, root = sum(tally(n) for n in harddist.batch_sizes(h, args.trials))
     # one chi-square pooled over the levels: the root's children patterns
     # follow d(), and below the root a value-v node's follow the seed of
     # value v, given that level's count of value-v nodes
-    if args.height == 0:  # the input is one fair coin
-        ones = int(np.count_nonzero(xs))
-        rows = [((args.trials - ones, ones), [Fraction(1, 2)] * 2)]
+    if h == 0:
+        rows = [(root, [Fraction(1, 2)] * 2)]
     else:
-        *below, root = boolfn.level_patterns(xs.reshape(-1), args.height)
         value = boolfn.fmaj().values()
-        rows = [(count(root), harddist.d().dense())] + [
+        rows = [(root, harddist.d().dense())] + [
             (np.where(value == v, counts, 0), law().dense())
-            for counts in map(count, below)
+            for counts in below
             for v, law in enumerate((harddist.d0, harddist.d1))
         ]
     gof = randalg.chi_square_gof(*zip(*rows), alpha=args.alpha)
@@ -394,7 +386,6 @@ def cmd_simulate_r0(args: argparse.Namespace, rep: Report) -> None:
 
 
 def cmd_simulate_minority(args: argparse.Namespace, rep: Report) -> None:
-    _fit_memory(args.trials, harddist.MINORITY_BYTES_PER_TRIAL)
     rep.add("trials", args.trials)
     rep.add("seed", args.seed)
     counts = harddist.minority_level1_counts(args.trials, np.random.default_rng(args.seed))
@@ -407,7 +398,6 @@ def cmd_simulate_minority(args: argparse.Namespace, rep: Report) -> None:
 
 
 def cmd_simulate_embed(args: argparse.Namespace, rep: Report) -> None:
-    _fit_memory(args.trials, randalg.EMBED_BYTES_PER_TRIAL)
     rng = np.random.default_rng(args.seed)
     report = randalg.embed_check(args.level, args.trials, rng, alpha=args.alpha)
     rep.add("level", args.level)

@@ -31,11 +31,6 @@ from .boolfn import TruthTable, index_to_bits, parse_bits
 from .subcube import LabeledPartition, Pattern, lattice_colors, lattice_sums
 
 MAX_WEIGHTED_VARS = 8
-DEFAULT_MEMORY_LIMIT = 2 * 1024**3
-
-
-class MemoryGuardError(RuntimeError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +161,16 @@ def _axis(a: int, t: int) -> tuple:
 
 
 def _relax(val: np.ndarray, step: Step) -> None:
-    """Lower val in place to the fixed point of the axis sweeps."""
+    """Lower val in place to the fixed point of the axis sweeps: values
+    only fall, so a sweep that leaves the total alone lowered nothing."""
+    total = val.sum()
     while True:
-        before = val.sum()
         for a in range(val.ndim):
             free = _axis(a, 2)
             out = val[free]
             np.minimum(out, step(a, free, val[_axis(a, 0)], val[_axis(a, 1)]), out=out)
-        if val.sum() == before:
+        before, total = total, val.sum()
+        if total == before:
             return
 
 
@@ -206,12 +203,8 @@ def exact_depth(f: TruthTable, *, want_tree: bool = False) -> "int | tuple[int, 
     f, by the axis-sweep relaxation over all 3**n restriction states.
     With ``want_tree`` also returns a canonical optimal tree."""
     n = f.n
-    # colors, values and one slab temporary: under three bytes per state
-    estimate = 3 * 3**n
-    if estimate > DEFAULT_MEMORY_LIMIT:
-        raise MemoryGuardError(
-            f"estimated {estimate} bytes exceeds limit {DEFAULT_MEMORY_LIMIT}"
-        )
+    # TruthTable caps n at 16: colors, values and one slab temporary take
+    # under 3 * 3**16 bytes, about 129 MB
     color = lattice_colors(f)
     # 1 on mixed states, 0 on constant ones; without a tree the sweeps
     # need only these, so they overwrite the colors in place

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -163,11 +163,14 @@ def _denominator(h: int) -> int:
     return 2 * 30 ** ((4**h - 1) // 3)
 
 
-# peak bytes of sample_inputs per sampled leaf: tracemalloc measures
-# 1.6-1.74 at heights 1 to 11, the last level holding its int32 draws
-# (one byte per leaf) beside its uint8 children, and 1.67-1.92 for all of
-# `dist sample`; at height 0 the int32 root draw makes 5 per trial
-SAMPLE_BYTES_PER_LEAF = 2
+def batch_sizes(h: int, trials: int) -> Iterator[int]:
+    """Sizes of the batches, in order, that every sampler and the Monte
+    Carlo evaluator split trials of height h into: 2**20 // 4**h trials,
+    at least one, so a batch's sampled inputs hold at most 2**20 leaves
+    up to height 10 and one input above, whatever the trial count."""
+    size = max(1, 2**20 // 4**h)
+    for start in range(0, trials, size):
+        yield min(size, trials - start)
 
 
 def sample_inputs(h: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -177,7 +180,7 @@ def sample_inputs(h: int, count: int, rng: np.random.Generator) -> np.ndarray:
     _DRAW30 by the node's value.  The draws are int32, which consumes
     the same stream as int64 below 2**32, and everything derived from
     them stays uint8, so the peak, output included, stays under two
-    bytes per leaf."""
+    bytes per leaf; callers bound count by batch_sizes."""
     vals = rng.integers(0, 2, size=(count, 1), dtype=np.int32).astype(np.uint8)
     for _ in range(h):
         draws = rng.integers(0, 30, size=vals.shape, dtype=np.int32)
@@ -234,25 +237,23 @@ def minority_marginals_exact() -> tuple[Fraction, ...]:
     return tuple(totals)
 
 
-# peak bytes of minority_level1_counts per trial: tracemalloc measures
-# about 26 from 2 * 10**5 trials up
-MINORITY_BYTES_PER_TRIAL = 32
-
-
 def minority_level1_counts(
     trials: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Vectorized height-2 run: sample inputs, take one minority step at
-    the root, and count how often each level-1 node is entered."""
-    xs = sample_inputs(2, trials, rng)
-    root_pat = level_patterns(xs.reshape(-1), 2)[1]
-    del xs
-    coin = rng.integers(0, 2, size=trials, dtype=np.int32)
-    slot = _DIS_PICK[root_pat, coin]
-    if np.any(slot == 255):
-        # off the support, so only a broken sampler gets here
-        raise RuntimeError("sampled input has an all-agree root")
-    return np.bincount(slot, minlength=4)
+    """Vectorized height-2 run, batch by batch: sample inputs, take one
+    minority step at the root, and count how often each level-1 node is
+    entered."""
+
+    def batch(n: int) -> np.ndarray:
+        root_pat = level_patterns(sample_inputs(2, n, rng).reshape(-1), 2)[1]
+        coin = rng.integers(0, 2, size=n, dtype=np.int32)
+        slot = _DIS_PICK[root_pat, coin]
+        if np.any(slot == 255):
+            # off the support, so only a broken sampler gets here
+            raise RuntimeError("sampled input has an all-agree root")
+        return np.bincount(slot, minlength=4)
+
+    return sum(batch(n) for n in batch_sizes(2, trials))
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ from .boolfn import (
     parse_bits,
     tree_bits,
 )
-from .harddist import _DISSENT, _DRAW30, _SEED_W, d
+from .harddist import _DISSENT, _DRAW30, _SEED_W, batch_sizes, d
 
 MAX_MC_HEIGHT = 12
 
@@ -297,16 +297,15 @@ def _mc_chunk(
     Trials run in batches, one tree level at a time: the frontier holds
     each node read with its trial and its value (hard law) or its index
     (fixed input), and its round's reads name the next frontier.  Leaves
-    are only counted.  A batch of 2**20 // 4**h trials keeps every
-    frontier within 2**18 nodes up to height 10, before any is drawn."""
+    are only counted.  Batches come from batch_sizes, whose 2**20 // 4**h
+    trials keep every frontier within 2**18 nodes up to height 10,
+    before any is drawn."""
     if h == 0:
         # a leaf is read outright; sampling only fixes its value
         return count, count
     round_mask, hard_mask, hard_pat = tables
-    batch = max(1, 2**20 // 4**h)
     total = total_sq = 0
-    for start in range(0, count, batch):
-        n = min(batch, count - start)
+    for n in batch_sizes(h, count):
         trial = np.arange(n)
         if pats is None:
             val = rng.integers(0, 2, size=n)
@@ -505,21 +504,20 @@ class EmbedReport:
     bad_sibling: int
 
 
-# peak bytes of embed_check per trial: its uint16 draws and their intp
-# copy in bincount; tracemalloc measures about 10 from 2 * 10**5 trials up
-EMBED_BYTES_PER_TRIAL = 12
-
-
 def embed_check(
     level: int, trials: int, rng: np.random.Generator, alpha: float = 1e-3
 ) -> EmbedReport:
     """Audit of the embedding: ``embed_misses(level)`` on every outcome,
-    and ``trials`` sampled outcomes, whose slots must lie within four
+    and ``trials`` sampled outcomes, drawn in the batches of
+    batch_sizes(level, trials), whose slots must lie within four
     sigma of SLOT_PROBS and whose children patterns, which a fair
     embedded value makes follow the one-level hard law, must pass a
     chi-square against it."""
     misses = embed_misses(level)
-    hits = np.bincount(rng.integers(0, 360, size=trials, dtype=np.uint16), minlength=360)
+    hits = sum(
+        np.bincount(rng.integers(0, 360, size=n, dtype=np.uint16), minlength=360)
+        for n in batch_sizes(level, trials)
+    )
     slot_counts = tuple(int(c) for c in np.bincount(_EMBED_SLOT, weights=hits, minlength=4))
     slot_ok = within_four_sigma(slot_counts, SLOT_PROBS, trials)
     pat_counts = np.bincount(_EMBED_PAT, weights=hits, minlength=16).astype(np.int64)

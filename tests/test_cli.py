@@ -725,8 +725,8 @@ def exit_code(argv):
         ["dist", "sample", "--height", "1", "--trials", "100", "--alpha", "2"],
         ["simulate", "embed", "--level", "1", "--trials", "100", "--alpha", "0"],
         ["dist", "total", "--height", "-1"],
-        # trials x 4**height bytes, checked before anything is allocated
-        ["dist", "sample", "--height", "12", "--trials", "1000000"],
+        # heights past the evaluator's 12, refused before any power of them
+        ["dist", "sample", "--height", "13", "--trials", "1"],
         ["dist", "sample", "--height", "1000000000", "--trials", "1"],
         # FMAJ names a valid table, so only the budget is out of range
         ["partition", "search-cost", "--table", "FMAJ", "--budget", "-3"],
@@ -746,17 +746,24 @@ def test_exit_two_on_out_of_range_arguments(capsys, tmp_path, argv):
 
 @pytest.mark.parametrize(
     "argv",
-    [["fn", "iter", "--height", "1000000000"], ["dist", "mass", "--height", "1000000000"]],
-    ids=["fn-iter", "dist-mass"],
+    [
+        # a one-leaf input mismatches 4**h by its bit count
+        ["fn", "iter", "--height", "1000000000", "--input", "0"],
+        ["dist", "mass", "--height", "1000000000", "--input", "0"],
+        # past the evaluator's tallest tree, height 12
+        ["dist", "sample", "--height", "13", "--trials", "1"],
+        ["dist", "sample", "--height", "1000000000", "--trials", "1"],
+    ],
+    ids=["fn-iter", "dist-mass", "dist-sample-h13", "dist-sample-huge"],
 )
 def test_huge_height_is_refused_without_building_its_power(capsys, argv):
-    # a one-leaf input mismatches 4**h by its bit count, so the refusal
-    # never builds the 250 MB integer 4**(10**9)
+    # the refusal never builds the 250 MB integer 4**(10**9), nor a
+    # sample of 4**13 leaves
     import tracemalloc
 
     tracemalloc.start()
     try:
-        code = exit_code(argv + ["--input", "0"])
+        code = exit_code(argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -765,80 +772,35 @@ def test_huge_height_is_refused_without_building_its_power(capsys, argv):
     assert peak < 2**20
 
 
-def test_dist_sample_memory_guard_boundary(capsys, monkeypatch):
-    # at height 10 the limit holds exactly limit / (bytes per leaf * 4**10)
-    # trials; the stub keeps the accepted run to one sampled input
-    fits = cli.dtree.DEFAULT_MEMORY_LIMIT // (harddist.SAMPLE_BYTES_PER_LEAF * 4**10)
-    calls = []
-    real = harddist.sample_inputs
-
-    def stub(h, count, rng):
-        calls.append((h, count))
-        return real(h, 1, rng)
-
-    monkeypatch.setattr(cli.harddist, "sample_inputs", stub)
-    argv = ["dist", "sample", "--height", "10", "--seed", "1", "--trials"]
-    assert exit_code(argv + [str(fits + 1)]) == 2
-    assert "memory limit" in capsys.readouterr().err
-    assert calls == []
-    assert exit_code(argv + [str(fits)]) == 0
-    assert calls == [(10, fits)]
-
-
-class Reached(Exception):
-    """Raised by a stubbed sampler: the memory guard let the run through."""
-
-
 @pytest.mark.parametrize(
-    "argv",
+    "h, sample",
     [
-        ["simulate", "minority"],
-        ["simulate", "embed", "--level", "1"],
-        ["simulate", "embed", "--level", "2"],
+        (2, lambda n: main(["dist", "sample", "--height", "2", "--trials", str(n)])),
+        (2, lambda n: harddist.minority_level1_counts(n, np.random.default_rng(0))),
+        (1, lambda n: randalg.embed_check(1, n, np.random.default_rng(0))),
+        (2, lambda n: randalg.embed_check(2, n, np.random.default_rng(0))),
     ],
-    ids=["minority", "embed-l1", "embed-l2"],
+    ids=["dist-sample-h2", "minority", "embed-l1", "embed-l2"],
 )
-def test_trial_memory_guards(capsys, monkeypatch, argv):
-    # the guard runs before the sampler, which the stub turns into a
-    # marker that the run got past it
-    def reached(*args, **kwargs):
-        raise Reached
-
-    monkeypatch.setattr(cli.harddist, "minority_level1_counts", reached)
-    monkeypatch.setattr(cli.randalg, "embed_check", reached)
-    assert exit_code(argv + ["--trials", str(10**12)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "memory limit" in err
-    # the benchmark's trial counts pass
-    for trials in (10**6, 5 * 10**5, 2 * 10**5):
-        with pytest.raises(Reached):
-            main(argv + ["--trials", str(trials)])
-
-
-def test_sampler_peak_stays_within_the_guard():
+def test_sampler_peak_stays_at_one_batch(capsys, h, sample):
+    # trials run in batches of 2**20 // 4**h, so four batches' worth
+    # peaks where one does; a sampler drawing every trial at once peaks
+    # about four times higher
     import tracemalloc
 
-    # dist sample as a whole: the sampler, the level counts and the
-    # chi-square
-    cases = [
-        (lambda n, h=h: main(["dist", "sample", "--height", str(h), "--trials", str(n)]),
-         trials, harddist.SAMPLE_BYTES_PER_LEAF * 4 ** max(h, 1))
-        for h, trials in ((0, 800_000), (1, 200_000), (2, 50_000), (5, 800))
-    ]
-    cases.append((lambda n: harddist.minority_level1_counts(n, np.random.default_rng(0)),
-                  200_000, harddist.MINORITY_BYTES_PER_TRIAL))
-    for level in (1, 2):
-        cases.append((lambda n, level=level: randalg.embed_check(level, n, np.random.default_rng(0)),
-                      200_000, randalg.EMBED_BYTES_PER_TRIAL))
-    for i, (sample, trials, per_trial) in enumerate(cases):
-        sample(10)
+    def peak(trials):
         tracemalloc.start()
         try:
             sample(trials)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= per_trial * trials, i
+
+    batch = 2**20 // 4**h
+    sample(10)
+    one, four = peak(batch), peak(4 * batch)
+    capsys.readouterr()
+    assert four <= 1.25 * one, (one, four)
 
 
 def test_partition_compose_past_sixteen_variables_exits_two(tmp_path, capsys):

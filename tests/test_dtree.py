@@ -11,12 +11,10 @@ from functools import lru_cache
 
 import pytest
 
-from qlab import dtree
-from qlab.boolfn import TruthTable, fmaj, index_to_bits, iterated_table
+from qlab.boolfn import TruthTable, fmaj, index_to_bits
 from qlab.dtree import (
     CostMatrix,
     Leaf,
-    MemoryGuardError,
     Node,
     delta0,
     dt_eval,
@@ -214,12 +212,6 @@ def test_exact_depth_fmaj_is_four():
     assert depth == 4
     assert tree_computes(tree, fmaj())
     assert tree_depth(tree) == 4
-
-
-def test_exact_depth_memory_guard(monkeypatch):
-    monkeypatch.setattr(dtree, "DEFAULT_MEMORY_LIMIT", 1000)
-    with pytest.raises(MemoryGuardError):
-        exact_depth(iterated_table(2))
 
 
 def test_cost_matrix_uniform_and_scale():
