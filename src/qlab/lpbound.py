@@ -7,19 +7,14 @@ through x must reach 1 - eps while all weights through x sum to exactly
 the public-coin variant collapses to the cheapest single labeled
 partition, which the exhaustive weight search already finds.
 
-The solver solves in floating point and certifies exactly (Applegate,
-Cook, Dash and Espinoza, Oper. Res. Lett. 2007).  A dense two-phase
-tableau simplex in float64 pivots by Bland's rule, which terminates,
-and ends at a basis: one column of the equality form, slacks and
-artificials included, per row.  One fraction-free integer inverse of
-its matrix B (Bareiss) then gives the primal vertex B^-1 b and the dual
-c_B B^-1 as exact rationals.  Where the float simplex read a small
-entry as zero, as for eps within its tolerance of 0 or 1/2, that vertex
-can have a negative entry, and exact dual simplex pivots, each an eta
-update of B^-1, first move the basis to an optimal one.  The pair is
-re-checked exactly: primal feasibility, dual feasibility and equal
-objectives.  An optimum is reported only when that check passes; the
-dual is Jain and Klauck's lower-bound witness (CCC 2010).
+The solver is a two-phase revised simplex in exact integers.  It keeps
+the inverse of the basis matrix B fraction-free (Bareiss) and updates
+it by one eta column per pivot, reads the vertex B^-1 b, the dual
+c_B B^-1 and every reduced cost off it exactly, and pivots by Bland's
+rule, which cannot cycle in exact arithmetic.  Each optimum is
+re-checked before it is returned: primal feasibility, dual feasibility
+and equal objectives.  The dual is Jain and Klauck's lower-bound
+witness (CCC 2010).
 """
 
 from __future__ import annotations
@@ -36,16 +31,10 @@ from .boolfn import TruthTable
 from .subcube import all_patterns
 
 MAX_LP_VARS_N = 4
-# the float simplex reads an entry within _PIVOT_TOL of zero as zero, and
-# stops after _MAX_PIVOTS pivots (Bland's rule cycles only by rounding);
-# the exact inverse of its final basis decides the answer
-_PIVOT_TOL = 1e-9
-_MAX_PIVOTS = 10_000
 
 
 class CertificateError(ArithmeticError):
-    """The float simplex hit its pivot cap, or its final basis is
-    singular or fails the exact certificate check."""
+    """A solution fails the exact certificate check."""
 
 
 @dataclass(frozen=True)
@@ -137,14 +126,14 @@ class LPSolution:
 
 
 # ---------------------------------------------------------------------------
-# float solve, exact certify
+# the exact simplex
 
-def _standard_form(lp: RationalLP) -> tuple[np.ndarray, list[int], list[int]]:
+def _standard_form(lp: RationalLP) -> tuple[np.ndarray, list[int]]:
     """lp as [A | S | R] z == rhs: a slack column for each inequality (+1
     on a <= row, -1 on a >= row), then an artificial column, signed like
     the rhs, for each row whose slack cannot start feasible.  Returns the
-    object matrix, the sign of each rhs, and the starting basis: each
-    row's artificial, or else its slack."""
+    object matrix and the starting basis: each row's artificial, or else
+    its slack."""
     m, n = lp.num_constraints, lp.num_vars
     signs = [-1 if b < 0 else 1 for b in lp.rhs]
     slacks = [i for i in range(m) if lp.senses[i] != "=="]
@@ -156,59 +145,7 @@ def _standard_form(lp: RationalLP) -> tuple[np.ndarray, list[int], list[int]]:
         a[i, col], basis[i] = (1 if lp.senses[i] == "<=" else -1), col
     for col, i in enumerate(arts, n + len(slacks)):
         a[i, col], basis[i] = signs[i], col
-    return a, signs, basis
-
-
-def _bland_simplex(
-    lp: RationalLP, a: np.ndarray, signs: Sequence[int], basis: list[int]
-) -> tuple[str, int]:
-    """Two-phase dense tableau simplex in float64 on the standard form
-    a, signs and starting basis of lp, rows of negative rhs negated, by
-    Bland's rule: the lowest column of negative reduced cost enters, and
-    ratio-test ties leave by the lowest basic column.  Phase 1 minimizes
-    the sum of the artificials, then pivots out those it can; phase 2
-    bars them from entering.  Leaves the final basis in basis and returns
-    the status and the pivot count."""
-    m, ncols = a.shape
-    art_start = lp.num_vars + sum(s != "==" for s in lp.senses)
-    t = np.column_stack([a, lp.rhs]).astype(float) * np.array(signs)[:, None]
-    pivots = 0
-
-    def pivot(row: int, col: int) -> None:
-        nonlocal pivots
-        if pivots == _MAX_PIVOTS:
-            raise CertificateError(f"the float simplex hit its iteration limit of {_MAX_PIVOTS}")
-        pivots += 1
-        t[row] /= t[row, col]
-        t[:] -= np.outer(t[:, col] - (np.arange(m) == row), t[row])
-        basis[row] = col
-
-    def run(cost: np.ndarray, allowed: int) -> bool:
-        """Minimize cost over the columns below allowed; False if unbounded."""
-        obj = np.append(cost, 0.0) - cost[basis] @ t
-        while True:
-            entering = np.flatnonzero(obj[:allowed] < -_PIVOT_TOL)
-            if not entering.size:
-                return True
-            col = entering[0]
-            rows = np.flatnonzero(t[:, col] > _PIVOT_TOL)
-            if not rows.size:
-                return False
-            ratio = t[rows, -1] / t[rows, col]
-            row = min(rows[ratio <= ratio.min() + _PIVOT_TOL], key=basis.__getitem__)
-            pivot(row, col)
-            obj -= obj[col] * t[row]
-
-    if art_start < ncols:
-        run(np.r_[np.zeros(art_start), np.ones(ncols - art_start)], ncols)
-        if t[[r for r in range(m) if basis[r] >= art_start], -1].sum() > _PIVOT_TOL:
-            return "infeasible", pivots
-        for r in range(m):
-            nonzero = np.flatnonzero(np.abs(t[r, :art_start]) > _PIVOT_TOL)
-            if basis[r] >= art_start and nonzero.size:
-                pivot(r, nonzero[0])
-    cost = np.r_[np.array(lp.objective, dtype=float), np.zeros(ncols - lp.num_vars)]
-    return ("optimal" if run(cost, art_start) else "unbounded"), pivots
+    return a, basis
 
 
 def _eta(inv: np.ndarray, det: int, g: np.ndarray, r: int) -> int:
@@ -229,81 +166,98 @@ def _eta(inv: np.ndarray, det: int, g: np.ndarray, r: int) -> int:
     return p
 
 
-def _certify(lp: RationalLP, a: np.ndarray, basis: list[int], pivots: int) -> LPSolution:
-    """The vertex x_B = B^-1 b and dual y = c_B B^-1 of a basis of lp's
-    standard form a, from one exact inverse of B; raises CertificateError
-    if B is singular or the pair fails the exact check, which it passes
-    iff the basis is optimal.  While the basis is dual feasible and its
-    vertex has a negative entry, exact dual simplex pivots by Bland's
-    rule come first, counted in pivots, each an eta update of B^-1: the
-    lowest basic column of negative value leaves, from row r, and of the
-    non-artificial j with alpha_rj < 0 in row r of B^-1 a, the one of
-    least d_j / -alpha_rj (d the reduced costs) enters, ties to the lowest."""
-    m, n = lp.num_constraints, lp.num_vars
-    art_start = n + sum(s != "==" for s in lp.senses)
-    cost = np.array(list(lp.objective) + [0] * (a.shape[1] - n), dtype=object)
-    den = math.lcm(*(v.denominator for v in lp.rhs))
-    b = np.array([v.numerator * (den // v.denominator) for v in lp.rhs], dtype=object)
+class _Basis:
+    """A basis of lp's standard form a z == b, basic[k] the column of row
+    k, with B^-1 = diag(t) inv / det: inv and det are those of B with
+    column k times t[k].  Column j is kept as cols[j] = (s, rows, ints):
+    s the lcm of its denominators, and s times its nonzeros, in rows.
+    So x_B[k] = t[k] xb[k] / (det den) for xb = inv @ b, b the rhs times
+    den, and the dual is y = yb / det for yb = (c_B t) @ inv."""
 
-    def image(j: int) -> tuple[np.ndarray, int]:
-        """inv @ (s times column j of a) over its nonzero rows, and s,
-        the lcm of the column's denominators."""
-        s = math.lcm(*(v.denominator for v in a[:, j].tolist()))
-        rows = np.flatnonzero(a[:, j])
-        return inv[:, rows] @ (a[rows, j] * s), s
+    def __init__(self, lp: RationalLP, a: np.ndarray, basic: list[int]) -> None:
+        self.cols = []
+        for j in range(a.shape[1]):
+            rows = np.flatnonzero(a[:, j]).tolist()
+            s = math.lcm(*(v.denominator for v in a[rows, j].tolist()))
+            self.cols.append((s, rows, np.array([int(v * s) for v in a[rows, j]], dtype=object)))
+        self.den = math.lcm(*(v.denominator for v in lp.rhs))
+        self.b = np.array([v.numerator * (self.den // v.denominator) for v in lp.rhs], dtype=object)
+        # the starting columns are +-1 unit vectors, each its own inverse
+        self.basic, self.t, self.det, self.pivots = basic, [1] * len(basic), 1, 0
+        self.inv = np.diag([a[k, j] for k, j in enumerate(basic)]).astype(object)
 
-    # B^-1 = diag(t) inv / det, inv and det those of B with column k times
-    # t[k]: from the identity, one eta update per basic column, sparsest
-    # first to keep inv sparse, at the first free row where it is nonzero
-    # (with none, it depends on those before it)
-    inv, det, t = np.eye(m, dtype=int).astype(object), 1, [0] * m
-    taken: list[Optional[int]] = [None] * m
-    for col in sorted(basis, key=lambda j: np.count_nonzero(a[:, j])):
-        g, s = image(col)
-        r = next((i for i in range(m) if taken[i] is None and g[i]), None)
-        if r is not None:
-            det = _eta(inv, det, g, r)
-            taken[r], t[r] = col, s
-    if None in taken:
-        raise CertificateError(f"exact re-solve is singular: rank {m - taken.count(None)} < {m}")
-    basis[:] = taken
-    while True:
-        # x_B[k] = t[k] xb[k] / (det den), and y = yb / det
-        xb, yb = inv @ b, (cost[basis] * t) @ inv
-        leaving = min((j for j, v in zip(basis, xb) if v < 0), default=None)
-        if leaving is None:
-            break
-        d = det * cost - yb @ a  # the reduced costs times det
-        if min(d[:art_start]) < 0:
-            break  # not dual feasible: the check below fails
-        r = basis.index(leaving)
-        alpha = inv[r] @ a  # row r of B^-1 a times det / t[r]
-        entering = [j for j in range(art_start) if alpha[j] < 0]
-        if not entering:
-            raise CertificateError(f"row {r} of B^-1 a proves the program infeasible")
-        basis[r] = min(entering, key=lambda j: Fraction(d[j], -alpha[j]))
-        g, t[r] = image(basis[r])
-        det = _eta(inv, det, g, r)
-        pivots += 1
-    z = {j: Fraction(s * v, det * den) for j, s, v in zip(basis, t, xb)}
-    x = tuple(z.get(j, Fraction(0)) for j in range(n))
-    y = tuple(Fraction(v, det) for v in yb)
-    solution = LPSolution("optimal", _dot(lp.objective, x), x, y, pivots)
+    def image(self, j: int) -> np.ndarray:
+        """inv @ (s times column j): row k of B^-1 a_j has its sign."""
+        _, rows, ints = self.cols[j]
+        return self.inv[:, rows] @ ints
+
+    def prices(self, cost: Sequence[Fraction | int]) -> list[Fraction | int]:
+        """yb, the dual of cost times det."""
+        cb = np.array([cost[j] * t for j, t in zip(self.basic, self.t)], dtype=object)
+        return (cb @ self.inv).tolist()
+
+    def pivot(self, r: int, j: int, g: np.ndarray) -> None:
+        self.det = _eta(self.inv, self.det, g, r)
+        self.basic[r], self.t[r] = j, self.cols[j][0]
+        self.pivots += 1
+
+    def minimize(self, cost: Sequence[Fraction | int], allowed: int) -> bool:
+        """Pivot by Bland's rule, which cannot cycle in exact arithmetic,
+        until no column below allowed has a negative reduced cost; False
+        if the entering column proves the cost unbounded.  The lowest
+        such column enters, priced as det s c_j - yb . (s a_j) over its
+        nonzeros, and ratio-test ties leave by the lowest basic column."""
+        while True:
+            yb = self.prices(cost)
+            j = next(
+                (
+                    j
+                    for j, (s, rows, ints) in enumerate(self.cols[:allowed])
+                    if self.det * s * cost[j] < sum(yb[i] * v for i, v in zip(rows, ints))
+                ),
+                None,
+            )
+            if j is None:
+                return True
+            g, xb = self.image(j), self.inv @ self.b
+            rows = [k for k in range(len(g)) if g[k] > 0]
+            if not rows:
+                return False
+            self.pivot(min(rows, key=lambda k: (Fraction(xb[k], g[k]), self.basic[k])), j, g)
+
+
+def solve_exact(lp: RationalLP) -> LPSolution:
+    """Two-phase revised simplex in exact integers.  Phase 1 minimizes
+    the sum of the artificials, then pivots each one left at level zero
+    out on the lowest other column nonzero in its row; phase 2 bars them
+    from entering.  ``pivots`` counts the pivots of both phases.  An
+    optimum is returned only once its primal and dual pass violation."""
+    a, basic = _standard_form(lp)
+    m, ncols = a.shape
+    art_start = lp.num_vars + sum(s != "==" for s in lp.senses)
+    basis = _Basis(lp, a, basic)
+    if art_start < ncols:
+        basis.minimize([0] * art_start + [1] * (ncols - art_start), ncols)
+        xb = basis.inv @ basis.b
+        if any(v > 0 for j, v in zip(basis.basic, xb) if j >= art_start):
+            return LPSolution("infeasible", None, None, None, basis.pivots)
+        for r in range(m):
+            if basis.basic[r] >= art_start:
+                j = next((j for j in range(art_start) if basis.image(j)[r]), None)
+                if j is not None:
+                    basis.pivot(r, j, basis.image(j))
+    cost = list(lp.objective) + [0] * (ncols - lp.num_vars)
+    if not basis.minimize(cost, art_start):
+        return LPSolution("unbounded", None, None, None, basis.pivots)
+    xb, det = basis.inv @ basis.b, basis.det
+    z = {j: Fraction(t * v, det * basis.den) for j, t, v in zip(basis.basic, basis.t, xb)}
+    x = tuple(z.get(j, Fraction(0)) for j in range(lp.num_vars))
+    y = tuple(Fraction(v, det) for v in basis.prices(cost))
+    solution = LPSolution("optimal", _dot(lp.objective, x), x, y, basis.pivots)
     problem = solution.violation(lp)
     if problem is not None:
         raise CertificateError(f"exact certificate fails: {problem}")
     return solution
-
-
-def solve_exact(lp: RationalLP) -> LPSolution:
-    """Solve with the float simplex and certify its final basis exactly.
-    Infeasible and unbounded programs are reported as the simplex
-    classifies them; ``pivots`` counts its pivots over both phases."""
-    a, signs, basis = _standard_form(lp)
-    status, pivots = _bland_simplex(lp, a, signs, basis)
-    if status != "optimal":
-        return LPSolution(status, None, None, None, pivots)
-    return _certify(lp, a, basis, pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -138,6 +139,19 @@ def test_solve_returns_a_primal_dual_certificate():
     assert sol.pivots > 0
 
 
+# sha256 of the gadget's dual witness, its entries joined by spaces
+DUAL_SHA256 = {
+    F(0): "6731e236017300858268f91bcd70724be2afa9585af0164021c158c3d27393d7",
+    F(1, 3): "c7a5faa9481e336619e7c9519e3829d667ac278bf7fe9a3e5d3c9abd18961edd",
+}
+
+
+@pytest.mark.parametrize("eps", list(DUAL_SHA256))
+def test_gadget_dual_witness_is_pinned(eps):
+    _, sol = fmaj_certificate(eps)
+    assert hashlib.sha256(" ".join(map(str, sol.dual)).encode()).hexdigest() == DUAL_SHA256[eps]
+
+
 def test_verify_rejects_a_perturbed_dual_entry():
     problem, sol = fmaj_certificate(F(0))
     for i, y in enumerate(sol.dual):
@@ -181,44 +195,47 @@ def test_verify_rejects_unequal_objectives():
     assert "objectives differ" in weak.violation(problem)
 
 
-def test_misread_float_solution_raises():
-    # phase 1's final basis is the final basis of the same program with a
-    # zero objective: feasible, but not optimal for the real objective
-    problem = build_prt_lp(fmaj(), F(1, 3))
-    zero = dataclasses.replace(problem, objective=(F(0),) * problem.num_vars)
-    # the standard form does not depend on the objective
-    a, signs, basis = lpbound._standard_form(zero)
-    status, _ = lpbound._bland_simplex(zero, a, signs, basis)
-    assert status == "optimal"
-    assert lpbound._certify(zero, a, basis, 0).value == 0
+def test_feasible_basis_that_is_not_optimal_raises(monkeypatch):
+    # with phase 2 skipped, the gadget's relaxation ends at phase 1's
+    # final basis: feasible, but not optimal for the real objective
+    minimize = lpbound._Basis.minimize
+
+    def phase_1_only(basis, cost, allowed):
+        return allowed < len(cost) or minimize(basis, cost, allowed)
+
+    monkeypatch.setattr(lpbound._Basis, "minimize", phase_1_only)
     with pytest.raises(CertificateError, match="reduced cost"):
-        lpbound._certify(problem, a, basis, 0)
-
-
-def test_float_solve_that_is_not_optimal_raises(monkeypatch):
-    # the gadget at eps 1/3 takes 164 pivots; a float simplex stopped
-    # short of an optimum reports nothing
-    monkeypatch.setattr(lpbound, "_MAX_PIVOTS", 100)
-    with pytest.raises(CertificateError, match="iteration limit"):
         solve_exact(build_prt_lp(fmaj(), F(1, 3)))
 
 
-def test_exactly_infeasible_program_raises():
-    # x <= 1 and x >= 1 + 10**-12 miss by less than the float simplex's
-    # tolerance, so it calls the program feasible
-    problem = lp([1], [[1], [1]], ["<=", ">="], [1, 1 + F(1, 10**12)])
-    with pytest.raises(CertificateError, match="proves the program infeasible"):
-        solve_exact(problem)
+# programs whose reduced costs or gaps lie within 10**-9 of zero: a solver
+# that reads entries that small as zero gets each of them wrong
+TINY = F(1, 10**12)
+NEAR_ZERO = [
+    pytest.param(lp([-TINY], [[1]], ["<="], [1]), "optimal", -TINY, id="optimal"),
+    pytest.param(lp([-TINY], [[1]], [">="], [0]), "unbounded", None, id="unbounded"),
+    pytest.param(lp([1], [[1], [1]], ["<=", ">="], [1, 1 + TINY]), "infeasible", None, id="infeasible"),
+    pytest.param(
+        lp([1, -10 * TINY], [[1, -TINY], [0, 1]], [">=", "<="], [0, 1]),
+        "optimal",
+        -9 * TINY,
+        id="reduced-cost",
+    ),
+]
 
 
-def test_singular_re_solve_raises():
+@pytest.mark.parametrize("problem, status, value", NEAR_ZERO)
+def test_programs_near_zero_are_solved_exactly(problem, status, value):
+    sol = solve_exact(problem)
+    assert (sol.status, sol.value) == (status, value)
+    assert sol.violation(problem) is None
+
+
+def test_repeated_column_program_is_certified():
     # x0 and x1 have the same column, so no basis holds both
     problem = lp([1, 1, 1], [[1, 1, 5], [2, 2, 7]], ["==", "=="], [1, 2])
-    a, _, _ = lpbound._standard_form(problem)
-    with pytest.raises(CertificateError, match="singular: rank 1 < 2"):
-        lpbound._certify(problem, a, [0, 1], 0)
-    # x0 and x2 determine the vertex and the dual
-    sol = lpbound._certify(problem, a, [0, 2], 0)
+    sol = solve_exact(problem)
+    assert sol.violation(problem) is None
     assert (sol.assignment, sol.dual, sol.value) == ((F(1), F(0), F(0)), (F(-5, 3), F(4, 3)), 1)
 
 
@@ -396,10 +413,9 @@ def test_relaxation_matches_highs_on_every_small_function(eps):
             assert assert_matches_highs(build_prt_lp(table, eps)) == "optimal"
 
 
-# eps within the float simplex's tolerance of 0 or 1/2 ends it at the
-# basis that is optimal at that end, whose exact vertex has entries of
-# -eps until exact dual pivots repair it
-NEAR_END_PIVOTS = {F(1, 10**9): 145, F(1, 10**12): 145, F(1, 10**30): 145, F(1, 2) - F(1, 10**10): 146}
+# eps close to 0 or 1/2, where the optimum at that end is a vertex whose
+# entries are off by about eps
+NEAR_END_PIVOTS = {F(1, 10**9): 121, F(1, 10**12): 121, F(1, 10**30): 121, F(1, 2) - F(1, 10**10): 175}
 
 
 @pytest.mark.parametrize("eps", list(NEAR_END_PIVOTS))
