@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: fn (tables), measure (tree complexities), partition
-(subcube partitions), dist (the hard distribution), bound (LP and
-public-coin relaxations), simulate (Monte Carlo), verify (end-to-end
+(subcube partitions), dist (the hard distribution), bound (the
+partition-bound LP), simulate (Monte Carlo), verify (end-to-end
 pipelines), fixtures (canonical files).
 
 Reports are machine-parseable "key: value" lines; exact rationals are
@@ -236,20 +236,13 @@ def cmd_partition_search_cost(args: argparse.Namespace, rep: Report) -> None:
         rep.add("out", args.out)
 
 
-def _search_weight(args: argparse.Namespace, rep: Report) -> subcube.SearchResult:
-    """Run the minimum-weight search on --table and add its n, weight,
-    half-log2 and nodes lines."""
+def cmd_partition_search_weight(args: argparse.Namespace, rep: Report) -> None:
     table = _load("table", boolfn.load_table, args.table)
     result = subcube.search_min_weight(table)
     rep.add("n", table.n)
     rep.add("weight", result.weight)
     rep.add("half-log2", repr(0.5 * math.log2(result.weight)))
     rep.add("nodes", result.nodes)
-    return result
-
-
-def cmd_partition_search_weight(args: argparse.Namespace, rep: Report) -> None:
-    result = _search_weight(args, rep)
     rep.add("parts", len(result.partition))
     if args.out:
         subcube.save_partition(result.partition, args.out)
@@ -335,10 +328,6 @@ def cmd_bound_prt(args: argparse.Namespace, rep: Report) -> None:
     # prt_report returns only values whose certificate re-checked exactly
     rep.add_verdict("certificate", True)
     rep.add("half-log2", repr(report.half_log2))
-
-
-def cmd_bound_pprt0(args: argparse.Namespace, rep: Report) -> None:
-    _search_weight(args, rep)
 
 
 # ---------------------------------------------------------------------------
@@ -474,18 +463,14 @@ def _verify_height1(rep: Report) -> None:
     law = randalg.embedding_children_law_exact()
     rep.add_verdict("embedding-law-exact", law == harddist.d().masses)
     cond = randalg.minority_conditionals_exact()
-    table_expected = {}
-    for i in range(4):
-        for j in range(4):
-            if i == j:
-                table_expected[(i, j)] = Fraction(0)
-            elif i == 0:
-                table_expected[(i, j)] = Fraction(1, 3)
-            elif j == 0:
-                table_expected[(i, j)] = Fraction(1, 2)
-            else:
-                table_expected[(i, j)] = Fraction(1, 4)
-    rep.add_verdict("embedding-conditionals", cond == table_expected)
+    # 0 on the diagonal, else 1/3 with the instance at the first child,
+    # 1/2 when the path leaves through the first child, and 1/4
+    expected = {
+        (i, j): Fraction(i != j, 3 if i == 0 else 2 if j == 0 else 4)
+        for i in range(4)
+        for j in range(4)
+    }
+    rep.add_verdict("embedding-conditionals", cond == expected)
 
 
 def _verify_height2(args: argparse.Namespace, rep: Report) -> None:
@@ -540,6 +525,7 @@ _FIXTURES = {
         "d0": harddist.d0,
         "d1": harddist.d1,
         "d": harddist.d,
+        "d2": lambda: harddist.dh_law(2),
     }),
 }
 # the files `fixtures` writes, in order
@@ -646,15 +632,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=_probability, default=1e-3)
     p.set_defaults(func=cmd_dist_sample)
 
-    p_bound = sub.add_parser("bound", help="partition-style relaxations")
+    p_bound = sub.add_parser("bound", help="partition-bound LP")
     b_sub = p_bound.add_subparsers(dest="subcommand", required=True)
     p = b_sub.add_parser("prt", help="LP relaxation value")
     p.add_argument("--table", required=True)
     p.add_argument("--eps", required=True)
     p.set_defaults(func=cmd_bound_prt)
-    p = b_sub.add_parser("pprt0", help="public-coin value at eps=0")
-    p.add_argument("--table", required=True)
-    p.set_defaults(func=cmd_bound_pprt0)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo")
     s_sub = p_sim.add_subparsers(dest="subcommand", required=True)

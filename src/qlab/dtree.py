@@ -16,6 +16,13 @@ step, so by induction on the number of free variables the fixed point
 is the optimum.  Witness trees walk down from the root, querying at each
 mixed state the lowest free variable whose step attains the state's
 value; this makes them canonical.
+
+The depth sweep runs in uint8, the weighted one in integers over the
+charges' common denominator.  There inf = 1 + the sum of every row
+bounds every value, and no step exceeds 2 * inf + the largest row sum:
+int32 holds that below 2**31, int64 below 2**63 if the stop test's sum
+of 3**n values below inf fits too, and object arrays take the rest.
+Equal rows share one charge lattice; above n = 8 all rows must be equal.
 """
 
 from __future__ import annotations
@@ -30,7 +37,9 @@ import numpy as np
 from .boolfn import TruthTable, index_to_bits, parse_bits
 from .subcube import LabeledPartition, Pattern, lattice_colors, lattice_sums
 
-MAX_WEIGHTED_VARS = 8
+# above this arity the weighted DP takes only charge matrices whose rows
+# are all equal, so that it holds one charge lattice
+MAX_MULTIROW_VARS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +240,18 @@ class CostMatrix:
     def __post_init__(self) -> None:
         if len(self.rows) != self.n:
             raise ValueError(f"expected {self.n} rows")
-        for i, row in enumerate(self.rows):
+        for row in self.distinct_rows():
             if len(row) != 1 << self.n:
-                raise ValueError(f"row {i} has {len(row)} entries")
+                raise ValueError(f"row {self.rows.index(row)} has {len(row)} entries")
             if any(c < 0 for c in row):
-                raise ValueError(f"row {i} has a negative charge")
+                raise ValueError(f"row {self.rows.index(row)} has a negative charge")
+
+    def distinct_rows(self) -> list[tuple[Fraction, ...]]:
+        distinct: list[tuple[Fraction, ...]] = []
+        for row in self.rows:
+            if row not in distinct:  # a shared tuple matches by identity
+                distinct.append(row)
+        return distinct
 
     @classmethod
     def from_lists(cls, n: int, rows: Sequence[Sequence[Fraction]]) -> "CostMatrix":
@@ -274,21 +290,33 @@ def min_weighted_zero_error(
     n = f.n
     if n != cost.n:
         raise ValueError(f"function arity {n} != cost arity {cost.n}")
-    if n > MAX_WEIGHTED_VARS:
-        raise ValueError(f"weighted DP supports n <= {MAX_WEIGHTED_VARS}")
-    denom = math.lcm(*(c.denominator for row in cost.rows for c in row))
-    rows = [
-        np.array([c.numerator * (denom // c.denominator) for c in row], dtype=object)
-        for row in cost.rows
-    ]
-    charges = [lattice_sums(row) for row in rows]
-    color = lattice_colors(f)
-    val = np.zeros(color.shape, dtype=object)
+    rows = cost.distinct_rows()
+    if n > MAX_MULTIROW_VARS and len(rows) > 1:
+        raise ValueError(f"above n = {MAX_MULTIROW_VARS} the weighted DP needs equal rows")
+    denom = math.lcm(*(c.denominator for row in rows for c in row))
+    ints = [[c.numerator * (denom // c.denominator) for c in row] for row in rows]
+    totals = [sum(row) for row in ints]
+    which = [rows.index(row) for row in cost.rows]
     # a tree queries each variable at most once per input
-    val[color == 2] = 1 + sum(int(row.sum()) for row in rows)
+    inf = 1 + sum(totals[k] for k in which)
+    bound = 2 * inf + max(totals)
+    # numpy sums int32 in its default integer, int64 on 64-bit systems
+    if bound < 2**31:
+        dtype = np.int32
+    elif bound < 2**63 and inf * 3**n < 2**63:
+        dtype = np.int64
+    else:
+        dtype = object
+    lattices = [lattice_sums(np.array(row, dtype=dtype)) for row in ints]
+    charges = [lattices[k] for k in which]
+    color = lattice_colors(f)
+    val = np.zeros(color.shape, dtype=dtype)
+    val[color == 2] = inf
 
     def step(a: int, idx: tuple, lo, hi):
-        return charges[a][idx] + lo + hi
+        total = charges[a][idx] + lo
+        total += hi
+        return total
 
     _relax(val, step)
     value = Fraction(int(val[(2,) * n]), denom)
@@ -302,14 +330,9 @@ def min_weighted_zero_error(
 
 def delta0(f: TruthTable, dist: Sequence[Fraction]) -> Fraction:
     """Minimum expected query count under the given input distribution
-    over zero-error trees for f."""
+    over zero-error trees for f.  CostMatrix and the weighted DP reject
+    a negative mass and a length other than 2**f.n."""
     masses = [Fraction(m) for m in dist]
-    if len(masses) != f.size:
-        raise ValueError(f"distribution length {len(masses)} != {f.size}")
-    if any(m < 0 for m in masses):
-        raise ValueError("distribution has a negative mass")
     if sum(masses) != 1:
         raise ValueError("distribution does not sum to 1")
-    result = min_weighted_zero_error(f, CostMatrix.uniform(masses))
-    assert isinstance(result, Fraction)
-    return result
+    return min_weighted_zero_error(f, CostMatrix.uniform(masses))  # type: ignore[return-value]

@@ -111,8 +111,9 @@ _W30 = _SEED_W.sum(axis=0)
 
 
 def _law(weights: np.ndarray, denom: int) -> InputDistribution:
-    """The law of children pattern p with mass weights[p] / denom."""
-    return InputDistribution(4, {p: Fraction(w, denom) for p, w in enumerate(weights.tolist())})
+    """The law of input idx with mass weights[idx] / denom."""
+    masses = {i: Fraction(w, denom) for i, w in enumerate(weights.tolist()) if w}
+    return InputDistribution(weights.size.bit_length() - 1, masses)
 
 
 def d0() -> InputDistribution:
@@ -144,16 +145,28 @@ def dh_mass(h: int, x: "str | Sequence[int]") -> Fraction:
     return Fraction(weight, _denominator(h))
 
 
-def dh_total(h: int) -> tuple[int, Fraction]:
-    """Size and exact total mass of the height-h support, over every
-    input: each input's weight over _denominator(h) is the product of
-    _W30 over its level patterns, at most 12**5 at height 2, so int64."""
+def _dh_weights(h: int) -> np.ndarray:
+    """Every input's weight over _denominator(h), in index order: the
+    product of _W30 over its level patterns, at most 12**5 at height 2,
+    so int64."""
     if not 0 <= h <= MAX_ENUM_HEIGHT:
-        raise ValueError(f"exact totals support 0 <= h <= {MAX_ENUM_HEIGHT}")
+        raise ValueError(f"exact laws support 0 <= h <= {MAX_ENUM_HEIGHT}")
     inputs = 1 << 4**h
     weights = np.ones(inputs, dtype=np.int64)
     for pat in level_patterns(input_bits(4**h).ravel(), h):
         weights *= _W30[pat].reshape(inputs, -1).prod(axis=1)
+    return weights
+
+
+def dh_law(h: int) -> InputDistribution:
+    """The height-h distribution as an exact law over every input."""
+    return _law(_dh_weights(h), _denominator(h))
+
+
+def dh_total(h: int) -> tuple[int, Fraction]:
+    """Size and exact total mass of the height-h support, over every
+    input."""
+    weights = _dh_weights(h)
     return int(np.count_nonzero(weights)), Fraction(int(weights.sum()), _denominator(h))
 
 

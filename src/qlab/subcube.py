@@ -47,19 +47,11 @@ class Pattern:
 
     @functools.cached_property
     def mask(self) -> int:
-        m = 0
-        for j, c in enumerate(self.text):
-            if c != "*":
-                m |= 1 << (self.n - 1 - j)
-        return m
+        return int(self.text.replace("0", "1").replace("*", "0"), 2)
 
     @functools.cached_property
     def vals(self) -> int:
-        v = 0
-        for j, c in enumerate(self.text):
-            if c == "1":
-                v |= 1 << (self.n - 1 - j)
-        return v
+        return int(self.text.replace("*", "0"), 2)
 
     @property
     def fixed_count(self) -> int:
@@ -162,20 +154,9 @@ def partition_cost(part: LabeledPartition) -> PartitionCost:
 def canonical_fmaj_partition() -> LabeledPartition:
     """The eight-part tiling of the four-bit gadget with every part
     fixing exactly three positions."""
-    entries = tuple(
-        (Pattern(text), z)
-        for text, z in (
-            ("001*", 0),
-            ("0*01", 0),
-            ("01*0", 0),
-            ("*000", 0),
-            ("110*", 1),
-            ("1*10", 1),
-            ("10*1", 1),
-            ("*111", 1),
-        )
-    )
-    return LabeledPartition(4, entries)
+    # the first four parts are labeled 0, the last four 1
+    texts = ("001*", "0*01", "01*0", "*000", "110*", "1*10", "10*1", "*111")
+    return LabeledPartition(4, tuple((Pattern(t), i // 4) for i, t in enumerate(texts)))
 
 
 def compose_partitions(p: LabeledPartition, q: LabeledPartition) -> LabeledPartition:

@@ -83,6 +83,20 @@ def test_measure_depth_and_delta0(tmp_path, capsys):
     assert got["witness-replay"] == "pass"
 
 
+def test_measure_delta0_at_height_two(tmp_path, capsys):
+    # the hard law's height-2 file and the exact weighted DP over all
+    # 3**16 subcubes of the composed gadget
+    table, dist = tmp_path / "fmaj2.tt", tmp_path / "d2.dist"
+    code, out = run(capsys, "dist", "emit", "--name", "d2", "--out", str(dist))
+    assert code == 0
+    assert lines(out)["support"] == "33614"
+    save_table(iterated_table(2), table)
+    code, out = run(capsys, "measure", "delta0", "--table", str(table), "--dist", str(dist))
+    assert code == 0
+    got = lines(out)
+    assert (got["delta0"], got["witness-replay"]) == ("256/25", "pass")
+
+
 def flip_first_leaf(tree):
     """The tree with its leftmost leaf's output flipped."""
     if isinstance(tree, dtree.Leaf):
@@ -171,6 +185,7 @@ def test_partition_commands(tmp_path, capsys):
     )
     assert code == 0
     assert lines(out)["weight"] == "64"
+    assert lines(out)["half-log2"] == "3.0"
     assert load_partition(best).n == 4
 
 
@@ -305,10 +320,6 @@ def test_bound_commands(tmp_path, capsys):
     got = lines(out)
     assert got["value"] == got["dual-value"] == "14/1"
     assert got["certificate"] == "pass"
-    code, out = run(capsys, "bound", "pprt0", "--table", str(table))
-    assert code == 0
-    assert lines(out)["weight"] == "64"
-    assert lines(out)["half-log2"] == "3.0"
 
 
 # sha256 of each report's stdout without its elapsed-s line, and its exit
@@ -347,10 +358,10 @@ PINNED_REPORTS = [
         id="r0-h3-worst-input",
     ),
     pytest.param(
-        ("bound", "pprt0", "--table", "FMAJ"),
-        "c197c00c4c76790a1aa62a8e4928b019affad482b0657da61269a8c139d95406",
+        ("partition", "search-weight", "--table", "FMAJ"),
+        "e4e0de83593c506184857fab03a5a89f9b7cb5998745f501780563409b1bfc6f",
         0,
-        id="pprt0-fmaj",
+        id="search-weight-fmaj",
     ),
     pytest.param(
         ("measure", "jk"),

@@ -5,12 +5,15 @@ restriction dictionaries, a different mechanism from the production
 axis sweeps over the subcube lattice.
 """
 
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
+from qlab import dtree
 from qlab.boolfn import TruthTable, fmaj, index_to_bits
 from qlab.dtree import (
     CostMatrix,
@@ -243,16 +246,36 @@ def test_min_weighted_matches_brute_force_two_vars():
         assert got == brute_weighted(f, cost), bits
 
 
-def test_min_weighted_matches_brute_force_three_vars():
+@pytest.mark.parametrize(
+    "target, dtype",
+    [(2**31, np.int32), (2**32, np.int64), (2**70, object)],
+    ids=["int32", "int64", "object"],
+)
+def test_min_weighted_matches_brute_force_three_vars(monkeypatch, target, dtype):
+    # the charges scaled so that the proved bound on every step value,
+    # 2 * (1 + every row's sum) + the largest row sum over the common
+    # denominator, lies in (target / 2, target): just under int32's limit,
+    # just over it, and past int64's; a scale coprime to the denominators
+    # keeps them, so the bound grows by unit per unit of scale
     rng = random.Random(5)
-    cost = CostMatrix.from_lists(
-        3, [[Fraction(rng.randint(0, 9), rng.randint(1, 12)) for _ in range(8)] for _ in range(3)]
-    )
+    base = [[Fraction(rng.randint(0, 9), rng.randint(1, 12)) for _ in range(8)] for _ in range(3)]
+    denom = math.lcm(*(c.denominator for row in base for c in row))
+    sums = [sum(row) * denom for row in base]
+    unit = 2 * sum(sums) + max(sums)
+    scale = (target - 3) // unit
+    while math.gcd(scale, denom) > 1:
+        scale -= 1
+    assert target // 2 < 2 + scale * unit < target
+    cost = CostMatrix.from_lists(3, [[c * scale for c in row] for row in base])
+    dtypes = set()
+    real = dtree._relax
+    monkeypatch.setattr(dtree, "_relax", lambda val, step: (dtypes.add(val.dtype), real(val, step)))
     for bits in range(256):
         f = TruthTable(3, bits)
         value, tree = min_weighted_zero_error(f, cost, want_tree=True)
         assert value == brute_weighted(f, cost), bits
         assert tree_computes(tree, f) and tree_cost(tree, cost) == value
+    assert dtypes == {np.dtype(dtype)}
 
 
 def test_min_weighted_witness_replays():
@@ -297,10 +320,28 @@ def test_delta0_validates_distribution():
         delta0(fmaj(), [Fraction(1, 32)] * 16)
 
 
-def test_min_weighted_rejects_oversized():
-    f9 = TruthTable(9, 0)
-    with pytest.raises(ValueError):
-        min_weighted_zero_error(f9, CostMatrix.uniform([Fraction(1, 512)] * 512))
+def test_min_weighted_uniform_law_at_nine_vars():
+    # above n = 8 a uniform charge matrix's rows share one charge lattice
+    uniform = CostMatrix.uniform([Fraction(1, 512)] * 512)
+    parity = TruthTable.from_values(9, [bin(i).count("1") % 2 for i in range(512)])
+    conj = TruthTable(9, 1 << 511)
+    for f, want in ((parity, Fraction(9)), (conj, Fraction(511, 256))):
+        value, tree = min_weighted_zero_error(f, uniform, want_tree=True)
+        assert value == want
+        assert tree_computes(tree, f) and tree_cost(tree, uniform) == value
+
+
+def test_min_weighted_refuses_unequal_rows_above_eight_vars(monkeypatch):
+    row = (Fraction(1, 512),) * 512
+    cost = CostMatrix(9, ((Fraction(0),) + row[1:],) + (row,) * 8)
+
+    def unreachable(arg):
+        raise AssertionError("refusal came after a lattice was built")
+
+    monkeypatch.setattr(dtree, "lattice_sums", unreachable)
+    monkeypatch.setattr(dtree, "lattice_colors", unreachable)
+    with pytest.raises(ValueError, match="equal rows"):
+        min_weighted_zero_error(TruthTable(9, 0), cost)
 
 
 def test_charge_matrices_agree_with_direct_conditional_sums():

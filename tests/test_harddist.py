@@ -17,6 +17,7 @@ from qlab.harddist import (
     d,
     d0,
     d1,
+    dh_law,
     dh_mass,
     dh_total,
     dist_from_text,
@@ -176,6 +177,16 @@ def test_dh_total_sums_integer_weights():
     for h in (-1, 3, 10**9):
         with pytest.raises(ValueError):
             dh_total(h)
+
+
+def test_dh_law_is_the_reference_enumeration():
+    assert dh_law(1) == d()
+    for h in (0, 1, 2):
+        want = {bits_to_index(bits): m for bits, m in dh_support(h)}
+        assert dh_law(h) == InputDistribution(4**h, want), h
+    for h in (-1, 3):
+        with pytest.raises(ValueError):
+            dh_law(h)
 
 
 def test_support_weights_are_integers_over_one_denominator():
