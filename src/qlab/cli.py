@@ -131,20 +131,19 @@ def cmd_fn_iter(args: argparse.Namespace, rep: Report) -> None:
 def cmd_measure_depth(args: argparse.Namespace, rep: Report) -> None:
     table = _load("table", boolfn.load_table, args.table)
     rep.add("n", table.n)
+    result = dtree.exact_depth(table, want_tree=bool(args.tree_out))
+    rep.add("depth", result.depth)
+    rep.add("lattice-sweeps", result.sweeps)
     if args.tree_out:
-        depth, tree = dtree.exact_depth(table, want_tree=True)
-        dtree.save_tree(tree, args.tree_out)
+        dtree.save_tree(result.tree, args.tree_out)
         # the replay checks the tree as written
         tree = dtree.load_tree(args.tree_out)
-        rep.add("depth", depth)
         rep.add("tree-out", args.tree_out)
         rep.add_verdict(
             "witness-replay",
             _partition_computes(dtree.tree_to_partition(tree, table.n), table)
-            and dtree.tree_depth(tree) == depth,
+            and dtree.tree_depth(tree) == result.depth,
         )
-    else:
-        rep.add("depth", dtree.exact_depth(table))
 
 
 def cmd_measure_delta0(args: argparse.Namespace, rep: Report) -> None:
@@ -431,7 +430,7 @@ def _partition_computes(part: subcube.LabeledPartition, table: boolfn.TruthTable
 
 def _verify_height1(rep: Report) -> None:
     table = boolfn.fmaj()
-    rep.add_verdict("depth-4", dtree.exact_depth(table) == 4)
+    rep.add_verdict("depth-4", dtree.exact_depth(table).depth == 4)
 
     part = subcube.canonical_fmaj_partition()
     rep.add_verdict(
@@ -487,7 +486,9 @@ def _verify_height2(args: argparse.Namespace, rep: Report) -> None:
         and all(p.fixed_count == 9 for p, _ in part.entries)
         and _partition_computes(part, table2),
     )
-    rep.add_verdict("depth-16", dtree.exact_depth(table2) == 16)
+    depth = dtree.exact_depth(table2)
+    rep.add_verdict("depth-16", depth.depth == 16)
+    rep.add("lattice-sweeps", depth.sweeps)
 
     mc, exact, sigma, (_, _, within) = _mc_reference(args, 2)
     rep.add_rational("mean", mc.mean)

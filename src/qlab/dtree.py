@@ -8,14 +8,16 @@ whose axis j is variable x_{j+1}, index 2 meaning free.  A mixed state's
 value is the least, over its free variables a, of step(a) applied to the
 two states that fix x_{a+1} to 0 and to 1.  The values start at 0 on
 f-constant states and at an "infinity" above every optimum on mixed
-ones; a sweep then visits the axes in order and lowers every state free
-at axis a to its step along a, one slab operation per axis.  Sweeps
+ones; a sweep (``subcube.sweep_axes``) then visits the axes in order
+and lowers every state free at axis a to its step along a.  Sweeps
 repeat until one lowers nothing.  Values never fall below the optimum,
 and at the fixed point every mixed state's value is attained by some
 step, so by induction on the number of free variables the fixed point
-is the optimum.  Witness trees walk down from the root, querying at each
-mixed state the lowest free variable whose step attains the state's
-value; this makes them canonical.
+is the optimum.  A step reads only states with fewer free variables, so
+that fixed point is unique, whatever order a sweep takes within itself.
+Witness trees walk down from the root, querying at each mixed state the
+lowest free variable whose step attains the state's value; this makes
+them canonical.
 
 The depth sweep runs in uint8, the weighted one in integers over the
 charges' common denominator.  There inf = 1 + the sum of every row
@@ -30,12 +32,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .boolfn import TruthTable, index_to_bits, parse_bits
-from .subcube import LabeledPartition, Pattern, lattice_colors, lattice_sums
+from .subcube import LabeledPartition, Pattern, lattice_colors, lattice_sums, sweep_axes
 
 # above this arity the weighted DP takes only charge matrices whose rows
 # are all equal, so that it holds one charge lattice
@@ -157,41 +159,43 @@ def load_tree(path: str) -> DecisionTree:
 # ---------------------------------------------------------------------------
 # the axis-sweep relaxation shared by both optimizations
 
-# step(a, idx, lo, hi): the value of querying variable a at the states
-# val[idx] given the values lo and hi of their two children; idx is
-# either a slab prefix from _axis or one full state
+# step(a, charges, lo, hi): the value of querying variable a at some
+# states, given the values lo and hi of their two children and a tuple
+# holding each charge lattice at those states; a sweep passes slabs, a
+# witness one state's values
 Step = Callable[[int, tuple, object, object], object]
 
 
-def _axis(a: int, t: int) -> tuple:
-    """Index of the slab of states whose axis a holds t; a view even
-    when a is the only axis."""
-    return (slice(None),) * a + (t, ...)
+def _relax(val: np.ndarray, step: Step, charges: Sequence[np.ndarray] = ()) -> int:
+    """Lower val in place to the fixed point of the axis sweeps and
+    return the number of sweeps made: values only fall, so the first
+    sweep that leaves the total alone lowered nothing, and ends it."""
 
+    def lower(a: int, lo, hi, free, slabs: tuple) -> None:
+        np.minimum(free, step(a, slabs, lo, hi), out=free)
 
-def _relax(val: np.ndarray, step: Step) -> None:
-    """Lower val in place to the fixed point of the axis sweeps: values
-    only fall, so a sweep that leaves the total alone lowered nothing."""
     total = val.sum()
+    sweeps = 0
     while True:
-        for a in range(val.ndim):
-            free = _axis(a, 2)
-            out = val[free]
-            np.minimum(out, step(a, free, val[_axis(a, 0)], val[_axis(a, 1)]), out=out)
+        sweep_axes(val, lower, charges)
+        sweeps += 1
         before, total = total, val.sum()
         if total == before:
-            return
+            return sweeps
 
 
-def _witness(color: np.ndarray, val: np.ndarray, step: Step) -> DecisionTree:
+def _witness(
+    color: np.ndarray, val: np.ndarray, step: Step, charges: Sequence[np.ndarray] = ()
+) -> DecisionTree:
     def build(state: tuple) -> DecisionTree:
         if color[state] != 2:
             return Leaf(int(color[state]))
+        here = tuple(c[state] for c in charges)
         for a, t in enumerate(state):
             if t != 2:
                 continue
             lo, hi = state[:a] + (0,) + state[a + 1 :], state[:a] + (1,) + state[a + 1 :]
-            if step(a, state, val[lo], val[hi]) == val[state]:
+            if step(a, here, val[lo], val[hi]) == val[state]:
                 return Node(a, build(lo), build(hi))
         raise AssertionError(f"no query attains the value of state {state}")
 
@@ -201,29 +205,38 @@ def _witness(color: np.ndarray, val: np.ndarray, step: Step) -> DecisionTree:
 # ---------------------------------------------------------------------------
 # exact minimax depth over the full subcube lattice
 
-def _depth_step(a: int, idx: tuple, lo, hi):
+@dataclass(frozen=True)
+class DepthResult:
+    """What ``exact_depth`` found, and the work it took."""
+
+    depth: int
+    sweeps: int  # passes of the relaxation, the last of which lowered nothing
+    tree: Optional[DecisionTree] = None  # a canonical optimal tree, if asked for
+
+
+def _depth_step(a: int, charges: tuple, lo, hi):
     worst = np.maximum(lo, hi)
     worst += 1
     return worst
 
 
-def exact_depth(f: TruthTable, *, want_tree: bool = False) -> "int | tuple[int, DecisionTree]":
+def exact_depth(f: TruthTable, *, want_tree: bool = False) -> DepthResult:
     """Minimum worst-case query count of a deterministic tree computing
     f, by the axis-sweep relaxation over all 3**n restriction states.
-    With ``want_tree`` also returns a canonical optimal tree."""
+    With ``want_tree`` the result also holds a canonical optimal tree."""
     n = f.n
-    # TruthTable caps n at 16: colors, values and one slab temporary take
-    # under 3 * 3**16 bytes, about 129 MB
+    # TruthTable caps n at 16: colors, values, one 3**14-byte slab
+    # temporary of an outer axis and the chunk buffer take under
+    # 2 * 3**16 + 3**14 + 2**21 bytes, about 93 MB
     color = lattice_colors(f)
     # 1 on mixed states, 0 on constant ones; without a tree the sweeps
     # need only these, so they overwrite the colors in place
     val = color // 2 if want_tree else np.floor_divide(color, 2, out=color)
     val *= n + 1  # "infinity": every depth is at most n
-    _relax(val, _depth_step)
+    sweeps = _relax(val, _depth_step)
     depth = int(val[(2,) * n])
-    if not want_tree:
-        return depth
-    return depth, _witness(color, val, _depth_step)
+    tree = _witness(color, val, _depth_step) if want_tree else None
+    return DepthResult(depth, sweeps, tree)
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +284,24 @@ class CostMatrix:
 
 def tree_cost(tree: DecisionTree, cost: CostMatrix) -> Fraction:
     """Total charge of the tree: sum over inputs of the charges of the
-    queries made on that input."""
-    total = Fraction(0)
+    queries made on that input.  Queries are counted per input and
+    distinct row, then each count takes one exact product, in integers
+    over the rows' common denominator."""
+    rows = cost.distinct_rows()
+    which = [rows.index(row) for row in cost.rows]
+    counts = [[0] * (1 << cost.n) for _ in rows]
     for idx in range(1 << cost.n):
         _, queried = dt_eval(tree, index_to_bits(idx, cost.n))
         for i in queried:
-            total += cost.rows[i][idx]
-    return total
+            counts[which[i]][idx] += 1
+    denom = math.lcm(*(c.denominator for row in rows for c in row))
+    total = sum(
+        k * c.numerator * (denom // c.denominator)
+        for row, ks in zip(rows, counts)
+        for k, c in zip(ks, row)
+        if k
+    )
+    return Fraction(total, denom)
 
 
 def min_weighted_zero_error(
@@ -308,21 +332,20 @@ def min_weighted_zero_error(
     else:
         dtype = object
     lattices = [lattice_sums(np.array(row, dtype=dtype)) for row in ints]
-    charges = [lattices[k] for k in which]
     color = lattice_colors(f)
     val = np.zeros(color.shape, dtype=dtype)
     val[color == 2] = inf
 
-    def step(a: int, idx: tuple, lo, hi):
-        total = charges[a][idx] + lo
+    def step(a: int, charges: tuple, lo, hi):
+        total = charges[which[a]] + lo
         total += hi
         return total
 
-    _relax(val, step)
+    _relax(val, step, lattices)
     value = Fraction(int(val[(2,) * n]), denom)
     if not want_tree:
         return value
-    return value, _witness(color, val, step)
+    return value, _witness(color, val, step, lattices)
 
 
 # ---------------------------------------------------------------------------

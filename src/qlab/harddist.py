@@ -28,6 +28,7 @@ functionals, whose optimal zero-error trees ``dtree`` computes.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -332,7 +333,7 @@ def dist_from_text(text: str) -> InputDistribution:
             n = len(bits)
         elif len(bits) != n:
             raise ValueError(f"bit length mismatch on line {raw!r}")
-        idx = bits_to_index(bits)
+        idx = functools.reduce(lambda acc, b: acc << 1 | b, bits)
         if idx in masses:
             raise ValueError(f"duplicate input on line {raw!r}")
         try:

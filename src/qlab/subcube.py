@@ -19,7 +19,7 @@ import functools
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -187,22 +187,79 @@ def compose_partitions(p: LabeledPartition, q: LabeledPartition) -> LabeledParti
 # the subcube lattice: arrays of shape (3,)*n whose axis j is variable
 # x_{j+1}, index 0 or 1 fixing it and index 2 leaving it free
 
+# the byte budget of the inner sweep's chunk buffer, one per array
+_CHUNK_BYTES = 1 << 21
+
+# update(a, lo, hi, free, aux): one axis of a sweep, given the lattice's
+# slabs fixing x_{a+1} to 0, fixing it to 1 and leaving it free, indexed
+# alike, and the free slab of each auxiliary array
+Update = Callable[[int, np.ndarray, np.ndarray, np.ndarray, tuple], object]
+
+
+def sweep_axes(lattice: np.ndarray, update: Update, aux: Sequence[np.ndarray] = ()) -> None:
+    """One pass over the axes of ``lattice``, a C-contiguous (3,)*n
+    array, in order: update(a, ...) for a = 0, ..., n - 1, where update
+    may write the free slab and ``aux`` holds read-only arrays laid out
+    like the lattice.
+
+    The slabs of the last axes are runs of a few bytes, so the lattice
+    is viewed as a (3**h, 3**(n - h)) grid with h = n // 2.  The h outer
+    axes take whole-lattice slabs, a third at a time, whose runs span at
+    least a row once n >= 4.  The inner axes act within a row, so they
+    run a chunk of rows at a time, each array's chunk copied transposed
+    into a buffer where the row varies fastest and every run spans the
+    chunk; the lattice's chunk is copied back after its last axis.  A
+    chunk is 3**k rows, the most whose buffer fits in _CHUNK_BYTES, or
+    one row."""
+    if not lattice.flags.c_contiguous:
+        raise ValueError("the lattice must be C-contiguous")
+    n = lattice.ndim
+    h = n // 2
+    arrays = (lattice, *aux)
+    for a in range(h):
+        # a third of the slab at a time, fixing axis 0 (axis 1 for a = 0),
+        # so that an update's temporaries hold at most 3**(n - 2) states
+        fixed = (slice(None),) * (a == 0)
+        for i in range(3):
+            _update_axis(update, a, max(a - 1, 0), [x[fixed + (i,)] for x in arrays])
+    cols = 3 ** (n - h)
+    chunk = 3**h
+    while chunk > 1 and cols * chunk * lattice.itemsize > _CHUNK_BYTES:
+        chunk //= 3
+    grids = [x.reshape(-1, chunk, cols) for x in arrays]
+    bufs = [np.empty((3,) * (n - h) + (chunk,), dtype=x.dtype) for x in arrays]
+    flats = [buf.reshape(cols, chunk) for buf in bufs]
+    for c in range(len(grids[0])):
+        for grid, flat in zip(grids, flats):
+            flat[...] = grid[c].T
+        for b in range(n - h):
+            _update_axis(update, h + b, b, bufs)
+        grids[0][c] = flats[0].T
+
+
+def _update_axis(update: Update, a: int, j: int, arrays: Sequence[np.ndarray]) -> None:
+    """update(a, ...) on the slabs of axis j of ``arrays``, the first
+    being the lattice or its chunk; the trailing ... keeps a slab of a
+    one-axis array a view, not a scalar."""
+    lo, hi, free = ((slice(None),) * j + (t, ...) for t in range(3))
+    head = arrays[0]
+    update(a, head[lo], head[hi], head[free], tuple(x[free] for x in arrays[1:]))
+
+
 def _zeta(
     base: np.ndarray, merge: Callable[[np.ndarray, np.ndarray, np.ndarray], object]
 ) -> np.ndarray:
     """Extend ``base``, an array over {0,1}^n with axis j = x_{j+1}, to
-    every subcube by one in-place slab operation per axis: for axis a,
+    every subcube by one pass of whole-slab merges: for axis a,
     merge(lo, hi, out) fills the states free at a from the states fixing
-    it to 0 and to 1.  The slabs keep every axis above a fixed, and the
-    axes below a are already complete, so every input to a merge is
-    final."""
+    it to 0 and to 1.  Every other state starts at 0, so a state that
+    is also free at a later axis merges only zeros until its last free
+    axis merges its two halves, final by then.  This needs merge(0, 0)
+    to be 0, and gives object arrays 0 to read there, not None."""
     n = base.ndim
-    out = np.empty((3,) * n, dtype=base.dtype)
+    out = np.zeros((3,) * n, dtype=base.dtype)
     out[(slice(0, 2),) * n] = base
-    for a in range(n):
-        # the trailing ... keeps n = 1 slabs as arrays, not scalars
-        pre, post = (slice(None),) * a, (slice(0, 2),) * (n - 1 - a) + (...,)
-        merge(out[pre + (0,) + post], out[pre + (1,) + post], out[pre + (2,) + post])
+    sweep_axes(out, lambda a, lo, hi, free, aux: merge(lo, hi, free))
     return out
 
 

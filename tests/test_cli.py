@@ -72,6 +72,10 @@ def test_measure_depth_and_delta0(tmp_path, capsys):
     assert code == 0
     got = lines(out)
     assert got["depth"] == "4"
+    # the relaxation's passes over the lattice, the last lowering nothing
+    keys = list(got)
+    assert got["lattice-sweeps"] == "2"
+    assert keys.index("depth") + 1 == keys.index("lattice-sweeps")
     assert got["witness-replay"] == "pass"
     assert tree.exists()
     code, out = run(
@@ -124,7 +128,7 @@ def test_measure_delta0_replays_its_witness(tmp_path, capsys, monkeypatch):
     save_dist(d(), dist)
     argv = ["measure", "delta0", "--table", str(table), "--dist", str(dist)]
     real = dtree.min_weighted_zero_error
-    for wrong in (flip_first_leaf, lambda t: dtree.exact_depth(fmaj(), want_tree=True)[1]):
+    for wrong in (flip_first_leaf, lambda t: dtree.exact_depth(fmaj(), want_tree=True).tree):
 
         def witness(f, cost, *, want_tree, wrong=wrong):
             value, tree = real(f, cost, want_tree=want_tree)
@@ -226,7 +230,7 @@ def stub_depth_sweep(monkeypatch):
 
     def depth(table):
         assert table == iterated_table(2)
-        return 16
+        return dtree.DepthResult(16, 2)
 
     monkeypatch.setattr(cli.dtree, "exact_depth", depth)
 
@@ -630,7 +634,7 @@ def test_verify_height_two_quick(capsys):
     failing = [k for k, v in got.items() if v == "FAIL"]
     assert failing == []
     assert code == 0
-    assert digest(out) == "625848a0d5b9f1797f6692bf66bd4071a62fd2ad7dc5e2d490ab22bbc533ef2a"
+    assert digest(out) == "12d9cd0bb5dc2c6d2898de3ebf6817b5a47ed0ccba161ece8f241c8dee940405"
 
 
 def test_verify_height_two_judges_one_trial_by_the_exact_stderr(capsys, monkeypatch):

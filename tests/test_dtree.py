@@ -174,16 +174,16 @@ def test_tree_to_partition_rejects_a_variable_outside_the_arity():
 def test_exact_depth_matches_brute_force_small():
     for bits in range(16):
         f = TruthTable(2, bits)
-        assert exact_depth(f) == brute_depth(f), bits
+        assert exact_depth(f).depth == brute_depth(f), bits
     for bits in range(0, 256, 7):
         f = TruthTable(3, bits)
-        assert exact_depth(f) == brute_depth(f), bits
+        assert exact_depth(f).depth == brute_depth(f), bits
 
 
 def test_exact_depth_matches_brute_force_sampled_four_vars():
     for bits in range(0, 1 << 16, 4099):
         f = TruthTable(4, bits)
-        assert exact_depth(f) == brute_depth(f), bits
+        assert exact_depth(f).depth == brute_depth(f), bits
 
 
 def test_exact_depth_matches_brute_force_random_up_to_six_vars():
@@ -191,13 +191,13 @@ def test_exact_depth_matches_brute_force_random_up_to_six_vars():
     for n in (5, 6):
         for _ in range(15):
             f = TruthTable(n, rng.getrandbits(1 << n))
-            assert exact_depth(f) == brute_depth(f), (n, f.bits)
+            assert exact_depth(f).depth == brute_depth(f), (n, f.bits)
 
 
 def test_canonical_witness_trees_are_pinned():
     # trees printed by the level-by-level DP this relaxation replaced
-    depth, tree = exact_depth(fmaj(), want_tree=True)
-    assert (depth, tree_to_text(tree)) == (4, "(1 (2 =0 (3 =0 (4 =0 =1))) (2 (3 (4 =0 =1) =1) =1))")
+    result = exact_depth(fmaj(), want_tree=True)
+    assert (result.depth, tree_to_text(result.tree)) == (4, "(1 (2 =0 (3 =0 (4 =0 =1))) (2 (3 (4 =0 =1) =1) =1))")
     cj, ck = jk_cost_matrices()
     balanced = "(2 (3 (4 =0 (1 =0 =1)) (1 =0 =1)) (3 (1 =0 =1) (4 (1 =0 =1) =1)))"
     pinned = [
@@ -211,10 +211,10 @@ def test_canonical_witness_trees_are_pinned():
 
 
 def test_exact_depth_fmaj_is_four():
-    depth, tree = exact_depth(fmaj(), want_tree=True)
-    assert depth == 4
-    assert tree_computes(tree, fmaj())
-    assert tree_depth(tree) == 4
+    result = exact_depth(fmaj(), want_tree=True)
+    assert result.depth == 4
+    assert tree_computes(result.tree, fmaj())
+    assert tree_depth(result.tree) == 4
 
 
 def test_cost_matrix_uniform_and_scale():
@@ -269,7 +269,7 @@ def test_min_weighted_matches_brute_force_three_vars(monkeypatch, target, dtype)
     cost = CostMatrix.from_lists(3, [[c * scale for c in row] for row in base])
     dtypes = set()
     real = dtree._relax
-    monkeypatch.setattr(dtree, "_relax", lambda val, step: (dtypes.add(val.dtype), real(val, step)))
+    monkeypatch.setattr(dtree, "_relax", lambda val, *rest: (dtypes.add(val.dtype), real(val, *rest))[1])
     for bits in range(256):
         f = TruthTable(3, bits)
         value, tree = min_weighted_zero_error(f, cost, want_tree=True)
