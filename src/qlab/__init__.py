@@ -14,7 +14,6 @@ from .dtree import (
     Leaf,
     Node,
     delta0,
-    dt_eval,
     exact_depth,
     min_weighted_zero_error,
     tree_to_partition,

@@ -134,6 +134,7 @@ def cmd_measure_depth(args: argparse.Namespace, rep: Report) -> None:
     result = dtree.exact_depth(table, want_tree=bool(args.tree_out))
     rep.add("depth", result.depth)
     rep.add("lattice-sweeps", result.sweeps)
+    rep.add("lattice-states", result.states)
     if args.tree_out:
         dtree.save_tree(result.tree, args.tree_out)
         # the replay checks the tree as written
@@ -489,6 +490,7 @@ def _verify_height2(args: argparse.Namespace, rep: Report) -> None:
     depth = dtree.exact_depth(table2)
     rep.add_verdict("depth-16", depth.depth == 16)
     rep.add("lattice-sweeps", depth.sweeps)
+    rep.add("lattice-states", depth.states)
 
     mc, exact, sigma, (_, _, within) = _mc_reference(args, 2)
     rep.add_rational("mean", mc.mean)

@@ -19,6 +19,13 @@ Witness trees walk down from the root, querying at each mixed state the
 lowest free variable whose step attains the state's value; this makes
 them canonical.
 
+When f is unchanged by permuting x2..x4 inside each aligned block of
+four (``subcube.block_symmetric``), so is every state's depth, and the
+depth DP relaxes the (30,)*(n // 4) class lattice of
+``subcube.class_colors`` with ``subcube.class_sweep`` instead.  Its
+witness walks the same states, reading values at their classes, so it
+builds the same tree.
+
 The depth sweep runs in uint8, the weighted one in integers over the
 charges' common denominator.  There inf = 1 + the sum of every row
 bounds every value, and no step exceeds 2 * inf + the largest row sum:
@@ -30,14 +37,26 @@ Equal rows share one charge lattice; above n = 8 all rows must be equal.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .boolfn import TruthTable, index_to_bits, parse_bits
-from .subcube import LabeledPartition, Pattern, lattice_colors, lattice_sums, sweep_axes
+from .boolfn import TruthTable
+from .subcube import (
+    LabeledPartition,
+    Pattern,
+    Sweep,
+    block_symmetric,
+    class_colors,
+    class_state,
+    class_sweep,
+    lattice_colors,
+    lattice_sums,
+    sweep_axes,
+)
 
 # above this arity the weighted DP takes only charge matrices whose rows
 # are all equal, so that it holds one charge lattice
@@ -62,47 +81,42 @@ class Node:
 DecisionTree = Union[Leaf, Node]
 
 
-def dt_eval(tree: DecisionTree, x: "str | Sequence[int]") -> tuple[int, list[int]]:
-    """Run the tree on x; returns (output, variables queried in order)."""
-    bits = parse_bits(x)
-    queried: list[int] = []
-    t = tree
-    while isinstance(t, Node):
-        queried.append(t.var)
-        t = t.high if bits[t.var] else t.low
-    return t.value, queried
-
-
 def tree_depth(tree: DecisionTree) -> int:
     if isinstance(tree, Leaf):
         return 0
     return 1 + max(tree_depth(tree.low), tree_depth(tree.high))
 
 
-def tree_to_partition(tree: DecisionTree, n: int) -> LabeledPartition:
-    """The tree's reachable leaves as a labeled partition of {0,1}^n;
-    each part fixes the variables queried on the way down.  A query of a
-    variable already fixed on the path follows the fixed branch, so the
-    partition computes f exactly when the tree does.  Raises ValueError
-    on a variable outside x_1..x_n."""
-    entries: list[tuple[Pattern, int]] = []
+def _leaf_paths(tree: DecisionTree, n: int) -> Iterator[tuple[Pattern, list[int], int]]:
+    """Each reachable leaf as (the subcube its path fixes, the variables
+    queried on the way down, its value).  A query of a variable already
+    fixed on the path follows the fixed branch, and counts as a query,
+    as it does when the tree runs on an input.  Raises ValueError on a
+    variable outside x_1..x_n."""
 
-    def walk(t: DecisionTree, assignment: dict[int, int]) -> None:
+    def walk(t: DecisionTree, assignment: dict[int, int], queried: list[int]):
         if isinstance(t, Leaf):
             chars = ["*"] * n
             for var, b in assignment.items():
                 chars[var] = "01"[b]
-            entries.append((Pattern("".join(chars)), t.value))
+            yield Pattern("".join(chars)), queried, t.value
         elif not 0 <= t.var < n:
             raise ValueError(f"tree queries x_{t.var + 1} outside x_1..x_{n}")
         elif t.var in assignment:
-            walk(t.high if assignment[t.var] else t.low, assignment)
+            yield from walk(t.high if assignment[t.var] else t.low, assignment, queried + [t.var])
         else:
-            walk(t.low, {**assignment, t.var: 0})
-            walk(t.high, {**assignment, t.var: 1})
+            for b, child in enumerate((t.low, t.high)):
+                yield from walk(child, {**assignment, t.var: b}, queried + [t.var])
 
-    walk(tree, {})
-    return LabeledPartition(n, tuple(entries))
+    return walk(tree, {}, [])
+
+
+def tree_to_partition(tree: DecisionTree, n: int) -> LabeledPartition:
+    """The tree's reachable leaves as a labeled partition of {0,1}^n;
+    each part fixes the variables queried on the way down, so the
+    partition computes f exactly when the tree does.  Raises ValueError
+    on a variable outside x_1..x_n."""
+    return LabeledPartition(n, tuple((p, z) for p, _, z in _leaf_paths(tree, n)))
 
 
 # serialized as "(j low high)" with 1-based variable numbers and "=0" /
@@ -166,10 +180,10 @@ def load_tree(path: str) -> DecisionTree:
 Step = Callable[[int, tuple, object, object], object]
 
 
-def _relax(val: np.ndarray, step: Step, charges: Sequence[np.ndarray] = ()) -> int:
-    """Lower val in place to the fixed point of the axis sweeps and
-    return the number of sweeps made: values only fall, so the first
-    sweep that leaves the total alone lowered nothing, and ends it."""
+def _relax(val: np.ndarray, sweep: Sweep, step: Step, charges: Sequence[np.ndarray] = ()) -> int:
+    """Lower val in place to the fixed point of ``sweep``'s passes and
+    return the number of passes made: values only fall, so the first
+    pass that leaves the total alone lowered nothing, and ends it."""
 
     def lower(a: int, lo, hi, free, slabs: tuple) -> None:
         np.minimum(free, step(a, slabs, lo, hi), out=free)
@@ -177,33 +191,47 @@ def _relax(val: np.ndarray, step: Step, charges: Sequence[np.ndarray] = ()) -> i
     total = val.sum()
     sweeps = 0
     while True:
-        sweep_axes(val, lower, charges)
+        sweep(val, lower, charges)
         sweeps += 1
         before, total = total, val.sum()
         if total == before:
             return sweeps
 
 
+def _same(state: tuple) -> tuple:
+    return state
+
+
 def _witness(
-    color: np.ndarray, val: np.ndarray, step: Step, charges: Sequence[np.ndarray] = ()
+    n: int,
+    color: np.ndarray,
+    val: np.ndarray,
+    step: Step,
+    charges: Sequence[np.ndarray] = (),
+    key: Callable[[tuple], tuple] = _same,
 ) -> DecisionTree:
+    """The canonical tree on n variables, walking (3,)*n states and
+    reading ``color``, ``val`` and ``charges`` at key(state), the
+    state's index in their lattice."""
+
     def build(state: tuple) -> DecisionTree:
-        if color[state] != 2:
-            return Leaf(int(color[state]))
-        here = tuple(c[state] for c in charges)
+        at = key(state)
+        if color[at] != 2:
+            return Leaf(int(color[at]))
+        here = tuple(c[at] for c in charges)
         for a, t in enumerate(state):
             if t != 2:
                 continue
             lo, hi = state[:a] + (0,) + state[a + 1 :], state[:a] + (1,) + state[a + 1 :]
-            if step(a, here, val[lo], val[hi]) == val[state]:
+            if step(a, here, val[key(lo)], val[key(hi)]) == val[at]:
                 return Node(a, build(lo), build(hi))
         raise AssertionError(f"no query attains the value of state {state}")
 
-    return build((2,) * color.ndim)
+    return build((2,) * n)
 
 
 # ---------------------------------------------------------------------------
-# exact minimax depth over the full subcube lattice
+# exact minimax depth
 
 @dataclass(frozen=True)
 class DepthResult:
@@ -211,6 +239,7 @@ class DepthResult:
 
     depth: int
     sweeps: int  # passes of the relaxation, the last of which lowered nothing
+    states: int  # size of the lattice it relaxed
     tree: Optional[DecisionTree] = None  # a canonical optimal tree, if asked for
 
 
@@ -222,21 +251,27 @@ def _depth_step(a: int, charges: tuple, lo, hi):
 
 def exact_depth(f: TruthTable, *, want_tree: bool = False) -> DepthResult:
     """Minimum worst-case query count of a deterministic tree computing
-    f, by the axis-sweep relaxation over all 3**n restriction states.
-    With ``want_tree`` the result also holds a canonical optimal tree."""
+    f, by the axis-sweep relaxation over every restriction state, or
+    over their block classes when f is block-symmetric: there a state's
+    depth is its class's, so both give the same depth and tree.  With
+    ``want_tree`` the result also holds a canonical optimal tree."""
     n = f.n
-    # TruthTable caps n at 16: colors, values, one 3**14-byte slab
-    # temporary of an outer axis and the chunk buffer take under
-    # 2 * 3**16 + 3**14 + 2**21 bytes, about 93 MB
-    color = lattice_colors(f)
+    if block_symmetric(f):
+        # 30**(n // 4) classes: 810,000 at n = 16
+        color, sweep, key = class_colors(f), class_sweep, class_state
+    else:
+        # TruthTable caps n at 16: colors, values, one 3**14-byte slab
+        # temporary of an outer axis and the chunk buffer take under
+        # 2 * 3**16 + 3**14 + 2**21 bytes, about 93 MB
+        color, sweep, key = lattice_colors(f), sweep_axes, _same
     # 1 on mixed states, 0 on constant ones; without a tree the sweeps
     # need only these, so they overwrite the colors in place
     val = color // 2 if want_tree else np.floor_divide(color, 2, out=color)
     val *= n + 1  # "infinity": every depth is at most n
-    sweeps = _relax(val, _depth_step)
-    depth = int(val[(2,) * n])
-    tree = _witness(color, val, _depth_step) if want_tree else None
-    return DepthResult(depth, sweeps, tree)
+    sweeps = _relax(val, sweep, _depth_step)
+    depth = int(val[key((2,) * n)])
+    tree = _witness(n, color, val, _depth_step, key=key) if want_tree else None
+    return DepthResult(depth, sweeps, val.size, tree)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +303,7 @@ class CostMatrix:
 
     @classmethod
     def from_lists(cls, n: int, rows: Sequence[Sequence[Fraction]]) -> "CostMatrix":
-        return cls(n, tuple(tuple(Fraction(c) for c in row) for row in rows))
+        return cls(n, tuple(_fractions(row) for row in rows))
 
     @classmethod
     def uniform(cls, dist: Sequence[Fraction]) -> "CostMatrix":
@@ -278,29 +313,33 @@ class CostMatrix:
         n = size.bit_length() - 1
         if 1 << n != size:
             raise ValueError("distribution length must be a power of two")
-        row = tuple(Fraction(m) for m in dist)
+        row = _fractions(dist)
         return cls(n, tuple(row for _ in range(n)))
+
+
+def _fractions(values: Iterable) -> tuple[Fraction, ...]:
+    """The values as Fractions, wrapping only those not one already."""
+    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
 
 
 def tree_cost(tree: DecisionTree, cost: CostMatrix) -> Fraction:
     """Total charge of the tree: sum over inputs of the charges of the
-    queries made on that input.  Queries are counted per input and
-    distinct row, then each count takes one exact product, in integers
-    over the rows' common denominator."""
+    queries made on that input.  The leaves' subcubes partition the
+    inputs, so each leaf adds, per distinct row, the row's sum over its
+    subcube times the number of its path's queries that row charges; in
+    integers over the rows' common denominator."""
     rows = cost.distinct_rows()
     which = [rows.index(row) for row in cost.rows]
-    counts = [[0] * (1 << cost.n) for _ in rows]
-    for idx in range(1 << cost.n):
-        _, queried = dt_eval(tree, index_to_bits(idx, cost.n))
-        for i in queried:
-            counts[which[i]][idx] += 1
     denom = math.lcm(*(c.denominator for row in rows for c in row))
-    total = sum(
-        k * c.numerator * (denom // c.denominator)
-        for row, ks in zip(rows, counts)
-        for k, c in zip(ks, row)
-        if k
-    )
+    ints = [
+        np.array([c.numerator * (denom // c.denominator) for c in row], dtype=object)
+        for row in rows
+    ]
+    total = 0
+    for pattern, queried, _ in _leaf_paths(tree, cost.n):
+        members = pattern.members()
+        for r, k in Counter(which[i] for i in queried).items():
+            total += k * ints[r][members].sum()
     return Fraction(total, denom)
 
 
@@ -341,11 +380,11 @@ def min_weighted_zero_error(
         total += hi
         return total
 
-    _relax(val, step, lattices)
+    _relax(val, sweep_axes, step, lattices)
     value = Fraction(int(val[(2,) * n]), denom)
     if not want_tree:
         return value
-    return value, _witness(color, val, step, lattices)
+    return value, _witness(n, color, val, step, lattices)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +394,7 @@ def delta0(f: TruthTable, dist: Sequence[Fraction]) -> Fraction:
     """Minimum expected query count under the given input distribution
     over zero-error trees for f.  CostMatrix and the weighted DP reject
     a negative mass and a length other than 2**f.n."""
-    masses = [Fraction(m) for m in dist]
+    masses = _fractions(dist)
     if sum(masses) != 1:
         raise ValueError("distribution does not sum to 1")
     return min_weighted_zero_error(f, CostMatrix.uniform(masses))  # type: ignore[return-value]

@@ -57,27 +57,38 @@ class SupportError(ValueError):
     agree with it, which has probability zero under the distribution."""
 
 
+_ZERO = Fraction(0)
+
+
 class InputDistribution:
     """An exact rational distribution on {0,1}^n, stored sparsely."""
 
     def __init__(self, n: int, masses: dict[int, Fraction]):
         self.n = n
+        # a mass that is a Fraction already is kept, not wrapped again
         self.masses = {
-            idx: Fraction(m) for idx, m in sorted(masses.items()) if m != 0
+            idx: m if isinstance(m, Fraction) else Fraction(m)
+            for idx, m in sorted(masses.items())
+            if m != 0
         }
         for idx, m in self.masses.items():
             if not 0 <= idx < (1 << n):
                 raise ValueError(f"index {idx} out of range for n={n}")
             if m < 0:
                 raise ValueError(f"negative mass at index {idx}")
-        if sum(self.masses.values(), Fraction(0)) != 1:
+        # summed in integers over the common denominator, not in Fractions
+        denom = math.lcm(*(m.denominator for m in self.masses.values()))
+        if sum(m.numerator * (denom // m.denominator) for m in self.masses.values()) != denom:
             raise ValueError("masses do not sum to 1")
 
     def mass(self, idx: int) -> Fraction:
-        return self.masses.get(idx, Fraction(0))
+        return self.masses.get(idx, _ZERO)
 
     def dense(self) -> list[Fraction]:
-        return [self.mass(idx) for idx in range(1 << self.n)]
+        out = [_ZERO] * (1 << self.n)
+        for idx, m in self.masses.items():
+            out[idx] = m
+        return out
 
     def support(self) -> list[int]:
         return list(self.masses)

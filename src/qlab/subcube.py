@@ -194,6 +194,9 @@ _CHUNK_BYTES = 1 << 21
 # slabs fixing x_{a+1} to 0, fixing it to 1 and leaving it free, indexed
 # alike, and the free slab of each auxiliary array
 Update = Callable[[int, np.ndarray, np.ndarray, np.ndarray, tuple], object]
+# sweep(lattice, update, aux=()): one pass of update over a lattice's
+# moves, as sweep_axes and class_sweep make
+Sweep = Callable[..., None]
 
 
 def sweep_axes(lattice: np.ndarray, update: Update, aux: Sequence[np.ndarray] = ()) -> None:
@@ -247,37 +250,132 @@ def _update_axis(update: Update, a: int, j: int, arrays: Sequence[np.ndarray]) -
 
 
 def _zeta(
-    base: np.ndarray, merge: Callable[[np.ndarray, np.ndarray, np.ndarray], object]
+    base: np.ndarray,
+    merge: Callable[[np.ndarray, np.ndarray, np.ndarray], object],
+    sweep: Sweep,
+    width: int,
 ) -> np.ndarray:
-    """Extend ``base``, an array over {0,1}^n with axis j = x_{j+1}, to
-    every subcube by one pass of whole-slab merges: for axis a,
-    merge(lo, hi, out) fills the states free at a from the states fixing
-    it to 0 and to 1.  Every other state starts at 0, so a state that
-    is also free at a later axis merges only zeros until its last free
-    axis merges its two halves, final by then.  This needs merge(0, 0)
-    to be 0, and gives object arrays 0 to read there, not None."""
-    n = base.ndim
-    out = np.zeros((3,) * n, dtype=base.dtype)
-    out[(slice(0, 2),) * n] = base
-    sweep_axes(out, lambda a, lo, hi, free, aux: merge(lo, hi, free))
+    """Extend ``base``, an array over the fully fixed states (indices
+    below base.shape[j] on each axis j), to a (width,)*ndim lattice by
+    one pass of merges: for each move of ``sweep``, merge(lo, hi, out)
+    fills the states it frees from its two children.  Every other state
+    starts at 0, so a state that is also free at a later axis merges
+    only zeros until its last free axis merges its two halves, final by
+    then, because on each axis a sweep takes the states with fewer free
+    variables first.  This needs merge(0, 0) to be 0, and gives object
+    arrays 0 to read there, not None."""
+    out = np.zeros((width,) * base.ndim, dtype=base.dtype)
+    out[tuple(slice(0, k) for k in base.shape)] = base
+    sweep(out, lambda a, lo, hi, free, aux: merge(lo, hi, free))
     return out
+
+
+def _colors(leaves: np.ndarray, sweep: Sweep, width: int) -> np.ndarray:
+    # merged as 1 + color, the set of values seen: 0b01 for 0, 0b10 for
+    # 1, 0b11 for mixed, so two halves merge by bitwise or
+    colors = _zeta(leaves + 1, np.bitwise_or, sweep, width)
+    colors -= 1
+    return colors
 
 
 def lattice_colors(f: TruthTable) -> np.ndarray:
     """Color of every subcube: a (3,)*n uint8 array holding f's value
     where f is constant on the subcube and 2 where it is mixed."""
-    # merged as 1 + color, the set of values seen: 0b01 for 0, 0b10 for
-    # 1, 0b11 for mixed, so two halves merge by bitwise or
-    colors = _zeta(f.values().reshape((2,) * f.n) + 1, np.bitwise_or)
-    colors -= 1
-    return colors
+    return _colors(f.values().reshape((2,) * f.n), sweep_axes, 3)
 
 
 def lattice_sums(values: np.ndarray) -> np.ndarray:
     """Sum of ``values`` (one entry per input, in index order) over the
     members of every subcube, as a (3,)*n array of the same dtype."""
     n = values.size.bit_length() - 1
-    return _zeta(values.reshape((2,) * n), np.add)
+    return _zeta(values.reshape((2,) * n), np.add, sweep_axes, 3)
+
+
+# ---------------------------------------------------------------------------
+# the block class lattice.  Where f is unchanged by permuting x2..x4
+# inside each aligned block x_{4b+1}..x_{4b+4}, so is every subcube's
+# color, and a DP over subcubes sees a block's restriction only through
+# its class (t, c0, c1, c2): x_{4b+1}'s trit, then how many of the other
+# three are 0, 1 and free.  A class lattice is a (30,)*(n // 4) array
+# whose axis b is block b.
+
+# the 30 classes by free count, so the 8 fully fixed ones come first
+_CLASSES = sorted(
+    ((t, c0, c1, 3 - c0 - c1) for t in range(3) for c0 in range(4) for c1 in range(4 - c0)),
+    key=lambda c: ((c[0] == 2) + c[3], c),
+)
+_CLASS_OF = {c: i for i, c in enumerate(_CLASSES)}
+# _BLOCK_CLASS[27 t1 + 9 t2 + 3 t3 + t4]: the class of a block's trits
+_BLOCK_CLASS = [
+    _CLASS_OF[(t[0], t[1:].count(0), t[1:].count(1), t[1:].count(2))]
+    for t in itertools.product(range(3), repeat=4)
+]
+
+
+def _class_moves(t: int, c0: int, c1: int, c2: int) -> Iterator[tuple[int, tuple, tuple]]:
+    """A class's moves (offset, lo, hi): query x_{4b+1} (offset 0) or
+    one free variable among the other three (offset 1)."""
+    if t == 2:
+        yield 0, (0, c0, c1, c2), (1, c0, c1, c2)
+    if c2:
+        yield 1, (t, c0 + 1, c1, c2 - 1), (t, c0, c1 + 1, c2 - 1)
+
+
+# every move as (offset, class, lo, hi), in class order
+_MOVES = [
+    (offset, i, _CLASS_OF[lo], _CLASS_OF[hi])
+    for i, c in enumerate(_CLASSES)
+    for offset, lo, hi in _class_moves(*c)
+]
+# a block input in each fixed class, x_{4b+1} as its high bit: t, then
+# c0 zeros, then c1 ones
+_LEAF_INPUT = [8 * t + (1 << c1) - 1 for t, _, c1, _ in _CLASSES[:8]]
+
+
+def block_symmetric(f: TruthTable) -> bool:
+    """Whether n is a multiple of 4 and f is unchanged by the
+    transpositions (x_{4b+2} x_{4b+3}) and (x_{4b+3} x_{4b+4}) of every
+    block, which generate the permutations of x2..x4 in each."""
+    if f.n % 4:
+        return False
+    v = f.values().reshape((2,) * f.n)
+    return all(
+        np.array_equal(v, v.swapaxes(j, j + 1)) for b in range(0, f.n, 4) for j in (b + 1, b + 2)
+    )
+
+
+def class_sweep(lattice: np.ndarray, update: Update, aux: Sequence[np.ndarray] = ()) -> None:
+    """``sweep_axes`` on a class lattice: for each axis b in order, every
+    move of each class in _MOVES's order, so by increasing free count,
+    with a = 4b for a query of x_{4b+1} and 4b + 1 for one of the other
+    three."""
+    for b in range(lattice.ndim):
+        head = (slice(None),) * b
+        for offset, c, lo, hi in _MOVES:
+            free = head + (c, ...)
+            update(
+                4 * b + offset,
+                lattice[head + (lo, ...)],
+                lattice[head + (hi, ...)],
+                lattice[free],
+                tuple(x[free] for x in aux),
+            )
+
+
+def class_colors(f: TruthTable) -> np.ndarray:
+    """``lattice_colors`` on the class lattice of a block-symmetric f,
+    whose fixed classes read f at one input each."""
+    m = f.n // 4
+    leaves = f.values().reshape((16,) * m)[np.ix_(*[_LEAF_INPUT] * m)]
+    return _colors(leaves, class_sweep, len(_CLASSES))
+
+
+def class_state(state: Sequence[int]) -> tuple[int, ...]:
+    """The class lattice's index of a (3,)*n lattice state."""
+    return tuple(
+        _BLOCK_CLASS[27 * state[j] + 9 * state[j + 1] + 3 * state[j + 2] + state[j + 3]]
+        for j in range(0, len(state), 4)
+    )
 
 
 def all_patterns(n: int) -> Iterator[Pattern]:

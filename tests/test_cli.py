@@ -72,10 +72,12 @@ def test_measure_depth_and_delta0(tmp_path, capsys):
     assert code == 0
     got = lines(out)
     assert got["depth"] == "4"
-    # the relaxation's passes over the lattice, the last lowering nothing
+    # the relaxation's passes over the lattice, the last lowering nothing,
+    # and the lattice's size: fmaj's 30 block classes, not its 3**4 states
     keys = list(got)
-    assert got["lattice-sweeps"] == "2"
+    assert (got["lattice-sweeps"], got["lattice-states"]) == ("2", "30")
     assert keys.index("depth") + 1 == keys.index("lattice-sweeps")
+    assert keys.index("lattice-sweeps") + 1 == keys.index("lattice-states")
     assert got["witness-replay"] == "pass"
     assert tree.exists()
     code, out = run(
@@ -85,6 +87,20 @@ def test_measure_depth_and_delta0(tmp_path, capsys):
     got = lines(out)
     assert got["delta0"] == "16/5"
     assert got["witness-replay"] == "pass"
+
+
+def test_measure_depth_at_height_two_writes_the_pinned_tree(tmp_path, capsys):
+    # depth 16 on the 30**4 block classes of the composed gadget; the
+    # tree file is the one the full 3**16-state lattice wrote
+    table, tree = tmp_path / "fmaj2.tt", tmp_path / "t.dt"
+    save_table(iterated_table(2), table)
+    code, out = run(capsys, "measure", "depth", "--table", str(table), "--tree-out", str(tree))
+    assert code == 0
+    got = lines(out)
+    assert (got["depth"], got["lattice-sweeps"], got["lattice-states"]) == ("16", "2", "810000")
+    assert got["witness-replay"] == "pass"
+    digest = hashlib.sha256(tree.read_bytes()).hexdigest()
+    assert digest == "612eb5b2354f6c46c999638eedbf591ab8eb260ab081de5a2af8826224182585"
 
 
 def test_measure_delta0_at_height_two(tmp_path, capsys):
@@ -224,13 +240,13 @@ def test_partition_check_validates_once(tmp_path, capsys, monkeypatch):
 
 
 def stub_depth_sweep(monkeypatch):
-    """Stand in for the 3**16-state depth sweep where a verify test does
-    not judge depth-16: the sweep must get the height-2 table, and its
-    depth is 16."""
+    """Stand in for the depth sweep where a verify test does not judge
+    depth-16: the sweep must get the height-2 table, and its depth is 16
+    on 30**4 block classes."""
 
     def depth(table):
         assert table == iterated_table(2)
-        return dtree.DepthResult(16, 2)
+        return dtree.DepthResult(16, 2, 30**4)
 
     monkeypatch.setattr(cli.dtree, "exact_depth", depth)
 
@@ -634,7 +650,13 @@ def test_verify_height_two_quick(capsys):
     failing = [k for k, v in got.items() if v == "FAIL"]
     assert failing == []
     assert code == 0
-    assert digest(out) == "12d9cd0bb5dc2c6d2898de3ebf6817b5a47ed0ccba161ece8f241c8dee940405"
+    # the lattice-states line follows lattice-sweeps; every other line is
+    # the report of the full-lattice sweep, byte for byte
+    keys = list(got)
+    assert (got["lattice-sweeps"], got["lattice-states"]) == ("2", "810000")
+    assert keys.index("lattice-sweeps") + 1 == keys.index("lattice-states")
+    rest = "".join(line for line in out.splitlines(True) if not line.startswith("lattice-states: "))
+    assert digest(rest) == "12d9cd0bb5dc2c6d2898de3ebf6817b5a47ed0ccba161ece8f241c8dee940405"
 
 
 def test_verify_height_two_judges_one_trial_by_the_exact_stderr(capsys, monkeypatch):

@@ -14,13 +14,12 @@ import numpy as np
 import pytest
 
 from qlab import dtree
-from qlab.boolfn import TruthTable, fmaj, index_to_bits
+from qlab.boolfn import TruthTable, fmaj, index_to_bits, iterated_table, parse_bits
 from qlab.dtree import (
     CostMatrix,
     Leaf,
     Node,
     delta0,
-    dt_eval,
     exact_depth,
     load_tree,
     min_weighted_zero_error,
@@ -39,6 +38,17 @@ from qlab.harddist import (
     minority_marginals_exact,
 )
 from qlab.subcube import computes, validate
+
+
+def dt_eval(tree, x):
+    """Run the tree on x; returns (output, variables queried in order)."""
+    bits = parse_bits(x)
+    queried = []
+    t = tree
+    while isinstance(t, Node):
+        queried.append(t.var)
+        t = t.high if bits[t.var] else t.low
+    return t.value, queried
 
 
 def tree_computes(tree, f):
@@ -217,11 +227,71 @@ def test_exact_depth_fmaj_is_four():
     assert tree_depth(result.tree) == 4
 
 
+# ---------------------------------------------------------------------------
+# the block class lattice against the full one
+
+def block_invariant_table(rng, n):
+    """A random table that reads each aligned block of four only through
+    its first bit and the number of ones among the other three."""
+    m = n // 4
+    g = [rng.getrandbits(1) for _ in range(8**m)]
+
+    def cls(idx):
+        out = 0
+        for b in range(m):
+            block = idx >> (4 * (m - 1 - b)) & 15
+            out = out * 8 + 4 * (block >> 3) + bin(block & 7).count("1")
+        return out
+
+    return TruthTable.from_values(n, [g[cls(idx)] for idx in range(1 << n)])
+
+
+def on_the_full_lattice(monkeypatch, run):
+    with monkeypatch.context() as m:
+        m.setattr(dtree, "block_symmetric", lambda f: False)
+        return run()
+
+
+@pytest.mark.parametrize("n, count", [(4, 200), (8, 30)])
+def test_class_lattice_matches_the_full_lattice(monkeypatch, n, count):
+    # equal depths and equal canonical trees; the number of passes may differ
+    rng = random.Random(21 + n)
+    for _ in range(count):
+        f = block_invariant_table(rng, n)
+        got = exact_depth(f, want_tree=True)
+        want = on_the_full_lattice(monkeypatch, lambda: exact_depth(f, want_tree=True))
+        assert (got.states, want.states) == (30 ** (n // 4), 3**n)
+        assert (got.depth, got.tree) == (want.depth, want.tree), f.bits
+
+
+def test_class_lattice_tree_of_fmaj2_is_the_full_lattice_tree(monkeypatch):
+    f = iterated_table(2)
+    got = exact_depth(f, want_tree=True)
+    want = on_the_full_lattice(monkeypatch, lambda: exact_depth(f, want_tree=True))
+    assert (got.depth, got.states, want.states) == (16, 30**4, 3**16)
+    assert got.tree == want.tree
+
+
+def test_tables_without_the_block_symmetry_take_the_full_lattice():
+    # x2 AND x3 is unchanged by (x2 x3) but not by (x3 x4); fmaj2 with
+    # x2 = 1 alone flipped is unchanged by neither of block 1's swaps
+    pair = TruthTable.from_values(4, [idx >> 2 & idx >> 1 & 1 for idx in range(16)])
+    flipped = TruthTable(16, iterated_table(2).bits ^ 1 << (1 << 14))
+    for f, depth in ((pair, 2), (flipped, 16)):
+        assert not dtree.block_symmetric(f)
+        result = exact_depth(f)
+        assert (result.depth, result.states) == (depth, 3**f.n)
+
+
 def test_cost_matrix_uniform_and_scale():
     masses = d().dense()
     cu = CostMatrix.uniform(masses)
     assert cu.n == 4
     assert all(cu.rows[i][x] == masses[x] for i in range(4) for x in range(16))
+    # the masses are Fractions already, so each is kept, not wrapped again
+    assert all(c is m for c, m in zip(cu.rows[0], masses))
+    with pytest.raises(ValueError, match="row 0 has a negative charge"):
+        CostMatrix.uniform([Fraction(-1, 2), Fraction(3, 2)])
 
 
 def test_tree_cost_uniform_is_expected_reads():
@@ -232,6 +302,47 @@ def test_tree_cost_uniform_is_expected_reads():
         Fraction(0),
     )
     assert tree_cost(HAND_TREE, cu) == want
+
+
+def replayed_tree_cost(tree, cost):
+    """The tree's total charge by running it on every input: queries
+    counted per input and distinct row, then one exact product each."""
+    rows = cost.distinct_rows()
+    which = [rows.index(row) for row in cost.rows]
+    counts = [[0] * (1 << cost.n) for _ in rows]
+    for idx in range(1 << cost.n):
+        _, queried = dt_eval(tree, index_to_bits(idx, cost.n))
+        for i in queried:
+            counts[which[i]][idx] += 1
+    denom = math.lcm(*(c.denominator for row in rows for c in row))
+    total = sum(
+        k * c.numerator * (denom // c.denominator)
+        for row, ks in zip(rows, counts)
+        for k, c in zip(ks, row)
+        if k
+    )
+    return Fraction(total, denom)
+
+
+def random_tree(rng, n, depth):
+    if depth == 0 or rng.random() < 0.2:
+        return Leaf(rng.getrandbits(1))
+    return Node(rng.randrange(n), random_tree(rng, n, depth - 1), random_tree(rng, n, depth - 1))
+
+
+def test_tree_cost_matches_the_replay_on_every_input():
+    # trees deeper than n query some variable twice on a path; half the
+    # cost matrices share one row
+    rng = random.Random(31)
+    for n in range(1, 6):
+        for _ in range(20):
+            tree = random_tree(rng, n, n + 2)
+            rows = [[Fraction(rng.randint(0, 9), rng.randint(1, 6)) for _ in range(1 << n)]
+                    for _ in range(n)]
+            if rng.random() < 0.5:
+                rows = [rows[0]] * n
+            cost = CostMatrix.from_lists(n, rows)
+            assert tree_cost(tree, cost) == replayed_tree_cost(tree, cost)
 
 
 def test_min_weighted_matches_brute_force_two_vars():

@@ -116,10 +116,21 @@ def test_seed_sides_balance_function_value():
 
 
 def test_input_distribution_validates():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="masses do not sum to 1"):
         InputDistribution(4, {0: Fraction(1, 2)})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="negative mass at index 1"):
         InputDistribution(4, {0: Fraction(3, 2), 1: Fraction(-1, 2)})
+    with pytest.raises(ValueError, match="index 16 out of range for n=4"):
+        InputDistribution(4, {16: Fraction(1)})
+    # the total is exact over mixed denominators
+    with pytest.raises(ValueError, match="masses do not sum to 1"):
+        InputDistribution(2, {0: Fraction(1, 3), 1: Fraction(1, 6), 2: Fraction(1, 3)})
+    thirds = {0: Fraction(1, 3), 1: Fraction(1, 6), 2: Fraction(1, 2)}
+    dist = InputDistribution(2, {**thirds, 3: 0})
+    # a Fraction mass is kept as it is, and other numbers are wrapped
+    assert all(dist.masses[i] is m for i, m in thirds.items())
+    assert InputDistribution(1, {0: 1}).masses == {0: Fraction(1)}
+    assert dist.dense() == [Fraction(1, 3), Fraction(1, 6), Fraction(1, 2), 0]
 
 
 def test_dh_mass_product_structure():
