@@ -2,35 +2,29 @@
 weighted zero-error cost under any per-query charge matrix, and the
 least expected query count under an input distribution.
 
-Both optimizations run over the subcube lattice of
-``subcube.lattice_colors``: a restriction state indexes a (3,)*n array
-whose axis j is variable x_{j+1}, index 2 meaning free.  A mixed state's
-value is the least, over its free variables a, of step(a) applied to the
-two states that fix x_{a+1} to 0 and to 1.  The values start at 0 on
-f-constant states and at an "infinity" above every optimum on mixed
-ones; a sweep (``subcube.sweep_axes``) then visits the axes in order
-and lowers every state free at axis a to its step along a.  Sweeps
-repeat until one lowers nothing.  Values never fall below the optimum,
-and at the fixed point every mixed state's value is attained by some
-step, so by induction on the number of free variables the fixed point
-is the optimum.  A step reads only states with fewer free variables, so
-that fixed point is unique, whatever order a sweep takes within itself.
-Witness trees walk down from the root, querying at each mixed state the
-lowest free variable whose step attains the state's value; this makes
-them canonical.
-
-When f is unchanged by permuting x2..x4 inside each aligned block of
-four (``subcube.block_symmetric``), so is every state's depth, and the
-depth DP relaxes the (30,)*(n // 4) class lattice of
-``subcube.class_colors`` with ``subcube.class_sweep`` instead.  Its
-witness walks the same states, reading values at their classes, so it
-builds the same tree.
+Both optimizations run over the subcube lattice: a restriction state
+indexes a (3,)*n array whose axis j is variable x_{j+1}, index 2
+meaning free.  A mixed state's value is the least, over its free
+variables a, of step(a) applied to the two states that fix x_{a+1} to 0
+and to 1.  The values start at 0 on f-constant states and at an
+"infinity" above every optimum on mixed ones; a sweep then visits the
+axes in order and lowers every state free at axis a to its step along
+a.  Sweeps repeat until one lowers nothing.  Values never fall below
+the optimum, and at the fixed point every mixed state's value is
+attained by some step, so by induction on the number of free variables
+the fixed point is the optimum.  A step reads only states with fewer
+free variables, so that fixed point is unique, whatever order a sweep
+takes within itself.  Witness trees walk down from the root, querying
+at each mixed state the lowest free variable whose step attains the
+state's value; this makes them canonical.  ``subcube.lattice`` picks
+the lattice and its sweep; on the block classes it may pick, a witness
+reads values at each state's class, so it builds the same tree.
 
 The depth sweep runs in uint8, the weighted one in integers over the
 charges' common denominator.  There inf = 1 + the sum of every row
 bounds every value, and no step exceeds 2 * inf + the largest row sum:
 int32 holds that below 2**31, int64 below 2**63 if the stop test's sum
-of 3**n values below inf fits too, and object arrays take the rest.
+of the lattice's values below inf fits too, and object arrays the rest.
 Equal rows share one charge lattice; above n = 8 all rows must be equal.
 """
 
@@ -45,18 +39,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .boolfn import TruthTable
-from .subcube import (
-    LabeledPartition,
-    Pattern,
-    Sweep,
-    block_symmetric,
-    class_colors,
-    class_state,
-    class_sweep,
-    lattice_colors,
-    lattice_sums,
-    sweep_axes,
-)
+from . import subcube
+from .subcube import LabeledPartition, Lattice, Pattern, Sweep
 
 # above this arity the weighted DP takes only charge matrices whose rows
 # are all equal, so that it holds one charge lattice
@@ -198,21 +182,13 @@ def _relax(val: np.ndarray, sweep: Sweep, step: Step, charges: Sequence[np.ndarr
             return sweeps
 
 
-def _same(state: tuple) -> tuple:
-    return state
-
-
 def _witness(
-    n: int,
-    color: np.ndarray,
-    val: np.ndarray,
-    step: Step,
-    charges: Sequence[np.ndarray] = (),
-    key: Callable[[tuple], tuple] = _same,
+    n: int, lat: Lattice, val: np.ndarray, step: Step, charges: Sequence[np.ndarray] = ()
 ) -> DecisionTree:
     """The canonical tree on n variables, walking (3,)*n states and
-    reading ``color``, ``val`` and ``charges`` at key(state), the
-    state's index in their lattice."""
+    reading ``lat.colors``, ``val`` and ``charges`` at lat.key(state),
+    the state's index in their lattice."""
+    color, key = lat.colors, lat.key
 
     def build(state: tuple) -> DecisionTree:
         at = key(state)
@@ -251,26 +227,20 @@ def _depth_step(a: int, charges: tuple, lo, hi):
 
 def exact_depth(f: TruthTable, *, want_tree: bool = False) -> DepthResult:
     """Minimum worst-case query count of a deterministic tree computing
-    f, by the axis-sweep relaxation over every restriction state, or
-    over their block classes when f is block-symmetric: there a state's
-    depth is its class's, so both give the same depth and tree.  With
+    f, by the axis-sweep relaxation over ``subcube.lattice(f)``.  With
     ``want_tree`` the result also holds a canonical optimal tree."""
     n = f.n
-    if block_symmetric(f):
-        # 30**(n // 4) classes: 810,000 at n = 16
-        color, sweep, key = class_colors(f), class_sweep, class_state
-    else:
-        # TruthTable caps n at 16: colors, values, one 3**14-byte slab
-        # temporary of an outer axis and the chunk buffer take under
-        # 2 * 3**16 + 3**14 + 2**21 bytes, about 93 MB
-        color, sweep, key = lattice_colors(f), sweep_axes, _same
+    # on the full lattice, TruthTable's cap of n at 16 bounds colors,
+    # values, one 3**14-byte slab temporary of an outer axis and the
+    # chunk buffer under 2 * 3**16 + 3**14 + 2**21 bytes, about 93 MB
+    lat = subcube.lattice(f)
     # 1 on mixed states, 0 on constant ones; without a tree the sweeps
     # need only these, so they overwrite the colors in place
-    val = color // 2 if want_tree else np.floor_divide(color, 2, out=color)
+    val = lat.colors // 2 if want_tree else np.floor_divide(lat.colors, 2, out=lat.colors)
     val *= n + 1  # "infinity": every depth is at most n
-    sweeps = _relax(val, sweep, _depth_step)
-    depth = int(val[key((2,) * n)])
-    tree = _witness(n, color, val, _depth_step, key=key) if want_tree else None
+    sweeps = _relax(val, lat.sweep, _depth_step)
+    depth = int(val[lat.key((2,) * n)])
+    tree = _witness(n, lat, val, _depth_step) if want_tree else None
     return DepthResult(depth, sweeps, val.size, tree)
 
 
@@ -363,28 +333,29 @@ def min_weighted_zero_error(
     # a tree queries each variable at most once per input
     inf = 1 + sum(totals[k] for k in which)
     bound = 2 * inf + max(totals)
+    arrays = [np.array(row, dtype=object) for row in ints]
+    lat = subcube.lattice(f, [arrays[k] for k in which])
     # numpy sums int32 in its default integer, int64 on 64-bit systems
     if bound < 2**31:
         dtype = np.int32
-    elif bound < 2**63 and inf * 3**n < 2**63:
+    elif bound < 2**63 and inf * lat.colors.size < 2**63:
         dtype = np.int64
     else:
         dtype = object
-    lattices = [lattice_sums(np.array(row, dtype=dtype)) for row in ints]
-    color = lattice_colors(f)
-    val = np.zeros(color.shape, dtype=dtype)
-    val[color == 2] = inf
+    lattices = [lat.sums(row.astype(dtype)) for row in arrays]
+    val = np.zeros(lat.colors.shape, dtype=dtype)
+    val[lat.colors == 2] = inf
 
     def step(a: int, charges: tuple, lo, hi):
         total = charges[which[a]] + lo
         total += hi
         return total
 
-    _relax(val, sweep_axes, step, lattices)
-    value = Fraction(int(val[(2,) * n]), denom)
+    _relax(val, lat.sweep, step, lattices)
+    value = Fraction(int(val[lat.key((2,) * n)]), denom)
     if not want_tree:
         return value
-    return value, _witness(n, color, val, step, lattices)
+    return value, _witness(n, lat, val, step, lattices)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ functionals, whose optimal zero-error trees ``dtree`` computes.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from fractions import Fraction
@@ -44,7 +43,6 @@ from .boolfn import (
     index_to_bits,
     input_bits,
     level_patterns,
-    parse_bits,
     tree_bits,
 )
 from .dtree import CostMatrix, delta0, min_weighted_zero_error
@@ -339,12 +337,14 @@ def dist_from_text(text: str) -> InputDistribution:
         parts = line.split()
         if len(parts) != 2 or not re.fullmatch(r"-?\d+/\d+|-?\d+", parts[1]):
             raise ValueError(f"expected '<bits> <p>/<q>': {raw!r}")
-        bits = parse_bits(parts[0])
+        bits = parts[0]
+        if not re.fullmatch(r"[01]+", bits):
+            raise ValueError(f"not a bit string: {bits!r}")
         if n is None:
             n = len(bits)
         elif len(bits) != n:
             raise ValueError(f"bit length mismatch on line {raw!r}")
-        idx = functools.reduce(lambda acc, b: acc << 1 | b, bits)
+        idx = int(bits, 2)
         if idx in masses:
             raise ValueError(f"duplicate input on line {raw!r}")
         try:

@@ -292,12 +292,12 @@ def lattice_sums(values: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the block class lattice.  Where f is unchanged by permuting x2..x4
-# inside each aligned block x_{4b+1}..x_{4b+4}, so is every subcube's
-# color, and a DP over subcubes sees a block's restriction only through
-# its class (t, c0, c1, c2): x_{4b+1}'s trit, then how many of the other
-# three are 0, 1 and free.  A class lattice is a (30,)*(n // 4) array
-# whose axis b is block b.
+# the block class lattice.  Where f and the charges are unchanged by
+# permuting x2..x4 inside each aligned block x_{4b+1}..x_{4b+4}, so is
+# every subcube's color, sums and DP value, and a DP over subcubes sees
+# a block's restriction only through its class (t, c0, c1, c2): x_{4b+1}'s
+# trit, then how many of the other three are 0, 1 and free.  A class
+# lattice is a (30,)*(n // 4) array whose axis b is block b.
 
 # the 30 classes by free count, so the 8 fully fixed ones come first
 _CLASSES = sorted(
@@ -332,15 +332,17 @@ _MOVES = [
 _LEAF_INPUT = [8 * t + (1 << c1) - 1 for t, _, c1, _ in _CLASSES[:8]]
 
 
-def block_symmetric(f: TruthTable) -> bool:
-    """Whether n is a multiple of 4 and f is unchanged by the
-    transpositions (x_{4b+2} x_{4b+3}) and (x_{4b+3} x_{4b+4}) of every
-    block, which generate the permutations of x2..x4 in each."""
-    if f.n % 4:
+def block_symmetric(values: np.ndarray) -> bool:
+    """Whether ``values``, one entry per input in index order, has n a
+    multiple of 4 and is unchanged by the transpositions (x_{4b+2}
+    x_{4b+3}) and (x_{4b+3} x_{4b+4}) of every block, which generate
+    the permutations of x2..x4 in each."""
+    n = values.size.bit_length() - 1
+    if n % 4:
         return False
-    v = f.values().reshape((2,) * f.n)
+    v = values.reshape((2,) * n)
     return all(
-        np.array_equal(v, v.swapaxes(j, j + 1)) for b in range(0, f.n, 4) for j in (b + 1, b + 2)
+        np.array_equal(v, v.swapaxes(j, j + 1)) for b in range(0, n, 4) for j in (b + 1, b + 2)
     )
 
 
@@ -362,20 +364,46 @@ def class_sweep(lattice: np.ndarray, update: Update, aux: Sequence[np.ndarray] =
             )
 
 
-def class_colors(f: TruthTable) -> np.ndarray:
-    """``lattice_colors`` on the class lattice of a block-symmetric f,
-    whose fixed classes read f at one input each."""
-    m = f.n // 4
-    leaves = f.values().reshape((16,) * m)[np.ix_(*[_LEAF_INPUT] * m)]
-    return _colors(leaves, class_sweep, len(_CLASSES))
-
-
 def class_state(state: Sequence[int]) -> tuple[int, ...]:
     """The class lattice's index of a (3,)*n lattice state."""
     return tuple(
         _BLOCK_CLASS[27 * state[j] + 9 * state[j + 1] + 3 * state[j + 2] + state[j + 3]]
         for j in range(0, len(state), 4)
     )
+
+
+@dataclass(frozen=True)
+class Lattice:
+    """The lattice a subcube DP runs on, and its pass."""
+
+    colors: np.ndarray  # as lattice_colors gives them
+    sweep: Sweep
+    key: Callable[[Sequence[int]], tuple]  # the index in it of a (3,)*n state
+    sums: Callable[[np.ndarray], np.ndarray]  # as lattice_sums on it
+
+
+def lattice(f: TruthTable, rows: Sequence[np.ndarray] = ()) -> Lattice:
+    """The lattice of a DP over f's subcubes that charges a query of
+    x_{i+1} the sum of ``rows[i]`` (one entry per input) over the
+    subcube: the class lattice when f and every row are block-symmetric
+    and each block charges x_{4b+2..4b+4} by one row, else the full one."""
+    if not (
+        block_symmetric(f.values())
+        and all((rows[j] == rows[j + k]).all() for j in range(1, len(rows), 4) for k in (1, 2))
+        # a row that several variables share is tested once
+        and all(block_symmetric(row) for row in {id(row): row for row in rows}.values())
+    ):
+        return Lattice(lattice_colors(f), sweep_axes, tuple, lattice_sums)
+    m, width = f.n // 4, len(_CLASSES)
+
+    def leaves(values: np.ndarray) -> np.ndarray:
+        # the fixed classes read values at one input each
+        return values.reshape((16,) * m)[np.ix_(*[_LEAF_INPUT] * m)]
+
+    def sums(values: np.ndarray) -> np.ndarray:
+        return _zeta(leaves(values), np.add, class_sweep, width)
+
+    return Lattice(_colors(leaves(f.values()), class_sweep, width), class_sweep, class_state, sums)
 
 
 def all_patterns(n: int) -> Iterator[Pattern]:

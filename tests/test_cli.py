@@ -103,18 +103,28 @@ def test_measure_depth_at_height_two_writes_the_pinned_tree(tmp_path, capsys):
     assert digest == "612eb5b2354f6c46c999638eedbf591ab8eb260ab081de5a2af8826224182585"
 
 
-def test_measure_delta0_at_height_two(tmp_path, capsys):
-    # the hard law's height-2 file and the exact weighted DP over all
-    # 3**16 subcubes of the composed gadget
+def test_measure_delta0_at_height_two(tmp_path, capsys, monkeypatch):
+    # the hard law's height-2 file and the exact weighted DP, which runs
+    # on the 30**4 block classes of the composed gadget's subcubes: the
+    # gadget and the law are both unchanged by permuting x2..x4 in a block
     table, dist = tmp_path / "fmaj2.tt", tmp_path / "d2.dist"
     code, out = run(capsys, "dist", "emit", "--name", "d2", "--out", str(dist))
     assert code == 0
     assert lines(out)["support"] == "33614"
     save_table(iterated_table(2), table)
+    lattices = []
+    real = subcube.lattice
+
+    def recording(*args):
+        lattices.append(real(*args))
+        return lattices[-1]
+
+    monkeypatch.setattr(subcube, "lattice", recording)
     code, out = run(capsys, "measure", "delta0", "--table", str(table), "--dist", str(dist))
     assert code == 0
     got = lines(out)
     assert (got["delta0"], got["witness-replay"]) == ("256/25", "pass")
+    assert [lat.colors.size for lat in lattices] == [30**4]
 
 
 def flip_first_leaf(tree):

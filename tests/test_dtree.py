@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from qlab import dtree
+from qlab import dtree, subcube
 from qlab.boolfn import TruthTable, fmaj, index_to_bits, iterated_table, parse_bits
 from qlab.dtree import (
     CostMatrix,
@@ -230,11 +230,11 @@ def test_exact_depth_fmaj_is_four():
 # ---------------------------------------------------------------------------
 # the block class lattice against the full one
 
-def block_invariant_table(rng, n):
-    """A random table that reads each aligned block of four only through
-    its first bit and the number of ones among the other three."""
+def block_invariant_values(n, g):
+    """One value per input, reading each aligned block of four only
+    through its first bit and the number of ones among the other three:
+    g holds one value per 8**(n // 4) such readings."""
     m = n // 4
-    g = [rng.getrandbits(1) for _ in range(8**m)]
 
     def cls(idx):
         out = 0
@@ -243,13 +243,39 @@ def block_invariant_table(rng, n):
             out = out * 8 + 4 * (block >> 3) + bin(block & 7).count("1")
         return out
 
-    return TruthTable.from_values(n, [g[cls(idx)] for idx in range(1 << n)])
+    return [g[cls(idx)] for idx in range(1 << n)]
+
+
+def block_invariant_table(rng, n):
+    """A random table that is block-invariant in the sense above."""
+    g = [rng.getrandbits(1) for _ in range(8 ** (n // 4))]
+    return TruthTable.from_values(n, block_invariant_values(n, g))
+
+
+def block_invariant_law(rng, n):
+    """Random integer masses, block-invariant in the sense above."""
+    return block_invariant_values(n, [rng.randint(0, 9) for _ in range(8 ** (n // 4))])
 
 
 def on_the_full_lattice(monkeypatch, run):
     with monkeypatch.context() as m:
-        m.setattr(dtree, "block_symmetric", lambda f: False)
+        m.setattr(subcube, "block_symmetric", lambda values: False)
         return run()
+
+
+def lattice_sizes(monkeypatch, run):
+    """run()'s result, and the size of each lattice it asked for."""
+    sizes = []
+    real = subcube.lattice
+
+    def recording(*args):
+        lat = real(*args)
+        sizes.append(lat.colors.size)
+        return lat
+
+    with monkeypatch.context() as m:
+        m.setattr(subcube, "lattice", recording)
+        return run(), sizes
 
 
 @pytest.mark.parametrize("n, count", [(4, 200), (8, 30)])
@@ -278,9 +304,56 @@ def test_tables_without_the_block_symmetry_take_the_full_lattice():
     pair = TruthTable.from_values(4, [idx >> 2 & idx >> 1 & 1 for idx in range(16)])
     flipped = TruthTable(16, iterated_table(2).bits ^ 1 << (1 << 14))
     for f, depth in ((pair, 2), (flipped, 16)):
-        assert not dtree.block_symmetric(f)
+        assert not subcube.block_symmetric(f.values())
         result = exact_depth(f)
         assert (result.depth, result.states) == (depth, 3**f.n)
+
+
+@pytest.mark.parametrize("n, count", [(4, 100), (8, 20)])
+def test_weighted_class_lattice_matches_the_full_lattice(monkeypatch, n, count):
+    # uniform laws, and rows charging x_{4b+1} apart from x_{4b+2..4b+4},
+    # so a class's two moves read different rows
+    rng = random.Random(41 + n)
+    for k in range(count):
+        f = block_invariant_table(rng, n)
+        if k % 2:
+            rows = [block_invariant_law(rng, n) for _ in range(2 * (n // 4))]
+            cost = CostMatrix.from_lists(n, [rows[2 * (i // 4) + (i % 4 > 0)] for i in range(n)])
+        else:
+            cost = CostMatrix.uniform(block_invariant_law(rng, n))
+        run = lambda: min_weighted_zero_error(f, cost, want_tree=True)
+        got, sizes = lattice_sizes(monkeypatch, run)
+        want, full_sizes = on_the_full_lattice(monkeypatch, lambda: lattice_sizes(monkeypatch, run))
+        assert (sizes, full_sizes) == ([30 ** (n // 4)], [3**n])
+        assert got == want, f.bits
+
+
+def asymmetric_jk(rng):
+    # the charge rows of x2..x4 differ
+    return fmaj(), jk_cost_matrices()[0]
+
+
+def asymmetric_law(rng):
+    # a block-invariant law with one mass moved off the symmetry
+    law = block_invariant_law(rng, 8)
+    law[1 << 6] += 1  # x2 = 1 alone
+    return block_invariant_table(rng, 8), CostMatrix.uniform(law)
+
+
+def distinct_rows_in_a_block(rng):
+    # each row block-invariant, but x3's differs from x2's and x4's
+    shared, other = block_invariant_law(rng, 4), block_invariant_law(rng, 4)
+    other[0] += 1
+    return fmaj(), CostMatrix.from_lists(4, [block_invariant_law(rng, 4), shared, other, shared])
+
+
+@pytest.mark.parametrize("case", [asymmetric_jk, asymmetric_law, distinct_rows_in_a_block])
+def test_weighted_dp_without_the_symmetry_takes_the_full_lattice(monkeypatch, case):
+    f, cost = case(random.Random(43))
+    assert subcube.block_symmetric(f.values())
+    value, sizes = lattice_sizes(monkeypatch, lambda: min_weighted_zero_error(f, cost))
+    assert sizes == [3**f.n]
+    assert value == brute_weighted(f, cost)
 
 
 def test_cost_matrix_uniform_and_scale():
@@ -446,11 +519,10 @@ def test_min_weighted_refuses_unequal_rows_above_eight_vars(monkeypatch):
     row = (Fraction(1, 512),) * 512
     cost = CostMatrix(9, ((Fraction(0),) + row[1:],) + (row,) * 8)
 
-    def unreachable(arg):
+    def unreachable(*args):
         raise AssertionError("refusal came after a lattice was built")
 
-    monkeypatch.setattr(dtree, "lattice_sums", unreachable)
-    monkeypatch.setattr(dtree, "lattice_colors", unreachable)
+    monkeypatch.setattr(subcube, "lattice", unreachable)
     with pytest.raises(ValueError, match="equal rows"):
         min_weighted_zero_error(TruthTable(9, 0), cost)
 

@@ -455,3 +455,11 @@ def test_dist_text_rejects_garbage():
         dist_from_text("1000 2/2/2\n")
     with pytest.raises(ValueError, match="zero denominator on line '0000 1/0'"):
         dist_from_text("0000 1/0\n")
+    with pytest.raises(ValueError, match="not a bit string: '10x0'"):
+        dist_from_text("10x0 1/2\n0000 1/2\n")
+    with pytest.raises(ValueError, match="not a bit string: '-101'"):
+        dist_from_text("-101 1\n")
+    with pytest.raises(ValueError, match="bit length mismatch on line '000 1/2'"):
+        dist_from_text("0000 1/2\n000 1/2\n")
+    with pytest.raises(ValueError, match="duplicate input on line '0000 1/2'"):
+        dist_from_text("0000 1/2\n0000 1/2\n")

@@ -65,6 +65,37 @@ def test_modules_import_only_earlier_layers():
             assert RANK[dep] < RANK[name], f"{name} imports {dep}"
 
 
+# subcube's lattice internals: dtree takes its lattice from
+# subcube.lattice, so the choice between lattices lives in one module
+LATTICE_INTERNALS = {
+    "class_sweep",
+    "class_state",
+    "block_symmetric",
+    "sweep_axes",
+    "lattice_colors",
+    "lattice_sums",
+}
+
+
+def imported_names(source: str) -> set[str]:
+    """The names a module's source imports with ``from ... import``."""
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def test_dtree_leaves_the_lattice_choice_to_subcube():
+    source = (SRC / "dtree.py").read_text()
+    assert not (imported_names(source) | set(names_used(ast.parse(source)))) & LATTICE_INTERNALS
+    assert imported_names("from .subcube import Lattice, sweep_axes as sweep\n") == {
+        "Lattice",
+        "sweep_axes",
+    }
+
+
 def test_modules_import_only_the_standard_library_and_numpy():
     for path in sorted(SRC.glob("*.py")):
         packages = {name.split(".")[0] for name in imported_modules(path.read_text())}

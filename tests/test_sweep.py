@@ -38,9 +38,9 @@ def both(request, monkeypatch):
 
     def run(build):
         blocked = build()
+        # every build reaches the sweep through subcube alone
         with monkeypatch.context() as m:
             m.setattr(subcube, "sweep_axes", reference_sweep)
-            m.setattr(dtree, "sweep_axes", reference_sweep)
             reference = build()
         return blocked, reference
 
@@ -54,13 +54,13 @@ def assert_same_lattice(blocked, reference):
 
 def relaxed_lattices(monkeypatch, run):
     """Each lattice that run() relaxes, at its fixed point, with the
-    number of sweeps it took."""
+    number of sweeps it took and the sweep it took them with."""
     seen = []
     real = dtree._relax
 
-    def recording(val, *rest):
-        sweeps = real(val, *rest)
-        seen.append((val.copy(), sweeps))
+    def recording(val, sweep, *rest):
+        sweeps = real(val, sweep, *rest)
+        seen.append((val.copy(), sweeps, sweep))
         return sweeps
 
     with monkeypatch.context() as m:
@@ -97,10 +97,11 @@ def test_depth_lattice_matches_the_reference_sweep(both, monkeypatch):
             blocked, reference = both(
                 lambda: relaxed_lattices(monkeypatch, lambda: dtree.exact_depth(f))
             )
-            [(got, sweeps)], [(want, want_sweeps)] = blocked, reference
+            [(got, sweeps, sweep)], [(want, want_sweeps, want_sweep)] = blocked, reference
             # none of these tables is block-symmetric, so both relax the
             # full lattice, not the block classes
             assert got.shape == (3,) * n
+            assert (sweep, want_sweep) == (subcube.sweep_axes, reference_sweep)
             assert_same_lattice(got, want)
             assert sweeps == want_sweeps
 
@@ -119,7 +120,8 @@ def test_weighted_lattice_matches_the_reference_sweep(both, monkeypatch, scale, 
                 monkeypatch, lambda: dtree.min_weighted_zero_error(f, cost, want_tree=True)
             )
         )
-        [(got, sweeps)], [(want, want_sweeps)] = blocked, reference
+        [(got, sweeps, sweep)], [(want, want_sweeps, want_sweep)] = blocked, reference
+        assert (sweep, want_sweep) == (subcube.sweep_axes, reference_sweep)
         assert got.dtype == np.dtype(dtype)
         assert_same_lattice(got, want)
         assert sweeps == want_sweeps
