@@ -132,7 +132,7 @@ def cmd_measure_depth(args: argparse.Namespace, rep: Report) -> None:
     table = _load("table", boolfn.load_table, args.table)
     rep.add("n", table.n)
     result = dtree.exact_depth(table, want_tree=bool(args.tree_out))
-    rep.add("depth", result.depth)
+    rep.add("depth", result.value)
     rep.add("lattice-sweeps", result.sweeps)
     rep.add("lattice-states", result.states)
     if args.tree_out:
@@ -143,7 +143,7 @@ def cmd_measure_depth(args: argparse.Namespace, rep: Report) -> None:
         rep.add_verdict(
             "witness-replay",
             _partition_computes(dtree.tree_to_partition(tree, table.n), table)
-            and dtree.tree_depth(tree) == result.depth,
+            and dtree.tree_depth(tree) == result.value,
         )
 
 
@@ -153,13 +153,15 @@ def cmd_measure_delta0(args: argparse.Namespace, rep: Report) -> None:
     if dist.n != table.n:
         raise InputError("table and distribution arity mismatch")
     charges = dtree.CostMatrix.uniform(dist.dense())
-    value, tree = dtree.min_weighted_zero_error(table, charges, want_tree=True)
+    result = dtree.min_weighted_zero_error(table, charges, want_tree=True)
     rep.add("n", table.n)
-    rep.add_rational("delta0", value)
+    rep.add_rational("delta0", result.value)
+    rep.add("lattice-sweeps", result.sweeps)
+    rep.add("lattice-states", result.states)
     rep.add_verdict(
         "witness-replay",
-        _partition_computes(dtree.tree_to_partition(tree, table.n), table)
-        and dtree.tree_cost(tree, charges) == value,
+        _partition_computes(dtree.tree_to_partition(result.tree, table.n), table)
+        and dtree.tree_cost(result.tree, charges) == result.value,
     )
 
 
@@ -431,7 +433,7 @@ def _partition_computes(part: subcube.LabeledPartition, table: boolfn.TruthTable
 
 def _verify_height1(rep: Report) -> None:
     table = boolfn.fmaj()
-    rep.add_verdict("depth-4", dtree.exact_depth(table).depth == 4)
+    rep.add_verdict("depth-4", dtree.exact_depth(table).value == 4)
 
     part = subcube.canonical_fmaj_partition()
     rep.add_verdict(
@@ -488,7 +490,7 @@ def _verify_height2(args: argparse.Namespace, rep: Report) -> None:
         and _partition_computes(part, table2),
     )
     depth = dtree.exact_depth(table2)
-    rep.add_verdict("depth-16", depth.depth == 16)
+    rep.add_verdict("depth-16", depth.value == 16)
     rep.add("lattice-sweeps", depth.sweeps)
     rep.add("lattice-states", depth.states)
 

@@ -157,6 +157,16 @@ def load_tree(path: str) -> DecisionTree:
 # ---------------------------------------------------------------------------
 # the axis-sweep relaxation shared by both optimizations
 
+@dataclass(frozen=True)
+class LatticeResult:
+    """What a lattice DP found, and the work it took."""
+
+    value: Union[int, Fraction]  # the optimum: an int depth, a Fraction cost
+    sweeps: int  # passes of the relaxation, the last of which lowered nothing
+    states: int  # size of the lattice it relaxed
+    tree: Optional[DecisionTree] = None  # a canonical optimal tree, if asked for
+
+
 # step(a, charges, lo, hi): the value of querying variable a at some
 # states, given the values lo and hi of their two children and a tuple
 # holding each charge lattice at those states; a sweep passes slabs, a
@@ -209,23 +219,13 @@ def _witness(
 # ---------------------------------------------------------------------------
 # exact minimax depth
 
-@dataclass(frozen=True)
-class DepthResult:
-    """What ``exact_depth`` found, and the work it took."""
-
-    depth: int
-    sweeps: int  # passes of the relaxation, the last of which lowered nothing
-    states: int  # size of the lattice it relaxed
-    tree: Optional[DecisionTree] = None  # a canonical optimal tree, if asked for
-
-
 def _depth_step(a: int, charges: tuple, lo, hi):
     worst = np.maximum(lo, hi)
     worst += 1
     return worst
 
 
-def exact_depth(f: TruthTable, *, want_tree: bool = False) -> DepthResult:
+def exact_depth(f: TruthTable, *, want_tree: bool = False) -> LatticeResult:
     """Minimum worst-case query count of a deterministic tree computing
     f, by the axis-sweep relaxation over ``subcube.lattice(f)``.  With
     ``want_tree`` the result also holds a canonical optimal tree."""
@@ -241,7 +241,7 @@ def exact_depth(f: TruthTable, *, want_tree: bool = False) -> DepthResult:
     sweeps = _relax(val, lat.sweep, _depth_step)
     depth = int(val[lat.key((2,) * n)])
     tree = _witness(n, lat, val, _depth_step) if want_tree else None
-    return DepthResult(depth, sweeps, val.size, tree)
+    return LatticeResult(depth, sweeps, val.size, tree)
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +315,12 @@ def tree_cost(tree: DecisionTree, cost: CostMatrix) -> Fraction:
 
 def min_weighted_zero_error(
     f: TruthTable, cost: CostMatrix, *, want_tree: bool = False
-) -> "Fraction | tuple[Fraction, DecisionTree]":
+) -> LatticeResult:
     """Minimum of tree_cost over all zero-error trees for f, by the
     axis-sweep relaxation in exact integers over the charges' common
     denominator.  Querying variable i on the subcube S charges the sum
-    of rows[i] over members of S."""
+    of rows[i] over members of S.  With ``want_tree`` the result also
+    holds a canonical optimal tree."""
     n = f.n
     if n != cost.n:
         raise ValueError(f"function arity {n} != cost arity {cost.n}")
@@ -351,11 +352,10 @@ def min_weighted_zero_error(
         total += hi
         return total
 
-    _relax(val, lat.sweep, step, lattices)
+    sweeps = _relax(val, lat.sweep, step, lattices)
     value = Fraction(int(val[lat.key((2,) * n)]), denom)
-    if not want_tree:
-        return value
-    return value, _witness(n, lat, val, step, lattices)
+    tree = _witness(n, lat, val, step, lattices) if want_tree else None
+    return LatticeResult(value, sweeps, val.size, tree)
 
 
 # ---------------------------------------------------------------------------
@@ -368,4 +368,4 @@ def delta0(f: TruthTable, dist: Sequence[Fraction]) -> Fraction:
     masses = _fractions(dist)
     if sum(masses) != 1:
         raise ValueError("distribution does not sum to 1")
-    return min_weighted_zero_error(f, CostMatrix.uniform(masses))  # type: ignore[return-value]
+    return min_weighted_zero_error(f, CostMatrix.uniform(masses)).value

@@ -309,14 +309,19 @@ def jk_values() -> tuple[Fraction, Fraction, Fraction]:
     expected query count delta0 under d()."""
     cj, ck = jk_cost_matrices()
     return (
-        min_weighted_zero_error(fmaj(), cj),
-        min_weighted_zero_error(fmaj(), ck),
+        min_weighted_zero_error(fmaj(), cj).value,
+        min_weighted_zero_error(fmaj(), ck).value,
         delta0(fmaj(), d().dense()),
     )
 
 
 # ---------------------------------------------------------------------------
-# on-disk format: one "<bitstring> <p>/<q>" line per support point
+# on-disk format: one "<bitstring> <p>/<q>" line per support point; an
+# integer mass may omit "/<q>"
+
+_MASS = re.compile(r"(-?\d+)(?:/(\d+))?")
+_BITS = re.compile(r"[01]+")
+
 
 def dist_to_text(dist: InputDistribution) -> str:
     lines = []
@@ -335,10 +340,11 @@ def dist_from_text(text: str) -> InputDistribution:
         if not line:
             continue
         parts = line.split()
-        if len(parts) != 2 or not re.fullmatch(r"-?\d+/\d+|-?\d+", parts[1]):
+        mass = len(parts) == 2 and _MASS.fullmatch(parts[1])
+        if not mass:
             raise ValueError(f"expected '<bits> <p>/<q>': {raw!r}")
         bits = parts[0]
-        if not re.fullmatch(r"[01]+", bits):
+        if not _BITS.fullmatch(bits):
             raise ValueError(f"not a bit string: {bits!r}")
         if n is None:
             n = len(bits)
@@ -347,8 +353,9 @@ def dist_from_text(text: str) -> InputDistribution:
         idx = int(bits, 2)
         if idx in masses:
             raise ValueError(f"duplicate input on line {raw!r}")
+        p, q = mass.groups("1")
         try:
-            masses[idx] = Fraction(parts[1])
+            masses[idx] = Fraction(int(p), int(q))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator on line {raw!r}") from None
     if n is None:

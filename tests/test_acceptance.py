@@ -58,7 +58,7 @@ def elapsed_ok(num, label, seconds, limit):
 
 def test_criterion_1_exact_depth_four():
     t0 = time.monotonic()
-    depth = exact_depth(fmaj()).depth
+    depth = exact_depth(fmaj()).value
     dt = time.monotonic() - t0
     ok = verdict(1, "worst-case queries on 4 bits", depth == 4, f"depth={depth}, {dt:.2f}s")
     assert ok and elapsed_ok(1, "runtime", dt, 1.0)
@@ -99,7 +99,7 @@ def test_criterion_3_composition_squares_the_partition():
 
 def test_criterion_4_composed_depth_sixteen():
     t0 = time.monotonic()
-    depth = exact_depth(iterated_table(2)).depth
+    depth = exact_depth(iterated_table(2)).value
     dt = time.monotonic() - t0
     peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (1024**2)
     ok = verdict(

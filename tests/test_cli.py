@@ -1,6 +1,7 @@
 """Command line surface: reports, file round-trips, exit codes."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import os
@@ -103,7 +104,7 @@ def test_measure_depth_at_height_two_writes_the_pinned_tree(tmp_path, capsys):
     assert digest == "612eb5b2354f6c46c999638eedbf591ab8eb260ab081de5a2af8826224182585"
 
 
-def test_measure_delta0_at_height_two(tmp_path, capsys, monkeypatch):
+def test_measure_delta0_at_height_two(tmp_path, capsys):
     # the hard law's height-2 file and the exact weighted DP, which runs
     # on the 30**4 block classes of the composed gadget's subcubes: the
     # gadget and the law are both unchanged by permuting x2..x4 in a block
@@ -112,19 +113,24 @@ def test_measure_delta0_at_height_two(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert lines(out)["support"] == "33614"
     save_table(iterated_table(2), table)
-    lattices = []
-    real = subcube.lattice
-
-    def recording(*args):
-        lattices.append(real(*args))
-        return lattices[-1]
-
-    monkeypatch.setattr(subcube, "lattice", recording)
     code, out = run(capsys, "measure", "delta0", "--table", str(table), "--dist", str(dist))
     assert code == 0
     got = lines(out)
     assert (got["delta0"], got["witness-replay"]) == ("256/25", "pass")
-    assert [lat.colors.size for lat in lattices] == [30**4]
+    assert got["lattice-states"] == "810000"
+
+
+def test_measure_delta0_without_the_block_symmetry(tmp_path, capsys):
+    # a law that tells x2 from x3 and x4 takes the full 3**4 lattice;
+    # each of its three inputs needs three reads (brute force agrees)
+    table, dist = tmp_path / "f.tt", tmp_path / "skew.dist"
+    save_table(fmaj(), table)
+    dist.write_text("0111 1/2\n1000 1/4\n0100 1/4\n")
+    code, out = run(capsys, "measure", "delta0", "--table", str(table), "--dist", str(dist))
+    assert code == 0
+    got = lines(out)
+    assert (got["delta0"], got["witness-replay"]) == ("3/1", "pass")
+    assert got["lattice-states"] == "81"
 
 
 def flip_first_leaf(tree):
@@ -157,8 +163,8 @@ def test_measure_delta0_replays_its_witness(tmp_path, capsys, monkeypatch):
     for wrong in (flip_first_leaf, lambda t: dtree.exact_depth(fmaj(), want_tree=True).tree):
 
         def witness(f, cost, *, want_tree, wrong=wrong):
-            value, tree = real(f, cost, want_tree=want_tree)
-            return value, wrong(tree)
+            result = real(f, cost, want_tree=want_tree)
+            return dataclasses.replace(result, tree=wrong(result.tree))
 
         monkeypatch.setattr(cli.dtree, "min_weighted_zero_error", witness)
         code, out = run(capsys, *argv)
@@ -256,7 +262,7 @@ def stub_depth_sweep(monkeypatch):
 
     def depth(table):
         assert table == iterated_table(2)
-        return dtree.DepthResult(16, 2, 30**4)
+        return dtree.LatticeResult(16, 2, 30**4)
 
     monkeypatch.setattr(cli.dtree, "exact_depth", depth)
 
@@ -455,7 +461,7 @@ PINNED_REPORTS = [
     ),
     pytest.param(
         ("measure", "delta0", "--table", "FMAJ", "--dist", "D"),
-        "bf478ee8563ba9aacab258ea80c39a63fac053df095451ca7d0c967f8b01cbb0",
+        "84726b58a5920247799b666d9e20a6bead62a09f5e5506583cc78bafa96fd3fa",
         0,
         id="delta0",
     ),

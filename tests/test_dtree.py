@@ -184,16 +184,16 @@ def test_tree_to_partition_rejects_a_variable_outside_the_arity():
 def test_exact_depth_matches_brute_force_small():
     for bits in range(16):
         f = TruthTable(2, bits)
-        assert exact_depth(f).depth == brute_depth(f), bits
+        assert exact_depth(f).value == brute_depth(f), bits
     for bits in range(0, 256, 7):
         f = TruthTable(3, bits)
-        assert exact_depth(f).depth == brute_depth(f), bits
+        assert exact_depth(f).value == brute_depth(f), bits
 
 
 def test_exact_depth_matches_brute_force_sampled_four_vars():
     for bits in range(0, 1 << 16, 4099):
         f = TruthTable(4, bits)
-        assert exact_depth(f).depth == brute_depth(f), bits
+        assert exact_depth(f).value == brute_depth(f), bits
 
 
 def test_exact_depth_matches_brute_force_random_up_to_six_vars():
@@ -201,13 +201,13 @@ def test_exact_depth_matches_brute_force_random_up_to_six_vars():
     for n in (5, 6):
         for _ in range(15):
             f = TruthTable(n, rng.getrandbits(1 << n))
-            assert exact_depth(f).depth == brute_depth(f), (n, f.bits)
+            assert exact_depth(f).value == brute_depth(f), (n, f.bits)
 
 
 def test_canonical_witness_trees_are_pinned():
     # trees printed by the level-by-level DP this relaxation replaced
     result = exact_depth(fmaj(), want_tree=True)
-    assert (result.depth, tree_to_text(result.tree)) == (4, "(1 (2 =0 (3 =0 (4 =0 =1))) (2 (3 (4 =0 =1) =1) =1))")
+    assert (result.value, tree_to_text(result.tree)) == (4, "(1 (2 =0 (3 =0 (4 =0 =1))) (2 (3 (4 =0 =1) =1) =1))")
     cj, ck = jk_cost_matrices()
     balanced = "(2 (3 (4 =0 (1 =0 =1)) (1 =0 =1)) (3 (1 =0 =1) (4 (1 =0 =1) =1)))"
     pinned = [
@@ -216,13 +216,13 @@ def test_canonical_witness_trees_are_pinned():
         (CostMatrix.uniform(d().dense()), Fraction(16, 5), balanced),
     ]
     for cost, want_value, want_tree in pinned:
-        value, tree = min_weighted_zero_error(fmaj(), cost, want_tree=True)
-        assert (value, tree_to_text(tree)) == (want_value, want_tree)
+        result = min_weighted_zero_error(fmaj(), cost, want_tree=True)
+        assert (result.value, tree_to_text(result.tree)) == (want_value, want_tree)
 
 
 def test_exact_depth_fmaj_is_four():
     result = exact_depth(fmaj(), want_tree=True)
-    assert result.depth == 4
+    assert result.value == 4
     assert tree_computes(result.tree, fmaj())
     assert tree_depth(result.tree) == 4
 
@@ -287,14 +287,14 @@ def test_class_lattice_matches_the_full_lattice(monkeypatch, n, count):
         got = exact_depth(f, want_tree=True)
         want = on_the_full_lattice(monkeypatch, lambda: exact_depth(f, want_tree=True))
         assert (got.states, want.states) == (30 ** (n // 4), 3**n)
-        assert (got.depth, got.tree) == (want.depth, want.tree), f.bits
+        assert (got.value, got.tree) == (want.value, want.tree), f.bits
 
 
 def test_class_lattice_tree_of_fmaj2_is_the_full_lattice_tree(monkeypatch):
     f = iterated_table(2)
     got = exact_depth(f, want_tree=True)
     want = on_the_full_lattice(monkeypatch, lambda: exact_depth(f, want_tree=True))
-    assert (got.depth, got.states, want.states) == (16, 30**4, 3**16)
+    assert (got.value, got.states, want.states) == (16, 30**4, 3**16)
     assert got.tree == want.tree
 
 
@@ -306,7 +306,7 @@ def test_tables_without_the_block_symmetry_take_the_full_lattice():
     for f, depth in ((pair, 2), (flipped, 16)):
         assert not subcube.block_symmetric(f.values())
         result = exact_depth(f)
-        assert (result.depth, result.states) == (depth, 3**f.n)
+        assert (result.value, result.states) == (depth, 3**f.n)
 
 
 @pytest.mark.parametrize("n, count", [(4, 100), (8, 20)])
@@ -325,7 +325,8 @@ def test_weighted_class_lattice_matches_the_full_lattice(monkeypatch, n, count):
         got, sizes = lattice_sizes(monkeypatch, run)
         want, full_sizes = on_the_full_lattice(monkeypatch, lambda: lattice_sizes(monkeypatch, run))
         assert (sizes, full_sizes) == ([30 ** (n // 4)], [3**n])
-        assert got == want, f.bits
+        assert (got.states, want.states) == (30 ** (n // 4), 3**n)
+        assert (got.value, got.tree) == (want.value, want.tree), f.bits
 
 
 def asymmetric_jk(rng):
@@ -351,9 +352,9 @@ def distinct_rows_in_a_block(rng):
 def test_weighted_dp_without_the_symmetry_takes_the_full_lattice(monkeypatch, case):
     f, cost = case(random.Random(43))
     assert subcube.block_symmetric(f.values())
-    value, sizes = lattice_sizes(monkeypatch, lambda: min_weighted_zero_error(f, cost))
-    assert sizes == [3**f.n]
-    assert value == brute_weighted(f, cost)
+    result, sizes = lattice_sizes(monkeypatch, lambda: min_weighted_zero_error(f, cost))
+    assert sizes == [3**f.n] and result.states == 3**f.n
+    assert result.value == brute_weighted(f, cost)
 
 
 def test_cost_matrix_uniform_and_scale():
@@ -426,7 +427,7 @@ def test_min_weighted_matches_brute_force_two_vars():
     cost = CostMatrix.from_lists(2, rows)
     for bits in range(16):
         f = TruthTable(2, bits)
-        got = min_weighted_zero_error(f, cost)
+        got = min_weighted_zero_error(f, cost).value
         assert got == brute_weighted(f, cost), bits
 
 
@@ -456,18 +457,18 @@ def test_min_weighted_matches_brute_force_three_vars(monkeypatch, target, dtype)
     monkeypatch.setattr(dtree, "_relax", lambda val, *rest: (dtypes.add(val.dtype), real(val, *rest))[1])
     for bits in range(256):
         f = TruthTable(3, bits)
-        value, tree = min_weighted_zero_error(f, cost, want_tree=True)
-        assert value == brute_weighted(f, cost), bits
-        assert tree_computes(tree, f) and tree_cost(tree, cost) == value
+        result = min_weighted_zero_error(f, cost, want_tree=True)
+        assert result.value == brute_weighted(f, cost), bits
+        assert tree_computes(result.tree, f) and tree_cost(result.tree, cost) == result.value
     assert dtypes == {np.dtype(dtype)}
 
 
 def test_min_weighted_witness_replays():
     masses = d().dense()
     cost = CostMatrix.uniform(masses)
-    value, tree = min_weighted_zero_error(fmaj(), cost, want_tree=True)
-    assert tree_computes(tree, fmaj())
-    assert tree_cost(tree, cost) == value
+    result = min_weighted_zero_error(fmaj(), cost, want_tree=True)
+    assert tree_computes(result.tree, fmaj())
+    assert tree_cost(result.tree, cost) == result.value
 
 
 def test_delta0_under_hard_distribution():
@@ -510,9 +511,9 @@ def test_min_weighted_uniform_law_at_nine_vars():
     parity = TruthTable.from_values(9, [bin(i).count("1") % 2 for i in range(512)])
     conj = TruthTable(9, 1 << 511)
     for f, want in ((parity, Fraction(9)), (conj, Fraction(511, 256))):
-        value, tree = min_weighted_zero_error(f, uniform, want_tree=True)
-        assert value == want
-        assert tree_computes(tree, f) and tree_cost(tree, uniform) == value
+        result = min_weighted_zero_error(f, uniform, want_tree=True)
+        assert result.value == want
+        assert tree_computes(result.tree, f) and tree_cost(result.tree, uniform) == want
 
 
 def test_min_weighted_refuses_unequal_rows_above_eight_vars(monkeypatch):
@@ -530,9 +531,9 @@ def test_min_weighted_refuses_unequal_rows_above_eight_vars(monkeypatch):
 def test_charge_matrices_agree_with_direct_conditional_sums():
     cj, ck = jk_cost_matrices()
     trees = [
-        min_weighted_zero_error(fmaj(), cj, want_tree=True)[1],
-        min_weighted_zero_error(fmaj(), ck, want_tree=True)[1],
-        min_weighted_zero_error(fmaj(), CostMatrix.uniform(d().dense()), want_tree=True)[1],
+        min_weighted_zero_error(fmaj(), cj, want_tree=True).tree,
+        min_weighted_zero_error(fmaj(), ck, want_tree=True).tree,
+        min_weighted_zero_error(fmaj(), CostMatrix.uniform(d().dense()), want_tree=True).tree,
         HAND_TREE,
     ]
     for tree in trees:
@@ -563,8 +564,8 @@ def test_charge_decomposition_identity_per_tree():
     e11 = CostMatrix(4, (cj.rows[0], zero, zero, zero))
     trees = [
         HAND_TREE,
-        min_weighted_zero_error(fmaj(), cu, want_tree=True)[1],
-        min_weighted_zero_error(fmaj(), ck, want_tree=True)[1],
+        min_weighted_zero_error(fmaj(), cu, want_tree=True).tree,
+        min_weighted_zero_error(fmaj(), ck, want_tree=True).tree,
     ]
     for tree in trees:
         lhs = tree_cost(tree, cu)

@@ -96,6 +96,12 @@ def test_dtree_leaves_the_lattice_choice_to_subcube():
     }
 
 
+def test_the_package_imports_no_module():
+    # every caller imports the module it reads, so the package keeps no
+    # list of re-exported names to go stale
+    assert not qlab_imports((SRC / "__init__.py").read_text())
+
+
 def test_modules_import_only_the_standard_library_and_numpy():
     for path in sorted(SRC.glob("*.py")):
         packages = {name.split(".")[0] for name in imported_modules(path.read_text())}
