@@ -7,9 +7,9 @@ indexes a (3,)*n array whose axis j is variable x_{j+1}, index 2
 meaning free.  A mixed state's value is the least, over its free
 variables a, of step(a) applied to the two states that fix x_{a+1} to 0
 and to 1.  The values start at 0 on f-constant states and at an
-"infinity" above every optimum on mixed ones; a sweep then visits the
-axes in order and lowers every state free at axis a to its step along
-a.  Sweeps repeat until one lowers nothing.  Values never fall below
+"infinity" above every optimum on mixed ones; a sweep then takes each
+axis's moves in order and lowers every state a move frees to its step.
+Sweeps repeat until one lowers nothing.  Values never fall below
 the optimum, and at the fixed point every mixed state's value is
 attained by some step, so by induction on the number of free variables
 the fixed point is the optimum.  A step reads only states with fewer
@@ -231,8 +231,8 @@ def exact_depth(f: TruthTable, *, want_tree: bool = False) -> LatticeResult:
     ``want_tree`` the result also holds a canonical optimal tree."""
     n = f.n
     # on the full lattice, TruthTable's cap of n at 16 bounds colors,
-    # values, one 3**14-byte slab temporary of an outer axis and the
-    # chunk buffer under 2 * 3**16 + 3**14 + 2**21 bytes, about 93 MB
+    # values and one 3**15-byte slab temporary under 2 * 3**16 + 3**15
+    # bytes, about 100 MB
     lat = subcube.lattice(f)
     # 1 on mixed states, 0 on constant ones; without a tree the sweeps
     # need only these, so they overwrite the colors in place

@@ -63,16 +63,16 @@ class InputDistribution:
 
     def __init__(self, n: int, masses: dict[int, Fraction]):
         self.n = n
-        # a mass that is a Fraction already is kept, not wrapped again
-        self.masses = {
-            idx: m if isinstance(m, Fraction) else Fraction(m)
-            for idx, m in sorted(masses.items())
-            if m != 0
-        }
+        # each mass is converted once, a Fraction kept as it is, and then
+        # tested by its numerator: zeros dropped, negatives refused
+        converted = (
+            (i, m if isinstance(m, Fraction) else Fraction(m)) for i, m in sorted(masses.items())
+        )
+        self.masses = {idx: m for idx, m in converted if m.numerator}
         for idx, m in self.masses.items():
             if not 0 <= idx < (1 << n):
                 raise ValueError(f"index {idx} out of range for n={n}")
-            if m < 0:
+            if m.numerator < 0:
                 raise ValueError(f"negative mass at index {idx}")
         # summed in integers over the common denominator, not in Fractions
         denom = math.lcm(*(m.denominator for m in self.masses.values()))

@@ -106,19 +106,24 @@ class LPSolution:
         for name, v in zip(lp.var_names, x):
             if v < 0:
                 return f"primal {name} = {v} < 0"
-        aty = [Fraction(0)] * lp.num_vars
+        # row sums and A^T y in integers over x's and y's common denominators
+        dx, dy = (math.lcm(*(v.denominator for v in vec)) for vec in (x, y))
+        xs = [v.numerator * (dx // v.denominator) for v in x]
+        aty = [0] * lp.num_vars
         for i, (row, sense, rhs, yi) in enumerate(zip(lp.rows, lp.senses, lp.rhs, y)):
-            lhs = _dot(row, x)
+            nonzero = [(j, a) for j, a in enumerate(row) if a]
+            lhs = Fraction(sum(a * xs[j] for j, a in nonzero), dx)
             if not _HOLDS[sense](lhs, rhs):
                 return f"primal row {i}: {lhs} {sense} {rhs} fails"
             if sense != "==" and not _HOLDS[sense](yi, 0):
                 return f"dual y[{i}] = {yi} has the wrong sign for a {sense} row"
-            for j, a in enumerate(row):
-                if a and yi:
-                    aty[j] += a * yi
+            if yi:
+                scaled = yi.numerator * (dy // yi.denominator)
+                for j, a in nonzero:
+                    aty[j] += a * scaled
         for name, c, a in zip(lp.var_names, lp.objective, aty):
-            if c < a:
-                return f"reduced cost of {name} is {c - a} < 0"
+            if c * dy < a:
+                return f"reduced cost of {name} is {c - Fraction(a, dy)} < 0"
         primal, dual = _dot(lp.objective, x), _dot(lp.rhs, y)
         if not primal == dual == self.value:
             return f"objectives differ: primal {primal}, dual {dual}, reported {self.value}"

@@ -187,66 +187,43 @@ def compose_partitions(p: LabeledPartition, q: LabeledPartition) -> LabeledParti
 # the subcube lattice: arrays of shape (3,)*n whose axis j is variable
 # x_{j+1}, index 0 or 1 fixing it and index 2 leaving it free
 
-# the byte budget of the inner sweep's chunk buffer, one per array
-_CHUNK_BYTES = 1 << 21
-
-# update(a, lo, hi, free, aux): one axis of a sweep, given the lattice's
-# slabs fixing x_{a+1} to 0, fixing it to 1 and leaving it free, indexed
-# alike, and the free slab of each auxiliary array
+# update(a, lo, hi, free, aux): one move of a sweep, given views of the
+# lattice's slabs fixing x_{a+1} to 0, fixing it to 1 and leaving it
+# free, indexed alike, and the free slab of each auxiliary array
 Update = Callable[[int, np.ndarray, np.ndarray, np.ndarray, tuple], object]
 # sweep(lattice, update, aux=()): one pass of update over a lattice's
-# moves, as sweep_axes and class_sweep make
+# moves, as _sweep makes
 Sweep = Callable[..., None]
 
 
-def sweep_axes(lattice: np.ndarray, update: Update, aux: Sequence[np.ndarray] = ()) -> None:
-    """One pass over the axes of ``lattice``, a C-contiguous (3,)*n
-    array, in order: update(a, ...) for a = 0, ..., n - 1, where update
-    may write the free slab and ``aux`` holds read-only arrays laid out
-    like the lattice.
+def _sweep(moves: Sequence[tuple[int, int, int, int]], span: int) -> Sweep:
+    """The pass over a lattice each of whose axes stands for ``span``
+    variables and takes ``moves``: for each axis b in order, each move
+    (offset, free, lo, hi) in order calls update(span * b + offset, ...)
+    on the axis's slabs at indices lo, hi and free.  Every slab is a
+    view, so update may write the free one; ``aux`` holds read-only
+    arrays laid out like the lattice.  The trailing ... keeps a slab of
+    a one-axis array a view, not a scalar."""
 
-    The slabs of the last axes are runs of a few bytes, so the lattice
-    is viewed as a (3**h, 3**(n - h)) grid with h = n // 2.  The h outer
-    axes take whole-lattice slabs, a third at a time, whose runs span at
-    least a row once n >= 4.  The inner axes act within a row, so they
-    run a chunk of rows at a time, each array's chunk copied transposed
-    into a buffer where the row varies fastest and every run spans the
-    chunk; the lattice's chunk is copied back after its last axis.  A
-    chunk is 3**k rows, the most whose buffer fits in _CHUNK_BYTES, or
-    one row."""
-    if not lattice.flags.c_contiguous:
-        raise ValueError("the lattice must be C-contiguous")
-    n = lattice.ndim
-    h = n // 2
-    arrays = (lattice, *aux)
-    for a in range(h):
-        # a third of the slab at a time, fixing axis 0 (axis 1 for a = 0),
-        # so that an update's temporaries hold at most 3**(n - 2) states
-        fixed = (slice(None),) * (a == 0)
-        for i in range(3):
-            _update_axis(update, a, max(a - 1, 0), [x[fixed + (i,)] for x in arrays])
-    cols = 3 ** (n - h)
-    chunk = 3**h
-    while chunk > 1 and cols * chunk * lattice.itemsize > _CHUNK_BYTES:
-        chunk //= 3
-    grids = [x.reshape(-1, chunk, cols) for x in arrays]
-    bufs = [np.empty((3,) * (n - h) + (chunk,), dtype=x.dtype) for x in arrays]
-    flats = [buf.reshape(cols, chunk) for buf in bufs]
-    for c in range(len(grids[0])):
-        for grid, flat in zip(grids, flats):
-            flat[...] = grid[c].T
-        for b in range(n - h):
-            _update_axis(update, h + b, b, bufs)
-        grids[0][c] = flats[0].T
+    def sweep(lattice: np.ndarray, update: Update, aux: Sequence[np.ndarray] = ()) -> None:
+        for b in range(lattice.ndim):
+            head = (slice(None),) * b
+            for offset, free, lo, hi in moves:
+                at = head + (free, ...)
+                update(
+                    span * b + offset,
+                    lattice[head + (lo, ...)],
+                    lattice[head + (hi, ...)],
+                    lattice[at],
+                    tuple(x[at] for x in aux),
+                )
+
+    return sweep
 
 
-def _update_axis(update: Update, a: int, j: int, arrays: Sequence[np.ndarray]) -> None:
-    """update(a, ...) on the slabs of axis j of ``arrays``, the first
-    being the lattice or its chunk; the trailing ... keeps a slab of a
-    one-axis array a view, not a scalar."""
-    lo, hi, free = ((slice(None),) * j + (t, ...) for t in range(3))
-    head = arrays[0]
-    update(a, head[lo], head[hi], head[free], tuple(x[free] for x in arrays[1:]))
+# the full lattice's one move on axis b: free x_{b+1}
+_FULL_MOVES = [(0, 2, 0, 1)]
+_FULL_SWEEP = _sweep(_FULL_MOVES, 1)
 
 
 def _zeta(
@@ -281,14 +258,14 @@ def _colors(leaves: np.ndarray, sweep: Sweep, width: int) -> np.ndarray:
 def lattice_colors(f: TruthTable) -> np.ndarray:
     """Color of every subcube: a (3,)*n uint8 array holding f's value
     where f is constant on the subcube and 2 where it is mixed."""
-    return _colors(f.values().reshape((2,) * f.n), sweep_axes, 3)
+    return _colors(f.values().reshape((2,) * f.n), _FULL_SWEEP, 3)
 
 
 def lattice_sums(values: np.ndarray) -> np.ndarray:
     """Sum of ``values`` (one entry per input, in index order) over the
     members of every subcube, as a (3,)*n array of the same dtype."""
     n = values.size.bit_length() - 1
-    return _zeta(values.reshape((2,) * n), np.add, sweep_axes, 3)
+    return _zeta(values.reshape((2,) * n), np.add, _FULL_SWEEP, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -321,12 +298,16 @@ def _class_moves(t: int, c0: int, c1: int, c2: int) -> Iterator[tuple[int, tuple
         yield 1, (t, c0 + 1, c1, c2 - 1), (t, c0, c1 + 1, c2 - 1)
 
 
-# every move as (offset, class, lo, hi), in class order
-_MOVES = [
+# every move as (offset, free, lo, hi), in class order, so by increasing
+# free count; on axis b, a query of x_{4b+1} has offset 0 and one of the
+# other three offset 1
+_CLASS_MOVES = [
     (offset, i, _CLASS_OF[lo], _CLASS_OF[hi])
     for i, c in enumerate(_CLASSES)
     for offset, lo, hi in _class_moves(*c)
 ]
+_CLASS_SWEEP = _sweep(_CLASS_MOVES, 4)
+
 # a block input in each fixed class, x_{4b+1} as its high bit: t, then
 # c0 zeros, then c1 ones
 _LEAF_INPUT = [8 * t + (1 << c1) - 1 for t, _, c1, _ in _CLASSES[:8]]
@@ -344,24 +325,6 @@ def block_symmetric(values: np.ndarray) -> bool:
     return all(
         np.array_equal(v, v.swapaxes(j, j + 1)) for b in range(0, n, 4) for j in (b + 1, b + 2)
     )
-
-
-def class_sweep(lattice: np.ndarray, update: Update, aux: Sequence[np.ndarray] = ()) -> None:
-    """``sweep_axes`` on a class lattice: for each axis b in order, every
-    move of each class in _MOVES's order, so by increasing free count,
-    with a = 4b for a query of x_{4b+1} and 4b + 1 for one of the other
-    three."""
-    for b in range(lattice.ndim):
-        head = (slice(None),) * b
-        for offset, c, lo, hi in _MOVES:
-            free = head + (c, ...)
-            update(
-                4 * b + offset,
-                lattice[head + (lo, ...)],
-                lattice[head + (hi, ...)],
-                lattice[free],
-                tuple(x[free] for x in aux),
-            )
 
 
 def class_state(state: Sequence[int]) -> tuple[int, ...]:
@@ -393,7 +356,7 @@ def lattice(f: TruthTable, rows: Sequence[np.ndarray] = ()) -> Lattice:
         # a row that several variables share is tested once
         and all(block_symmetric(row) for row in {id(row): row for row in rows}.values())
     ):
-        return Lattice(lattice_colors(f), sweep_axes, tuple, lattice_sums)
+        return Lattice(lattice_colors(f), _FULL_SWEEP, tuple, lattice_sums)
     m, width = f.n // 4, len(_CLASSES)
 
     def leaves(values: np.ndarray) -> np.ndarray:
@@ -401,9 +364,10 @@ def lattice(f: TruthTable, rows: Sequence[np.ndarray] = ()) -> Lattice:
         return values.reshape((16,) * m)[np.ix_(*[_LEAF_INPUT] * m)]
 
     def sums(values: np.ndarray) -> np.ndarray:
-        return _zeta(leaves(values), np.add, class_sweep, width)
+        return _zeta(leaves(values), np.add, _CLASS_SWEEP, width)
 
-    return Lattice(_colors(leaves(f.values()), class_sweep, width), class_sweep, class_state, sums)
+    colors = _colors(leaves(f.values()), _CLASS_SWEEP, width)
+    return Lattice(colors, _CLASS_SWEEP, class_state, sums)
 
 
 def all_patterns(n: int) -> Iterator[Pattern]:

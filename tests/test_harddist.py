@@ -131,6 +131,9 @@ def test_input_distribution_validates():
     assert all(dist.masses[i] is m for i, m in thirds.items())
     assert InputDistribution(1, {0: 1}).masses == {0: Fraction(1)}
     assert dist.dense() == [Fraction(1, 3), Fraction(1, 6), Fraction(1, 2), 0]
+    # a zero is dropped whatever number type carries it
+    assert InputDistribution(1, {0: "0", 1: 1}).support() == [1]
+    assert InputDistribution(1, {0: 0.0, 1: Fraction(1)}).masses == {1: Fraction(1)}
 
 
 def test_dh_mass_product_structure():

@@ -68,10 +68,13 @@ def test_modules_import_only_earlier_layers():
 # subcube's lattice internals: dtree takes its lattice from
 # subcube.lattice, so the choice between lattices lives in one module
 LATTICE_INTERNALS = {
-    "class_sweep",
+    "_sweep",
+    "_FULL_SWEEP",
+    "_CLASS_SWEEP",
+    "_FULL_MOVES",
+    "_CLASS_MOVES",
     "class_state",
     "block_symmetric",
-    "sweep_axes",
     "lattice_colors",
     "lattice_sums",
 }
@@ -90,9 +93,9 @@ def imported_names(source: str) -> set[str]:
 def test_dtree_leaves_the_lattice_choice_to_subcube():
     source = (SRC / "dtree.py").read_text()
     assert not (imported_names(source) | set(names_used(ast.parse(source)))) & LATTICE_INTERNALS
-    assert imported_names("from .subcube import Lattice, sweep_axes as sweep\n") == {
+    assert imported_names("from .subcube import Lattice, _FULL_SWEEP as sweep\n") == {
         "Lattice",
-        "sweep_axes",
+        "_FULL_SWEEP",
     }
 
 

@@ -1,12 +1,13 @@
-"""The blocked axis sweep against a plain unblocked one.
+"""The subcube lattice's one sweep, its two move tables, and its full
+lattice against a plain per-axis sweep.
 
-``subcube.sweep_axes`` sweeps the outer half of the axes on whole slabs
-and the inner half on chunks of rows copied transposed into a buffer.
-The reference here sweeps every axis on whole slabs of the lattice
-itself.  Every lattice built on the sweep must come out the same, state
-for state, at n = 1 to 7: n = 1 has no outer axis, odd n splits
-unevenly, and the chunk budgets below cut the rows into single rows,
-into a few rows, and not at all.
+``subcube._sweep`` makes a lattice's pass from a table of moves, each
+freeing one variable of a state from its two children.  ``_zeta`` and
+``dtree._relax`` rely on the order of those moves, which the first test
+checks for both tables.  The reference below sweeps every axis of the
+full lattice on whole slabs, written out by hand.  Every lattice built
+on the full lattice's sweep must come out the same, state for state, at
+n = 1 to 7.
 """
 
 import random
@@ -19,8 +20,51 @@ from qlab import dtree, subcube
 from qlab.boolfn import TruthTable
 
 NS = range(1, 8)
-# one row per chunk; 3 to 9 rows per chunk at n = 7; the default
-BUDGETS = [1, 3 * 3**4 * 8, subcube._CHUNK_BYTES]
+
+# each move table, the variables an axis stands for, and a block of
+# trits in each state of an axis, its free variables first
+TABLES = {
+    "full": (subcube._FULL_MOVES, 1, [(t,) for t in range(3)], tuple),
+    "class": (
+        subcube._CLASS_MOVES,
+        4,
+        [(t,) + (2,) * c2 + (0,) * c0 + (1,) * c1 for t, c0, c1, c2 in subcube._CLASSES],
+        subcube.class_state,
+    ),
+}
+
+
+@pytest.mark.parametrize("table", TABLES)
+def test_moves_free_one_variable_in_the_order_the_sweeps_need(table):
+    moves, span, blocks, key = TABLES[table]
+    assert [key(block) for block in blocks] == [(i,) for i in range(len(blocks))]
+    counts = [block.count(2) for block in blocks]
+    for offset, free, lo, hi in moves:
+        block = blocks[free]
+        # lo fixes the moved variable to 0 and hi fixes it to 1, so each
+        # has one fewer free variable than the state it frees
+        assert block[offset] == 2
+        assert key(block[:offset] + (0,) + block[offset + 1 :]) == (lo,)
+        assert key(block[:offset] + (1,) + block[offset + 1 :]) == (hi,)
+        assert counts[lo] == counts[hi] == counts[free] - 1
+    # on each axis a state's children are final before it is freed
+    order = [counts[free] for _, free, _, _ in moves]
+    assert order == sorted(order)
+    # on a two-axis lattice the sweep calls update once per move and axis,
+    # with views of the move's slabs, and frees x_{span b + offset + 1}: on
+    # the full lattice, x_{b+1} on axis b
+    lattice = np.arange(len(blocks) ** 2).reshape(len(blocks), -1)
+    aux = -lattice
+    calls = []
+    subcube._sweep(moves, span)(lattice, lambda *call: calls.append(call), (aux,))
+    want = [(b, move) for b in (0, 1) for move in moves]
+    assert [a for a, *_ in calls] == [span * b + offset for b, (offset, *_) in want]
+    for (_, lo, hi, free, (aux_free,)), (b, (_, at, lo_at, hi_at)) in zip(calls, want):
+        for slab, whole, index in (
+            (lo, lattice, lo_at), (hi, lattice, hi_at), (free, lattice, at), (aux_free, aux, at)
+        ):
+            assert np.shares_memory(slab, whole)
+            assert np.array_equal(slab, whole.take(index, axis=b))
 
 
 def reference_sweep(lattice, update, aux=()):
@@ -30,26 +74,25 @@ def reference_sweep(lattice, update, aux=()):
         update(a, lattice[lo], lattice[hi], lattice[free], tuple(x[free] for x in aux))
 
 
-@pytest.fixture(params=BUDGETS, ids=["row", "rows", "default"])
-def both(request, monkeypatch):
-    """both(build): build() under the blocked sweep, with the chunk
-    budget of this parameter, and under the reference sweep."""
-    monkeypatch.setattr(subcube, "_CHUNK_BYTES", request.param)
+@pytest.fixture
+def both(monkeypatch):
+    """both(build): build() under subcube's full-lattice sweep and under
+    the reference sweep."""
 
     def run(build):
-        blocked = build()
+        swept = build()
         # every build reaches the sweep through subcube alone
         with monkeypatch.context() as m:
-            m.setattr(subcube, "sweep_axes", reference_sweep)
+            m.setattr(subcube, "_FULL_SWEEP", reference_sweep)
             reference = build()
-        return blocked, reference
+        return swept, reference
 
     return run
 
 
-def assert_same_lattice(blocked, reference):
-    assert blocked.shape == reference.shape and blocked.dtype == reference.dtype
-    assert np.array_equal(blocked, reference)
+def assert_same_lattice(swept, reference):
+    assert swept.shape == reference.shape and swept.dtype == reference.dtype
+    assert np.array_equal(swept, reference)
 
 
 def relaxed_lattices(monkeypatch, run):
@@ -84,9 +127,9 @@ def test_sums_match_the_reference_sweep(both, dtype, top):
     rng = random.Random(12)
     for n in NS:
         values = np.array([rng.randint(0, top) for _ in range(1 << n)], dtype=dtype)
-        blocked, reference = both(lambda: subcube.lattice_sums(values))
-        assert_same_lattice(blocked, reference)
-        assert blocked[(2,) * n] == sum(values.tolist())
+        swept, reference = both(lambda: subcube.lattice_sums(values))
+        assert_same_lattice(swept, reference)
+        assert swept[(2,) * n] == sum(values.tolist())
 
 
 def test_depth_lattice_matches_the_reference_sweep(both, monkeypatch):
@@ -94,14 +137,14 @@ def test_depth_lattice_matches_the_reference_sweep(both, monkeypatch):
     for n in NS:
         for _ in range(4):
             f = TruthTable(n, rng.getrandbits(1 << n))
-            blocked, reference = both(
+            swept, reference = both(
                 lambda: relaxed_lattices(monkeypatch, lambda: dtree.exact_depth(f))
             )
-            [(got, sweeps, sweep)], [(want, want_sweeps, want_sweep)] = blocked, reference
+            [(got, sweeps, sweep)], [(want, want_sweeps, want_sweep)] = swept, reference
             # none of these tables is block-symmetric, so both relax the
             # full lattice, not the block classes
             assert got.shape == (3,) * n
-            assert (sweep, want_sweep) == (subcube.sweep_axes, reference_sweep)
+            assert (sweep, want_sweep) == (subcube._FULL_SWEEP, reference_sweep)
             assert_same_lattice(got, want)
             assert sweeps == want_sweeps
 
@@ -115,13 +158,13 @@ def test_weighted_lattice_matches_the_reference_sweep(both, monkeypatch, scale, 
         rows = [[Fraction(rng.randint(0, 9) * scale, rng.randint(1, 6)) for _ in range(1 << n)]
                 for _ in range(n)]
         cost = dtree.CostMatrix.from_lists(n, rows)
-        blocked, reference = both(
+        swept, reference = both(
             lambda: relaxed_lattices(
                 monkeypatch, lambda: dtree.min_weighted_zero_error(f, cost, want_tree=True)
             )
         )
-        [(got, sweeps, sweep)], [(want, want_sweeps, want_sweep)] = blocked, reference
-        assert (sweep, want_sweep) == (subcube.sweep_axes, reference_sweep)
+        [(got, sweeps, sweep)], [(want, want_sweeps, want_sweep)] = swept, reference
+        assert (sweep, want_sweep) == (subcube._FULL_SWEEP, reference_sweep)
         assert got.dtype == np.dtype(dtype)
         assert_same_lattice(got, want)
         assert sweeps == want_sweeps
@@ -131,14 +174,8 @@ def test_witness_trees_do_not_depend_on_the_sweep(both):
     rng = random.Random(15)
     for n in NS:
         f = TruthTable(n, rng.getrandbits(1 << n))
-        blocked, reference = both(lambda: dtree.exact_depth(f, want_tree=True))
-        assert blocked == reference and blocked.states == 3**n
+        swept, reference = both(lambda: dtree.exact_depth(f, want_tree=True))
+        assert swept == reference and swept.states == 3**n
         cost = dtree.CostMatrix.uniform([Fraction(rng.randint(1, 5), 7) for _ in range(1 << n)])
-        blocked, reference = both(lambda: dtree.min_weighted_zero_error(f, cost, want_tree=True))
-        assert blocked == reference
-
-
-def test_sweep_refuses_a_lattice_that_is_not_contiguous():
-    lattice = np.zeros((3, 3, 6), dtype=np.uint8)[:, :, ::2]
-    with pytest.raises(ValueError, match="C-contiguous"):
-        subcube.sweep_axes(lattice, lambda *args: None)
+        swept, reference = both(lambda: dtree.min_weighted_zero_error(f, cost, want_tree=True))
+        assert swept == reference
