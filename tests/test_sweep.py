@@ -7,7 +7,8 @@ freeing one variable of a state from its two children.  ``_zeta`` and
 checks for both tables.  The reference below sweeps every axis of the
 full lattice on whole slabs, written out by hand.  Every lattice built
 on the full lattice's sweep must come out the same, state for state, at
-n = 1 to 7.
+n = 1 to 7, whether the sweep gets the lattice as subcube builds it or
+in one of two layouts that are not C-contiguous.
 """
 
 import random
@@ -74,10 +75,38 @@ def reference_sweep(lattice, update, aux=()):
         update(a, lattice[lo], lattice[hi], lattice[free], tuple(x[free] for x in aux))
 
 
-@pytest.fixture
-def both(monkeypatch):
-    """both(build): build() under subcube's full-lattice sweep and under
-    the reference sweep."""
+# the memory layout in which the full-lattice sweep gets its lattice and
+# its auxiliary arrays: as built, C-contiguous; each row strided, in
+# column-major order; rows spaced apart, as a view into a buffer one
+# wider on every axis
+def padded_copy(x):
+    view = np.empty(tuple(k + 1 for k in x.shape), dtype=x.dtype)[tuple(map(slice, x.shape))]
+    view[...] = x
+    return view
+
+
+LAYOUTS = {"row": np.asfortranarray, "rows": padded_copy, "default": None}
+
+
+def laid_out(layout, sweep):
+    """sweep, run on copies of the lattice and the auxiliary arrays in
+    ``layout``, with the swept lattice copied back."""
+
+    def run(lattice, update, aux=()):
+        moved = layout(lattice)
+        assert not moved.flags.c_contiguous or lattice.ndim == 1
+        sweep(moved, update, tuple(layout(x) for x in aux))
+        lattice[...] = moved
+
+    return run
+
+
+@pytest.fixture(params=LAYOUTS)
+def both(request, monkeypatch):
+    """both(build): build() under subcube's full-lattice sweep, given its
+    lattice in the layout of this parameter, and under the reference
+    sweep; both.sweep is the sweep the first build ran."""
+    layout = LAYOUTS[request.param]
 
     def run(build):
         swept = build()
@@ -87,6 +116,9 @@ def both(monkeypatch):
             reference = build()
         return swept, reference
 
+    if layout is not None:
+        monkeypatch.setattr(subcube, "_FULL_SWEEP", laid_out(layout, subcube._FULL_SWEEP))
+    run.sweep = subcube._FULL_SWEEP
     return run
 
 
@@ -144,7 +176,7 @@ def test_depth_lattice_matches_the_reference_sweep(both, monkeypatch):
             # none of these tables is block-symmetric, so both relax the
             # full lattice, not the block classes
             assert got.shape == (3,) * n
-            assert (sweep, want_sweep) == (subcube._FULL_SWEEP, reference_sweep)
+            assert (sweep, want_sweep) == (both.sweep, reference_sweep)
             assert_same_lattice(got, want)
             assert sweeps == want_sweeps
 
@@ -164,7 +196,7 @@ def test_weighted_lattice_matches_the_reference_sweep(both, monkeypatch, scale, 
             )
         )
         [(got, sweeps, sweep)], [(want, want_sweeps, want_sweep)] = swept, reference
-        assert (sweep, want_sweep) == (subcube._FULL_SWEEP, reference_sweep)
+        assert (sweep, want_sweep) == (both.sweep, reference_sweep)
         assert got.dtype == np.dtype(dtype)
         assert_same_lattice(got, want)
         assert sweeps == want_sweeps
