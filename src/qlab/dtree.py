@@ -23,9 +23,9 @@ reads values at each state's class, so it builds the same tree.
 The depth sweep runs in uint8, the weighted one in integers over the
 charges' common denominator.  There inf = 1 + the sum of every row
 bounds every value, and no step exceeds 2 * inf + the largest row sum:
-int32 holds that below 2**31, int64 below 2**63 if the stop test's sum
-of the lattice's values below inf fits too, and object arrays the rest.
-Equal rows share one charge lattice; above n = 8 all rows must be equal.
+int32 holds that below 2**31, int64 below 2**63, and object arrays the
+rest.  Equal rows share one charge lattice; above n = 8 all rows must be
+equal.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -176,19 +176,21 @@ Step = Callable[[int, tuple, object, object], object]
 
 def _relax(val: np.ndarray, sweep: Sweep, step: Step, charges: Sequence[np.ndarray] = ()) -> int:
     """Lower val in place to the fixed point of ``sweep``'s passes and
-    return the number of passes made: values only fall, so the first
-    pass that leaves the total alone lowered nothing, and ends it."""
+    return the number of passes made, the last of which lowered nothing."""
 
     def lower(a: int, lo, hi, free, slabs: tuple) -> None:
-        np.minimum(free, step(a, slabs, lo, hi), out=free)
+        nonlocal lowered
+        stepped = step(a, slabs, lo, hi)
+        # one value lowered in a pass is enough to need another
+        lowered = lowered or bool((stepped < free).any())
+        np.minimum(free, stepped, out=free)
 
-    total = val.sum()
     sweeps = 0
     while True:
+        lowered = False
         sweep(val, lower, charges)
         sweeps += 1
-        before, total = total, val.sum()
-        if total == before:
+        if not lowered:
             return sweeps
 
 
@@ -249,31 +251,29 @@ def exact_depth(f: TruthTable, *, want_tree: bool = False) -> LatticeResult:
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """Per-query charges: rows[i][idx] is the price of querying variable
-    i (0-based) while the input is idx.  All entries nonnegative."""
+    """Per-query charges over one common denominator: querying variable
+    i (0-based) while the input is idx costs rows[which[i]][idx] / denom.
+    ``rows`` holds each distinct row once, as an object array of
+    nonnegative Python ints.  Build one with from_lists or uniform,
+    which convert and check the charges."""
 
-    n: int
-    rows: tuple[tuple[Fraction, ...], ...]
+    denom: int
+    rows: tuple[np.ndarray, ...]
+    which: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.rows) != self.n:
-            raise ValueError(f"expected {self.n} rows")
-        for row in self.distinct_rows():
-            if len(row) != 1 << self.n:
-                raise ValueError(f"row {self.rows.index(row)} has {len(row)} entries")
-            if any(c < 0 for c in row):
-                raise ValueError(f"row {self.rows.index(row)} has a negative charge")
-
-    def distinct_rows(self) -> list[tuple[Fraction, ...]]:
-        distinct: list[tuple[Fraction, ...]] = []
-        for row in self.rows:
-            if row not in distinct:  # a shared tuple matches by identity
-                distinct.append(row)
-        return distinct
+    @property
+    def n(self) -> int:
+        return len(self.which)
 
     @classmethod
     def from_lists(cls, n: int, rows: Sequence[Sequence[Fraction]]) -> "CostMatrix":
-        return cls(n, tuple(_fractions(row) for row in rows))
+        """rows[i][idx] is the charge of querying variable i while the
+        input is idx; rows equal as values share one row."""
+        if len(rows) != n:
+            raise ValueError(f"expected {n} rows")
+        distinct: dict[tuple, int] = {}
+        which = tuple(distinct.setdefault(tuple(row), len(distinct)) for row in rows)
+        return cls._scaled(n, list(distinct), which)
 
     @classmethod
     def uniform(cls, dist: Sequence[Fraction]) -> "CostMatrix":
@@ -283,34 +283,40 @@ class CostMatrix:
         n = size.bit_length() - 1
         if 1 << n != size:
             raise ValueError("distribution length must be a power of two")
-        row = _fractions(dist)
-        return cls(n, tuple(row for _ in range(n)))
+        return cls._scaled(n, [dist], (0,) * n)
 
-
-def _fractions(values: Iterable) -> tuple[Fraction, ...]:
-    """The values as Fractions, wrapping only those not one already."""
-    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
+    @classmethod
+    def _scaled(cls, n: int, rows: list[Sequence], which: tuple[int, ...]) -> "CostMatrix":
+        """The matrix whose distinct rows are ``rows``, each checked and
+        converted to Fractions once, then scaled to integers over their
+        common denominator; a row is named by its first variable."""
+        fractions = []
+        for k, row in enumerate(rows):
+            if len(row) != 1 << n:
+                raise ValueError(f"row {which.index(k)} has {len(row)} entries")
+            row = [c if isinstance(c, Fraction) else Fraction(c) for c in row]
+            if any(c.numerator < 0 for c in row):
+                raise ValueError(f"row {which.index(k)} has a negative charge")
+            fractions.append(row)
+        denom = math.lcm(*(c.denominator for row in fractions for c in row))
+        ints = tuple(
+            np.array([c.numerator * (denom // c.denominator) for c in row], dtype=object)
+            for row in fractions
+        )
+        return cls(denom, ints, which)
 
 
 def tree_cost(tree: DecisionTree, cost: CostMatrix) -> Fraction:
     """Total charge of the tree: sum over inputs of the charges of the
     queries made on that input.  The leaves' subcubes partition the
     inputs, so each leaf adds, per distinct row, the row's sum over its
-    subcube times the number of its path's queries that row charges; in
-    integers over the rows' common denominator."""
-    rows = cost.distinct_rows()
-    which = [rows.index(row) for row in cost.rows]
-    denom = math.lcm(*(c.denominator for row in rows for c in row))
-    ints = [
-        np.array([c.numerator * (denom // c.denominator) for c in row], dtype=object)
-        for row in rows
-    ]
+    subcube times the number of its path's queries that row charges."""
     total = 0
     for pattern, queried, _ in _leaf_paths(tree, cost.n):
         members = pattern.members()
-        for r, k in Counter(which[i] for i in queried).items():
-            total += k * ints[r][members].sum()
-    return Fraction(total, denom)
+        for r, k in Counter(cost.which[i] for i in queried).items():
+            total += k * cost.rows[r][members].sum()
+    return Fraction(total, cost.denom)
 
 
 def min_weighted_zero_error(
@@ -324,26 +330,21 @@ def min_weighted_zero_error(
     n = f.n
     if n != cost.n:
         raise ValueError(f"function arity {n} != cost arity {cost.n}")
-    rows = cost.distinct_rows()
+    rows, which = cost.rows, cost.which
     if n > MAX_MULTIROW_VARS and len(rows) > 1:
         raise ValueError(f"above n = {MAX_MULTIROW_VARS} the weighted DP needs equal rows")
-    denom = math.lcm(*(c.denominator for row in rows for c in row))
-    ints = [[c.numerator * (denom // c.denominator) for c in row] for row in rows]
-    totals = [sum(row) for row in ints]
-    which = [rows.index(row) for row in cost.rows]
+    totals = [row.sum() for row in rows]
     # a tree queries each variable at most once per input
     inf = 1 + sum(totals[k] for k in which)
     bound = 2 * inf + max(totals)
-    arrays = [np.array(row, dtype=object) for row in ints]
-    lat = subcube.lattice(f, [arrays[k] for k in which])
-    # numpy sums int32 in its default integer, int64 on 64-bit systems
+    lat = subcube.lattice(f, rows, which)
     if bound < 2**31:
         dtype = np.int32
-    elif bound < 2**63 and inf * lat.colors.size < 2**63:
+    elif bound < 2**63:
         dtype = np.int64
     else:
         dtype = object
-    lattices = [lat.sums(row.astype(dtype)) for row in arrays]
+    lattices = [lat.sums(row.astype(dtype)) for row in rows]
     val = np.zeros(lat.colors.shape, dtype=dtype)
     val[lat.colors == 2] = inf
 
@@ -353,7 +354,7 @@ def min_weighted_zero_error(
         return total
 
     sweeps = _relax(val, lat.sweep, step, lattices)
-    value = Fraction(int(val[lat.key((2,) * n)]), denom)
+    value = Fraction(int(val[lat.key((2,) * n)]), cost.denom)
     tree = _witness(n, lat, val, step, lattices) if want_tree else None
     return LatticeResult(value, sweeps, val.size, tree)
 
@@ -365,7 +366,7 @@ def delta0(f: TruthTable, dist: Sequence[Fraction]) -> Fraction:
     """Minimum expected query count under the given input distribution
     over zero-error trees for f.  CostMatrix and the weighted DP reject
     a negative mass and a length other than 2**f.n."""
-    masses = _fractions(dist)
-    if sum(masses) != 1:
+    cost = CostMatrix.uniform(dist)
+    if cost.rows[0].sum() != cost.denom:
         raise ValueError("distribution does not sum to 1")
-    return min_weighted_zero_error(f, CostMatrix.uniform(masses)).value
+    return min_weighted_zero_error(f, cost).value

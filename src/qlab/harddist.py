@@ -324,11 +324,8 @@ _BITS = re.compile(r"[01]+")
 
 
 def dist_to_text(dist: InputDistribution) -> str:
-    lines = []
-    for idx in dist.support():
-        bits = "".join(str(b) for b in index_to_bits(idx, dist.n))
-        m = dist.mass(idx)
-        lines.append(f"{bits} {m.numerator}/{m.denominator}")
+    n = dist.n
+    lines = [f"{idx:0{n}b} {m.numerator}/{m.denominator}" for idx, m in dist.masses.items()]
     return "\n".join(lines) + "\n"
 
 

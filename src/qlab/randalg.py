@@ -256,13 +256,12 @@ def mc_mean_cost(
         raise ValueError("need at least one trial")
     # intp, since 24 * pattern would wrap in uint8
     pats = None if x is None else [p.astype(np.intp) for p in level_patterns(tree_bits(h, x), h)]
-    tables = _round_tables()
     chunks = min(64, trials)
     streams = rng.spawn(chunks)
     sizes = [trials // chunks + (1 if i < trials % chunks else 0) for i in range(chunks)]
 
     def work(sub: np.random.Generator, count: int) -> tuple[int, int]:
-        return _mc_chunk(h, count, sub, tables, pats)
+        return _mc_chunk(h, count, sub, pats)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(work, streams, sizes))
@@ -274,23 +273,20 @@ def mc_mean_cost(
     return McReport(trials, mean, stderr)
 
 
-def _round_tables() -> tuple[np.ndarray, ...]:
-    """The evaluator's flat lookups, built from _ROUND_MASK.  On children
-    pattern p, round r reads round_mask[24p + r].  A hard-law node of
-    value b takes one draw u in [0, 720): u // 24 picks its children
-    pattern from the seed law, in thirtieths, and u % 24 picks its
-    round; hard_mask and hard_pat are indexed by 720b + u."""
-    round_mask = _ROUND_MASK.T.ravel()
-    u = np.arange(720)
-    hard_pat = _DRAW30[:, u // 24].ravel().astype(np.intp)
-    return round_mask, round_mask[24 * hard_pat + np.tile(u % 24, 2)], hard_pat
+# the evaluator's flat lookups, built from _ROUND_MASK.  On children
+# pattern p, round r reads _FLAT_ROUND_MASK[24p + r].  A hard-law node
+# of value b takes one draw u in [0, 720): u // 24 picks its children
+# pattern from the seed law, in thirtieths, and u % 24 picks its round;
+# _HARD_MASK and _HARD_PAT are indexed by 720b + u
+_FLAT_ROUND_MASK = _ROUND_MASK.T.ravel()
+_HARD_PAT = _DRAW30[:, np.arange(720) // 24].ravel().astype(np.intp)
+_HARD_MASK = _FLAT_ROUND_MASK[24 * _HARD_PAT + np.tile(np.arange(720) % 24, 2)]
 
 
 def _mc_chunk(
     h: int,
     count: int,
     rng: np.random.Generator,
-    tables: tuple[np.ndarray, ...],
     pats: Optional[list[np.ndarray]],
 ) -> tuple[int, int]:
     """(total reads, total squared reads) of count trials.
@@ -303,7 +299,6 @@ def _mc_chunk(
     if h == 0:
         # a leaf is read outright; sampling only fixes its value
         return count, count
-    round_mask, hard_mask, hard_pat = tables
     total = total_sq = 0
     for n in batch_sizes(h, count):
         trial = np.arange(n)
@@ -315,10 +310,10 @@ def _mc_chunk(
             if pats is None:
                 u = rng.integers(0, 720, size=trial.size, dtype=np.uint16)
                 key = 720 * val + u
-                mask, pat = hard_mask[key], hard_pat[key]
+                mask, pat = _HARD_MASK[key], _HARD_PAT[key]
             else:
                 r = rng.integers(0, 24, size=trial.size, dtype=np.uint8)
-                mask = round_mask[24 * pats[k - 1][node] + r]
+                mask = _FLAT_ROUND_MASK[24 * pats[k - 1][node] + r]
             if k > 1:
                 read = np.flatnonzero(_CHILD_WORD[mask].view(np.uint8))
                 parent, j = read >> 2, read & 3

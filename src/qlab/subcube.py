@@ -345,16 +345,15 @@ class Lattice:
     sums: Callable[[np.ndarray], np.ndarray]  # as lattice_sums on it
 
 
-def lattice(f: TruthTable, rows: Sequence[np.ndarray] = ()) -> Lattice:
+def lattice(f: TruthTable, rows: Sequence[np.ndarray] = (), which: Sequence[int] = ()) -> Lattice:
     """The lattice of a DP over f's subcubes that charges a query of
-    x_{i+1} the sum of ``rows[i]`` (one entry per input) over the
+    x_{i+1} the sum of ``rows[which[i]]`` (one entry per input) over the
     subcube: the class lattice when f and every row are block-symmetric
     and each block charges x_{4b+2..4b+4} by one row, else the full one."""
     if not (
         block_symmetric(f.values())
-        and all((rows[j] == rows[j + k]).all() for j in range(1, len(rows), 4) for k in (1, 2))
-        # a row that several variables share is tested once
-        and all(block_symmetric(row) for row in {id(row): row for row in rows}.values())
+        and all(which[j] == which[j + 1] == which[j + 2] for j in range(1, len(which), 4))
+        and all(block_symmetric(row) for row in rows)
     ):
         return Lattice(lattice_colors(f), _FULL_SWEEP, tuple, lattice_sums)
     m, width = f.n // 4, len(_CLASSES)

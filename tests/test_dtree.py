@@ -84,10 +84,10 @@ def brute_depth(f):
     return rec(0, 0)
 
 
-def brute_weighted(f, cost):
-    """Top-down minimum of the weighted zero-error charge."""
+def brute_weighted(f, rows):
+    """Top-down minimum of the weighted zero-error charge, querying
+    variable j on input x at the charge rows[j][x]."""
     n = f.n
-    rows = cost.rows
 
     @lru_cache(maxsize=None)
     def rec(mask, vals):
@@ -107,6 +107,11 @@ def brute_weighted(f, cost):
         return best
 
     return rec(0, 0)
+
+
+def fraction_rows(cost):
+    """The charge matrix's rows as Fractions, one per variable."""
+    return [[Fraction(c, cost.denom) for c in cost.rows[k]] for k in cost.which]
 
 
 def minority_read_probability():
@@ -318,7 +323,11 @@ def test_weighted_class_lattice_matches_the_full_lattice(monkeypatch, n, count):
         f = block_invariant_table(rng, n)
         if k % 2:
             rows = [block_invariant_law(rng, n) for _ in range(2 * (n // 4))]
-            cost = CostMatrix.from_lists(n, [rows[2 * (i // 4) + (i % 4 > 0)] for i in range(n)])
+            rows = [rows[2 * (i // 4) + (i % 4 > 0)] for i in range(n)]
+            if k % 4 == 3:
+                # equal rows given as separate lists are still one row
+                rows = [list(row) for row in rows]
+            cost = CostMatrix.from_lists(n, rows)
         else:
             cost = CostMatrix.uniform(block_invariant_law(rng, n))
         run = lambda: min_weighted_zero_error(f, cost, want_tree=True)
@@ -331,41 +340,50 @@ def test_weighted_class_lattice_matches_the_full_lattice(monkeypatch, n, count):
 
 def asymmetric_jk(rng):
     # the charge rows of x2..x4 differ
-    return fmaj(), jk_cost_matrices()[0]
+    return fmaj(), fraction_rows(jk_cost_matrices()[0])
 
 
 def asymmetric_law(rng):
     # a block-invariant law with one mass moved off the symmetry
     law = block_invariant_law(rng, 8)
     law[1 << 6] += 1  # x2 = 1 alone
-    return block_invariant_table(rng, 8), CostMatrix.uniform(law)
+    return block_invariant_table(rng, 8), [law] * 8
 
 
 def distinct_rows_in_a_block(rng):
     # each row block-invariant, but x3's differs from x2's and x4's
     shared, other = block_invariant_law(rng, 4), block_invariant_law(rng, 4)
     other[0] += 1
-    return fmaj(), CostMatrix.from_lists(4, [block_invariant_law(rng, 4), shared, other, shared])
+    return fmaj(), [block_invariant_law(rng, 4), shared, other, shared]
 
 
 @pytest.mark.parametrize("case", [asymmetric_jk, asymmetric_law, distinct_rows_in_a_block])
 def test_weighted_dp_without_the_symmetry_takes_the_full_lattice(monkeypatch, case):
-    f, cost = case(random.Random(43))
+    f, rows = case(random.Random(43))
+    cost = CostMatrix.from_lists(f.n, rows)
     assert subcube.block_symmetric(f.values())
     result, sizes = lattice_sizes(monkeypatch, lambda: min_weighted_zero_error(f, cost))
     assert sizes == [3**f.n] and result.states == 3**f.n
-    assert result.value == brute_weighted(f, cost)
+    assert result.value == brute_weighted(f, rows)
 
 
 def test_cost_matrix_uniform_and_scale():
     masses = d().dense()
     cu = CostMatrix.uniform(masses)
-    assert cu.n == 4
-    assert all(cu.rows[i][x] == masses[x] for i in range(4) for x in range(16))
-    # the masses are Fractions already, so each is kept, not wrapped again
-    assert all(c is m for c, m in zip(cu.rows[0], masses))
+    assert cu.n == 4 and len(cu.rows) == 1
+    assert fraction_rows(cu) == [masses] * 4
     with pytest.raises(ValueError, match="row 0 has a negative charge"):
         CostMatrix.uniform([Fraction(-1, 2), Fraction(3, 2)])
+    with pytest.raises(ValueError, match="distribution length must be a power of two"):
+        CostMatrix.uniform([Fraction(1, 3)] * 3)
+    # a bad row is named by the first variable it charges
+    good, negative = [Fraction(1, 4)] * 4, [Fraction(-1, 4)] * 4
+    with pytest.raises(ValueError, match="expected 2 rows"):
+        CostMatrix.from_lists(2, [good])
+    with pytest.raises(ValueError, match="row 1 has 3 entries"):
+        CostMatrix.from_lists(3, [good * 2, good[:3], good[:3]])
+    with pytest.raises(ValueError, match="row 1 has a negative charge"):
+        CostMatrix.from_lists(2, [good, negative])
 
 
 def test_tree_cost_uniform_is_expected_reads():
@@ -378,24 +396,15 @@ def test_tree_cost_uniform_is_expected_reads():
     assert tree_cost(HAND_TREE, cu) == want
 
 
-def replayed_tree_cost(tree, cost):
-    """The tree's total charge by running it on every input: queries
-    counted per input and distinct row, then one exact product each."""
-    rows = cost.distinct_rows()
-    which = [rows.index(row) for row in cost.rows]
-    counts = [[0] * (1 << cost.n) for _ in rows]
-    for idx in range(1 << cost.n):
-        _, queried = dt_eval(tree, index_to_bits(idx, cost.n))
-        for i in queried:
-            counts[which[i]][idx] += 1
-    denom = math.lcm(*(c.denominator for row in rows for c in row))
-    total = sum(
-        k * c.numerator * (denom // c.denominator)
-        for row, ks in zip(rows, counts)
-        for k, c in zip(ks, row)
-        if k
-    )
-    return Fraction(total, denom)
+def replayed_tree_cost(tree, rows):
+    """The tree's total charge by running it on every input and adding
+    rows[i][x] for each query of variable i on input x."""
+    n = len(rows)
+    total = Fraction(0)
+    for idx in range(1 << n):
+        _, queried = dt_eval(tree, index_to_bits(idx, n))
+        total += sum((rows[i][idx] for i in queried), Fraction(0))
+    return total
 
 
 def random_tree(rng, n, depth):
@@ -416,7 +425,7 @@ def test_tree_cost_matches_the_replay_on_every_input():
             if rng.random() < 0.5:
                 rows = [rows[0]] * n
             cost = CostMatrix.from_lists(n, rows)
-            assert tree_cost(tree, cost) == replayed_tree_cost(tree, cost)
+            assert tree_cost(tree, cost) == replayed_tree_cost(tree, rows)
 
 
 def test_min_weighted_matches_brute_force_two_vars():
@@ -428,7 +437,7 @@ def test_min_weighted_matches_brute_force_two_vars():
     for bits in range(16):
         f = TruthTable(2, bits)
         got = min_weighted_zero_error(f, cost).value
-        assert got == brute_weighted(f, cost), bits
+        assert got == brute_weighted(f, rows), bits
 
 
 @pytest.mark.parametrize(
@@ -451,14 +460,15 @@ def test_min_weighted_matches_brute_force_three_vars(monkeypatch, target, dtype)
     while math.gcd(scale, denom) > 1:
         scale -= 1
     assert target // 2 < 2 + scale * unit < target
-    cost = CostMatrix.from_lists(3, [[c * scale for c in row] for row in base])
+    rows = [[c * scale for c in row] for row in base]
+    cost = CostMatrix.from_lists(3, rows)
     dtypes = set()
     real = dtree._relax
     monkeypatch.setattr(dtree, "_relax", lambda val, *rest: (dtypes.add(val.dtype), real(val, *rest))[1])
     for bits in range(256):
         f = TruthTable(3, bits)
         result = min_weighted_zero_error(f, cost, want_tree=True)
-        assert result.value == brute_weighted(f, cost), bits
+        assert result.value == brute_weighted(f, rows), bits
         assert tree_computes(result.tree, f) and tree_cost(result.tree, cost) == result.value
     assert dtypes == {np.dtype(dtype)}
 
@@ -473,7 +483,7 @@ def test_min_weighted_witness_replays():
 
 def test_delta0_under_hard_distribution():
     value = delta0(fmaj(), d().dense())
-    assert value == brute_weighted(fmaj(), CostMatrix.uniform(d().dense()))
+    assert value == brute_weighted(fmaj(), [d().dense()] * 4)
     # regression constant, pinned after the cross-check above
     assert value == Fraction(16, 5)
 
@@ -501,7 +511,7 @@ def test_delta0_validates_distribution():
     bad[0] = Fraction(-1, 8)
     with pytest.raises(ValueError):
         delta0(fmaj(), bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="distribution does not sum to 1"):
         delta0(fmaj(), [Fraction(1, 32)] * 16)
 
 
@@ -517,8 +527,8 @@ def test_min_weighted_uniform_law_at_nine_vars():
 
 
 def test_min_weighted_refuses_unequal_rows_above_eight_vars(monkeypatch):
-    row = (Fraction(1, 512),) * 512
-    cost = CostMatrix(9, ((Fraction(0),) + row[1:],) + (row,) * 8)
+    row = [Fraction(1, 512)] * 512
+    cost = CostMatrix.from_lists(9, [[Fraction(0)] + row[1:]] + [row] * 8)
 
     def unreachable(*args):
         raise AssertionError("refusal came after a lattice was built")
@@ -560,8 +570,8 @@ def test_charge_decomposition_identity_per_tree():
     # per-leaf charge, and a one-fifth echo of the first leaf's own charge
     cj, ck = jk_cost_matrices()
     cu = CostMatrix.uniform(d().dense())
-    zero = tuple(Fraction(0) for _ in range(16))
-    e11 = CostMatrix(4, (cj.rows[0], zero, zero, zero))
+    zero = [Fraction(0)] * 16
+    e11 = CostMatrix.from_lists(4, [fraction_rows(cj)[0], zero, zero, zero])
     trees = [
         HAND_TREE,
         min_weighted_zero_error(fmaj(), cu, want_tree=True).tree,
@@ -581,9 +591,9 @@ def test_j_and_k_values():
     cj, ck = jk_cost_matrices()
     j10, k11, j11 = jk_values()
     assert j11 == delta0(fmaj(), d().dense()) == Fraction(16, 5)
-    assert j10 == brute_weighted(fmaj(), cj)
+    assert j10 == brute_weighted(fmaj(), fraction_rows(cj))
     assert j10 == Fraction(13, 6)
-    assert k11 == brute_weighted(fmaj(), ck)
+    assert k11 == brute_weighted(fmaj(), fraction_rows(ck))
     # the cross-charge minimum sits strictly below 3: early-stopping
     # zero-error trees shed charge that full-read trees must pay
     assert k11 == Fraction(53, 20)

@@ -402,6 +402,11 @@ def test_minority_level1_counts_match_marginals():
     assert (np.abs(counts / n - expect) < 4 * sigma).all(), counts
 
 
+def charge(cost, i, x):
+    """The charge of querying x_{i+1} on input x, as a Fraction."""
+    return Fraction(cost.rows[cost.which[i]][x], cost.denom)
+
+
 def test_charge_matrix_shapes_and_row_sums():
     cj, ck = jk_cost_matrices()
     assert cj.n == 4 and ck.n == 4
@@ -409,7 +414,7 @@ def test_charge_matrix_shapes_and_row_sums():
     marg = minority_marginals_exact()
     # each diagonal charge row integrates to one by construction
     for i in range(4):
-        assert sum(cj.rows[i], Fraction(0)) == 1
+        assert sum((charge(cj, i, x) for x in range(16)), Fraction(0)) == 1
     # independent transcription of both matrix definitions
     prob = [[Fraction(0)] * 16 for _ in range(4)]
     for idx in dd.support():
@@ -424,20 +429,20 @@ def test_charge_matrix_shapes_and_row_sums():
                 coeff[i][j] = Fraction(1, 5)
     for i in range(4):
         for x in range(16):
-            assert cj.rows[i][x] == dd.mass(x) * prob[i][x] / marg[i]
+            assert charge(cj, i, x) == dd.mass(x) * prob[i][x] / marg[i]
             want = sum(
                 (coeff[i][j] * dd.mass(x) * prob[j][x] / marg[j] for j in range(4)),
                 Fraction(0),
             )
-            assert ck.rows[i][x] == want
+            assert charge(ck, i, x) == want
 
 
 def test_cross_charge_skips_first_leaf_condition():
     # charges against leaf 1 never price leaf 1's own read
     _, ck = jk_cost_matrices()
     # on the input whose sole dissenter is leaf 1, row 1 collects nothing
-    assert ck.rows[0][bits_to_index("1000")] == 0
-    assert ck.rows[0][bits_to_index("0111")] == 0
+    assert charge(ck, 0, bits_to_index("1000")) == 0
+    assert charge(ck, 0, bits_to_index("0111")) == 0
 
 
 def test_dist_text_round_trip(tmp_path):
