@@ -7,14 +7,16 @@ through x must reach 1 - eps while all weights through x sum to exactly
 the public-coin variant collapses to the cheapest single labeled
 partition, which the exhaustive weight search already finds.
 
-The solver is a two-phase revised simplex in exact integers.  It keeps
-the inverse of the basis matrix B fraction-free (Bareiss) and updates
-it by one eta column per pivot, reads the vertex B^-1 b, the dual
-c_B B^-1 and every reduced cost off it exactly, and pivots by Bland's
-rule, which cannot cycle in exact arithmetic.  Each optimum is
-re-checked before it is returned: primal feasibility, dual feasibility
-and equal objectives.  The dual is Jain and Klauck's lower-bound
-witness (CCC 2010).
+The solver is a two-phase revised simplex in exact integers over one
+sparse standard form: each column of the rows scaled to integers by the
+lcm of its denominators, then a +-1 unit column per slack and per
+artificial.  It keeps the inverse of the basis matrix B fraction-free
+(Bareiss) and updates it by one eta column per pivot, reads the vertex
+B^-1 b, the dual c_B B^-1 and every reduced cost off it exactly, and
+pivots by Bland's rule, which cannot cycle in exact arithmetic.  Each
+optimum is re-checked before it is returned: primal feasibility, dual
+feasibility and equal objectives.  The dual is Jain and Klauck's
+lower-bound witness (CCC 2010).
 """
 
 from __future__ import annotations
@@ -133,24 +135,10 @@ class LPSolution:
 # ---------------------------------------------------------------------------
 # the exact simplex
 
-def _standard_form(lp: RationalLP) -> tuple[np.ndarray, list[int]]:
-    """lp as [A | S | R] z == rhs: a slack column for each inequality (+1
-    on a <= row, -1 on a >= row), then an artificial column, signed like
-    the rhs, for each row whose slack cannot start feasible.  Returns the
-    object matrix and the starting basis: each row's artificial, or else
-    its slack."""
-    m, n = lp.num_constraints, lp.num_vars
-    signs = [-1 if b < 0 else 1 for b in lp.rhs]
-    slacks = [i for i in range(m) if lp.senses[i] != "=="]
-    arts = [i for i in range(m) if lp.senses[i] != ("<=" if signs[i] > 0 else ">=")]
-    a = np.zeros((m, n + len(slacks) + len(arts)), dtype=object)
-    a[:, :n] = np.array(lp.rows, dtype=object).reshape(m, n)
-    basis = [0] * m
-    for col, i in enumerate(slacks, n):
-        a[i, col], basis[i] = (1 if lp.senses[i] == "<=" else -1), col
-    for col, i in enumerate(arts, n + len(slacks)):
-        a[i, col], basis[i] = signs[i], col
-    return a, basis
+def _over_lcm(values: Sequence[Fraction | int]) -> tuple[int, list[int]]:
+    """The lcm d of the values' denominators, and the values times d."""
+    d = math.lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 def _eta(inv: np.ndarray, det: int, g: np.ndarray, r: int) -> int:
@@ -172,53 +160,67 @@ def _eta(inv: np.ndarray, det: int, g: np.ndarray, r: int) -> int:
 
 
 class _Basis:
-    """A basis of lp's standard form a z == b, basic[k] the column of row
-    k, with B^-1 = diag(t) inv / det: inv and det are those of B with
-    column k times t[k].  Column j is kept as cols[j] = (s, rows, ints):
-    s the lcm of its denominators, and s times its nonzeros, in rows.
-    So x_B[k] = t[k] xb[k] / (det den) for xb = inv @ b, b the rhs times
-    den, and the dual is y = yb / det for yb = (c_B t) @ inv."""
+    """A basis of lp's standard form A' z == b, basic[k] the column of
+    row k, with B^-1 = inv / det.  Column j is kept as its nonzero rows
+    and their integers, cols[j] = (rows, ints): first each column of A
+    times scale[j], the lcm of its denominators, so z_j = x_j / scale[j];
+    then a +-1 unit column for each inequality's slack (+1 on a <= row),
+    then one for each row whose slack cannot start feasible, an
+    artificial signed like the rhs.  Each row starts on its last unit
+    column.  b is the rhs times den and cost the objective of z times
+    cden, so z_B = xb / (det den) for xb = inv @ b, and the dual is
+    y = yb / (cden det) for yb = cost_B @ inv."""
 
-    def __init__(self, lp: RationalLP, a: np.ndarray, basic: list[int]) -> None:
-        self.cols = []
-        for j in range(a.shape[1]):
-            rows = np.flatnonzero(a[:, j]).tolist()
-            s = math.lcm(*(v.denominator for v in a[rows, j].tolist()))
-            self.cols.append((s, rows, np.array([int(v * s) for v in a[rows, j]], dtype=object)))
-        self.den = math.lcm(*(v.denominator for v in lp.rhs))
-        self.b = np.array([v.numerator * (self.den // v.denominator) for v in lp.rhs], dtype=object)
+    def __init__(self, lp: RationalLP) -> None:
+        m = lp.num_constraints
+        self.scale, self.cols = [], []
+        for j in range(lp.num_vars):
+            rows = [i for i in range(m) if lp.rows[i][j]]
+            s, ints = _over_lcm([lp.rows[i][j] for i in rows])
+            self.scale.append(s)
+            self.cols.append((rows, np.array(ints, dtype=object)))
+        signs = [-1 if b < 0 else 1 for b in lp.rhs]
+        slacks = [(i, 1 if lp.senses[i] == "<=" else -1) for i in range(m) if lp.senses[i] != "=="]
+        arts = [(i, signs[i]) for i in range(m) if lp.senses[i] != ("<=" if signs[i] > 0 else ">=")]
+        self.art_start = lp.num_vars + len(slacks)
         # the starting columns are +-1 unit vectors, each its own inverse
-        self.basic, self.t, self.det, self.pivots = basic, [1] * len(basic), 1, 0
-        self.inv = np.diag([a[k, j] for k, j in enumerate(basic)]).astype(object)
+        self.basic, diagonal = [0] * m, [0] * m
+        for j, (i, v) in enumerate(slacks + arts, lp.num_vars):
+            self.cols.append(([i], np.array([v], dtype=object)))
+            self.basic[i], diagonal[i] = j, v
+        self.inv, self.det, self.pivots = np.diag(diagonal).astype(object), 1, 0
+        self.den, b = _over_lcm(lp.rhs)
+        self.b = np.array(b, dtype=object)
+        self.cden, cost = _over_lcm(lp.objective)
+        self.cost = [c * s for c, s in zip(cost, self.scale)] + [0] * (len(slacks) + len(arts))
 
     def image(self, j: int) -> np.ndarray:
-        """inv @ (s times column j): row k of B^-1 a_j has its sign."""
-        _, rows, ints = self.cols[j]
+        """inv @ column j: row k of B^-1 a_j has its sign."""
+        rows, ints = self.cols[j]
         return self.inv[:, rows] @ ints
 
-    def prices(self, cost: Sequence[Fraction | int]) -> list[Fraction | int]:
+    def prices(self, cost: Sequence[int]) -> list[int]:
         """yb, the dual of cost times det."""
-        cb = np.array([cost[j] * t for j, t in zip(self.basic, self.t)], dtype=object)
-        return (cb @ self.inv).tolist()
+        return (np.array([cost[j] for j in self.basic], dtype=object) @ self.inv).tolist()
 
     def pivot(self, r: int, j: int, g: np.ndarray) -> None:
         self.det = _eta(self.inv, self.det, g, r)
-        self.basic[r], self.t[r] = j, self.cols[j][0]
+        self.basic[r] = j
         self.pivots += 1
 
-    def minimize(self, cost: Sequence[Fraction | int], allowed: int) -> bool:
+    def minimize(self, cost: Sequence[int], allowed: int) -> bool:
         """Pivot by Bland's rule, which cannot cycle in exact arithmetic,
         until no column below allowed has a negative reduced cost; False
         if the entering column proves the cost unbounded.  The lowest
-        such column enters, priced as det s c_j - yb . (s a_j) over its
+        such column enters, priced as det c_j - yb . a_j over its
         nonzeros, and ratio-test ties leave by the lowest basic column."""
         while True:
             yb = self.prices(cost)
             j = next(
                 (
                     j
-                    for j, (s, rows, ints) in enumerate(self.cols[:allowed])
-                    if self.det * s * cost[j] < sum(yb[i] * v for i, v in zip(rows, ints))
+                    for j, (rows, ints) in enumerate(self.cols[:allowed])
+                    if self.det * cost[j] < sum(yb[i] * v for i, v in zip(rows, ints))
                 ),
                 None,
             )
@@ -237,27 +239,23 @@ def solve_exact(lp: RationalLP) -> LPSolution:
     out on the lowest other column nonzero in its row; phase 2 bars them
     from entering.  ``pivots`` counts the pivots of both phases.  An
     optimum is returned only once its primal and dual pass violation."""
-    a, basic = _standard_form(lp)
-    m, ncols = a.shape
-    art_start = lp.num_vars + sum(s != "==" for s in lp.senses)
-    basis = _Basis(lp, a, basic)
+    basis = _Basis(lp)
+    ncols, art_start = len(basis.cols), basis.art_start
     if art_start < ncols:
         basis.minimize([0] * art_start + [1] * (ncols - art_start), ncols)
         xb = basis.inv @ basis.b
         if any(v > 0 for j, v in zip(basis.basic, xb) if j >= art_start):
             return LPSolution("infeasible", None, None, None, basis.pivots)
-        for r in range(m):
-            if basis.basic[r] >= art_start:
+        for r, basic in enumerate(basis.basic):
+            if basic >= art_start:
                 j = next((j for j in range(art_start) if basis.image(j)[r]), None)
                 if j is not None:
                     basis.pivot(r, j, basis.image(j))
-    cost = list(lp.objective) + [0] * (ncols - lp.num_vars)
-    if not basis.minimize(cost, art_start):
+    if not basis.minimize(basis.cost, art_start):
         return LPSolution("unbounded", None, None, None, basis.pivots)
-    xb, det = basis.inv @ basis.b, basis.det
-    z = {j: Fraction(t * v, det * basis.den) for j, t, v in zip(basis.basic, basis.t, xb)}
-    x = tuple(z.get(j, Fraction(0)) for j in range(lp.num_vars))
-    y = tuple(Fraction(v, det) for v in basis.prices(cost))
+    z, det = dict(zip(basis.basic, basis.inv @ basis.b)), basis.det
+    x = tuple(Fraction(s * z.get(j, 0), det * basis.den) for j, s in enumerate(basis.scale))
+    y = tuple(Fraction(v, basis.cden * det) for v in basis.prices(basis.cost))
     solution = LPSolution("optimal", _dot(lp.objective, x), x, y, basis.pivots)
     problem = solution.violation(lp)
     if problem is not None:

@@ -42,6 +42,9 @@ def test_simplex_single_variable():
     assert sol.value == 3
     assert sol.assignment == (F(3),)
     assert sol.dual == (F(1),)
+    # with no rows the variable still has its column, and rests at 0
+    sol = solve_exact(lp([1], [], [], []))
+    assert (sol.status, sol.value, sol.assignment, sol.dual) == ("optimal", 0, (F(0),), ())
 
 
 def test_simplex_small_mix():
@@ -83,6 +86,7 @@ def test_simplex_detects_infeasible():
 def test_simplex_detects_unbounded():
     sol = solve_exact(lp([-1], [[1]], [">="], [0]))
     assert sol.status == "unbounded"
+    assert solve_exact(lp([-1], [], [], [])).status == "unbounded"
 
 
 def test_simplex_degenerate_cycle_guard():
@@ -402,15 +406,24 @@ def assert_matches_highs(problem, rel=1e-9):
     assert sol.status == status
     if sol.status == "optimal":
         assert float(sol.value) == pytest.approx(value, rel=rel, abs=1e-9)
-    return sol.status
+    return sol
 
 
-@pytest.mark.parametrize("eps", [F(0), F(1, 3), F(1, 7)])
+# the pivots by Bland's rule summed over the 256 relaxations with n <= 3,
+# which pins the simplex's path through every one of them
+SMALL_FUNCTION_PIVOTS = {F(0): 12456, F(1, 3): 12303, F(1, 7): 11487}
+
+
+@pytest.mark.parametrize("eps", list(SMALL_FUNCTION_PIVOTS))
 def test_relaxation_matches_highs_on_every_small_function(eps):
+    pivots = 0
     for n in (1, 2, 3):
         for values in itertools.product((0, 1), repeat=1 << n):
             table = TruthTable.from_values(n, list(values))
-            assert assert_matches_highs(build_prt_lp(table, eps)) == "optimal"
+            sol = assert_matches_highs(build_prt_lp(table, eps))
+            assert sol.status == "optimal"
+            pivots += sol.pivots
+    assert pivots == SMALL_FUNCTION_PIVOTS[eps]
 
 
 # eps close to 0 or 1/2, where the optimum at that end is a vertex whose
@@ -434,28 +447,42 @@ def test_gadget_certifies_near_the_ends_of_eps(eps, tmp_path, capsys):
 def test_relaxation_matches_highs_near_the_ends_of_eps(eps):
     for bits in range(7, 256, 16):
         problem = build_prt_lp(TruthTable(3, bits), eps)
-        assert assert_matches_highs(problem, rel=1e-6) == "optimal"
+        assert assert_matches_highs(problem, rel=1e-6).status == "optimal"
 
 
 def test_relaxation_matches_highs_on_sampled_four_variable_functions():
     rng = random.Random(14)
     for _ in range(20):
         table = TruthTable.from_values(4, [rng.randrange(2) for _ in range(16)])
-        assert assert_matches_highs(build_prt_lp(table, F(rng.randrange(50), 100))) == "optimal"
+        sol = assert_matches_highs(build_prt_lp(table, F(rng.randrange(50), 100)))
+        assert sol.status == "optimal"
 
 
-def test_solver_matches_highs_on_random_programs():
-    # 1 to 5 rows and columns with small integer entries and mixed
-    # senses, among them degenerate vertices and redundant rows
+def fraction(rng):
+    return F(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6)))
+
+
+# (objective entry, row and rhs entry): small integers, or fractions
+# whose columns, rhs and objective the simplex scales to integers
+RANDOM_DRAWS = {
+    "integer": (lambda rng: rng.randint(-1, 3), lambda rng: rng.randint(-3, 3)),
+    "fractional": (fraction, fraction),
+}
+
+
+@pytest.mark.parametrize("cost, entry", list(RANDOM_DRAWS.values()), ids=list(RANDOM_DRAWS))
+def test_solver_matches_highs_on_random_programs(cost, entry):
+    # 1 to 5 rows and columns with mixed senses, among them degenerate
+    # vertices and redundant rows
     rng = random.Random(2007)
     seen = collections.Counter()
     for _ in range(300):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         problem = lp(
-            [rng.randint(-1, 3) for _ in range(n)],
-            [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)],
+            [cost(rng) for _ in range(n)],
+            [[entry(rng) for _ in range(n)] for _ in range(m)],
             [rng.choice(("<=", ">=", "==")) for _ in range(m)],
-            [rng.randint(-3, 3) for _ in range(m)],
+            [entry(rng) for _ in range(m)],
         )
-        seen[assert_matches_highs(problem)] += 1
+        seen[assert_matches_highs(problem).status] += 1
     assert min(seen[s] for s in HIGHS_STATUS.values()) >= 30
