@@ -21,11 +21,12 @@ The round's coins amount to 24 equally likely rounds, six of branch 0
 and eighteen of branch 1, each order equally often.  One table of those
 rounds, built once from ``lv_run``, holds what each reads and outputs,
 so ``lv_check_correct`` judges zero error on the whole table.  The
-level-by-level Monte Carlo evaluator reads it directly.  The three
-exact recursions (per input, under the hard law, and over the worst
-inputs) share one integer moment step over its read counts.  On a fixed
-input the evaluator and the recursion take the nodes' children
-patterns from ``boolfn.level_patterns``.
+level-by-level Monte Carlo evaluator reads it as boolean read flags
+that name each next frontier, in one growing workspace per worker.
+The three exact recursions (per input, under the hard law, and over
+the worst inputs) share one integer moment step over its read counts.
+On a fixed input the evaluator and the recursion take the nodes'
+children patterns from ``boolfn.level_patterns``.
 
 The embedding of one instance inside a neighborhood is one table too:
 its 360 equally likely outcomes, each a placement slot and a children
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -249,38 +250,67 @@ def mc_mean_cost(
     """Monte Carlo mean leaf reads: on a fixed input x, or under the
     height-h hard distribution when x is None.  The trial budget is
     split over 64 fixed substreams, so results do not depend on the
-    thread count."""
+    thread count: worker w of W = min(threads, substreams) runs
+    substreams w, w + W, ... in one workspace of its own."""
     if not 0 <= h <= MAX_MC_HEIGHT:
         raise ValueError(f"Monte Carlo supports 0 <= h <= {MAX_MC_HEIGHT}")
     if trials < 1:
         raise ValueError("need at least one trial")
-    # intp, since 24 * pattern would wrap in uint8
-    pats = None if x is None else [p.astype(np.intp) for p in level_patterns(tree_bits(h, x), h)]
+    # 24 times each node's pattern, to which a round draw adds
+    pats = None if x is None else [np.uint16(24) * p for p in level_patterns(tree_bits(h, x), h)]
     chunks = min(64, trials)
-    streams = rng.spawn(chunks)
     sizes = [trials // chunks + (1 if i < trials % chunks else 0) for i in range(chunks)]
+    jobs = list(zip(sizes, rng.spawn(chunks)))
+    workers = min(threads, chunks)
+    results: list = [None] * workers
 
-    def work(sub: np.random.Generator, count: int) -> tuple[int, int]:
-        return _mc_chunk(h, count, sub, pats)
+    def work(w: int) -> None:
+        ws: dict = {}
+        try:
+            results[w] = [_mc_chunk(h, n, sub, pats, ws) for n, sub in jobs[w::workers]]
+        except BaseException as exc:  # raised again in the calling thread
+            results[w] = exc
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(work, streams, sizes))
-    total = sum(r[0] for r in results)
-    total_sq = sum(r[1] for r in results)
+    # worker 0 runs in the calling thread, so one worker starts no thread
+    helpers = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    for helper in helpers:
+        helper.start()
+    work(0)
+    for helper in helpers:
+        helper.join()
+    for r in results:
+        if isinstance(r, BaseException):
+            raise r
+    total, total_sq = map(sum, zip(*itertools.chain(*results)))
     mean = Fraction(total, trials)
     var = float(Fraction(total_sq, trials) - mean * mean)
     stderr = (var / trials) ** 0.5
     return McReport(trials, mean, stderr)
 
 
-# the evaluator's flat lookups, built from _ROUND_MASK.  On children
-# pattern p, round r reads _FLAT_ROUND_MASK[24p + r].  A hard-law node
-# of value b takes one draw u in [0, 720): u // 24 picks its children
-# pattern from the seed law, in thirtieths, and u % 24 picks its round;
-# _HARD_MASK and _HARD_PAT are indexed by 720b + u
+# the evaluator's flat lookups, indexed by a node's key: 24p + r for a
+# node of children pattern p drawing round r on a fixed input; 720b + u
+# for a hard-law node of value b drawing u in [0, 720), whose pattern is
+# the seed law's at u // 24, in thirtieths, and whose round is u % 24.
+# The key's round reads the children whose bytes are set in its _FLAGS
+# word, _POPC of them; _HARD_KIDS holds its children's keys less their
+# draws, 720 times their values, as four uint16 in one word
 _FLAT_ROUND_MASK = _ROUND_MASK.T.ravel()
 _HARD_PAT = _DRAW30[:, np.arange(720) // 24].ravel().astype(np.intp)
 _HARD_MASK = _FLAT_ROUND_MASK[24 * _HARD_PAT + np.tile(np.arange(720) % 24, 2)]
+_ROUND_FLAGS, _HARD_FLAGS = _CHILD_WORD[_FLAT_ROUND_MASK], _CHILD_WORD[_HARD_MASK]
+_ROUND_POPC, _HARD_POPC = (_POPC[m].astype(np.int32) for m in (_FLAT_ROUND_MASK, _HARD_MASK))
+_HARD_KIDS = (720 * _CHILD_BITS[_HARD_PAT].astype(np.uint16)).view(np.uint64).ravel()
+_SLOTS = np.arange(4, dtype=np.int32)
+
+
+def _buffer(ws: dict, name: object, size: int, dtype: np.dtype | type) -> np.ndarray:
+    """The first size entries of workspace buffer name, which grows to
+    size if shorter, freeing the old buffer before allocating."""
+    if name not in ws or ws[name].size < size:
+        ws.pop(name, None)
+        ws[name] = np.empty(size, dtype)
+    return ws[name][:size]
 
 
 def _mc_chunk(
@@ -288,43 +318,57 @@ def _mc_chunk(
     count: int,
     rng: np.random.Generator,
     pats: Optional[list[np.ndarray]],
+    ws: dict,
 ) -> tuple[int, int]:
-    """(total reads, total squared reads) of count trials.
-    Trials run in batches, one tree level at a time: the frontier holds
-    each node read with its trial and its value (hard law) or its index
-    (fixed input), and its round's reads name the next frontier.  Leaves
-    are only counted.  Batches come from batch_sizes, whose 2**20 // 4**h
-    trials keep every frontier within 2**18 nodes up to height 10,
-    before any is drawn."""
+    """(total reads, total squared reads) of count trials, in batches,
+    one tree level at a time.  The frontier holds each node read,
+    trial-major and slot-minor, as its key (hard law) or int32 index
+    (fixed input); one compress of its children through its rounds'
+    (m, 4) boolean read flags is the next.  Each trial's reads are the
+    leaf counts scattered back up through every level's flags.  The
+    arrays live in workspace ws and grow only to the largest frontier,
+    which batch_sizes keeps within 2**18 nodes up to height 10.  No index
+    is out of range, so take runs in clip mode, straight to its output."""
     if h == 0:
         # a leaf is read outright; sampling only fixes its value
         return count, count
+    hard = pats is None
+    flags, popc = (_HARD_FLAGS, _HARD_POPC) if hard else (_ROUND_FLAGS, _ROUND_POPC)
     total = total_sq = 0
     for n in batch_sizes(h, count):
-        trial = np.arange(n)
-        if pats is None:
-            val = rng.integers(0, 2, size=n)
-        else:
-            node = np.zeros(n, dtype=np.intp)
+        m, reads = n, []
+        # a root's key is 720 times its value; on a fixed input it is node 0
+        front = _buffer(ws, "front", n, np.uint16 if hard else np.int32)
+        np.multiply(rng.integers(0, 2, size=n) if hard else 0, 720, out=front, casting="unsafe")
         for k in range(h, 0, -1):
-            if pats is None:
-                u = rng.integers(0, 720, size=trial.size, dtype=np.uint16)
-                key = 720 * val + u
-                mask, pat = _HARD_MASK[key], _HARD_PAT[key]
+            if hard:
+                key = front
+                key += rng.integers(0, 720, size=m, dtype=np.uint16)
             else:
-                r = rng.integers(0, 24, size=trial.size, dtype=np.uint8)
-                mask = _FLAT_ROUND_MASK[24 * pats[k - 1][node] + r]
-            if k > 1:
-                read = np.flatnonzero(_CHILD_WORD[mask].view(np.uint8))
-                parent, j = read >> 2, read & 3
-                trial = trial[parent]
-                if pats is None:
-                    val = pat[parent] >> (3 - j) & 1
-                else:
-                    node = 4 * node[parent] + j
-        cost = np.bincount(trial, weights=_POPC[mask], minlength=n).astype(np.int64)
-        total += int(cost.sum())
-        total_sq += int((cost * cost).sum())
+                key = pats[k - 1].take(front, out=_buffer(ws, "key", m, np.uint16), mode="clip")
+                key += rng.integers(0, 24, size=m, dtype=np.uint8)
+            if k == 1:
+                break
+            read = flags.take(key, out=_buffer(ws, k, m, np.uint32), mode="clip").view(bool)
+            reads.append(read)
+            if hard:
+                kids = _HARD_KIDS.take(key, out=_buffer(ws, "kids", m, np.uint64), mode="clip")
+                kids = kids.view(np.uint16)
+            else:
+                front *= 4
+                kids = _buffer(ws, "kids", 4 * m, np.int32)
+                np.add(front[:, None], _SLOTS, out=kids.reshape(m, 4))
+            m = int(np.count_nonzero(read))
+            front = kids.compress(read, out=_buffer(ws, "front", m, kids.dtype))
+        cost = popc.take(key, out=_buffer(ws, "cost", m, np.int32), mode="clip")
+        for read in reversed(reads):
+            up = _buffer(ws, "up", read.size, np.int32)
+            up.fill(0)
+            up[read] = cost
+            cost = np.add.reduce(up.reshape(-1, 4), axis=1, out=cost[: read.size // 4])
+        sq = np.multiply(cost, cost, out=_buffer(ws, "sq", n, np.int64), dtype=np.int64)
+        total += int(np.add.reduce(cost, dtype=np.int64))
+        total_sq += int(np.add.reduce(sq))
     return total, total_sq
 
 

@@ -512,9 +512,10 @@ def test_bound_prt_failed_certificate_exits_one(tmp_path, capsys, monkeypatch):
     assert "value" not in got and "dual-value" not in got
 
 
-def probe_scipy(*argvs):
+def probe_imports(*argvs):
     # runs each argv through qlab.cli.main in a fresh interpreter, then
-    # lists the scipy modules that process loaded
+    # lists the scipy modules that process loaded and says whether it
+    # loaded concurrent.futures
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = (
@@ -522,6 +523,7 @@ def probe_scipy(*argvs):
         "code = 0\n"
         + "".join(f"code |= qlab.cli.main({list(argv)!r})\n" for argv in argvs)
         + "print('scipy:', sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "print('concurrent.futures:', 'concurrent.futures' in sys.modules)\n"
         "sys.exit(code)"
     )
     out = subprocess.run(
@@ -533,7 +535,7 @@ def probe_scipy(*argvs):
 def test_import_loads_no_scipy():
     # scipy is a test dependency only: importing the CLI and running both
     # chi-square audits must load none of it
-    got = probe_scipy(
+    got = probe_imports(
         ["dist", "sample", "--height", "2", "--trials", "100"],
         ["simulate", "embed", "--level", "2", "--trials", "100"],
     )
@@ -544,10 +546,21 @@ def test_bound_prt_loads_no_scipy(tmp_path):
     # the LP is solved in-package, so `bound prt` pays no scipy import
     table = tmp_path / "fmaj.tt"
     save_table(fmaj(), table)
-    got = probe_scipy(["bound", "prt", "--table", str(table), "--eps", "1/3"])
+    got = probe_imports(["bound", "prt", "--table", str(table), "--eps", "1/3"])
     assert got["value"] == got["dual-value"] == "14/1"
     assert got["certificate"] == "pass"
     assert got["scipy"] == "[]"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_simulate_loads_no_executor(threads):
+    # Monte Carlo workers are plain threads, the first the calling one, so
+    # no run imports concurrent.futures, nor the logging it pulls in
+    got = probe_imports(
+        ["simulate", "r0", "--height", "1", "--trials", "10", "--threads", threads]
+    )
+    assert got["zero-error"] == "pass"
+    assert got["concurrent.futures"] == "False"
 
 
 def test_simulate_commands(capsys):
@@ -832,8 +845,10 @@ def test_huge_height_is_refused_without_building_its_power(capsys, argv):
         (2, lambda n: harddist.minority_level1_counts(n, np.random.default_rng(0))),
         (1, lambda n: randalg.embed_check(1, n, np.random.default_rng(0))),
         (2, lambda n: randalg.embed_check(2, n, np.random.default_rng(0))),
+        # a batch on each of the 64 substreams
+        (8, lambda n: randalg.mc_mean_cost(8, 64 * n, np.random.default_rng(0))),
     ],
-    ids=["dist-sample-h2", "minority", "embed-l1", "embed-l2"],
+    ids=["dist-sample-h2", "minority", "embed-l1", "embed-l2", "mc-h8"],
 )
 def test_sampler_peak_stays_at_one_batch(capsys, h, sample):
     # trials run in batches of 2**20 // 4**h, so four batches' worth
@@ -854,6 +869,21 @@ def test_sampler_peak_stays_at_one_batch(capsys, h, sample):
     one, four = peak(batch), peak(4 * batch)
     capsys.readouterr()
     assert four <= 1.25 * one, (one, four)
+
+
+def test_mc_workspace_grows_only_to_the_frontiers_drawn():
+    # one height-12 trial may read 4**11 level-1 nodes, but the
+    # evaluator's workspace grows only to the frontiers it draws: one
+    # sized up front for the worst case peaks past 200 MiB here
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        randalg.mc_mean_cost(12, 1, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
 
 
 def test_partition_compose_past_sixteen_variables_exits_two(tmp_path, capsys):

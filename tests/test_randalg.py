@@ -11,6 +11,7 @@ import hashlib
 import importlib.util
 import itertools
 import os
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -374,6 +375,21 @@ def test_mc_mean_determinism_and_threads():
     assert mc_mean_cost(4, 1500, np.random.default_rng(22), threads=2) == deep
 
 
+def test_mc_worker_errors_reach_the_caller(monkeypatch):
+    # a failure in a helper thread is raised again in the calling thread
+    chunk = randalg._mc_chunk
+
+    def fail_off_the_main_thread(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("helper")
+        return chunk(*args)
+
+    monkeypatch.setattr(randalg, "_mc_chunk", fail_off_the_main_thread)
+    assert mc_mean_cost(2, 100, np.random.default_rng(0)).trials == 100
+    with pytest.raises(MemoryError, match="helper"):
+        mc_mean_cost(2, 100, np.random.default_rng(0), threads=2)
+
+
 def test_mc_mean_tracks_exact_height_one():
     rep = mc_mean_cost(1, 200_000, np.random.default_rng(8))
     exact = float(Fraction(97, 30))
@@ -397,6 +413,28 @@ def test_mc_batches_are_seed_deterministic():
     first = mc_mean_cost(9, 520, np.random.default_rng(23))
     assert mc_mean_cost(9, 520, np.random.default_rng(23)) == first
     assert abs(float(first.mean - Fraction(97, 30) ** 9)) < 4 * first.stderr
+
+
+# whole reports of mc_mean_cost(h, trials, default_rng(seed), x=x,
+# threads=threads): a change to the draws, their sizes or the frontier's
+# order shows here
+MC_REPORTS = [
+    (1, 100_000, None, 1, 1, "12927/4000", 0.0017202381739166237),
+    (2, 100_000, None, 1, 2, "209103/20000", 0.0063490065974922405),
+    (2, 100_000, None, 2, 2, "209103/20000", 0.0063490065974922405),
+    (2, 100_000, "0111100010001000", 2, 3, "527819/50000", 0.005083444988981389),
+    (3, 5000, recursive_exact_worst(3)[1], 1, 4, "86157/2500", 0.10193627044384153),
+    (8, 24, None, 1, 5, "72977/6", 620.5172032563135),
+    (9, 520, None, 1, 23, "20212271/520", 346.26721353511306),
+    # more threads than substreams
+    (2, 3, None, 8, 6, "35/3", 0.7200822998230956),
+]
+
+
+@pytest.mark.parametrize("h, trials, x, threads, seed, mean, stderr", MC_REPORTS)
+def test_mc_reports_are_pinned(h, trials, x, threads, seed, mean, stderr):
+    rep = mc_mean_cost(h, trials, np.random.default_rng(seed), x=x, threads=threads)
+    assert rep == randalg.McReport(trials, Fraction(mean), stderr)
 
 
 @pytest.mark.parametrize("h, trials", [(3, 5000), (4, 1500), (5, 500), (6, 150)])
