@@ -21,8 +21,9 @@ The round's coins amount to 24 equally likely rounds, six of branch 0
 and eighteen of branch 1, each order equally often.  One table of those
 rounds, built once from ``lv_run``, holds what each reads and outputs,
 so ``lv_check_correct`` judges zero error on the whole table.  The
-level-by-level Monte Carlo evaluator reads it as boolean read flags
-that name each next frontier, in one growing workspace per worker.
+level-by-level Monte Carlo evaluator reads it as each level's boolean
+read flags, which count the next level's nodes and on a fixed input
+name them, in one growing workspace per worker.
 The three exact recursions (per input, under the hard law, and over
 the worst inputs) share one integer moment step over its read counts.
 On a fixed input the evaluator and the recursion take the nodes'
@@ -256,8 +257,11 @@ def mc_mean_cost(
         raise ValueError(f"Monte Carlo supports 0 <= h <= {MAX_MC_HEIGHT}")
     if trials < 1:
         raise ValueError("need at least one trial")
-    # 24 times each node's pattern, to which a round draw adds
-    pats = None if x is None else [np.uint16(24) * p for p in level_patterns(tree_bits(h, x), h)]
+    # 24 times each node's pattern, to which a round draw adds, widened
+    # first, since 24 * pattern would wrap in uint8
+    pats = None
+    if x is not None:
+        pats = [24 * p.astype(np.uint16) for p in level_patterns(tree_bits(h, x), h)]
     chunks = min(64, trials)
     sizes = [trials // chunks + (1 if i < trials % chunks else 0) for i in range(chunks)]
     jobs = list(zip(sizes, rng.spawn(chunks)))
@@ -267,7 +271,11 @@ def mc_mean_cost(
     def work(w: int) -> None:
         ws: dict = {}
         try:
-            results[w] = [_mc_chunk(h, n, sub, pats, ws) for n, sub in jobs[w::workers]]
+            results[w] = [
+                _mc_batch(h, b, sub, pats, ws)
+                for n, sub in jobs[w::workers]
+                for b in batch_sizes(h, n)
+            ]
         except BaseException as exc:  # raised again in the calling thread
             results[w] = exc
 
@@ -289,18 +297,18 @@ def mc_mean_cost(
 
 
 # the evaluator's flat lookups, indexed by a node's key: 24p + r for a
-# node of children pattern p drawing round r on a fixed input; 720b + u
-# for a hard-law node of value b drawing u in [0, 720), whose pattern is
-# the seed law's at u // 24, in thirtieths, and whose round is u % 24.
-# The key's round reads the children whose bytes are set in its _FLAGS
-# word, _POPC of them; _HARD_KIDS holds its children's keys less their
-# draws, 720 times their values, as four uint16 in one word
+# node of children pattern p drawing round r on a fixed input; under the
+# hard law the node's draw u in [0, 720), whose round is u % 24 and whose
+# pattern is the seed law's at u // 24, in thirtieths: _HARD_PAT[u] for
+# value 0 and its complement for value 1.  The law's key leaves out the
+# value, as a round reads the same children of a pattern and of its
+# complement.  The key's round reads the children whose bytes are set in
+# its _FLAGS word, _POPC of them
 _FLAT_ROUND_MASK = _ROUND_MASK.T.ravel()
-_HARD_PAT = _DRAW30[:, np.arange(720) // 24].ravel().astype(np.intp)
-_HARD_MASK = _FLAT_ROUND_MASK[24 * _HARD_PAT + np.tile(np.arange(720) % 24, 2)]
+_HARD_PAT = _DRAW30[0, np.arange(720) // 24].astype(np.intp)
+_HARD_MASK = _FLAT_ROUND_MASK[24 * _HARD_PAT + np.arange(720) % 24]
 _ROUND_FLAGS, _HARD_FLAGS = _CHILD_WORD[_FLAT_ROUND_MASK], _CHILD_WORD[_HARD_MASK]
 _ROUND_POPC, _HARD_POPC = (_POPC[m].astype(np.int32) for m in (_FLAT_ROUND_MASK, _HARD_MASK))
-_HARD_KIDS = (720 * _CHILD_BITS[_HARD_PAT].astype(np.uint16)).view(np.uint64).ravel()
 _SLOTS = np.arange(4, dtype=np.int32)
 
 
@@ -313,63 +321,64 @@ def _buffer(ws: dict, name: object, size: int, dtype: np.dtype | type) -> np.nda
     return ws[name][:size]
 
 
-def _mc_chunk(
+def _mc_batch(
     h: int,
-    count: int,
+    n: int,
     rng: np.random.Generator,
     pats: Optional[list[np.ndarray]],
     ws: dict,
 ) -> tuple[int, int]:
-    """(total reads, total squared reads) of count trials, in batches,
-    one tree level at a time.  The frontier holds each node read,
-    trial-major and slot-minor, as its key (hard law) or int32 index
-    (fixed input); one compress of its children through its rounds'
-    (m, 4) boolean read flags is the next.  Each trial's reads are the
-    leaf counts scattered back up through every level's flags.  The
-    arrays live in workspace ws and grow only to the largest frontier,
-    which batch_sizes keeps within 2**18 nodes up to height 10.  No index
-    is out of range, so take runs in clip mode, straight to its output."""
+    """(total reads, total squared reads) of one batch of n trials, one
+    tree level at a time; batch_sizes keeps every frontier within 2**18
+    nodes up to height 10.  A level's rounds' reads are (m, 4) boolean flags over its m
+    nodes read, trial-major and slot-minor, and the next level's m is
+    their count.  Under the hard law the draws alone key the rounds; on a
+    fixed input one compress of the children's int32 indices through the
+    flags is the next frontier.  Each trial's reads are the leaf counts
+    scattered back up through every level's flags.  The arrays live in
+    workspace ws and grow only to the largest frontier; returning drops
+    every view of them, so a buffer that grows in a later batch is freed
+    first.  No index is out of range, so take runs in clip mode, straight
+    to its output."""
     if h == 0:
         # a leaf is read outright; sampling only fixes its value
-        return count, count
+        return n, n
     hard = pats is None
     flags, popc = (_HARD_FLAGS, _HARD_POPC) if hard else (_ROUND_FLAGS, _ROUND_POPC)
-    total = total_sq = 0
-    for n in batch_sizes(h, count):
-        m, reads = n, []
-        # a root's key is 720 times its value; on a fixed input it is node 0
-        front = _buffer(ws, "front", n, np.uint16 if hard else np.int32)
-        np.multiply(rng.integers(0, 2, size=n) if hard else 0, 720, out=front, casting="unsafe")
-        for k in range(h, 0, -1):
-            if hard:
-                key = front
-                key += rng.integers(0, 720, size=m, dtype=np.uint16)
-            else:
-                key = pats[k - 1].take(front, out=_buffer(ws, "key", m, np.uint16), mode="clip")
-                key += rng.integers(0, 24, size=m, dtype=np.uint8)
-            if k == 1:
-                break
-            read = flags.take(key, out=_buffer(ws, k, m, np.uint32), mode="clip").view(bool)
-            reads.append(read)
-            if hard:
-                kids = _HARD_KIDS.take(key, out=_buffer(ws, "kids", m, np.uint64), mode="clip")
-                kids = kids.view(np.uint16)
-            else:
-                front *= 4
-                kids = _buffer(ws, "kids", 4 * m, np.int32)
-                np.add(front[:, None], _SLOTS, out=kids.reshape(m, 4))
-            m = int(np.count_nonzero(read))
-            front = kids.compress(read, out=_buffer(ws, "front", m, kids.dtype))
-        cost = popc.take(key, out=_buffer(ws, "cost", m, np.int32), mode="clip")
-        for read in reversed(reads):
-            up = _buffer(ws, "up", read.size, np.int32)
-            up.fill(0)
-            up[read] = cost
-            cost = np.add.reduce(up.reshape(-1, 4), axis=1, out=cost[: read.size // 4])
-        sq = np.multiply(cost, cost, out=_buffer(ws, "sq", n, np.int64), dtype=np.int64)
-        total += int(np.add.reduce(cost, dtype=np.int64))
-        total_sq += int(np.add.reduce(sq))
-    return total, total_sq
+    m, reads = n, []
+    if hard:
+        # the roots' values, on which no read count depends
+        rng.integers(0, 2, size=n)
+    else:
+        front = _buffer(ws, "front", n, np.int32)
+        front.fill(0)
+    for k in range(h, 0, -1):
+        if hard:
+            key = rng.integers(0, 720, size=m, dtype=np.uint16)
+        else:
+            key = pats[k - 1].take(front, out=_buffer(ws, "key", m, np.uint16), mode="clip")
+            key += rng.integers(0, 24, size=m, dtype=np.uint8)
+        if k == 1:
+            break
+        read = flags.take(key, out=_buffer(ws, k, m, np.uint32), mode="clip").view(bool)
+        reads.append(read)
+        m = int(np.count_nonzero(read))
+        if not hard:
+            # node i's children are nodes 4i to 4i + 3 one level down
+            front *= 4
+            kids = _buffer(ws, "kids", read.size, np.int32)
+            np.add(front[:, None], _SLOTS, out=kids.reshape(-1, 4))
+            front = kids.compress(read, out=_buffer(ws, "front", m, np.int32))
+    cost = popc.take(key, out=_buffer(ws, "cost", m, np.int32), mode="clip")
+    # every round reads at least two children, so frontiers only grow
+    # going down and each level's sums fit in the prefix of cost
+    for read in reversed(reads):
+        up = _buffer(ws, "up", read.size, np.int32)
+        up.fill(0)
+        up[read] = cost
+        cost = np.add.reduce(up.reshape(-1, 4), axis=1, out=cost[: read.size // 4])
+    sq = np.multiply(cost, cost, out=_buffer(ws, "sq", n, np.int64), dtype=np.int64)
+    return int(np.add.reduce(cost, dtype=np.int64)), int(np.add.reduce(sq))
 
 
 # ---------------------------------------------------------------------------

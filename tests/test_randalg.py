@@ -377,14 +377,14 @@ def test_mc_mean_determinism_and_threads():
 
 def test_mc_worker_errors_reach_the_caller(monkeypatch):
     # a failure in a helper thread is raised again in the calling thread
-    chunk = randalg._mc_chunk
+    batch = randalg._mc_batch
 
     def fail_off_the_main_thread(*args):
         if threading.current_thread() is not threading.main_thread():
             raise MemoryError("helper")
-        return chunk(*args)
+        return batch(*args)
 
-    monkeypatch.setattr(randalg, "_mc_chunk", fail_off_the_main_thread)
+    monkeypatch.setattr(randalg, "_mc_batch", fail_off_the_main_thread)
     assert mc_mean_cost(2, 100, np.random.default_rng(0)).trials == 100
     with pytest.raises(MemoryError, match="helper"):
         mc_mean_cost(2, 100, np.random.default_rng(0), threads=2)
@@ -415,6 +415,14 @@ def test_mc_batches_are_seed_deterministic():
     assert abs(float(first.mean - Fraction(97, 30) ** 9)) < 4 * first.stderr
 
 
+def test_hard_law_reads_ignore_node_values():
+    # the evaluator keys a hard-law node by its draw alone: the seed law
+    # of value 1 complements that of value 0, and every round reads the
+    # same children of a pattern p and of its complement 15 - p
+    assert np.array_equal(randalg._DRAW30[1], randalg._DRAW30[0] ^ 15)
+    assert np.array_equal(randalg._ROUND_MASK, randalg._ROUND_MASK[:, ::-1])
+
+
 # whole reports of mc_mean_cost(h, trials, default_rng(seed), x=x,
 # threads=threads): a change to the draws, their sizes or the frontier's
 # order shows here
@@ -424,6 +432,10 @@ MC_REPORTS = [
     (2, 100_000, None, 2, 2, "209103/20000", 0.0063490065974922405),
     (2, 100_000, "0111100010001000", 2, 3, "527819/50000", 0.005083444988981389),
     (3, 5000, recursive_exact_worst(3)[1], 1, 4, "86157/2500", 0.10193627044384153),
+    # children patterns 11 to 15, whose 24 * pattern keys pass 255
+    (2, 100_000, "1100101111101111", 1, 7, "412211/50000", 0.004801142147031267),
+    (3, 5000, recursive_exact_worst(3)[1].translate(str.maketrans("01", "10")), 2, 8,
+     "85757/2500", 0.10088162583939654),
     (8, 24, None, 1, 5, "72977/6", 620.5172032563135),
     (9, 520, None, 1, 23, "20212271/520", 346.26721353511306),
     # more threads than substreams
