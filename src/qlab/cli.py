@@ -158,10 +158,14 @@ def cmd_measure_delta0(args: argparse.Namespace, rep: Report) -> None:
     rep.add_rational("delta0", result.value)
     rep.add("lattice-sweeps", result.sweeps)
     rep.add("lattice-states", result.states)
+    # one partition check paints each input's leaf for labels and charges
+    part = dtree.tree_to_partition(result.tree, table.n)
+    check = subcube.validate(part)
     rep.add_verdict(
         "witness-replay",
-        _partition_computes(dtree.tree_to_partition(result.tree, table.n), table)
-        and dtree.tree_cost(result.tree, charges) == result.value,
+        check.ok
+        and subcube.computes(part, table, check)
+        and dtree.tree_cost(result.tree, charges, check.owner) == result.value,
     )
 
 
@@ -266,46 +270,6 @@ def cmd_dist_total(args: argparse.Namespace, rep: Report) -> None:
     rep.add("support", points)
     rep.add_rational("total", total)
     rep.add_verdict("sums-to-1", total == 1)
-
-
-def cmd_dist_sample(args: argparse.Namespace, rep: Report) -> None:
-    h = args.height
-    # checked before anything computes a power of the height
-    if h > randalg.MAX_MC_HEIGHT:
-        raise InputError(f"dist sample supports heights up to {randalg.MAX_MC_HEIGHT}, got {h}")
-    rng = np.random.default_rng(args.seed)
-    rep.add("height", h)
-    rep.add("trials", args.trials)
-    rep.add("seed", args.seed)
-
-    def tally(n: int) -> np.ndarray:
-        # one batch's counts, a row per level with the root last; a
-        # height-0 input is one fair coin, counted as zeros and ones
-        xs = harddist.sample_inputs(h, n, rng).reshape(-1)
-        if h == 0:
-            ones = np.count_nonzero(xs)
-            return np.array([[n - ones, ones]])
-        return np.array([np.bincount(pat, minlength=16) for pat in boolfn.level_patterns(xs, h)])
-
-    *below, root = sum(tally(n) for n in harddist.batch_sizes(h, args.trials))
-    # one chi-square pooled over the levels: the root's children patterns
-    # follow d(), and below the root a value-v node's follow the seed of
-    # value v, given that level's count of value-v nodes
-    if h == 0:
-        rows = [(root, [Fraction(1, 2)] * 2)]
-    else:
-        value = boolfn.fmaj().values()
-        rows = [(root, harddist.d().dense())] + [
-            (np.where(value == v, counts, 0), law().dense())
-            for counts in below
-            for v, law in enumerate((harddist.d0, harddist.d1))
-        ]
-    gof = randalg.chi_square_gof(*zip(*rows), alpha=args.alpha)
-    rep.add("chi2-stat", repr(gof.stat))
-    rep.add("chi2-df", gof.df)
-    rep.add("chi2-critical", repr(gof.critical))
-    rep.add("off-support-hits", gof.impossible_hits)
-    rep.add_verdict("chi2", gof.ok)
 
 
 # ---------------------------------------------------------------------------
@@ -630,12 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = d_sub.add_parser("total", help="exact total mass over every input")
     p.add_argument("--height", type=_at_least(0), required=True)
     p.set_defaults(func=cmd_dist_total)
-    p = d_sub.add_parser("sample", help="sampler audit")
-    p.add_argument("--height", type=_at_least(0), required=True)
-    p.add_argument("--trials", type=_at_least(1), required=True)
-    p.add_argument("--seed", type=_at_least(0), default=0)
-    p.add_argument("--alpha", type=_probability, default=1e-3)
-    p.set_defaults(func=cmd_dist_sample)
 
     p_bound = sub.add_parser("bound", help="partition-bound LP")
     b_sub = p_bound.add_subparsers(dest="subcommand", required=True)

@@ -31,7 +31,6 @@ equal.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence, Union
@@ -306,16 +305,20 @@ class CostMatrix:
         return cls(denom, ints, which)
 
 
-def tree_cost(tree: DecisionTree, cost: CostMatrix) -> Fraction:
+def tree_cost(tree: DecisionTree, cost: CostMatrix, owner: Optional[np.ndarray] = None) -> Fraction:
     """Total charge of the tree: sum over inputs of the charges of the
-    queries made on that input.  The leaves' subcubes partition the
-    inputs, so each leaf adds, per distinct row, the row's sum over its
-    subcube times the number of its path's queries that row charges."""
-    total = 0
-    for pattern, queried, _ in _leaf_paths(tree, cost.n):
-        members = pattern.members()
-        for r, k in Counter(cost.which[i] for i in queried).items():
-            total += k * cost.rows[r][members].sum()
+    queries made on that input.  owner[x] is the leaf holding input x,
+    as subcube.validate paints it for tree_to_partition, and is painted
+    here when not given.  Each input adds, per distinct row, its charge
+    times the number of its leaf's path queries that row charges."""
+    if owner is None:
+        owner = subcube.validate(tree_to_partition(tree, cost.n)).owner
+    leaves = list(_leaf_paths(tree, cost.n))
+    counts = np.zeros((len(cost.rows), len(leaves)), dtype=np.int64)
+    for leaf, (_, queried, _) in enumerate(leaves):
+        for i in queried:
+            counts[cost.which[i], leaf] += 1
+    total = sum(int(np.dot(row, counts[r, owner])) for r, row in enumerate(cost.rows))
     return Fraction(total, cost.denom)
 
 

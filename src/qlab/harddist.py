@@ -9,9 +9,9 @@ three; the all-agree input gets mass zero.  Conditioned on the root
 value b (fair coin), children patterns are drawn from the seed for b
 and each subtree recurses on its child's value.  Every seed mass is a
 whole number of thirtieths, so the seed is one literal of integer
-masses and the rest derives from it: the sampler draws one integer
-below 30 per node and looks up its children pattern in one table by
-the node's value, the exact masses are integer weights over one common
+masses and the rest derives from it: one draw table, the law's only
+sampler, looks up a node's children pattern by its value and one
+integer below 30; the exact masses are integer weights over one common
 denominator, and d0, d1 and d are those weights as exact laws.  An
 input fixes every node's value, so its mass is one product over the
 internal nodes that `boolfn.level_patterns` lists.
@@ -36,7 +36,6 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .boolfn import (
-    _CHILD_WORD,
     _FMAJ_BIT,
     bits_to_index,
     fmaj,
@@ -187,30 +186,14 @@ def _denominator(h: int) -> int:
 
 
 def batch_sizes(h: int, trials: int) -> Iterator[int]:
-    """Sizes of the batches, in order, that every sampler and the Monte
-    Carlo evaluator split trials of height h into: 2**20 // 4**h trials,
-    at least one, so a batch's sampled inputs hold at most 2**20 leaves
-    up to height 10 and one input above, whatever the trial count."""
+    """Sizes of the batches, in order, that the minority tally, the
+    embedding audit and the Monte Carlo evaluator split trials of
+    height h into: 2**20 // 4**h trials, at least one, so a batch of
+    height-h trees holds at most 2**20 leaves up to height 10 and one
+    tree above, whatever the trial count."""
     size = max(1, 2**20 // 4**h)
     for start in range(0, trials, size):
         yield min(size, trials - start)
-
-
-def sample_inputs(h: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized draws: a (count, 4**h) uint8 array of inputs
-    distributed as the height-h law.  Level by level, each node's
-    children pattern comes from one exact base-30 draw, looked up in
-    _DRAW30 by the node's value.  The draws are int32, which consumes
-    the same stream as int64 below 2**32, and everything derived from
-    them stays uint8, so the peak, output included, stays under two
-    bytes per leaf; callers bound count by batch_sizes."""
-    vals = rng.integers(0, 2, size=(count, 1), dtype=np.int32).astype(np.uint8)
-    for _ in range(h):
-        draws = rng.integers(0, 30, size=vals.shape, dtype=np.int32)
-        pats = _DRAW30[vals, draws]
-        del draws
-        vals = _CHILD_WORD[pats].view(np.uint8).reshape(count, -1)
-    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -260,20 +243,20 @@ def minority_marginals_exact() -> tuple[Fraction, ...]:
     return tuple(totals)
 
 
-def minority_level1_counts(
-    trials: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Vectorized height-2 run, batch by batch: sample inputs, take one
-    minority step at the root, and count how often each level-1 node is
-    entered."""
+def minority_level1_counts(trials: int, rng: np.random.Generator) -> np.ndarray:
+    """How often the minority path's first step at a height-2 root enters
+    each level-1 node, batch by batch.  Only the root's children pattern
+    and a coin decide the step, so a trial draws the root's value, its
+    base-30 draw into _DRAW30 and the coin, and nothing below."""
 
     def batch(n: int) -> np.ndarray:
-        root_pat = level_patterns(sample_inputs(2, n, rng).reshape(-1), 2)[1]
+        vals = rng.integers(0, 2, size=n, dtype=np.int32)
+        draws = rng.integers(0, 30, size=n, dtype=np.int32)
         coin = rng.integers(0, 2, size=n, dtype=np.int32)
-        slot = _DIS_PICK[root_pat, coin]
+        slot = _DIS_PICK[_DRAW30[vals, draws], coin]
         if np.any(slot == 255):
-            # off the support, so only a broken sampler gets here
-            raise RuntimeError("sampled input has an all-agree root")
+            # off the support, so only a broken draw table gets here
+            raise RuntimeError("the draw table gave an all-agree root")
         return np.bincount(slot, minlength=4)
 
     return sum(batch(n) for n in batch_sizes(2, trials))

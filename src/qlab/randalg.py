@@ -394,36 +394,29 @@ class GofReport:
 
 
 def chi_square_gof(counts: Sequence, probs: Sequence, alpha: float = 1e-3) -> GofReport:
-    """Pearson chi-square against exact cell probabilities.  counts and
-    probs are one group of cells, or rows of several groups pooled into
-    one test, each row's probabilities summing to 1 and its expected
-    counts scaling with its own total.  Cells of probability zero must
+    """Pearson chi-square of one group of cell counts against exact
+    cell probabilities summing to 1.  Cells of probability zero must
     stay empty and are left out.  Sparse cells pool by Cochran's rule
     (1954), in ascending order of probability until each expects 5 or
-    more, a short rest joining the last: a row under 5 in all adds no df."""
-    if np.ndim(counts) == 1:
-        counts, probs = [counts], [probs]
-    stat, df, impossible = 0.0, 0, 0
-    for row, row_probs in zip(counts, probs, strict=True):
-        cells = [(int(c), Fraction(p)) for c, p in zip(row, row_probs, strict=True)]
-        if sum(p for _, p in cells) != 1:
-            raise ValueError("cell probabilities must sum to 1")
-        n = sum(c for c, _ in cells)
-        if n == 0:
-            continue
-        impossible += sum(c for c, p in cells if p == 0)
-        cells = [(c, p) for c, p in cells if p != 0]
-        if min(p for _, p in cells) * n < 5:
-            pooled = []
-            for c, p in sorted(cells, key=lambda cell: cell[1]):
-                if pooled and min(pooled[-1][1], 1 - sum(q for _, q in pooled)) * n < 5:
-                    c, p = c + pooled[-1][0], p + pooled.pop()[1]
-                pooled.append((c, p))
-            cells = pooled
-        for c, p in cells:
-            e = float(p) * n
-            stat += (c - e) ** 2 / e
-        df += len(cells) - 1
+    more, a short rest joining the last: counts under 5 in all add no
+    df."""
+    cells = [(int(c), Fraction(p)) for c, p in zip(counts, probs, strict=True)]
+    if sum(p for _, p in cells) != 1:
+        raise ValueError("cell probabilities must sum to 1")
+    n = sum(c for c, _ in cells)
+    if n == 0:
+        raise ValueError("no counts to test")
+    impossible = sum(c for c, p in cells if p == 0)
+    cells = [(c, p) for c, p in cells if p != 0]
+    if min(p for _, p in cells) * n < 5:
+        pooled = []
+        for c, p in sorted(cells, key=lambda cell: cell[1]):
+            if pooled and min(pooled[-1][1], 1 - sum(q for _, q in pooled)) * n < 5:
+                c, p = c + pooled[-1][0], p + pooled.pop()[1]
+            pooled.append((c, p))
+        cells = pooled
+    stat = sum((c - float(p) * n) ** 2 / (float(p) * n) for c, p in cells)
+    df = len(cells) - 1
     critical = chi_square_critical(df, alpha)
     return GofReport(stat, df, critical, impossible, impossible == 0 and stat <= critical)
 

@@ -131,14 +131,17 @@ def validate(part: LabeledPartition) -> ValidationReport:
     return ValidationReport(True, owner=owner)
 
 
-def computes(part: LabeledPartition, f: TruthTable) -> bool:
+def computes(
+    part: LabeledPartition, f: TruthTable, report: Optional[ValidationReport] = None
+) -> bool:
     """True when every part is f-monochromatic with matching label.
     Requires a valid partition, so together this checks f on every
     input exactly once: one gather of the labels through the owner
-    array."""
+    array.  report is validate(part), validated here when not given."""
     if part.n != f.n:
         raise ValueError(f"partition arity {part.n} != function arity {f.n}")
-    report = validate(part)
+    if report is None:
+        report = validate(part)
     if not report.ok:
         raise ValueError(f"not a partition ({report.error}: {report.detail})")
     labels = np.array([z for _, z in part.entries], dtype=np.uint8)

@@ -14,16 +14,15 @@ import numpy as np
 from qlab.boolfn import fmaj, index_to_bits, iterated_table
 from qlab.dtree import exact_depth, delta0
 from qlab.harddist import (
+    _DRAW30,
     d,
     dh_total,
     jk_values,
     minority_level1_counts,
     minority_marginals_exact,
-    sample_inputs,
 )
 from qlab.lpbound import prt_report
 from qlab.randalg import (
-    chi_square_gof,
     embed_check,
     lv_check_correct,
     mc_mean_cost,
@@ -41,7 +40,6 @@ from qlab.subcube import (
 )
 
 MC_TRIALS = 1_000_000
-GOF_TRIALS = 100_000
 
 
 def verdict(num, label, ok, detail):
@@ -240,10 +238,11 @@ def test_criterion_10_monte_carlo_band():
 def test_criterion_11_distribution_integrity():
     t0 = time.monotonic()
     totals_ok = all(dh_total(h)[1] == 1 for h in (0, 1, 2))
+    # the draw table, the law's one sampler, covers each children pattern
+    # with exactly as many of its 60 entries as 60 times its mass under d
+    draws = np.bincount(_DRAW30.ravel(), minlength=16).tolist()
+    draws_ok = draws == [60 * m for m in d().dense()]
     rng = np.random.default_rng(1003)
-    xs = sample_inputs(1, GOF_TRIALS, rng)
-    counts = np.bincount(xs @ np.array([8, 4, 2, 1]), minlength=16)
-    gof = chi_square_gof(counts, d().dense(), alpha=1e-3)
     slots_ok = True
     slot_freqs = []
     for level in (1, 2):
@@ -259,8 +258,8 @@ def test_criterion_11_distribution_integrity():
     ok = verdict(
         11,
         "distribution integrity",
-        totals_ok and gof.ok and slots_ok,
-        f"mass totals exact={totals_ok}, chi2={gof.stat:.2f} (crit {gof.critical:.2f}), "
+        totals_ok and draws_ok and slots_ok,
+        f"mass totals exact={totals_ok}, draw table = 60 d: {draws_ok}, "
         f"slots={slot_freqs}, {dt:.1f}s",
     )
     assert ok

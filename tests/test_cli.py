@@ -173,6 +173,28 @@ def test_measure_delta0_replays_its_witness(tmp_path, capsys, monkeypatch):
         assert code == 1
 
 
+def test_measure_delta0_enumerates_each_witness_leaf_once(tmp_path, capsys, monkeypatch):
+    # the partition check paints each input's leaf, and the replay reads
+    # both the labels and the charges through that owner array
+    table, dist = tmp_path / "f.tt", tmp_path / "d.dist"
+    save_table(fmaj(), table)
+    save_dist(d(), dist)
+    charges = dtree.CostMatrix.uniform(d().dense())
+    tree = dtree.min_weighted_zero_error(fmaj(), charges, want_tree=True).tree
+    leaves = [p.text for p, _ in dtree.tree_to_partition(tree, 4).entries]
+    calls = []
+    real = subcube.Pattern.members
+
+    def members(self):
+        calls.append(self.text)
+        return real(self)
+
+    monkeypatch.setattr(subcube.Pattern, "members", members)
+    code, out = run(capsys, "measure", "delta0", "--table", str(table), "--dist", str(dist))
+    assert (code, lines(out)["witness-replay"]) == (0, "pass")
+    assert sorted(calls) == sorted(leaves)
+
+
 def test_measure_jk_reports_honest_failure(capsys):
     code, out = run(capsys, "measure", "jk")
     got = lines(out)
@@ -295,51 +317,26 @@ def test_dist_commands(capsys):
     assert code == 0
     got = lines(out)
     assert got["total"] == "1/1" and got["sums-to-1"] == "pass"
-    code, out = run(
-        capsys, "dist", "sample", "--height", "1", "--trials", "20000", "--seed", "5"
-    )
-    assert code == 0
-    assert lines(out)["chi2"] == "pass"
+    # the law is judged exactly, so there is no sampler audit
+    assert exit_code(["dist", "sample", "--height", "1", "--trials", "1"]) == 2
+    assert "invalid choice: 'sample'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["dist", "sample", "--height", "1"],
-        ["dist", "sample", "--height", "2"],
         ["simulate", "embed", "--level", "1"],
         ["simulate", "embed", "--level", "2"],
     ],
-    ids=["sample-h1", "sample-h2", "embed-l1", "embed-l2"],
+    ids=["embed-l1", "embed-l2"],
 )
 def test_chi_square_audits_pass_a_single_trial(capsys, argv):
-    # one trial expects under 5 in every cell, so each counted row pools
-    # into one cell; unpooled, a root pattern of mass 1/60 alone added 59
-    # against a critical value of 34.5 on seeds 4, 10 and 31 (dist) and
-    # 9, 16 and 24 (embed)
+    # one trial expects under 5 in every cell, so the counts pool into
+    # one cell; unpooled, a children pattern of mass 1/60 alone added 59
+    # against a critical value of 34.5 on seeds 9, 16 and 24
     for seed in range(40):
         code, out = run(capsys, *argv, "--trials", "1", "--seed", str(seed))
         assert code == 0, (seed, out)
-
-
-def test_dist_sample_judges_the_levels_below_the_root(capsys, monkeypatch):
-    # 1000 and 0100 both have value 0 and one 1, so rewriting every
-    # level-1 block 1000 as 0100 moves neither the mean of the bits nor
-    # the root's law: only the level-1 patterns show it
-    real = harddist.sample_inputs
-
-    def rewritten(h, count, rng):
-        xs = real(h, count, rng)
-        blocks = xs.reshape(-1, 4)
-        blocks[(blocks == (1, 0, 0, 0)).all(axis=1)] = (0, 1, 0, 0)
-        return xs
-
-    argv = ["dist", "sample", "--height", "2", "--trials", "2000", "--seed", "3"]
-    assert run(capsys, *argv)[0] == 0
-    monkeypatch.setattr(cli.harddist, "sample_inputs", rewritten)
-    code, out = run(capsys, *argv)
-    assert lines(out)["chi2"] == "FAIL"
-    assert code == 1
 
 
 def test_bound_commands(tmp_path, capsys):
@@ -406,20 +403,8 @@ PINNED_REPORTS = [
         id="jk",
     ),
     pytest.param(
-        ("dist", "sample", "--height", "1", "--trials", "20000", "--seed", "5"),
-        "f9ef3726fbb63d80321521830b30720125576210991cacc6fa5ec1defb2d0cc0",
-        0,
-        id="sample-h1",
-    ),
-    pytest.param(
-        ("dist", "sample", "--height", "3", "--trials", "2000", "--seed", "6"),
-        "d5d682c62bba309503e05551a566197059f8d783baad493b67b5f3b0021f9d1d",
-        0,
-        id="sample-h3",
-    ),
-    pytest.param(
         ("simulate", "minority", "--trials", "20000", "--seed", "7"),
-        "eb49a51ee0ef40a3d1d983fb63cb1bce38e9c2f5ea183c650d1b8dfa11aad79c",
+        "fe7768e42838c31f0777ad46182e573caebd1e97b09c7d487aef39643cc9be3b",
         0,
         id="minority",
     ),
@@ -533,12 +518,9 @@ def probe_imports(*argvs):
 
 
 def test_import_loads_no_scipy():
-    # scipy is a test dependency only: importing the CLI and running both
-    # chi-square audits must load none of it
-    got = probe_imports(
-        ["dist", "sample", "--height", "2", "--trials", "100"],
-        ["simulate", "embed", "--level", "2", "--trials", "100"],
-    )
+    # scipy is a test dependency only: importing the CLI and running the
+    # chi-square audit must load none of it
+    got = probe_imports(["simulate", "embed", "--level", "2", "--trials", "100"])
     assert got["scipy"] == "[]"
 
 
@@ -783,17 +765,17 @@ def exit_code(argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["dist", "sample", "--height", "1", "--trials", "0"],
+        ["simulate", "embed", "--level", "1", "--trials", "0"],
         ["simulate", "minority", "--trials", "0"],
         ["simulate", "r0", "--height", "1", "--trials", "10", "--threads", "-3"],
         ["simulate", "r0", "--height", "1", "--trials", "10", "--threads", "0"],
         ["simulate", "r0", "--height", "1", "--trials", "10", "--seed", "-1"],
-        ["dist", "sample", "--height", "1", "--trials", "100", "--alpha", "2"],
+        ["simulate", "embed", "--level", "1", "--trials", "100", "--alpha", "2"],
         ["simulate", "embed", "--level", "1", "--trials", "100", "--alpha", "0"],
         ["dist", "total", "--height", "-1"],
         # heights past the evaluator's 12, refused before any power of them
-        ["dist", "sample", "--height", "13", "--trials", "1"],
-        ["dist", "sample", "--height", "1000000000", "--trials", "1"],
+        ["simulate", "r0", "--height", "13", "--trials", "1"],
+        ["simulate", "r0", "--height", "1000000000", "--trials", "1"],
         # FMAJ names a valid table, so only the budget is out of range
         ["partition", "search-cost", "--table", "FMAJ", "--budget", "-3"],
         ["partition", "emit", "--name", "bogus", "--out", "FMAJ"],
@@ -817,16 +799,18 @@ def test_exit_two_on_out_of_range_arguments(capsys, tmp_path, argv):
         ["fn", "iter", "--height", "1000000000", "--input", "0"],
         ["dist", "mass", "--height", "1000000000", "--input", "0"],
         # past the evaluator's tallest tree, height 12
-        ["dist", "sample", "--height", "13", "--trials", "1"],
-        ["dist", "sample", "--height", "1000000000", "--trials", "1"],
+        ["simulate", "r0", "--height", "13", "--trials", "1"],
+        ["simulate", "r0", "--height", "1000000000", "--trials", "1"],
     ],
-    ids=["fn-iter", "dist-mass", "dist-sample-h13", "dist-sample-huge"],
+    ids=["fn-iter", "dist-mass", "simulate-r0-h13", "simulate-r0-huge"],
 )
 def test_huge_height_is_refused_without_building_its_power(capsys, argv):
-    # the refusal never builds the 250 MB integer 4**(10**9), nor a
-    # sample of 4**13 leaves
+    # the refusal never builds the 250 MB integer 4**(10**9), nor a tree
+    # of 4**13 leaves; numpy allocates about 1 MB once, on the first
+    # default_rng of a process, so one is made before tracing
     import tracemalloc
 
+    np.random.default_rng(0)
     tracemalloc.start()
     try:
         code = exit_code(argv)
@@ -841,14 +825,13 @@ def test_huge_height_is_refused_without_building_its_power(capsys, argv):
 @pytest.mark.parametrize(
     "h, sample",
     [
-        (2, lambda n: main(["dist", "sample", "--height", "2", "--trials", str(n)])),
         (2, lambda n: harddist.minority_level1_counts(n, np.random.default_rng(0))),
         (1, lambda n: randalg.embed_check(1, n, np.random.default_rng(0))),
         (2, lambda n: randalg.embed_check(2, n, np.random.default_rng(0))),
         # a batch on each of the 64 substreams
         (8, lambda n: randalg.mc_mean_cost(8, 64 * n, np.random.default_rng(0))),
     ],
-    ids=["dist-sample-h2", "minority", "embed-l1", "embed-l2", "mc-h8"],
+    ids=["minority", "embed-l1", "embed-l2", "mc-h8"],
 )
 def test_sampler_peak_stays_at_one_batch(capsys, h, sample):
     # trials run in batches of 2**20 // 4**h, so four batches' worth
@@ -945,8 +928,8 @@ _CHEAP_ARGV = st.one_of(
         st.tuples(st.just("--input"), st.text("01", min_size=1, max_size=16)),
     ),
     st.tuples(
-        st.just(("dist", "sample")),
-        st.tuples(st.just("--height"), st.integers(-2, 3).map(str)),
+        st.just(("simulate", "embed")),
+        st.tuples(st.just("--level"), st.integers(0, 3).map(str)),
         st.tuples(st.just("--trials"), st.integers(-3, 40).map(str)),
         st.tuples(
             st.just("--alpha"),

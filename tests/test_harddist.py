@@ -1,6 +1,5 @@
 """The recursive input law, minority paths, and the charge matrices."""
 
-import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -27,11 +26,9 @@ from qlab.harddist import (
     minority_leaf_law,
     minority_level1_counts,
     minority_marginals_exact,
-    sample_inputs,
     save_dist,
 )
 from qlab import harddist
-from qlab.randalg import chi_square_gof
 
 SEED_MASSES = {
     "1000": Fraction(2, 5),
@@ -225,72 +222,17 @@ def test_dh_support_rejects_tall_trees():
         next(dh_support(3))
 
 
-def test_sample_inputs_distribution_height_one():
-    rng = np.random.default_rng(1234)
-    xs = sample_inputs(1, 100_000, rng)
-    assert xs.shape == (100_000, 4)
-    idx = xs @ np.array([8, 4, 2, 1])
-    counts = np.bincount(idx, minlength=16)
-    rep = chi_square_gof(counts, d().dense(), alpha=1e-3)
-    assert rep.impossible_hits == 0
-    assert rep.ok, rep
-
-
-def test_sample_inputs_height_two_on_support():
-    rng = np.random.default_rng(99)
-    xs = sample_inputs(2, 300, rng)
-    assert xs.shape == (300, 16)
-    for row in xs:
-        assert dh_mass(2, tuple(int(v) for v in row)) > 0
-    for row in sample_inputs(3, 100, rng):
-        assert dh_mass(3, tuple(int(v) for v in row)) > 0
-
-
-def _digest(a):
-    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
-
-
-# outputs of the int64 sampler these lookups replaced, for fixed seeds:
-# (height, seed) -> (digest of sample_inputs(h, 1000), sum of its bits),
-# and the next draw of the generator afterwards, which pins how much of
-# the stream each call consumes
-PINNED_SAMPLES = {
-    (1, 0): ("a4210a6758a5d810", 2023),
-    (1, 7): ("bcd7aba247a509a4", 1992),
-    (2, 0): ("cd27d14bb3b2111f", 8037),
-    (2, 7): ("2f360a9a7b6f725d", 8014),
-    (3, 0): ("342f2ea1a248f55c", 32030),
-    (3, 7): ("81b60460ba576a70", 31984),
-}
-PINNED_NEXT_DRAW = {1: 1144210423121736275, 2: 3079405470740573113, 3: 2230019557256858157}
-
-
-def test_sample_inputs_pinned_stream():
-    for (h, seed), (digest, ones) in PINNED_SAMPLES.items():
-        xs = sample_inputs(h, 1000, np.random.default_rng(seed))
-        assert xs.dtype == np.uint8 and xs.shape == (1000, 4**h)
-        assert (_digest(xs), int(xs.sum())) == (digest, ones), (h, seed)
-    assert sample_inputs(2, 3, np.random.default_rng(5)).tolist() == [
-        [1, 0, 1, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 1, 1, 1],
-        [0, 1, 1, 1, 0, 1, 1, 1, 0, 1, 0, 1, 0, 0, 1, 1],
-        [1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 1, 1, 0, 1, 1, 1],
-    ]
-    for h, draw in PINNED_NEXT_DRAW.items():
-        rng = np.random.default_rng(11)
-        sample_inputs(h, 500, rng)
-        assert int(rng.integers(0, 2**62)) == draw, h
-
-
 def test_minority_level1_counts_pinned():
     assert minority_level1_counts(10_000, np.random.default_rng(0)).tolist() == [
-        4007, 2033, 1949, 2011
+        4007, 2041, 1943, 2009
     ]
     assert minority_level1_counts(10_000, np.random.default_rng(3)).tolist() == [
-        4018, 1982, 1973, 2027
+        4018, 2011, 1956, 2015
     ]
+    # three draws per trial: the root's value, its base-30 draw and a coin
     rng = np.random.default_rng(11)
     minority_level1_counts(500, rng)
-    assert int(rng.integers(0, 2**62)) == 2152903977228906969
+    assert int(rng.integers(0, 2**62)) == 365675158239861961
 
 
 def test_category_table_matches_thresholds():
@@ -347,9 +289,23 @@ def test_minority_leaf_law_height_two_composes_height_one():
         assert minority_leaf_law(2, bits) == want, bits
 
 
+def support_inputs(h, count, rng):
+    """count height-h inputs drawn top down from SEED_MASSES: a fair
+    root value, then each node's children pattern from the seed of its
+    value, complemented for value 1."""
+    patterns = list(SEED_MASSES)
+    probs = [float(m) for m in SEED_MASSES.values()]
+    for _ in range(count):
+        vals = [int(rng.integers(2))]
+        for _ in range(h):
+            vals = [v ^ int(c) for v in vals for c in patterns[rng.choice(7, p=probs)]]
+        yield vals
+
+
 def test_minority_leaf_law_height_three_on_sampled_inputs():
-    for row in sample_inputs(3, 200, np.random.default_rng(21)):
-        law = minority_leaf_law(3, row.tolist())
+    for row in support_inputs(3, 200, np.random.default_rng(21)):
+        assert dh_mass(3, row) > 0
+        law = minority_leaf_law(3, row)
         assert sum(law.values()) == 1
         # at most two dissenters per node, each split by a fair coin
         assert 1 <= len(law) <= 8
@@ -384,10 +340,9 @@ def test_dissenter_pick_follows_the_dissent_slots():
 
 
 def test_minority_counts_report_an_all_agree_root_as_a_sampler_fault(monkeypatch):
-    # all-zero inputs lie off the support; only a broken sampler yields them
-    monkeypatch.setattr(
-        harddist, "sample_inputs", lambda h, count, rng: np.zeros((count, 16), dtype=np.uint8)
-    )
+    # the all-zero pattern lies off the support; only a broken draw
+    # table yields it
+    monkeypatch.setattr(harddist, "_DRAW30", np.zeros((2, 30), dtype=np.uint8))
     with pytest.raises(RuntimeError, match="all-agree root"):
         minority_level1_counts(10, np.random.default_rng(0))
 

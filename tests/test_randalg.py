@@ -494,8 +494,8 @@ def test_chi_square_gof_accepts_true_law():
 @pytest.mark.parametrize(
     "df, alpha",
     # df 13 is the hard law's support less one, at the default alpha and
-    # at the one simulate embed uses in the benchmark; df 37 is dist
-    # sample's at height 3, and 349 the largest it can reach
+    # at the one simulate embed uses in the benchmark; df 37 and 349 hold
+    # the quantile to scipy's far above the df any audit reaches
     [
         (13, 1e-3), (13, 1e-6), (15, 1e-3), (15, 1e-6), (3, 1e-3), (255, 1e-6), (1, 0.5),
         (37, 1e-3), (349, 1e-6),
