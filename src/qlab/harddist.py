@@ -20,10 +20,14 @@ The minority path starts at the root and repeatedly steps into a child
 disagreeing with its parent's value: a unique dissenter is taken
 outright, two dissenters are split by a fair coin, and zero dissenters
 only happens off the support (SupportError).  Three dissenters cannot
-happen, since the first child's doubled vote caps dissent at two.  The
-exact leaf law walks the same level patterns top down.  Charging each
-query by where that path goes gives the cost matrices of the J and K
-functionals, whose optimal zero-error trees ``dtree`` computes.
+happen, since the first child's doubled vote caps dissent at two.  One
+table of picks by children pattern and coin is the whole step: the
+exact leaf law walks it down the level patterns, and over the draw
+table it gives the first step's 120 equally likely outcomes, whose
+counts are the exact marginals and which the minority tally samples
+one index per trial.  Charging each query by where that path goes gives
+the cost matrices of the J and K functionals, whose optimal zero-error
+trees ``dtree`` computes.
 """
 
 from __future__ import annotations
@@ -186,80 +190,78 @@ def _denominator(h: int) -> int:
 
 
 def batch_sizes(h: int, trials: int) -> Iterator[int]:
-    """Sizes of the batches, in order, that the minority tally, the
-    embedding audit and the Monte Carlo evaluator split trials of
-    height h into: 2**20 // 4**h trials, at least one, so a batch of
-    height-h trees holds at most 2**20 leaves up to height 10 and one
-    tree above, whatever the trial count."""
+    """Sizes of the batches, in order, that tally and the Monte Carlo
+    evaluator split trials of height h into: 2**20 // 4**h trials, at
+    least one, so a batch of height-h trees holds at most 2**20 leaves up
+    to height 10 and one tree above, whatever the trial count."""
     size = max(1, 2**20 // 4**h)
     for start in range(0, trials, size):
         yield min(size, trials - start)
 
 
+def tally(outcomes: int, h: int, trials: int, rng: np.random.Generator) -> np.ndarray:
+    """How often each of ``outcomes`` equally likely outcomes comes up in
+    ``trials`` uniform draws, made in the batches of batch_sizes(h,
+    trials)."""
+    return sum(
+        np.bincount(rng.integers(0, outcomes, size=n, dtype=np.uint16), minlength=outcomes)
+        for n in batch_sizes(h, trials)
+    )
+
+
 # ---------------------------------------------------------------------------
 # the minority path
 
-# _DISSENT[p]: the slots (0 = first child) of the children disagreeing
-# with a node of children pattern p.  The doubled first vote caps them
-# at two; only off the support are there none.
-_DISSENT = tuple(
-    tuple(j for j in range(4) if (p >> (3 - j) & 1) != _FMAJ_BIT[p]) for p in range(16)
-)
-assert all(len(slots) <= 2 for slots in _DISSENT)
-# _DIS_PICK[p, c]: the dissenter a fair coin c picks, 255 if there is none
-_DIS_PICK = np.array(
-    [(slots[0], slots[-1]) if slots else (255, 255) for slots in _DISSENT], dtype=np.uint8
-)
+# _DIS_PICK[p, c]: the slot (0 = first child) of the child the minority
+# path takes from a node of children pattern p on a fair coin c: coin 0
+# takes the first child disagreeing with f(p), coin 1 the last, and 255
+# marks a pattern with no dissenter, which only lies off the support.
+# The doubled first vote caps the dissenters at two.
+_DIS_PICK = np.full((16, 2), 255, dtype=np.uint8)
+for _pat in range(16):
+    _dis = [j for j in range(4) if (_pat >> (3 - j) & 1) != _FMAJ_BIT[_pat]]
+    assert len(_dis) <= 2, _pat
+    if _dis:
+        _DIS_PICK[_pat] = _dis[0], _dis[-1]
 
 
 def minority_leaf_law(h: int, x: "str | Sequence[int]") -> dict[int, Fraction]:
     """Exact law of the leaf, a 0-based input position, at which the
     minority path of one input ends: top down over the level patterns,
-    each node on the path splits its probability evenly over its
-    dissenting children."""
+    each node on the path passes half its probability to the child each
+    coin picks."""
     pats = level_patterns(tree_bits(h, x), h)
     law = {0: Fraction(1)}
     for k in range(h, 0, -1):
-        step = {}
+        step: dict[int, Fraction] = {}
         for node, prob in law.items():
-            slots = _DISSENT[pats[k - 1][node]]
-            if not slots:
-                raise SupportError(f"node at level {k} has no dissenting child")
-            for j in slots:
-                step[4 * node + j] = prob / len(slots)
+            for j in _DIS_PICK[pats[k - 1][node]].tolist():
+                if j == 255:
+                    raise SupportError(f"node at level {k} has no dissenting child")
+                step[4 * node + j] = step.get(4 * node + j, 0) + prob / 2
         law = step
     return law
 
 
 def minority_marginals_exact() -> tuple[Fraction, ...]:
     """Marginal law of the root's child that the minority path enters.
-    At every height the root's children pattern follows d(), so this is
-    one sum over its support."""
-    totals = [Fraction(0)] * 4
-    for pat, m in d().masses.items():
-        slots = _DISSENT[pat]
-        for j in slots:
-            totals[j] += m / len(slots)
-    return tuple(totals)
+    At every height the root's children pattern follows d(), so the step
+    has 120 equally likely outcomes: the root's value, its base-30 draw
+    into _DRAW30 and the coin."""
+    counts = np.bincount(_DIS_PICK[_DRAW30].ravel(), minlength=4)[:4].tolist()
+    return tuple(Fraction(c, 120) for c in counts)
 
 
 def minority_level1_counts(trials: int, rng: np.random.Generator) -> np.ndarray:
     """How often the minority path's first step at a height-2 root enters
-    each level-1 node, batch by batch.  Only the root's children pattern
-    and a coin decide the step, so a trial draws the root's value, its
-    base-30 draw into _DRAW30 and the coin, and nothing below."""
-
-    def batch(n: int) -> np.ndarray:
-        vals = rng.integers(0, 2, size=n, dtype=np.int32)
-        draws = rng.integers(0, 30, size=n, dtype=np.int32)
-        coin = rng.integers(0, 2, size=n, dtype=np.int32)
-        slot = _DIS_PICK[_DRAW30[vals, draws], coin]
-        if np.any(slot == 255):
-            # off the support, so only a broken draw table gets here
-            raise RuntimeError("the draw table gave an all-agree root")
-        return np.bincount(slot, minlength=4)
-
-    return sum(batch(n) for n in batch_sizes(2, trials))
+    each level-1 node: the step's 120 outcomes, as minority_marginals_exact
+    counts them, are judged whole, then each trial draws one."""
+    steps = _DIS_PICK[_DRAW30].ravel()
+    if np.any(steps == 255):
+        # off the support, so only a broken table gets here
+        raise RuntimeError("the draw table gave an all-agree root")
+    hits = tally(steps.size, 2, trials, rng)
+    return np.bincount(steps, weights=hits, minlength=4).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

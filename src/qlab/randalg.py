@@ -31,8 +31,10 @@ children patterns from ``boolfn.level_patterns``.
 
 The embedding of one instance inside a neighborhood is one table too:
 its 360 equally likely outcomes, each a placement slot and a children
-pattern.  The audit samples outcome indices, and its exact laws and
-structural checks run over every outcome.
+pattern.  The audit draws outcome indices through ``harddist.tally``,
+as the minority tally does, and its exact laws, with the minority
+path's step over every outcome and coin, and its structural checks run
+over every outcome.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from .boolfn import (
     parse_bits,
     tree_bits,
 )
-from .harddist import _DISSENT, _DRAW30, _SEED_W, batch_sizes, d
+from .harddist import _DIS_PICK, _DRAW30, _SEED_W, batch_sizes, d, tally
 
 MAX_MC_HEIGHT = 12
 
@@ -505,15 +507,14 @@ def embedding_slot_law_exact() -> tuple[Fraction, ...]:
 
 def minority_conditionals_exact() -> dict[tuple[int, int], Fraction]:
     """Exact probability that the minority path leaves through child j
-    given the embedded instance sits at child i, over the embedding's
-    outcomes."""
-    joint = {(i, j): Fraction(0) for i in range(4) for j in range(4)}
-    for slot, pat in zip(_EMBED_SLOT.tolist(), _EMBED_PAT.tolist()):
-        dis = _DISSENT[pat]
-        assert dis, "sampled children never agree unanimously"
-        for j in dis:
-            joint[slot, j] += Fraction(1, 360 * len(dis))
-    return {(i, j): mass / SLOT_PROBS[i] for (i, j), mass in joint.items()}
+    given the embedded instance sits at child i: each of the embedding's
+    outcomes and the path's coin has mass 1/720."""
+    picks = _DIS_PICK[_EMBED_PAT]
+    assert np.all(picks != 255), "sampled children never agree unanimously"
+    joint = np.bincount((4 * _EMBED_SLOT[:, None] + picks).ravel(), minlength=16).tolist()
+    return {
+        (i, j): Fraction(joint[4 * i + j], 720) / SLOT_PROBS[i] for i in range(4) for j in range(4)
+    }
 
 
 def embed_misses(level: int) -> tuple[int, int, int]:
@@ -549,16 +550,12 @@ def embed_check(
     level: int, trials: int, rng: np.random.Generator, alpha: float = 1e-3
 ) -> EmbedReport:
     """Audit of the embedding: ``embed_misses(level)`` on every outcome,
-    and ``trials`` sampled outcomes, drawn in the batches of
-    batch_sizes(level, trials), whose slots must lie within four
-    sigma of SLOT_PROBS and whose children patterns, which a fair
-    embedded value makes follow the one-level hard law, must pass a
-    chi-square against it."""
+    and ``trials`` outcomes drawn by tally(360, level, trials, rng),
+    whose slots must lie within four sigma of SLOT_PROBS and whose
+    children patterns, which a fair embedded value makes follow the
+    one-level hard law, must pass a chi-square against it."""
     misses = embed_misses(level)
-    hits = sum(
-        np.bincount(rng.integers(0, 360, size=n, dtype=np.uint16), minlength=360)
-        for n in batch_sizes(level, trials)
-    )
+    hits = tally(360, level, trials, rng)
     slot_counts = tuple(int(c) for c in np.bincount(_EMBED_SLOT, weights=hits, minlength=4))
     slot_ok = within_four_sigma(slot_counts, SLOT_PROBS, trials)
     pat_counts = np.bincount(_EMBED_PAT, weights=hits, minlength=16).astype(np.int64)
