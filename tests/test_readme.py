@@ -1,11 +1,13 @@
-"""The README's library example runs against the current API, and its
-command reference lists the commands the parser registers."""
+"""The README's library example runs against the current API, its
+command examples print what it shows, and its command reference lists
+the commands the parser registers."""
 
 import argparse
 import re
+import shlex
 from pathlib import Path
 
-from qlab.cli import build_parser
+from qlab.cli import build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -16,6 +18,34 @@ def test_library_use_snippet_runs(capsys):
     assert match, "README has no Library use python block"
     exec(compile(match.group(1), str(README), "exec"), {})
     assert capsys.readouterr().out.splitlines()[0] == "4"
+
+
+def sh_examples(text: str) -> list[tuple[str, list[str]]]:
+    """Each "$ qlab ..." line of the README's sh blocks, without its
+    "$ qlab ", and the output lines that follow it up to a blank line."""
+    examples = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S):
+        for chunk in re.split(r"\n\s*\n", block):
+            head, *out = chunk.strip("\n").splitlines()
+            if head.startswith("$ qlab "):
+                examples.append((head[len("$ qlab "):], out))
+    return examples
+
+
+def without_elapsed(lines: list[str]) -> list[str]:
+    return [line for line in lines if not line.startswith("elapsed-s: ")]
+
+
+def test_quick_start_examples_replay(tmp_path, monkeypatch, capsys):
+    # in order, in one directory, as a reader would paste them: the
+    # fixtures example writes the files the later ones read
+    examples = sh_examples(README.read_text())
+    assert examples, "README has no qlab examples"
+    monkeypatch.chdir(tmp_path)
+    for command, shown in examples:
+        main(shlex.split(command))
+        printed = capsys.readouterr().out.splitlines()
+        assert without_elapsed(printed) == without_elapsed(shown), command
 
 
 def subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
