@@ -334,8 +334,9 @@ def _mc_batch(
     tree level at a time; batch_sizes keeps every frontier within 2**18
     nodes up to height 10.  A level's rounds' reads are (m, 4) boolean flags over its m
     nodes read, trial-major and slot-minor, and the next level's m is
-    their count.  Under the hard law the draws alone key the rounds; on a
-    fixed input one compress of the children's int32 indices through the
+    their count.  Under the hard law the draws alone key the rounds, and
+    no value is drawn, the roots' included, as no read count depends on
+    one; on a fixed input one compress of the children's int32 indices through the
     flags is the next frontier.  Each trial's reads are the leaf counts
     scattered back up through every level's flags.  The arrays live in
     workspace ws and grow only to the largest frontier; returning drops
@@ -348,10 +349,7 @@ def _mc_batch(
     hard = pats is None
     flags, popc = (_HARD_FLAGS, _HARD_POPC) if hard else (_ROUND_FLAGS, _ROUND_POPC)
     m, reads = n, []
-    if hard:
-        # the roots' values, on which no read count depends
-        rng.integers(0, 2, size=n)
-    else:
+    if not hard:
         front = _buffer(ws, "front", n, np.int32)
         front.fill(0)
     for k in range(h, 0, -1):

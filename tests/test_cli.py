@@ -365,19 +365,19 @@ def test_bound_commands(tmp_path, capsys):
 PINNED_REPORTS = [
     pytest.param(
         ("simulate", "r0", "--height", "1", "--trials", "100000", "--seed", "8", "--threads", "1"),
-        "92a23a063d2b3aafbe4fa1e9e5c701b86f5da2dcee53863d5ee71bd986eb715c",
+        "6c984004d182da49a54f8179b1b0b221109dc95089ef78b55e5a02e673d24129",
         0,
         id="r0-h1",
     ),
     pytest.param(
         ("simulate", "r0", "--height", "3", "--trials", "5000", "--seed", "10", "--threads", "1"),
-        "2284679070801100d1eb80bf06ac8a7df2ba54f6c552a70c4136f70fd0dff3ce",
+        "b8eae88c5adc6778046a4293c08d49945cb06b8d6ce94db57943568cd74a0df0",
         0,
         id="r0-h3",
     ),
     pytest.param(
         ("simulate", "r0", "--height", "8", "--trials", "20", "--seed", "15", "--threads", "1"),
-        "3fd583d07728622bc3fff4ed26ee3bb04e41c9002e739cd46cec9a066dc3f4c5",
+        "101fca8b018c59d235b8f569a44139a49cc7379d9e7a3a502c58cbf7146512b9",
         0,
         id="r0-h8",
     ),
@@ -667,7 +667,7 @@ def test_verify_height_two_quick(capsys):
     assert (got["lattice-sweeps"], got["lattice-states"]) == ("2", "810000")
     assert keys.index("lattice-sweeps") + 1 == keys.index("lattice-states")
     rest = "".join(line for line in out.splitlines(True) if not line.startswith("lattice-states: "))
-    assert digest(rest) == "12d9cd0bb5dc2c6d2898de3ebf6817b5a47ed0ccba161ece8f241c8dee940405"
+    assert digest(rest) == "6ffd079665765e5c1d476411b40bfc746fdc18bb3ba6e1a6f4f14d9bfe01c776"
 
 
 def test_verify_height_two_judges_one_trial_by_the_exact_stderr(capsys, monkeypatch):

@@ -423,23 +423,33 @@ def test_hard_law_reads_ignore_node_values():
     assert np.array_equal(randalg._ROUND_MASK, randalg._ROUND_MASK[:, ::-1])
 
 
+def test_hard_law_batch_draws_only_the_round_keys():
+    # no read count depends on a node's value, the roots' included, so a
+    # height-1 batch under the hard law draws its n keys and nothing else
+    n = 1000
+    rng, fresh = np.random.default_rng(12), np.random.default_rng(12)
+    randalg._mc_batch(1, n, rng, None, {})
+    fresh.integers(0, 720, size=n, dtype=np.uint16)
+    assert rng.bit_generator.state == fresh.bit_generator.state
+
+
 # whole reports of mc_mean_cost(h, trials, default_rng(seed), x=x,
 # threads=threads): a change to the draws, their sizes or the frontier's
 # order shows here
 MC_REPORTS = [
-    (1, 100_000, None, 1, 1, "12927/4000", 0.0017202381739166237),
-    (2, 100_000, None, 1, 2, "209103/20000", 0.0063490065974922405),
-    (2, 100_000, None, 2, 2, "209103/20000", 0.0063490065974922405),
+    (1, 100_000, None, 1, 1, "161549/50000", 0.0017220576053082544),
+    (2, 100_000, None, 1, 2, "209211/20000", 0.006348451541517821),
+    (2, 100_000, None, 2, 2, "209211/20000", 0.006348451541517821),
     (2, 100_000, "0111100010001000", 2, 3, "527819/50000", 0.005083444988981389),
     (3, 5000, recursive_exact_worst(3)[1], 1, 4, "86157/2500", 0.10193627044384153),
     # children patterns 11 to 15, whose 24 * pattern keys pass 255
     (2, 100_000, "1100101111101111", 1, 7, "412211/50000", 0.004801142147031267),
     (3, 5000, recursive_exact_worst(3)[1].translate(str.maketrans("01", "10")), 2, 8,
      "85757/2500", 0.10088162583939654),
-    (8, 24, None, 1, 5, "72977/6", 620.5172032563135),
-    (9, 520, None, 1, 23, "20212271/520", 346.26721353511306),
+    (8, 24, None, 1, 5, "48773/4", 523.0500402619768),
+    (9, 520, None, 1, 23, "9962921/260", 326.2865526646624),
     # more threads than substreams
-    (2, 3, None, 8, 6, "35/3", 0.7200822998230956),
+    (2, 3, None, 8, 6, "12", 0.9428090415820634),
 ]
 
 
