@@ -41,9 +41,8 @@ from .boolfn import TruthTable
 from . import subcube
 from .subcube import LabeledPartition, Lattice, Pattern, Sweep
 
-# above this arity the weighted DP takes only charge matrices whose rows
-# are all equal, so that it holds one charge lattice
-MAX_MULTIROW_VARS = 8
+# the most memory, by its own estimate, that the weighted DP may take
+MAX_DP_BYTES = 2**30
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +333,6 @@ def min_weighted_zero_error(
     if n != cost.n:
         raise ValueError(f"function arity {n} != cost arity {cost.n}")
     rows, which = cost.rows, cost.which
-    if n > MAX_MULTIROW_VARS and len(rows) > 1:
-        raise ValueError(f"above n = {MAX_MULTIROW_VARS} the weighted DP needs equal rows")
     totals = [row.sum() for row in rows]
     # a tree queries each variable at most once per input
     inf = 1 + sum(totals[k] for k in which)
@@ -347,6 +344,12 @@ def min_weighted_zero_error(
         dtype = np.int64
     else:
         dtype = object
+    # one charge lattice per distinct row, the values and the colors, a
+    # Python int taking about 40 bytes with its pointer
+    entry = 40 if dtype is object else np.dtype(dtype).itemsize
+    need = lat.colors.size * ((len(rows) + 1) * entry + 1)
+    if need > MAX_DP_BYTES:
+        raise ValueError(f"the weighted DP would take about {need / 2**30:.1f} GiB, over 1 GiB")
     lattices = [lat.sums(row.astype(dtype)) for row in rows]
     val = np.zeros(lat.colors.shape, dtype=dtype)
     val[lat.colors == 2] = inf

@@ -510,9 +510,7 @@ def minority_conditionals_exact() -> dict[tuple[int, int], Fraction]:
     picks = _DIS_PICK[_EMBED_PAT]
     assert np.all(picks != 255), "sampled children never agree unanimously"
     joint = np.bincount((4 * _EMBED_SLOT[:, None] + picks).ravel(), minlength=16).tolist()
-    return {
-        (i, j): Fraction(joint[4 * i + j], 720) / SLOT_PROBS[i] for i in range(4) for j in range(4)
-    }
+    return {divmod(k, 4): Fraction(c, 720) / SLOT_PROBS[k // 4] for k, c in enumerate(joint)}
 
 
 def embed_misses(level: int) -> tuple[int, int, int]:

@@ -5,6 +5,7 @@ restriction dictionaries, a different mechanism from the production
 axis sweeps over the subcube lattice.
 """
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -526,16 +527,55 @@ def test_min_weighted_uniform_law_at_nine_vars():
         assert tree_computes(result.tree, f) and tree_cost(result.tree, uniform) == want
 
 
-def test_min_weighted_refuses_unequal_rows_above_eight_vars(monkeypatch):
-    row = [Fraction(1, 512)] * 512
-    cost = CostMatrix.from_lists(9, [[Fraction(0)] + row[1:]] + [row] * 8)
+def no_charge_lattice(monkeypatch):
+    """Make subcube.lattice hand out lattices whose charge sums fail."""
+    real = subcube.lattice
 
-    def unreachable(*args):
-        raise AssertionError("refusal came after a lattice was built")
+    def unsummed(*args):
+        lat = real(*args)
 
-    monkeypatch.setattr(subcube, "lattice", unreachable)
-    with pytest.raises(ValueError, match="equal rows"):
-        min_weighted_zero_error(TruthTable(9, 0), cost)
+        def sums(values):
+            raise AssertionError("a charge lattice was built")
+
+        return dataclasses.replace(lat, sums=sums)
+
+    monkeypatch.setattr(subcube, "lattice", unsummed)
+
+
+def test_min_weighted_refuses_an_object_law_before_any_charge_lattice(monkeypatch):
+    # a random 16-variable table takes the full lattice, 3**16 states;
+    # masses off by 1/p and 1/q, p and q primes near 2**25, put the bound
+    # at 72 bits, so Python ints: about 3.2 GiB for the charges and values
+    rng = random.Random(5)
+    f = TruthTable(16, rng.getrandbits(1 << 16))
+    assert not subcube.block_symmetric(f.values())
+    p, q = 33554393, 33554383
+    masses = [Fraction(1, 1 << 16)] * (1 << 16)
+    masses[0] += Fraction(1, p)
+    masses[1] += Fraction(1, q)
+    masses[2] -= Fraction(1, p) + Fraction(1, q)
+    no_charge_lattice(monkeypatch)
+    with pytest.raises(ValueError, match="GiB"):
+        min_weighted_zero_error(f, CostMatrix.uniform(masses))
+    # the uniform law on the same table needs int32 alone, about 390 MB,
+    # so it passes the guard and goes on to build its charge lattice
+    with pytest.raises(AssertionError, match="charge lattice"):
+        min_weighted_zero_error(f, CostMatrix.uniform([Fraction(1, 1 << 16)] * (1 << 16)))
+
+
+def test_two_row_law_at_twelve_vars_matches_the_full_lattice(monkeypatch):
+    # one row charges every x_{4b+1}, another the rest of each block, so
+    # the classes take both rows; the full lattice holds 3**12 states
+    rng = random.Random(12)
+    f = block_invariant_table(rng, 12)
+    first, rest = block_invariant_law(rng, 12), block_invariant_law(rng, 12)
+    cost = CostMatrix.from_lists(12, [first if i % 4 == 0 else rest for i in range(12)])
+    assert len(cost.rows) == 2
+    run = lambda: min_weighted_zero_error(f, cost, want_tree=True)
+    got = run()
+    want = on_the_full_lattice(monkeypatch, run)
+    assert (got.states, want.states) == (30**3, 3**12)
+    assert (got.value, got.tree) == (want.value, want.tree)
 
 
 def test_charge_matrices_agree_with_direct_conditional_sums():
