@@ -332,17 +332,17 @@ def _mc_batch(
 ) -> tuple[int, int]:
     """(total reads, total squared reads) of one batch of n trials, one
     tree level at a time; batch_sizes keeps every frontier within 2**18
-    nodes up to height 10.  A level's rounds' reads are (m, 4) boolean flags over its m
-    nodes read, trial-major and slot-minor, and the next level's m is
-    their count.  Under the hard law the draws alone key the rounds, and
-    no value is drawn, the roots' included, as no read count depends on
-    one; on a fixed input one compress of the children's int32 indices through the
-    flags is the next frontier.  Each trial's reads are the leaf counts
-    scattered back up through every level's flags.  The arrays live in
-    workspace ws and grow only to the largest frontier; returning drops
-    every view of them, so a buffer that grows in a later batch is freed
-    first.  No index is out of range, so take runs in clip mode, straight
-    to its output."""
+    nodes up to height 10.  A level's rounds' reads are (m, 4) boolean
+    flags over its m nodes read, trial-major and slot-minor, and the next
+    level's m is their count.  Under the hard law the draws alone key the
+    rounds, and no value is drawn, the roots' included, as no read count
+    depends on one; on a fixed input one compress of the children's int32
+    indices through the flags is the next frontier.  Each trial's reads
+    are the leaf counts scattered back up through every level's flags.
+    The arrays live in workspace ws and grow only to the largest
+    frontier; returning drops every view of them, so a buffer that grows
+    in a later batch is freed first.  No index is out of range, so take
+    runs in clip mode, straight to its output."""
     if h == 0:
         # a leaf is read outright; sampling only fixes its value
         return n, n

@@ -350,18 +350,18 @@ def test_minority_counts_report_an_all_agree_root_as_a_sampler_fault(monkeypatch
         minority_level1_counts(10, np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("pat", sorted(set(harddist._DRAW30.ravel().tolist())))
-@pytest.mark.parametrize("coin", [0, 1])
-def test_minority_counts_judge_the_whole_step_table_before_drawing(monkeypatch, pat, coin):
+def test_minority_counts_judge_the_whole_step_table_before_drawing(monkeypatch):
     # an all-agree pick at any pattern the draw table holds, on either
     # coin, is refused before the generator moves
-    wrong = harddist._DIS_PICK.copy()
-    wrong[pat, coin] = 255
-    monkeypatch.setattr(harddist, "_DIS_PICK", wrong)
-    rng = np.random.default_rng(5)
-    with pytest.raises(RuntimeError, match="all-agree root"):
-        minority_level1_counts(10**6, rng)
-    assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
+    for pat in sorted(set(harddist._DRAW30.ravel().tolist())):
+        for coin in (0, 1):
+            wrong = harddist._DIS_PICK.copy()
+            wrong[pat, coin] = 255
+            monkeypatch.setattr(harddist, "_DIS_PICK", wrong)
+            rng = np.random.default_rng(5)
+            with pytest.raises(RuntimeError, match="all-agree root"):
+                minority_level1_counts(10**6, rng)
+            assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
 
 
 def test_minority_level1_counts_match_marginals():
