@@ -24,8 +24,9 @@ The depth sweep runs in uint8, the weighted one in integers over the
 charges' common denominator.  There inf = 1 + the sum of every row
 bounds every value, and no step exceeds 2 * inf + the largest row sum:
 int32 holds that below 2**31, int64 below 2**63, and object arrays the
-rest.  Equal rows share one charge lattice; above n = 8 all rows must be
-equal.
+rest.  Equal rows share one charge lattice, and the DP refuses a
+lattice whose arrays and sweep temporaries would, by its own estimate,
+take more than MAX_DP_BYTES.
 """
 
 from __future__ import annotations
@@ -345,9 +346,14 @@ def min_weighted_zero_error(
     else:
         dtype = object
     # one charge lattice per distinct row, the values and the colors, a
-    # Python int taking about 40 bytes with its pointer
+    # Python int taking about 40 bytes with its pointer; then either the
+    # mask of mixed states or a move's step and its "lowered" flags on
+    # one slab, and numpy's buffers for three operands
     entry = 40 if dtype is object else np.dtype(dtype).itemsize
-    need = lat.colors.size * ((len(rows) + 1) * entry + 1)
+    size = lat.colors.size
+    slab = size // max(lat.colors.shape, default=1)
+    need = size * ((len(rows) + 1) * entry + 1) + max(size, slab * (entry + 1))
+    need += 3 * np.getbufsize() * entry
     if need > MAX_DP_BYTES:
         raise ValueError(f"the weighted DP would take about {need / 2**30:.1f} GiB, over 1 GiB")
     lattices = [lat.sums(row.astype(dtype)) for row in rows]

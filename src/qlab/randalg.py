@@ -23,7 +23,7 @@ rounds, built once from ``lv_run``, holds what each reads and outputs,
 so ``lv_check_correct`` judges zero error on the whole table.  The
 level-by-level Monte Carlo evaluator reads it as each level's boolean
 read flags, which count the next level's nodes and on a fixed input
-name them, in one growing workspace per worker.
+name them.
 The three exact recursions (per input, under the hard law, and over
 the worst inputs) share one integer moment step over its read counts.
 On a fixed input the evaluator and the recursion take the nodes'
@@ -254,7 +254,7 @@ def mc_mean_cost(
     height-h hard distribution when x is None.  The trial budget is
     split over 64 fixed substreams, so results do not depend on the
     thread count: worker w of W = min(threads, substreams) runs
-    substreams w, w + W, ... in one workspace of its own."""
+    substreams w, w + W, w + 2W and so on."""
     if not 0 <= h <= MAX_MC_HEIGHT:
         raise ValueError(f"Monte Carlo supports 0 <= h <= {MAX_MC_HEIGHT}")
     if trials < 1:
@@ -271,10 +271,9 @@ def mc_mean_cost(
     results: list = [None] * workers
 
     def work(w: int) -> None:
-        ws: dict = {}
         try:
             results[w] = [
-                _mc_batch(h, b, sub, pats, ws)
+                _mc_batch(h, b, sub, pats)
                 for n, sub in jobs[w::workers]
                 for b in batch_sizes(h, n)
             ]
@@ -314,21 +313,8 @@ _ROUND_POPC, _HARD_POPC = (_POPC[m].astype(np.int32) for m in (_FLAT_ROUND_MASK,
 _SLOTS = np.arange(4, dtype=np.int32)
 
 
-def _buffer(ws: dict, name: object, size: int, dtype: np.dtype | type) -> np.ndarray:
-    """The first size entries of workspace buffer name, which grows to
-    size if shorter, freeing the old buffer before allocating."""
-    if name not in ws or ws[name].size < size:
-        ws.pop(name, None)
-        ws[name] = np.empty(size, dtype)
-    return ws[name][:size]
-
-
 def _mc_batch(
-    h: int,
-    n: int,
-    rng: np.random.Generator,
-    pats: Optional[list[np.ndarray]],
-    ws: dict,
+    h: int, n: int, rng: np.random.Generator, pats: Optional[list[np.ndarray]]
 ) -> tuple[int, int]:
     """(total reads, total squared reads) of one batch of n trials, one
     tree level at a time; batch_sizes keeps every frontier within 2**18
@@ -339,10 +325,7 @@ def _mc_batch(
     depends on one; on a fixed input one compress of the children's int32
     indices through the flags is the next frontier.  Each trial's reads
     are the leaf counts scattered back up through every level's flags.
-    The arrays live in workspace ws and grow only to the largest
-    frontier; returning drops every view of them, so a buffer that grows
-    in a later batch is freed first.  No index is out of range, so take
-    runs in clip mode, straight to its output."""
+    No index is out of range, so take runs in clip mode."""
     if h == 0:
         # a leaf is read outright; sampling only fixes its value
         return n, n
@@ -350,35 +333,29 @@ def _mc_batch(
     flags, popc = (_HARD_FLAGS, _HARD_POPC) if hard else (_ROUND_FLAGS, _ROUND_POPC)
     m, reads = n, []
     if not hard:
-        front = _buffer(ws, "front", n, np.int32)
-        front.fill(0)
+        front = np.zeros(n, dtype=np.int32)
     for k in range(h, 0, -1):
         if hard:
             key = rng.integers(0, 720, size=m, dtype=np.uint16)
         else:
-            key = pats[k - 1].take(front, out=_buffer(ws, "key", m, np.uint16), mode="clip")
+            key = pats[k - 1].take(front, mode="clip")
             key += rng.integers(0, 24, size=m, dtype=np.uint8)
         if k == 1:
             break
-        read = flags.take(key, out=_buffer(ws, k, m, np.uint32), mode="clip").view(bool)
+        read = flags.take(key, mode="clip").view(bool)
         reads.append(read)
         m = int(np.count_nonzero(read))
         if not hard:
             # node i's children are nodes 4i to 4i + 3 one level down
             front *= 4
-            kids = _buffer(ws, "kids", read.size, np.int32)
-            np.add(front[:, None], _SLOTS, out=kids.reshape(-1, 4))
-            front = kids.compress(read, out=_buffer(ws, "front", m, np.int32))
-    cost = popc.take(key, out=_buffer(ws, "cost", m, np.int32), mode="clip")
-    # every round reads at least two children, so frontiers only grow
-    # going down and each level's sums fit in the prefix of cost
+            front = (front[:, None] + _SLOTS).ravel().compress(read)
+    cost = popc.take(key, mode="clip")
     for read in reversed(reads):
-        up = _buffer(ws, "up", read.size, np.int32)
-        up.fill(0)
+        up = np.zeros(read.size, dtype=np.int32)
         up[read] = cost
-        cost = np.add.reduce(up.reshape(-1, 4), axis=1, out=cost[: read.size // 4])
-    sq = np.multiply(cost, cost, out=_buffer(ws, "sq", n, np.int64), dtype=np.int64)
-    return int(np.add.reduce(cost, dtype=np.int64)), int(np.add.reduce(sq))
+        cost = up.reshape(-1, 4).sum(axis=1, dtype=np.int32)
+    sq = np.multiply(cost, cost, dtype=np.int64)
+    return int(cost.sum(dtype=np.int64)), int(sq.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -855,10 +855,10 @@ def test_sampler_peak_stays_at_one_batch(capsys, h, sample):
     assert four <= 1.25 * one, (one, four)
 
 
-def test_mc_workspace_grows_only_to_the_frontiers_drawn():
-    # one height-12 trial may read 4**11 level-1 nodes, but the
-    # evaluator's workspace grows only to the frontiers it draws: one
-    # sized up front for the worst case peaks past 200 MiB here
+def test_one_height_twelve_trial_peaks_under_16_mib():
+    # one height-12 trial may read 4**11 level-1 nodes, but the evaluator
+    # sizes each level's arrays to the frontier it draws: arrays sized up
+    # front for the worst case would peak past 200 MiB here
     import tracemalloc
 
     tracemalloc.start()

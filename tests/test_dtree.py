@@ -33,6 +33,7 @@ from qlab.dtree import (
 )
 from qlab.harddist import (
     d,
+    dh_law,
     jk_cost_matrices,
     jk_values,
     minority_leaf_law,
@@ -557,10 +558,41 @@ def test_min_weighted_refuses_an_object_law_before_any_charge_lattice(monkeypatc
     no_charge_lattice(monkeypatch)
     with pytest.raises(ValueError, match="GiB"):
         min_weighted_zero_error(f, CostMatrix.uniform(masses))
-    # the uniform law on the same table needs int32 alone, about 390 MB,
+    # the uniform law on the same table needs int32 alone, about 460 MB,
     # so it passes the guard and goes on to build its charge lattice
     with pytest.raises(AssertionError, match="charge lattice"):
         min_weighted_zero_error(f, CostMatrix.uniform([Fraction(1, 1 << 16)] * (1 << 16)))
+
+
+@pytest.mark.parametrize("n", [10, 12, None], ids=["random-10", "random-12", "fmaj2-d2"])
+def test_weighted_dp_memory_estimate_bounds_its_traced_peak(monkeypatch, n):
+    # the estimate counts the sweep's temporaries as well as its arrays:
+    # with the limit one byte below the traced peak the DP refuses before
+    # building a charge lattice, and at 1.5 times the peak it runs.  A
+    # random table under the uniform law takes the full lattice, fmaj2
+    # under the height-2 law the classes
+    import tracemalloc
+
+    if n is None:
+        f, cost = iterated_table(2), CostMatrix.uniform(dh_law(2).dense())
+    else:
+        f = TruthTable(n, random.Random(n).getrandbits(1 << n))
+        cost = CostMatrix.uniform([Fraction(1, 1 << n)] * (1 << n))
+    run = lambda: min_weighted_zero_error(f, cost)
+    run()
+    tracemalloc.start()
+    try:
+        result = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.states == (3**n if n else 30**4)
+    monkeypatch.setattr(dtree, "MAX_DP_BYTES", int(1.5 * peak))
+    assert run() == result
+    monkeypatch.setattr(dtree, "MAX_DP_BYTES", peak - 1)
+    no_charge_lattice(monkeypatch)
+    with pytest.raises(ValueError, match="GiB"):
+        run()
 
 
 def test_two_row_law_at_twelve_vars_matches_the_full_lattice(monkeypatch):

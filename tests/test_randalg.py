@@ -18,7 +18,15 @@ import numpy as np
 import pytest
 
 from qlab import cli, randalg
-from qlab.boolfn import bits_to_index, fmaj, index_to_bits, iter_eval, parse_bits
+from qlab.boolfn import (
+    bits_to_index,
+    fmaj,
+    index_to_bits,
+    iter_eval,
+    level_patterns,
+    parse_bits,
+    tree_bits,
+)
 from qlab.harddist import d
 from qlab.randalg import (
     MAX_MC_HEIGHT,
@@ -428,9 +436,55 @@ def test_hard_law_batch_draws_only_the_round_keys():
     # height-1 batch under the hard law draws its n keys and nothing else
     n = 1000
     rng, fresh = np.random.default_rng(12), np.random.default_rng(12)
-    randalg._mc_batch(1, n, rng, None, {})
+    randalg._mc_batch(1, n, rng, None)
     fresh.integers(0, 720, size=n, dtype=np.uint16)
     assert rng.bit_generator.state == fresh.bit_generator.state
+
+
+def walk_batch(h, n, twin, draws, node, root=None):
+    """(total reads, total squared reads) of n height-h trials, walking
+    each trial's nodes through lv_run on a twin generator's draws: one
+    twin.integers(0, draws) call per level over its frontier, trial-major,
+    then left to right.  node(k, i, b, u) gives the children bits and
+    the round of height-k node i, of value b, drawing u; the roots have
+    value root, and a read child's value is its bit."""
+    # the evaluator draws 24 rounds in uint8 and 720 law keys in uint16
+    dtype = np.uint8 if draws == 24 else np.uint16
+    fronts, reads = [[(0, root)] for _ in range(n)], [0] * n
+    for k in range(h, 0, -1):
+        us = iter(twin.integers(0, draws, size=sum(map(len, fronts)), dtype=dtype).tolist())
+        for t, front in enumerate(fronts):
+            fronts[t] = []
+            for i, b in front:
+                bits, r = node(k, i, b, next(us))
+                out, queried = lv_run(bits, int(r >= 6), randalg._ORDERS[r % 6])
+                assert b in (None, out)
+                reads[t] += len(queried) if k == 1 else 0
+                fronts[t] += [(4 * i + j, bits[j]) for j in sorted(queried)]
+    return sum(reads), sum(c * c for c in reads)
+
+
+def test_mc_batch_matches_a_per_trial_walk_of_the_round():
+    # the vectorized evaluator against lv_run, trial by trial on the same
+    # draws: on a fixed input a node drawing u runs round u on its own
+    # children pattern; under the hard law a node of value b drawing u
+    # has children pattern _DRAW30[b, u // 24] and runs round u % 24, and
+    # both root values give the same reads
+    h, n = 3, 200
+    level = level_patterns(tree_bits(h, recursive_exact_worst(h)[1]), h)
+    pats = [24 * p.astype(np.uint16) for p in level]
+
+    def fixed(k, i, b, u):
+        return index_to_bits(int(level[k - 1][i]), 4), u
+
+    def hard(k, i, b, u):
+        return index_to_bits(int(randalg._DRAW30[b, u // 24]), 4), u % 24
+
+    batch = randalg._mc_batch(h, n, np.random.default_rng(31), pats)
+    assert walk_batch(h, n, np.random.default_rng(31), 24, fixed) == batch
+    batch = randalg._mc_batch(h, n, np.random.default_rng(32), None)
+    for root in (0, 1):
+        assert walk_batch(h, n, np.random.default_rng(32), 720, hard, root) == batch
 
 
 # whole reports of mc_mean_cost(h, trials, default_rng(seed), x=x,
