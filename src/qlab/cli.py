@@ -18,6 +18,12 @@ verdict printed FAIL.  `main` turns an InputError, a ValueError (the
 library's bad-argument error) or an OSError (a file that cannot be read
 or written) into an ``error:`` line and status 2; argparse exits 2 on
 usage errors itself.
+
+A command imports only the qlab modules it runs: boolfn, which nearly
+every path needs, is imported here, and every other module inside the
+handlers that call it, so a fresh process compiles and runs no module
+its command never calls (tests/test_cli.py::
+test_command_imports_only_the_modules_it_runs pins the sets).
 """
 
 from __future__ import annotations
@@ -28,11 +34,14 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from . import boolfn, dtree, harddist, lpbound, randalg, subcube
+from . import boolfn
+
+if TYPE_CHECKING:
+    from . import randalg, subcube
 
 # exact per-level floor on expected reads for any zero-error tree
 LEVEL_COST_FLOOR = Fraction(16, 5)
@@ -129,6 +138,8 @@ def cmd_fn_iter(args: argparse.Namespace, rep: Report) -> None:
 # measure
 
 def cmd_measure_depth(args: argparse.Namespace, rep: Report) -> None:
+    from . import dtree
+
     table = _load("table", boolfn.load_table, args.table)
     rep.add("n", table.n)
     result = dtree.exact_depth(table, want_tree=bool(args.tree_out))
@@ -148,6 +159,8 @@ def cmd_measure_depth(args: argparse.Namespace, rep: Report) -> None:
 
 
 def cmd_measure_delta0(args: argparse.Namespace, rep: Report) -> None:
+    from . import dtree, harddist, subcube
+
     table = _load("table", boolfn.load_table, args.table)
     dist = _load("distribution", harddist.load_dist, args.dist)
     if dist.n != table.n:
@@ -172,6 +185,8 @@ def cmd_measure_delta0(args: argparse.Namespace, rep: Report) -> None:
 def _add_jk(rep: Report) -> tuple[Fraction, Fraction, Fraction]:
     """Report and return the height-1 minority functionals J(1, 0),
     K(1, 1) and J(1, 1)."""
+    from . import harddist
+
     j10, k11, j11 = harddist.jk_values()
     rep.add_rational("j-1-0", j10)
     rep.add_rational("k-1-1", k11)
@@ -191,6 +206,8 @@ def cmd_measure_jk(args: argparse.Namespace, rep: Report) -> None:
 # partition
 
 def cmd_partition_check(args: argparse.Namespace, rep: Report) -> None:
+    from . import subcube
+
     part = _load("partition", subcube.load_partition, args.part)
     table = _load("table", boolfn.load_table, args.table)
     if part.n != table.n:
@@ -211,6 +228,8 @@ def cmd_partition_check(args: argparse.Namespace, rep: Report) -> None:
 
 
 def cmd_partition_compose(args: argparse.Namespace, rep: Report) -> None:
+    from . import subcube
+
     outer = _load("partition", subcube.load_partition, args.outer)
     inner = _load("partition", subcube.load_partition, args.inner)
     composed = subcube.compose_partitions(outer, inner)
@@ -226,6 +245,8 @@ def cmd_partition_compose(args: argparse.Namespace, rep: Report) -> None:
 
 
 def cmd_partition_search_cost(args: argparse.Namespace, rep: Report) -> None:
+    from . import subcube
+
     table = _load("table", boolfn.load_table, args.table)
     result = subcube.search_min_cost(table, args.budget)
     rep.add("n", table.n)
@@ -243,6 +264,8 @@ def cmd_partition_search_cost(args: argparse.Namespace, rep: Report) -> None:
 
 
 def cmd_partition_search_weight(args: argparse.Namespace, rep: Report) -> None:
+    from . import subcube
+
     table = _load("table", boolfn.load_table, args.table)
     result = subcube.search_min_weight(table)
     rep.add("n", table.n)
@@ -259,12 +282,16 @@ def cmd_partition_search_weight(args: argparse.Namespace, rep: Report) -> None:
 # dist
 
 def cmd_dist_mass(args: argparse.Namespace, rep: Report) -> None:
+    from . import harddist
+
     mass = harddist.dh_mass(args.height, args.input)
     rep.add("height", args.height)
     rep.add_rational("mass", mass)
 
 
 def cmd_dist_total(args: argparse.Namespace, rep: Report) -> None:
+    from . import harddist
+
     rep.add("height", args.height)
     points, total = harddist.dh_total(args.height)
     rep.add("support", points)
@@ -276,6 +303,8 @@ def cmd_dist_total(args: argparse.Namespace, rep: Report) -> None:
 # bound
 
 def cmd_bound_prt(args: argparse.Namespace, rep: Report) -> None:
+    from . import lpbound
+
     table = _load("table", boolfn.load_table, args.table)
     eps = _parse_fraction(args.eps)
     rep.add("n", table.n)
@@ -308,6 +337,8 @@ def _mc_reference(
     trial reads alike.  Under the hard law at h >= 1 the last value is
     the band [(16/5)^h, worst-case mean] and whether the MC mean lies
     within four exact standard errors of it; else it is None."""
+    from . import randalg
+
     rng = np.random.default_rng(args.seed)
     mc = randalg.mc_mean_cost(h, args.trials, rng, x=x, threads=args.threads)
     exact, variance = randalg.recursive_exact_moments(h, x)
@@ -320,6 +351,8 @@ def _mc_reference(
 
 
 def cmd_simulate_r0(args: argparse.Namespace, rep: Report) -> None:
+    from . import randalg
+
     mc, exact, sigma, band = _mc_reference(args, args.height, args.input)
     rep.add("height", args.height)
     rep.add("trials", args.trials)
@@ -341,6 +374,8 @@ def cmd_simulate_r0(args: argparse.Namespace, rep: Report) -> None:
 
 
 def cmd_simulate_minority(args: argparse.Namespace, rep: Report) -> None:
+    from . import harddist, randalg
+
     rep.add("trials", args.trials)
     rep.add("seed", args.seed)
     counts = harddist.minority_level1_counts(args.trials, np.random.default_rng(args.seed))
@@ -353,6 +388,8 @@ def cmd_simulate_minority(args: argparse.Namespace, rep: Report) -> None:
 
 
 def cmd_simulate_embed(args: argparse.Namespace, rep: Report) -> None:
+    from . import randalg
+
     rng = np.random.default_rng(args.seed)
     report = randalg.embed_check(args.level, args.trials, rng, alpha=args.alpha)
     rep.add("level", args.level)
@@ -389,6 +426,8 @@ def cmd_verify_separation(args: argparse.Namespace, rep: Report) -> None:
 
 def _partition_computes(part: subcube.LabeledPartition, table: boolfn.TruthTable) -> bool:
     """Whether part is a partition whose labels compute table."""
+    from . import subcube
+
     try:
         return subcube.computes(part, table)  # validates the partition
     except ValueError:  # not a partition
@@ -396,6 +435,8 @@ def _partition_computes(part: subcube.LabeledPartition, table: boolfn.TruthTable
 
 
 def _verify_height1(rep: Report) -> None:
+    from . import dtree, harddist, randalg, subcube
+
     table = boolfn.fmaj()
     rep.add_verdict("depth-4", dtree.exact_depth(table).value == 4)
 
@@ -440,6 +481,8 @@ def _verify_height1(rep: Report) -> None:
 
 
 def _verify_height2(args: argparse.Namespace, rep: Report) -> None:
+    from . import dtree, harddist, randalg, subcube
+
     # only the Monte Carlo samples: every other verdict reads a whole table
     rep.add("trials", args.trials)
     table2 = boolfn.iterated_table(2)
@@ -480,29 +523,44 @@ def _verify_height2(args: argparse.Namespace, rep: Report) -> None:
 # fixtures
 
 # every named file qlab writes, by the command that emits it: the file
-# suffix, the writer, the report line that sizes it, and each name's maker
+# suffix and the names it can make
 _FIXTURES = {
-    "fn": (".tt", boolfn.save_table, ("n", lambda table: table.n), {
-        "identity": lambda: boolfn.iterated_table(0),
-        "fmaj": boolfn.fmaj,
-        "fmaj2": lambda: boolfn.iterated_table(2),
-    }),
-    "partition": (".part", subcube.save_partition, ("parts", len), {
-        "canonical": subcube.canonical_fmaj_partition,
-    }),
-    "dist": (".dist", harddist.save_dist, ("support", lambda dist: len(dist.support())), {
-        "d0": harddist.d0,
-        "d1": harddist.d1,
-        "d": harddist.d,
-        "d2": lambda: harddist.dh_law(2),
-    }),
+    "fn": (".tt", ("identity", "fmaj", "fmaj2")),
+    "partition": (".part", ("canonical",)),
+    "dist": (".dist", ("d0", "d1", "d", "d2")),
 }
 # the files `fixtures` writes, in order
 _FIXTURE_FILES = (("fn", "fmaj"), ("fn", "fmaj2"), ("partition", "canonical"), ("dist", "d"))
 
 
+def _fixture_makers(command: str):
+    """The writer of the files command emits, the report line that sizes
+    one, and each name's maker, importing only the module that makes
+    them."""
+    if command == "fn":
+        return boolfn.save_table, ("n", lambda table: table.n), {
+            "identity": lambda: boolfn.iterated_table(0),
+            "fmaj": boolfn.fmaj,
+            "fmaj2": lambda: boolfn.iterated_table(2),
+        }
+    if command == "partition":
+        from . import subcube
+
+        return subcube.save_partition, ("parts", len), {
+            "canonical": subcube.canonical_fmaj_partition,
+        }
+    from . import harddist
+
+    return harddist.save_dist, ("support", lambda dist: len(dist.support())), {
+        "d0": harddist.d0,
+        "d1": harddist.d1,
+        "d": harddist.d,
+        "d2": lambda: harddist.dh_law(2),
+    }
+
+
 def cmd_emit(args: argparse.Namespace, rep: Report) -> None:
-    _, save, (key, size), makers = _FIXTURES[args.command]
+    save, (key, size), makers = _fixture_makers(args.command)
     made = makers[args.name]()
     save(made, args.out)
     rep.add("name", args.name)
@@ -513,8 +571,8 @@ def cmd_emit(args: argparse.Namespace, rep: Report) -> None:
 def cmd_fixtures(args: argparse.Namespace, rep: Report) -> None:
     os.makedirs(args.out_dir, exist_ok=True)
     for command, name in _FIXTURE_FILES:
-        suffix, save, _, makers = _FIXTURES[command]
-        path = os.path.join(args.out_dir, name + suffix)
+        save, _, makers = _fixture_makers(command)
+        path = os.path.join(args.out_dir, name + _FIXTURES[command][0])
         save(makers[name](), path)
         rep.add("wrote", path)
 
@@ -524,7 +582,7 @@ def cmd_fixtures(args: argparse.Namespace, rep: Report) -> None:
 
 def _add_emit(sub, command: str, summary: str) -> None:
     p = sub.add_parser("emit", help=summary)
-    p.add_argument("--name", required=True, choices=sorted(_FIXTURES[command][3]))
+    p.add_argument("--name", required=True, choices=sorted(_FIXTURES[command][1]))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_emit)
 

@@ -355,7 +355,10 @@ def min_weighted_zero_error(
     need = size * ((len(rows) + 1) * entry + 1) + max(size, slab * (entry + 1))
     need += 3 * np.getbufsize() * entry
     if need > MAX_DP_BYTES:
-        raise ValueError(f"the weighted DP would take about {need / 2**30:.1f} GiB, over 1 GiB")
+        raise ValueError(
+            f"the weighted DP would take about {need:,} bytes, "
+            f"over its limit of {MAX_DP_BYTES:,} bytes"
+        )
     lattices = [lat.sums(row.astype(dtype)) for row in rows]
     val = np.zeros(lat.colors.shape, dtype=dtype)
     val[lat.colors == 2] = inf

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -48,7 +48,9 @@ from .boolfn import (
     level_patterns,
     tree_bits,
 )
-from .dtree import CostMatrix, delta0, min_weighted_zero_error
+
+if TYPE_CHECKING:
+    from .dtree import CostMatrix
 
 MAX_ENUM_HEIGHT = 2
 
@@ -274,6 +276,8 @@ def jk_cost_matrices() -> tuple[CostMatrix, CostMatrix]:
     the second cross-charges it by the posterior of each other leaf j
     the path could enter instead, weighted by j's marginal, which sums to
     the mass of the input times the chance that the path misses leaf i."""
+    from .dtree import CostMatrix
+
     dist = d()
     marg = minority_marginals_exact()
     prob = [[Fraction(0)] * 16 for _ in range(4)]
@@ -292,6 +296,8 @@ def jk_values() -> tuple[Fraction, Fraction, Fraction]:
     charge, both under jk_cost_matrices; J(1,1) counts every queried
     leaf, since the level-1 node on the path is the root, so it is the
     expected query count delta0 under d()."""
+    from .dtree import delta0, min_weighted_zero_error
+
     cj, ck = jk_cost_matrices()
     return (
         min_weighted_zero_error(fmaj(), cj).value,

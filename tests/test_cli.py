@@ -146,7 +146,7 @@ def test_measure_depth_replays_the_tree_file(tmp_path, capsys, monkeypatch):
     table, tree = tmp_path / "f.tt", tmp_path / "t.dt"
     save_table(fmaj(), table)
     real = dtree.save_tree
-    monkeypatch.setattr(cli.dtree, "save_tree", lambda t, path: real(flip_first_leaf(t), path))
+    monkeypatch.setattr(dtree, "save_tree", lambda t, path: real(flip_first_leaf(t), path))
     code, out = run(capsys, "measure", "depth", "--table", str(table), "--tree-out", str(tree))
     assert lines(out)["witness-replay"] == "FAIL"
     assert code == 1
@@ -166,7 +166,7 @@ def test_measure_delta0_replays_its_witness(tmp_path, capsys, monkeypatch):
             result = real(f, cost, want_tree=want_tree)
             return dataclasses.replace(result, tree=wrong(result.tree))
 
-        monkeypatch.setattr(cli.dtree, "min_weighted_zero_error", witness)
+        monkeypatch.setattr(dtree, "min_weighted_zero_error", witness)
         code, out = run(capsys, *argv)
         got = lines(out)
         assert (got["delta0"], got["witness-replay"]) == ("16/5", "FAIL")
@@ -286,7 +286,7 @@ def stub_depth_sweep(monkeypatch):
         assert table == iterated_table(2)
         return dtree.LatticeResult(16, 2, 30**4)
 
-    monkeypatch.setattr(cli.dtree, "exact_depth", depth)
+    monkeypatch.setattr(dtree, "exact_depth", depth)
 
 
 @pytest.mark.parametrize("height", [1, 2])
@@ -499,15 +499,16 @@ def test_bound_prt_failed_certificate_exits_one(tmp_path, capsys, monkeypatch):
 
 def probe_imports(*argvs):
     # runs each argv through qlab.cli.main in a fresh interpreter, then
-    # lists the scipy modules that process loaded and says whether it
-    # loaded concurrent.futures
+    # lists the qlab and scipy modules that process loaded and says
+    # whether it loaded concurrent.futures
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = (
         "import sys, qlab.cli\n"
         "code = 0\n"
         + "".join(f"code |= qlab.cli.main({list(argv)!r})\n" for argv in argvs)
-        + "print('scipy:', sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        + "print('qlab:', sorted(m for m in sys.modules if m.startswith('qlab.')))\n"
+        "print('scipy:', sorted(m for m in sys.modules if m.startswith('scipy')))\n"
         "print('concurrent.futures:', 'concurrent.futures' in sys.modules)\n"
         "sys.exit(code)"
     )
@@ -532,6 +533,37 @@ def test_bound_prt_loads_no_scipy(tmp_path):
     assert got["value"] == got["dual-value"] == "14/1"
     assert got["certificate"] == "pass"
     assert got["scipy"] == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["simulate", "r0", "--height", "2", "--trials", "10"], ("harddist", "randalg")),
+        (["dist", "total", "--height", "1"], ("harddist",)),
+        (["bound", "prt", "--table", "{table}", "--eps", "1/3"], ("subcube", "lpbound")),
+        (["fixtures", "--out-dir", "{dir}"], ("subcube", "harddist")),
+    ],
+    ids=["simulate-r0", "dist-total", "bound-prt", "fixtures"],
+)
+def test_command_imports_only_the_modules_it_runs(tmp_path, argv, modules):
+    # cli imports each module where a handler runs it, so a fresh process
+    # compiles and runs no module its command never calls
+    table = tmp_path / "fmaj.tt"
+    save_table(fmaj(), table)
+    argv = [a.format(table=table, dir=tmp_path / "out") for a in argv]
+    want = sorted(f"qlab.{m}" for m in ("cli", "boolfn", *modules))
+    assert probe_imports(argv)["qlab"] == str(want)
+
+
+def test_every_emit_name_has_a_maker(tmp_path, capsys):
+    # the parser's --name choices are listed apart from their makers,
+    # which load only when a file is written
+    for command, (suffix, names) in cli._FIXTURES.items():
+        assert sorted(cli._fixture_makers(command)[2]) == sorted(names)
+        for name in names:
+            out = tmp_path / (name + suffix)
+            code, _ = run(capsys, command, "emit", "--name", name, "--out", str(out))
+            assert code == 0 and out.exists()
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -691,7 +723,7 @@ def test_verify_height_two_fails_an_overlapping_partition(capsys, monkeypatch):
         part = compose_partitions(outer, inner)
         return LabeledPartition(part.n, part.entries[:-1] + part.entries[:1])
 
-    monkeypatch.setattr(cli.subcube, "compose_partitions", overlapping)
+    monkeypatch.setattr(subcube, "compose_partitions", overlapping)
     stub_depth_sweep(monkeypatch)
     code, out = run(
         capsys, "verify", "separation", "--height", "2", "--trials", "1000", "--seed", "4"

@@ -556,7 +556,7 @@ def test_min_weighted_refuses_an_object_law_before_any_charge_lattice(monkeypatc
     masses[1] += Fraction(1, q)
     masses[2] -= Fraction(1, p) + Fraction(1, q)
     no_charge_lattice(monkeypatch)
-    with pytest.raises(ValueError, match="GiB"):
+    with pytest.raises(ValueError, match="over its limit of 1,073,741,824 bytes$"):
         min_weighted_zero_error(f, CostMatrix.uniform(masses))
     # the uniform law on the same table needs int32 alone, about 460 MB,
     # so it passes the guard and goes on to build its charge lattice
@@ -591,7 +591,7 @@ def test_weighted_dp_memory_estimate_bounds_its_traced_peak(monkeypatch, n):
     assert run() == result
     monkeypatch.setattr(dtree, "MAX_DP_BYTES", peak - 1)
     no_charge_lattice(monkeypatch)
-    with pytest.raises(ValueError, match="GiB"):
+    with pytest.raises(ValueError, match=f"over its limit of {peak - 1:,} bytes$"):
         run()
 
 
