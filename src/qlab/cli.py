@@ -163,9 +163,9 @@ def cmd_measure_delta0(args: argparse.Namespace, rep: Report) -> None:
 
     table = _load("table", boolfn.load_table, args.table)
     dist = _load("distribution", harddist.load_dist, args.dist)
-    if dist.n != table.n:
+    if len(dist) != table.size:
         raise InputError("table and distribution arity mismatch")
-    charges = dtree.CostMatrix.uniform(dist.dense())
+    charges = dtree.CostMatrix.uniform(dist)
     result = dtree.min_weighted_zero_error(table, charges, want_tree=True)
     rep.add("n", table.n)
     rep.add_rational("delta0", result.value)
@@ -453,7 +453,7 @@ def _verify_height1(rep: Report) -> None:
     rep.add_verdict("worst-cost-13-4", randalg.recursive_exact_worst(1)[0] == Fraction(13, 4))
 
     mean = randalg.recursive_exact_moments(1)[0]
-    value = dtree.delta0(table, harddist.d().dense())
+    value = dtree.delta0(table, harddist.d())
     rep.add_rational("delta0", value)
     rep.add_rational("mean-reads", mean)
     rep.add_verdict("delta0-sandwich", LEVEL_COST_FLOOR <= value <= mean)
@@ -468,7 +468,7 @@ def _verify_height1(rep: Report) -> None:
     rep.add_verdict("minority-marginals", marg == MINORITY_MARGINALS)
 
     law = randalg.embedding_children_law_exact()
-    rep.add_verdict("embedding-law-exact", law == harddist.d().masses)
+    rep.add_verdict("embedding-law-exact", law == harddist.d())
     cond = randalg.minority_conditionals_exact()
     # 0 on the diagonal, else 1/3 with the instance at the first child,
     # 1/2 when the path leaves through the first child, and 1/4
@@ -514,7 +514,7 @@ def _verify_height2(args: argparse.Namespace, rep: Report) -> None:
     rep.add_verdict(
         "embedding",
         randalg.embed_misses(2) == (0, 0, 0)
-        and randalg.embedding_children_law_exact() == harddist.d().masses
+        and randalg.embedding_children_law_exact() == harddist.d()
         and randalg.embedding_slot_law_exact() == randalg.SLOT_PROBS,
     )
 
@@ -551,7 +551,7 @@ def _fixture_makers(command: str):
         }
     from . import harddist
 
-    return harddist.save_dist, ("support", lambda dist: len(dist.support())), {
+    return harddist.save_dist, ("support", lambda dist: sum(1 for m in dist if m)), {
         "d0": harddist.d0,
         "d1": harddist.d1,
         "d": harddist.d,

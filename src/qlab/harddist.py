@@ -13,8 +13,10 @@ masses and the rest derives from it: one draw table, the law's only
 sampler, looks up a node's children pattern by its value and one
 integer below 30; the exact masses are integer weights over one common
 denominator, and d0, d1 and d are those weights as exact laws.  An
-input fixes every node's value, so its mass is one product over the
-internal nodes that `boolfn.level_patterns` lists.
+exact law on {0,1}^n is a tuple of 2**n Fractions, one mass per input
+in index order, the form CostMatrix.uniform, delta0 and chi_square_gof
+read.  An input fixes every node's value, so its mass is one product
+over the internal nodes that `boolfn.level_patterns` lists.
 
 The minority path starts at the root and repeatedly steps into a child
 disagreeing with its parent's value: a unique dissenter is taken
@@ -41,6 +43,7 @@ import numpy as np
 
 from .boolfn import (
     _FMAJ_BIT,
+    MAX_VARS,
     bits_to_index,
     fmaj,
     index_to_bits,
@@ -61,47 +64,6 @@ class SupportError(ValueError):
 
 
 _ZERO = Fraction(0)
-
-
-class InputDistribution:
-    """An exact rational distribution on {0,1}^n, stored sparsely."""
-
-    def __init__(self, n: int, masses: dict[int, Fraction]):
-        self.n = n
-        # each mass is converted once, a Fraction kept as it is, and then
-        # tested by its numerator: zeros dropped, negatives refused
-        converted = (
-            (i, m if isinstance(m, Fraction) else Fraction(m)) for i, m in sorted(masses.items())
-        )
-        self.masses = {idx: m for idx, m in converted if m.numerator}
-        for idx, m in self.masses.items():
-            if not 0 <= idx < (1 << n):
-                raise ValueError(f"index {idx} out of range for n={n}")
-            if m.numerator < 0:
-                raise ValueError(f"negative mass at index {idx}")
-        # summed in integers over the common denominator, not in Fractions
-        denom = math.lcm(*(m.denominator for m in self.masses.values()))
-        if sum(m.numerator * (denom // m.denominator) for m in self.masses.values()) != denom:
-            raise ValueError("masses do not sum to 1")
-
-    def mass(self, idx: int) -> Fraction:
-        return self.masses.get(idx, _ZERO)
-
-    def dense(self) -> list[Fraction]:
-        out = [_ZERO] * (1 << self.n)
-        for idx, m in self.masses.items():
-            out[idx] = m
-        return out
-
-    def support(self) -> list[int]:
-        return list(self.masses)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, InputDistribution)
-            and self.n == other.n
-            and self.masses == other.masses
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -125,23 +87,22 @@ _SEED_W = np.stack([np.bincount(row, minlength=16) for row in _DRAW30])
 _W30 = _SEED_W.sum(axis=0)
 
 
-def _law(weights: np.ndarray, denom: int) -> InputDistribution:
+def _law(weights: np.ndarray, denom: int) -> tuple[Fraction, ...]:
     """The law of input idx with mass weights[idx] / denom."""
-    masses = {i: Fraction(w, denom) for i, w in enumerate(weights.tolist()) if w}
-    return InputDistribution(weights.size.bit_length() - 1, masses)
+    return tuple(Fraction(w, denom) if w else _ZERO for w in weights.tolist())
 
 
-def d0() -> InputDistribution:
+def d0() -> tuple[Fraction, ...]:
     """Children-pattern law at a node of value 0."""
     return _law(_SEED_W[0], 30)
 
 
-def d1() -> InputDistribution:
+def d1() -> tuple[Fraction, ...]:
     """Children-pattern law at a node of value 1: bitwise complement."""
     return _law(_SEED_W[1], 30)
 
 
-def d() -> InputDistribution:
+def d() -> tuple[Fraction, ...]:
     """Equal mixture of the two one-level laws; this is the hard input
     distribution at height 1."""
     return _law(_W30, 60)
@@ -173,7 +134,7 @@ def _dh_weights(h: int) -> np.ndarray:
     return weights
 
 
-def dh_law(h: int) -> InputDistribution:
+def dh_law(h: int) -> tuple[Fraction, ...]:
     """The height-h distribution as an exact law over every input."""
     return _law(_dh_weights(h), _denominator(h))
 
@@ -281,11 +242,12 @@ def jk_cost_matrices() -> tuple[CostMatrix, CostMatrix]:
     dist = d()
     marg = minority_marginals_exact()
     prob = [[Fraction(0)] * 16 for _ in range(4)]
-    for idx in dist.support():
-        for leaf, p in minority_leaf_law(1, index_to_bits(idx, 4)).items():
-            prob[leaf][idx] = p
-    cj = [[dist.mass(idx) * prob[i][idx] / marg[i] for idx in range(16)] for i in range(4)]
-    ck = [[dist.mass(idx) * (1 - prob[i][idx]) for idx in range(16)] for i in range(4)]
+    for idx, mass in enumerate(dist):
+        if mass:
+            for leaf, p in minority_leaf_law(1, index_to_bits(idx, 4)).items():
+                prob[leaf][idx] = p
+    cj = [[m * prob[i][idx] / marg[i] for idx, m in enumerate(dist)] for i in range(4)]
+    ck = [[m * (1 - prob[i][idx]) for idx, m in enumerate(dist)] for i in range(4)]
     return CostMatrix.from_lists(4, cj), CostMatrix.from_lists(4, ck)
 
 
@@ -302,25 +264,29 @@ def jk_values() -> tuple[Fraction, Fraction, Fraction]:
     return (
         min_weighted_zero_error(fmaj(), cj).value,
         min_weighted_zero_error(fmaj(), ck).value,
-        delta0(fmaj(), d().dense()),
+        delta0(fmaj(), d()),
     )
 
 
 # ---------------------------------------------------------------------------
-# on-disk format: one "<bitstring> <p>/<q>" line per support point; an
-# integer mass may omit "/<q>"
+# on-disk format: one "<bitstring> <p>/<q>" line per input of nonzero
+# mass, in index order; an integer mass may omit "/<q>"
 
 _MASS = re.compile(r"(-?\d+)(?:/(\d+))?")
 _BITS = re.compile(r"[01]+")
 
 
-def dist_to_text(dist: InputDistribution) -> str:
-    n = dist.n
-    lines = [f"{idx:0{n}b} {m.numerator}/{m.denominator}" for idx, m in dist.masses.items()]
+def dist_to_text(dist: Sequence[Fraction]) -> str:
+    n = len(dist).bit_length() - 1
+    lines = [f"{idx:0{n}b} {m.numerator}/{m.denominator}" for idx, m in enumerate(dist) if m]
     return "\n".join(lines) + "\n"
 
 
-def dist_from_text(text: str) -> InputDistribution:
+def dist_from_text(text: str) -> tuple[Fraction, ...]:
+    """The law a .dist text gives, refusing bit strings of unequal
+    lengths or of more than MAX_VARS bits, a repeated input, a zero
+    denominator, a negative mass and a total other than 1.  A line of
+    mass zero is allowed and adds nothing."""
     masses: dict[int, Fraction] = {}
     n: Optional[int] = None
     for raw in text.splitlines():
@@ -336,6 +302,9 @@ def dist_from_text(text: str) -> InputDistribution:
             raise ValueError(f"not a bit string: {bits!r}")
         if n is None:
             n = len(bits)
+            # refused before the law's 2**n entries are allocated
+            if n > MAX_VARS:
+                raise ValueError(f"more than {MAX_VARS} bits on line {raw!r}")
         elif len(bits) != n:
             raise ValueError(f"bit length mismatch on line {raw!r}")
         idx = int(bits, 2)
@@ -343,19 +312,29 @@ def dist_from_text(text: str) -> InputDistribution:
             raise ValueError(f"duplicate input on line {raw!r}")
         p, q = mass.groups("1")
         try:
-            masses[idx] = Fraction(int(p), int(q))
+            m = Fraction(int(p), int(q))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator on line {raw!r}") from None
+        if m.numerator < 0:
+            raise ValueError(f"negative mass at index {idx}")
+        masses[idx] = m
     if n is None:
         raise ValueError("no masses in distribution text")
-    return InputDistribution(n, masses)
+    # summed in integers over the common denominator, not in Fractions
+    denom = math.lcm(*(m.denominator for m in masses.values()))
+    if sum(m.numerator * (denom // m.denominator) for m in masses.values()) != denom:
+        raise ValueError("masses do not sum to 1")
+    law = [_ZERO] * (1 << n)
+    for idx, m in masses.items():
+        law[idx] = m
+    return tuple(law)
 
 
-def save_dist(dist: InputDistribution, path: str) -> None:
+def save_dist(dist: Sequence[Fraction], path: str) -> None:
     with open(path, "w") as fh:
         fh.write(dist_to_text(dist))
 
 
-def load_dist(path: str) -> InputDistribution:
+def load_dist(path: str) -> tuple[Fraction, ...]:
     with open(path) as fh:
         return dist_from_text(fh.read())

@@ -467,11 +467,10 @@ _EMBED_SLOT, _EMBED_PAT = np.array(
 ).T
 
 
-def embedding_children_law_exact() -> dict[int, Fraction]:
+def embedding_children_law_exact() -> tuple[Fraction, ...]:
     """Exact law of the four children values when the embedded value is
     a fair coin: each outcome's pattern has mass 1/360."""
-    counts = np.bincount(_EMBED_PAT, minlength=16).tolist()
-    return {pat: Fraction(c, 360) for pat, c in enumerate(counts) if c}
+    return tuple(Fraction(c, 360) for c in np.bincount(_EMBED_PAT, minlength=16).tolist())
 
 
 def embedding_slot_law_exact() -> tuple[Fraction, ...]:
@@ -532,5 +531,5 @@ def embed_check(
     slot_counts = tuple(int(c) for c in np.bincount(_EMBED_SLOT, weights=hits, minlength=4))
     slot_ok = within_four_sigma(slot_counts, SLOT_PROBS, trials)
     pat_counts = np.bincount(_EMBED_PAT, weights=hits, minlength=16).astype(np.int64)
-    gof = chi_square_gof(pat_counts, d().dense(), alpha=alpha)
+    gof = chi_square_gof(pat_counts, d(), alpha=alpha)
     return EmbedReport(trials, slot_counts, slot_ok, gof, *misses)

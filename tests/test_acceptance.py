@@ -130,9 +130,9 @@ def test_criterion_5_round_exactness():
 def test_criterion_6_distributional_sandwich():
     t0 = time.monotonic()
     dd = d()
-    value = delta0(fmaj(), dd.dense())
+    value = delta0(fmaj(), dd)
     upper = sum(
-        (dd.mass(p) * recursive_exact_moments(1, index_to_bits(p, 4))[0] for p in range(16)),
+        (dd[p] * recursive_exact_moments(1, index_to_bits(p, 4))[0] for p in range(16)),
         Fraction(0),
     )
     lower = Fraction(16, 5)
@@ -241,7 +241,7 @@ def test_criterion_11_distribution_integrity():
     # the draw table, the law's one sampler, covers each children pattern
     # with exactly as many of its 60 entries as 60 times its mass under d
     draws = np.bincount(_DRAW30.ravel(), minlength=16).tolist()
-    draws_ok = draws == [60 * m for m in d().dense()]
+    draws_ok = draws == [60 * m for m in d()]
     rng = np.random.default_rng(1003)
     slots_ok = True
     slot_freqs = []

@@ -179,7 +179,7 @@ def test_measure_delta0_enumerates_each_witness_leaf_once(tmp_path, capsys, monk
     table, dist = tmp_path / "f.tt", tmp_path / "d.dist"
     save_table(fmaj(), table)
     save_dist(d(), dist)
-    charges = dtree.CostMatrix.uniform(d().dense())
+    charges = dtree.CostMatrix.uniform(d())
     tree = dtree.min_weighted_zero_error(fmaj(), charges, want_tree=True).tree
     leaves = [p.text for p, _ in dtree.tree_to_partition(tree, 4).entries]
     calls = []
@@ -852,6 +852,27 @@ def test_huge_height_is_refused_without_building_its_power(capsys, argv):
         tracemalloc.stop()
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert peak < 2**20
+
+
+def test_a_dist_wider_than_any_table_is_refused_before_its_law_is_built(capsys, tmp_path):
+    # the loader refuses a 40-bit line before it allocates the law's
+    # 2**40 entries, so the command exits 2 with a small traced peak
+    import tracemalloc
+
+    table, dist = tmp_path / "f.tt", tmp_path / "wide.dist"
+    save_table(fmaj(), table)
+    line = "0" * 40 + " 1"
+    dist.write_text(line + "\n")
+    tracemalloc.start()
+    try:
+        code = exit_code(["measure", "delta0", "--table", str(table), "--dist", str(dist)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot load distribution {dist}: more than 16 bits on line {line!r}\n"
     assert peak < 2**20
 
 

@@ -120,9 +120,10 @@ def minority_read_probability():
     """prob[i][x] that leaf i is the minority leaf of input x."""
     dist = d()
     prob = [[Fraction(0)] * 16 for _ in range(4)]
-    for idx in dist.support():
-        for leaf, p in minority_leaf_law(1, index_to_bits(idx, 4)).items():
-            prob[leaf][idx] = p
+    for idx in range(16):
+        if dist[idx]:
+            for leaf, p in minority_leaf_law(1, index_to_bits(idx, 4)).items():
+                prob[leaf][idx] = p
     return prob
 
 
@@ -134,7 +135,7 @@ def charge_given_minority(tree, i, j):
     marg = minority_marginals_exact()
     total = Fraction(0)
     for idx in range(16):
-        mass = dist.mass(idx) * prob[j][idx] / marg[j]
+        mass = dist[idx] * prob[j][idx] / marg[j]
         if mass == 0:
             continue
         _, reads = dt_eval(tree, index_to_bits(idx, 4))
@@ -220,7 +221,7 @@ def test_canonical_witness_trees_are_pinned():
     pinned = [
         (cj, Fraction(13, 6), balanced),
         (ck, Fraction(53, 20), "(1 (2 =0 (3 =0 (4 =0 =1))) (2 (3 (4 =0 =1) =1) =1))"),
-        (CostMatrix.uniform(d().dense()), Fraction(16, 5), balanced),
+        (CostMatrix.uniform(d()), Fraction(16, 5), balanced),
     ]
     for cost, want_value, want_tree in pinned:
         result = min_weighted_zero_error(fmaj(), cost, want_tree=True)
@@ -370,10 +371,10 @@ def test_weighted_dp_without_the_symmetry_takes_the_full_lattice(monkeypatch, ca
 
 
 def test_cost_matrix_uniform_and_scale():
-    masses = d().dense()
+    masses = d()
     cu = CostMatrix.uniform(masses)
     assert cu.n == 4 and len(cu.rows) == 1
-    assert fraction_rows(cu) == [masses] * 4
+    assert fraction_rows(cu) == [list(masses)] * 4
     with pytest.raises(ValueError, match="row 0 has a negative charge"):
         CostMatrix.uniform([Fraction(-1, 2), Fraction(3, 2)])
     with pytest.raises(ValueError, match="distribution length must be a power of two"):
@@ -389,7 +390,7 @@ def test_cost_matrix_uniform_and_scale():
 
 
 def test_tree_cost_uniform_is_expected_reads():
-    masses = d().dense()
+    masses = d()
     cu = CostMatrix.uniform(masses)
     want = sum(
         (masses[i] * len(dt_eval(HAND_TREE, index_to_bits(i, 4))[1]) for i in range(16)),
@@ -476,7 +477,7 @@ def test_min_weighted_matches_brute_force_three_vars(monkeypatch, target, dtype)
 
 
 def test_min_weighted_witness_replays():
-    masses = d().dense()
+    masses = d()
     cost = CostMatrix.uniform(masses)
     result = min_weighted_zero_error(fmaj(), cost, want_tree=True)
     assert tree_computes(result.tree, fmaj())
@@ -484,8 +485,8 @@ def test_min_weighted_witness_replays():
 
 
 def test_delta0_under_hard_distribution():
-    value = delta0(fmaj(), d().dense())
-    assert value == brute_weighted(fmaj(), [d().dense()] * 4)
+    value = delta0(fmaj(), d())
+    assert value == brute_weighted(fmaj(), [d()] * 4)
     # regression constant, pinned after the cross-check above
     assert value == Fraction(16, 5)
 
@@ -574,7 +575,7 @@ def test_weighted_dp_memory_estimate_bounds_its_traced_peak(monkeypatch, n):
     import tracemalloc
 
     if n is None:
-        f, cost = iterated_table(2), CostMatrix.uniform(dh_law(2).dense())
+        f, cost = iterated_table(2), CostMatrix.uniform(dh_law(2))
     else:
         f = TruthTable(n, random.Random(n).getrandbits(1 << n))
         cost = CostMatrix.uniform([Fraction(1, 1 << n)] * (1 << n))
@@ -615,7 +616,7 @@ def test_charge_matrices_agree_with_direct_conditional_sums():
     trees = [
         min_weighted_zero_error(fmaj(), cj, want_tree=True).tree,
         min_weighted_zero_error(fmaj(), ck, want_tree=True).tree,
-        min_weighted_zero_error(fmaj(), CostMatrix.uniform(d().dense()), want_tree=True).tree,
+        min_weighted_zero_error(fmaj(), CostMatrix.uniform(d()), want_tree=True).tree,
         HAND_TREE,
     ]
     for tree in trees:
@@ -641,7 +642,7 @@ def test_charge_decomposition_identity_per_tree():
     # expected reads split into the cross charge, a one-fifth echo of the
     # per-leaf charge, and a one-fifth echo of the first leaf's own charge
     cj, ck = jk_cost_matrices()
-    cu = CostMatrix.uniform(d().dense())
+    cu = CostMatrix.uniform(d())
     zero = [Fraction(0)] * 16
     e11 = CostMatrix.from_lists(4, [fraction_rows(cj)[0], zero, zero, zero])
     trees = [
@@ -662,7 +663,7 @@ def test_charge_decomposition_identity_per_tree():
 def test_j_and_k_values():
     cj, ck = jk_cost_matrices()
     j10, k11, j11 = jk_values()
-    assert j11 == delta0(fmaj(), d().dense()) == Fraction(16, 5)
+    assert j11 == delta0(fmaj(), d()) == Fraction(16, 5)
     assert j10 == brute_weighted(fmaj(), fraction_rows(cj))
     assert j10 == Fraction(13, 6)
     assert k11 == brute_weighted(fmaj(), fraction_rows(ck))

@@ -7,11 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qlab.boolfn import bits_to_index, fmaj, index_to_bits, parse_bits
+from qlab.boolfn import MAX_VARS, bits_to_index, fmaj, index_to_bits, parse_bits
 from qlab.harddist import (
     _SEED30,
     MAX_ENUM_HEIGHT,
-    InputDistribution,
     SupportError,
     d,
     d0,
@@ -78,59 +77,62 @@ def test_seed_masses_pinned():
     dd0 = d0()
     assert sum(SEED_MASSES.values()) == 1
     for bits, mass in SEED_MASSES.items():
-        assert dd0.mass(bits_to_index(bits)) == mass
-    assert dd0.mass(0) == 0
-    assert dd0.mass(15) == 0
+        assert dd0[bits_to_index(bits)] == mass
+    assert dd0[0] == 0
+    assert dd0[15] == 0
 
 
 def test_mirror_distribution_complements():
     dd1 = d1()
     for bits, mass in SEED_MASSES.items():
-        assert dd1.mass(bits_to_index(complement(bits))) == mass
+        assert dd1[bits_to_index(complement(bits))] == mass
 
 
 def test_mixture_masses():
     dd = d()
-    assert dd.mass(bits_to_index("1000")) == Fraction(1, 5)
-    assert dd.mass(bits_to_index("0111")) == Fraction(1, 5)
-    assert dd.mass(bits_to_index("0011")) == Fraction(1, 12)
-    assert dd.mass(bits_to_index("1100")) == Fraction(1, 12)
-    assert dd.mass(bits_to_index("0001")) == Fraction(1, 60)
-    assert dd.mass(bits_to_index("1110")) == Fraction(1, 60)
-    assert dd.mass(0) == 0
-    assert dd.mass(15) == 0
-    assert len(dd.support()) == 14
-    assert sum(dd.dense(), Fraction(0)) == 1
+    assert dd[bits_to_index("1000")] == Fraction(1, 5)
+    assert dd[bits_to_index("0111")] == Fraction(1, 5)
+    assert dd[bits_to_index("0011")] == Fraction(1, 12)
+    assert dd[bits_to_index("1100")] == Fraction(1, 12)
+    assert dd[bits_to_index("0001")] == Fraction(1, 60)
+    assert dd[bits_to_index("1110")] == Fraction(1, 60)
+    assert dd[0] == 0
+    assert dd[15] == 0
+    assert len(dd) == 16 and sum(m != 0 for m in dd) == 14
+    assert sum(dd, Fraction(0)) == 1
 
 
 def test_seed_sides_balance_function_value():
     # the two mixture halves sit entirely on opposite function values
     f = fmaj()
-    for idx in d0().support():
-        assert f.bit(idx) == 0
-    for idx in d1().support():
-        assert f.bit(idx) == 1
+    for idx, (m0, m1) in enumerate(zip(d0(), d1())):
+        assert not m0 or f.bit(idx) == 0
+        assert not m1 or f.bit(idx) == 1
 
 
-def test_input_distribution_validates():
-    with pytest.raises(ValueError, match="masses do not sum to 1"):
-        InputDistribution(4, {0: Fraction(1, 2)})
+def test_dist_from_text_validates():
+    # each refusal the loader makes on a law read from outside
+    with pytest.raises(ValueError, match="bit length mismatch on line '000 1/2'"):
+        dist_from_text("0000 1/2\n000 1/2\n")
+    with pytest.raises(ValueError, match="duplicate input on line '0000 1/2'"):
+        dist_from_text("0000 1/2\n0000 1/2\n")
+    with pytest.raises(ValueError, match="zero denominator on line '0000 1/0'"):
+        dist_from_text("0000 1/0\n")
     with pytest.raises(ValueError, match="negative mass at index 1"):
-        InputDistribution(4, {0: Fraction(3, 2), 1: Fraction(-1, 2)})
-    with pytest.raises(ValueError, match="index 16 out of range for n=4"):
-        InputDistribution(4, {16: Fraction(1)})
-    # the total is exact over mixed denominators
+        dist_from_text("0000 3/2\n0001 -1/2\n")
     with pytest.raises(ValueError, match="masses do not sum to 1"):
-        InputDistribution(2, {0: Fraction(1, 3), 1: Fraction(1, 6), 2: Fraction(1, 3)})
-    thirds = {0: Fraction(1, 3), 1: Fraction(1, 6), 2: Fraction(1, 2)}
-    dist = InputDistribution(2, {**thirds, 3: 0})
-    # a Fraction mass is kept as it is, and other numbers are wrapped
-    assert all(dist.masses[i] is m for i, m in thirds.items())
-    assert InputDistribution(1, {0: 1}).masses == {0: Fraction(1)}
-    assert dist.dense() == [Fraction(1, 3), Fraction(1, 6), Fraction(1, 2), 0]
-    # a zero is dropped whatever number type carries it
-    assert InputDistribution(1, {0: "0", 1: 1}).support() == [1]
-    assert InputDistribution(1, {0: 0.0, 1: Fraction(1)}).masses == {1: Fraction(1)}
+        dist_from_text("1000 1/5\n")
+    # the total is exact over mixed denominators: 1/3 + 1/6 + 1/6 = 2/3
+    with pytest.raises(ValueError, match="masses do not sum to 1"):
+        dist_from_text("00 1/3\n01 1/6\n10 1/6\n")
+    # a 17-bit line is refused before a law of 2**17 entries is built
+    with pytest.raises(ValueError, match=f"more than {MAX_VARS} bits on line"):
+        dist_from_text("0" * 17 + " 1\n")
+    assert dist_from_text("0" * MAX_VARS + " 1\n") == (1,) + (0,) * (2**MAX_VARS - 1)
+    # a zero-mass line adds nothing and is dropped from the text written back
+    law = dist_from_text("00 1/3\n01 1/6\n10 1/2\n11 0/7\n")
+    assert law == (Fraction(1, 3), Fraction(1, 6), Fraction(1, 2), 0)
+    assert dist_to_text(law) == "00 1/3\n01 1/6\n10 1/2\n"
 
 
 def test_dh_mass_product_structure():
@@ -159,7 +161,7 @@ def test_dh_mass_off_support():
 def test_dh_mass_height_one_matches_mixture():
     dd = d()
     for idx in range(16):
-        assert dh_mass(1, index_to_bits(idx, 4)) == dd.mass(idx)
+        assert dh_mass(1, index_to_bits(idx, 4)) == dd[idx]
 
 
 def test_dh_support_sizes_and_totals():
@@ -193,8 +195,10 @@ def test_dh_total_sums_integer_weights():
 def test_dh_law_is_the_reference_enumeration():
     assert dh_law(1) == d()
     for h in (0, 1, 2):
-        want = {bits_to_index(bits): m for bits, m in dh_support(h)}
-        assert dh_law(h) == InputDistribution(4**h, want), h
+        want = [Fraction(0)] * 2 ** 4**h
+        for bits, m in dh_support(h):
+            want[bits_to_index(bits)] = m
+        assert dh_law(h) == tuple(want), h
     for h in (-1, 3):
         with pytest.raises(ValueError):
             dh_law(h)
@@ -321,9 +325,10 @@ def test_minority_marginals_exact():
     # direct recomputation from the mixture and per-input leaf laws
     dd = d()
     direct = [Fraction(0)] * 4
-    for idx in dd.support():
-        for leaf, p in minority_leaf_law(1, index_to_bits(idx, 4)).items():
-            direct[leaf] += dd.mass(idx) * p
+    for idx in range(16):
+        if dd[idx]:
+            for leaf, p in minority_leaf_law(1, index_to_bits(idx, 4)).items():
+                direct[leaf] += dd[idx] * p
     assert tuple(direct) == marg
 
 
@@ -389,9 +394,10 @@ def test_charge_matrix_shapes_and_row_sums():
         assert sum((charge(cj, i, x) for x in range(16)), Fraction(0)) == 1
     # independent transcription of both matrix definitions
     prob = [[Fraction(0)] * 16 for _ in range(4)]
-    for idx in dd.support():
-        for leaf, p in minority_leaf_law(1, index_to_bits(idx, 4)).items():
-            prob[leaf][idx] = p
+    for idx in range(16):
+        if dd[idx]:
+            for leaf, p in minority_leaf_law(1, index_to_bits(idx, 4)).items():
+                prob[leaf][idx] = p
     coeff = [[Fraction(0)] * 4 for _ in range(4)]
     for i in (1, 2, 3):
         coeff[i][0] = Fraction(2, 5)
@@ -401,9 +407,9 @@ def test_charge_matrix_shapes_and_row_sums():
                 coeff[i][j] = Fraction(1, 5)
     for i in range(4):
         for x in range(16):
-            assert charge(cj, i, x) == dd.mass(x) * prob[i][x] / marg[i]
+            assert charge(cj, i, x) == dd[x] * prob[i][x] / marg[i]
             want = sum(
-                (coeff[i][j] * dd.mass(x) * prob[j][x] / marg[j] for j in range(4)),
+                (coeff[i][j] * dd[x] * prob[j][x] / marg[j] for j in range(4)),
                 Fraction(0),
             )
             assert charge(ck, i, x) == want
@@ -430,16 +436,10 @@ def test_dist_text_rejects_garbage():
     with pytest.raises(ValueError):
         dist_from_text("100 1/5\n")
     with pytest.raises(ValueError):
-        dist_from_text("1000 1/5\n")  # does not sum to 1
-    with pytest.raises(ValueError):
         dist_from_text("1000 2/2/2\n")
-    with pytest.raises(ValueError, match="zero denominator on line '0000 1/0'"):
-        dist_from_text("0000 1/0\n")
     with pytest.raises(ValueError, match="not a bit string: '10x0'"):
         dist_from_text("10x0 1/2\n0000 1/2\n")
     with pytest.raises(ValueError, match="not a bit string: '-101'"):
         dist_from_text("-101 1\n")
-    with pytest.raises(ValueError, match="bit length mismatch on line '000 1/2'"):
-        dist_from_text("0000 1/2\n000 1/2\n")
-    with pytest.raises(ValueError, match="duplicate input on line '0000 1/2'"):
-        dist_from_text("0000 1/2\n0000 1/2\n")
+    with pytest.raises(ValueError, match="no masses in distribution text"):
+        dist_from_text("# only a comment\n")

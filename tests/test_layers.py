@@ -177,20 +177,32 @@ def names_used(node: ast.AST) -> Counter:
     )
 
 
+def attributes_used(node: ast.AST) -> Counter:
+    """The names a syntax tree reads as an attribute."""
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+
 def uncalled(modules: dict[str, str]) -> set[str]:
     """The top-level functions, classes and methods, dunders aside, of
-    the given module sources whose name appears nowhere outside their
-    own definition, as module.name."""
+    the given module sources that nothing outside their own definition
+    names, as module.name.  A function or class counts as named by a
+    name or an attribute, a method by an attribute alone, so a local
+    variable of the same name keeps no method alive."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
-    used = sum((names_used(tree) for tree in trees.values()), Counter())
+    used = {
+        count: sum((count(tree) for tree in trees.values()), Counter())
+        for count in (names_used, attributes_used)
+    }
     found = set()
     for name, tree in trees.items():
         for top in tree.body:
-            methods = top.body if isinstance(top, ast.ClassDef) else []
-            for node in [top, *methods]:
+            candidates = [(top, names_used)]
+            if isinstance(top, ast.ClassDef):
+                candidates += [(method, attributes_used) for method in top.body]
+            for node, count in candidates:
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                    own = names_used(node)[node.name]
-                    if not node.name.startswith("__") and used[node.name] == own:
+                    own = count(node)[node.name]
+                    if not node.name.startswith("__") and used[count][node.name] == own:
                         found.add(f"{name}.{node.name}")
     return found
 
@@ -202,13 +214,20 @@ def test_uncalled_finder_sees_every_form():
         "        return self.unused_here()\n"
         "    def lonely(self):\n"
         "        return 0\n"
+        "    def mass(self):\n"
+        "        return 1\n"
         "    def __repr__(self):\n"
         "        return ''\n"
         "def recurse(k):\n"
         "    return recurse(k - 1) if k else Table().used()\n"
+        "def load(text):\n"
+        "    mass = len(text)\n"
+        "    return mass\n"
     )
-    assert uncalled({"a": source, "b": "def unused_here():\n    pass\n"}) == {
+    # the local variable mass in load is no call of Table.mass
+    assert uncalled({"a": source, "b": "def unused_here():\n    pass\nload('')\n"}) == {
         "a.lonely",
+        "a.mass",
         "a.recurse",
     }
 

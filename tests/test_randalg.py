@@ -131,7 +131,7 @@ def test_worst_cost_thirteen_quarters():
 def test_mean_cost_under_hard_distribution():
     dd = d()
     mean = sum(
-        (dd.mass(p) * height_one_cost(index_to_bits(p, 4)) for p in range(16)),
+        (dd[p] * height_one_cost(index_to_bits(p, 4)) for p in range(16)),
         Fraction(0),
     )
     assert mean == Fraction(97, 30)
@@ -546,7 +546,7 @@ def test_mc_counts_trials_with_a_wrong_round_output(monkeypatch, capsys, h, x):
 
 def test_chi_square_gof_accepts_true_law():
     rng = np.random.default_rng(14)
-    probs = d().dense()
+    probs = d()
     draws = rng.choice(16, size=100_000, p=[float(p) for p in probs])
     counts = np.bincount(draws, minlength=16)
     rep = chi_square_gof(counts, probs, alpha=1e-3)
@@ -600,7 +600,7 @@ def test_chi_square_gof_rejects_wrong_law():
     counts = np.zeros(16, dtype=np.int64)
     counts[8] = 60_000
     counts[7] = 40_000
-    rep = chi_square_gof(counts, d().dense(), alpha=1e-3)
+    rep = chi_square_gof(counts, d(), alpha=1e-3)
     assert not rep.ok
 
 
@@ -608,16 +608,13 @@ def test_chi_square_gof_flags_impossible_cells():
     counts = np.zeros(16, dtype=np.int64)
     counts[0] = 5
     counts[8] = 99_995
-    rep = chi_square_gof(counts, d().dense(), alpha=1e-3)
+    rep = chi_square_gof(counts, d(), alpha=1e-3)
     assert rep.impossible_hits == 5
     assert not rep.ok
 
 
 def test_embedding_children_law_is_the_hard_law():
-    law = embedding_children_law_exact()
-    dd = d()
-    for idx in range(16):
-        assert law.get(idx, Fraction(0)) == dd.mass(idx), idx
+    assert embedding_children_law_exact() == d()
 
 
 def test_embedding_slot_law_is_the_placement_law():

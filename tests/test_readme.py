@@ -5,6 +5,7 @@ the commands the parser registers."""
 import argparse
 import re
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 from qlab.cli import build_parser, main
@@ -17,7 +18,13 @@ def test_library_use_snippet_runs(capsys):
     match = re.search(r"^## Library use\n\n```python\n(.*?)^```", text, re.M | re.S)
     assert match, "README has no Library use python block"
     exec(compile(match.group(1), str(README), "exec"), {})
-    assert capsys.readouterr().out.splitlines()[0] == "4"
+    out = capsys.readouterr().out.splitlines()
+    # every line but the Monte Carlo estimate's is exact
+    assert len(out) == 8
+    assert out[:3] == ["4", "16/5", "13/4"]
+    assert out[3].startswith("(Fraction(169, 16), ")
+    assert out[4:6] == [str(Fraction(97, 30) ** 8), "64"]
+    assert out[7] == "True"
 
 
 def sh_examples(text: str) -> list[tuple[str, list[str]]]:
