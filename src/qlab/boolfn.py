@@ -199,7 +199,7 @@ def iterated_table(h: int) -> TruthTable:
 
 
 # ---------------------------------------------------------------------------
-# on-disk format: a header line "n=<int>" then the table as hex, least
+# text of a .tt file: a header line "n=<int>" then the table as hex, least
 # significant digit holding inputs 0..3
 
 def table_to_text(f: TruthTable) -> str:
@@ -215,13 +215,3 @@ def table_from_text(text: str) -> TruthTable:
     if not re.fullmatch(r"[0-9a-fA-F]+", lines[1]):
         raise ValueError(f"not a hex string: {lines[1]!r}")
     return TruthTable(n, int(lines[1], 16))
-
-
-def save_table(f: TruthTable, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(table_to_text(f))
-
-
-def load_table(path: str) -> TruthTable:
-    with open(path) as fh:
-        return table_from_text(fh.read())

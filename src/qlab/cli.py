@@ -15,9 +15,10 @@ or input errors.  `main` owns every report: it builds the command's
 Report once the arguments parse, hands it to the handler, which only
 adds lines and verdicts, and emits it; ``emit`` returns 1 exactly when a
 verdict printed FAIL.  `main` turns an InputError, a ValueError (the
-library's bad-argument error) or an OSError (a file that cannot be read
-or written) into an ``error:`` line and status 2; argparse exits 2 on
-usage errors itself.
+library's bad-argument error) or an OSError (a file that cannot be
+written) into an ``error:`` line and status 2; argparse exits 2 on usage
+errors itself.  `_load` and `_save` are qlab's only file access: the
+library keeps each file format as a ``*_to_text``/``*_from_text`` pair.
 
 A command imports only the qlab modules it runs: boolfn, which nearly
 every path needs, is imported here, and every other module inside the
@@ -31,6 +32,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -79,12 +81,19 @@ class Report:
         return 1 if self._failed else 0
 
 
-def _load(kind: str, load, path: str):
-    """``load(path)``, naming the kind and path of a file that fails."""
+def _load(kind: str, parse, path: str):
+    """``parse`` of the file's text, naming the kind and path if it fails."""
     try:
-        return load(path)
+        with open(path) as fh:
+            return parse(fh.read())
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot load {kind} {path}: {exc}") from exc
+
+
+def _save(path: str, text: str) -> None:
+    """Write text to path; an OSError reaches `main` as is."""
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 def _at_least(low: int):
@@ -111,6 +120,10 @@ def _probability(text: str) -> float:
 
 
 def _parse_fraction(text: str) -> Fraction:
+    # an integer or p/q, as .dist masses are written: "1e99999999" would
+    # build its power of ten before any range check
+    if not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text):
+        raise InputError(f"not an integer or p/q: {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -121,7 +134,7 @@ def _parse_fraction(text: str) -> Fraction:
 # fn
 
 def cmd_fn_eval(args: argparse.Namespace, rep: Report) -> None:
-    table = _load("table", boolfn.load_table, args.table)
+    table = _load("table", boolfn.table_from_text, args.table)
     value = table.eval(args.input)
     rep.add("n", table.n)
     rep.add("input", args.input)
@@ -140,16 +153,16 @@ def cmd_fn_iter(args: argparse.Namespace, rep: Report) -> None:
 def cmd_measure_depth(args: argparse.Namespace, rep: Report) -> None:
     from . import dtree
 
-    table = _load("table", boolfn.load_table, args.table)
+    table = _load("table", boolfn.table_from_text, args.table)
     rep.add("n", table.n)
     result = dtree.exact_depth(table, want_tree=bool(args.tree_out))
     rep.add("depth", result.value)
     rep.add("lattice-sweeps", result.sweeps)
     rep.add("lattice-states", result.states)
     if args.tree_out:
-        dtree.save_tree(result.tree, args.tree_out)
+        _save(args.tree_out, dtree.tree_to_text(result.tree) + "\n")
         # the replay checks the tree as written
-        tree = dtree.load_tree(args.tree_out)
+        tree = _load("tree", dtree.tree_from_text, args.tree_out)
         rep.add("tree-out", args.tree_out)
         rep.add_verdict(
             "witness-replay",
@@ -161,8 +174,8 @@ def cmd_measure_depth(args: argparse.Namespace, rep: Report) -> None:
 def cmd_measure_delta0(args: argparse.Namespace, rep: Report) -> None:
     from . import dtree, harddist, subcube
 
-    table = _load("table", boolfn.load_table, args.table)
-    dist = _load("distribution", harddist.load_dist, args.dist)
+    table = _load("table", boolfn.table_from_text, args.table)
+    dist = _load("distribution", harddist.dist_from_text, args.dist)
     if len(dist) != table.size:
         raise InputError("table and distribution arity mismatch")
     charges = dtree.CostMatrix.uniform(dist)
@@ -208,8 +221,8 @@ def cmd_measure_jk(args: argparse.Namespace, rep: Report) -> None:
 def cmd_partition_check(args: argparse.Namespace, rep: Report) -> None:
     from . import subcube
 
-    part = _load("partition", subcube.load_partition, args.part)
-    table = _load("table", boolfn.load_table, args.table)
+    part = _load("partition", subcube.partition_from_text, args.part)
+    table = _load("table", boolfn.table_from_text, args.table)
     if part.n != table.n:
         raise InputError("partition and table arity mismatch")
     rep.add("n", part.n)
@@ -230,11 +243,11 @@ def cmd_partition_check(args: argparse.Namespace, rep: Report) -> None:
 def cmd_partition_compose(args: argparse.Namespace, rep: Report) -> None:
     from . import subcube
 
-    outer = _load("partition", subcube.load_partition, args.outer)
-    inner = _load("partition", subcube.load_partition, args.inner)
+    outer = _load("partition", subcube.partition_from_text, args.outer)
+    inner = _load("partition", subcube.partition_from_text, args.inner)
     composed = subcube.compose_partitions(outer, inner)
     valid = subcube.validate(composed).ok
-    subcube.save_partition(composed, args.out)
+    _save(args.out, subcube.partition_to_text(composed))
     cost = subcube.partition_cost(composed)
     rep.add("n", composed.n)
     rep.add("parts", len(composed))
@@ -247,7 +260,7 @@ def cmd_partition_compose(args: argparse.Namespace, rep: Report) -> None:
 def cmd_partition_search_cost(args: argparse.Namespace, rep: Report) -> None:
     from . import subcube
 
-    table = _load("table", boolfn.load_table, args.table)
+    table = _load("table", boolfn.table_from_text, args.table)
     result = subcube.search_min_cost(table, args.budget)
     rep.add("n", table.n)
     rep.add("budget", args.budget)
@@ -259,14 +272,14 @@ def cmd_partition_search_cost(args: argparse.Namespace, rep: Report) -> None:
     rep.add("parts", len(result.partition))
     rep.add("cost", subcube.partition_cost(result.partition).cost)
     if args.out:
-        subcube.save_partition(result.partition, args.out)
+        _save(args.out, subcube.partition_to_text(result.partition))
         rep.add("out", args.out)
 
 
 def cmd_partition_search_weight(args: argparse.Namespace, rep: Report) -> None:
     from . import subcube
 
-    table = _load("table", boolfn.load_table, args.table)
+    table = _load("table", boolfn.table_from_text, args.table)
     result = subcube.search_min_weight(table)
     rep.add("n", table.n)
     rep.add("weight", result.weight)
@@ -274,7 +287,7 @@ def cmd_partition_search_weight(args: argparse.Namespace, rep: Report) -> None:
     rep.add("nodes", result.nodes)
     rep.add("parts", len(result.partition))
     if args.out:
-        subcube.save_partition(result.partition, args.out)
+        _save(args.out, subcube.partition_to_text(result.partition))
         rep.add("out", args.out)
 
 
@@ -305,14 +318,17 @@ def cmd_dist_total(args: argparse.Namespace, rep: Report) -> None:
 def cmd_bound_prt(args: argparse.Namespace, rep: Report) -> None:
     from . import lpbound
 
-    table = _load("table", boolfn.load_table, args.table)
+    table = _load("table", boolfn.table_from_text, args.table)
     eps = _parse_fraction(args.eps)
-    rep.add("n", table.n)
-    rep.add_rational("eps", eps)
     try:
+        # before the eps line floats eps: build_prt_lp refuses it outside [0, 1/2)
         report = lpbound.prt_report(table, eps)
     except lpbound.CertificateError as exc:
-        rep.add("certificate-error", str(exc))
+        report = exc
+    rep.add("n", table.n)
+    rep.add_rational("eps", eps)
+    if isinstance(report, lpbound.CertificateError):
+        rep.add("certificate-error", str(report))
         rep.add_verdict("certificate", False)
         return
     rep.add("lp-vars", report.num_vars)
@@ -534,11 +550,11 @@ _FIXTURE_FILES = (("fn", "fmaj"), ("fn", "fmaj2"), ("partition", "canonical"), (
 
 
 def _fixture_makers(command: str):
-    """The writer of the files command emits, the report line that sizes
-    one, and each name's maker, importing only the module that makes
-    them."""
+    """The formatter of the files command emits, the report line that
+    sizes one, and each name's maker, importing only the module that
+    makes them."""
     if command == "fn":
-        return boolfn.save_table, ("n", lambda table: table.n), {
+        return boolfn.table_to_text, ("n", lambda table: table.n), {
             "identity": lambda: boolfn.iterated_table(0),
             "fmaj": boolfn.fmaj,
             "fmaj2": lambda: boolfn.iterated_table(2),
@@ -546,12 +562,12 @@ def _fixture_makers(command: str):
     if command == "partition":
         from . import subcube
 
-        return subcube.save_partition, ("parts", len), {
+        return subcube.partition_to_text, ("parts", len), {
             "canonical": subcube.canonical_fmaj_partition,
         }
     from . import harddist
 
-    return harddist.save_dist, ("support", lambda dist: sum(1 for m in dist if m)), {
+    return harddist.dist_to_text, ("support", lambda dist: sum(1 for m in dist if m)), {
         "d0": harddist.d0,
         "d1": harddist.d1,
         "d": harddist.d,
@@ -560,9 +576,9 @@ def _fixture_makers(command: str):
 
 
 def cmd_emit(args: argparse.Namespace, rep: Report) -> None:
-    save, (key, size), makers = _fixture_makers(args.command)
+    to_text, (key, size), makers = _fixture_makers(args.command)
     made = makers[args.name]()
-    save(made, args.out)
+    _save(args.out, to_text(made))
     rep.add("name", args.name)
     rep.add(key, size(made))
     rep.add("out", args.out)
@@ -571,9 +587,9 @@ def cmd_emit(args: argparse.Namespace, rep: Report) -> None:
 def cmd_fixtures(args: argparse.Namespace, rep: Report) -> None:
     os.makedirs(args.out_dir, exist_ok=True)
     for command, name in _FIXTURE_FILES:
-        save, _, makers = _fixture_makers(command)
+        to_text, _, makers = _fixture_makers(command)
         path = os.path.join(args.out_dir, name + _FIXTURES[command][0])
-        save(makers[name](), path)
+        _save(path, to_text(makers[name]()))
         rep.add("wrote", path)
 
 

@@ -143,16 +143,6 @@ def tree_from_text(text: str) -> DecisionTree:
     return tree
 
 
-def save_tree(tree: DecisionTree, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(tree_to_text(tree) + "\n")
-
-
-def load_tree(path: str) -> DecisionTree:
-    with open(path) as fh:
-        return tree_from_text(fh.read().strip())
-
-
 # ---------------------------------------------------------------------------
 # the axis-sweep relaxation shared by both optimizations
 

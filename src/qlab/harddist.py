@@ -269,7 +269,7 @@ def jk_values() -> tuple[Fraction, Fraction, Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# on-disk format: one "<bitstring> <p>/<q>" line per input of nonzero
+# text of a .dist file: one "<bitstring> <p>/<q>" line per input of nonzero
 # mass, in index order; an integer mass may omit "/<q>"
 
 _MASS = re.compile(r"(-?\d+)(?:/(\d+))?")
@@ -328,13 +328,3 @@ def dist_from_text(text: str) -> tuple[Fraction, ...]:
     for idx, m in masses.items():
         law[idx] = m
     return tuple(law)
-
-
-def save_dist(dist: Sequence[Fraction], path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(dist_to_text(dist))
-
-
-def load_dist(path: str) -> tuple[Fraction, ...]:
-    with open(path) as fh:
-        return dist_from_text(fh.read())

@@ -477,7 +477,7 @@ def search_min_weight(f: TruthTable) -> SearchResult:
 
 
 # ---------------------------------------------------------------------------
-# on-disk format: one "<pattern> <label>" pair per line, '#' comments
+# text of a .part file: one "<pattern> <label>" pair per line, '#' comments
 
 def partition_to_text(part: LabeledPartition) -> str:
     lines = [f"{p.text} {z}" for p, z in part.entries]
@@ -503,13 +503,3 @@ def partition_from_text(text: str) -> LabeledPartition:
     if n is None:
         raise ValueError("no patterns in partition text")
     return LabeledPartition(n, tuple(entries))
-
-
-def save_partition(part: LabeledPartition, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(partition_to_text(part))
-
-
-def load_partition(path: str) -> LabeledPartition:
-    with open(path) as fh:
-        return partition_from_text(fh.read())

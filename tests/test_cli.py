@@ -16,15 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlab import cli, dtree, harddist, lpbound, randalg, subcube
-from qlab.boolfn import fmaj, iterated_table, load_table, save_table
+from qlab.boolfn import fmaj, iterated_table, table_from_text, table_to_text
 from qlab.cli import main
-from qlab.harddist import d, load_dist, save_dist
+from qlab.harddist import d, dist_from_text, dist_to_text
 from qlab.subcube import (
     LabeledPartition,
     canonical_fmaj_partition,
     compose_partitions,
-    load_partition,
-    save_partition,
+    partition_from_text,
+    partition_to_text,
 )
 
 
@@ -40,13 +40,35 @@ def lines(out):
     )
 
 
+# sha256 of each file the emit commands write, by name
+EMITTED = {
+    "identity": "5191c3fd28cce81a75979698aaa5b1463c51d17885bcb4cf3345eb835e6f0c36",
+    "fmaj": "773524a887763efd0959a33b0af1dfb36779bcbcfe2b83d56966c56cd9b1d5b7",
+    "fmaj2": "a1052c5bcf68facd064eb73c4920d9ee112a1599b164d449adbe46b4b71d01e4",
+    "canonical": "b776607e938ea397828f470ed7aae524af9fcc57ad4124de62d29c9266e516e0",
+    "d0": "da74d34ceb3f866cc29ef5b14dd9acb58dfc6c58de091a86b2b3905438f83f4b",
+    "d1": "360ec034e04502970413305bad38b9ed517db58236b0682e484b882b8b28a71a",
+    "d": "43676c7840755fd9286e9778ebaae1a8dc906ad554b60909437f8ae2dd1eda44",
+    "d2": "74c028d11b230f7b8684f5143d20f1dfcc8621a34fd873c3dff37eb4cef9c1e2",
+}
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_fixtures_round_trip(tmp_path, capsys):
     code, out = run(capsys, "fixtures", "--out-dir", str(tmp_path))
     assert code == 0
-    assert load_table(tmp_path / "fmaj.tt") == fmaj()
-    assert load_table(tmp_path / "fmaj2.tt") == iterated_table(2)
-    assert load_partition(tmp_path / "canonical.part") == canonical_fmaj_partition()
-    assert load_dist(tmp_path / "d.dist") == d()
+    for name, parse, made in (
+        ("fmaj.tt", table_from_text, fmaj()),
+        ("fmaj2.tt", table_from_text, iterated_table(2)),
+        ("canonical.part", partition_from_text, canonical_fmaj_partition()),
+        ("d.dist", dist_from_text, d()),
+    ):
+        path = tmp_path / name
+        assert sha256(path) == EMITTED[path.stem]
+        assert parse(path.read_text()) == made
 
 
 def test_fn_commands(tmp_path, capsys):
@@ -94,7 +116,7 @@ def test_measure_depth_at_height_two_writes_the_pinned_tree(tmp_path, capsys):
     # depth 16 on the 30**4 block classes of the composed gadget; the
     # tree file is the one the full 3**16-state lattice wrote
     table, tree = tmp_path / "fmaj2.tt", tmp_path / "t.dt"
-    save_table(iterated_table(2), table)
+    table.write_text(table_to_text(iterated_table(2)))
     code, out = run(capsys, "measure", "depth", "--table", str(table), "--tree-out", str(tree))
     assert code == 0
     got = lines(out)
@@ -112,7 +134,7 @@ def test_measure_delta0_at_height_two(tmp_path, capsys):
     code, out = run(capsys, "dist", "emit", "--name", "d2", "--out", str(dist))
     assert code == 0
     assert lines(out)["support"] == "33614"
-    save_table(iterated_table(2), table)
+    table.write_text(table_to_text(iterated_table(2)))
     code, out = run(capsys, "measure", "delta0", "--table", str(table), "--dist", str(dist))
     assert code == 0
     got = lines(out)
@@ -124,7 +146,7 @@ def test_measure_delta0_without_the_block_symmetry(tmp_path, capsys):
     # a law that tells x2 from x3 and x4 takes the full 3**4 lattice;
     # each of its three inputs needs three reads (brute force agrees)
     table, dist = tmp_path / "f.tt", tmp_path / "skew.dist"
-    save_table(fmaj(), table)
+    table.write_text(table_to_text(fmaj()))
     dist.write_text("0111 1/2\n1000 1/4\n0100 1/4\n")
     code, out = run(capsys, "measure", "delta0", "--table", str(table), "--dist", str(dist))
     assert code == 0
@@ -144,9 +166,14 @@ def test_measure_depth_replays_the_tree_file(tmp_path, capsys, monkeypatch):
     # the replay reads the tree back, so a file that differs from the
     # optimal tree fails it
     table, tree = tmp_path / "f.tt", tmp_path / "t.dt"
-    save_table(fmaj(), table)
-    real = dtree.save_tree
-    monkeypatch.setattr(dtree, "save_tree", lambda t, path: real(flip_first_leaf(t), path))
+    table.write_text(table_to_text(fmaj()))
+    real = cli._save
+
+    def save_flipped(path, text):
+        flipped = flip_first_leaf(dtree.tree_from_text(text))
+        real(path, dtree.tree_to_text(flipped) + "\n")
+
+    monkeypatch.setattr(cli, "_save", save_flipped)
     code, out = run(capsys, "measure", "depth", "--table", str(table), "--tree-out", str(tree))
     assert lines(out)["witness-replay"] == "FAIL"
     assert code == 1
@@ -156,8 +183,8 @@ def test_measure_delta0_replays_its_witness(tmp_path, capsys, monkeypatch):
     # a witness that errs on an input, and one that computes fmaj at a
     # higher cost (the depth-optimal tree costs 10/3 under d), both fail
     table, dist = tmp_path / "f.tt", tmp_path / "d.dist"
-    save_table(fmaj(), table)
-    save_dist(d(), dist)
+    table.write_text(table_to_text(fmaj()))
+    dist.write_text(dist_to_text(d()))
     argv = ["measure", "delta0", "--table", str(table), "--dist", str(dist)]
     real = dtree.min_weighted_zero_error
     for wrong in (flip_first_leaf, lambda t: dtree.exact_depth(fmaj(), want_tree=True).tree):
@@ -177,8 +204,8 @@ def test_measure_delta0_enumerates_each_witness_leaf_once(tmp_path, capsys, monk
     # the partition check paints each input's leaf, and the replay reads
     # both the labels and the charges through that owner array
     table, dist = tmp_path / "f.tt", tmp_path / "d.dist"
-    save_table(fmaj(), table)
-    save_dist(d(), dist)
+    table.write_text(table_to_text(fmaj()))
+    dist.write_text(dist_to_text(d()))
     charges = dtree.CostMatrix.uniform(d())
     tree = dtree.min_weighted_zero_error(fmaj(), charges, want_tree=True).tree
     leaves = [p.text for p, _ in dtree.tree_to_partition(tree, 4).entries]
@@ -244,7 +271,7 @@ def test_partition_commands(tmp_path, capsys):
     assert code == 0
     assert lines(out)["weight"] == "64"
     assert lines(out)["half-log2"] == "3.0"
-    assert load_partition(best).n == 4
+    assert partition_from_text(best.read_text()).n == 4
 
 
 def test_partition_check_validates_once(tmp_path, capsys, monkeypatch):
@@ -259,7 +286,7 @@ def test_partition_check_validates_once(tmp_path, capsys, monkeypatch):
     table = tmp_path / "f.tt"
     run(capsys, "fn", "emit", "--name", "fmaj", "--out", str(table))
     good = tmp_path / "good.part"
-    save_partition(canonical_fmaj_partition(), good)
+    good.write_text(partition_to_text(canonical_fmaj_partition()))
     code, out = run(capsys, "partition", "check", "--part", str(good), "--table", str(table))
     assert code == 0
     assert lines(out)["valid"] == "pass" and lines(out)["computes"] == "pass"
@@ -267,7 +294,7 @@ def test_partition_check_validates_once(tmp_path, capsys, monkeypatch):
 
     entries = canonical_fmaj_partition().entries
     bad = tmp_path / "bad.part"
-    save_partition(LabeledPartition(4, entries[:-1] + entries[:1]), bad)
+    bad.write_text(partition_to_text(LabeledPartition(4, entries[:-1] + entries[:1])))
     code, out = run(capsys, "partition", "check", "--part", str(bad), "--table", str(table))
     assert code == 1
     got = lines(out)
@@ -474,9 +501,9 @@ def digest(out):
 @pytest.mark.parametrize("argv, pinned, status", PINNED_REPORTS)
 def test_reports_are_byte_identical(tmp_path, capsys, argv, pinned, status):
     files = {"FMAJ": tmp_path / "fmaj.tt", "CANON": tmp_path / "c.part", "D": tmp_path / "d.dist"}
-    save_table(fmaj(), files["FMAJ"])
-    save_partition(canonical_fmaj_partition(), files["CANON"])
-    save_dist(d(), files["D"])
+    files["FMAJ"].write_text(table_to_text(fmaj()))
+    files["CANON"].write_text(partition_to_text(canonical_fmaj_partition()))
+    files["D"].write_text(dist_to_text(d()))
     code, out = run(capsys, *(str(files.get(a, a)) for a in argv))
     assert code == status
     assert digest(out) == pinned
@@ -497,12 +524,43 @@ def test_bound_prt_failed_certificate_exits_one(tmp_path, capsys, monkeypatch):
     assert "value" not in got and "dual-value" not in got
 
 
+def run_child(probe, **kwargs):
+    """Run the Python source probe in a fresh interpreter that imports
+    this qlab, capturing its output as text."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, **kwargs
+    )
+
+
+@pytest.mark.parametrize(
+    "eps", ["1e999", "1e99999999", "1" + "0" * 400], ids=["1e999", "1e99999999", "10-to-400"]
+)
+def test_bound_prt_refuses_a_huge_eps_at_once(tmp_path, eps):
+    # an exponent is no accepted form, and an integer is refused by the
+    # LP's range check before the eps line floats it; the child process
+    # keeps a parser that builds 10**99999999 from hanging the suite
+    table = tmp_path / "f.tt"
+    table.write_text(table_to_text(fmaj()))
+    argv = ["bound", "prt", "--table", str(table), "--eps", eps]
+    probe = (
+        "import sys, time, qlab.cli\n"
+        "start = time.monotonic()\n"
+        f"code = qlab.cli.main({argv!r})\n"
+        "print('seconds:', time.monotonic() - start)\n"
+        "sys.exit(code)\n"
+    )
+    done = run_child(probe, timeout=30)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+    assert float(lines(done.stdout)["seconds"]) < 1
+
+
 def probe_imports(*argvs):
     # runs each argv through qlab.cli.main in a fresh interpreter, then
     # lists the qlab and scipy modules that process loaded and says
     # whether it loaded concurrent.futures
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = (
         "import sys, qlab.cli\n"
         "code = 0\n"
@@ -512,10 +570,7 @@ def probe_imports(*argvs):
         "print('concurrent.futures:', 'concurrent.futures' in sys.modules)\n"
         "sys.exit(code)"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    return lines(out)
+    return lines(run_child(probe, check=True).stdout)
 
 
 def test_import_loads_no_scipy():
@@ -528,7 +583,7 @@ def test_import_loads_no_scipy():
 def test_bound_prt_loads_no_scipy(tmp_path):
     # the LP is solved in-package, so `bound prt` pays no scipy import
     table = tmp_path / "fmaj.tt"
-    save_table(fmaj(), table)
+    table.write_text(table_to_text(fmaj()))
     got = probe_imports(["bound", "prt", "--table", str(table), "--eps", "1/3"])
     assert got["value"] == got["dual-value"] == "14/1"
     assert got["certificate"] == "pass"
@@ -549,7 +604,7 @@ def test_command_imports_only_the_modules_it_runs(tmp_path, argv, modules):
     # cli imports each module where a handler runs it, so a fresh process
     # compiles and runs no module its command never calls
     table = tmp_path / "fmaj.tt"
-    save_table(fmaj(), table)
+    table.write_text(table_to_text(fmaj()))
     argv = [a.format(table=table, dir=tmp_path / "out") for a in argv]
     want = sorted(f"qlab.{m}" for m in ("cli", "boolfn", *modules))
     assert probe_imports(argv)["qlab"] == str(want)
@@ -558,12 +613,15 @@ def test_command_imports_only_the_modules_it_runs(tmp_path, argv, modules):
 def test_every_emit_name_has_a_maker(tmp_path, capsys):
     # the parser's --name choices are listed apart from their makers,
     # which load only when a file is written
+    emitted = {}
     for command, (suffix, names) in cli._FIXTURES.items():
         assert sorted(cli._fixture_makers(command)[2]) == sorted(names)
         for name in names:
             out = tmp_path / (name + suffix)
             code, _ = run(capsys, command, "emit", "--name", name, "--out", str(out))
-            assert code == 0 and out.exists()
+            assert code == 0
+            emitted[name] = sha256(out)
+    assert emitted == EMITTED
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -819,7 +877,7 @@ def exit_code(argv):
 )
 def test_exit_two_on_out_of_range_arguments(capsys, tmp_path, argv):
     table = tmp_path / "fmaj.tt"
-    save_table(fmaj(), table)
+    table.write_text(table_to_text(fmaj()))
     argv = [str(table) if a == "FMAJ" else a for a in argv]
     assert exit_code(argv) == 2
     assert "error:" in capsys.readouterr().err
@@ -861,7 +919,7 @@ def test_a_dist_wider_than_any_table_is_refused_before_its_law_is_built(capsys, 
     import tracemalloc
 
     table, dist = tmp_path / "f.tt", tmp_path / "wide.dist"
-    save_table(fmaj(), table)
+    table.write_text(table_to_text(fmaj()))
     line = "0" * 40 + " 1"
     dist.write_text(line + "\n")
     tracemalloc.start()
@@ -932,8 +990,8 @@ def test_partition_compose_past_sixteen_variables_exits_two(tmp_path, capsys):
     # about 1.3e8 patterns on 64 variables, so the arity is refused first
     canonical = canonical_fmaj_partition()
     canon, height2 = tmp_path / "c.part", tmp_path / "h2.part"
-    save_partition(canonical, canon)
-    save_partition(compose_partitions(canonical, canonical), height2)
+    canon.write_text(partition_to_text(canonical))
+    height2.write_text(partition_to_text(compose_partitions(canonical, canonical)))
     out = tmp_path / "out.part"
     for outer, inner in ((wide, ident), (height2, canon)):
         argv = ["partition", "compose", "--outer", str(outer), "--inner", str(inner),
@@ -960,9 +1018,9 @@ def test_partition_compose_past_sixteen_variables_exits_two(tmp_path, capsys):
 )
 def test_exit_two_on_unwritable_output(capsys, tmp_path, argv):
     table = tmp_path / "fmaj.tt"
-    save_table(fmaj(), table)
+    table.write_text(table_to_text(fmaj()))
     part = tmp_path / "c.part"
-    save_partition(canonical_fmaj_partition(), part)
+    part.write_text(partition_to_text(canonical_fmaj_partition()))
     paths = dict(table=table, part=part, gone=tmp_path / "missing" / "out")
     argv = [a.format(**paths) for a in argv]
     assert exit_code(argv) == 2

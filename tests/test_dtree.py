@@ -22,9 +22,7 @@ from qlab.dtree import (
     Node,
     delta0,
     exact_depth,
-    load_tree,
     min_weighted_zero_error,
-    save_tree,
     tree_cost,
     tree_depth,
     tree_from_text,
@@ -681,12 +679,9 @@ def test_j_and_k_values():
     assert tree_cost(full, ck) == 3
 
 
-def test_tree_text_round_trip(tmp_path):
+def test_tree_text_round_trip():
     text = tree_to_text(HAND_TREE)
     assert tree_from_text(text) == HAND_TREE
-    path = tmp_path / "t.dt"
-    save_tree(HAND_TREE, path)
-    assert load_tree(path) == HAND_TREE
     assert tree_from_text("=1") == Leaf(1)
 
 

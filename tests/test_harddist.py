@@ -21,11 +21,9 @@ from qlab.harddist import (
     dist_from_text,
     dist_to_text,
     jk_cost_matrices,
-    load_dist,
     minority_leaf_law,
     minority_level1_counts,
     minority_marginals_exact,
-    save_dist,
 )
 from qlab import harddist
 
@@ -423,13 +421,10 @@ def test_cross_charge_skips_first_leaf_condition():
     assert charge(ck, 0, bits_to_index("0111")) == 0
 
 
-def test_dist_text_round_trip(tmp_path):
+def test_dist_text_round_trip():
     dd = d()
     text = dist_to_text(dd)
     assert dist_from_text(text) == dd
-    path = tmp_path / "d.dist"
-    save_dist(dd, path)
-    assert load_dist(path) == dd
 
 
 def test_dist_text_rejects_garbage():

@@ -137,6 +137,23 @@ def reads_environment(source: str) -> bool:
     return False
 
 
+# the attribute calls that open a file, pathlib's reads and writes included
+OPENING_METHODS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+
+
+def opens_files(source: str) -> bool:
+    """Whether a module's source calls ``open``, or a method that opens
+    a file: ``io.open``, ``os.open``, ``Path.read_text`` and the like."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == "open") or (
+                isinstance(func, ast.Attribute) and func.attr in OPENING_METHODS
+            ):
+                return True
+    return False
+
+
 def test_rule_finders_see_every_form():
     source = (
         "def main():\n"
@@ -153,10 +170,25 @@ def test_rule_finders_see_every_form():
     assert reads_environment("import os\ndef f():\n    return os.getenv('X')\n")
     assert reads_environment("from os import environ\n")
     assert not reads_environment("import os\nos.path.join('a', 'b')\n")
+    assert opens_files("def f(path):\n    with open(path) as fh:\n        return fh.read()\n")
+    assert opens_files("import io\nio.open('f')\n")
+    assert opens_files("import os\nos.open('f', os.O_RDONLY)\n")
+    assert opens_files("from pathlib import Path\nPath('f').open()\n")
+    for method in ("read_text", "write_text", "read_bytes", "write_bytes"):
+        assert opens_files(f"def f(path):\n    return path.{method}()\n")
+    # naming open without calling it, or reading an open handle, opens nothing
+    assert not opens_files("def f(fh, parse):\n    opener = open\n    return parse(fh.read())\n")
 
 
 def test_only_main_builds_and_emits_reports():
     assert report_owners((SRC / "cli.py").read_text()) == {"main"}
+
+
+def test_only_cli_opens_files():
+    # every file format is a *_to_text/*_from_text pair; cli._load and
+    # cli._save do all the reading and writing
+    for path in sorted(SRC.glob("*.py")):
+        assert opens_files(path.read_text()) == (path.stem == "cli"), path.name
 
 
 def test_no_module_reads_the_environment():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qlab import cli, lpbound
-from qlab.boolfn import TruthTable, fmaj, iterated_table, save_table
+from qlab.boolfn import TruthTable, fmaj, iterated_table, table_to_text
 from qlab.lpbound import (
     CertificateError,
     LPSolution,
@@ -433,7 +433,7 @@ NEAR_END_PIVOTS = {F(1, 10**9): 121, F(1, 10**12): 121, F(1, 10**30): 121, F(1, 
 
 @pytest.mark.parametrize("eps", list(NEAR_END_PIVOTS))
 def test_gadget_certifies_near_the_ends_of_eps(eps, tmp_path, capsys):
-    save_table(fmaj(), tmp_path / "f.tt")
+    (tmp_path / "f.tt").write_text(table_to_text(fmaj()))
     code = cli.main(["bound", "prt", "--table", str(tmp_path / "f.tt"), "--eps", str(eps)])
     got = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
     assert (code, got["certificate"]) == (0, "pass")

@@ -19,8 +19,6 @@ from qlab.subcube import (
     partition_cost,
     partition_from_text,
     partition_to_text,
-    save_partition,
-    load_partition,
     search_min_cost,
     search_min_weight,
     validate,
@@ -346,14 +344,11 @@ def test_compose_agrees_with_membership_semantics():
         assert hit[0] == outer
 
 
-def test_partition_text_round_trip(tmp_path):
+def test_partition_text_round_trip():
     part = canonical_fmaj_partition()
     text = partition_to_text(part)
     back = partition_from_text(text)
     assert back == part
-    path = tmp_path / "c.part"
-    save_partition(part, path)
-    assert load_partition(path) == part
 
 
 def test_partition_text_rejects_garbage():
