@@ -49,6 +49,14 @@ if TYPE_CHECKING:
 LEVEL_COST_FLOOR = Fraction(16, 5)
 # the law of the root's child that the minority path enters
 MINORITY_MARGINALS = (Fraction(2, 5), Fraction(1, 5), Fraction(1, 5), Fraction(1, 5))
+# the law of the child the minority path leaves through, j, given the
+# embedded instance at child i: never i, else 1/3 with the instance at
+# the first child, 1/2 when j is the first child, and 1/4
+MINORITY_CONDITIONALS = {
+    (i, j): Fraction(i != j, 3 if i == 0 else 2 if j == 0 else 4)
+    for i in range(4)
+    for j in range(4)
+}
 
 
 class InputError(Exception):
@@ -195,24 +203,25 @@ def cmd_measure_delta0(args: argparse.Namespace, rep: Report) -> None:
     )
 
 
-def _add_jk(rep: Report) -> tuple[Fraction, Fraction, Fraction]:
-    """Report and return the height-1 minority functionals J(1, 0),
-    K(1, 1) and J(1, 1)."""
+def _add_jk(rep: Report) -> Fraction:
+    """Report the height-1 minority functionals J(1, 0), K(1, 1) and
+    J(1, 1) with criterion 7's verdicts on them, and return J(1, 1),
+    which is delta0 under d."""
     from . import harddist
 
     j10, k11, j11 = harddist.jk_values()
     rep.add_rational("j-1-0", j10)
     rep.add_rational("k-1-1", k11)
     rep.add_rational("j-1-1", j11)
-    return j10, k11, j11
-
-
-def cmd_measure_jk(args: argparse.Namespace, rep: Report) -> None:
-    j10, k11, j11 = _add_jk(rep)
     rep.add_verdict("j-1-0-at-least-1", j10 >= 1)
     rep.add_verdict("k-1-1-at-least-3", k11 >= 3)
     rep.add_verdict("j-recursion", j11 >= k11 + Fraction(1, 5) * j10)
     rep.add_verdict("cost-floor", j11 >= LEVEL_COST_FLOOR)
+    return j11
+
+
+def cmd_measure_jk(args: argparse.Namespace, rep: Report) -> None:
+    _add_jk(rep)
 
 
 # ---------------------------------------------------------------------------
@@ -428,18 +437,6 @@ def cmd_simulate_embed(args: argparse.Namespace, rep: Report) -> None:
 # ---------------------------------------------------------------------------
 # verify
 
-def cmd_verify_separation(args: argparse.Namespace, rep: Report) -> None:
-    if args.height == 1 and (args.trials, args.threads) != (None, None):
-        raise InputError("--trials and --threads apply to --height 2 only")
-    rep.add("seed", args.seed)
-    if args.height == 1:
-        _verify_height1(rep)
-    else:
-        args.trials = args.trials or 1_000_000
-        args.threads = args.threads or 1
-        _verify_height2(args, rep)
-
-
 def _partition_computes(part: subcube.LabeledPartition, table: boolfn.TruthTable) -> bool:
     """Whether part is a partition whose labels compute table."""
     from . import subcube
@@ -450,89 +447,59 @@ def _partition_computes(part: subcube.LabeledPartition, table: boolfn.TruthTable
         return False
 
 
-def _verify_height1(rep: Report) -> None:
+def cmd_verify_separation(args: argparse.Namespace, rep: Report) -> None:
+    """The cost-3^h partition against the depth-4^h tree at height h, and
+    the evaluator and hard-law facts behind them; at height 1 also the
+    cost-2 search and the J/K functionals."""
     from . import dtree, harddist, randalg, subcube
 
-    table = boolfn.fmaj()
-    rep.add_verdict("depth-4", dtree.exact_depth(table).value == 4)
-
-    part = subcube.canonical_fmaj_partition()
-    rep.add_verdict(
-        "canonical-partition",
-        _partition_computes(part, table) and subcube.partition_cost(part).cost == 3,
-    )
-    search = subcube.search_min_cost(table, 2)
-    rep.add("cost-2-search-nodes", search.nodes)
-    rep.add_verdict("no-cost-2-partition", search.partition is None)
-
-    rep.add_verdict("zero-error-rounds", randalg.lv_check_correct())
-    rep.add_verdict("worst-cost-13-4", randalg.recursive_exact_worst(1)[0] == Fraction(13, 4))
-
-    mean = randalg.recursive_exact_moments(1)[0]
-    value = dtree.delta0(table, harddist.d())
-    rep.add_rational("delta0", value)
-    rep.add_rational("mean-reads", mean)
-    rep.add_verdict("delta0-sandwich", LEVEL_COST_FLOOR <= value <= mean)
-
-    j10, k11, j11 = _add_jk(rep)
-    rep.add_verdict(
-        "jk-inequalities",
-        j10 >= 1 and k11 >= 3 and j11 >= k11 + Fraction(1, 5) * j10,
-    )
-
-    marg = harddist.minority_marginals_exact()
-    rep.add_verdict("minority-marginals", marg == MINORITY_MARGINALS)
-
-    law = randalg.embedding_children_law_exact()
-    rep.add_verdict("embedding-law-exact", law == harddist.d())
-    cond = randalg.minority_conditionals_exact()
-    # 0 on the diagonal, else 1/3 with the instance at the first child,
-    # 1/2 when the path leaves through the first child, and 1/4
-    expected = {
-        (i, j): Fraction(i != j, 3 if i == 0 else 2 if j == 0 else 4)
-        for i in range(4)
-        for j in range(4)
-    }
-    rep.add_verdict("embedding-conditionals", cond == expected)
-
-
-def _verify_height2(args: argparse.Namespace, rep: Report) -> None:
-    from . import dtree, harddist, randalg, subcube
-
+    h = args.height
+    rep.add("seed", args.seed)
     # only the Monte Carlo samples: every other verdict reads a whole table
     rep.add("trials", args.trials)
-    table2 = boolfn.iterated_table(2)
-
-    part = subcube.compose_partitions(
-        subcube.canonical_fmaj_partition(), subcube.canonical_fmaj_partition()
-    )
+    table = boolfn.iterated_table(h)
+    part = canon = subcube.canonical_fmaj_partition()
+    if h == 2:
+        part = subcube.compose_partitions(canon, canon)
     rep.add_verdict(
         "composed-partition",
-        len(part) == 512
-        and all(p.fixed_count == 9 for p, _ in part.entries)
-        and _partition_computes(part, table2),
+        all(p.fixed_count == 3**h for p, _ in part.entries) and _partition_computes(part, table),
     )
-    depth = dtree.exact_depth(table2)
-    rep.add_verdict("depth-16", depth.value == 16)
+    if h == 1:
+        search = subcube.search_min_cost(table, 2)
+        rep.add("cost-2-search-nodes", search.nodes)
+        rep.add_verdict("no-cost-2-partition", search.partition is None)
+    depth = dtree.exact_depth(table)
+    rep.add_verdict(f"depth-{4**h}", depth.value == 4**h)
     rep.add("lattice-sweeps", depth.sweeps)
     rep.add("lattice-states", depth.states)
 
-    mc, exact, sigma, (_, _, within) = _mc_reference(args, 2)
+    mc, exact, sigma, (low, high, within) = _mc_reference(args, h)
     rep.add_rational("mean", mc.mean)
     rep.add("stderr", repr(mc.stderr))
     rep.add_rational("exact-mean", exact)
     rep.add("exact-stderr", repr(sigma))
     rep.add_verdict("zero-error", randalg.lv_check_correct())
+    rep.add_rational("band-low", low)
+    rep.add_rational("band-high", high)
     rep.add_verdict("mean-band", within)
+    rep.add_verdict("worst-cost-13-4-power", high == Fraction(13, 4) ** h)
     marg = harddist.minority_marginals_exact()
     rep.add_verdict("minority-frequencies", marg == MINORITY_MARGINALS)
-    rep.add_verdict("mass-total", harddist.dh_total(2)[1] == 1)
+    rep.add_verdict("mass-total", harddist.dh_total(h)[1] == 1)
+    # embed_misses(2) also judges the draw table the Monte Carlo samples
+    # through; the conditionals come last, as they need every outcome's
+    # children on the support
     rep.add_verdict(
         "embedding",
         randalg.embed_misses(2) == (0, 0, 0)
         and randalg.embedding_children_law_exact() == harddist.d()
-        and randalg.embedding_slot_law_exact() == randalg.SLOT_PROBS,
+        and randalg.embedding_slot_law_exact() == randalg.SLOT_PROBS
+        and randalg.minority_conditionals_exact() == MINORITY_CONDITIONALS,
     )
+    if h == 1:
+        # J(1, 1) is delta0 under d: no zero-error evaluator reads fewer
+        rep.add_verdict("j-1-1-at-most-mean", _add_jk(rep) <= exact)
 
 
 # ---------------------------------------------------------------------------
@@ -700,9 +667,9 @@ def build_parser() -> argparse.ArgumentParser:
     v_sub = p_verify.add_subparsers(dest="subcommand", required=True)
     p = v_sub.add_parser("separation", help="the full block-composition story")
     p.add_argument("--height", type=int, choices=(1, 2), required=True)
-    p.add_argument("--trials", type=_at_least(1), help="height 2 only; default 1000000")
+    p.add_argument("--trials", type=_at_least(1), default=1_000_000)
     p.add_argument("--seed", type=_at_least(0), default=0)
-    p.add_argument("--threads", type=_at_least(1), help="height 2 only; default 1")
+    p.add_argument("--threads", type=_at_least(1), default=1)
     p.set_defaults(func=cmd_verify_separation)
 
     p_fix = sub.add_parser("fixtures", help="write the canonical files")
