@@ -24,7 +24,9 @@ A command imports only the qlab modules it runs: boolfn, which nearly
 every path needs, is imported here, and every other module inside the
 handlers that call it, so a fresh process compiles and runs no module
 its command never calls (tests/test_cli.py::
-test_command_imports_only_the_modules_it_runs pins the sets).
+test_command_imports_only_the_modules_it_runs pins the sets).  numpy
+too is imported only by the handlers that run array code: boolfn and
+lpbound are pure Python, so `fn eval` and `bound prt` never load it.
 """
 
 from __future__ import annotations
@@ -37,8 +39,6 @@ import sys
 import time
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
-
-import numpy as np
 
 from . import boolfn
 
@@ -150,7 +150,9 @@ def cmd_fn_eval(args: argparse.Namespace, rep: Report) -> None:
 
 
 def cmd_fn_iter(args: argparse.Namespace, rep: Report) -> None:
-    value = boolfn.iter_eval(args.height, args.input)
+    from . import gadget
+
+    value = gadget.iter_eval(args.height, args.input)
     rep.add("height", args.height)
     rep.add("value", value)
 
@@ -362,6 +364,8 @@ def _mc_reference(
     trial reads alike.  Under the hard law at h >= 1 the last value is
     the band [(16/5)^h, worst-case mean] and whether the MC mean lies
     within four exact standard errors of it; else it is None."""
+    import numpy as np
+
     from . import randalg
 
     rng = np.random.default_rng(args.seed)
@@ -399,6 +403,8 @@ def cmd_simulate_r0(args: argparse.Namespace, rep: Report) -> None:
 
 
 def cmd_simulate_minority(args: argparse.Namespace, rep: Report) -> None:
+    import numpy as np
+
     from . import harddist, randalg
 
     rep.add("trials", args.trials)
@@ -413,6 +419,8 @@ def cmd_simulate_minority(args: argparse.Namespace, rep: Report) -> None:
 
 
 def cmd_simulate_embed(args: argparse.Namespace, rep: Report) -> None:
+    import numpy as np
+
     from . import randalg
 
     rng = np.random.default_rng(args.seed)
@@ -451,13 +459,13 @@ def cmd_verify_separation(args: argparse.Namespace, rep: Report) -> None:
     """The cost-3^h partition against the depth-4^h tree at height h, and
     the evaluator and hard-law facts behind them; at height 1 also the
     cost-2 search and the J/K functionals."""
-    from . import dtree, harddist, randalg, subcube
+    from . import dtree, gadget, harddist, randalg, subcube
 
     h = args.height
     rep.add("seed", args.seed)
     # only the Monte Carlo samples: every other verdict reads a whole table
     rep.add("trials", args.trials)
-    table = boolfn.iterated_table(h)
+    table = gadget.iterated_table(h)
     part = canon = subcube.canonical_fmaj_partition()
     if h == 2:
         part = subcube.compose_partitions(canon, canon)
@@ -521,10 +529,12 @@ def _fixture_makers(command: str):
     sizes one, and each name's maker, importing only the module that
     makes them."""
     if command == "fn":
+        from . import gadget
+
         return boolfn.table_to_text, ("n", lambda table: table.n), {
-            "identity": lambda: boolfn.iterated_table(0),
+            "identity": lambda: gadget.iterated_table(0),
             "fmaj": boolfn.fmaj,
-            "fmaj2": lambda: boolfn.iterated_table(2),
+            "fmaj2": lambda: gadget.iterated_table(2),
         }
     if command == "partition":
         from . import subcube

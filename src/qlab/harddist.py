@@ -16,7 +16,7 @@ denominator, and d0, d1 and d are those weights as exact laws.  An
 exact law on {0,1}^n is a tuple of 2**n Fractions, one mass per input
 in index order, the form CostMatrix.uniform, delta0 and chi_square_gof
 read.  An input fixes every node's value, so its mass is one product
-over the internal nodes that `boolfn.level_patterns` lists.
+over the internal nodes that `gadget.level_patterns` lists.
 
 The minority path starts at the root and repeatedly steps into a child
 disagreeing with its parent's value: a unique dissenter is taken
@@ -41,16 +41,8 @@ from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .boolfn import (
-    _FMAJ_BIT,
-    MAX_VARS,
-    bits_to_index,
-    fmaj,
-    index_to_bits,
-    input_bits,
-    level_patterns,
-    tree_bits,
-)
+from .boolfn import _FMAJ_BIT, MAX_VARS, bits_to_index, fmaj, index_to_bits
+from .gadget import input_bits, level_patterns, tree_bits
 
 if TYPE_CHECKING:
     from .dtree import CostMatrix

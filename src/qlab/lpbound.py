@@ -11,26 +11,27 @@ The solver is a two-phase revised simplex in exact integers over one
 sparse standard form: each column of the rows scaled to integers by the
 lcm of its denominators, then a +-1 unit column per slack and per
 artificial.  It keeps the inverse of the basis matrix B fraction-free
-(Bareiss) and updates it by one eta column per pivot, reads the vertex
-B^-1 b, the dual c_B B^-1 and every reduced cost off it exactly, and
-pivots by Bland's rule, which cannot cycle in exact arithmetic.  Each
-optimum is re-checked before it is returned: primal feasibility, dual
-feasibility and equal objectives.  The dual is Jain and Klauck's
-lower-bound witness (CCC 2010).
+(Bareiss) as lists of Python ints, with the vertex x_B = B^-1 b carried
+as one more column and the dual y = c_B B^-1 as one more row, and
+updates all three by one eta column per pivot; y is priced in full only
+when phase 2 swaps the cost.  Every reduced cost is read off y exactly,
+and the simplex pivots by Bland's rule, which cannot cycle in exact
+arithmetic.  Each optimum is re-checked before it is returned: primal
+feasibility, dual feasibility and equal objectives.  The dual is Jain
+and Klauck's lower-bound witness (CCC 2010).  The module uses no numpy,
+so `bound prt` never loads it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .boolfn import TruthTable
-from .subcube import all_patterns
 
 MAX_LP_VARS_N = 4
 
@@ -141,21 +142,30 @@ def _over_lcm(values: Sequence[Fraction | int]) -> tuple[int, list[int]]:
     return d, [v.numerator * (d // v.denominator) for v in values]
 
 
-def _eta(inv: np.ndarray, det: int, g: np.ndarray, r: int) -> int:
-    """Update inv in place, returning the new det, when row r's basic
-    column gives way to c with g = inv @ c.  B^-1 = inv / det, the two
-    being B's adjugate and determinant up to the sign making det > 0;
-    Bareiss's fraction-free update divides each entry exactly by the old det."""
+def _at(row: Sequence[int], col: tuple[list[int], list[int]]) -> int:
+    """row . a for the sparse column col = (rows, ints) of a."""
+    rows, ints = col
+    return sum(row[i] * v for i, v in zip(rows, ints))
+
+
+def _eta(inv: list[list[int]], det: int, g: Sequence[int], r: int) -> int:
+    """Update inv's rows in place, returning the new det, when row r's
+    basic column gives way to c with g = inv @ c.  B^-1 = inv / det, the
+    two being B's adjugate and determinant up to the sign making det > 0;
+    Bareiss's fraction-free update divides each entry exactly by the old
+    det.  Each row changes by a multiple of row r, so a column carried
+    beside B^-1 or a row priced from it stays inv times its vector."""
     sign = 1 if g[r] > 0 else -1
-    p, g = abs(g[r]), g * sign
-    nz = np.flatnonzero(g)
-    changed = (p * inv[nz] - np.multiply.outer(g[nz], inv[r])) // det
-    pivot = sign * inv[r]
-    if p != det:  # for the rows where g is 0
-        inv *= p
-        inv //= det
-    inv[nz] = changed
-    inv[r] = pivot
+    p, pivot = abs(g[r]), inv[r]
+    for k, gk in enumerate(g):
+        if k == r:
+            continue
+        if gk:
+            gk *= sign
+            inv[k] = [(p * a - gk * e) // det for a, e in zip(inv[k], pivot)]
+        elif p != det:
+            inv[k] = [p * a // det for a in inv[k]]
+    inv[r] = pivot if sign > 0 else [-a for a in pivot]
     return p
 
 
@@ -168,8 +178,12 @@ class _Basis:
     then one for each row whose slack cannot start feasible, an
     artificial signed like the rhs.  Each row starts on its last unit
     column.  b is the rhs times den and cost the objective of z times
-    cden, so z_B = xb / (det den) for xb = inv @ b, and the dual is
-    y = yb / (cden det) for yb = cost_B @ inv."""
+    cden.  inv has one more column and one more row than B: column m
+    carries xb = inv @ b, so z_B = xb / (det den), and row m carries
+    yb = priced_B @ inv for the cost last priced, so its dual is
+    y = yb / (cden det); their corner is priced_B . xb.  One eta step
+    updates all of it, the priced row's entry of the image being the
+    negated reduced cost yb . a_j - det c_j."""
 
     def __init__(self, lp: RationalLP) -> None:
         m = lp.num_constraints
@@ -178,32 +192,47 @@ class _Basis:
             rows = [i for i in range(m) if lp.rows[i][j]]
             s, ints = _over_lcm([lp.rows[i][j] for i in rows])
             self.scale.append(s)
-            self.cols.append((rows, np.array(ints, dtype=object)))
+            self.cols.append((rows, ints))
         signs = [-1 if b < 0 else 1 for b in lp.rhs]
         slacks = [(i, 1 if lp.senses[i] == "<=" else -1) for i in range(m) if lp.senses[i] != "=="]
         arts = [(i, signs[i]) for i in range(m) if lp.senses[i] != ("<=" if signs[i] > 0 else ">=")]
         self.art_start = lp.num_vars + len(slacks)
-        # the starting columns are +-1 unit vectors, each its own inverse
         self.basic, diagonal = [0] * m, [0] * m
         for j, (i, v) in enumerate(slacks + arts, lp.num_vars):
-            self.cols.append(([i], np.array([v], dtype=object)))
+            self.cols.append(([i], [v]))
             self.basic[i], diagonal[i] = j, v
-        self.inv, self.det, self.pivots = np.diag(diagonal).astype(object), 1, 0
         self.den, b = _over_lcm(lp.rhs)
-        self.b = np.array(b, dtype=object)
+        # the starting columns are +-1 unit vectors, each its own inverse;
+        # the zero cost prices the zero row
+        self.inv = [
+            [0] * k + [v] + [0] * (m - k - 1) + [v * bk]
+            for k, (v, bk) in enumerate(zip(diagonal, b))
+        ]
+        self.inv.append([0] * (m + 1))
+        self.det, self.pivots, self.priced = 1, 0, [0] * len(self.cols)
         self.cden, cost = _over_lcm(lp.objective)
         self.cost = [c * s for c, s in zip(cost, self.scale)] + [0] * (len(slacks) + len(arts))
 
-    def image(self, j: int) -> np.ndarray:
-        """inv @ column j: row k of B^-1 a_j has its sign."""
-        rows, ints = self.cols[j]
-        return self.inv[:, rows] @ ints
+    def xb(self) -> list[int]:
+        """z_B times det den: the carried column."""
+        return [row[-1] for row in self.inv[:-1]]
 
-    def prices(self, cost: Sequence[int]) -> list[int]:
-        """yb, the dual of cost times det."""
-        return (np.array([cost[j] for j in self.basic], dtype=object) @ self.inv).tolist()
+    def price(self, cost: Sequence[int]) -> None:
+        """Carry cost's dual from now on: row m becomes cost_B @ inv, in full."""
+        priced = [0] * len(self.inv)
+        for j, row in zip(self.basic, self.inv):
+            if cost[j]:
+                priced = [a + cost[j] * e for a, e in zip(priced, row)]
+        self.inv[-1], self.priced = priced, cost
 
-    def pivot(self, r: int, j: int, g: np.ndarray) -> None:
+    def image(self, j: int) -> list[int]:
+        """inv @ column j, row k of B^-1 a_j having its sign, then the
+        priced row's entry yb . a_j - det c_j."""
+        g = [_at(row, self.cols[j]) for row in self.inv]
+        g[-1] -= self.det * self.priced[j]
+        return g
+
+    def pivot(self, r: int, j: int, g: Sequence[int]) -> None:
         self.det = _eta(self.inv, self.det, g, r)
         self.basic[r] = j
         self.pivots += 1
@@ -211,23 +240,18 @@ class _Basis:
     def minimize(self, cost: Sequence[int], allowed: int) -> bool:
         """Pivot by Bland's rule, which cannot cycle in exact arithmetic,
         until no column below allowed has a negative reduced cost; False
-        if the entering column proves the cost unbounded.  The lowest
-        such column enters, priced as det c_j - yb . a_j over its
-        nonzeros, and ratio-test ties leave by the lowest basic column."""
+        if the entering column proves the cost unbounded.  cost is the
+        one last priced.  The lowest such column enters, priced as
+        det c_j - yb . a_j over its nonzeros, and ratio-test ties leave
+        by the lowest basic column."""
+        cols = self.cols[:allowed]
         while True:
-            yb = self.prices(cost)
-            j = next(
-                (
-                    j
-                    for j, (rows, ints) in enumerate(self.cols[:allowed])
-                    if self.det * cost[j] < sum(yb[i] * v for i, v in zip(rows, ints))
-                ),
-                None,
-            )
+            yb, det = self.inv[-1], self.det
+            j = next((j for j, col in enumerate(cols) if det * cost[j] < _at(yb, col)), None)
             if j is None:
                 return True
-            g, xb = self.image(j), self.inv @ self.b
-            rows = [k for k in range(len(g)) if g[k] > 0]
+            g, xb = self.image(j), self.xb()
+            rows = [k for k in range(len(xb)) if g[k] > 0]
             if not rows:
                 return False
             self.pivot(min(rows, key=lambda k: (Fraction(xb[k], g[k]), self.basic[k])), j, g)
@@ -237,25 +261,28 @@ def solve_exact(lp: RationalLP) -> LPSolution:
     """Two-phase revised simplex in exact integers.  Phase 1 minimizes
     the sum of the artificials, then pivots each one left at level zero
     out on the lowest other column nonzero in its row; phase 2 bars them
-    from entering.  ``pivots`` counts the pivots of both phases.  An
-    optimum is returned only once its primal and dual pass violation."""
+    from entering and re-prices the dual for the real cost once.
+    ``pivots`` counts the pivots of both phases.  An optimum is returned
+    only once its primal and dual pass violation."""
     basis = _Basis(lp)
     ncols, art_start = len(basis.cols), basis.art_start
     if art_start < ncols:
-        basis.minimize([0] * art_start + [1] * (ncols - art_start), ncols)
-        xb = basis.inv @ basis.b
-        if any(v > 0 for j, v in zip(basis.basic, xb) if j >= art_start):
+        phase_1 = [0] * art_start + [1] * (ncols - art_start)
+        basis.price(phase_1)
+        basis.minimize(phase_1, ncols)
+        if any(v > 0 for j, v in zip(basis.basic, basis.xb()) if j >= art_start):
             return LPSolution("infeasible", None, None, None, basis.pivots)
         for r, basic in enumerate(basis.basic):
             if basic >= art_start:
-                j = next((j for j in range(art_start) if basis.image(j)[r]), None)
+                j = next((j for j in range(art_start) if _at(basis.inv[r], basis.cols[j])), None)
                 if j is not None:
                     basis.pivot(r, j, basis.image(j))
+    basis.price(basis.cost)
     if not basis.minimize(basis.cost, art_start):
         return LPSolution("unbounded", None, None, None, basis.pivots)
-    z, det = dict(zip(basis.basic, basis.inv @ basis.b)), basis.det
+    z, det = dict(zip(basis.basic, basis.xb())), basis.det
     x = tuple(Fraction(s * z.get(j, 0), det * basis.den) for j, s in enumerate(basis.scale))
-    y = tuple(Fraction(v, basis.cden * det) for v in basis.prices(basis.cost))
+    y = tuple(Fraction(v, basis.cden * det) for v in basis.inv[-1][:-1])
     solution = LPSolution("optimal", _dot(lp.objective, x), x, y, basis.pivots)
     problem = solution.violation(lp)
     if problem is not None:
@@ -273,15 +300,20 @@ def build_prt_lp(f: TruthTable, eps: Fraction) -> RationalLP:
         raise ValueError(f"relaxation supports n <= {MAX_LP_VARS_N}")
     if not 0 <= eps < Fraction(1, 2):
         raise ValueError("eps must lie in [0, 1/2)")
-    patterns = list(all_patterns(n))
-    names = [f"w[{pat.text},{z}]" for pat in patterns for z in (0, 1)]
-    objective = [1 << pat.fixed_count for pat in patterns for _ in (0, 1)]
+    # every subcube as a pattern over 01*, x_1 varying slowest, as
+    # subcube.all_patterns lists them
+    patterns = ["".join(t) for t in itertools.product("01*", repeat=n)]
+    names = [f"w[{pat},{z}]" for pat in patterns for z in (0, 1)]
+    objective = [1 << (n - pat.count("*")) for pat in patterns for _ in (0, 1)]
     # rows 2*idx and 2*idx + 1: input idx's correct weight and total weight
     rows = [[0] * len(names) for _ in range(2 * f.size)]
     for k, pat in enumerate(patterns):
-        for idx in pat.members().tolist():
-            rows[2 * idx + 1][2 * k] = rows[2 * idx + 1][2 * k + 1] = 1
-            rows[2 * idx][2 * k + f.bit(idx)] = 1
+        mask = int(pat.replace("0", "1").replace("*", "0"), 2)
+        vals = int(pat.replace("*", "0"), 2)
+        for idx in range(f.size):
+            if idx & mask == vals:
+                rows[2 * idx + 1][2 * k] = rows[2 * idx + 1][2 * k + 1] = 1
+                rows[2 * idx][2 * k + f.bit(idx)] = 1
     senses = (">=", "==") * f.size
     rhs = (1 - eps, Fraction(1)) * f.size
     return RationalLP(

@@ -27,7 +27,7 @@ name them.
 The three exact recursions (per input, under the hard law, and over
 the worst inputs) share one integer moment step over its read counts.
 On a fixed input the evaluator and the recursion take the nodes'
-children patterns from ``boolfn.level_patterns``.
+children patterns from ``gadget.level_patterns``.
 
 The embedding of one instance inside a neighborhood is one table too:
 its 360 equally likely outcomes, each a placement slot and a children
@@ -48,16 +48,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .boolfn import (
-    _CHILD_BITS,
-    _CHILD_WORD,
-    _FM,
-    bits_to_index,
-    index_to_bits,
-    level_patterns,
-    parse_bits,
-    tree_bits,
-)
+from .boolfn import bits_to_index, index_to_bits, parse_bits
+from .gadget import _CHILD_BITS, _CHILD_WORD, _FM, level_patterns, tree_bits
 from .harddist import _DIS_PICK, _DRAW30, _SEED_W, batch_sizes, d, tally
 
 MAX_MC_HEIGHT = 12
@@ -484,7 +476,8 @@ def minority_conditionals_exact() -> dict[tuple[int, int], Fraction]:
     given the embedded instance sits at child i: each of the embedding's
     outcomes and the path's coin has mass 1/720."""
     picks = _DIS_PICK[_EMBED_PAT]
-    assert np.all(picks != 255), "sampled children never agree unanimously"
+    if np.any(picks == 255):
+        raise ValueError("sampled children never agree unanimously")
     joint = np.bincount((4 * _EMBED_SLOT[:, None] + picks).ravel(), minlength=16).tolist()
     return {divmod(k, 4): Fraction(c, 720) / SLOT_PROBS[k // 4] for k, c in enumerate(joint)}
 

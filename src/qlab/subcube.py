@@ -24,6 +24,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .boolfn import MAX_VARS, TruthTable
+from .gadget import table_values
 
 MAX_SEARCH_COST_VARS = 5
 MAX_SEARCH_WEIGHT_VARS = 4
@@ -145,7 +146,7 @@ def computes(
     if not report.ok:
         raise ValueError(f"not a partition ({report.error}: {report.detail})")
     labels = np.array([z for _, z in part.entries], dtype=np.uint8)
-    return bool(np.array_equal(labels[report.owner], f.values()))
+    return bool(np.array_equal(labels[report.owner], table_values(f)))
 
 
 def partition_cost(part: LabeledPartition) -> PartitionCost:
@@ -261,7 +262,7 @@ def _colors(leaves: np.ndarray, sweep: Sweep, width: int) -> np.ndarray:
 def lattice_colors(f: TruthTable) -> np.ndarray:
     """Color of every subcube: a (3,)*n uint8 array holding f's value
     where f is constant on the subcube and 2 where it is mixed."""
-    return _colors(f.values().reshape((2,) * f.n), _FULL_SWEEP, 3)
+    return _colors(table_values(f).reshape((2,) * f.n), _FULL_SWEEP, 3)
 
 
 def lattice_sums(values: np.ndarray) -> np.ndarray:
@@ -354,7 +355,7 @@ def lattice(f: TruthTable, rows: Sequence[np.ndarray] = (), which: Sequence[int]
     subcube: the class lattice when f and every row are block-symmetric
     and each block charges x_{4b+2..4b+4} by one row, else the full one."""
     if not (
-        block_symmetric(f.values())
+        block_symmetric(table_values(f))
         and all(which[j] == which[j + 1] == which[j + 2] for j in range(1, len(which), 4))
         and all(block_symmetric(row) for row in rows)
     ):
@@ -368,7 +369,7 @@ def lattice(f: TruthTable, rows: Sequence[np.ndarray] = (), which: Sequence[int]
     def sums(values: np.ndarray) -> np.ndarray:
         return _zeta(leaves(values), np.add, _CLASS_SWEEP, width)
 
-    colors = _colors(leaves(f.values()), _CLASS_SWEEP, width)
+    colors = _colors(leaves(table_values(f)), _CLASS_SWEEP, width)
     return Lattice(colors, _CLASS_SWEEP, class_state, sums)
 
 

@@ -11,7 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from qlab.boolfn import fmaj, index_to_bits, iterated_table
+from qlab.boolfn import fmaj, index_to_bits
+from qlab.gadget import iterated_table
 from qlab.dtree import exact_depth, delta0
 from qlab.harddist import (
     _DRAW30,

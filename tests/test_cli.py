@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlab import cli, dtree, harddist, lpbound, randalg, subcube
-from qlab.boolfn import fmaj, iterated_table, table_from_text, table_to_text
+from qlab.boolfn import fmaj, table_from_text, table_to_text
+from qlab.gadget import iterated_table
 from qlab.cli import main
 from qlab.harddist import d, dist_from_text, dist_to_text
 from qlab.subcube import (
@@ -559,14 +560,15 @@ def test_bound_prt_refuses_a_huge_eps_at_once(tmp_path, eps):
 def probe_imports(*argvs, status=0):
     # runs each argv through qlab.cli.main in a fresh interpreter, then
     # lists the qlab and scipy modules that process loaded and says
-    # whether it loaded concurrent.futures; the statuses or'ed together
-    # must be status
+    # whether it loaded numpy and concurrent.futures; the statuses
+    # or'ed together must be status
     probe = (
         "import sys, qlab.cli\n"
         "code = 0\n"
         + "".join(f"code |= qlab.cli.main({list(argv)!r})\n" for argv in argvs)
         + "print('qlab:', sorted(m for m in sys.modules if m.startswith('qlab.')))\n"
         "print('scipy:', sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "print('numpy:', 'numpy' in sys.modules)\n"
         "print('concurrent.futures:', 'concurrent.futures' in sys.modules)\n"
         "sys.exit(code)"
     )
@@ -583,30 +585,37 @@ def test_import_loads_no_scipy():
 
 
 def test_bound_prt_loads_no_scipy(tmp_path):
-    # the LP is solved in-package, so `bound prt` pays no scipy import
+    # the LP is solved in-package in Python ints, so `bound prt` pays no
+    # scipy import, nor numpy's
     table = tmp_path / "fmaj.tt"
     table.write_text(table_to_text(fmaj()))
     got = probe_imports(["bound", "prt", "--table", str(table), "--eps", "1/3"])
     assert got["value"] == got["dual-value"] == "14/1"
     assert got["certificate"] == "pass"
     assert got["scipy"] == "[]"
+    assert got["numpy"] == "False"
 
 
-VERIFY_MODULES = ("subcube", "dtree", "harddist", "randalg")
+VERIFY_MODULES = ("gadget", "subcube", "dtree", "harddist", "randalg")
 
 
 @pytest.mark.parametrize(
     "argv, modules, status",
     [
-        (["simulate", "r0", "--height", "2", "--trials", "10"], ("harddist", "randalg"), 0),
-        (["dist", "total", "--height", "1"], ("harddist",), 0),
-        (["bound", "prt", "--table", "{table}", "--eps", "1/3"], ("subcube", "lpbound"), 0),
-        (["fixtures", "--out-dir", "{dir}"], ("subcube", "harddist"), 0),
+        (["fn", "eval", "--table", "{table}", "--input", "1100"], (), 0),
+        (
+            ["simulate", "r0", "--height", "2", "--trials", "10"],
+            ("gadget", "harddist", "randalg"),
+            0,
+        ),
+        (["dist", "total", "--height", "1"], ("gadget", "harddist"), 0),
+        (["bound", "prt", "--table", "{table}", "--eps", "1/3"], ("lpbound",), 0),
+        (["fixtures", "--out-dir", "{dir}"], ("gadget", "subcube", "harddist"), 0),
         # height 1 exits 1 on criterion 7's floor on K(1,1)
         (["verify", "separation", "--height", "1", "--trials", "1"], VERIFY_MODULES, 1),
         (["verify", "separation", "--height", "2", "--trials", "1"], VERIFY_MODULES, 0),
     ],
-    ids=["simulate-r0", "dist-total", "bound-prt", "fixtures", "verify-h1", "verify-h2"],
+    ids=["fn-eval", "simulate-r0", "dist-total", "bound-prt", "fixtures", "verify-h1", "verify-h2"],
 )
 def test_command_imports_only_the_modules_it_runs(tmp_path, argv, modules, status):
     # cli imports each module where a handler runs it, so a fresh process
@@ -615,7 +624,11 @@ def test_command_imports_only_the_modules_it_runs(tmp_path, argv, modules, statu
     table.write_text(table_to_text(fmaj()))
     argv = [a.format(table=table, dir=tmp_path / "out") for a in argv]
     want = sorted(f"qlab.{m}" for m in ("cli", "boolfn", *modules))
-    assert probe_imports(argv, status=status)["qlab"] == str(want)
+    got = probe_imports(argv, status=status)
+    assert got["qlab"] == str(want)
+    # every module but boolfn, lpbound and cli imports numpy as it loads,
+    # so `fn eval` and `bound prt` run without it
+    assert got["numpy"] == str(any(m != "lpbound" for m in modules))
 
 
 def test_every_emit_name_has_a_maker(tmp_path, capsys):

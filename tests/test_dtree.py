@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from qlab import dtree, subcube
-from qlab.boolfn import TruthTable, fmaj, index_to_bits, iterated_table, parse_bits
+from qlab.boolfn import TruthTable, fmaj, index_to_bits, parse_bits
+from qlab.gadget import iterated_table, table_values
 from qlab.dtree import (
     CostMatrix,
     Leaf,
@@ -310,7 +311,7 @@ def test_tables_without_the_block_symmetry_take_the_full_lattice():
     pair = TruthTable.from_values(4, [idx >> 2 & idx >> 1 & 1 for idx in range(16)])
     flipped = TruthTable(16, iterated_table(2).bits ^ 1 << (1 << 14))
     for f, depth in ((pair, 2), (flipped, 16)):
-        assert not subcube.block_symmetric(f.values())
+        assert not subcube.block_symmetric(table_values(f))
         result = exact_depth(f)
         assert (result.value, result.states) == (depth, 3**f.n)
 
@@ -362,7 +363,7 @@ def distinct_rows_in_a_block(rng):
 def test_weighted_dp_without_the_symmetry_takes_the_full_lattice(monkeypatch, case):
     f, rows = case(random.Random(43))
     cost = CostMatrix.from_lists(f.n, rows)
-    assert subcube.block_symmetric(f.values())
+    assert subcube.block_symmetric(table_values(f))
     result, sizes = lattice_sizes(monkeypatch, lambda: min_weighted_zero_error(f, cost))
     assert sizes == [3**f.n] and result.states == 3**f.n
     assert result.value == brute_weighted(f, rows)
@@ -548,7 +549,7 @@ def test_min_weighted_refuses_an_object_law_before_any_charge_lattice(monkeypatc
     # at 72 bits, so Python ints: about 3.2 GiB for the charges and values
     rng = random.Random(5)
     f = TruthTable(16, rng.getrandbits(1 << 16))
-    assert not subcube.block_symmetric(f.values())
+    assert not subcube.block_symmetric(table_values(f))
     p, q = 33554393, 33554383
     masses = [Fraction(1, 1 << 16)] * (1 << 16)
     masses[0] += Fraction(1, p)

@@ -10,7 +10,15 @@ import qlab
 
 # a module may import only modules of earlier layers; randalg and lpbound
 # share a layer, so neither imports the other
-LAYERS = [{"boolfn"}, {"subcube"}, {"dtree"}, {"harddist"}, {"randalg", "lpbound"}, {"cli"}]
+LAYERS = [
+    {"boolfn"},
+    {"gadget"},
+    {"subcube"},
+    {"dtree"},
+    {"harddist"},
+    {"randalg", "lpbound"},
+    {"cli"},
+]
 RANK = {name: rank for rank, layer in enumerate(LAYERS) for name in layer}
 SRC = pathlib.Path(qlab.__file__).parent
 # numpy is the one runtime dependency; scipy serves the tests alone
@@ -21,8 +29,13 @@ def imported_modules(source: str) -> set[str]:
     """The dotted modules a module's source imports anywhere, imports
     inside functions included; a relative import names a qlab module,
     and ``from qlab import x`` names ``qlab.x``."""
+    return named_modules(ast.walk(ast.parse(source)))
+
+
+def named_modules(nodes) -> set[str]:
+    """The dotted modules the import statements among nodes name."""
     found = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in nodes:
         if isinstance(node, ast.Import):
             found.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -109,6 +122,44 @@ def test_modules_import_only_the_standard_library_and_numpy():
     for path in sorted(SRC.glob("*.py")):
         packages = {name.split(".")[0] for name in imported_modules(path.read_text())}
         assert packages <= RUNTIME_PACKAGES, (path.name, packages - RUNTIME_PACKAGES)
+
+
+# the modules that import numpy when they load: boolfn and lpbound are
+# pure Python and cli imports numpy only inside the handlers that use
+# it, so `fn eval` and `bound prt` never load numpy
+NUMPY_AT_IMPORT = {"gadget", "subcube", "dtree", "harddist", "randalg"}
+
+
+def module_level_imports(source: str) -> set[str]:
+    """The dotted modules a module's source imports when it loads:
+    imports inside function bodies are left out, class bodies count."""
+    nodes, pending = [], list(ast.parse(source).body)
+    while pending:
+        node = pending.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            nodes.append(node)
+            pending.extend(ast.iter_child_nodes(node))
+    return named_modules(nodes)
+
+
+def test_module_level_import_finder_skips_function_bodies():
+    source = (
+        "import numpy as np\n"
+        "if True:\n"
+        "    from numpy.random import default_rng\n"
+        "class Holder:\n"
+        "    import math\n"
+        "def handler():\n"
+        "    import scipy\n"
+        "    from . import randalg\n"
+    )
+    assert module_level_imports(source) == {"numpy", "numpy.random", "math"}
+
+
+def test_only_array_modules_import_numpy_at_module_level():
+    for path in sorted(SRC.glob("*.py")):
+        packages = {name.split(".")[0] for name in module_level_imports(path.read_text())}
+        assert ("numpy" in packages) == (path.stem in NUMPY_AT_IMPORT), path.name
 
 
 def report_owners(source: str) -> set[str]:

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from qlab import cli, lpbound
-from qlab.boolfn import TruthTable, fmaj, iterated_table, table_to_text
+from qlab.boolfn import TruthTable, fmaj, table_to_text
+from qlab.gadget import iterated_table
 from qlab.lpbound import (
     CertificateError,
     LPSolution,
@@ -210,6 +211,45 @@ def test_feasible_basis_that_is_not_optimal_raises(monkeypatch):
     monkeypatch.setattr(lpbound._Basis, "minimize", phase_1_only)
     with pytest.raises(CertificateError, match="reduced cost"):
         solve_exact(build_prt_lp(fmaj(), F(1, 3)))
+
+
+def carried_vectors_checked(problem, monkeypatch):
+    """Solve problem, checking after every pivot that the carried x_B
+    (inv's last column) and priced dual y_B (its last row) equal inv @ b
+    and c_B @ inv recomputed in full; the number of pivots checked."""
+    pivot, checked = lpbound._Basis.pivot, []
+    b = lpbound._over_lcm(problem.rhs)[1]
+
+    def checked_pivot(basis, r, j, g):
+        pivot(basis, r, j, g)
+        m = len(basis.basic)
+        inv = [row[:m] for row in basis.inv[:m]]
+        xb = [sum(a * v for a, v in zip(row, b)) for row in inv]
+        assert [row[m] for row in basis.inv[:m]] == xb
+        cost_b = [basis.priced[j] for j in basis.basic]
+        yb = [sum(c * row[i] for c, row in zip(cost_b, inv)) for i in range(m)]
+        assert basis.inv[m] == yb + [sum(c * v for c, v in zip(cost_b, xb))]
+        checked.append(j)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lpbound._Basis, "pivot", checked_pivot)
+        sol = solve_exact(problem)
+    assert sol.violation(problem) is None and sol.pivots == len(checked)
+    return len(checked)
+
+
+@pytest.mark.parametrize("eps, pivots", [(F(0), 141), (F(1, 3), 164)])
+def test_carried_vectors_match_a_full_recomputation_on_the_gadget(eps, pivots, monkeypatch):
+    assert carried_vectors_checked(build_prt_lp(fmaj(), eps), monkeypatch) == pivots
+
+
+def test_carried_vectors_match_a_full_recomputation_on_random_tables(monkeypatch):
+    rng = random.Random(45)
+    for _ in range(20):
+        n = rng.randint(1, 3)
+        table = TruthTable(n, rng.getrandbits(1 << n))
+        eps = F(rng.randrange(50), 100)
+        assert carried_vectors_checked(build_prt_lp(table, eps), monkeypatch) > 0
 
 
 # programs whose reduced costs or gaps lie within 10**-9 of zero: a solver

@@ -11,6 +11,8 @@ import hashlib
 import importlib.util
 import itertools
 import os
+import subprocess
+import sys
 import threading
 from fractions import Fraction
 
@@ -18,15 +20,8 @@ import numpy as np
 import pytest
 
 from qlab import cli, randalg
-from qlab.boolfn import (
-    bits_to_index,
-    fmaj,
-    index_to_bits,
-    iter_eval,
-    level_patterns,
-    parse_bits,
-    tree_bits,
-)
+from qlab.boolfn import bits_to_index, fmaj, index_to_bits, parse_bits
+from qlab.gadget import iter_eval, level_patterns, tree_bits
 from qlab.harddist import d
 from qlab.randalg import (
     MAX_MC_HEIGHT,
@@ -637,6 +632,32 @@ def test_minority_conditionals_table():
             else:
                 want = Fraction(1, 4)
             assert got == want, (i, j)
+
+
+def test_minority_conditionals_refuse_unanimous_children(monkeypatch):
+    # an outcome whose children all agree has no minority child to
+    # leave through: a ValueError, under python -O as well, where an
+    # assert would leave an IndexError
+    pat = randalg._EMBED_PAT.copy()
+    pat[0] = 0
+    monkeypatch.setattr(randalg, "_EMBED_PAT", pat)
+    with pytest.raises(ValueError, match="never agree unanimously"):
+        minority_conditionals_exact()
+    probe = (
+        "from qlab import randalg\n"
+        "randalg._EMBED_PAT[0] = 0\n"
+        "try:\n"
+        "    randalg.minority_conditionals_exact()\n"
+        "except ValueError as exc:\n"
+        "    print('ValueError:', exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(randalg.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ValueError: sampled children never agree unanimously\n"
 
 
 def test_embed_check_rejects_other_levels():

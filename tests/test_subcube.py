@@ -7,7 +7,8 @@ import random
 import numpy as np
 import pytest
 
-from qlab.boolfn import MAX_VARS, TruthTable, fmaj, iterated_table
+from qlab.boolfn import MAX_VARS, TruthTable, fmaj
+from qlab.gadget import iterated_table
 from qlab.subcube import (
     LabeledPartition,
     Pattern,
