@@ -1,6 +1,6 @@
 """Boolean functions as bit-packed truth tables, the tie-breaking
-four-bit majority gadget, and the .tt text format, all in Python ints;
-`gadget` evaluates the gadget's iterated (tree-composed) form in numpy.
+four-bit majority gadget and its iterated tables, and the .tt text
+format, all in Python ints; `gadget` evaluates the iterated gadget in numpy.
 
 Index convention, used everywhere in this package: an input
 x = (x_1, ..., x_n) is identified with the integer
@@ -95,11 +95,12 @@ class TruthTable:
 # the tie-breaking four-bit majority gadget
 
 
-_FMAJ_BIT = tuple(
-    (((x >> 3) & 1) & (((x >> 2) & 1) | ((x >> 1) & 1) | (x & 1)))
-    | (((x >> 2) & 1) & ((x >> 1) & 1) & (x & 1))
-    for x in range(16)
-)
+def _fmaj(a: int, b: int, c: int, d: int) -> int:
+    """The gadget on four bits, or bitwise on four truth-table words."""
+    return a & (b | c | d) | b & c & d
+
+
+_FMAJ_BIT = tuple(_fmaj(x >> 3 & 1, x >> 2 & 1, x >> 1 & 1, x & 1) for x in range(16))
 
 
 def fmaj() -> TruthTable:
@@ -110,6 +111,22 @@ def fmaj() -> TruthTable:
     Equivalently the simple majority of (x1, x1, x2, x3, x4).
     """
     return TruthTable.from_values(4, _FMAJ_BIT)
+
+
+def iterated_table(h: int) -> TruthTable:
+    """The height-h iterated gadget as an explicit table on 4**h bits:
+    the leaves' tables are Knuth's "magic masks" (TAOCP 4A 7.1.3), built
+    by doubling (the new x_1 is the upper half of the inputs, the others
+    repeat in both halves), and each level applies the gadget to four
+    consecutive tables.  Only heights 0..2 fit the 16-variable cap."""
+    if not 0 <= h <= 2:
+        raise ValueError("the iterated table fits 16 variables only at heights 0 to 2")
+    tables: list[int] = []
+    for k in range(4**h):
+        tables = [((1 << 2**k) - 1) << 2**k] + [t | t << 2**k for t in tables]
+    for _ in range(h):
+        tables = [_fmaj(*tables[i : i + 4]) for i in range(0, len(tables), 4)]
+    return TruthTable(4**h, tables[0])
 
 
 # ---------------------------------------------------------------------------

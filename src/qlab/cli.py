@@ -25,8 +25,8 @@ every path needs, is imported here, and every other module inside the
 handlers that call it, so a fresh process compiles and runs no module
 its command never calls (tests/test_cli.py::
 test_command_imports_only_the_modules_it_runs pins the sets).  numpy
-too is imported only by the handlers that run array code: boolfn and
-lpbound are pure Python, so `fn eval` and `bound prt` never load it.
+too loads only where array code runs: `fn eval`, `fn emit`, every
+`partition` command, `bound prt` and `fixtures` never load it.
 """
 
 from __future__ import annotations
@@ -182,7 +182,7 @@ def cmd_measure_depth(args: argparse.Namespace, rep: Report) -> None:
 
 
 def cmd_measure_delta0(args: argparse.Namespace, rep: Report) -> None:
-    from . import dtree, harddist, subcube
+    from . import dtree, harddist
 
     table = _load("table", boolfn.table_from_text, args.table)
     dist = _load("distribution", harddist.dist_from_text, args.dist)
@@ -194,14 +194,10 @@ def cmd_measure_delta0(args: argparse.Namespace, rep: Report) -> None:
     rep.add_rational("delta0", result.value)
     rep.add("lattice-sweeps", result.sweeps)
     rep.add("lattice-states", result.states)
-    # one partition check paints each input's leaf for labels and charges
-    part = dtree.tree_to_partition(result.tree, table.n)
-    check = subcube.validate(part)
     rep.add_verdict(
         "witness-replay",
-        check.ok
-        and subcube.computes(part, table, check)
-        and dtree.tree_cost(result.tree, charges, check.owner) == result.value,
+        _partition_computes(dtree.tree_to_partition(result.tree, table.n), table)
+        and dtree.tree_cost(result.tree, charges) == result.value,
     )
 
 
@@ -459,13 +455,13 @@ def cmd_verify_separation(args: argparse.Namespace, rep: Report) -> None:
     """The cost-3^h partition against the depth-4^h tree at height h, and
     the evaluator and hard-law facts behind them; at height 1 also the
     cost-2 search and the J/K functionals."""
-    from . import dtree, gadget, harddist, randalg, subcube
+    from . import dtree, harddist, randalg, subcube
 
     h = args.height
     rep.add("seed", args.seed)
     # only the Monte Carlo samples: every other verdict reads a whole table
     rep.add("trials", args.trials)
-    table = gadget.iterated_table(h)
+    table = boolfn.iterated_table(h)
     part = canon = subcube.canonical_fmaj_partition()
     if h == 2:
         part = subcube.compose_partitions(canon, canon)
@@ -529,12 +525,10 @@ def _fixture_makers(command: str):
     sizes one, and each name's maker, importing only the module that
     makes them."""
     if command == "fn":
-        from . import gadget
-
         return boolfn.table_to_text, ("n", lambda table: table.n), {
-            "identity": lambda: gadget.iterated_table(0),
+            "identity": lambda: boolfn.iterated_table(0),
             "fmaj": boolfn.fmaj,
-            "fmaj2": lambda: gadget.iterated_table(2),
+            "fmaj2": lambda: boolfn.iterated_table(2),
         }
     if command == "partition":
         from . import subcube

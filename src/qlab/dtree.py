@@ -16,7 +16,7 @@ the fixed point is the optimum.  A step reads only states with fewer
 free variables, so that fixed point is unique, whatever order a sweep
 takes within itself.  Witness trees walk down from the root, querying
 at each mixed state the lowest free variable whose step attains the
-state's value; this makes them canonical.  ``subcube.lattice`` picks
+state's value; this makes them canonical.  ``lattice.lattice`` picks
 the lattice and its sweep; on the block classes it may pick, a witness
 reads values at each state's class, so it builds the same tree.
 
@@ -38,9 +38,10 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
+from . import lattice
 from .boolfn import TruthTable
-from . import subcube
-from .subcube import LabeledPartition, Lattice, Pattern, Sweep
+from .lattice import Lattice, Sweep
+from .subcube import LabeledPartition, Pattern
 
 # the most memory, by its own estimate, that the weighted DP may take
 MAX_DP_BYTES = 2**30
@@ -70,36 +71,29 @@ def tree_depth(tree: DecisionTree) -> int:
     return 1 + max(tree_depth(tree.low), tree_depth(tree.high))
 
 
-def _leaf_paths(tree: DecisionTree, n: int) -> Iterator[tuple[Pattern, list[int], int]]:
-    """Each reachable leaf as (the subcube its path fixes, the variables
-    queried on the way down, its value).  A query of a variable already
-    fixed on the path follows the fixed branch, and counts as a query,
-    as it does when the tree runs on an input.  Raises ValueError on a
+def tree_to_partition(tree: DecisionTree, n: int) -> LabeledPartition:
+    """The tree's reachable leaves as a labeled partition of {0,1}^n;
+    each part fixes the variables queried on the way down, so the
+    partition computes f exactly when the tree does.  A query of a
+    variable already fixed on the path follows the fixed branch, as it
+    does when the tree runs on an input.  Raises ValueError on a
     variable outside x_1..x_n."""
 
-    def walk(t: DecisionTree, assignment: dict[int, int], queried: list[int]):
+    def walk(t: DecisionTree, assignment: dict[int, int]) -> Iterator[tuple[Pattern, int]]:
         if isinstance(t, Leaf):
             chars = ["*"] * n
             for var, b in assignment.items():
                 chars[var] = "01"[b]
-            yield Pattern("".join(chars)), queried, t.value
+            yield Pattern("".join(chars)), t.value
         elif not 0 <= t.var < n:
             raise ValueError(f"tree queries x_{t.var + 1} outside x_1..x_{n}")
         elif t.var in assignment:
-            yield from walk(t.high if assignment[t.var] else t.low, assignment, queried + [t.var])
+            yield from walk(t.high if assignment[t.var] else t.low, assignment)
         else:
             for b, child in enumerate((t.low, t.high)):
-                yield from walk(child, {**assignment, t.var: b}, queried + [t.var])
+                yield from walk(child, {**assignment, t.var: b})
 
-    return walk(tree, {}, [])
-
-
-def tree_to_partition(tree: DecisionTree, n: int) -> LabeledPartition:
-    """The tree's reachable leaves as a labeled partition of {0,1}^n;
-    each part fixes the variables queried on the way down, so the
-    partition computes f exactly when the tree does.  Raises ValueError
-    on a variable outside x_1..x_n."""
-    return LabeledPartition(n, tuple((p, z) for p, _, z in _leaf_paths(tree, n)))
+    return LabeledPartition(n, tuple(walk(tree, {})))
 
 
 # serialized as "(j low high)" with 1-based variable numbers and "=0" /
@@ -218,13 +212,13 @@ def _depth_step(a: int, charges: tuple, lo, hi):
 
 def exact_depth(f: TruthTable, *, want_tree: bool = False) -> LatticeResult:
     """Minimum worst-case query count of a deterministic tree computing
-    f, by the axis-sweep relaxation over ``subcube.lattice(f)``.  With
+    f, by the axis-sweep relaxation over ``lattice.lattice(f)``.  With
     ``want_tree`` the result also holds a canonical optimal tree."""
     n = f.n
     # on the full lattice, TruthTable's cap of n at 16 bounds colors,
     # values and one 3**15-byte slab temporary under 2 * 3**16 + 3**15
     # bytes, about 100 MB
-    lat = subcube.lattice(f)
+    lat = lattice.lattice(f)
     # 1 on mixed states, 0 on constant ones; without a tree the sweeps
     # need only these, so they overwrite the colors in place
     val = lat.colors // 2 if want_tree else np.floor_divide(lat.colors, 2, out=lat.colors)
@@ -295,20 +289,27 @@ class CostMatrix:
         return cls(denom, ints, which)
 
 
-def tree_cost(tree: DecisionTree, cost: CostMatrix, owner: Optional[np.ndarray] = None) -> Fraction:
+def tree_cost(tree: DecisionTree, cost: CostMatrix) -> Fraction:
     """Total charge of the tree: sum over inputs of the charges of the
-    queries made on that input.  owner[x] is the leaf holding input x,
-    as subcube.validate paints it for tree_to_partition, and is painted
-    here when not given.  Each input adds, per distinct row, its charge
-    times the number of its leaf's path queries that row charges."""
-    if owner is None:
-        owner = subcube.validate(tree_to_partition(tree, cost.n)).owner
-    leaves = list(_leaf_paths(tree, cost.n))
-    counts = np.zeros((len(cost.rows), len(leaves)), dtype=np.int64)
-    for leaf, (_, queried, _) in enumerate(leaves):
-        for i in queried:
-            counts[cost.which[i], leaf] += 1
-    total = sum(int(np.dot(row, counts[r, owner])) for r, row in enumerate(cost.rows))
+    queries made on that input.  Every input goes down the tree at once,
+    each query counting, on the row that charges it, for every input
+    reaching it.  Raises ValueError on a variable outside x_1..x_n."""
+    n = cost.n
+    counts = np.zeros((len(cost.rows), 1 << n), dtype=np.int64)
+
+    def walk(t: DecisionTree, inputs: np.ndarray) -> None:
+        # inputs: those reaching t, as an index array
+        if isinstance(t, Leaf) or not inputs.size:
+            return
+        if not 0 <= t.var < n:
+            raise ValueError(f"tree queries x_{t.var + 1} outside x_1..x_{n}")
+        counts[cost.which[t.var], inputs] += 1
+        high = inputs >> (n - 1 - t.var) & 1 == 1
+        walk(t.low, inputs[~high])
+        walk(t.high, inputs[high])
+
+    walk(tree, np.arange(1 << n))
+    total = sum(int(np.dot(row, counts[r])) for r, row in enumerate(cost.rows))
     return Fraction(total, cost.denom)
 
 
@@ -328,7 +329,7 @@ def min_weighted_zero_error(
     # a tree queries each variable at most once per input
     inf = 1 + sum(totals[k] for k in which)
     bound = 2 * inf + max(totals)
-    lat = subcube.lattice(f, rows, which)
+    lat = lattice.lattice(f, rows, which)
     if bound < 2**31:
         dtype = np.int32
     elif bound < 2**63:

@@ -1,11 +1,12 @@
 """The iterated tie-breaking majority gadget on a complete 4-ary tree,
-evaluated in numpy: every input's bits as an array, the children
-patterns of each level's nodes, and the height-h table they give.
+evaluated in numpy on explicit inputs: every input's bits as an array,
+and the children patterns of each level's nodes.  `boolfn.iterated_table`
+builds the same function's table in Python ints.
 
 A height-h input is 4**h leaf bits; node i of one level reads nodes
 4i to 4i+3 one level down, and its value is the gadget (`boolfn.fmaj`)
-at their children pattern.  Truth tables unpack into and pack from
-uint8 arrays here, so `boolfn` keeps them in Python ints.
+at their children pattern.  Truth tables unpack into uint8 arrays here,
+so `boolfn` keeps them in Python ints.
 """
 
 from __future__ import annotations
@@ -81,16 +82,3 @@ def iter_eval(h: int, x: "str | Bits") -> int:
     if h == 0:
         return int(bits[0])
     return int(_FM[level_patterns(bits, h)[-1][0]])
-
-
-def iterated_table(h: int) -> TruthTable:
-    """The height-h iterated gadget as an explicit table on 4**h bits,
-    read off the level patterns of every input; only heights 0..2 fit
-    the 16-variable cap."""
-    if not 0 <= h <= 2:
-        raise ValueError("the iterated table fits 16 variables only at heights 0 to 2")
-    vals = input_bits(4**h).ravel()
-    if h:
-        vals = _FM[level_patterns(vals, h)[-1]]
-    packed = np.packbits(vals, bitorder="little")
-    return TruthTable(4**h, int.from_bytes(packed.tobytes(), "little"))

@@ -29,7 +29,9 @@ table it gives the first step's 120 equally likely outcomes, whose
 counts are the exact marginals and which the minority tally samples
 one index per trial.  Charging each query by where that path goes gives
 the cost matrices of the J and K functionals, whose optimal zero-error
-trees ``dtree`` computes.
+trees ``dtree`` computes.  The draw, weight and pick tables are tuples
+of Python ints; code that enumerates inputs or samples imports numpy and
+`gadget` where it runs.
 """
 
 from __future__ import annotations
@@ -39,12 +41,11 @@ import re
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
-import numpy as np
-
-from .boolfn import _FMAJ_BIT, MAX_VARS, bits_to_index, fmaj, index_to_bits
-from .gadget import input_bits, level_patterns, tree_bits
+from .boolfn import _FMAJ_BIT, MAX_VARS, fmaj, index_to_bits
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .dtree import CostMatrix
 
 MAX_ENUM_HEIGHT = 2
@@ -64,24 +65,22 @@ _ZERO = Fraction(0)
 # _SEED30: the value-0 seed's children patterns in threshold order, with
 # their masses in thirtieths; the value-1 seed is the bitwise complement
 _SEED30 = {"1000": 12, "0011": 5, "0101": 5, "0110": 5, "0001": 1, "0010": 1, "0100": 1}
-# _DRAW30[v, u]: the children pattern a base-30 draw u picks at a node of
+# _DRAW30[v][u]: the children pattern a base-30 draw u picks at a node of
 # value v; each seed pattern covers as many draws as its mass
-_DRAW30 = np.repeat(
-    np.array([[bits_to_index(s) ^ 15 * v for s in _SEED30] for v in (0, 1)], dtype=np.uint8),
-    list(_SEED30.values()),
-    axis=1,
+_DRAW30 = tuple(
+    tuple(int(s, 2) ^ 15 * v for s, mass in _SEED30.items() for _ in range(mass)) for v in (0, 1)
 )
-# _SEED_W[v, p]: the seed mass, in thirtieths, of children pattern p at a
+# _SEED_W[v][p]: the seed mass, in thirtieths, of children pattern p at a
 # node of value v
-_SEED_W = np.stack([np.bincount(row, minlength=16) for row in _DRAW30])
+_SEED_W = tuple(tuple(row.count(p) for p in range(16)) for row in _DRAW30)
 # _W30[p]: the same mass at a node of p's own value f(p); the other
 # value's seed never draws p
-_W30 = _SEED_W.sum(axis=0)
+_W30 = tuple(map(sum, zip(*_SEED_W)))
 
 
-def _law(weights: np.ndarray, denom: int) -> tuple[Fraction, ...]:
+def _law(weights: Sequence[int], denom: int) -> tuple[Fraction, ...]:
     """The law of input idx with mass weights[idx] / denom."""
-    return tuple(Fraction(w, denom) if w else _ZERO for w in weights.tolist())
+    return tuple(Fraction(w, denom) if w else _ZERO for w in weights)
 
 
 def d0() -> tuple[Fraction, ...]:
@@ -108,8 +107,10 @@ def dh_mass(h: int, x: "str | Sequence[int]") -> Fraction:
     input fixes every node's value, so only the root coin matching the
     root's value contributes, times the seed mass of each internal
     node's children pattern at that node's value."""
+    from .gadget import level_patterns, tree_bits
+
     pats = level_patterns(tree_bits(h, x), h)
-    weight = math.prod(w for pat in pats for w in _W30[pat].tolist())
+    weight = math.prod(_W30[p] for pat in pats for p in pat.tolist())
     return Fraction(weight, _denominator(h))
 
 
@@ -119,23 +120,28 @@ def _dh_weights(h: int) -> np.ndarray:
     so int64."""
     if not 0 <= h <= MAX_ENUM_HEIGHT:
         raise ValueError(f"exact laws support 0 <= h <= {MAX_ENUM_HEIGHT}")
+    import numpy as np
+
+    from .gadget import input_bits, level_patterns
+
     inputs = 1 << 4**h
     weights = np.ones(inputs, dtype=np.int64)
+    w30 = np.array(_W30, dtype=np.int64)
     for pat in level_patterns(input_bits(4**h).ravel(), h):
-        weights *= _W30[pat].reshape(inputs, -1).prod(axis=1)
+        weights *= w30[pat].reshape(inputs, -1).prod(axis=1)
     return weights
 
 
 def dh_law(h: int) -> tuple[Fraction, ...]:
     """The height-h distribution as an exact law over every input."""
-    return _law(_dh_weights(h), _denominator(h))
+    return _law(_dh_weights(h).tolist(), _denominator(h))
 
 
 def dh_total(h: int) -> tuple[int, Fraction]:
     """Size and exact total mass of the height-h support, over every
     input."""
     weights = _dh_weights(h)
-    return int(np.count_nonzero(weights)), Fraction(int(weights.sum()), _denominator(h))
+    return int((weights != 0).sum()), Fraction(int(weights.sum()), _denominator(h))
 
 
 def _denominator(h: int) -> int:
@@ -158,6 +164,8 @@ def tally(outcomes: int, h: int, trials: int, rng: np.random.Generator) -> np.nd
     """How often each of ``outcomes`` equally likely outcomes comes up in
     ``trials`` uniform draws, made in the batches of batch_sizes(h,
     trials)."""
+    import numpy as np
+
     return sum(
         np.bincount(rng.integers(0, outcomes, size=n, dtype=np.uint16), minlength=outcomes)
         for n in batch_sizes(h, trials)
@@ -167,17 +175,14 @@ def tally(outcomes: int, h: int, trials: int, rng: np.random.Generator) -> np.nd
 # ---------------------------------------------------------------------------
 # the minority path
 
-# _DIS_PICK[p, c]: the slot (0 = first child) of the child the minority
+# _DIS_PICK[p][c]: the slot (0 = first child) of the child the minority
 # path takes from a node of children pattern p on a fair coin c: coin 0
 # takes the first child disagreeing with f(p), coin 1 the last, and 255
 # marks a pattern with no dissenter, which only lies off the support.
 # The doubled first vote caps the dissenters at two.
-_DIS_PICK = np.full((16, 2), 255, dtype=np.uint8)
-for _pat in range(16):
-    _dis = [j for j in range(4) if (_pat >> (3 - j) & 1) != _FMAJ_BIT[_pat]]
-    assert len(_dis) <= 2, _pat
-    if _dis:
-        _DIS_PICK[_pat] = _dis[0], _dis[-1]
+_DISSENT = [[j for j in range(4) if (p >> (3 - j) & 1) != _FMAJ_BIT[p]] for p in range(16)]
+assert max(map(len, _DISSENT)) <= 2
+_DIS_PICK = tuple((dis[0], dis[-1]) if dis else (255, 255) for dis in _DISSENT)
 
 
 def minority_leaf_law(h: int, x: "str | Sequence[int]") -> dict[int, Fraction]:
@@ -185,12 +190,14 @@ def minority_leaf_law(h: int, x: "str | Sequence[int]") -> dict[int, Fraction]:
     minority path of one input ends: top down over the level patterns,
     each node on the path passes half its probability to the child each
     coin picks."""
-    pats = level_patterns(tree_bits(h, x), h)
+    from .gadget import level_patterns, tree_bits
+
+    pats = [pat.tolist() for pat in level_patterns(tree_bits(h, x), h)]
     law = {0: Fraction(1)}
     for k in range(h, 0, -1):
         step: dict[int, Fraction] = {}
         for node, prob in law.items():
-            for j in _DIS_PICK[pats[k - 1][node]].tolist():
+            for j in _DIS_PICK[pats[k - 1][node]]:
                 if j == 255:
                     raise SupportError(f"node at level {k} has no dissenting child")
                 step[4 * node + j] = step.get(4 * node + j, 0) + prob / 2
@@ -198,20 +205,28 @@ def minority_leaf_law(h: int, x: "str | Sequence[int]") -> dict[int, Fraction]:
     return law
 
 
+def _root_steps() -> list[int]:
+    """The slot the minority path's first step enters on each of its 120
+    outcomes, in order (255 for none)."""
+    return [j for row in _DRAW30 for pat in row for j in _DIS_PICK[pat]]
+
+
 def minority_marginals_exact() -> tuple[Fraction, ...]:
     """Marginal law of the root's child that the minority path enters.
     At every height the root's children pattern follows d(), so the step
     has 120 equally likely outcomes: the root's value, its base-30 draw
     into _DRAW30 and the coin."""
-    counts = np.bincount(_DIS_PICK[_DRAW30].ravel(), minlength=4)[:4].tolist()
-    return tuple(Fraction(c, 120) for c in counts)
+    steps = _root_steps()
+    return tuple(Fraction(steps.count(j), 120) for j in range(4))
 
 
 def minority_level1_counts(trials: int, rng: np.random.Generator) -> np.ndarray:
     """How often the minority path's first step at a height-2 root enters
     each level-1 node: the step's 120 outcomes, as minority_marginals_exact
     counts them, are judged whole, then each trial draws one."""
-    steps = _DIS_PICK[_DRAW30].ravel()
+    import numpy as np
+
+    steps = np.array(_root_steps())
     if np.any(steps == 255):
         # off the support, so only a broken table gets here
         raise RuntimeError("the draw table gave an all-agree root")

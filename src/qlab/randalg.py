@@ -48,9 +48,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .boolfn import bits_to_index, index_to_bits, parse_bits
+from . import harddist
+from .boolfn import index_to_bits, parse_bits
 from .gadget import _CHILD_BITS, _CHILD_WORD, _FM, level_patterns, tree_bits
-from .harddist import _DIS_PICK, _DRAW30, _SEED_W, batch_sizes, d, tally
+from .harddist import batch_sizes, d, tally
+
+# harddist's tables as arrays: _DRAW30[v, u], _SEED_W[v, p], _DIS_PICK[p, c]
+_DRAW30, _SEED_W, _DIS_PICK = (
+    np.array(t, dtype=np.uint8) for t in (harddist._DRAW30, harddist._SEED_W, harddist._DIS_PICK)
+)
 
 MAX_MC_HEIGHT = 12
 
@@ -98,9 +104,10 @@ def lv_run(
 # _ROUND_OUT[r, p].
 _ROUND_MASK = np.zeros((24, 16), dtype=np.uint8)
 _ROUND_OUT = np.zeros((24, 16), dtype=np.uint8)
+_PATTERN_BITS = [index_to_bits(pat, 4) for pat in range(16)]
 for _r in range(24):
-    for _pat in range(16):
-        _out, _queried = lv_run(index_to_bits(_pat, 4), int(_r >= 6), _ORDERS[_r % 6])
+    for _pat, _bits in enumerate(_PATTERN_BITS):
+        _out, _queried = lv_run(_bits, int(_r >= 6), _ORDERS[_r % 6])
         _ROUND_MASK[_r, _pat] = sum(8 >> q for q in _queried)
         _ROUND_OUT[_r, _pat] = _out
 
@@ -442,9 +449,9 @@ SLOT_PROBS = (Fraction(1, 5), Fraction(4, 15), Fraction(4, 15), Fraction(4, 15))
 # pattern _EMBED_PAT[i]; at slot 0 the siblings are the k-th nonunanimous
 # triple, elsewhere c, 1 - c, 1 - c.
 def _embed_pattern(w: int, slot: int, k: int, c: int) -> int:
-    bits = [0, *_NONUNANIMOUS[k]] if slot == 0 else [c, 1 - c, 1 - c, 1 - c]
-    bits[slot] = w
-    return bits_to_index(bits)
+    a, b, e = _NONUNANIMOUS[k]
+    siblings = a << 2 | b << 1 | e if slot == 0 else 8 * c | 7 * (1 - c)
+    return siblings & ~(8 >> slot) | w << 3 - slot
 
 
 _EMBED_SLOT, _EMBED_PAT = np.array(

@@ -9,8 +9,10 @@ f-monochromatic with matching label.  Two cost measures:
   * cost   = max number of fixed positions over the parts, and
   * weight = sum over parts of 2**(fixed positions).
 
-Searches below are exhaustive over a canonical order, so an empty
-result is a proof that no partition within the budget exists.
+A subcube's member set is a 2**n-bit Python int, bit i for the input
+of index i, as in a truth table.  Searches below are exhaustive over a
+canonical order, so an empty result is a proof that no partition within
+the budget exists.
 """
 
 from __future__ import annotations
@@ -19,12 +21,9 @@ import functools
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
-
-import numpy as np
+from typing import Iterator, Optional
 
 from .boolfn import MAX_VARS, TruthTable
-from .gadget import table_values
 
 MAX_SEARCH_COST_VARS = 5
 MAX_SEARCH_WEIGHT_VARS = 4
@@ -62,15 +61,15 @@ class Pattern:
     def free_count(self) -> int:
         return self.n - self.fixed_count
 
-    def members(self) -> np.ndarray:
-        """Every input index inside the subcube, ascending, as an intp
-        array: vals with each submask of the free positions, doubled in
-        one free bit at a time from the lowest."""
-        out = np.array([self.vals], dtype=np.intp)
+    def members(self) -> int:
+        """The inputs inside the subcube as a 2**n-bit word, bit i set
+        for the input of index i: the bit of vals, doubled into one free
+        position at a time from the lowest."""
+        word = 1 << self.vals
         for i in range(self.n):
             if not self.mask >> i & 1:
-                out = np.concatenate([out, out | 1 << i])
-        return out
+                word |= word << (1 << i)
+        return word
 
 
 @dataclass(frozen=True)
@@ -96,8 +95,9 @@ class ValidationReport:
     ok: bool
     error: Optional[str] = None  # "overlap" | "gap" | None
     detail: Optional[str] = None
-    # when ok, the index of the part holding each input
-    owner: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+    # when ok, the inputs of the parts labeled 1 as a 2**n-bit word: the
+    # truth table the labels give
+    ones: Optional[int] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -107,29 +107,32 @@ class PartitionCost:
 
 
 def validate(part: LabeledPartition) -> ValidationReport:
-    """Check exact coverage of {0,1}^n by painting each part's index
-    onto its members in a 2**n owner array: a member already painted
-    lies in two parts, and an unpainted input in none."""
+    """Check exact coverage of {0,1}^n by OR-ing each part's member word
+    into a covered word: a part meeting it shares a point with an
+    earlier part, and a point it misses at the end lies in none."""
     n = part.n
     if n > MAX_VARS:
         raise ValueError(f"partition validation supports n <= {MAX_VARS}")
-    owner = np.full(1 << n, -1, dtype=np.int32)
-    for b, (pb, _) in enumerate(part.entries):
+    covered = ones = 0
+    for b, (pb, z) in enumerate(part.entries):
         members = pb.members()
-        prior = owner[members]
-        hit = np.flatnonzero(prior >= 0)
-        if hit.size:
-            pa = part.entries[prior[hit[0]]][0]
+        shared = members & covered
+        if shared:
+            # the earlier part holding the lowest shared point
+            low = shared & -shared
+            pa = next(pa for pa, _ in part.entries[:b] if pa.members() & low)
             return ValidationReport(
                 False, "overlap", f"{pa.text} and {pb.text} share a point"
             )
-        owner[members] = b
+        covered |= members
+        if z:
+            ones |= members
     total = sum(1 << p.free_count for p, _ in part.entries)
     if total != 1 << n:
         return ValidationReport(
             False, "gap", f"parts cover {total} of {1 << n} points"
         )
-    return ValidationReport(True, owner=owner)
+    return ValidationReport(True, ones=ones)
 
 
 def computes(
@@ -137,16 +140,16 @@ def computes(
 ) -> bool:
     """True when every part is f-monochromatic with matching label.
     Requires a valid partition, so together this checks f on every
-    input exactly once: one gather of the labels through the owner
-    array.  report is validate(part), validated here when not given."""
+    input exactly once: the parts labeled 1, as validate ORs them, must
+    cover f's 1-inputs and nothing else.  report is validate(part),
+    validated here when not given."""
     if part.n != f.n:
         raise ValueError(f"partition arity {part.n} != function arity {f.n}")
     if report is None:
         report = validate(part)
     if not report.ok:
         raise ValueError(f"not a partition ({report.error}: {report.detail})")
-    labels = np.array([z for _, z in part.entries], dtype=np.uint8)
-    return bool(np.array_equal(labels[report.owner], table_values(f)))
+    return report.ones == f.bits
 
 
 def partition_cost(part: LabeledPartition) -> PartitionCost:
@@ -187,206 +190,14 @@ def compose_partitions(p: LabeledPartition, q: LabeledPartition) -> LabeledParti
     return LabeledPartition(n * m, tuple(out))
 
 
-# ---------------------------------------------------------------------------
-# the subcube lattice: arrays of shape (3,)*n whose axis j is variable
-# x_{j+1}, index 0 or 1 fixing it and index 2 leaving it free
-
-# update(a, lo, hi, free, aux): one move of a sweep, given views of the
-# lattice's slabs fixing x_{a+1} to 0, fixing it to 1 and leaving it
-# free, indexed alike, and the free slab of each auxiliary array
-Update = Callable[[int, np.ndarray, np.ndarray, np.ndarray, tuple], object]
-# sweep(lattice, update, aux=()): one pass of update over a lattice's
-# moves, as _sweep makes
-Sweep = Callable[..., None]
-
-
-def _sweep(moves: Sequence[tuple[int, int, int, int]], span: int) -> Sweep:
-    """The pass over a lattice each of whose axes stands for ``span``
-    variables and takes ``moves``: for each axis b in order, each move
-    (offset, free, lo, hi) in order calls update(span * b + offset, ...)
-    on the axis's slabs at indices lo, hi and free.  Every slab is a
-    view, so update may write the free one; ``aux`` holds read-only
-    arrays laid out like the lattice.  The trailing ... keeps a slab of
-    a one-axis array a view, not a scalar."""
-
-    def sweep(lattice: np.ndarray, update: Update, aux: Sequence[np.ndarray] = ()) -> None:
-        for b in range(lattice.ndim):
-            head = (slice(None),) * b
-            for offset, free, lo, hi in moves:
-                at = head + (free, ...)
-                update(
-                    span * b + offset,
-                    lattice[head + (lo, ...)],
-                    lattice[head + (hi, ...)],
-                    lattice[at],
-                    tuple(x[at] for x in aux),
-                )
-
-    return sweep
-
-
-# the full lattice's one move on axis b: free x_{b+1}
-_FULL_MOVES = [(0, 2, 0, 1)]
-_FULL_SWEEP = _sweep(_FULL_MOVES, 1)
-
-
-def _zeta(
-    base: np.ndarray,
-    merge: Callable[[np.ndarray, np.ndarray, np.ndarray], object],
-    sweep: Sweep,
-    width: int,
-) -> np.ndarray:
-    """Extend ``base``, an array over the fully fixed states (indices
-    below base.shape[j] on each axis j), to a (width,)*ndim lattice by
-    one pass of merges: for each move of ``sweep``, merge(lo, hi, out)
-    fills the states it frees from its two children.  Every other state
-    starts at 0, so a state that is also free at a later axis merges
-    only zeros until its last free axis merges its two halves, final by
-    then, because on each axis a sweep takes the states with fewer free
-    variables first.  This needs merge(0, 0) to be 0, and gives object
-    arrays 0 to read there, not None."""
-    out = np.zeros((width,) * base.ndim, dtype=base.dtype)
-    out[tuple(slice(0, k) for k in base.shape)] = base
-    sweep(out, lambda a, lo, hi, free, aux: merge(lo, hi, free))
-    return out
-
-
-def _colors(leaves: np.ndarray, sweep: Sweep, width: int) -> np.ndarray:
-    # merged as 1 + color, the set of values seen: 0b01 for 0, 0b10 for
-    # 1, 0b11 for mixed, so two halves merge by bitwise or
-    colors = _zeta(leaves + 1, np.bitwise_or, sweep, width)
-    colors -= 1
-    return colors
-
-
-def lattice_colors(f: TruthTable) -> np.ndarray:
-    """Color of every subcube: a (3,)*n uint8 array holding f's value
-    where f is constant on the subcube and 2 where it is mixed."""
-    return _colors(table_values(f).reshape((2,) * f.n), _FULL_SWEEP, 3)
-
-
-def lattice_sums(values: np.ndarray) -> np.ndarray:
-    """Sum of ``values`` (one entry per input, in index order) over the
-    members of every subcube, as a (3,)*n array of the same dtype."""
-    n = values.size.bit_length() - 1
-    return _zeta(values.reshape((2,) * n), np.add, _FULL_SWEEP, 3)
-
-
-# ---------------------------------------------------------------------------
-# the block class lattice.  Where f and the charges are unchanged by
-# permuting x2..x4 inside each aligned block x_{4b+1}..x_{4b+4}, so is
-# every subcube's color, sums and DP value, and a DP over subcubes sees
-# a block's restriction only through its class (t, c0, c1, c2): x_{4b+1}'s
-# trit, then how many of the other three are 0, 1 and free.  A class
-# lattice is a (30,)*(n // 4) array whose axis b is block b.
-
-# the 30 classes by free count, so the 8 fully fixed ones come first
-_CLASSES = sorted(
-    ((t, c0, c1, 3 - c0 - c1) for t in range(3) for c0 in range(4) for c1 in range(4 - c0)),
-    key=lambda c: ((c[0] == 2) + c[3], c),
-)
-_CLASS_OF = {c: i for i, c in enumerate(_CLASSES)}
-# _BLOCK_CLASS[27 t1 + 9 t2 + 3 t3 + t4]: the class of a block's trits
-_BLOCK_CLASS = [
-    _CLASS_OF[(t[0], t[1:].count(0), t[1:].count(1), t[1:].count(2))]
-    for t in itertools.product(range(3), repeat=4)
-]
-
-
-def _class_moves(t: int, c0: int, c1: int, c2: int) -> Iterator[tuple[int, tuple, tuple]]:
-    """A class's moves (offset, lo, hi): query x_{4b+1} (offset 0) or
-    one free variable among the other three (offset 1)."""
-    if t == 2:
-        yield 0, (0, c0, c1, c2), (1, c0, c1, c2)
-    if c2:
-        yield 1, (t, c0 + 1, c1, c2 - 1), (t, c0, c1 + 1, c2 - 1)
-
-
-# every move as (offset, free, lo, hi), in class order, so by increasing
-# free count; on axis b, a query of x_{4b+1} has offset 0 and one of the
-# other three offset 1
-_CLASS_MOVES = [
-    (offset, i, _CLASS_OF[lo], _CLASS_OF[hi])
-    for i, c in enumerate(_CLASSES)
-    for offset, lo, hi in _class_moves(*c)
-]
-_CLASS_SWEEP = _sweep(_CLASS_MOVES, 4)
-
-# a block input in each fixed class, x_{4b+1} as its high bit: t, then
-# c0 zeros, then c1 ones
-_LEAF_INPUT = [8 * t + (1 << c1) - 1 for t, _, c1, _ in _CLASSES[:8]]
-
-
-def block_symmetric(values: np.ndarray) -> bool:
-    """Whether ``values``, one entry per input in index order, has n a
-    multiple of 4 and is unchanged by the transpositions (x_{4b+2}
-    x_{4b+3}) and (x_{4b+3} x_{4b+4}) of every block, which generate
-    the permutations of x2..x4 in each."""
-    n = values.size.bit_length() - 1
-    if n % 4:
-        return False
-    v = values.reshape((2,) * n)
-    return all(
-        np.array_equal(v, v.swapaxes(j, j + 1)) for b in range(0, n, 4) for j in (b + 1, b + 2)
-    )
-
-
-def class_state(state: Sequence[int]) -> tuple[int, ...]:
-    """The class lattice's index of a (3,)*n lattice state."""
-    return tuple(
-        _BLOCK_CLASS[27 * state[j] + 9 * state[j + 1] + 3 * state[j + 2] + state[j + 3]]
-        for j in range(0, len(state), 4)
-    )
-
-
-@dataclass(frozen=True)
-class Lattice:
-    """The lattice a subcube DP runs on, and its pass."""
-
-    colors: np.ndarray  # as lattice_colors gives them
-    sweep: Sweep
-    key: Callable[[Sequence[int]], tuple]  # the index in it of a (3,)*n state
-    sums: Callable[[np.ndarray], np.ndarray]  # as lattice_sums on it
-
-
-def lattice(f: TruthTable, rows: Sequence[np.ndarray] = (), which: Sequence[int] = ()) -> Lattice:
-    """The lattice of a DP over f's subcubes that charges a query of
-    x_{i+1} the sum of ``rows[which[i]]`` (one entry per input) over the
-    subcube: the class lattice when f and every row are block-symmetric
-    and each block charges x_{4b+2..4b+4} by one row, else the full one."""
-    if not (
-        block_symmetric(table_values(f))
-        and all(which[j] == which[j + 1] == which[j + 2] for j in range(1, len(which), 4))
-        and all(block_symmetric(row) for row in rows)
-    ):
-        return Lattice(lattice_colors(f), _FULL_SWEEP, tuple, lattice_sums)
-    m, width = f.n // 4, len(_CLASSES)
-
-    def leaves(values: np.ndarray) -> np.ndarray:
-        # the fixed classes read values at one input each
-        return values.reshape((16,) * m)[np.ix_(*[_LEAF_INPUT] * m)]
-
-    def sums(values: np.ndarray) -> np.ndarray:
-        return _zeta(leaves(values), np.add, _CLASS_SWEEP, width)
-
-    colors = _colors(leaves(table_values(f)), _CLASS_SWEEP, width)
-    return Lattice(colors, _CLASS_SWEEP, class_state, sums)
-
-
 def all_patterns(n: int) -> Iterator[Pattern]:
-    """Every subcube of {0,1}^n in the lattice's C order: per position
-    0 < 1 < *, x_1 varying slowest."""
+    """Every subcube of {0,1}^n in the C order of the subcube lattice
+    (`lattice`): per position 0 < 1 < *, x_1 varying slowest."""
     return (Pattern("".join(t)) for t in itertools.product("01*", repeat=n))
 
 
 # ---------------------------------------------------------------------------
 # exhaustive searches
-
-def _monochromatic_patterns(f: TruthTable) -> list[tuple[Pattern, int]]:
-    """Every f-monochromatic subcube, with its forced label."""
-    colors = lattice_colors(f).ravel()
-    return [(p, int(c)) for p, c in zip(all_patterns(f.n), colors) if c != 2]
-
 
 def _order_key(pat: Pattern) -> tuple[int, str]:
     # canonical order: fewer fixed positions first, then pattern text
@@ -410,17 +221,16 @@ class _CoverSearch:
     uncovered input first, the cubes through it by ``_order_key``."""
 
     def __init__(self, f: TruthTable, budget: int) -> None:
-        cubes = [(p, z) for p, z in _monochromatic_patterns(f) if p.fixed_count <= budget]
-        cubes.sort(key=lambda e: _order_key(e[0]))
-        # each cube as (pattern, label, member bitmask, weight * 2**n)
-        self.per_point: list[list[tuple[Pattern, int, int, int]]] = [
-            [] for _ in range(1 << f.n)
-        ]
-        for p, z in cubes:
-            members = p.members().tolist()
-            cube = (p, z, sum(1 << idx for idx in members), 1 << (p.fixed_count + f.n))
-            for idx in members:
-                self.per_point[idx].append(cube)
+        # each f-monochromatic cube within the budget as (pattern, label,
+        # member word, weight * 2**n): f is 1 on all its members or on none
+        cubes = []
+        for p in all_patterns(f.n):
+            members = p.members()
+            ones = members & f.bits
+            if p.fixed_count <= budget and ones in (0, members):
+                cubes.append((p, int(ones != 0), members, 1 << (p.fixed_count + f.n)))
+        cubes.sort(key=lambda cube: _order_key(cube[0]))
+        self.per_point = [[c for c in cubes if c[2] >> idx & 1] for idx in range(1 << f.n)]
         # weights are scaled by 2**n, so the cheapest weight-per-point
         # through a point, 2**fixed / 2**free of its first cube, is
         # 4**fixed; a point no cube covers leaves no cover to bound

@@ -12,18 +12,12 @@ from qlab.boolfn import (
     bits_to_index,
     fmaj,
     index_to_bits,
+    iterated_table,
     parse_bits,
     table_from_text,
     table_to_text,
 )
-from qlab.gadget import (
-    input_bits,
-    iter_eval,
-    iterated_table,
-    level_patterns,
-    table_values,
-    tree_bits,
-)
+from qlab.gadget import input_bits, iter_eval, level_patterns, table_values, tree_bits
 
 
 def formula_reference(bits):
@@ -178,6 +172,16 @@ def test_iterated_majority_heights():
     assert g2.eval("0111100010001000") == iter_eval(2, "0111100010001000") == 0
     with pytest.raises(ValueError):
         iterated_table(-1)
+
+
+@pytest.mark.parametrize("h", [0, 1, 2])
+def test_iterated_table_is_the_table_of_the_level_patterns(h):
+    # the table comes from the variables' tables, the evaluator from the
+    # level patterns: both definitions must agree on every input
+    values = input_bits(4**h).ravel().tolist()
+    if h:
+        values = [fmaj().bit(p) for p in level_patterns(input_bits(4**h).ravel(), h)[-1].tolist()]
+    assert iterated_table(h) == TruthTable.from_values(4**h, values)
 
 
 @pytest.mark.parametrize("h", [3, 10**9])

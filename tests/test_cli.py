@@ -16,8 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlab import cli, dtree, harddist, lpbound, randalg, subcube
-from qlab.boolfn import fmaj, table_from_text, table_to_text
-from qlab.gadget import iterated_table
+from qlab.boolfn import fmaj, iterated_table, table_from_text, table_to_text
 from qlab.cli import main
 from qlab.harddist import d, dist_from_text, dist_to_text
 from qlab.subcube import (
@@ -202,8 +201,9 @@ def test_measure_delta0_replays_its_witness(tmp_path, capsys, monkeypatch):
 
 
 def test_measure_delta0_enumerates_each_witness_leaf_once(tmp_path, capsys, monkeypatch):
-    # the partition check paints each input's leaf, and the replay reads
-    # both the labels and the charges through that owner array
+    # the partition check reads each leaf's member word once: the labels
+    # are judged on validate's union of the 1-labeled leaves, and the
+    # charges by sending every input down the tree
     table, dist = tmp_path / "f.tt", tmp_path / "d.dist"
     table.write_text(table_to_text(fmaj()))
     dist.write_text(dist_to_text(d()))
@@ -596,39 +596,114 @@ def test_bound_prt_loads_no_scipy(tmp_path):
     assert got["numpy"] == "False"
 
 
-VERIFY_MODULES = ("gadget", "subcube", "dtree", "harddist", "randalg")
+VERIFY_MODULES = ("gadget", "subcube", "lattice", "dtree", "harddist", "randalg")
 
 
 @pytest.mark.parametrize(
     "argv, modules, status",
     [
         (["fn", "eval", "--table", "{table}", "--input", "1100"], (), 0),
+        (["fn", "emit", "--name", "fmaj2", "--out", "{out}"], (), 0),
         (
             ["simulate", "r0", "--height", "2", "--trials", "10"],
             ("gadget", "harddist", "randalg"),
             0,
         ),
         (["dist", "total", "--height", "1"], ("gadget", "harddist"), 0),
+        (["dist", "emit", "--name", "d", "--out", "{out}"], ("harddist",), 0),
         (["bound", "prt", "--table", "{table}", "--eps", "1/3"], ("lpbound",), 0),
-        (["fixtures", "--out-dir", "{dir}"], ("gadget", "subcube", "harddist"), 0),
+        (["partition", "check", "--part", "{part}", "--table", "{table}"], ("subcube",), 0),
+        (["fixtures", "--out-dir", "{dir}"], ("subcube", "harddist"), 0),
         # height 1 exits 1 on criterion 7's floor on K(1,1)
         (["verify", "separation", "--height", "1", "--trials", "1"], VERIFY_MODULES, 1),
         (["verify", "separation", "--height", "2", "--trials", "1"], VERIFY_MODULES, 0),
     ],
-    ids=["fn-eval", "simulate-r0", "dist-total", "bound-prt", "fixtures", "verify-h1", "verify-h2"],
+    ids=[
+        "fn-eval", "fn-emit", "simulate-r0", "dist-total", "dist-emit", "bound-prt",
+        "partition-check", "fixtures", "verify-h1", "verify-h2",
+    ],
 )
 def test_command_imports_only_the_modules_it_runs(tmp_path, argv, modules, status):
     # cli imports each module where a handler runs it, so a fresh process
     # compiles and runs no module its command never calls
-    table = tmp_path / "fmaj.tt"
+    table, part = tmp_path / "fmaj.tt", tmp_path / "canonical.part"
     table.write_text(table_to_text(fmaj()))
-    argv = [a.format(table=table, dir=tmp_path / "out") for a in argv]
+    part.write_text(partition_to_text(canonical_fmaj_partition()))
+    argv = [
+        a.format(table=table, part=part, dir=tmp_path / "out", out=tmp_path / "emitted")
+        for a in argv
+    ]
     want = sorted(f"qlab.{m}" for m in ("cli", "boolfn", *modules))
     got = probe_imports(argv, status=status)
     assert got["qlab"] == str(want)
-    # every module but boolfn, lpbound and cli imports numpy as it loads,
-    # so `fn eval` and `bound prt` run without it
-    assert got["numpy"] == str(any(m != "lpbound" for m in modules))
+    # numpy loads with gadget: gadget, lattice, dtree and randalg import
+    # numpy as they load, and each of them is gadget or imports it;
+    # harddist imports numpy and gadget only where it enumerates inputs
+    # or samples, and boolfn, subcube, lpbound and cli are pure Python
+    assert got["numpy"] == str("gadget" in modules)
+
+
+def test_table_partition_and_seed_law_commands_load_no_numpy(tmp_path):
+    # truth tables, subcube partitions and the one-level laws are Python
+    # ints: writing the fixtures, emitting every table, the canonical
+    # partition and d0, d1 and d, and every partition command run in one
+    # fresh process that never loads numpy
+    fixtures = tmp_path / "fixtures"
+    table, canonical = fixtures / "fmaj.tt", fixtures / "canonical.part"
+    argvs = [["fixtures", "--out-dir", str(fixtures)]]
+    argvs += [
+        [command, "emit", "--name", name, "--out", str(tmp_path / (name + suffix))]
+        for command, (suffix, names) in cli._FIXTURES.items()
+        for name in names
+        if name != "d2"
+    ]
+    argvs += [
+        ["partition", "check", "--part", str(canonical), "--table", str(table)],
+        ["partition", "compose", "--outer", str(canonical), "--inner", str(canonical),
+         "--out", str(tmp_path / "composed.part")],
+        ["partition", "search-cost", "--table", str(table), "--budget", "3"],
+        ["partition", "search-weight", "--table", str(table)],
+    ]
+    assert len(argvs) == 12
+    got = probe_imports(*argvs)
+    assert got["qlab"] == str(sorted(["qlab.boolfn", "qlab.cli", "qlab.harddist", "qlab.subcube"]))
+    assert got["numpy"] == "False"
+
+
+# validate's two failures, at n = 4 and at n = 16: the overlap names the
+# earlier part holding the lowest shared point (0***, not 1***, which
+# comes first), and the gap counts the points the parts cover
+def violations(n):
+    outer, inner = ("1***", "0***", "*0**"), canonical_fmaj_partition()
+    if n == 16:
+        outer, inner = [t + "*" * 12 for t in outer], compose_partitions(inner, inner)
+    overlap = LabeledPartition(n, tuple((subcube.Pattern(t), 0) for t in outer))
+    gap = LabeledPartition(n, inner.entries[:-1])
+    return overlap, gap
+
+
+@pytest.mark.parametrize(
+    "n, overlap, gap",
+    [
+        (4, "0*** and *0** share a point", "parts cover 14 of 16 points"),
+        (
+            16,
+            "0*************** and *0************** share a point",
+            "parts cover 65408 of 65536 points",
+        ),
+    ],
+)
+def test_validate_violations_read_the_same_at_both_sizes(tmp_path, capsys, n, overlap, gap):
+    table = tmp_path / "f.tt"
+    table.write_text(table_to_text(fmaj() if n == 4 else iterated_table(2)))
+    for part, error, detail in zip(violations(n), ("overlap", "gap"), (overlap, gap)):
+        report = subcube.validate(part)
+        assert (report.ok, report.error, report.detail) == (False, error, detail)
+        path = tmp_path / f"{error}.part"
+        path.write_text(partition_to_text(part))
+        code, out = run(capsys, "partition", "check", "--part", str(path), "--table", str(table))
+        assert code == 1
+        assert f"valid: FAIL\nviolation: not a partition ({error}: {detail})\n" in out
 
 
 def test_every_emit_name_has_a_maker(tmp_path, capsys):
@@ -817,7 +892,7 @@ TABLE_FAULTS = [
     pytest.param(randalg, "_EMBED_PAT", 0, 0b0011, "embedding", id="embed-law"),
     pytest.param(randalg, "SLOT_PROBS", 0, Fraction(4, 15), "embedding", id="slot-law"),
     pytest.param(randalg, "_DRAW30", (0, 0), 0b0111, "embedding", id="sibling-draw"),
-    pytest.param(harddist, "_DIS_PICK", (0b1000, 0), 1, "minority-frequencies", id="dissent"),
+    pytest.param(harddist, "_DIS_PICK", 0b1000, (1, 0), "minority-frequencies", id="dissent"),
 ]
 
 

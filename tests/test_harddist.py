@@ -245,17 +245,17 @@ def test_category_table_matches_thresholds():
     # in thirtieths exceeds it; a node of value 1 picks its complement
     cum = list(itertools.accumulate(int(m * 30) for m in SEED_MASSES.values()))
     assert cum[-1] == 30
-    assert harddist._DRAW30.shape == (2, 30) and harddist._DRAW30.dtype == np.uint8
+    assert [len(row) for row in harddist._DRAW30] == [30, 30]
     for u in range(30):
         s = next(s for s, t in zip(SEED_MASSES, cum) if u < t)
-        assert harddist._DRAW30[0, u] == bits_to_index(s)
-        assert harddist._DRAW30[1, u] == bits_to_index(complement(s))
+        assert harddist._DRAW30[0][u] == bits_to_index(s)
+        assert harddist._DRAW30[1][u] == bits_to_index(complement(s))
     for v in (0, 1):
         for s in SEED_MASSES:
             pat = bits_to_index(s if v == 0 else complement(s))
-            assert Fraction(int(harddist._SEED_W[v, pat]), 30) == SEED_MASSES[s]
-            assert harddist._W30[pat] == harddist._SEED_W[v, pat]
-    assert harddist._SEED_W.sum() == 60
+            assert Fraction(harddist._SEED_W[v][pat], 30) == SEED_MASSES[s]
+            assert harddist._W30[pat] == harddist._SEED_W[v][pat]
+    assert sum(map(sum, harddist._SEED_W)) == 60
 
 
 def test_minority_unique_dissenter():
@@ -339,8 +339,8 @@ def test_dissenter_pick_follows_the_dissent_slots():
         slots = [j for j in range(4) if bits[j] != f.bit(p)]
         assert len(slots) <= 2, p
         want = [slots[0], slots[-1]] if slots else [255, 255]
-        assert harddist._DIS_PICK[p].tolist() == want, p
-    assert harddist._DIS_PICK[[0b0000, 0b1000, 0b0011, 0b1100]].tolist() == [
+        assert list(harddist._DIS_PICK[p]) == want, p
+    assert [list(harddist._DIS_PICK[p]) for p in (0b0000, 0b1000, 0b0011, 0b1100)] == [
         [255, 255], [0, 0], [2, 3], [2, 3]
     ]
 
@@ -348,7 +348,7 @@ def test_dissenter_pick_follows_the_dissent_slots():
 def test_minority_counts_report_an_all_agree_root_as_a_sampler_fault(monkeypatch):
     # the all-zero pattern lies off the support; only a broken draw
     # table yields it
-    monkeypatch.setattr(harddist, "_DRAW30", np.zeros((2, 30), dtype=np.uint8))
+    monkeypatch.setattr(harddist, "_DRAW30", ((0,) * 30,) * 2)
     with pytest.raises(RuntimeError, match="all-agree root"):
         minority_level1_counts(10, np.random.default_rng(0))
 
@@ -356,11 +356,11 @@ def test_minority_counts_report_an_all_agree_root_as_a_sampler_fault(monkeypatch
 def test_minority_counts_judge_the_whole_step_table_before_drawing(monkeypatch):
     # an all-agree pick at any pattern the draw table holds, on either
     # coin, is refused before the generator moves
-    for pat in sorted(set(harddist._DRAW30.ravel().tolist())):
+    for pat in sorted(set(harddist._DRAW30[0] + harddist._DRAW30[1])):
         for coin in (0, 1):
-            wrong = harddist._DIS_PICK.copy()
-            wrong[pat, coin] = 255
-            monkeypatch.setattr(harddist, "_DIS_PICK", wrong)
+            wrong = [list(picks) for picks in harddist._DIS_PICK]
+            wrong[pat][coin] = 255
+            monkeypatch.setattr(harddist, "_DIS_PICK", tuple(map(tuple, wrong)))
             rng = np.random.default_rng(5)
             with pytest.raises(RuntimeError, match="all-agree root"):
                 minority_level1_counts(10**6, rng)

@@ -14,6 +14,7 @@ LAYERS = [
     {"boolfn"},
     {"gadget"},
     {"subcube"},
+    {"lattice"},
     {"dtree"},
     {"harddist"},
     {"randalg", "lpbound"},
@@ -78,8 +79,8 @@ def test_modules_import_only_earlier_layers():
             assert RANK[dep] < RANK[name], f"{name} imports {dep}"
 
 
-# subcube's lattice internals: dtree takes its lattice from
-# subcube.lattice, so the choice between lattices lives in one module
+# the lattice module's internals: dtree takes its lattice from
+# lattice.lattice, so the choice between lattices lives in one module
 LATTICE_INTERNALS = {
     "_sweep",
     "_FULL_SWEEP",
@@ -103,10 +104,10 @@ def imported_names(source: str) -> set[str]:
     }
 
 
-def test_dtree_leaves_the_lattice_choice_to_subcube():
+def test_dtree_leaves_the_lattice_choice_to_the_lattice_module():
     source = (SRC / "dtree.py").read_text()
     assert not (imported_names(source) | set(names_used(ast.parse(source)))) & LATTICE_INTERNALS
-    assert imported_names("from .subcube import Lattice, _FULL_SWEEP as sweep\n") == {
+    assert imported_names("from .lattice import Lattice, _FULL_SWEEP as sweep\n") == {
         "Lattice",
         "_FULL_SWEEP",
     }
@@ -124,19 +125,24 @@ def test_modules_import_only_the_standard_library_and_numpy():
         assert packages <= RUNTIME_PACKAGES, (path.name, packages - RUNTIME_PACKAGES)
 
 
-# the modules that import numpy when they load: boolfn and lpbound are
-# pure Python and cli imports numpy only inside the handlers that use
-# it, so `fn eval` and `bound prt` never load numpy
-NUMPY_AT_IMPORT = {"gadget", "subcube", "dtree", "harddist", "randalg"}
+# the modules that import numpy when they load: boolfn, subcube and
+# lpbound are pure Python, and harddist and cli import numpy only inside
+# the functions that use it, so `fn eval`, `fn emit`, `partition *`,
+# `bound prt`, `fixtures` and `dist emit` of d0, d1 and d never load it
+NUMPY_AT_IMPORT = {"gadget", "lattice", "dtree", "randalg"}
 
 
 def module_level_imports(source: str) -> set[str]:
     """The dotted modules a module's source imports when it loads:
-    imports inside function bodies are left out, class bodies count."""
+    imports inside function bodies and in the body of an ``if
+    TYPE_CHECKING:``, which never runs, are left out; class bodies and
+    the ``else`` of such an ``if`` count."""
     nodes, pending = [], list(ast.parse(source).body)
     while pending:
         node = pending.pop()
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            pending.extend(node.orelse)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             nodes.append(node)
             pending.extend(ast.iter_child_nodes(node))
     return named_modules(nodes)
@@ -145,15 +151,20 @@ def module_level_imports(source: str) -> set[str]:
 def test_module_level_import_finder_skips_function_bodies():
     source = (
         "import numpy as np\n"
+        "from typing import TYPE_CHECKING\n"
         "if True:\n"
         "    from numpy.random import default_rng\n"
+        "if TYPE_CHECKING:\n"
+        "    import scipy.special\n"
+        "else:\n"
+        "    import json\n"
         "class Holder:\n"
         "    import math\n"
         "def handler():\n"
         "    import scipy\n"
         "    from . import randalg\n"
     )
-    assert module_level_imports(source) == {"numpy", "numpy.random", "math"}
+    assert module_level_imports(source) == {"numpy", "typing", "numpy.random", "json", "math"}
 
 
 def test_only_array_modules_import_numpy_at_module_level():

@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from qlab import cli, lpbound
-from qlab.boolfn import TruthTable, fmaj, table_to_text
-from qlab.gadget import iterated_table
+from qlab.boolfn import TruthTable, fmaj, iterated_table, table_to_text
 from qlab.lpbound import (
     CertificateError,
     LPSolution,

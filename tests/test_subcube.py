@@ -7,16 +7,14 @@ import random
 import numpy as np
 import pytest
 
-from qlab.boolfn import MAX_VARS, TruthTable, fmaj
-from qlab.gadget import iterated_table
+from qlab.boolfn import MAX_VARS, TruthTable, fmaj, iterated_table
+from qlab.lattice import lattice_colors, lattice_sums
 from qlab.subcube import (
     LabeledPartition,
     Pattern,
     canonical_fmaj_partition,
     compose_partitions,
     computes,
-    lattice_colors,
-    lattice_sums,
     partition_cost,
     partition_from_text,
     partition_to_text,
@@ -31,9 +29,20 @@ def all_patterns(n):
         yield Pattern("".join(combo))
 
 
+def member_list(p):
+    """The indices of the inputs in p, ascending, read off its member word
+    one lowest set bit at a time."""
+    word, found = p.members(), []
+    while word:
+        low = word & -word
+        found.append(low.bit_length() - 1)
+        word ^= low
+    return found
+
+
 def brute_partitions(n):
     """Every partition of the n-cube into subcubes, by direct set cover."""
-    pats = [(p, p.members().tolist()) for p in all_patterns(n)]
+    pats = [(p, member_list(p)) for p in all_patterns(n)]
     full = (1 << (1 << n)) - 1
 
     def extend(covered, chosen):
@@ -62,7 +71,7 @@ def brute_min_cost_and_weight(f):
     for parts in brute_partitions(f.n):
         mono = True
         for p in parts:
-            vals = {f.bit(i) for i in p.members()}
+            vals = {f.bit(i) for i in member_list(p)}
             if len(vals) != 1:
                 mono = False
                 break
@@ -91,7 +100,7 @@ def test_lattice_colors_match_member_scan():
             colors = lattice_colors(f)
             assert colors.shape == (3,) * n and colors.dtype == np.uint8
             for state, pat in lattice_states(n):
-                outs = {f.bit(i) for i in pat.members()}
+                outs = {f.bit(i) for i in member_list(pat)}
                 assert colors[state] == (outs.pop() if len(outs) == 1 else 2), (n, f.bits, state)
 
 
@@ -101,7 +110,7 @@ def test_lattice_sums_match_member_scan():
         values = [rng.randint(0, 10**30) for _ in range(1 << n)]
         sums = lattice_sums(np.array(values, dtype=object))
         for state, pat in lattice_states(n):
-            assert sums[state] == sum(values[i] for i in pat.members())
+            assert sums[state] == sum(values[i] for i in member_list(pat))
 
 
 def test_pattern_members_and_contains():
@@ -109,21 +118,20 @@ def test_pattern_members_and_contains():
     assert p.fixed_count == 3
     assert p.free_count == 1
     members = p.members()
-    assert members.dtype == np.intp
-    assert members.tolist() == [0b0100, 0b0110]
-    assert 0b0101 not in members
-    # ascending, and exactly the inputs that agree with every fixed bit
+    assert members == 1 << 0b0100 | 1 << 0b0110
+    assert not members >> 0b0101 & 1
+    # exactly the inputs that agree with every fixed bit
     for n in range(1, 5):
         for _, pat in lattice_states(n):
             want = [
                 idx for idx in range(1 << n)
                 if all(c == "*" or int(c) == idx >> (n - 1 - j) & 1 for j, c in enumerate(pat.text))
             ]
-            assert pat.members().tolist() == want, pat.text
+            assert pat.members() == sum(1 << idx for idx in want), pat.text
 
 
 def intersects(a, b):
-    return bool(set(a.members().tolist()) & set(b.members().tolist()))
+    return bool(set(member_list(a)) & set(member_list(b)))
 
 
 def test_pattern_intersects():
@@ -154,7 +162,7 @@ def test_canonical_partition_shape():
 def test_canonical_partition_labels_match_function():
     f = fmaj()
     for pat, label in canonical_fmaj_partition().entries:
-        for idx in pat.members():
+        for idx in member_list(pat):
             assert f.bit(idx) == label, pat.text
 
 
@@ -206,11 +214,12 @@ def test_validate_paints_like_the_pairwise_scan():
         elif error == "gap":
             assert rep.detail == f"parts cover {detail} of {1 << n} points"
         else:
-            labels = [z for _, z in parts]
-            f = TruthTable.from_values(n, [labels[i] for i in rep.owner])
+            # each input takes the label of the one part holding it
+            f = TruthTable.from_values(
+                n, [next(z for p, z in parts if i in member_list(p)) for i in range(1 << n)]
+            )
+            assert rep.ones == f.bits
             assert computes(part, f)
-            for k, (p, _) in enumerate(parts):
-                assert all(rep.owner[i] == k for i in p.members())
     assert kinds == {None, "overlap", "gap"}
 
 
@@ -331,11 +340,11 @@ def test_compose_agrees_with_membership_semantics():
 
     def inner_label(block):
         for pat, label in p.entries:
-            if block in pat.members():
+            if block in member_list(pat):
                 return label
         raise AssertionError("no part")
 
-    comp_members = [(set(pat.members().tolist()), label) for pat, label in comp.entries]
+    comp_members = [(set(member_list(pat)), label) for pat, label in comp.entries]
     for idx in range(0, 1 << 16, 4097):
         blocks = [(idx >> (12 - 4 * k)) & 0xF for k in range(4)]
         labels = tuple(inner_label(b) for b in blocks)

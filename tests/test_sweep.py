@@ -1,13 +1,13 @@
 """The subcube lattice's one sweep, its two move tables, and its full
 lattice against a plain per-axis sweep.
 
-``subcube._sweep`` makes a lattice's pass from a table of moves, each
+``lattice._sweep`` makes a lattice's pass from a table of moves, each
 freeing one variable of a state from its two children.  ``_zeta`` and
 ``dtree._relax`` rely on the order of those moves, which the first test
 checks for both tables.  The reference below sweeps every axis of the
 full lattice on whole slabs, written out by hand.  Every lattice built
 on the full lattice's sweep must come out the same, state for state, at
-n = 1 to 7, whether the sweep gets the lattice as subcube builds it or
+n = 1 to 7, whether the sweep gets the lattice as `lattice` builds it or
 in one of two layouts that are not C-contiguous.
 """
 
@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qlab import dtree, subcube
+from qlab import dtree, lattice
 from qlab.boolfn import TruthTable
 
 NS = range(1, 8)
@@ -25,12 +25,12 @@ NS = range(1, 8)
 # each move table, the variables an axis stands for, and a block of
 # trits in each state of an axis, its free variables first
 TABLES = {
-    "full": (subcube._FULL_MOVES, 1, [(t,) for t in range(3)], tuple),
+    "full": (lattice._FULL_MOVES, 1, [(t,) for t in range(3)], tuple),
     "class": (
-        subcube._CLASS_MOVES,
+        lattice._CLASS_MOVES,
         4,
-        [(t,) + (2,) * c2 + (0,) * c0 + (1,) * c1 for t, c0, c1, c2 in subcube._CLASSES],
-        subcube.class_state,
+        [(t,) + (2,) * c2 + (0,) * c0 + (1,) * c1 for t, c0, c1, c2 in lattice._CLASSES],
+        lattice.class_state,
     ),
 }
 
@@ -54,15 +54,15 @@ def test_moves_free_one_variable_in_the_order_the_sweeps_need(table):
     # on a two-axis lattice the sweep calls update once per move and axis,
     # with views of the move's slabs, and frees x_{span b + offset + 1}: on
     # the full lattice, x_{b+1} on axis b
-    lattice = np.arange(len(blocks) ** 2).reshape(len(blocks), -1)
-    aux = -lattice
+    grid = np.arange(len(blocks) ** 2).reshape(len(blocks), -1)
+    aux = -grid
     calls = []
-    subcube._sweep(moves, span)(lattice, lambda *call: calls.append(call), (aux,))
+    lattice._sweep(moves, span)(grid, lambda *call: calls.append(call), (aux,))
     want = [(b, move) for b in (0, 1) for move in moves]
     assert [a for a, *_ in calls] == [span * b + offset for b, (offset, *_) in want]
     for (_, lo, hi, free, (aux_free,)), (b, (_, at, lo_at, hi_at)) in zip(calls, want):
         for slab, whole, index in (
-            (lo, lattice, lo_at), (hi, lattice, hi_at), (free, lattice, at), (aux_free, aux, at)
+            (lo, grid, lo_at), (hi, grid, hi_at), (free, grid, at), (aux_free, aux, at)
         ):
             assert np.shares_memory(slab, whole)
             assert np.array_equal(slab, whole.take(index, axis=b))
@@ -103,22 +103,22 @@ def laid_out(layout, sweep):
 
 @pytest.fixture(params=LAYOUTS)
 def both(request, monkeypatch):
-    """both(build): build() under subcube's full-lattice sweep, given its
+    """both(build): build() under the full-lattice sweep, given its
     lattice in the layout of this parameter, and under the reference
     sweep; both.sweep is the sweep the first build ran."""
     layout = LAYOUTS[request.param]
 
     def run(build):
         swept = build()
-        # every build reaches the sweep through subcube alone
+        # every build reaches the sweep through the lattice module alone
         with monkeypatch.context() as m:
-            m.setattr(subcube, "_FULL_SWEEP", reference_sweep)
+            m.setattr(lattice, "_FULL_SWEEP", reference_sweep)
             reference = build()
         return swept, reference
 
     if layout is not None:
-        monkeypatch.setattr(subcube, "_FULL_SWEEP", laid_out(layout, subcube._FULL_SWEEP))
-    run.sweep = subcube._FULL_SWEEP
+        monkeypatch.setattr(lattice, "_FULL_SWEEP", laid_out(layout, lattice._FULL_SWEEP))
+    run.sweep = lattice._FULL_SWEEP
     return run
 
 
@@ -149,7 +149,7 @@ def test_colors_match_the_reference_sweep(both):
     for n in NS:
         for _ in range(6):
             f = TruthTable(n, rng.getrandbits(1 << n))
-            assert_same_lattice(*both(lambda: subcube.lattice_colors(f)))
+            assert_same_lattice(*both(lambda: lattice.lattice_colors(f)))
 
 
 @pytest.mark.parametrize(
@@ -159,7 +159,7 @@ def test_sums_match_the_reference_sweep(both, dtype, top):
     rng = random.Random(12)
     for n in NS:
         values = np.array([rng.randint(0, top) for _ in range(1 << n)], dtype=dtype)
-        swept, reference = both(lambda: subcube.lattice_sums(values))
+        swept, reference = both(lambda: lattice.lattice_sums(values))
         assert_same_lattice(swept, reference)
         assert swept[(2,) * n] == sum(values.tolist())
 
