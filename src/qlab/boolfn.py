@@ -1,6 +1,6 @@
 """Boolean functions as bit-packed truth tables, the tie-breaking
-four-bit majority gadget and its iterated tables, and the .tt text
-format, all in Python ints; `gadget` evaluates the iterated gadget in numpy.
+four-bit majority gadget, its iterated tables and its walk over one
+explicit input, and the .tt text format, all in Python ints and bytes.
 
 Index convention, used everywhere in this package: an input
 x = (x_1, ..., x_n) is identified with the integer
@@ -129,6 +129,43 @@ def iterated_table(h: int) -> TruthTable:
     return TruthTable(4**h, tables[0])
 
 
+# a hex digit holds four consecutive nodes of one level, the first the
+# high bit: translated, the digit gives the children pattern of the node
+# above them as a byte, and that node's value as the character 0 or 1
+_HEX = b"0123456789abcdef"
+_DIGIT_PATTERN = bytes.maketrans(_HEX, bytes(range(16)))
+_DIGIT_VALUE = bytes.maketrans(_HEX, bytes(b"01"[v] for v in _FMAJ_BIT))
+
+
+def level_patterns(h: int, x: "str | Bits") -> list[bytes]:
+    """Children patterns of the internal nodes of one height-h input of
+    4**h leaf bits: entry k - 1 holds those of the height-k nodes, one
+    byte each, left to right, so node i's children are nodes 4i to 4i+3
+    one level down and a node's value is _FMAJ_BIT of its pattern.  A
+    level's patterns are the hex digits of its nodes' bits read as one
+    number, which CPython converts in linear time at any length."""
+    if isinstance(x, str) and re.fullmatch(r"[01]+", x):
+        bits = x.encode()
+    else:
+        bits = "".join(map(str, parse_bits(x))).encode()
+    # bit counts first, so that a huge h never builds the power 4**h
+    if len(bits).bit_length() != 2 * h + 1 or len(bits) != 4**h:
+        raise ValueError(f"input length {len(bits)} != 4**{h}")
+    pats = []
+    for _ in range(h):
+        digits = f"{int(bits, 2):0{len(bits) // 4}x}".encode()
+        pats.append(digits.translate(_DIGIT_PATTERN))
+        bits = digits.translate(_DIGIT_VALUE)
+    return pats
+
+
+def iter_eval(h: int, x: "str | Bits") -> int:
+    """Evaluate the height-h iterated gadget on 4**h bits (h = 0 is the
+    identity on one bit)."""
+    pats = level_patterns(h, x)
+    return _FMAJ_BIT[pats[-1][0]] if pats else int(x[0])
+
+
 # ---------------------------------------------------------------------------
 # text of a .tt file: a header line "n=<int>" then the table as hex, least
 # significant digit holding inputs 0..3
@@ -140,9 +177,10 @@ def table_to_text(f: TruthTable) -> str:
 
 def table_from_text(text: str) -> TruthTable:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if len(lines) != 2 or not lines[0].startswith("n="):
+    header = len(lines) == 2 and re.fullmatch(r"n=([0-9]+)", lines[0])
+    if not header:
         raise ValueError("expected a 'n=<int>' line followed by a hex line")
-    n = int(lines[0][2:])
+    n = int(header[1])
     if not re.fullmatch(r"[0-9a-fA-F]+", lines[1]):
         raise ValueError(f"not a hex string: {lines[1]!r}")
     return TruthTable(n, int(lines[1], 16))

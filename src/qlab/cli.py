@@ -25,7 +25,7 @@ every path needs, is imported here, and every other module inside the
 handlers that call it, so a fresh process compiles and runs no module
 its command never calls (tests/test_cli.py::
 test_command_imports_only_the_modules_it_runs pins the sets).  numpy
-too loads only where array code runs: `fn eval`, `fn emit`, every
+too loads only where array code runs: every `fn`, `dist` and
 `partition` command, `bound prt` and `fixtures` never load it.
 """
 
@@ -150,9 +150,7 @@ def cmd_fn_eval(args: argparse.Namespace, rep: Report) -> None:
 
 
 def cmd_fn_iter(args: argparse.Namespace, rep: Report) -> None:
-    from . import gadget
-
-    value = gadget.iter_eval(args.height, args.input)
+    value = boolfn.iter_eval(args.height, args.input)
     rep.add("height", args.height)
     rep.add("value", value)
 

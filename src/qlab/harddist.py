@@ -16,7 +16,8 @@ denominator, and d0, d1 and d are those weights as exact laws.  An
 exact law on {0,1}^n is a tuple of 2**n Fractions, one mass per input
 in index order, the form CostMatrix.uniform, delta0 and chi_square_gof
 read.  An input fixes every node's value, so its mass is one product
-over the internal nodes that `gadget.level_patterns` lists.
+over the internal nodes that `boolfn.level_patterns` lists, and every
+input's weight composes from its four subtrees' weights.
 
 The minority path starts at the root and repeatedly steps into a child
 disagreeing with its parent's value: a unique dissenter is taken
@@ -30,18 +31,19 @@ counts are the exact marginals and which the minority tally samples
 one index per trial.  Charging each query by where that path goes gives
 the cost matrices of the J and K functionals, whose optimal zero-error
 trees ``dtree`` computes.  The draw, weight and pick tables are tuples
-of Python ints; code that enumerates inputs or samples imports numpy and
-`gadget` where it runs.
+of Python ints, and every exact mass is computed in Python ints; only
+the samplers import numpy, where they run.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
-from .boolfn import _FMAJ_BIT, MAX_VARS, fmaj, index_to_bits
+from .boolfn import _FMAJ_BIT, MAX_VARS, fmaj, index_to_bits, iterated_table, level_patterns
 
 if TYPE_CHECKING:
     import numpy as np
@@ -107,41 +109,38 @@ def dh_mass(h: int, x: "str | Sequence[int]") -> Fraction:
     input fixes every node's value, so only the root coin matching the
     root's value contributes, times the seed mass of each internal
     node's children pattern at that node's value."""
-    from .gadget import level_patterns, tree_bits
-
-    pats = level_patterns(tree_bits(h, x), h)
-    weight = math.prod(_W30[p] for pat in pats for p in pat.tolist())
+    weight = math.prod(_W30[p] for pat in level_patterns(h, x) for p in pat)
     return Fraction(weight, _denominator(h))
 
 
-def _dh_weights(h: int) -> np.ndarray:
+def _dh_weights(h: int) -> list[int]:
     """Every input's weight over _denominator(h), in index order: the
-    product of _W30 over its level patterns, at most 12**5 at height 2,
-    so int64."""
+    product of _W30 over its level patterns.  A height-k input is four
+    height-(k-1) inputs, x_1's block first, so its weight is _W30 at the
+    pattern of their values times their four weights."""
     if not 0 <= h <= MAX_ENUM_HEIGHT:
         raise ValueError(f"exact laws support 0 <= h <= {MAX_ENUM_HEIGHT}")
-    import numpy as np
-
-    from .gadget import input_bits, level_patterns
-
-    inputs = 1 << 4**h
-    weights = np.ones(inputs, dtype=np.int64)
-    w30 = np.array(_W30, dtype=np.int64)
-    for pat in level_patterns(input_bits(4**h).ravel(), h):
-        weights *= w30[pat].reshape(inputs, -1).prod(axis=1)
+    weights = [1, 1]
+    for k in range(h):
+        table = iterated_table(k).bits
+        children = [(table >> idx & 1, w) for idx, w in enumerate(weights)]
+        weights = [
+            _W30[a << 3 | b << 2 | c << 1 | e] * wa * wb * wc * we
+            for (a, wa), (b, wb), (c, wc), (e, we) in itertools.product(children, repeat=4)
+        ]
     return weights
 
 
 def dh_law(h: int) -> tuple[Fraction, ...]:
     """The height-h distribution as an exact law over every input."""
-    return _law(_dh_weights(h).tolist(), _denominator(h))
+    return _law(_dh_weights(h), _denominator(h))
 
 
 def dh_total(h: int) -> tuple[int, Fraction]:
     """Size and exact total mass of the height-h support, over every
     input."""
     weights = _dh_weights(h)
-    return int((weights != 0).sum()), Fraction(int(weights.sum()), _denominator(h))
+    return sum(1 for w in weights if w), Fraction(sum(weights), _denominator(h))
 
 
 def _denominator(h: int) -> int:
@@ -190,9 +189,7 @@ def minority_leaf_law(h: int, x: "str | Sequence[int]") -> dict[int, Fraction]:
     minority path of one input ends: top down over the level patterns,
     each node on the path passes half its probability to the child each
     coin picks."""
-    from .gadget import level_patterns, tree_bits
-
-    pats = [pat.tolist() for pat in level_patterns(tree_bits(h, x), h)]
+    pats = level_patterns(h, x)
     law = {0: Fraction(1)}
     for k in range(h, 0, -1):
         step: dict[int, Fraction] = {}
@@ -279,7 +276,7 @@ def jk_values() -> tuple[Fraction, Fraction, Fraction]:
 # text of a .dist file: one "<bitstring> <p>/<q>" line per input of nonzero
 # mass, in index order; an integer mass may omit "/<q>"
 
-_MASS = re.compile(r"(-?\d+)(?:/(\d+))?")
+_MASS = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 _BITS = re.compile(r"[01]+")
 
 

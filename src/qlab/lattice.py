@@ -2,6 +2,7 @@
 shape (3,)*n whose axis j is variable x_{j+1}, index 0 or 1 fixing it
 and index 2 leaving it free, or the smaller lattice of block classes,
 with one sweep over either's moves; `lattice` picks between the two.
+A truth table's values enter as one uint8 array (`table_values`).
 """
 
 from __future__ import annotations
@@ -13,7 +14,13 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .boolfn import TruthTable
-from .gadget import table_values
+
+
+def table_values(f: TruthTable) -> np.ndarray:
+    """f at every input, in index order, as a uint8 array."""
+    raw = f.bits.to_bytes((f.size + 7) // 8, "little")
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    return bits[: f.size]
 
 
 # update(a, lo, hi, free, aux): one move of a sweep, given views of the

@@ -26,8 +26,8 @@ read flags, which count the next level's nodes and on a fixed input
 name them.
 The three exact recursions (per input, under the hard law, and over
 the worst inputs) share one integer moment step over its read counts.
-On a fixed input the evaluator and the recursion take the nodes'
-children patterns from ``gadget.level_patterns``.
+On a fixed input the evaluator and the recursion read the nodes'
+children patterns as arrays over the bytes of ``boolfn.level_patterns``.
 
 The embedding of one instance inside a neighborhood is one table too:
 its 360 equally likely outcomes, each a placement slot and a children
@@ -49,14 +49,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import harddist
-from .boolfn import index_to_bits, parse_bits
-from .gadget import _CHILD_BITS, _CHILD_WORD, _FM, level_patterns, tree_bits
+from .boolfn import _FMAJ_BIT, index_to_bits, level_patterns, parse_bits
 from .harddist import batch_sizes, d, tally
 
 # harddist's tables as arrays: _DRAW30[v, u], _SEED_W[v, p], _DIS_PICK[p, c]
 _DRAW30, _SEED_W, _DIS_PICK = (
     np.array(t, dtype=np.uint8) for t in (harddist._DRAW30, harddist._SEED_W, harddist._DIS_PICK)
 )
+
+# the gadget's value at each children pattern
+_FM = np.array(_FMAJ_BIT, dtype=np.uint8)
 
 MAX_MC_HEIGHT = 12
 
@@ -110,6 +112,11 @@ for _r in range(24):
         _out, _queried = lv_run(_bits, int(_r >= 6), _ORDERS[_r % 6])
         _ROUND_MASK[_r, _pat] = sum(8 >> q for q in _queried)
         _ROUND_OUT[_r, _pat] = _out
+# _CHILD_BITS[p, j]: the value of child j in children pattern p;
+# _CHILD_WORD[p] holds the same four bytes as one uint32, so a gather of
+# children moves one word per pattern, not four bytes
+_CHILD_BITS = np.array(_PATTERN_BITS, dtype=np.uint8)
+_CHILD_WORD = _CHILD_BITS.view(np.uint32).ravel()
 
 # rounds out of the 24 that read variable j on the given input; likewise
 # for reading both j and l
@@ -172,7 +179,7 @@ def recursive_exact_moments(
     if x is not None:
         if not 0 <= h <= MAX_MC_HEIGHT:
             raise ValueError(f"exact recursion supports 0 <= h <= {MAX_MC_HEIGHT}")
-        mean, second = _exact_moments(h, tree_bits(h, x))
+        mean, second = _exact_moments(h, x)
         return mean, second - mean * mean
     if h < 0:
         raise ValueError("height must be at least 0")
@@ -185,14 +192,21 @@ def recursive_exact_moments(
     return mean, second - mean * mean
 
 
-def _exact_moments(h: int, bits: np.ndarray) -> tuple[Fraction, Fraction]:
+def _pattern_arrays(h: int, x: "str | Sequence[int]") -> list[np.ndarray]:
+    """The level patterns of one input, each level a uint8 array over
+    its bytes."""
+    return [np.frombuffer(pat, dtype=np.uint8) for pat in level_patterns(h, x)]
+
+
+def _exact_moments(h: int, x: "str | Sequence[int]") -> tuple[Fraction, Fraction]:
     """Mean and second moment of the leaf reads on one input, bottom up
     one level at a time."""
+    pats = _pattern_arrays(h, x)
     # times 24**k and 24**(2k), a height-k node's moments are integers
     # below 78**k and (24**2 * 16)**k (it reads at most 4**k leaves), so
     # int64 holds them up to height 4
-    mean = second = np.broadcast_to(np.int64(1), bits.shape)
-    for k, pat in enumerate(level_patterns(bits, h), 1):
+    mean = second = np.broadcast_to(np.int64(1), 4**h)
+    for k, pat in enumerate(pats, 1):
         if k == 5:
             mean, second = mean.astype(object), second.astype(object)
         mean, second = _node_moments(pat, mean.reshape(-1, 4), second.reshape(-1, 4))
@@ -211,24 +225,22 @@ def recursive_exact_worst(h: int) -> tuple[Fraction, str]:
         raise ValueError(f"exact recursion supports 0 <= h <= {MAX_MC_HEIGHT}")
     worst = np.ones(2, dtype=object)
     # per value, a height-k input of that value attaining W(k, value)
-    witness = (np.zeros(1, dtype=np.uint8), np.ones(1, dtype=np.uint8))
+    witness = ("0", "1")
     for _ in range(h):
         steps = _node_mean(np.arange(16), worst[_CHILD_BITS])
         best = [max(np.flatnonzero(_FM == v).tolist(), key=steps.__getitem__) for v in (0, 1)]
         worst = steps[best]
-        witness = tuple(
-            np.concatenate([witness[b] for b in index_to_bits(p, 4)]) for p in best
-        )
+        witness = tuple("".join(witness[b] for b in index_to_bits(p, 4)) for p in best)
     v = int(worst[1] > worst[0])
     value = Fraction(int(worst[v]), 24**h)
     # the replay carries means alone: times 24**k a height-k node's mean
     # is an integer below 78**k, so int64 holds it up to height 10
-    mean = np.broadcast_to(np.int64(1), witness[v].shape)
-    for k, pat in enumerate(level_patterns(witness[v], h), 1):
+    mean = np.broadcast_to(np.int64(1), 4**h)
+    for k, pat in enumerate(_pattern_arrays(h, witness[v]), 1):
         mean = _node_mean(pat, (mean if k <= 10 else mean.astype(object)).reshape(-1, 4))
     if Fraction(int(mean[0]), 24**h) != value:
         raise RuntimeError("the worst-case witness does not replay to its value")
-    return value, (witness[v] + ord("0")).tobytes().decode()
+    return value, witness[v]
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +274,7 @@ def mc_mean_cost(
     # first, since 24 * pattern would wrap in uint8
     pats = None
     if x is not None:
-        pats = [24 * p.astype(np.uint16) for p in level_patterns(tree_bits(h, x), h)]
+        pats = [24 * p.astype(np.uint16) for p in _pattern_arrays(h, x)]
     chunks = min(64, trials)
     sizes = [trials // chunks + (1 if i < trials % chunks else 0) for i in range(chunks)]
     jobs = list(zip(sizes, rng.spawn(chunks)))

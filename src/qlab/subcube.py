@@ -135,18 +135,14 @@ def validate(part: LabeledPartition) -> ValidationReport:
     return ValidationReport(True, ones=ones)
 
 
-def computes(
-    part: LabeledPartition, f: TruthTable, report: Optional[ValidationReport] = None
-) -> bool:
+def computes(part: LabeledPartition, f: TruthTable) -> bool:
     """True when every part is f-monochromatic with matching label.
     Requires a valid partition, so together this checks f on every
     input exactly once: the parts labeled 1, as validate ORs them, must
-    cover f's 1-inputs and nothing else.  report is validate(part),
-    validated here when not given."""
+    cover f's 1-inputs and nothing else."""
     if part.n != f.n:
         raise ValueError(f"partition arity {part.n} != function arity {f.n}")
-    if report is None:
-        report = validate(part)
+    report = validate(part)
     if not report.ok:
         raise ValueError(f"not a partition ({report.error}: {report.detail})")
     return report.ones == f.bits

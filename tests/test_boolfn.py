@@ -1,6 +1,7 @@
 """Truth tables, the tie-favoring 4-bit majority, and its iterated tables."""
 
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,12 +13,14 @@ from qlab.boolfn import (
     bits_to_index,
     fmaj,
     index_to_bits,
+    iter_eval,
     iterated_table,
+    level_patterns,
     parse_bits,
     table_from_text,
     table_to_text,
 )
-from qlab.gadget import input_bits, iter_eval, level_patterns, table_values, tree_bits
+from qlab.lattice import table_values
 
 
 def formula_reference(bits):
@@ -96,20 +99,6 @@ def test_from_values_rejects_bad_values_and_counts():
         TruthTable.from_values(10**9, [0, 1])
 
 
-def test_input_bits_rows_are_the_indexed_inputs():
-    for n in range(5):
-        rows = input_bits(n)
-        assert rows.dtype == np.uint8 and rows.shape == (1 << n, n)
-        assert [tuple(r) for r in rows.tolist()] == [index_to_bits(i, n) for i in range(1 << n)]
-    rows = input_bits(16)
-    assert rows.shape == (1 << 16, 16)
-    for i in list(range(0, 1 << 16, 4099)) + [1, 1 << 15, (1 << 16) - 1]:
-        assert tuple(rows[i].tolist()) == index_to_bits(i, 16), i
-    for n in (-1, 17):
-        with pytest.raises(ValueError):
-            input_bits(n)
-
-
 def test_constant_tables():
     zero = TruthTable(3, 0)
     one = TruthTable(3, (1 << 8) - 1)
@@ -178,10 +167,9 @@ def test_iterated_majority_heights():
 def test_iterated_table_is_the_table_of_the_level_patterns(h):
     # the table comes from the variables' tables, the evaluator from the
     # level patterns: both definitions must agree on every input
-    values = input_bits(4**h).ravel().tolist()
-    if h:
-        values = [fmaj().bit(p) for p in level_patterns(input_bits(4**h).ravel(), h)[-1].tolist()]
-    assert iterated_table(h) == TruthTable.from_values(4**h, values)
+    table = iterated_table(h)
+    for idx in range(table.size):
+        assert iter_eval(h, index_to_bits(idx, 4**h)) == table.bit(idx), idx
 
 
 @pytest.mark.parametrize("h", [3, 10**9])
@@ -208,29 +196,64 @@ def test_level_patterns_inner_nodes():
     x = parse_bits("0111100010001000")
     quarters = ["0111", "1000", "1000", "1000"]
     f = fmaj()
-    level1, root = level_patterns(tree_bits(2, x), 2)
-    assert level1.dtype == np.uint8 and root.dtype == np.uint8
+    level1, root = level_patterns(2, x)
+    assert type(level1) is bytes and type(root) is bytes
     # node k of level 1 reads leaves 4k to 4k+3, and its pattern is them
-    assert level1.tolist() == [bits_to_index(q) for q in quarters]
+    assert list(level1) == [bits_to_index(q) for q in quarters]
     for k in range(4):
-        assert f.bit(int(level1[k])) == f.eval(quarters[k])
+        assert f.bit(level1[k]) == f.eval(quarters[k])
     # the root's pattern is its children's values, and its value the table's
-    assert root.tolist() == [bits_to_index([f.eval(q) for q in quarters])]
-    assert f.bit(int(root[0])) == 0 == iter_eval(2, x)
-    assert level_patterns(tree_bits(0, "1"), 0) == []
+    assert list(root) == [bits_to_index([f.eval(q) for q in quarters])]
+    assert f.bit(root[0]) == 0 == iter_eval(2, x)
+    assert level_patterns(0, "1") == []
     with pytest.raises(ValueError):
-        tree_bits(2, "0111")
+        level_patterns(2, "0111")
 
 
-def test_level_patterns_batch_matches_each_input():
+def naive_level_patterns(h, x):
+    """The level patterns by a list walk, one node at a time."""
+    bits = parse_bits(x)
+    if len(bits) != 4**h:
+        raise ValueError(f"input length {len(bits)} != 4**{h}")
+    pats, values = [], list(bits)
+    for _ in range(h):
+        level = [bits_to_index(values[i : i + 4]) for i in range(0, len(values), 4)]
+        pats.append(level)
+        values = [fmaj().bit(p) for p in level]
+    return pats, values[0]
+
+
+def test_level_patterns_match_a_list_walk():
     rng = random.Random(8)
-    for h in (1, 2, 3):
-        rows = [[rng.randrange(2) for _ in range(4**h)] for _ in range(5)]
-        batch = level_patterns(np.array(rows, dtype=np.uint8).reshape(-1), h)
-        single = [level_patterns(tree_bits(h, row), h) for row in rows]
-        for k in range(h):
-            assert batch[k].tolist() == [v for pats in single for v in pats[k].tolist()]
-        assert [int(fmaj().bit(int(p))) for p in batch[-1]] == [iter_eval(h, r) for r in rows]
+    for h in range(7):
+        for _ in range(4):
+            row = tuple(rng.randrange(2) for _ in range(4**h))
+            pats, root = naive_level_patterns(h, row)
+            for x in (row, "".join(map(str, row))):
+                assert [list(p) for p in level_patterns(h, x)] == pats
+                assert iter_eval(h, x) == root
+
+
+@pytest.mark.parametrize(
+    "h, x",
+    [
+        (2, "0111"),
+        (1, "01x1"),
+        (1, ""),
+        (1, (0, 2, 1, 1)),
+        (1, "\u0661\u0660\u0661\u0660"),
+        (0, "11"),
+        (-1, "1"),
+        (3, (1,) * 63),
+    ],
+)
+def test_level_patterns_refuse_what_a_list_walk_refuses(h, x):
+    with pytest.raises(ValueError) as want:
+        naive_level_patterns(h, x)
+    with pytest.raises(ValueError, match=re.escape(str(want.value))):
+        level_patterns(h, x)
+    with pytest.raises(ValueError, match=re.escape(str(want.value))):
+        iter_eval(h, x)
 
 
 def test_table_text_round_trip():

@@ -596,7 +596,7 @@ def test_bound_prt_loads_no_scipy(tmp_path):
     assert got["numpy"] == "False"
 
 
-VERIFY_MODULES = ("gadget", "subcube", "lattice", "dtree", "harddist", "randalg")
+VERIFY_MODULES = ("subcube", "lattice", "dtree", "harddist", "randalg")
 
 
 @pytest.mark.parametrize(
@@ -604,13 +604,12 @@ VERIFY_MODULES = ("gadget", "subcube", "lattice", "dtree", "harddist", "randalg"
     [
         (["fn", "eval", "--table", "{table}", "--input", "1100"], (), 0),
         (["fn", "emit", "--name", "fmaj2", "--out", "{out}"], (), 0),
-        (
-            ["simulate", "r0", "--height", "2", "--trials", "10"],
-            ("gadget", "harddist", "randalg"),
-            0,
-        ),
-        (["dist", "total", "--height", "1"], ("gadget", "harddist"), 0),
+        (["fn", "iter", "--height", "2", "--input", "0111100010001000"], (), 0),
+        (["simulate", "r0", "--height", "2", "--trials", "10"], ("harddist", "randalg"), 0),
+        (["dist", "total", "--height", "1"], ("harddist",), 0),
+        (["dist", "mass", "--height", "1", "--input", "1000"], ("harddist",), 0),
         (["dist", "emit", "--name", "d", "--out", "{out}"], ("harddist",), 0),
+        (["dist", "emit", "--name", "d2", "--out", "{out}"], ("harddist",), 0),
         (["bound", "prt", "--table", "{table}", "--eps", "1/3"], ("lpbound",), 0),
         (["partition", "check", "--part", "{part}", "--table", "{table}"], ("subcube",), 0),
         (["fixtures", "--out-dir", "{dir}"], ("subcube", "harddist"), 0),
@@ -619,8 +618,9 @@ VERIFY_MODULES = ("gadget", "subcube", "lattice", "dtree", "harddist", "randalg"
         (["verify", "separation", "--height", "2", "--trials", "1"], VERIFY_MODULES, 0),
     ],
     ids=[
-        "fn-eval", "fn-emit", "simulate-r0", "dist-total", "dist-emit", "bound-prt",
-        "partition-check", "fixtures", "verify-h1", "verify-h2",
+        "fn-eval", "fn-emit", "fn-iter", "simulate-r0", "dist-total", "dist-mass",
+        "dist-emit", "dist-emit-d2", "bound-prt", "partition-check", "fixtures", "verify-h1",
+        "verify-h2",
     ],
 )
 def test_command_imports_only_the_modules_it_runs(tmp_path, argv, modules, status):
@@ -636,18 +636,17 @@ def test_command_imports_only_the_modules_it_runs(tmp_path, argv, modules, statu
     want = sorted(f"qlab.{m}" for m in ("cli", "boolfn", *modules))
     got = probe_imports(argv, status=status)
     assert got["qlab"] == str(want)
-    # numpy loads with gadget: gadget, lattice, dtree and randalg import
-    # numpy as they load, and each of them is gadget or imports it;
-    # harddist imports numpy and gadget only where it enumerates inputs
-    # or samples, and boolfn, subcube, lpbound and cli are pure Python
-    assert got["numpy"] == str("gadget" in modules)
+    # numpy loads with the array modules: lattice, dtree and randalg
+    # import it as they load; harddist imports numpy only where it
+    # samples, and boolfn, subcube, lpbound and cli are pure Python
+    assert got["numpy"] == str(bool({"lattice", "dtree", "randalg"} & set(modules)))
 
 
 def test_table_partition_and_seed_law_commands_load_no_numpy(tmp_path):
-    # truth tables, subcube partitions and the one-level laws are Python
+    # truth tables, subcube partitions and the exact laws are Python
     # ints: writing the fixtures, emitting every table, the canonical
-    # partition and d0, d1 and d, and every partition command run in one
-    # fresh process that never loads numpy
+    # partition and d0, d1, d and d2, and every partition command run in
+    # one fresh process that never loads numpy
     fixtures = tmp_path / "fixtures"
     table, canonical = fixtures / "fmaj.tt", fixtures / "canonical.part"
     argvs = [["fixtures", "--out-dir", str(fixtures)]]
@@ -655,7 +654,6 @@ def test_table_partition_and_seed_law_commands_load_no_numpy(tmp_path):
         [command, "emit", "--name", name, "--out", str(tmp_path / (name + suffix))]
         for command, (suffix, names) in cli._FIXTURES.items()
         for name in names
-        if name != "d2"
     ]
     argvs += [
         ["partition", "check", "--part", str(canonical), "--table", str(table)],
@@ -664,7 +662,7 @@ def test_table_partition_and_seed_law_commands_load_no_numpy(tmp_path):
         ["partition", "search-cost", "--table", str(table), "--budget", "3"],
         ["partition", "search-weight", "--table", str(table)],
     ]
-    assert len(argvs) == 12
+    assert len(argvs) == 13
     got = probe_imports(*argvs)
     assert got["qlab"] == str(sorted(["qlab.boolfn", "qlab.cli", "qlab.harddist", "qlab.subcube"]))
     assert got["numpy"] == "False"
@@ -963,6 +961,8 @@ def exit_code(argv):
         # FMAJ names a valid table, so only the budget is out of range
         ["partition", "search-cost", "--table", "FMAJ", "--budget", "-3"],
         ["partition", "emit", "--name", "bogus", "--out", "FMAJ"],
+        # eps takes ASCII digits, as a .dist mass does
+        ["bound", "prt", "--table", "FMAJ", "--eps", "\u0661/\u0663"],
         # dist total's own height check, before any power of the height
         ["dist", "total", "--height", "3"],
         ["dist", "total", "--height", "1000000000"],
@@ -1025,6 +1025,32 @@ def test_a_dist_wider_than_any_table_is_refused_before_its_law_is_built(capsys, 
     err = capsys.readouterr().err
     assert err == f"error: cannot load distribution {dist}: more than 16 bits on line {line!r}\n"
     assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "kind, text",
+    [
+        ("table", "n=0_1\n2\n"),
+        ("table", "n=+1\n2\n"),
+        ("table", "n=\u0661\n2\n"),
+        ("distribution", "0 \u0661/\u0662\n1 1/2\n"),
+        ("distribution", "0 1/2\n1 1/\u0662\n"),
+        ("distribution", "0 \uff11/2\n1 1/2\n"),
+    ],
+    ids=["underscore", "plus", "arabic-indic", "dist-numerator", "dist-denominator", "fullwidth"],
+)
+def test_loaders_read_ascii_digits_only(capsys, tmp_path, kind, text):
+    # int() and \d also read underscores, signs and every Unicode decimal
+    # digit; a .tt header and a .dist mass take ASCII digits alone, as the
+    # writers emit them, so each file is refused whole (at n = 1 every
+    # one would otherwise load as the identity or the uniform law)
+    table, dist = tmp_path / "f.tt", tmp_path / "f.dist"
+    table.write_text(table_to_text(iterated_table(0)))
+    dist.write_text("0 1/2\n1 1/2\n")
+    (table if kind == "table" else dist).write_text(text)
+    argv = ["measure", "delta0", "--table", str(table), "--dist", str(dist)]
+    assert exit_code(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot load {kind} ")
 
 
 @pytest.mark.parametrize(

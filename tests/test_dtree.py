@@ -16,7 +16,6 @@ import pytest
 
 from qlab import dtree, lattice
 from qlab.boolfn import TruthTable, fmaj, index_to_bits, iterated_table, parse_bits
-from qlab.gadget import table_values
 from qlab.dtree import (
     CostMatrix,
     Leaf,
@@ -38,6 +37,7 @@ from qlab.harddist import (
     minority_leaf_law,
     minority_marginals_exact,
 )
+from qlab.lattice import table_values
 from qlab.subcube import computes, validate
 
 

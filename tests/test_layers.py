@@ -12,7 +12,6 @@ import qlab
 # share a layer, so neither imports the other
 LAYERS = [
     {"boolfn"},
-    {"gadget"},
     {"subcube"},
     {"lattice"},
     {"dtree"},
@@ -127,9 +126,18 @@ def test_modules_import_only_the_standard_library_and_numpy():
 
 # the modules that import numpy when they load: boolfn, subcube and
 # lpbound are pure Python, and harddist and cli import numpy only inside
-# the functions that use it, so `fn eval`, `fn emit`, `partition *`,
-# `bound prt`, `fixtures` and `dist emit` of d0, d1 and d never load it
-NUMPY_AT_IMPORT = {"gadget", "lattice", "dtree", "randalg"}
+# the functions that use it, so `fn *`, `partition *`, `bound prt`,
+# `fixtures`, `dist mass`, `dist total` and every `dist emit` never load it
+NUMPY_AT_IMPORT = {"lattice", "dtree", "randalg"}
+# the functions of the other modules whose bodies import numpy: harddist's
+# samplers and cli's handlers that sample or draw a Monte Carlo reference
+NUMPY_FUNCTIONS = {
+    "boolfn": set(),
+    "subcube": set(),
+    "lpbound": set(),
+    "harddist": {"tally", "minority_level1_counts"},
+    "cli": {"_mc_reference", "cmd_simulate_minority", "cmd_simulate_embed"},
+}
 
 
 def module_level_imports(source: str) -> set[str]:
@@ -171,6 +179,48 @@ def test_only_array_modules_import_numpy_at_module_level():
     for path in sorted(SRC.glob("*.py")):
         packages = {name.split(".")[0] for name in module_level_imports(path.read_text())}
         assert ("numpy" in packages) == (path.stem in NUMPY_AT_IMPORT), path.name
+
+
+def numpy_importers(source: str) -> set[str]:
+    """The top-level definitions of a module's source that import numpy
+    anywhere in their bodies, and "<module>" for any other import of it
+    that runs; the body of an ``if TYPE_CHECKING:`` never runs."""
+    found = set()
+    for top in ast.parse(source).body:
+        runs = [top]
+        if isinstance(top, ast.If) and ast.unparse(top.test) == "TYPE_CHECKING":
+            runs = top.orelse
+        names = named_modules(node for part in runs for node in ast.walk(part))
+        if "numpy" in {name.split(".")[0] for name in names}:
+            found.add(getattr(top, "name", "<module>"))
+    return found
+
+
+def test_numpy_importer_finder_sees_every_form():
+    source = (
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    import numpy as np\n"
+        "def sample():\n"
+        "    import numpy as np\n"
+        "def nested():\n"
+        "    def inner():\n"
+        "        from numpy.random import default_rng\n"
+        "def pure():\n"
+        "    import math\n"
+        "class Holder:\n"
+        "    def method(self):\n"
+        "        import numpy\n"
+    )
+    assert numpy_importers(source) == {"sample", "nested", "Holder"}
+    assert numpy_importers("if TYPE_CHECKING:\n    pass\nelse:\n    import numpy\n") == {
+        "<module>"
+    }
+
+
+def test_pure_python_modules_import_numpy_only_where_they_sample():
+    for name, functions in NUMPY_FUNCTIONS.items():
+        assert numpy_importers((SRC / f"{name}.py").read_text()) == functions, name
 
 
 def report_owners(source: str) -> set[str]:

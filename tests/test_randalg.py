@@ -20,8 +20,7 @@ import numpy as np
 import pytest
 
 from qlab import cli, randalg
-from qlab.boolfn import bits_to_index, fmaj, index_to_bits, parse_bits
-from qlab.gadget import iter_eval, level_patterns, tree_bits
+from qlab.boolfn import bits_to_index, fmaj, index_to_bits, iter_eval, level_patterns, parse_bits
 from qlab.harddist import d
 from qlab.randalg import (
     MAX_MC_HEIGHT,
@@ -328,7 +327,7 @@ def test_recursive_exact_worst_replay_mismatch_raises(monkeypatch):
     # a replay that sees every node's children as 0000 reads less than W
     patterns = randalg.level_patterns
     monkeypatch.setattr(
-        randalg, "level_patterns", lambda bits, h: [0 * p for p in patterns(bits, h)]
+        randalg, "level_patterns", lambda h, x: [bytes(len(p)) for p in patterns(h, x)]
     )
     with pytest.raises(RuntimeError, match="replay"):
         recursive_exact_worst(2)
@@ -466,8 +465,8 @@ def test_mc_batch_matches_a_per_trial_walk_of_the_round():
     # has children pattern _DRAW30[b, u // 24] and runs round u % 24, and
     # both root values give the same reads
     h, n = 3, 200
-    level = level_patterns(tree_bits(h, recursive_exact_worst(h)[1]), h)
-    pats = [24 * p.astype(np.uint16) for p in level]
+    level = level_patterns(h, recursive_exact_worst(h)[1])
+    pats = [24 * np.frombuffer(p, np.uint8).astype(np.uint16) for p in level]
 
     def fixed(k, i, b, u):
         return index_to_bits(int(level[k - 1][i]), 4), u
