@@ -105,9 +105,12 @@ def _save(path: str, text: str) -> None:
 
 
 def _at_least(low: int):
-    """argparse type: an integer no smaller than ``low``."""
+    """argparse type: an integer no smaller than ``low``, in ASCII digits."""
 
     def integer(text: str) -> int:
+        # int() alone would also take "+", "_" and any Unicode digit
+        if not re.fullmatch(r"-?[0-9]+", text):
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
@@ -117,11 +120,10 @@ def _at_least(low: int):
 
 
 def _probability(text: str) -> float:
-    """argparse type: a significance level strictly between 0 and 1."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    """argparse type: a significance level in (0, 1), in ASCII digits."""
+    if not re.fullmatch(r"([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?", text):
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    value = float(text)
     if not 0 < value < 1:
         raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
     return value
@@ -659,7 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_at_least(0), default=0)
     p.set_defaults(func=cmd_simulate_minority)
     p = s_sub.add_parser("embed", help="embedding audit")
-    p.add_argument("--level", type=int, choices=(1, 2), required=True)
+    p.add_argument("--level", type=_at_least(1), choices=(1, 2), required=True)
     p.add_argument("--trials", type=_at_least(1), required=True)
     p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--alpha", type=_probability, default=1e-3)
@@ -668,7 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="end-to-end pipelines")
     v_sub = p_verify.add_subparsers(dest="subcommand", required=True)
     p = v_sub.add_parser("separation", help="the full block-composition story")
-    p.add_argument("--height", type=int, choices=(1, 2), required=True)
+    p.add_argument("--height", type=_at_least(1), choices=(1, 2), required=True)
     p.add_argument("--trials", type=_at_least(1), default=1_000_000)
     p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--threads", type=_at_least(1), default=1)

@@ -110,18 +110,16 @@ class LPSolution:
             if v < 0:
                 return f"primal {name} = {v} < 0"
         # row sums and A^T y in integers over x's and y's common denominators
-        dx, dy = (math.lcm(*(v.denominator for v in vec)) for vec in (x, y))
-        xs = [v.numerator * (dx // v.denominator) for v in x]
+        (dx, xs), (dy, ys) = _over_lcm(x), _over_lcm(y)
         aty = [0] * lp.num_vars
-        for i, (row, sense, rhs, yi) in enumerate(zip(lp.rows, lp.senses, lp.rhs, y)):
+        for i, (row, sense, rhs, yi, scaled) in enumerate(zip(lp.rows, lp.senses, lp.rhs, y, ys)):
             nonzero = [(j, a) for j, a in enumerate(row) if a]
             lhs = Fraction(sum(a * xs[j] for j, a in nonzero), dx)
             if not _HOLDS[sense](lhs, rhs):
                 return f"primal row {i}: {lhs} {sense} {rhs} fails"
             if sense != "==" and not _HOLDS[sense](yi, 0):
                 return f"dual y[{i}] = {yi} has the wrong sign for a {sense} row"
-            if yi:
-                scaled = yi.numerator * (dy // yi.denominator)
+            if scaled:
                 for j, a in nonzero:
                     aty[j] += a * scaled
         for name, c, a in zip(lp.var_names, lp.objective, aty):

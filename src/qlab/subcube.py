@@ -187,8 +187,8 @@ def compose_partitions(p: LabeledPartition, q: LabeledPartition) -> LabeledParti
 
 
 def all_patterns(n: int) -> Iterator[Pattern]:
-    """Every subcube of {0,1}^n in the C order of the subcube lattice
-    (`lattice`): per position 0 < 1 < *, x_1 varying slowest."""
+    """Every subcube of {0,1}^n in the C order of `dtree`'s subcube
+    lattice: per position 0 < 1 < *, x_1 varying slowest."""
     return (Pattern("".join(t)) for t in itertools.product("01*", repeat=n))
 
 

@@ -20,7 +20,7 @@ from qlab.boolfn import (
     table_from_text,
     table_to_text,
 )
-from qlab.lattice import table_values
+from qlab.dtree import table_values
 
 
 def formula_reference(bits):

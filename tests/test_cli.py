@@ -596,7 +596,7 @@ def test_bound_prt_loads_no_scipy(tmp_path):
     assert got["numpy"] == "False"
 
 
-VERIFY_MODULES = ("subcube", "lattice", "dtree", "harddist", "randalg")
+VERIFY_MODULES = ("subcube", "dtree", "harddist", "randalg")
 
 
 @pytest.mark.parametrize(
@@ -636,10 +636,10 @@ def test_command_imports_only_the_modules_it_runs(tmp_path, argv, modules, statu
     want = sorted(f"qlab.{m}" for m in ("cli", "boolfn", *modules))
     got = probe_imports(argv, status=status)
     assert got["qlab"] == str(want)
-    # numpy loads with the array modules: lattice, dtree and randalg
-    # import it as they load; harddist imports numpy only where it
-    # samples, and boolfn, subcube, lpbound and cli are pure Python
-    assert got["numpy"] == str(bool({"lattice", "dtree", "randalg"} & set(modules)))
+    # numpy loads with the array modules: dtree and randalg import it as
+    # they load; harddist imports numpy only where it samples, and
+    # boolfn, subcube, lpbound and cli are pure Python
+    assert got["numpy"] == str(bool({"dtree", "randalg"} & set(modules)))
 
 
 def test_table_partition_and_seed_law_commands_load_no_numpy(tmp_path):
@@ -963,6 +963,14 @@ def exit_code(argv):
         ["partition", "emit", "--name", "bogus", "--out", "FMAJ"],
         # eps takes ASCII digits, as a .dist mass does
         ["bound", "prt", "--table", "FMAJ", "--eps", "\u0661/\u0663"],
+        # and so does every integer option and --alpha; int() and float()
+        # would take these as 1, 10, 3, 2, 1 and 0.01
+        ["fn", "iter", "--height", "\u0661", "--input", "0110"],
+        ["simulate", "r0", "--height", "1", "--trials", "1_0", "--seed", "3"],
+        ["simulate", "r0", "--height", "1", "--trials", "10", "--seed", "+3"],
+        ["simulate", "embed", "--level", "\u0662", "--trials", "10"],
+        ["verify", "separation", "--height", "\u0661", "--trials", "1"],
+        ["simulate", "embed", "--level", "1", "--trials", "10", "--alpha", "\u0660.\u0660\u0661"],
         # dist total's own height check, before any power of the height
         ["dist", "total", "--height", "3"],
         ["dist", "total", "--height", "1000000000"],
@@ -1146,22 +1154,35 @@ def test_exit_two_on_unwritable_output(capsys, tmp_path, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-_SEED = st.tuples(st.just("--seed"), st.integers(-3, 2**31).map(str))
+# characters int() reads in an integer and every integer option refuses
+_NOT_ASCII_INT = "\u0661_+"
+
+
+def _integer_text(low, high):
+    """An integer option's text: an integer in [low, high], as is or with
+    one character of _NOT_ASCII_INT put in anywhere."""
+    spliced = st.tuples(
+        st.integers(low, high).map(str), st.sampled_from(_NOT_ASCII_INT), st.integers(0, 3)
+    ).map(lambda t: t[0][: t[2]] + t[1] + t[0][t[2] :])
+    return st.one_of(st.integers(low, high).map(str), spliced)
+
+
+_SEED = st.tuples(st.just("--seed"), _integer_text(-3, 2**31))
 _CHEAP_ARGV = st.one_of(
     st.tuples(
         st.just(("fn", "iter")),
-        st.tuples(st.just("--height"), st.integers(-2, 2).map(str)),
+        st.tuples(st.just("--height"), _integer_text(-2, 2)),
         st.tuples(st.just("--input"), st.text("01x", min_size=1, max_size=16)),
     ),
     st.tuples(
         st.just(("dist", "mass")),
-        st.tuples(st.just("--height"), st.integers(-2, 2).map(str)),
+        st.tuples(st.just("--height"), _integer_text(-2, 2)),
         st.tuples(st.just("--input"), st.text("01", min_size=1, max_size=16)),
     ),
     st.tuples(
         st.just(("simulate", "embed")),
-        st.tuples(st.just("--level"), st.integers(0, 3).map(str)),
-        st.tuples(st.just("--trials"), st.integers(-3, 40).map(str)),
+        st.tuples(st.just("--level"), _integer_text(0, 3)),
+        st.tuples(st.just("--trials"), _integer_text(-3, 40)),
         st.tuples(
             st.just("--alpha"),
             st.sampled_from(["0", "1e-3", "0.5", "1", "2", "-1", "nan", "x"]),
@@ -1170,14 +1191,14 @@ _CHEAP_ARGV = st.one_of(
     ),
     st.tuples(
         st.just(("simulate", "minority")),
-        st.tuples(st.just("--trials"), st.integers(-3, 40).map(str)),
+        st.tuples(st.just("--trials"), _integer_text(-3, 40)),
         _SEED,
     ),
     st.tuples(
         st.just(("simulate", "r0")),
-        st.tuples(st.just("--height"), st.integers(-2, 2).map(str)),
-        st.tuples(st.just("--trials"), st.integers(-3, 40).map(str)),
-        st.tuples(st.just("--threads"), st.integers(-3, 3).map(str)),
+        st.tuples(st.just("--height"), _integer_text(-2, 2)),
+        st.tuples(st.just("--trials"), _integer_text(-3, 40)),
+        st.tuples(st.just("--threads"), _integer_text(-3, 3)),
         _SEED,
     ),
 ).map(lambda groups: [word for group in groups for word in group])
@@ -1193,6 +1214,8 @@ def test_exit_code_contract_on_generated_arguments(argv):
     with contextlib.redirect_stdout(out):
         code = exit_code(argv)
     assert code in (0, 1, 2)
+    if any(set(word) & set(_NOT_ASCII_INT) for word in argv):
+        assert code == 2
     if code != 2:
         # exit 1 means exactly that a verdict failed
         failed = any(line.endswith(": FAIL") for line in out.getvalue().splitlines())

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from qlab import dtree, lattice
+from qlab import dtree
 from qlab.boolfn import TruthTable, fmaj, index_to_bits, iterated_table, parse_bits
 from qlab.dtree import (
     CostMatrix,
@@ -23,6 +23,7 @@ from qlab.dtree import (
     delta0,
     exact_depth,
     min_weighted_zero_error,
+    table_values,
     tree_cost,
     tree_depth,
     tree_from_text,
@@ -37,7 +38,6 @@ from qlab.harddist import (
     minority_leaf_law,
     minority_marginals_exact,
 )
-from qlab.lattice import table_values
 from qlab.subcube import computes, validate
 
 
@@ -266,14 +266,14 @@ def block_invariant_law(rng, n):
 
 def on_the_full_lattice(monkeypatch, run):
     with monkeypatch.context() as m:
-        m.setattr(lattice, "block_symmetric", lambda values: False)
+        m.setattr(dtree, "block_symmetric", lambda values: False)
         return run()
 
 
 def lattice_sizes(monkeypatch, run):
     """run()'s result, and the size of each lattice it asked for."""
     sizes = []
-    real = lattice.lattice
+    real = dtree.lattice
 
     def recording(*args):
         lat = real(*args)
@@ -281,7 +281,7 @@ def lattice_sizes(monkeypatch, run):
         return lat
 
     with monkeypatch.context() as m:
-        m.setattr(lattice, "lattice", recording)
+        m.setattr(dtree, "lattice", recording)
         return run(), sizes
 
 
@@ -311,7 +311,7 @@ def test_tables_without_the_block_symmetry_take_the_full_lattice():
     pair = TruthTable.from_values(4, [idx >> 2 & idx >> 1 & 1 for idx in range(16)])
     flipped = TruthTable(16, iterated_table(2).bits ^ 1 << (1 << 14))
     for f, depth in ((pair, 2), (flipped, 16)):
-        assert not lattice.block_symmetric(table_values(f))
+        assert not dtree.block_symmetric(table_values(f))
         result = exact_depth(f)
         assert (result.value, result.states) == (depth, 3**f.n)
 
@@ -363,7 +363,7 @@ def distinct_rows_in_a_block(rng):
 def test_weighted_dp_without_the_symmetry_takes_the_full_lattice(monkeypatch, case):
     f, rows = case(random.Random(43))
     cost = CostMatrix.from_lists(f.n, rows)
-    assert lattice.block_symmetric(table_values(f))
+    assert dtree.block_symmetric(table_values(f))
     result, sizes = lattice_sizes(monkeypatch, lambda: min_weighted_zero_error(f, cost))
     assert sizes == [3**f.n] and result.states == 3**f.n
     assert result.value == brute_weighted(f, rows)
@@ -529,8 +529,8 @@ def test_min_weighted_uniform_law_at_nine_vars():
 
 
 def no_charge_lattice(monkeypatch):
-    """Make lattice.lattice hand out lattices whose charge sums fail."""
-    real = lattice.lattice
+    """Make dtree.lattice hand out lattices whose charge sums fail."""
+    real = dtree.lattice
 
     def unsummed(*args):
         lat = real(*args)
@@ -540,7 +540,7 @@ def no_charge_lattice(monkeypatch):
 
         return dataclasses.replace(lat, sums=sums)
 
-    monkeypatch.setattr(lattice, "lattice", unsummed)
+    monkeypatch.setattr(dtree, "lattice", unsummed)
 
 
 def test_min_weighted_refuses_an_object_law_before_any_charge_lattice(monkeypatch):
@@ -549,7 +549,7 @@ def test_min_weighted_refuses_an_object_law_before_any_charge_lattice(monkeypatc
     # at 72 bits, so Python ints: about 3.2 GiB for the charges and values
     rng = random.Random(5)
     f = TruthTable(16, rng.getrandbits(1 << 16))
-    assert not lattice.block_symmetric(table_values(f))
+    assert not dtree.block_symmetric(table_values(f))
     p, q = 33554393, 33554383
     masses = [Fraction(1, 1 << 16)] * (1 << 16)
     masses[0] += Fraction(1, p)
@@ -687,7 +687,7 @@ def test_tree_text_round_trip():
 
 
 def test_tree_text_rejects_garbage():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="1-based"):
         tree_from_text("(0 =0 =1)")
     with pytest.raises(ValueError):
         tree_from_text("(1 =0")
@@ -696,3 +696,7 @@ def test_tree_text_rejects_garbage():
             tree_from_text(truncated)
     with pytest.raises(ValueError):
         tree_from_text("(1 =0 =1) junk")
+    # variable numbers are ASCII digits; int() would read each of these
+    for text in ("(\u0661 =0 (0_2 =0 =1))", "(1 =0 (0_2 =0 =1))", "(+1 =0 =1)", "(\uff11 =0 =1)"):
+        with pytest.raises(ValueError, match="not a variable number"):
+            tree_from_text(text)

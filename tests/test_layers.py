@@ -13,7 +13,6 @@ import qlab
 LAYERS = [
     {"boolfn"},
     {"subcube"},
-    {"lattice"},
     {"dtree"},
     {"harddist"},
     {"randalg", "lpbound"},
@@ -78,8 +77,10 @@ def test_modules_import_only_earlier_layers():
             assert RANK[dep] < RANK[name], f"{name} imports {dep}"
 
 
-# the lattice module's internals: dtree takes its lattice from
-# lattice.lattice, so the choice between lattices lives in one module
+# the internals of dtree's lattice section, the run of definitions from
+# table_values to lattice: every other definition, the DPs, _relax,
+# _witness and the tree helpers among them, takes its lattice from
+# lattice(), so the choice between lattices lives in one function
 LATTICE_INTERNALS = {
     "_sweep",
     "_FULL_SWEEP",
@@ -93,23 +94,65 @@ LATTICE_INTERNALS = {
 }
 
 
-def imported_names(source: str) -> set[str]:
-    """The names a module's source imports with ``from ... import``."""
+def defined_names(top: ast.stmt) -> set[str]:
+    """The names a top-level statement defines or assigns."""
+    if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+        return {top.name}
+    targets = top.targets if isinstance(top, ast.Assign) else [getattr(top, "target", None)]
+    return {target.id for target in targets if isinstance(target, ast.Name)}
+
+
+def lattice_section(source: str) -> tuple[list[ast.stmt], list[ast.stmt]]:
+    """A module's top-level statements inside its lattice section, from
+    the definition of ``table_values`` to that of ``lattice``, and those
+    outside it."""
+    body = ast.parse(source).body
+    defined = [defined_names(top) for top in body]
+    start = next(i for i, names in enumerate(defined) if "table_values" in names)
+    stop = next(i for i, names in enumerate(defined) if "lattice" in names) + 1
+    return body[start:stop], body[:start] + body[stop:]
+
+
+def names_or_imports(node: ast.AST) -> set[str]:
+    """The names a syntax tree reads or imports with ``from ... import``."""
+    imported = {
+        alias.name for n in ast.walk(node) if isinstance(n, ast.ImportFrom) for alias in n.names
+    }
+    return set(names_used(node)) | imported
+
+
+def lattice_leaks(source: str) -> set[str]:
+    """The top-level statements outside a module's lattice section that
+    name one of LATTICE_INTERNALS, by the names they define, else by
+    their line."""
+    _, outside = lattice_section(source)
     return {
-        alias.name
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
+        ", ".join(sorted(defined_names(top))) or f"line {top.lineno}"
+        for top in outside
+        if names_or_imports(top) & LATTICE_INTERNALS
     }
 
 
-def test_dtree_leaves_the_lattice_choice_to_the_lattice_module():
+def test_dtree_leaves_the_lattice_choice_to_the_lattice_function():
     source = (SRC / "dtree.py").read_text()
-    assert not (imported_names(source) | set(names_used(ast.parse(source)))) & LATTICE_INTERNALS
-    assert imported_names("from .lattice import Lattice, _FULL_SWEEP as sweep\n") == {
-        "Lattice",
-        "_FULL_SWEEP",
-    }
+    inside, _ = lattice_section(source)
+    assert LATTICE_INTERNALS <= set().union(*map(defined_names, inside))
+    assert lattice_leaks(source) == set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "dtree":
+            assert not names_or_imports(ast.parse(path.read_text())) & LATTICE_INTERNALS, path.name
+    # the finder sees an import of a sweep, DPs that pick their own
+    # lattice, and a constant built from an internal
+    leaky = (
+        "from .dtree import _FULL_SWEEP as sweep\n"
+        "def table_values(f): pass\n"
+        "_CLASS_SWEEP = None\n"
+        "def lattice(f): return _CLASS_SWEEP\n"
+        "def exact_depth(f): return block_symmetric(f)\n"
+        "def min_weighted_zero_error(f): return lattice(f).sweep is not _CLASS_SWEEP\n"
+        "_SWEEPS = [lattice_colors]\n"
+    )
+    assert lattice_leaks(leaky) == {"line 1", "exact_depth", "min_weighted_zero_error", "_SWEEPS"}
 
 
 def test_the_package_imports_no_module():
@@ -128,7 +171,7 @@ def test_modules_import_only_the_standard_library_and_numpy():
 # lpbound are pure Python, and harddist and cli import numpy only inside
 # the functions that use it, so `fn *`, `partition *`, `bound prt`,
 # `fixtures`, `dist mass`, `dist total` and every `dist emit` never load it
-NUMPY_AT_IMPORT = {"lattice", "dtree", "randalg"}
+NUMPY_AT_IMPORT = {"dtree", "randalg"}
 # the functions of the other modules whose bodies import numpy: harddist's
 # samplers and cli's handlers that sample or draw a Monte Carlo reference
 NUMPY_FUNCTIONS = {

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qlab.boolfn import MAX_VARS, TruthTable, fmaj, iterated_table
-from qlab.lattice import lattice_colors, lattice_sums
+from qlab.dtree import lattice_colors, lattice_sums
 from qlab.subcube import (
     LabeledPartition,
     Pattern,
