@@ -520,47 +520,37 @@ _FIXTURES = {
 _FIXTURE_FILES = (("fn", "fmaj"), ("fn", "fmaj2"), ("partition", "canonical"), ("dist", "d"))
 
 
-def _fixture_makers(command: str):
-    """The formatter of the files command emits, the report line that
-    sizes one, and each name's maker, importing only the module that
-    makes them."""
+def _fixture(command: str, name: str) -> tuple[str, str, int]:
+    """The text of command's file ``name`` and the report line that
+    sizes it, importing only the module that makes it."""
     if command == "fn":
-        return boolfn.table_to_text, ("n", lambda table: table.n), {
-            "identity": lambda: boolfn.iterated_table(0),
-            "fmaj": boolfn.fmaj,
-            "fmaj2": lambda: boolfn.iterated_table(2),
-        }
+        table = boolfn.iterated_table({"identity": 0, "fmaj": 1, "fmaj2": 2}[name])
+        return boolfn.table_to_text(table), "n", table.n
     if command == "partition":
         from . import subcube
 
-        return subcube.partition_to_text, ("parts", len), {
-            "canonical": subcube.canonical_fmaj_partition,
-        }
+        part = {"canonical": subcube.canonical_fmaj_partition}[name]()
+        return subcube.partition_to_text(part), "parts", len(part)
     from . import harddist
 
-    return harddist.dist_to_text, ("support", lambda dist: sum(1 for m in dist if m)), {
-        "d0": harddist.d0,
-        "d1": harddist.d1,
-        "d": harddist.d,
-        "d2": lambda: harddist.dh_law(2),
-    }
+    laws = {"d0": harddist.d0, "d1": harddist.d1, "d": harddist.d, "d2": lambda: harddist.dh_law(2)}
+    dist = laws[name]()
+    return harddist.dist_to_text(dist), "support", sum(1 for m in dist if m)
 
 
 def cmd_emit(args: argparse.Namespace, rep: Report) -> None:
-    to_text, (key, size), makers = _fixture_makers(args.command)
-    made = makers[args.name]()
-    _save(args.out, to_text(made))
+    text, key, size = _fixture(args.command, args.name)
+    _save(args.out, text)
     rep.add("name", args.name)
-    rep.add(key, size(made))
+    rep.add(key, size)
     rep.add("out", args.out)
 
 
 def cmd_fixtures(args: argparse.Namespace, rep: Report) -> None:
     os.makedirs(args.out_dir, exist_ok=True)
     for command, name in _FIXTURE_FILES:
-        to_text, _, makers = _fixture_makers(command)
         path = os.path.join(args.out_dir, name + _FIXTURES[command][0])
-        _save(path, to_text(makers[name]()))
+        _save(path, _fixture(command, name)[0])
         rep.add("wrote", path)
 
 

@@ -5,8 +5,10 @@ least expected query count under an input distribution.
 Both optimizations run over the subcube lattice in numpy: a state
 indexes a (3,)*n array whose axis j is x_{j+1}, index 0 or 1 fixing it
 and 2 leaving it free, or, as ``lattice`` picks, the smaller lattice of
-block classes; a table enters as uint8 (``table_values``).  A mixed
-state's value is the least, over its free variables a, of step(a)
+block classes.  Either lattice builds its colors and charge sums one
+way: per-input values (a table as uint8, ``table_values``) go to the
+fully fixed states, and one pass of its sweep merges them upward.  A
+mixed state's value is the least, over its free variables a, of step(a)
 applied to the two states that fix x_{a+1} to 0 and to 1.  The values
 start at 0 on f-constant states and at an "infinity" above every
 optimum on mixed ones; a sweep then takes each axis's moves in order
@@ -210,27 +212,6 @@ def _zeta(
     return out
 
 
-def _colors(leaves: np.ndarray, sweep: Sweep, width: int) -> np.ndarray:
-    # merged as 1 + color, the set of values seen: 0b01 for 0, 0b10 for
-    # 1, 0b11 for mixed, so two halves merge by bitwise or
-    colors = _zeta(leaves + 1, np.bitwise_or, sweep, width)
-    colors -= 1
-    return colors
-
-
-def lattice_colors(f: TruthTable) -> np.ndarray:
-    """Color of every subcube: a (3,)*n uint8 array holding f's value
-    where f is constant on the subcube and 2 where it is mixed."""
-    return _colors(table_values(f).reshape((2,) * f.n), _FULL_SWEEP, 3)
-
-
-def lattice_sums(values: np.ndarray) -> np.ndarray:
-    """Sum of ``values`` (one entry per input, in index order) over the
-    members of every subcube, as a (3,)*n array of the same dtype."""
-    n = values.size.bit_length() - 1
-    return _zeta(values.reshape((2,) * n), np.add, _FULL_SWEEP, 3)
-
-
 # ---------------------------------------------------------------------------
 # the block class lattice.  Where f and the charges are unchanged by
 # permuting x2..x4 inside each aligned block x_{4b+1}..x_{4b+4}, so is
@@ -302,10 +283,10 @@ def class_state(state: Sequence[int]) -> tuple[int, ...]:
 class Lattice:
     """The lattice a subcube DP runs on, and its pass."""
 
-    colors: np.ndarray  # as lattice_colors gives them
+    colors: np.ndarray  # f's value on each state where f is constant, 2 where mixed
     sweep: Sweep
     key: Callable[[Sequence[int]], tuple]  # the index in it of a (3,)*n state
-    sums: Callable[[np.ndarray], np.ndarray]  # as lattice_sums on it
+    sums: Callable[[np.ndarray], np.ndarray]  # per-input values summed over each state
 
 
 def lattice(f: TruthTable, rows: Sequence[np.ndarray] = (), which: Sequence[int] = ()) -> Lattice:
@@ -313,23 +294,30 @@ def lattice(f: TruthTable, rows: Sequence[np.ndarray] = (), which: Sequence[int]
     x_{i+1} the sum of ``rows[which[i]]`` (one entry per input) over the
     subcube: the class lattice when f and every row are block-symmetric
     and each block charges x_{4b+2..4b+4} by one row, else the full one."""
-    if not (
-        block_symmetric(table_values(f))
+    values = table_values(f)
+    if (
+        block_symmetric(values)
         and all(which[j] == which[j + 1] == which[j + 2] for j in range(1, len(which), 4))
         and all(block_symmetric(row) for row in rows)
     ):
-        return Lattice(lattice_colors(f), _FULL_SWEEP, tuple, lattice_sums)
-    m, width = f.n // 4, len(_CLASSES)
+        sweep, width, key = _CLASS_SWEEP, len(_CLASSES), class_state
+        # the fixed classes read per-input values at one input each
+        shape, pick = (16,) * (f.n // 4), np.ix_(*[_LEAF_INPUT] * (f.n // 4))
+    else:
+        sweep, width, key, shape, pick = _FULL_SWEEP, 3, tuple, (2,) * f.n, ()
 
-    def leaves(values: np.ndarray) -> np.ndarray:
-        # the fixed classes read values at one input each
-        return values.reshape((16,) * m)[np.ix_(*[_LEAF_INPUT] * m)]
+    def leaves(v: np.ndarray) -> np.ndarray:
+        # per-input values on the fully fixed states
+        return v.reshape(shape)[pick]
 
-    def sums(values: np.ndarray) -> np.ndarray:
-        return _zeta(leaves(values), np.add, _CLASS_SWEEP, width)
+    def sums(v: np.ndarray) -> np.ndarray:
+        return _zeta(leaves(v), np.add, sweep, width)
 
-    colors = _colors(leaves(table_values(f)), _CLASS_SWEEP, width)
-    return Lattice(colors, _CLASS_SWEEP, class_state, sums)
+    # merged as 1 + color, the set of values seen: 0b01 for 0, 0b10 for
+    # 1, 0b11 for mixed, so two halves merge by bitwise or
+    colors = _zeta(leaves(values) + 1, np.bitwise_or, sweep, width)
+    colors -= 1
+    return Lattice(colors, sweep, key, sums)
 
 
 # ---------------------------------------------------------------------------

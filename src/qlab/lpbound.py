@@ -321,7 +321,6 @@ def build_prt_lp(f: TruthTable, eps: Fraction) -> RationalLP:
 
 @dataclass(frozen=True)
 class PrtReport:
-    eps: Fraction
     value: Fraction
     dual_value: Fraction
     half_log2: float
@@ -341,7 +340,6 @@ def prt_report(f: TruthTable, eps: Fraction) -> PrtReport:
         raise CertificateError(f"the simplex calls a feasible, bounded relaxation {sol.status}")
     assert sol.value is not None and sol.dual is not None
     return PrtReport(
-        eps,
         sol.value,
         _dot(lp.rhs, sol.dual),
         0.5 * math.log2(float(sol.value)),

@@ -709,7 +709,6 @@ def test_every_emit_name_has_a_maker(tmp_path, capsys):
     # which load only when a file is written
     emitted = {}
     for command, (suffix, names) in cli._FIXTURES.items():
-        assert sorted(cli._fixture_makers(command)[2]) == sorted(names)
         for name in names:
             out = tmp_path / (name + suffix)
             code, _ = run(capsys, command, "emit", "--name", name, "--out", str(out))

@@ -6,6 +6,7 @@ axis sweeps over the subcube lattice.
 """
 
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -295,6 +296,23 @@ def test_class_lattice_matches_the_full_lattice(monkeypatch, n, count):
         want = on_the_full_lattice(monkeypatch, lambda: exact_depth(f, want_tree=True))
         assert (got.states, want.states) == (30 ** (n // 4), 3**n)
         assert (got.value, got.tree) == (want.value, want.tree), f.bits
+
+
+@pytest.mark.parametrize("n, count", [(4, 100), (8, 20)])
+def test_class_lattice_agrees_with_the_full_lattice_state_by_state(monkeypatch, n, count):
+    # the one construction of colors and sums rests on this: at every
+    # (3,)*n state the full lattice holds what the class lattice holds
+    # at the state's class
+    at = tuple(np.array([dtree.class_state(s) for s in itertools.product(range(3), repeat=n)]).T)
+    rng = random.Random(51 + n)
+    for _ in range(count):
+        f = block_invariant_table(rng, n)
+        law = np.array(block_invariant_law(rng, n), dtype=np.int64)
+        classes = dtree.lattice(f, [law], [0] * n)
+        full = on_the_full_lattice(monkeypatch, lambda: dtree.lattice(f, [law], [0] * n))
+        assert (classes.colors.size, full.colors.size) == (30 ** (n // 4), 3**n)
+        for got, want in ((classes.colors, full.colors), (classes.sums(law), full.sums(law))):
+            assert np.array_equal(got[at].reshape((3,) * n), want), f.bits
 
 
 def test_class_lattice_tree_of_fmaj2_is_the_full_lattice_tree(monkeypatch):

@@ -89,8 +89,6 @@ LATTICE_INTERNALS = {
     "_CLASS_MOVES",
     "class_state",
     "block_symmetric",
-    "lattice_colors",
-    "lattice_sums",
 }
 
 
@@ -150,7 +148,7 @@ def test_dtree_leaves_the_lattice_choice_to_the_lattice_function():
         "def lattice(f): return _CLASS_SWEEP\n"
         "def exact_depth(f): return block_symmetric(f)\n"
         "def min_weighted_zero_error(f): return lattice(f).sweep is not _CLASS_SWEEP\n"
-        "_SWEEPS = [lattice_colors]\n"
+        "_SWEEPS = [_FULL_MOVES]\n"
     )
     assert lattice_leaks(leaky) == {"line 1", "exact_depth", "min_weighted_zero_error", "_SWEEPS"}
 

@@ -7,8 +7,8 @@ import random
 import numpy as np
 import pytest
 
+from qlab import dtree
 from qlab.boolfn import MAX_VARS, TruthTable, fmaj, iterated_table
-from qlab.dtree import lattice_colors, lattice_sums
 from qlab.subcube import (
     LabeledPartition,
     Pattern,
@@ -92,23 +92,26 @@ def lattice_states(n):
         yield state, Pattern("".join("01*"[t] for t in state))
 
 
-def test_lattice_colors_match_member_scan():
+def test_lattice_colors_match_member_scan(monkeypatch):
+    # the full (3,)*n lattice, even where f is block-symmetric
+    monkeypatch.setattr(dtree, "block_symmetric", lambda values: False)
     rng = random.Random(3)
     for n in range(1, 6):
         for _ in range(12):
             f = TruthTable(n, rng.getrandbits(1 << n))
-            colors = lattice_colors(f)
+            colors = dtree.lattice(f).colors
             assert colors.shape == (3,) * n and colors.dtype == np.uint8
             for state, pat in lattice_states(n):
                 outs = {f.bit(i) for i in member_list(pat)}
                 assert colors[state] == (outs.pop() if len(outs) == 1 else 2), (n, f.bits, state)
 
 
-def test_lattice_sums_match_member_scan():
+def test_lattice_sums_match_member_scan(monkeypatch):
+    monkeypatch.setattr(dtree, "block_symmetric", lambda values: False)
     rng = random.Random(4)
     for n in range(1, 6):
         values = [rng.randint(0, 10**30) for _ in range(1 << n)]
-        sums = lattice_sums(np.array(values, dtype=object))
+        sums = dtree.lattice(TruthTable(n, 0)).sums(np.array(values, dtype=object))
         for state, pat in lattice_states(n):
             assert sums[state] == sum(values[i] for i in member_list(pat))
 

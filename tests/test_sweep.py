@@ -6,9 +6,10 @@ freeing one variable of a state from its two children.  ``_zeta`` and
 ``dtree._relax`` rely on the order of those moves, which the first test
 checks for both tables.  The reference below sweeps every axis of the
 full lattice on whole slabs, written out by hand.  Every lattice built
-on the full lattice's sweep must come out the same, state for state, at
-n = 1 to 7, whether the sweep gets the lattice as `dtree` builds it or
-in one of two layouts that are not C-contiguous.
+on the full lattice's sweep, the colors and sums of ``dtree.lattice``
+and the DPs' values, must come out the same, state for state, at n = 1
+to 7, whether the sweep gets the lattice as `dtree` builds it or in one
+of two layouts that are not C-contiguous.
 """
 
 import random
@@ -144,22 +145,24 @@ def relaxed_lattices(monkeypatch, run):
     return seen
 
 
-def test_colors_match_the_reference_sweep(both):
+def test_colors_match_the_reference_sweep(both, monkeypatch):
+    monkeypatch.setattr(dtree, "block_symmetric", lambda values: False)
     rng = random.Random(11)
     for n in NS:
         for _ in range(6):
             f = TruthTable(n, rng.getrandbits(1 << n))
-            assert_same_lattice(*both(lambda: dtree.lattice_colors(f)))
+            assert_same_lattice(*both(lambda: dtree.lattice(f).colors))
 
 
 @pytest.mark.parametrize(
     "dtype, top", [(np.int32, 2**20), (np.int64, 2**50), (object, 10**30)], ids=str
 )
-def test_sums_match_the_reference_sweep(both, dtype, top):
+def test_sums_match_the_reference_sweep(both, monkeypatch, dtype, top):
+    monkeypatch.setattr(dtree, "block_symmetric", lambda values: False)
     rng = random.Random(12)
     for n in NS:
         values = np.array([rng.randint(0, top) for _ in range(1 << n)], dtype=dtype)
-        swept, reference = both(lambda: dtree.lattice_sums(values))
+        swept, reference = both(lambda: dtree.lattice(TruthTable(n, 0)).sums(values))
         assert_same_lattice(swept, reference)
         assert swept[(2,) * n] == sum(values.tolist())
 
