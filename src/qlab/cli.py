@@ -43,10 +43,12 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from . import boolfn
 
 if TYPE_CHECKING:
-    from . import randalg, subcube
+    from . import randalg
 
 # exact per-level floor on expected reads for any zero-error tree
 LEVEL_COST_FLOOR = Fraction(16, 5)
+# where band-low, (16/5)^h, comes from in a report that does not compute delta0
+BAND_LOW_SOURCE = f"theorem ({LEVEL_COST_FLOOR})^{{}}, not computed here"
 # the law of the root's child that the minority path enters
 MINORITY_MARGINALS = (Fraction(2, 5), Fraction(1, 5), Fraction(1, 5), Fraction(1, 5))
 # the law of the child the minority path leaves through, j, given the
@@ -161,7 +163,7 @@ def cmd_fn_iter(args: argparse.Namespace, rep: Report) -> None:
 # measure
 
 def cmd_measure_depth(args: argparse.Namespace, rep: Report) -> None:
-    from . import dtree
+    from . import dtree, subcube
 
     table = _load("table", boolfn.table_from_text, args.table)
     rep.add("n", table.n)
@@ -176,13 +178,13 @@ def cmd_measure_depth(args: argparse.Namespace, rep: Report) -> None:
         rep.add("tree-out", args.tree_out)
         rep.add_verdict(
             "witness-replay",
-            _partition_computes(dtree.tree_to_partition(tree, table.n), table)
+            subcube.computes(dtree.tree_to_partition(tree, table.n), table)
             and dtree.tree_depth(tree) == result.value,
         )
 
 
 def cmd_measure_delta0(args: argparse.Namespace, rep: Report) -> None:
-    from . import dtree, harddist
+    from . import dtree, harddist, subcube
 
     table = _load("table", boolfn.table_from_text, args.table)
     dist = _load("distribution", harddist.dist_from_text, args.dist)
@@ -196,7 +198,7 @@ def cmd_measure_delta0(args: argparse.Namespace, rep: Report) -> None:
     rep.add("lattice-states", result.states)
     rep.add_verdict(
         "witness-replay",
-        _partition_computes(dtree.tree_to_partition(result.tree, table.n), table)
+        subcube.computes(dtree.tree_to_partition(result.tree, table.n), table)
         and dtree.tree_cost(result.tree, charges) == result.value,
     )
 
@@ -234,14 +236,12 @@ def cmd_partition_check(args: argparse.Namespace, rep: Report) -> None:
         raise InputError("partition and table arity mismatch")
     rep.add("n", part.n)
     rep.add("parts", len(part))
-    try:
-        labels_ok = subcube.computes(part, table)  # validates the partition
-    except ValueError as exc:  # not a partition
-        rep.add_verdict("valid", False)
-        rep.add("violation", str(exc))
+    report = subcube.validate(part)
+    rep.add_verdict("valid", report.ok)
+    if not report.ok:
+        rep.add("violation", f"not a partition ({report.error}: {report.detail})")
         return
-    rep.add_verdict("valid", True)
-    rep.add_verdict("computes", labels_ok)
+    rep.add_verdict("computes", report.ones == table.bits)
     cost = subcube.partition_cost(part)
     rep.add("cost", cost.cost)
     rep.add("weight", cost.weight)
@@ -289,8 +289,9 @@ def cmd_partition_search_weight(args: argparse.Namespace, rep: Report) -> None:
     table = _load("table", boolfn.table_from_text, args.table)
     result = subcube.search_min_weight(table)
     rep.add("n", table.n)
-    rep.add("weight", result.weight)
-    rep.add("half-log2", repr(0.5 * math.log2(result.weight)))
+    weight = subcube.partition_cost(result.partition).weight
+    rep.add("weight", weight)
+    rep.add("half-log2", repr(0.5 * math.log2(weight)))
     rep.add("nodes", result.nodes)
     rep.add("parts", len(result.partition))
     if args.out:
@@ -394,6 +395,7 @@ def cmd_simulate_r0(args: argparse.Namespace, rep: Report) -> None:
     if band is not None:
         low, high, within = band
         rep.add_rational("band-low", low)
+        rep.add("band-low-source", BAND_LOW_SOURCE.format(args.height))
         rep.add_rational("band-high", high)
         rep.add_verdict("within-band", within)
 
@@ -441,16 +443,6 @@ def cmd_simulate_embed(args: argparse.Namespace, rep: Report) -> None:
 # ---------------------------------------------------------------------------
 # verify
 
-def _partition_computes(part: subcube.LabeledPartition, table: boolfn.TruthTable) -> bool:
-    """Whether part is a partition whose labels compute table."""
-    from . import subcube
-
-    try:
-        return subcube.computes(part, table)  # validates the partition
-    except ValueError:  # not a partition
-        return False
-
-
 def cmd_verify_separation(args: argparse.Namespace, rep: Report) -> None:
     """The cost-3^h partition against the depth-4^h tree at height h, and
     the evaluator and hard-law facts behind them; at height 1 also the
@@ -467,7 +459,7 @@ def cmd_verify_separation(args: argparse.Namespace, rep: Report) -> None:
         part = subcube.compose_partitions(canon, canon)
     rep.add_verdict(
         "composed-partition",
-        all(p.fixed_count == 3**h for p, _ in part.entries) and _partition_computes(part, table),
+        all(p.fixed_count == 3**h for p, _ in part.entries) and subcube.computes(part, table),
     )
     if h == 1:
         search = subcube.search_min_cost(table, 2)
@@ -485,6 +477,8 @@ def cmd_verify_separation(args: argparse.Namespace, rep: Report) -> None:
     rep.add("exact-stderr", repr(sigma))
     rep.add_verdict("zero-error", randalg.lv_check_correct())
     rep.add_rational("band-low", low)
+    if h == 2:  # at height 1 the J/K functionals below compute it, as J(1, 1)
+        rep.add("band-low-source", BAND_LOW_SOURCE.format(h))
     rep.add_rational("band-high", high)
     rep.add_verdict("mean-band", within)
     rep.add_verdict("worst-cost-13-4-power", high == Fraction(13, 4) ** h)

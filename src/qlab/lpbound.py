@@ -5,7 +5,8 @@ pair.  At every input x the weights of correctly labeled subcubes
 through x must reach 1 - eps while all weights through x sum to exactly
 1; the objective charges each subcube 2**(fixed positions).  At eps = 0
 the public-coin variant collapses to the cheapest single labeled
-partition, which the exhaustive weight search already finds.
+partition, which the exhaustive weight search already finds.  The
+subcubes and the inputs each holds come from `subcube`.
 
 The solver is a two-phase revised simplex in exact integers over one
 sparse standard form: each column of the rows scaled to integers by the
@@ -24,13 +25,13 @@ so `bound prt` never loads it.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from . import subcube
 from .boolfn import TruthTable
 
 MAX_LP_VARS_N = 4
@@ -293,23 +294,19 @@ def solve_exact(lp: RationalLP) -> LPSolution:
 
 def build_prt_lp(f: TruthTable, eps: Fraction) -> RationalLP:
     """The weighted-cover relaxation for f at error eps."""
-    n = f.n
-    if n > MAX_LP_VARS_N:
+    if f.n > MAX_LP_VARS_N:
         raise ValueError(f"relaxation supports n <= {MAX_LP_VARS_N}")
     if not 0 <= eps < Fraction(1, 2):
         raise ValueError("eps must lie in [0, 1/2)")
-    # every subcube as a pattern over 01*, x_1 varying slowest, as
-    # subcube.all_patterns lists them
-    patterns = ["".join(t) for t in itertools.product("01*", repeat=n)]
-    names = [f"w[{pat},{z}]" for pat in patterns for z in (0, 1)]
-    objective = [1 << (n - pat.count("*")) for pat in patterns for _ in (0, 1)]
+    patterns = list(subcube.all_patterns(f.n))
+    names = [f"w[{p.text},{z}]" for p in patterns for z in (0, 1)]
+    objective = [1 << p.fixed_count for p in patterns for _ in (0, 1)]
     # rows 2*idx and 2*idx + 1: input idx's correct weight and total weight
     rows = [[0] * len(names) for _ in range(2 * f.size)]
-    for k, pat in enumerate(patterns):
-        mask = int(pat.replace("0", "1").replace("*", "0"), 2)
-        vals = int(pat.replace("*", "0"), 2)
+    for k, p in enumerate(patterns):
+        members = p.members()
         for idx in range(f.size):
-            if idx & mask == vals:
+            if members >> idx & 1:
                 rows[2 * idx + 1][2 * k] = rows[2 * idx + 1][2 * k + 1] = 1
                 rows[2 * idx][2 * k + f.bit(idx)] = 1
     senses = (">=", "==") * f.size

@@ -17,7 +17,6 @@ the budget exists.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 from dataclasses import dataclass, field
@@ -31,9 +30,8 @@ MAX_SEARCH_WEIGHT_VARS = 4
 
 @dataclass(frozen=True)
 class Pattern:
-    """One subcube, e.g. Pattern("0*01"): mask has a 1 bit at every
-    fixed position (in truth-table bit order), vals holds the fixed
-    bits."""
+    """One subcube, e.g. Pattern("0*01"): position j fixed to its bit
+    or free.  `members` alone reads the positions as bits."""
 
     text: str
 
@@ -45,14 +43,6 @@ class Pattern:
     def n(self) -> int:
         return len(self.text)
 
-    @functools.cached_property
-    def mask(self) -> int:
-        return int(self.text.replace("0", "1").replace("*", "0"), 2)
-
-    @functools.cached_property
-    def vals(self) -> int:
-        return int(self.text.replace("*", "0"), 2)
-
     @property
     def fixed_count(self) -> int:
         return sum(1 for c in self.text if c != "*")
@@ -63,11 +53,11 @@ class Pattern:
 
     def members(self) -> int:
         """The inputs inside the subcube as a 2**n-bit word, bit i set
-        for the input of index i: the bit of vals, doubled into one free
-        position at a time from the lowest."""
-        word = 1 << self.vals
-        for i in range(self.n):
-            if not self.mask >> i & 1:
+        for the input of index i: the input with every free position 0,
+        doubled into one free position at a time from the last up."""
+        word = 1 << int(self.text.replace("*", "0"), 2)
+        for i, c in enumerate(reversed(self.text)):
+            if c == "*":
                 word |= word << (1 << i)
         return word
 
@@ -136,16 +126,14 @@ def validate(part: LabeledPartition) -> ValidationReport:
 
 
 def computes(part: LabeledPartition, f: TruthTable) -> bool:
-    """True when every part is f-monochromatic with matching label.
-    Requires a valid partition, so together this checks f on every
-    input exactly once: the parts labeled 1, as validate ORs them, must
-    cover f's 1-inputs and nothing else."""
+    """True when part is a partition of {0,1}^n and every part is
+    f-monochromatic with matching label: the parts labeled 1, as
+    validate ORs them, cover f's 1-inputs and nothing else.  A
+    non-partition computes nothing, so it gives False; only an arity
+    mismatch raises."""
     if part.n != f.n:
         raise ValueError(f"partition arity {part.n} != function arity {f.n}")
-    report = validate(part)
-    if not report.ok:
-        raise ValueError(f"not a partition ({report.error}: {report.detail})")
-    return report.ones == f.bits
+    return validate(part).ones == f.bits
 
 
 def partition_cost(part: LabeledPartition) -> PartitionCost:
@@ -205,10 +193,6 @@ def _order_key(pat: Pattern) -> tuple[int, str]:
 class SearchResult:
     partition: Optional[LabeledPartition]
     nodes: int
-
-    @property
-    def weight(self) -> int:
-        return partition_cost(self.partition).weight
 
 
 class _CoverSearch:

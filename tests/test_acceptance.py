@@ -197,7 +197,7 @@ def test_criterion_9_bound_chain():
     rep3 = prt_report(fmaj(), Fraction(1, 3))
     lp_dt = time.monotonic() - t0
     t1 = time.monotonic()
-    pub = search_min_weight(fmaj())
+    pub = partition_cost(search_min_weight(fmaj()).partition)
     search_dt = time.monotonic() - t1
     chain_ok = rep0.value <= pub.weight <= 64
     eps_ok = rep3.value <= rep0.value

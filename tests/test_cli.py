@@ -392,19 +392,19 @@ def test_bound_commands(tmp_path, capsys):
 PINNED_REPORTS = [
     pytest.param(
         ("simulate", "r0", "--height", "1", "--trials", "100000", "--seed", "8", "--threads", "1"),
-        "6c984004d182da49a54f8179b1b0b221109dc95089ef78b55e5a02e673d24129",
+        "ec4096b7ba4c0a40dba40fcf1a990bb2add1b9408cf6e88c9a50e84ccfaf6c5d",
         0,
         id="r0-h1",
     ),
     pytest.param(
         ("simulate", "r0", "--height", "3", "--trials", "5000", "--seed", "10", "--threads", "1"),
-        "b8eae88c5adc6778046a4293c08d49945cb06b8d6ce94db57943568cd74a0df0",
+        "673336d72dc296611eda62bd29516165827f3556b9220ce1a1dad7dbe7fe1382",
         0,
         id="r0-h3",
     ),
     pytest.param(
         ("simulate", "r0", "--height", "8", "--trials", "20", "--seed", "15", "--threads", "1"),
-        "101fca8b018c59d235b8f569a44139a49cc7379d9e7a3a502c58cbf7146512b9",
+        "4b3ad7c7bca97b5838f188d230650db1b47e9aebb9ee2aca92935c48ed26e0cf",
         0,
         id="r0-h8",
     ),
@@ -610,7 +610,7 @@ VERIFY_MODULES = ("subcube", "dtree", "harddist", "randalg")
         (["dist", "mass", "--height", "1", "--input", "1000"], ("harddist",), 0),
         (["dist", "emit", "--name", "d", "--out", "{out}"], ("harddist",), 0),
         (["dist", "emit", "--name", "d2", "--out", "{out}"], ("harddist",), 0),
-        (["bound", "prt", "--table", "{table}", "--eps", "1/3"], ("lpbound",), 0),
+        (["bound", "prt", "--table", "{table}", "--eps", "1/3"], ("subcube", "lpbound"), 0),
         (["partition", "check", "--part", "{part}", "--table", "{table}"], ("subcube",), 0),
         (["fixtures", "--out-dir", "{dir}"], ("subcube", "harddist"), 0),
         # height 1 exits 1 on criterion 7's floor on K(1,1)
@@ -792,6 +792,26 @@ def test_simulate_r0_exact_references_at_every_height(capsys):
     assert "within-band" not in got
 
 
+def test_band_low_names_its_source_where_it_is_not_computed(capsys):
+    # (16/5)^h is the theorem's floor in simulate r0 and at verify height
+    # 2; verify height 1 computes it as J(1, 1), and --input has no band
+    x = randalg.recursive_exact_worst(3)[1]
+    cases = [
+        (["simulate", "r0", "--height", "1"], "theorem (16/5)^1, not computed here"),
+        (["simulate", "r0", "--height", "3"], "theorem (16/5)^3, not computed here"),
+        (["verify", "separation", "--height", "2"], "theorem (16/5)^2, not computed here"),
+        (["simulate", "r0", "--height", "3", "--input", x], None),
+        (["verify", "separation", "--height", "1"], None),
+    ]
+    for argv, source in cases:
+        _, out = run(capsys, *argv, "--trials", "10", "--seed", "1")
+        got = lines(out)
+        assert got.get("band-low-source") == source, argv
+        if source is not None:
+            keys = list(got)
+            assert keys.index("band-low-float") + 1 == keys.index("band-low-source"), argv
+
+
 def test_simulate_r0_judges_one_trial_by_the_exact_stderr(capsys):
     for h in (1, 3, 4):
         for seed in (1, 2, 3):
@@ -843,7 +863,7 @@ def test_verify_height_two_quick(capsys):
     assert (got["lattice-sweeps"], got["lattice-states"]) == ("2", "810000")
     assert keys.index("lattice-sweeps") + 1 == keys.index("lattice-states")
     rest = "".join(line for line in out.splitlines(True) if not line.startswith("lattice-states: "))
-    assert digest(rest) == "6d3278e2bafb04fecfdfa734939158742c0077b1bd4194ee8fa89cd2f54f075d"
+    assert digest(rest) == "18f64382c2b25423a888c284cceb2308efc4a137a66ef9741eb441c063f7b7c9"
 
 
 def test_verify_height_two_judges_one_trial_by_the_exact_stderr(capsys, monkeypatch):

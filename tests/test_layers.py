@@ -349,6 +349,23 @@ def test_no_module_reads_the_environment():
         assert not reads_environment(path.read_text()), path.name
 
 
+def spells_the_subcube_alphabet(source: str) -> bool:
+    """Whether a module's source holds the string constant "01*"."""
+    return any(
+        isinstance(node, ast.Constant) and node.value == "01*"
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+def test_only_subcube_spells_the_subcube_alphabet():
+    # subcube alone lists the subcubes and reads which inputs each holds;
+    # the LP takes its columns and rows from it
+    assert spells_the_subcube_alphabet('product("01*", repeat=n)')
+    assert not spells_the_subcube_alphabet('re.fullmatch(r"[01*]+", text)')
+    for path in sorted(SRC.glob("*.py")):
+        assert spells_the_subcube_alphabet(path.read_text()) == (path.stem == "subcube"), path.name
+
+
 # src keeps no definition that only the tests call
 OUTSIDE_CALLERS = set()
 

@@ -20,7 +20,7 @@ from qlab.lpbound import (
     prt_report,
     solve_exact,
 )
-from qlab.subcube import canonical_fmaj_partition, search_min_weight
+from qlab.subcube import canonical_fmaj_partition, partition_cost, search_min_weight
 
 F = Fraction
 
@@ -380,7 +380,7 @@ def test_relaxation_value_drops_with_error():
 
 def test_public_coin_report_matches_search():
     # at eps = 0 the public-coin value is the search's minimum weight
-    weight = search_min_weight(fmaj()).weight
+    weight = partition_cost(search_min_weight(fmaj()).partition).weight
     assert weight == 64
     # relaxing to fractional weights cannot increase the optimum
     assert prt_report(fmaj(), F(0)).value <= weight
